@@ -2,8 +2,9 @@
 
 Library layout:
 
-* ``hypergraph``      core types (Hypergraph, ContractionState, Cut) and the
-                      contraction/cut primitives plus instance (de)serialization
+* ``hypergraph``      core types (Hypergraph, Cut, KPartition), the cut
+                      primitives and instance (de)serialization
+* ``_engine``         partitions as component bitmasks and the cached walk
 * ``multiobjective``  edge-cost budgeted min-cut, enumeration and pareto pipelines
 * ``node_budgeted``   node-weight budgeted variants and plain hypergraph min-cut
 * ``size_constrained`` size-constrained min-k-cut
@@ -13,14 +14,14 @@ Library layout:
 * ``cli``             the ``hypercuts`` command-line front end
 """
 
-from .hypergraph import (Cut, KPartition, Hypergraph, ContractionState,
-                         InstanceError, INFEASIBLE, contract, delta,
-                         delta_partition, cut_cost, load_instance, save_instance)
+from .hypergraph import (Cut, KPartition, Hypergraph, InstanceError,
+                         INFEASIBLE, delta, delta_partition, cut_cost,
+                         load_instance, save_instance)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cut", "KPartition", "Hypergraph", "ContractionState", "InstanceError",
-    "INFEASIBLE", "contract", "delta", "delta_partition", "cut_cost",
+    "Cut", "KPartition", "Hypergraph", "InstanceError", "INFEASIBLE",
+    "delta", "delta_partition", "cut_cost",
     "load_instance", "save_instance", "__version__",
 ]

@@ -1,12 +1,34 @@
-"""Shared plumbing for the contraction-walk engines.
+"""The contraction-walk engine shared by every randomized algorithm.
 
 States are partitions of the vertex set, represented as tuples of disjoint
 vertex bitmasks sorted by lowest set bit.  The tuple form is hashable, which
 lets the repeated-trial solvers memoize per-state data (present edges,
 sampling tables) across Monte-Carlo runs on the same instance.
+
+Every algorithm is the same absorbing chain over these states; only the
+edge-weight rule and the stopping rule differ.  An algorithm supplies them as
+an ``expand(comps) -> node`` function, and ``Walk`` caches the node of every
+visited state.  A node is one of
+
+* ``("sample", cum, total, eids, nexts)`` - contract edge ``eids[i]`` with
+  probability proportional to its weight (``cum`` holds the prefix sums);
+  ``nexts`` caches the successor states, built on first use;
+* ``("merge", comps)`` - move to ``comps`` without drawing;
+* ``("base", table, outcome)`` - draw a uniform subset of the components and
+  return ``outcome(side)`` for the union ``side`` of the drawn ones; ``table``
+  caches the outcome of each draw;
+* ``("terminal", outcome)`` - stop with a fixed outcome;
+* ``("delegate", walk)`` - continue with another walk from this state.
+
+An outcome is ``(cut edge-bitmask, witnessed)`` or ``INFEASIBLE``.
+``witnessed`` records whether the cut comes from a witness the problem's
+constraints accept; it is derived after the fact and never influences a draw.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from itertools import accumulate
 
 
 def initial_comps(n: int) -> tuple[int, ...]:
@@ -65,3 +87,89 @@ def delta_mask(edge_masks, side: int, full: int) -> int:
             out |= bit
         bit <<= 1
     return out
+
+
+def mask_sum(values, mask: int) -> int:
+    """Sum of ``values[i]`` over the bits ``i`` set in ``mask``."""
+    total = 0
+    i = 0
+    while mask:
+        if mask & 1:
+            total += values[i]
+        mask >>= 1
+        i += 1
+    return total
+
+
+def ids_mask(eids) -> int:
+    """Bitmask of the given edge ids."""
+    out = 0
+    for eid in eids:
+        out |= 1 << eid
+    return out
+
+
+def sample_node(eids, weights):
+    """Node contracting ``eids[i]`` with probability proportional to
+    ``weights[i]``, or None when every weight is zero."""
+    cum = list(accumulate(weights))
+    if not cum or cum[-1] == 0:
+        return None
+    return ("sample", cum, cum[-1], eids, [None] * len(eids))
+
+
+def sample_step(node, comps, edge_masks, rng):
+    """Successor of ``comps`` under one draw from a sample node."""
+    idx = bisect_right(node[1], rng.randrange(node[2]))
+    nexts = node[4]
+    nxt = nexts[idx]
+    if nxt is None:
+        nxt = nexts[idx] = contract_comps(comps, edge_masks[node[3][idx]])
+    return nxt
+
+
+class Walk:
+    """Cached absorbing-chain walk over the partitions of one hypergraph.
+
+    Expansion is deterministic, so the cache changes nothing about the
+    sampled distribution; it makes a warm trial a few dictionary hops.
+    """
+
+    def __init__(self, G, expand):
+        self.masks = G.edge_masks
+        self.start = initial_comps(G.n)
+        self.expand = expand
+        self.cache: dict[tuple, tuple] = {}
+
+    def run(self, rng, comps=None):
+        """One walk from ``comps`` (default: the singleton partition);
+        returns its outcome."""
+        if comps is None:
+            comps = self.start
+        cache = self.cache
+        masks = self.masks
+        step = sample_step
+        while True:
+            node = cache.get(comps)
+            if node is None:
+                node = cache[comps] = self.expand(comps)
+            tag = node[0]
+            if tag == "sample":
+                comps = step(node, comps, masks, rng)
+            elif tag == "merge":
+                comps = node[1]
+            elif tag == "base":
+                table = node[1]
+                bits = rng.getrandbits(len(comps))
+                out = table.get(bits)
+                if out is None:
+                    side = 0
+                    for i, c in enumerate(comps):
+                        if (bits >> i) & 1:
+                            side |= c
+                    out = table[bits] = node[2](side)
+                return out
+            elif tag == "terminal":
+                return node[1]
+            else:
+                return node[1].run(rng, comps)

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from fractions import Fraction
-from math import comb
 
 from . import analysis, harness, multiobjective, node_budgeted, oracle, size_constrained
 from .hypergraph import (Cut, InstanceError, INFEASIBLE, load_instance,
@@ -103,145 +101,50 @@ def cmd_gen(args) -> dict:
 
 def cmd_solve_bmulti(args) -> dict:
     G = _load(args.instance)
-    budgets = _ints(args.budgets)
-    costs = G.costs_by_criterion()
-    t = len(costs)
-    if len(budgets) != t - 1:
-        raise InstanceError(f"expected {t - 1} budgets for t={t}")
-    trials = args.trials
-    if trials is None:
-        trials = harness.default_trials(
-            multiobjective.success_floor_edge(G.n, G.rank, t))
-    walker = multiobjective._BMultiWalker(G, costs, budgets)
-    best_mask = None
-    best_val = None
-    for idx in range(trials):
-        mask, proper = walker.run(derive_rng(args.seed, idx))
-        if not proper and mask == 0:
-            continue
-        vec = multiobjective._mask_costs(G, costs, mask)
-        if any(vec[i] > budgets[i] for i in range(t - 1)):
-            continue
-        if best_val is None or vec[-1] < best_val:
-            best_val, best_mask = vec[-1], mask
-    if best_mask is None:
-        raise Infeasible({"found": False, "trials": trials,
+    best = multiobjective.solve_bmulti(G, _ints(args.budgets),
+                                       trials=args.trials, seed=args.seed)
+    if best.cut is None:
+        raise Infeasible({"found": False, "trials": best.trials,
                           "note": "no budget-respecting cut found; instance may be infeasible"})
-    cut = Cut.from_mask(best_mask)
-    return {"found": True, "trials": trials, "cut": list(cut.edge_ids),
-            "costs": list(G.cut_costs(cut))}
-
-
-def _side_feasible(G, side, budgets) -> bool:
-    for i, b in enumerate(budgets):
-        total = 0
-        bits = side
-        v = 0
-        while bits:
-            if bits & 1:
-                total += G.vertex_weights[v][i]
-            bits >>= 1
-            v += 1
-        if total > b:
-            return False
-    return True
+    return {"found": True, "trials": best.trials, "cut": list(best.cut.edge_ids),
+            "costs": list(G.cut_costs(best.cut))}
 
 
 def cmd_solve_nb(args) -> dict:
     G = _load(args.instance)
-    budgets = _ints(args.budgets)
-    weights = node_budgeted._weight_columns(G, None)
-    node_budgeted._check_node_budgets(len(weights), budgets)
-    cost = node_budgeted._cost_column(G, None)
-    trials = args.trials if args.trials is not None else harness.default_trials(
-        node_budgeted.success_floor_node(G.n, G.rank)
-        if args.rank_mode == "constant"
-        else node_budgeted.success_floor_node_arbitrary(G.n))
-    best_mask = None
-    best_val = None
-    infeasible_runs = 0
-    if args.rank_mode == "constant":
-        # keep only draws whose witness side (or its complement) fits the
-        # budgets: the base case can emit cuts no feasible set induces
-        walker = node_budgeted._NBConstantWalker(G, cost, weights, budgets)
-        for idx in range(trials):
-            mask, side = walker.run(derive_rng(args.seed, idx))
-            if side == 0 or side == G.full_mask:
-                continue
-            if not (_side_feasible(G, side, budgets)
-                    or _side_feasible(G, G.full_mask & ~side, budgets)):
-                continue
-            val = sum(cost[e] for e in Cut.from_mask(mask).edge_ids)
-            if best_val is None or val < best_val:
-                best_val, best_mask = val, mask
-    else:
-        walker = node_budgeted._NBArbitraryWalker(G, cost, weights, budgets)
-        for idx in range(trials):
-            out = walker.run(derive_rng(args.seed, idx))
-            if out is INFEASIBLE:
-                infeasible_runs += 1
-                continue
-            val = sum(cost[e] for e in Cut.from_mask(out).edge_ids)
-            if best_val is None or val < best_val:
-                best_val, best_mask = val, out
-    if best_mask is None:
-        raise Infeasible({"found": False, "trials": trials,
-                          "infeasible_runs": infeasible_runs,
+    best = node_budgeted.solve_nb_bmulti(G, _ints(args.budgets),
+                                         rank_mode=args.rank_mode,
+                                         trials=args.trials, seed=args.seed)
+    if best.cut is None:
+        raise Infeasible({"found": False, "trials": best.trials,
+                          "infeasible_runs": best.infeasible_runs,
                           "note": "no feasible cut found; instance may be infeasible"})
-    cut = Cut.from_mask(best_mask)
-    return {"found": True, "trials": trials, "rank_mode": args.rank_mode,
-            "cut": list(cut.edge_ids), "cost": best_val,
-            "infeasible_runs": infeasible_runs}
+    return {"found": True, "trials": best.trials, "rank_mode": args.rank_mode,
+            "cut": list(best.cut.edge_ids), "cost": best.value,
+            "infeasible_runs": best.infeasible_runs}
 
 
 def cmd_solve_hmincut(args) -> dict:
     G = _load(args.instance)
-    trials = args.trials
-    if trials is None:
-        trials = max(1, math.ceil(comb(G.n, 2) * math.log(max(G.n, 2))))
-    best_cut = None
-    best_val = None
-    for idx in range(trials):
-        cut = node_budgeted.hypergraph_min_cut(G, derive_rng(args.seed, idx))
-        val = sum(G.edge_costs[e][0] for e in cut.edge_ids)
-        if best_val is None or val < best_val:
-            best_val, best_cut = val, cut
-    return {"trials": trials, "cut": list(best_cut.edge_ids), "cost": best_val}
+    best = node_budgeted.solve_hmincut(G, trials=args.trials, seed=args.seed)
+    return {"trials": best.trials, "cut": list(best.cut.edge_ids),
+            "cost": best.value}
 
 
 def cmd_solve_kcut(args) -> dict:
     G = _load(args.instance)
-    sizes = tuple(sorted(_ints(args.sizes)))
-    if G.n < args.k:
+    sizes = _ints(args.sizes)
+    best = size_constrained.solve_kcut(G, args.k, sizes, trials=args.trials,
+                                       seed=args.seed,
+                                       weighted_costs=args.weighted_costs)
+    if best is INFEASIBLE:
         raise Infeasible({"found": False, "note": f"n={G.n} < k={args.k}"})
-    trials = args.trials
-    if trials is None:
-        trials = harness.default_trials(
-            size_constrained.success_floor_size(G.n, args.k, sizes))
-    # keep only draws witnessed by a proper, size-feasible k-partition:
-    # improper label draws can emit sets no size-constrained partition induces
-    walker = size_constrained._KCutWalker(G, args.k, sizes,
-                                          args.weighted_costs)
-    best_mask = None
-    best_val = None
-    for idx in range(trials):
-        mask, witnessed = walker.run(derive_rng(args.seed, idx))
-        if not witnessed:
-            continue
-        cut = Cut.from_mask(mask)
-        if args.weighted_costs:
-            val = sum(G.edge_costs[e][0] for e in cut.edge_ids)
-        else:
-            val = len(cut.edge_ids)
-        if best_val is None or val < best_val:
-            best_val, best_mask = val, mask
-    if best_mask is None:
-        raise Infeasible({"found": False, "trials": trials,
+    if best.cut is None:
+        raise Infeasible({"found": False, "trials": best.trials,
                           "note": "no size-feasible k-cut found; "
                                   "instance may be infeasible"})
-    cut = Cut.from_mask(best_mask)
-    return {"trials": trials, "k": args.k, "sizes": list(sizes),
-            "cut": list(cut.edge_ids), "value": best_val}
+    return {"trials": best.trials, "k": args.k, "sizes": sorted(sizes),
+            "cut": list(best.cut.edge_ids), "value": best.value}
 
 
 def cmd_enumerate(args) -> dict:

@@ -22,18 +22,14 @@ from math import comb
 from multiprocessing import get_context
 
 from .hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE, save_instance
-from .multiobjective import (_BMultiWalker, _criterion_costs,
-                             enumerate_multiobjective, success_floor_edge,
-                             verify_pareto_optimality)
-from .node_budgeted import (_NBArbitraryWalker, _NBConstantWalker,
-                            _HyperMinCutWalker, _cost_column, _weight_columns,
-                            _check_node_budgets, success_floor_node,
-                            success_floor_node_arbitrary)
-from .size_constrained import _KCutWalker, _check_sizes, success_floor_size
+from .multiobjective import (bmulti_walk, enumerate_multiobjective,
+                             success_floor_edge, verify_pareto_optimality)
+from .node_budgeted import (hmincut_walk, nb_arbitrary_walk, nb_constant_walk,
+                            success_floor_node, success_floor_node_arbitrary)
+from .size_constrained import kcut_walk, success_floor_size
 from .oracle import (build_catalog, oracle_bmulti, oracle_kcut, oracle_min_cut,
                      oracle_multiobjective, oracle_nb_bmulti, oracle_pareto)
-from .sampling import derive_rng
-from ._engine import initial_comps
+from .sampling import default_trials, derive_rng
 
 __all__ = ["TrialReport", "estimate", "default_trials", "pipeline_equivalence",
            "instance_digest"]
@@ -95,67 +91,50 @@ class TrialReport:
         }
 
 
-def default_trials(floor: Fraction) -> int:
-    """max(1000, ceil(30/floor)): at least 30 successes expected at the floor."""
-    if floor <= 0:
-        raise InstanceError("floor must be positive")
-    return max(1000, math.ceil(30 / floor))
-
-
 def _build_problem(G: Hypergraph, algorithm: str, budgets=None, k=None,
                    sizes=None, weighted_costs=False):
-    """Returns (walker factory, oracle cut set or INFEASIBLE, floor)."""
+    """Returns (walk, oracle cut set or INFEASIBLE, floor)."""
     if algorithm == "bmulti":
-        costs = _criterion_costs(G, None)
-        t = len(costs)
         if budgets is None:
             raise InstanceError("bmulti needs budgets")
-        budgets = tuple(budgets)
-        catalog = build_catalog(G)
-        optima = oracle_bmulti(catalog, budgets)
+        walk = bmulti_walk(G, budgets)
+        optima = oracle_bmulti(build_catalog(G), budgets)
         if not optima:
             raise InstanceError("no cut satisfies the budgets; no optimum to track")
-        floor = success_floor_edge(G.n, G.rank, t)
-        walker = _BMultiWalker(G, costs, budgets)
-        return (lambda rng: walker.run(rng)[0]), optima, floor
-    if algorithm == "nb-bmulti-constant":
-        weights = _weight_columns(G, None)
-        budgets = _check_node_budgets(len(weights), budgets or ())
-        cost = _cost_column(G, None)
+        return walk, optima, success_floor_edge(G.n, G.rank, G.t_costs)
+    if algorithm in ("nb-bmulti-constant", "nb-bmulti-arbitrary"):
+        budgets = budgets or ()
+        if algorithm == "nb-bmulti-constant":
+            walk = nb_constant_walk(G, budgets)
+            floor = success_floor_node(G.n, G.rank)
+        else:
+            walk = nb_arbitrary_walk(G, budgets)
+            floor = success_floor_node_arbitrary(G.n)
         result = oracle_nb_bmulti(G, budgets)
         optima = result if result is INFEASIBLE else result[1]
-        floor = success_floor_node(G.n, G.rank)
-        walker = _NBConstantWalker(G, cost, weights, budgets)
-        return (lambda rng: walker.run(rng)[0]), optima, floor
-    if algorithm == "nb-bmulti-arbitrary":
-        weights = _weight_columns(G, None)
-        budgets = _check_node_budgets(len(weights), budgets or ())
-        cost = _cost_column(G, None)
-        result = oracle_nb_bmulti(G, budgets)
-        optima = result if result is INFEASIBLE else result[1]
-        floor = success_floor_node_arbitrary(G.n)
-        walker = _NBArbitraryWalker(G, cost, weights, budgets)
-        return walker.run, optima, floor
+        return walk, optima, floor
     if algorithm == "hmincut":
-        if G.n < 2:
-            raise InstanceError("hmincut needs at least 2 vertices")
-        cost = _cost_column(G, None)
-        catalog = build_catalog(G)
-        _, optima = oracle_min_cut(catalog)
-        floor = Fraction(1, comb(G.n, 2))
-        walker = _HyperMinCutWalker(G, cost)
-        start = initial_comps(G.n)
-        return (lambda rng: walker.run_from(start, rng)), optima, floor
+        walk = hmincut_walk(G)
+        _, optima = oracle_min_cut(build_catalog(G))
+        return walk, optima, Fraction(1, comb(G.n, 2))
     if algorithm == "kcut":
-        sizes = _check_sizes(k, sizes)
+        walk = kcut_walk(G, k, sizes, weighted_costs)
+        sizes = walk.sizes
         result = oracle_kcut(G, k, sizes, weighted_costs=weighted_costs)
         optima = result if result is INFEASIBLE else result[1]
         floor = success_floor_size(G.n, k, sizes) if G.n >= k else Fraction(1)
-        walker = _KCutWalker(G, k, sizes, weighted_costs)
-        if G.n < k:
-            return (lambda rng: INFEASIBLE), optima, floor
-        return (lambda rng: walker.run(rng)[0]), optima, floor
+        return walk, optima, floor
     raise InstanceError(f"unknown algorithm {algorithm!r}")
+
+
+def _successes(walk, target_masks, seed: int, start: int, count: int) -> int:
+    """Trials in [start, start+count) whose cut is one of ``target_masks``."""
+    successes = 0
+    for idx in range(start, start + count):
+        out = walk.run(derive_rng(seed, idx))
+        if out is not INFEASIBLE and out[0] in target_masks:
+            successes += 1
+    return successes
 
 
 def _run_chunk(doc: bytes, algorithm: str, budgets, k, sizes, weighted_costs,
@@ -168,15 +147,8 @@ def _run_chunk(doc: bytes, algorithm: str, budgets, k, sizes, weighted_costs,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         G = load_instance(doc)
-    solver, _, _ = _build_problem(G, algorithm, budgets, k, sizes, weighted_costs)
-    successes = 0
-    for idx in range(start, start + count):
-        out = solver(derive_rng(seed, idx))
-        if out is INFEASIBLE:
-            continue
-        if out in target_masks:
-            successes += 1
-    return successes
+    walk, _, _ = _build_problem(G, algorithm, budgets, k, sizes, weighted_costs)
+    return _successes(walk, target_masks, seed, start, count)
 
 
 def estimate(G: Hypergraph, algorithm: str, *, budgets=None, k=None, sizes=None,
@@ -190,8 +162,8 @@ def estimate(G: Hypergraph, algorithm: str, *, budgets=None, k=None, sizes=None,
     infeasible and the algorithm reports INFEASIBLE, trials count as
     agreement and the report notes the special case.
     """
-    solver, optima, floor = _build_problem(G, algorithm, budgets, k, sizes,
-                                           weighted_costs)
+    walk, optima, floor = _build_problem(G, algorithm, budgets, k, sizes,
+                                         weighted_costs)
     if trials is None:
         trials = default_trials(floor)
     if trials < 1:
@@ -201,7 +173,7 @@ def estimate(G: Hypergraph, algorithm: str, *, budgets=None, k=None, sizes=None,
     if optima is INFEASIBLE:
         successes = 0
         for idx in range(trials):
-            if solver(derive_rng(seed, idx)) is INFEASIBLE:
+            if walk.run(derive_rng(seed, idx)) is INFEASIBLE:
                 successes += 1
         return TrialReport(algorithm, digest, trials, successes, Fraction(1),
                            seed, note="instance infeasible; counting INFEASIBLE agreement")
@@ -226,13 +198,7 @@ def estimate(G: Hypergraph, algorithm: str, *, budgets=None, k=None, sizes=None,
                   target_masks, seed, s, c) for s, c in spans])
         successes = sum(parts)
     else:
-        successes = 0
-        for idx in range(trials):
-            out = solver(derive_rng(seed, idx))
-            if out is INFEASIBLE:
-                continue
-            if out in target_masks:
-                successes += 1
+        successes = _successes(walk, target_masks, seed, 0, trials)
 
     return TrialReport(algorithm, digest, trials, successes, floor, seed,
                        optima=len(optima),

@@ -7,8 +7,9 @@ vector of non-negative integer weights per vertex (one entry per weight
 criterion).  Costs and weights are exact integers throughout: dominance and
 budget comparisons never involve floating point.
 
-Contraction is performed on a ContractionState (a union-find image over an
-immutable base hypergraph); algorithms clone states, never the hypergraph.
+Contraction states are partitions of the vertex set, kept as sorted tuples
+of component bitmasks (see ``_engine``); the hypergraph itself is never
+modified.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ import json
 import warnings
 from dataclasses import dataclass
 
+from ._engine import delta_mask
+
 __all__ = [
     "Cut",
     "KPartition",
     "Hypergraph",
-    "ContractionState",
     "InstanceError",
     "INFEASIBLE",
-    "contract",
-    "contract_edge",
     "delta",
     "delta_partition",
     "cut_cost",
@@ -106,17 +106,28 @@ class KPartition:
         return set(self.labels) == set(range(self.k))
 
 
+def _exact_int(value, what: str) -> int:
+    """``value`` if it is an int; bools and every other type are rejected,
+    so no count, id, cost or weight is ever truncated or coerced."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InstanceError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 class Hypergraph:
     """Immutable hypergraph with per-edge cost vectors and per-vertex weights."""
 
     def __init__(self, n, edges, edge_costs=None, vertex_weights=None,
                  t_costs=None, t_weights=None):
-        if n < 1:
+        if _exact_int(n, "vertex count") < 1:
             raise InstanceError("vertex count must be positive")
+        for count, what in ((t_costs, "t_costs"), (t_weights, "t_weights")):
+            if count is not None and _exact_int(count, what) < 0:
+                raise InstanceError(f"{what} must be non-negative")
         self.n = n
         self.edges = []
         for e in edges:
-            vs = tuple(sorted(set(e)))
+            vs = tuple(sorted({_exact_int(v, "vertex id") for v in e}))
             if len(vs) < 2:
                 raise InstanceError(f"hyperedge {e!r} has fewer than 2 distinct vertices")
             if vs[0] < 0 or vs[-1] >= n:
@@ -134,7 +145,7 @@ class Hypergraph:
             self.t_costs = len(edge_costs[0]) if self.m else 0
         self.edge_costs = []
         for row in edge_costs:
-            row = tuple(int(c) for c in row)
+            row = tuple(_exact_int(c, "edge cost") for c in row)
             if len(row) != self.t_costs:
                 raise InstanceError("cost rows must all have the same length")
             if any(c < 0 for c in row):
@@ -151,7 +162,7 @@ class Hypergraph:
             self.t_weights = len(vertex_weights[0]) if n else 0
         self.vertex_weights = []
         for row in vertex_weights:
-            row = tuple(int(w) for w in row)
+            row = tuple(_exact_int(w, "vertex weight") for w in row)
             if len(row) != self.t_weights:
                 raise InstanceError("weight rows must all have the same length")
             if any(w < 0 for w in row):
@@ -189,114 +200,23 @@ class Hypergraph:
                 f"t_costs={self.t_costs}, t_weights={self.t_weights})")
 
 
-class ContractionState:
-    """Union-find image of a hypergraph under a sequence of contractions.
+def delta(G: Hypergraph, comps, parts, lenient: bool = False) -> Cut:
+    """Cut of original edges crossing (union of ``parts``, complement).
 
-    The representative of a supervertex is the minimum original vertex id it
-    contains, which gives a canonical, contraction-order-independent naming.
-    Merged weights are maintained additively per supervertex.
-    """
-
-    def __init__(self, base: Hypergraph):
-        self.base = base
-        self.parent = list(range(base.n))
-        self.comp_mask = {v: 1 << v for v in range(base.n)}
-        self.weight = {v: list(base.vertex_weights[v]) for v in range(base.n)}
-
-    def clone(self) -> "ContractionState":
-        other = ContractionState.__new__(ContractionState)
-        other.base = self.base
-        other.parent = list(self.parent)
-        other.comp_mask = dict(self.comp_mask)
-        other.weight = {r: list(w) for r, w in self.weight.items()}
-        return other
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    @property
-    def live_count(self) -> int:
-        return len(self.comp_mask)
-
-    def roots(self) -> list[int]:
-        return sorted(self.comp_mask)
-
-    def merged_weight(self, root: int) -> tuple[int, ...]:
-        return tuple(self.weight[self.find(root)])
-
-    def merge(self, roots) -> int:
-        """Merge the given supervertices; returns the surviving root."""
-        roots = sorted({self.find(r) for r in roots})
-        target = roots[0]
-        for r in roots[1:]:
-            self.parent[r] = target
-            self.comp_mask[target] |= self.comp_mask.pop(r)
-            wt = self.weight.pop(r)
-            tw = self.weight[target]
-            for i, w in enumerate(wt):
-                tw[i] += w
-        return target
-
-    def edge_alive(self, eid: int) -> bool:
-        """An edge is alive iff its endpoints map to >= 2 supervertices."""
-        em = self.base.edge_masks[eid]
-        root = self.find(self.base.edges[eid][0])
-        return bool(em & ~self.comp_mask[root])
-
-    def alive_edges(self) -> list[int]:
-        return [eid for eid in range(self.base.m) if self.edge_alive(eid)]
-
-    def edge_roots(self, eid: int) -> set[int]:
-        return {self.find(v) for v in self.base.edges[eid]}
-
-
-def contract(state: ContractionState, vertices) -> ContractionState:
-    """Contract the supervertices met by ``vertices`` into one (in place).
-
-    Edges that end up inside the merged supervertex die; merged weights add.
-    A singleton (or empty) set is a no-op.  Returns the same state.
-    """
-    vs = list(vertices)
-    for v in vs:
-        if not 0 <= v < state.base.n:
-            raise InstanceError(f"unknown vertex id {v}")
-    if vs:
-        state.merge(vs)
-    return state
-
-
-def contract_edge(state: ContractionState, eid: int) -> ContractionState:
-    if not 0 <= eid < state.base.m:
-        raise InstanceError(f"unknown edge id {eid}")
-    return contract(state, state.base.edges[eid])
-
-
-def delta(state: ContractionState, roots, lenient: bool = False) -> Cut:
-    """Cut of alive original edges crossing (roots, complement).
-
-    ``roots`` is a set of supervertex representatives.  The strict variant
-    rejects the empty set and the full set (no cut is induced); algorithms
-    whose base case samples arbitrary subsets pass ``lenient=True`` and get
-    the empty cut for those degenerate inputs.
+    ``comps`` is a partition of the vertex set as a tuple of component
+    bitmasks and ``parts`` a collection of its components.  The strict
+    variant rejects the empty and the full side (no cut is induced); callers
+    that sample arbitrary subsets pass ``lenient=True`` and get the empty cut
+    for those degenerate inputs.
     """
     side = 0
-    for r in roots:
-        rr = state.find(r)
-        if rr not in state.comp_mask:
-            raise InstanceError(f"{r} is not a live supervertex")
-        side |= state.comp_mask[rr]
-    if not lenient and (side == 0 or side == state.base.full_mask):
-        raise InstanceError("delta needs a nonempty proper supervertex set")
-    other = state.base.full_mask & ~side
-    ids = [eid for eid, em in enumerate(state.base.edge_masks)
-           if (em & side) and (em & other)]
-    return Cut(tuple(ids))
+    for part in parts:
+        if part not in comps:
+            raise InstanceError(f"{part:#b} is not a component of the partition")
+        side |= part
+    if not lenient and (side == 0 or side == G.full_mask):
+        raise InstanceError("delta needs a nonempty proper set of components")
+    return Cut.from_mask(delta_mask(G.edge_masks, side, G.full_mask))
 
 
 def delta_partition(G: Hypergraph, partition: KPartition) -> Cut:
@@ -326,16 +246,26 @@ def cut_cost(G: Hypergraph, cut: Cut, criterion: int) -> int:
 _FIELDS = ("n", "t_costs", "t_weights", "edges", "edge_costs", "vertex_weights")
 
 
+def _rows(doc, field: str) -> list:
+    rows = doc[field]
+    if not isinstance(rows, (list, tuple)) or \
+            not all(isinstance(row, (list, tuple)) for row in rows):
+        raise InstanceError(f"{field} must be a list of lists")
+    return rows
+
+
 def load_instance(data) -> Hypergraph:
     """Parse an instance document (JSON bytes/str or an already-parsed dict).
 
-    Size-1 hyperedges are dropped with a warning (they cross no cut); edge
-    ids are re-numbered 0..m-1 over the surviving edges.
+    Every count, vertex id, cost and weight must be a JSON integer; anything
+    else (floats, booleans, strings) raises InstanceError.  Size-1 hyperedges
+    are dropped with a warning (they cross no cut); edge ids are re-numbered
+    0..m-1 over the surviving edges.
     """
     if isinstance(data, (bytes, bytearray, str)):
         try:
             doc = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InstanceError(f"malformed instance document: {exc}") from exc
     else:
         doc = data
@@ -345,23 +275,25 @@ def load_instance(data) -> Hypergraph:
     if missing:
         raise InstanceError(f"instance document missing fields: {missing}")
 
-    n = doc["n"]
-    if len(doc["edge_costs"]) != len(doc["edges"]):
+    for field in ("n", "t_costs", "t_weights"):
+        _exact_int(doc[field], field)
+    doc_edges = _rows(doc, "edges")
+    doc_costs = _rows(doc, "edge_costs")
+    if len(doc_costs) != len(doc_edges):
         raise InstanceError("edge_costs must have one row per edge")
     edges, costs = [], []
-    for idx, e in enumerate(doc["edges"]):
+    for idx, e in enumerate(doc_edges):
         if len(e) == 0:
             raise InstanceError(f"edge {idx} is empty")
-        if len(set(e)) == 1:
+        if len({_exact_int(v, "vertex id") for v in e}) == 1:
             warnings.warn(f"dropping size-1 hyperedge {idx} (crosses no cut)",
                           stacklevel=2)
             continue
         edges.append(e)
-        costs.append(doc["edge_costs"][idx])
+        costs.append(doc_costs[idx])
 
-    G = Hypergraph(n, edges, costs, doc["vertex_weights"],
-                   t_costs=doc["t_costs"], t_weights=doc["t_weights"])
-    return G
+    return Hypergraph(doc["n"], edges, costs, _rows(doc, "vertex_weights"),
+                      t_costs=doc["t_costs"], t_weights=doc["t_weights"])
 
 
 def save_instance(G: Hypergraph) -> bytes:

@@ -19,7 +19,7 @@ Four entry points:
   correct for a pareto-optimal input, FALSE is only returned on an explicit
   dominating witness.
 
-Repeated runs on one instance share a per-state cache (see _BMultiWalker),
+Repeated runs on one instance share a per-state cache (see ``_engine.Walk``),
 which changes nothing about the sampled distribution - state expansion is
 deterministic - but makes a single trial a few dictionary hops.
 """
@@ -28,18 +28,19 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
-from ._engine import contract_comps, delta_mask, initial_comps, present_edge_ids
-from .hypergraph import (ContractionState, Cut, Hypergraph, InstanceError)
-from .sampling import LazyWeightedOrder
+from ._engine import Walk, delta_mask, mask_sum, present_edge_ids, sample_node
+from .hypergraph import Cut, Hypergraph, InstanceError
+from .sampling import BestOf, LazyWeightedOrder, best_of_n, default_trials
 
 __all__ = [
     "infeasible_classes",
+    "bmulti_walk",
     "b_multiobjective_min_cut",
+    "solve_bmulti",
     "success_floor_edge",
     "multiobjective_min_cut_enum",
     "enumerate_multiobjective",
@@ -68,127 +69,69 @@ def _check_budgets(t: int, budgets) -> tuple[int, ...]:
     return budgets
 
 
-def infeasible_classes(state: ContractionState, budgets, costs=None):
-    """Partition the live supervertices into the per-criterion classes.
-
-    Class i < t collects the not-yet-classified supervertices whose vertex
-    cut exceeds budget i; the final class is the residue.  Returns a tuple of
-    t lists of supervertex representatives.
-    """
-    G = state.base
-    costs = _criterion_costs(G, costs)
-    t = len(costs)
-    budgets = _check_budgets(t, budgets)
-    alive = state.alive_edges()
-    roots = state.roots()
+def _classes(masks, comps, present, costs, budgets):
+    remaining = list(comps)
     classes = []
-    remaining = list(roots)
-    for i in range(t - 1):
-        deg = {r: 0 for r in remaining}
-        for eid in alive:
-            ci = costs[i][eid]
-            if ci:
-                for r in state.edge_roots(eid):
-                    if r in deg:
-                        deg[r] += ci
-        chosen = [r for r in remaining if deg[r] > budgets[i]]
-        classes.append(chosen)
-        remaining = [r for r in remaining if deg[r] <= budgets[i]]
+    for ci, budget in zip(costs, budgets):
+        deg = [0] * len(remaining)
+        for eid in present:
+            c = ci[eid]
+            if c:
+                em = masks[eid]
+                for j, comp in enumerate(remaining):
+                    if em & comp:
+                        deg[j] += c
+        classes.append([comp for comp, d in zip(remaining, deg) if d > budget])
+        remaining = [comp for comp, d in zip(remaining, deg) if d <= budget]
     classes.append(remaining)
     return tuple(classes)
 
 
-class _BMultiWalker:
-    """Repeat-friendly sampler for the budget-constrained contraction walk.
+def infeasible_classes(G: Hypergraph, comps, budgets, costs=None):
+    """Partition the components of ``comps`` into the per-criterion classes.
 
-    Per contraction state (keyed by the component-mask tuple) the walker
-    caches the chosen criterion's sampling distribution and the contraction
-    transitions; base states cache their subset->cut tables.  Every run
-    consumes randomness in the same way as a direct recursive implementation.
+    Class i < t-1 collects the not-yet-classified components whose vertex
+    cut exceeds budget i; the final class is the residue.  Returns a tuple of
+    t lists of component bitmasks, each in partition order.
     """
+    costs = _criterion_costs(G, costs)
+    budgets = _check_budgets(len(costs), budgets)
+    masks = G.edge_masks
+    return _classes(masks, comps, present_edge_ids(masks, comps), costs,
+                    budgets)
 
-    def __init__(self, G: Hypergraph, costs, budgets):
-        self.G = G
-        self.masks = G.edge_masks
-        self.costs = costs
-        self.budgets = tuple(budgets)
-        self.t = len(costs)
-        self.base_limit = G.rank * self.t
-        self.full = G.full_mask
-        self.start = initial_comps(G.n)
-        self._cache: dict[tuple, tuple] = {}
 
-    def run(self, rng: random.Random):
-        """One walk; returns (cut edge-bitmask, proper-witness flag)."""
-        key = self.start
-        cache = self._cache
-        masks = self.masks
-        while True:
-            info = cache.get(key)
-            if info is None:
-                info = self._expand(key)
-                cache[key] = info
-            if info[0] is None:
-                table = info[1]
-                bits = rng.getrandbits(len(key))
-                ent = table.get(bits)
-                if ent is None:
-                    ent = self._subset_cut(key, bits)
-                    table[bits] = ent
-                return ent
-            cum, total, eids, nexts = info
-            idx = bisect_right(cum, rng.randrange(total))
-            nk = nexts[idx]
-            if nk is None:
-                nk = contract_comps(key, masks[eids[idx]])
-                nexts[idx] = nk
-            key = nk
+def bmulti_walk(G: Hypergraph, budgets, costs=None) -> Walk:
+    """The budget-constrained contraction walk as a reusable cached ``Walk``.
 
-    def _subset_cut(self, comps, bits):
-        side = 0
-        for i, c in enumerate(comps):
-            if (bits >> i) & 1:
-                side |= c
-        proper = side != 0 and side != self.full
-        return delta_mask(self.masks, side, self.full), proper
+    Above rank*t components the criterion with the largest class drives a
+    cost-proportional contraction; at or below it a uniform subset of the
+    components is drawn.  An outcome is witnessed when that subset induces a
+    proper bipartition.
+    """
+    costs = _criterion_costs(G, costs)
+    budgets = _check_budgets(len(costs), budgets)
+    t = len(costs)
+    masks, full = G.edge_masks, G.full_mask
+    base_limit = G.rank * t
 
-    def _expand(self, comps):
-        if len(comps) <= self.base_limit:
-            return (None, {})
-        present = present_edge_ids(self.masks, comps)
-        t = self.t
-        # classes of supervertices whose vertex-cut cost busts each budget
-        nlive = len(comps)
-        remaining = list(range(nlive))
-        sizes = []
-        for i in range(t - 1):
-            ci = self.costs[i]
-            deg = [0] * nlive
-            for eid in present:
-                c = ci[eid]
-                if c:
-                    em = self.masks[eid]
-                    for idx in remaining:
-                        if em & comps[idx]:
-                            deg[idx] += c
-            over = [idx for idx in remaining if deg[idx] > self.budgets[i]]
-            sizes.append(len(over))
-            remaining = [idx for idx in remaining if deg[idx] <= self.budgets[i]]
-        sizes.append(len(remaining))
-        # largest class drives the contraction; ties break to the lowest
-        # criterion, zero-mass criteria fall through to the next largest
-        order = sorted(range(t), key=lambda j: (-sizes[j], j))
-        for i in order:
-            ci = self.costs[i]
-            cum, total = [], 0
-            for eid in present:
-                total += ci[eid]
-                cum.append(total)
-            if total > 0:
-                nexts = [None] * len(present)
-                return (cum, total, present, nexts)
-        # no criterion has alive mass: terminate via the base case
-        return (None, {})
+    def outcome(side):
+        return delta_mask(masks, side, full), 0 != side != full
+
+    def expand(comps):
+        if len(comps) > base_limit:
+            present = present_edge_ids(masks, comps)
+            sizes = [len(c) for c in _classes(masks, comps, present, costs,
+                                              budgets)]
+            # largest class drives the contraction; ties break to the lowest
+            # criterion, zero-mass criteria fall through to the next largest
+            for i in sorted(range(t), key=lambda j: (-sizes[j], j)):
+                node = sample_node(present, [costs[i][eid] for eid in present])
+                if node:
+                    return node
+        return ("base", {}, outcome)
+
+    return Walk(G, expand)
 
 
 def b_multiobjective_min_cut(G: Hypergraph, budgets, rng: random.Random,
@@ -199,11 +142,29 @@ def b_multiobjective_min_cut(G: Hypergraph, budgets, rng: random.Random,
     ``success_floor_edge(n, r, t)``.  The result can be the empty cut when
     the base-case subset draw lands on the empty or full vertex set.
     """
-    costs = _criterion_costs(G, costs)
-    _check_budgets(len(costs), budgets)
-    walker = _BMultiWalker(G, costs, budgets)
-    mask, _ = walker.run(rng)
+    mask, _ = bmulti_walk(G, budgets, costs).run(rng)
     return Cut.from_mask(mask)
+
+
+def solve_bmulti(G: Hypergraph, budgets, *, trials: int | None = None,
+                 seed: int = 0, costs=None) -> BestOf:
+    """Best of ``trials`` seeded runs of the budgeted walk.
+
+    Keeps the cut cheapest on the last criterion among the proper cuts
+    within the budgets.  ``trials`` defaults to ``default_trials`` of the
+    walk's success floor.
+    """
+    costs = _criterion_costs(G, costs)
+    budgets = _check_budgets(len(costs), budgets)
+    walk = bmulti_walk(G, budgets, costs)
+    if trials is None:
+        trials = default_trials(success_floor_edge(G.n, G.rank, len(costs)))
+
+    def value(mask):
+        vec = _mask_costs(costs, mask)
+        return vec[-1] if all(v <= b for v, b in zip(vec, budgets)) else None
+
+    return best_of_n(walk, trials, seed, value)
 
 
 def success_floor_edge(n: int, r: int, t: int) -> Fraction:
@@ -336,22 +297,14 @@ def default_verify_repetitions(n: int, r: int, t: int) -> int:
     return max(1, math.ceil(r * (2 ** (r * t)) * (n ** (2 * t)) * math.log(max(n, 2))))
 
 
-def _mask_costs(G: Hypergraph, costs, mask: int) -> tuple[int, ...]:
-    totals = [0] * len(costs)
-    eid = 0
-    while mask:
-        if mask & 1:
-            for i, ci in enumerate(costs):
-                totals[i] += ci[eid]
-        mask >>= 1
-        eid += 1
-    return tuple(totals)
+def _mask_costs(costs, mask: int) -> tuple[int, ...]:
+    return tuple(mask_sum(ci, mask) for ci in costs)
 
 
 def _prune_final_criterion(masks: set[int], G: Hypergraph, costs) -> set[int]:
     """Drop F when some F' in the collection is <= on the leading criteria and
     strictly cheaper on the last; idempotent and order-independent."""
-    vectors = {m: _mask_costs(G, costs, m) for m in masks}
+    vectors = {m: _mask_costs(costs, m) for m in masks}
     t = len(costs)
     survivors = set()
     for m, vec in vectors.items():
@@ -404,16 +357,16 @@ def verify_pareto_optimality(G: Hypergraph, cut: Cut, rng: random.Random,
     for i in range(t):
         rotated = [costs[j] for j in range(t) if j != i] + [costs[i]]
         budgets = tuple(cut_vec[j] for j in range(t) if j != i)
-        walker = _BMultiWalker(G, rotated, budgets)
+        walk = bmulti_walk(G, budgets, rotated)
         target = cut_vec[i]
         verdict: dict[int, bool] = {}
         for _ in range(repetitions_per_criterion):
-            mask, proper = walker.run(rng)
+            mask, proper = walk.run(rng)
             if not proper:
                 continue
             hit = verdict.get(mask)
             if hit is None:
-                vec = _mask_costs(G, rotated, mask)
+                vec = _mask_costs(rotated, mask)
                 hit = (vec[-1] < target
                        and all(vec[j] <= budgets[j] for j in range(t - 1)))
                 verdict[mask] = hit

@@ -15,24 +15,29 @@ not an error.
 
 from __future__ import annotations
 
+import math
 import random
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 from math import comb
 
-from ._engine import (contract_comps, delta_mask, initial_comps,
-                      merge_comp_subset, present_edge_ids)
-from .hypergraph import (ContractionState, Cut, Hypergraph, InstanceError,
-                         INFEASIBLE)
-from .sampling import LazyWeightedOrder
+from ._engine import (Walk, contract_comps, delta_mask, ids_mask,
+                      initial_comps, mask_sum, merge_comp_subset,
+                      present_edge_ids, sample_node)
+from .hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE
+from .sampling import BestOf, LazyWeightedOrder, best_of_n, default_trials
 
 __all__ = [
     "contract_infeasible",
+    "nb_constant_walk",
+    "nb_arbitrary_walk",
+    "hmincut_walk",
     "nb_bmulti_constant_rank",
     "nb_bmulti_arbitrary_rank",
     "nb_multi_enum_constant_rank",
     "hypergraph_min_cut",
+    "solve_nb_bmulti",
+    "solve_hmincut",
     "success_floor_node",
     "success_floor_node_arbitrary",
 ]
@@ -61,91 +66,58 @@ def _check_node_budgets(t: int, budgets) -> tuple[int, ...]:
     return budgets
 
 
-def contract_infeasible(state: ContractionState, budgets, weights=None) -> ContractionState:
-    """Merge all supervertices violating some budget into one (in place).
+def _fits(weights, budgets, mask: int) -> bool:
+    return all(mask_sum(wcol, mask) <= b for wcol, b in zip(weights, budgets))
 
-    No-op when at most one supervertex is infeasible.  Afterwards at most one
-    infeasible supervertex remains.
+
+def _contract_infeasible(comps, weights, budgets):
+    """(comps with its budget-violating components merged into one, the
+    feasible components); ``comps`` itself when at most one violates."""
+    feasible = []
+    bad_mask = 0
+    for c in comps:
+        if _fits(weights, budgets, c):
+            feasible.append(c)
+        else:
+            bad_mask |= c
+    if len(feasible) < len(comps) - 1:
+        comps = merge_comp_subset(comps, bad_mask)
+    return comps, feasible
+
+
+def contract_infeasible(G: Hypergraph, comps, budgets, weights=None):
+    """Merge all components of ``comps`` violating some budget into one.
+
+    Returns ``comps`` unchanged when at most one component is infeasible.
+    Afterwards at most one infeasible component remains.
     """
-    G = state.base
     weights = _weight_columns(G, weights)
     budgets = _check_node_budgets(len(weights), budgets)
-    bad = []
-    for root in state.roots():
-        mask = state.comp_mask[root]
-        for wcol, b in zip(weights, budgets):
-            total = 0
-            bits = mask
-            v = 0
-            while bits:
-                if bits & 1:
-                    total += wcol[v]
-                bits >>= 1
-                v += 1
-            if total > b:
-                bad.append(root)
-                break
-    if len(bad) > 1:
-        state.merge(bad)
-    return state
+    return _contract_infeasible(comps, weights, budgets)[0]
 
 
-def _comp_weight(wcol, mask: int) -> int:
-    total = 0
-    v = 0
-    while mask:
-        if mask & 1:
-            total += wcol[v]
-        mask >>= 1
-        v += 1
-    return total
+def _min_cut_expand(masks, cost):
+    """Non-uniform contraction weights (|V|-|e|)/|V| * c(e).
 
-
-class _HyperMinCutWalker:
-    """Non-uniform contraction sampler: weights (|V|-|e|)/|V| * c(e).
-
-    When every weight is zero each remaining edge spans all supervertices,
-    so the full alive edge set is the unique cut and is returned.
+    When every weight is zero each remaining edge spans all components, so
+    the full present edge set is the unique cut and is returned.
     """
-
-    def __init__(self, G: Hypergraph, cost):
-        self.G = G
-        self.cost = cost
-        self.masks = G.edge_masks
-        self._cache: dict[tuple, tuple] = {}
-
-    def run_from(self, comps, rng: random.Random) -> int:
-        cache = self._cache
-        while True:
-            info = cache.get(comps)
-            if info is None:
-                info = self._expand(comps)
-                cache[comps] = info
-            if info[0] is None:
-                return info[1]
-            cum, total, eids, nexts = info
-            idx = bisect_right(cum, rng.randrange(total))
-            nk = nexts[idx]
-            if nk is None:
-                nk = contract_comps(comps, self.masks[eids[idx]])
-                nexts[idx] = nk
-            comps = nk
-
-    def _expand(self, comps):
-        present = present_edge_ids(self.masks, comps)
+    def expand(comps):
+        present = present_edge_ids(masks, comps)
         live = len(comps)
-        cum, total = [], 0
-        for eid in present:
-            em = self.masks[eid]
-            spans = sum(1 for c in comps if c & em)
-            total += (live - spans) * self.cost[eid]
-            cum.append(total)
-        if total == 0:
-            out = 0
-            for eid in present:
-                out |= 1 << eid
-            return (None, out)
-        return (cum, total, present, [None] * len(present))
+        node = sample_node(present, [
+            (live - sum(1 for c in comps if c & masks[eid])) * cost[eid]
+            for eid in present])
+        return node or ("terminal", (ids_mask(present), True))
+
+    return expand
+
+
+def hmincut_walk(G: Hypergraph, costs=None) -> Walk:
+    """The non-uniform contraction min-cut walk as a reusable cached ``Walk``."""
+    if G.n < 2:
+        raise InstanceError("need at least 2 vertices")
+    return Walk(G, _min_cut_expand(G.edge_masks, _cost_column(G, costs)))
 
 
 def hypergraph_min_cut(G: Hypergraph, rng: random.Random, costs=None) -> Cut:
@@ -154,90 +126,52 @@ def hypergraph_min_cut(G: Hypergraph, rng: random.Random, costs=None) -> Cut:
     Any fixed min-cut (under the single cost function) is returned with
     probability at least 1/C(n,2).
     """
-    if G.n < 2:
-        raise InstanceError("need at least 2 vertices")
+    mask, _ = hmincut_walk(G, costs).run(rng)
+    return Cut.from_mask(mask)
+
+
+def solve_hmincut(G: Hypergraph, *, trials: int | None = None, seed: int = 0,
+                  costs=None) -> BestOf:
+    """Best of ``trials`` seeded runs of one min-cut walk (default
+    ceil(C(n,2) ln n), which misses a fixed min-cut with probability <= 1/n)."""
+    walk = hmincut_walk(G, costs)
     cost = _cost_column(G, costs)
-    walker = _HyperMinCutWalker(G, cost)
-    return Cut.from_mask(walker.run_from(initial_comps(G.n), rng))
+    if trials is None:
+        trials = max(1, math.ceil(comb(G.n, 2) * math.log(G.n)))
+    return best_of_n(walk, trials, seed, lambda mask: mask_sum(cost, mask))
 
 
-class _NBConstantWalker:
-    """Constant-rank node-budgeted walk with per-state caching.
+def nb_constant_walk(G: Hypergraph, budgets, costs=None, weights=None) -> Walk:
+    """The constant-rank node-budgeted walk as a reusable cached ``Walk``.
 
-    ``run`` returns (cut mask, witness side mask); the side is the sampled
-    vertex subset behind the final cut, letting callers that keep a best of
-    many runs discard draws whose witness satisfies no budget.
+    Budget-violating components are merged first; above rank+1 components a
+    cost-proportional contraction follows, at or below it a uniform subset
+    is drawn.  An outcome is witnessed when that subset is a proper side
+    that fits the budgets, or whose complement does.
     """
+    weights = _weight_columns(G, weights)
+    budgets = _check_node_budgets(len(weights), budgets)
+    cost = _cost_column(G, costs)
+    masks, full = G.edge_masks, G.full_mask
+    base_limit = G.rank + 1
 
-    def __init__(self, G: Hypergraph, cost, weights, budgets):
-        self.G = G
-        self.cost = cost
-        self.weights = weights
-        self.budgets = budgets
-        self.masks = G.edge_masks
-        self.full = G.full_mask
-        self.base_limit = G.rank + 1
-        self.start = initial_comps(G.n)
-        self._cache: dict[tuple, tuple] = {}
+    def outcome(side):
+        witnessed = 0 != side != full and (
+            _fits(weights, budgets, side) or _fits(weights, budgets, full & ~side))
+        return delta_mask(masks, side, full), witnessed
 
-    def run(self, rng: random.Random):
-        key = self.start
-        cache = self._cache
-        while True:
-            info = cache.get(key)
-            if info is None:
-                info = self._expand(key)
-                cache[key] = info
-            tag = info[0]
-            if tag == "merge":
-                key = info[1]
-            elif tag == "base":
-                table = info[1]
-                bits = rng.getrandbits(len(key))
-                ent = table.get(bits)
-                if ent is None:
-                    side = 0
-                    for i, c in enumerate(key):
-                        if (bits >> i) & 1:
-                            side |= c
-                    ent = (delta_mask(self.masks, side, self.full), side)
-                    table[bits] = ent
-                return ent
-            else:
-                cum, total, eids, nexts = info[1]
-                idx = bisect_right(cum, rng.randrange(total))
-                nk = nexts[idx]
-                if nk is None:
-                    nk = contract_comps(key, self.masks[eids[idx]])
-                    nexts[idx] = nk
-                key = nk
+    def expand(comps):
+        merged, _ = _contract_infeasible(comps, weights, budgets)
+        if merged is not comps:
+            return ("merge", merged)
+        if len(comps) <= base_limit:
+            return ("base", {}, outcome)
+        present = present_edge_ids(masks, comps)
+        # a zero-cost state terminates via the base case
+        return (sample_node(present, [cost[eid] for eid in present])
+                or ("base", {}, outcome))
 
-    def _infeasible_mask(self, comps) -> tuple[int, int]:
-        bad_mask = 0
-        bad_count = 0
-        for c in comps:
-            for wcol, b in zip(self.weights, self.budgets):
-                if _comp_weight(wcol, c) > b:
-                    bad_mask |= c
-                    bad_count += 1
-                    break
-        return bad_mask, bad_count
-
-    def _expand(self, comps):
-        bad_mask, bad_count = self._infeasible_mask(comps)
-        if bad_count > 1:
-            return ("merge", merge_comp_subset(comps, bad_mask))
-        if len(comps) <= self.base_limit:
-            return ("base", {})
-        present = present_edge_ids(self.masks, comps)
-        cum, total = [], 0
-        for eid in present:
-            total += self.cost[eid]
-            cum.append(total)
-        if total == 0:
-            # degenerate zero-cost state: terminate via the base case
-            return ("base", {})
-        return ("sample", (cum, total, present, [None] * len(present)))
+    return Walk(G, expand)
 
 
 def nb_bmulti_constant_rank(G: Hypergraph, budgets, rng: random.Random,
@@ -247,97 +181,45 @@ def nb_bmulti_constant_rank(G: Hypergraph, budgets, rng: random.Random,
     Any fixed node-budgeted budget-optimal cut is returned with probability
     at least 1/(2^(r+1) C(n,2)).
     """
-    weights = _weight_columns(G, weights)
-    budgets = _check_node_budgets(len(weights), budgets)
-    cost = _cost_column(G, costs)
-    walker = _NBConstantWalker(G, cost, weights, budgets)
-    mask, _ = walker.run(rng)
+    mask, _ = nb_constant_walk(G, budgets, costs, weights).run(rng)
     return Cut.from_mask(mask)
 
 
-class _NBArbitraryWalker:
-    """Arbitrary-rank node-budgeted walk with per-state caching."""
+def nb_arbitrary_walk(G: Hypergraph, budgets, costs=None, weights=None) -> Walk:
+    """The arbitrary-rank node-budgeted walk as a reusable cached ``Walk``.
 
-    def __init__(self, G: Hypergraph, cost, weights, budgets):
-        self.G = G
-        self.cost = cost
-        self.weights = weights
-        self.budgets = budgets
-        self.masks = G.edge_masks
-        self.start = initial_comps(G.n)
-        self.mincut = _HyperMinCutWalker(G, cost)
-        self._cache: dict[tuple, tuple] = {}
+    Contraction weights are |U \\ e|/|U| * c(e) over the feasible components
+    U; once U as a whole fits the budgets the walk continues as the plain
+    min-cut walk.  A state without feasible components is INFEASIBLE.
+    """
+    weights = _weight_columns(G, weights)
+    budgets = _check_node_budgets(len(weights), budgets)
+    cost = _cost_column(G, costs)
+    masks, full = G.edge_masks, G.full_mask
+    delegate = ("delegate", Walk(G, _min_cut_expand(masks, cost)))
 
-    def run(self, rng: random.Random):
-        key = self.start
-        cache = self._cache
-        while True:
-            info = cache.get(key)
-            if info is None:
-                info = self._expand(key)
-                cache[key] = info
-            tag = info[0]
-            if tag == "infeasible":
-                return INFEASIBLE
-            if tag == "terminal":
-                return info[1]
-            if tag == "merge":
-                key = info[1]
-            elif tag == "delegate":
-                return self.mincut.run_from(key, rng)
-            else:
-                cum, total, eids, nexts = info[1]
-                idx = bisect_right(cum, rng.randrange(total))
-                nk = nexts[idx]
-                if nk is None:
-                    nk = contract_comps(key, self.masks[eids[idx]])
-                    nexts[idx] = nk
-                key = nk
-
-    def _expand(self, comps):
+    def expand(comps):
+        merged, feasible = _contract_infeasible(comps, weights, budgets)
+        if not feasible:
+            return ("terminal", INFEASIBLE)
+        if merged is not comps:
+            return ("merge", merged)
+        present = present_edge_ids(masks, comps)
+        node = sample_node(present, [
+            (len(feasible) - sum(1 for c in feasible if c & masks[eid]))
+            * cost[eid] for eid in present])
         feas_mask = 0
-        bad_mask = 0
-        bad_count = 0
-        n_feas = 0
-        for c in comps:
-            ok = True
-            for wcol, b in zip(self.weights, self.budgets):
-                if _comp_weight(wcol, c) > b:
-                    ok = False
-                    break
-            if ok:
-                feas_mask |= c
-                n_feas += 1
-            else:
-                bad_mask |= c
-                bad_count += 1
-        if n_feas == 0:
-            return ("infeasible",)
-        if bad_count > 1:
-            return ("merge", merge_comp_subset(comps, bad_mask))
+        for c in feasible:
+            feas_mask |= c
+        set_ok = _fits(weights, budgets, feas_mask)
+        if node is None:
+            # every edge covers all feasible components
+            if set_ok and len(feasible) < len(comps):
+                return ("terminal", (delta_mask(masks, feas_mask, full), True))
+            return ("terminal", (ids_mask(present), True))
+        return delegate if set_ok else node
 
-        present = present_edge_ids(self.masks, comps)
-        cum, total = [], 0
-        for eid in present:
-            em = self.masks[eid]
-            outside = n_feas - sum(1 for c in comps if (c & feas_mask) and (c & em))
-            total += outside * self.cost[eid]
-            cum.append(total)
-        if total == 0:
-            # every edge covers all feasible supervertices
-            set_ok = all(_comp_weight(wcol, feas_mask) <= b
-                         for wcol, b in zip(self.weights, self.budgets))
-            if set_ok and bad_count >= 1:
-                return ("terminal", delta_mask(self.masks, feas_mask, self.G.full_mask))
-            out = 0
-            for eid in present:
-                out |= 1 << eid
-            return ("terminal", out)
-        set_ok = all(_comp_weight(wcol, feas_mask) <= b
-                     for wcol, b in zip(self.weights, self.budgets))
-        if set_ok:
-            return ("delegate",)
-        return ("sample", (cum, total, present, [None] * len(present)))
+    return Walk(G, expand)
 
 
 def nb_bmulti_arbitrary_rank(G: Hypergraph, budgets, rng: random.Random,
@@ -348,14 +230,31 @@ def nb_bmulti_arbitrary_rank(G: Hypergraph, budgets, rng: random.Random,
     node-budgeted budget-optimal cut is returned with probability at least
     1 (n=2) or (1/3)/C(n-1,2) (n>=3).
     """
-    weights = _weight_columns(G, weights)
-    budgets = _check_node_budgets(len(weights), budgets)
+    out = nb_arbitrary_walk(G, budgets, costs, weights).run(rng)
+    return INFEASIBLE if out is INFEASIBLE else Cut.from_mask(out[0])
+
+
+def solve_nb_bmulti(G: Hypergraph, budgets, *, rank_mode: str = "constant",
+                    trials: int | None = None, seed: int = 0, costs=None,
+                    weights=None) -> BestOf:
+    """Best of ``trials`` seeded runs of one node-budgeted walk.
+
+    ``rank_mode`` picks the constant-rank or the arbitrary-rank walk; the
+    cut of least cost among witnessed outcomes is kept.  ``trials`` defaults
+    to ``default_trials`` of the walk's success floor.
+    """
+    if rank_mode == "constant":
+        walk = nb_constant_walk(G, budgets, costs, weights)
+    elif rank_mode == "arbitrary":
+        walk = nb_arbitrary_walk(G, budgets, costs, weights)
+    else:
+        raise InstanceError(f"unknown rank mode {rank_mode!r}")
     cost = _cost_column(G, costs)
-    walker = _NBArbitraryWalker(G, cost, weights, budgets)
-    out = walker.run(rng)
-    if out is INFEASIBLE:
-        return INFEASIBLE
-    return Cut.from_mask(out)
+    if trials is None:
+        trials = default_trials(success_floor_node(G.n, G.rank)
+                                if rank_mode == "constant"
+                                else success_floor_node_arbitrary(G.n))
+    return best_of_n(walk, trials, seed, lambda mask: mask_sum(cost, mask))
 
 
 def nb_multi_enum_constant_rank(G: Hypergraph, rng: random.Random,
@@ -403,7 +302,7 @@ def nb_multi_enum_constant_rank(G: Hypergraph, rng: random.Random,
     out: set[Cut] = set()
     for n_prime in range(2, n + 1):
         comps = state_for(n_prime)
-        comp_w = [[_comp_weight(wcol, c) for c in comps] for wcol in weights]
+        comp_w = [[mask_sum(wcol, c) for c in comps] for wcol in weights]
         value_sets = [sorted(set(col)) for col in comp_w]
         for thresholds in product(*value_sets):
             victim = 0

@@ -4,11 +4,17 @@ All algorithms draw from a ``random.Random`` instance so that every run is
 replayable from a seed.  Monte-Carlo trials use per-trial generators derived
 from (master seed, trial index) via a splitmix64-style jump, which makes
 trials independent and safe to execute in any order or in parallel.
+``best_of_n`` keeps the cheapest cut over such trials of one walk.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .hypergraph import Cut, InstanceError, INFEASIBLE
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -32,25 +38,6 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 def derive_rng(master_seed: int, index: int) -> random.Random:
     return random.Random(derive_seed(master_seed, index))
-
-
-def weighted_index(rng: random.Random, cumulative, total: int) -> int:
-    """Index drawn with probability weight[i]/total, exactly.
-
-    ``cumulative`` are the inclusive prefix sums of non-negative integer
-    weights; ``total`` is the last prefix sum and must be positive.  Uses an
-    exact uniform integer draw (cumulative-sum inversion), so there is no
-    floating-point or modulo bias.
-    """
-    target = rng.randrange(total)
-    lo, hi = 0, len(cumulative) - 1
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        if cumulative[mid] > target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 class LazyWeightedOrder:
@@ -86,8 +73,47 @@ class LazyWeightedOrder:
         return len(self.prefix) if self._total == 0 else None
 
 
-def draw_weighted_order(items, weights, rng: random.Random) -> list:
-    """Full weighted-without-replacement ordering (eager variant)."""
-    order = LazyWeightedOrder(items, weights, rng)
-    order.ensure(len(order._items) + len(order.prefix))
-    return order.prefix
+def default_trials(floor: Fraction) -> int:
+    """max(1000, ceil(30/floor)): at least 30 successes expected at the floor."""
+    if floor <= 0:
+        raise InstanceError("floor must be positive")
+    return max(1000, math.ceil(30 / floor))
+
+
+@dataclass(frozen=True)
+class BestOf:
+    """Cheapest cut found by ``trials`` seeded runs of a walk.
+
+    ``cut`` and ``value`` are None when no run produced an acceptable cut;
+    ``infeasible_runs`` counts the runs that returned INFEASIBLE.
+    """
+
+    cut: Cut | None
+    value: int | None
+    trials: int
+    infeasible_runs: int
+
+
+def best_of_n(walk, trials: int, seed: int, value) -> BestOf:
+    """Run ``walk`` on trials 0..trials-1 of ``seed``; keep the least value.
+
+    Only witnessed outcomes count; ``value(mask)`` gives a cut's value, or
+    None to reject it.  Ties keep the earliest trial.
+    """
+    if trials < 1:
+        raise InstanceError("trials must be >= 1")
+    best_mask = best_val = None
+    infeasible_runs = 0
+    for idx in range(trials):
+        out = walk.run(derive_rng(seed, idx))
+        if out is INFEASIBLE:
+            infeasible_runs += 1
+            continue
+        mask, witnessed = out
+        if not witnessed:
+            continue
+        val = value(mask)
+        if val is not None and (best_val is None or val < best_val):
+            best_val, best_mask = val, mask
+    cut = None if best_mask is None else Cut.from_mask(best_mask)
+    return BestOf(cut, best_val, trials, infeasible_runs)

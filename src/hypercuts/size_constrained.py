@@ -11,16 +11,19 @@ output for every choice of vertex-weight annotation.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from fractions import Fraction
 from math import comb
 
-from ._engine import contract_comps, initial_comps, present_edge_ids
+from ._engine import (ids_mask, initial_comps, mask_sum, present_edge_ids,
+                      sample_node, sample_step)
 from .hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE
+from .sampling import best_of_n, default_trials
 
 __all__ = [
     "alpha_size",
+    "kcut_walk",
     "size_constrained_min_k_cut",
+    "solve_kcut",
     "success_floor_size",
     "multi_weight_reduction",
 ]
@@ -54,16 +57,16 @@ class _KCutWalker:
     the returned value came from a proper k-partition whose part weights meet
     the size bounds.  The flag is derived after the fact and never influences
     a random draw, so outputs stay weight-oblivious; callers picking a best
-    of many runs use it to ignore artifacts of improper label draws.
+    of many runs use it to ignore artifacts of improper label draws.  The
+    walk keeps its own level loop (a candidate per level, returned on the way
+    back up with probability 1/live) and shares the engine's sample step.
     """
 
     def __init__(self, G: Hypergraph, k: int, sizes, weighted_costs: bool):
-        self.G = G
         self.k = k
         self.sizes = sizes
         self.sigma_lead = sum(sizes[:-1])
-        self.sigma_all = sum(sizes)
-        self.base_limit = max(2 * self.sigma_lead, self.sigma_all)
+        self.base_limit = max(2 * self.sigma_lead, sum(sizes))
         self.masks = G.edge_masks
         if weighted_costs:
             self.cost = [c[0] for c in G.edge_costs]
@@ -74,75 +77,57 @@ class _KCutWalker:
         else:
             self.vertex_w = [1] * G.n
         self.start = initial_comps(G.n)
-        self._cache: dict[tuple, tuple] = {}
+        self.cache: dict[tuple, tuple] = {}
 
-    def run(self, rng: random.Random) -> tuple[int, bool]:
-        key = self.start
-        cache = self._cache
+    def run(self, rng: random.Random):
+        """One walk; INFEASIBLE when n < k (no k-partition exists)."""
+        if len(self.start) < self.k:
+            return INFEASIBLE
+        comps = self.start
+        cache = self.cache
         pending: list[tuple[tuple[int, bool], int]] = []  # (candidate, live)
         while True:
-            info = cache.get(key)
-            if info is None:
-                info = self._expand(key)
-                cache[key] = info
-            tag = info[0]
-            if tag == "base":
-                result = self._base_cut(key, rng)
+            node = cache.get(comps)
+            if node is None:
+                node = cache[comps] = self.expand(comps)
+            if node[0] == "base":
+                result = self._base_cut(comps, rng)
                 break
-            present = info[1]
-            candidate = self._level_candidate(key, present, rng)
-            if tag == "allzero":
+            candidate = self._level_candidate(comps, node[-1], rng)
+            if node[0] == "terminal":
                 result = candidate
                 break
-            cum, total, nexts = info[3], info[4], info[5]
-            idx = bisect_right(cum, rng.randrange(total))
-            nk = nexts[idx]
-            if nk is None:
-                nk = contract_comps(key, self.masks[present[idx]])
-                nexts[idx] = nk
-            pending.append((candidate, len(key)))
-            key = nk
+            pending.append((candidate, len(comps)))
+            comps = sample_step(node, comps, self.masks, rng)
         for candidate, live in reversed(pending):
             if rng.randrange(live) == 0:
                 result = candidate
         return result
 
+    def expand(self, comps):
+        """Node of ``comps``; its last field is the present-edge bitmask.
+
+        A sample node carries the alpha numerators over the common
+        denominator C(live, sigma); a terminal node marks a level whose
+        weights are all zero, where the level's candidate is returned.
+        """
+        live = len(comps)
+        masks = self.masks
+        present = present_edge_ids(masks, comps)
+        alive = ids_mask(present)
+        if live <= self.base_limit:
+            return ("base", alive)
+        node = sample_node(present, [
+            comb(live - sum(1 for c in comps if c & masks[eid]),
+                 self.sigma_lead) * self.cost[eid] for eid in present])
+        return ("terminal", alive) if node is None else node + (alive,)
+
     def _witnessed(self, label_masks) -> bool:
         """Proper k-partition whose sorted part weights meet the sorted bounds."""
         if any(m == 0 for m in label_masks):
             return False
-        part_w = []
-        for lm in label_masks:
-            total = 0
-            v = 0
-            while lm:
-                if lm & 1:
-                    total += self.vertex_w[v]
-                lm >>= 1
-                v += 1
-            part_w.append(total)
-        part_w.sort()
+        part_w = sorted(mask_sum(self.vertex_w, lm) for lm in label_masks)
         return all(w >= s for w, s in zip(part_w, self.sizes))
-
-    def _expand(self, comps):
-        live = len(comps)
-        present = present_edge_ids(self.masks, comps)
-        spans = []
-        for eid in present:
-            em = self.masks[eid]
-            spans.append(sum(1 for c in comps if c & em))
-        if live <= self.base_limit:
-            return ("base", present, spans)
-        # alpha numerators over the common denominator C(live, sigma)
-        sigma = self.sigma_lead
-        total = 0
-        cum = []
-        for sz, eid in zip(spans, present):
-            total += comb(live - sz, sigma) * self.cost[eid]
-            cum.append(total)
-        if total == 0:
-            return ("allzero", present, spans)
-        return ("sample", present, spans, cum, total, [None] * len(present))
 
     def _base_cut(self, comps, rng) -> tuple[int, bool]:
         # uniform independent label per supervertex (k^|V| outcomes)
@@ -150,10 +135,10 @@ class _KCutWalker:
         label_masks = [0] * k
         for c in comps:
             label_masks[rng.randrange(k)] |= c
-        return self._crossing(comps, label_masks), self._witnessed(label_masks)
+        return self._crossing(label_masks), self._witnessed(label_masks)
 
-    def _level_candidate(self, comps, present, rng) -> tuple[int, bool]:
-        """delta of the random partial labelling, or the alive edge set."""
+    def _level_candidate(self, comps, alive, rng) -> tuple[int, bool]:
+        """delta of the random partial labelling, or the present edge set."""
         k = self.k
         live = len(comps)
         chosen = sorted(rng.sample(range(live), 2 * self.sigma_lead))
@@ -170,14 +155,11 @@ class _KCutWalker:
                 rest |= c
         label_masks[k - 1] |= rest
         if any(m == 0 for m in label_masks):
-            out = 0
-            for eid in present:
-                out |= 1 << eid
-            return out, False
-        return self._crossing(comps, label_masks), self._witnessed(label_masks)
+            return alive, False
+        return self._crossing(label_masks), self._witnessed(label_masks)
 
-    def _crossing(self, comps, label_masks) -> int:
-        """Edges meeting at least two label classes (only alive ones can)."""
+    def _crossing(self, label_masks) -> int:
+        """Edges meeting at least two label classes (only present ones can)."""
         out = 0
         for eid, em in enumerate(self.masks):
             inside = False
@@ -190,6 +172,12 @@ class _KCutWalker:
         return out
 
 
+def kcut_walk(G: Hypergraph, k: int, sizes,
+              weighted_costs: bool = False) -> _KCutWalker:
+    """The size-constrained contraction walk, reusable across trials."""
+    return _KCutWalker(G, k, _check_sizes(k, sizes), weighted_costs)
+
+
 def size_constrained_min_k_cut(G: Hypergraph, k: int, sizes,
                                rng: random.Random,
                                weighted_costs: bool = False):
@@ -200,12 +188,25 @@ def size_constrained_min_k_cut(G: Hypergraph, k: int, sizes,
     probability at least ``success_floor_size(n, k, sizes)``.  Returns
     INFEASIBLE when n < k (no k-partition exists).
     """
-    sizes = _check_sizes(k, sizes)
+    out = kcut_walk(G, k, sizes, weighted_costs).run(rng)
+    return INFEASIBLE if out is INFEASIBLE else Cut.from_mask(out[0])
+
+
+def solve_kcut(G: Hypergraph, k: int, sizes, *, trials: int | None = None,
+               seed: int = 0, weighted_costs: bool = False):
+    """Best of ``trials`` seeded runs of one size-constrained walk.
+
+    Keeps the cut of least value (edge count, or criterion-0 cost with
+    ``weighted_costs``) among outcomes witnessed by a proper, size-feasible
+    k-partition.  Returns INFEASIBLE when n < k.  ``trials`` defaults to
+    ``default_trials`` of the success floor.
+    """
+    walk = kcut_walk(G, k, sizes, weighted_costs)
     if G.n < k:
         return INFEASIBLE
-    walker = _KCutWalker(G, k, sizes, weighted_costs)
-    mask, _ = walker.run(rng)
-    return Cut.from_mask(mask)
+    if trials is None:
+        trials = default_trials(success_floor_size(G.n, k, sizes))
+    return best_of_n(walk, trials, seed, lambda mask: mask_sum(walk.cost, mask))
 
 
 def success_floor_size(n: int, k: int, sizes) -> Fraction:

@@ -208,3 +208,44 @@ def test_infeasible_exit_code(tmp_path, capsys):
                              str(path), "--budgets", "3", "--rank-mode",
                              "arbitrary", "--trials", "20")
     assert code2 == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "hmincut", "--trials", "0"],
+    ["solve", "kcut", "--k", "3", "--sizes", "1,1", "--trials", "50"],
+    ["solve", "kcut", "--k", "2", "--sizes", "0,1", "--trials", "50"],
+    ["solve", "bmulti", "--budgets", "", "--trials", "0"],
+    ["solve", "bmulti", "--budgets", "-1", "--trials", "50"],
+    ["solve", "nb-bmulti", "--budgets", "20", "--trials", "0"],
+])
+def test_solve_rejects_invalid_parameters(instance_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--instance", str(instance_path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == 2
+
+
+def test_solve_rejects_zero_trials_on_single_criterion(tmp_path, capsys):
+    path = tmp_path / "t1.json"
+    code, _, _ = run_cli(capsys, "gen", "random", "--n", "5", "--m", "7",
+                         "--rank", "2", "--t-costs", "1", "--t-weights", "0",
+                         "--out", str(path))
+    assert code == 0
+    code, out, err = run_cli(capsys, "solve", "bmulti", "--instance",
+                             str(path), "--budgets", "", "--trials", "0")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == 2
+
+
+def test_load_rejects_float_cost(tmp_path, capsys):
+    doc = {"n": 3, "t_costs": 1, "t_weights": 0,
+           "edges": [[0, 1], [1, 2]], "edge_costs": [[1.7], [1]],
+           "vertex_weights": [[], [], []]}
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "solve", "hmincut", "--instance",
+                             str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == 2

@@ -6,8 +6,11 @@ import pytest
 from hypercuts.analysis import gen_random_instance
 from hypercuts.harness import (TrialReport, default_trials, estimate,
                                instance_digest, pipeline_equivalence)
-from hypercuts.hypergraph import Cut, Hypergraph, InstanceError
-from hypercuts.oracle import build_catalog, oracle_bmulti
+from hypercuts.hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE
+from hypercuts.multiobjective import solve_bmulti
+from hypercuts.node_budgeted import solve_hmincut, solve_nb_bmulti
+from hypercuts.oracle import build_catalog, oracle_bmulti, oracle_min_cut
+from hypercuts.size_constrained import solve_kcut
 
 
 def small_instance():
@@ -137,3 +140,38 @@ def test_pipeline_reproducible():
     b = pipeline_equivalence(G, seed=8, runs=2, repetitions=500,
                              verify_repetitions=200)
     assert a == b
+
+
+@pytest.mark.parametrize("solve", [
+    lambda G: solve_bmulti(G, (5,), trials=0),
+    lambda G: solve_bmulti(G, (), trials=5),
+    lambda G: solve_bmulti(G, (-1,), trials=5),
+    lambda G: solve_nb_bmulti(G, (5,), trials=0),
+    lambda G: solve_nb_bmulti(G, (5,), rank_mode="arbitrary", trials=0),
+    lambda G: solve_nb_bmulti(G, (5, 5), trials=5),
+    lambda G: solve_nb_bmulti(G, (5,), rank_mode="sideways", trials=5),
+    lambda G: solve_hmincut(G, trials=0),
+    lambda G: solve_kcut(G, 2, (1, 1), trials=0),
+    lambda G: solve_kcut(G, 3, (1, 1), trials=5),
+    lambda G: solve_kcut(G, 2, (0, 1), trials=5),
+])
+def test_solve_validates_like_the_one_shot_solvers(solve):
+    G = gen_random_instance(6, 9, 2, 2, 1, max_cost=8, seed=16,
+                            positive_weights=True)
+    with pytest.raises(InstanceError):
+        solve(G)
+
+
+def test_solve_best_of_n_reaches_the_oracle_optimum():
+    G = small_instance()
+    budgets = budgets_for(G)
+    catalog = build_catalog(G)
+    best = solve_bmulti(G, budgets, trials=3000, seed=1)
+    assert best.trials == 3000 and best.infeasible_runs == 0
+    assert best.cut in oracle_bmulti(catalog, budgets)
+    assert best.value == catalog.costs[best.cut][1]
+    value, optima = oracle_min_cut(catalog)
+    best = solve_hmincut(G, seed=2)
+    assert best.trials == 27  # ceil(C(6,2) ln 6)
+    assert best.value == value and best.cut in optima
+    assert solve_kcut(Hypergraph(2, [(0, 1)]), 3, (1, 1, 1)) is INFEASIBLE

@@ -1,14 +1,15 @@
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercuts.hypergraph import (ContractionState, Cut, Hypergraph,
-                                  InstanceError, KPartition, contract,
-                                  contract_edge, cut_cost, delta,
-                                  delta_partition, load_instance,
-                                  save_instance)
+from hypercuts._engine import (contract_comps, initial_comps, mask_sum,
+                               merge_comp_subset, present_edge_ids)
+from hypercuts.hypergraph import (Cut, Hypergraph, InstanceError, KPartition,
+                                  cut_cost, delta, delta_partition,
+                                  load_instance, save_instance)
 
 
 def triangle():
@@ -42,49 +43,51 @@ def test_rank():
 
 def test_contract_merges_and_kills_inner_edges():
     G = Hypergraph(3, [(0, 1), (1, 2), (0, 1, 2)], [(1,)] * 3)
-    st_ = ContractionState(G)
-    contract(st_, {0, 1})
-    assert st_.live_count == 2
-    assert not st_.edge_alive(0)
-    assert st_.edge_alive(1) and st_.edge_alive(2)
+    comps = contract_comps(initial_comps(3), G.edge_masks[0])
+    assert comps == (0b011, 0b100)
+    assert present_edge_ids(G.edge_masks, comps) == [1, 2]
 
 
 def test_contract_singleton_is_noop():
-    st_ = ContractionState(triangle())
-    contract(st_, {1})
-    assert st_.live_count == 3
-    assert st_.alive_edges() == [0, 1, 2]
+    comps = initial_comps(3)
+    assert merge_comp_subset(comps, 0b010) == comps
+    assert present_edge_ids(triangle().edge_masks, comps) == [0, 1, 2]
 
 
 def test_contract_weights_add():
     G = Hypergraph(3, [(0, 1), (1, 2)], [(1,), (1,)], [(1,), (2,), (4,)])
-    st_ = ContractionState(G)
-    contract(st_, {0, 2})
-    assert st_.merged_weight(0) == (5,)
+    comps = merge_comp_subset(initial_comps(3), 0b101)
+    assert comps == (0b101, 0b010)
+    wcol = [w[0] for w in G.vertex_weights]
+    assert [mask_sum(wcol, c) for c in comps] == [5, 2]
 
 
-def test_contract_unknown_vertex():
+def test_delta_rejects_unknown_component():
+    comps = initial_comps(3)
     with pytest.raises(InstanceError):
-        contract(ContractionState(triangle()), {7})
+        delta(triangle(), comps, [1 << 7])
+    with pytest.raises(InstanceError):
+        delta(triangle(), contract_comps(comps, 0b011), [0b001])
 
 
 def test_delta_examples():
-    st_ = ContractionState(triangle())
-    assert delta(st_, {0}).edge_ids == (0, 2)
-    st2 = ContractionState(triangle())
-    contract(st2, {0, 1})
-    assert delta(st2, {0}).edge_ids == (1, 2)
+    T = triangle()
+    comps = initial_comps(3)
+    assert delta(T, comps, [0b001]).edge_ids == (0, 2)
+    merged = contract_comps(comps, 0b011)
+    assert delta(T, merged, [0b011]).edge_ids == (1, 2)
     G = Hypergraph(3, [(0, 1, 2)], [(1,)])
-    assert delta(ContractionState(G), {0, 1}).edge_ids == (0,)
+    assert delta(G, comps, [0b001, 0b010]).edge_ids == (0,)
 
 
 def test_delta_rejects_degenerate_sides():
-    st_ = ContractionState(triangle())
+    T = triangle()
+    comps = initial_comps(3)
     with pytest.raises(InstanceError):
-        delta(st_, set())
+        delta(T, comps, [])
     with pytest.raises(InstanceError):
-        delta(st_, {0, 1, 2})
-    assert delta(st_, set(), lenient=True).edge_ids == ()
+        delta(T, comps, comps)
+    assert delta(T, comps, [], lenient=True).edge_ids == ()
 
 
 def test_delta_partition_examples():
@@ -153,6 +156,108 @@ def test_load_rejections():
         load_instance(json.dumps(bad))
 
 
+def _doc():
+    return {"n": 3, "t_costs": 1, "t_weights": 1, "edges": [[0, 1], [1, 2]],
+            "edge_costs": [[2], [3]], "vertex_weights": [[1], [2], [4]]}
+
+
+def _set(doc, path, value):
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("path,value", [
+    (("edge_costs", 0, 0), 1.7),
+    (("edge_costs", 0, 0), True),
+    (("edge_costs", 1, 0), "3"),
+    (("vertex_weights", 2, 0), 2.5),
+    (("vertex_weights", 0, 0), False),
+    (("n",), "3"),
+    (("n",), 3.0),
+    (("n",), True),
+    (("t_costs",), "1"),
+    (("t_costs",), None),
+    (("t_weights",), 1.0),
+    (("edges", 0, 1), 1.0),
+    (("edges", 1, 0), "1"),
+    (("edges", 0, 0), False),
+    (("edges", 0), 7),
+    (("edge_costs",), {"0": [2]}),
+    (("vertex_weights",), 3),
+])
+def test_load_rejects_non_integer_values(path, value):
+    with pytest.raises(InstanceError):
+        load_instance(json.dumps(_set(_doc(), path, value)))
+    assert load_instance(json.dumps(_doc())).edge_costs == [(2,), (3,)]
+
+
+def test_constructor_rejects_non_integers():
+    with pytest.raises(InstanceError):
+        Hypergraph(3, [(0, 1)], [(1.5,)])
+    with pytest.raises(InstanceError):
+        Hypergraph(3, [(0, 1)], [(True,)])
+    with pytest.raises(InstanceError):
+        Hypergraph(3, [(0, 1)], [(1,)], [(1,), (0.5,), (1,)])
+    with pytest.raises(InstanceError):
+        Hypergraph(3.0, [(0, 1)])
+    with pytest.raises(InstanceError):
+        Hypergraph(3, [(0, 1.0)])
+    with pytest.raises(InstanceError):
+        Hypergraph(3, [(0, 1)], t_costs=-1)
+
+
+def test_load_rejects_undecodable_bytes():
+    with pytest.raises(InstanceError):
+        load_instance(b"\xff\xfe\x00")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+
+
+@st.composite
+def malformed_documents(draw):
+    doc = _doc()
+    for _ in range(draw(st.integers(1, 3))):
+        target, paths = doc, []
+        while isinstance(target, (dict, list)) and target:
+            keys = sorted(target) if isinstance(target, dict) else range(len(target))
+            key = draw(st.sampled_from(list(keys)))
+            paths.append(key)
+            if draw(st.booleans()):
+                break
+            target = target[key]
+        if paths:
+            _set(doc, paths, draw(json_values))
+    if draw(st.booleans()):
+        doc.pop(draw(st.sampled_from(sorted(doc))))
+    return doc
+
+
+@given(st.one_of(malformed_documents(), json_values, st.binary(max_size=24)))
+@settings(max_examples=300, deadline=None)
+def test_malformed_documents_raise_only_instance_error(doc):
+    data = doc if isinstance(doc, bytes) else json.dumps(doc)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            G = load_instance(data)
+    except InstanceError:
+        return
+    values = [G.n, G.t_costs, G.t_weights]
+    values += [v for e in G.edges for v in e]
+    values += [c for row in G.edge_costs for c in row]
+    values += [w for row in G.vertex_weights for w in row]
+    assert all(type(v) is int for v in values)
+
+
 def test_save_load_round_trip():
     G = Hypergraph(4, [(0, 1), (1, 2, 3)], [(1, 2), (3, 4)],
                    [(1,), (0,), (2,), (5,)])
@@ -178,8 +283,7 @@ small_hypergraphs = st.integers(2, 7).flatmap(
 @st.composite
 def hypergraph_and_contractions(draw):
     n, edges = draw(small_hypergraphs)
-    weights = [(draw(st.integers(0, 5)),) for _ in range(n)]
-    G = Hypergraph(n, edges, [(1,)] * len(edges), weights)
+    G = Hypergraph(n, edges, [(1,)] * len(edges))
     steps = draw(st.lists(st.integers(0, len(edges) - 1), max_size=4))
     return G, steps
 
@@ -188,33 +292,30 @@ def hypergraph_and_contractions(draw):
 @settings(max_examples=60, deadline=None)
 def test_contraction_invariants(data):
     G, steps = data
-    state = ContractionState(G)
+    comps = initial_comps(G.n)
     for eid in steps:
-        contract_edge(state, eid)
-    # alive edges span >= 2 supervertices
-    for eid in range(G.m):
-        if state.edge_alive(eid):
-            assert len(state.edge_roots(eid)) >= 2
-    # weight conservation
-    total = [0] * G.t_weights
-    for root in state.roots():
-        for i, w in enumerate(state.merged_weight(root)):
-            total[i] += w
-    expect = [sum(w[i] for w in G.vertex_weights) for i in range(G.t_weights)]
-    assert total == expect
-    # delta symmetric under complement
-    roots = state.roots()
-    if len(roots) >= 2:
-        side = roots[:1]
-        rest = roots[1:]
-        assert delta(state, side) == delta(state, rest)
-    # every alive edge appears in the cut of one of its own supervertices
-    for eid in range(G.m):
-        if state.edge_alive(eid):
-            witness = next(iter(state.edge_roots(eid)))
-            others = [r for r in roots if r != witness]
-            if others:
-                assert eid in delta(state, [witness])
+        comps = contract_comps(comps, G.edge_masks[eid])
+    # a partition of V, sorted by lowest bit
+    union = 0
+    for c in comps:
+        assert c and not c & union
+        union |= c
+    assert union == G.full_mask
+    assert list(comps) == sorted(comps, key=lambda c: c & -c)
+    # present edges span two or more parts, the others lie inside one
+    present = present_edge_ids(G.edge_masks, comps)
+    for eid, em in enumerate(G.edge_masks):
+        spans = sum(1 for c in comps if c & em)
+        assert (spans >= 2) == (eid in present)
+    # delta symmetric under complement, and it holds every present edge
+    if len(comps) >= 2:
+        for i in range(len(comps)):
+            side = comps[:i] + comps[i + 1:]
+            assert delta(G, comps, [comps[i]]) == delta(G, comps, side)
+        crossing = set()
+        for c in comps:
+            crossing |= set(delta(G, comps, [c]).edge_ids)
+        assert crossing == set(present)
 
 
 @given(small_hypergraphs, st.data())
@@ -226,6 +327,5 @@ def test_delta_partition_matches_delta_for_bipartitions(ne, data):
     if len(set(labels)) < 2:
         return
     part = KPartition(labels, 2)
-    state = ContractionState(G)
-    side = [v for v in range(n) if labels[v] == 0]
-    assert delta_partition(G, part) == delta(state, side)
+    side = [1 << v for v in range(n) if labels[v] == 0]
+    assert delta_partition(G, part) == delta(G, initial_comps(n), side)

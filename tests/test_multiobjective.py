@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from hypercuts.analysis import gen_lower_bound_instance, gen_random_instance
-from hypercuts.hypergraph import ContractionState, Hypergraph, InstanceError
+from hypercuts._engine import contract_comps, initial_comps
+from hypercuts.hypergraph import Hypergraph, InstanceError
 from hypercuts.multiobjective import (_prune_final_criterion,
                                       b_multiobjective_min_cut,
                                       default_enum_repetitions,
@@ -22,10 +23,9 @@ from hypercuts.sampling import derive_rng
 
 def test_infeasible_classes_path_example():
     G = Hypergraph(3, [(0, 1), (1, 2)], [(3, 1), (1, 1)])
-    state = ContractionState(G)
-    u1, u2 = infeasible_classes(state, (3,))
-    assert u1 == [1]  # c1(delta(b)) = 4 > 3
-    assert u2 == [0, 2]
+    u1, u2 = infeasible_classes(G, initial_comps(3), (3,))
+    assert u1 == [0b010]  # c1(delta(b)) = 4 > 3
+    assert u2 == [0b001, 0b100]
 
 
 def test_infeasible_classes_on_contracted_state():
@@ -33,22 +33,21 @@ def test_infeasible_classes_on_contracted_state():
     # contracted vertex-cut costs
     G = Hypergraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
                    [(3, 1), (1, 1), (3, 1), (1, 1)])
-    state = ContractionState(G)
-    from hypercuts.hypergraph import contract
-    contract(state, {0, 1})  # edge 0 dies; supervertex 0 sees edges 1 and 3
-    u1, u2 = infeasible_classes(state, (3,))
-    assert u1 == [2, 3]  # both residual-cycle vertices see c1-cost 4 > 3
-    assert u2 == [0]     # the merged supervertex sees edges 1,3: c1-cost 2
+    # edge 0 dies; the merged component sees edges 1 and 3
+    comps = contract_comps(initial_comps(4), G.edge_masks[0])
+    u1, u2 = infeasible_classes(G, comps, (3,))
+    assert u1 == [0b0100, 0b1000]  # both residual-cycle vertices see c1-cost 4 > 3
+    assert u2 == [0b0011]          # the merged component sees edges 1,3: c1-cost 2
 
 
 def test_infeasible_classes_large_budget_and_t1():
     G = Hypergraph(3, [(0, 1), (1, 2)], [(3, 1), (1, 1)])
-    state = ContractionState(G)
-    u1, u2 = infeasible_classes(state, (100,))
-    assert u1 == [] and u2 == [0, 1, 2]
+    comps = initial_comps(3)
+    u1, u2 = infeasible_classes(G, comps, (100,))
+    assert u1 == [] and u2 == list(comps)
     G1 = Hypergraph(3, [(0, 1), (1, 2)], [(3,), (1,)])
-    (only,) = infeasible_classes(ContractionState(G1), ())
-    assert only == [0, 1, 2]
+    (only,) = infeasible_classes(G1, comps, ())
+    assert only == list(comps)
 
 
 def test_two_vertex_base_case_frequency():

@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from hypercuts._engine import initial_comps, merge_comp_subset
+from hypercuts._engine import initial_comps, mask_sum, merge_comp_subset
 from hypercuts.analysis import gen_random_instance
-from hypercuts.hypergraph import (ContractionState, Cut, Hypergraph,
-                                  InstanceError, INFEASIBLE, contract_edge)
-from hypercuts.node_budgeted import (_NBArbitraryWalker, _comp_weight,
-                                     contract_infeasible, hypergraph_min_cut,
+from hypercuts.hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE
+from hypercuts.node_budgeted import (contract_infeasible, hmincut_walk,
+                                     hypergraph_min_cut, nb_arbitrary_walk,
                                      nb_bmulti_arbitrary_rank,
                                      nb_bmulti_constant_rank,
                                      nb_multi_enum_constant_rank,
@@ -21,31 +20,24 @@ from hypercuts.sampling import derive_rng
 
 def test_contract_infeasible_examples():
     G = Hypergraph(3, [(0, 1), (1, 2)], [(1,), (1,)], [(5,), (1,), (7,)])
-    st = ContractionState(G)
-    contract_infeasible(st, (4,))
-    assert st.live_count == 2
-    assert st.merged_weight(0) == (12,)
+    comps = initial_comps(3)
+    merged = contract_infeasible(G, comps, (4,))
+    assert merged == (0b101, 0b010)
+    assert mask_sum([5, 1, 7], merged[0]) == 12
     # all feasible: identity
-    st2 = ContractionState(G)
-    contract_infeasible(st2, (10,))
-    assert st2.live_count == 3
+    assert contract_infeasible(G, comps, (10,)) == comps
     # exactly one infeasible: identity
-    st3 = ContractionState(G)
-    contract_infeasible(st3, (6,))
-    assert st3.live_count == 3
+    assert contract_infeasible(G, comps, (6,)) == comps
 
 
 def test_contract_infeasible_leaves_at_most_one():
     for seed in range(8):
         G = gen_random_instance(7, 8, 3, 1, 2, max_weight=9, seed=seed)
-        st = ContractionState(G)
+        wcols = [[w[i] for w in G.vertex_weights] for i in range(2)]
         budgets = (4, 5)
-        contract_infeasible(st, budgets)
-        bad = 0
-        for root in st.roots():
-            w = st.merged_weight(root)
-            if any(w[i] > budgets[i] for i in range(2)):
-                bad += 1
+        comps = contract_infeasible(G, initial_comps(G.n), budgets)
+        bad = sum(1 for c in comps
+                  if any(mask_sum(wcols[i], c) > budgets[i] for i in range(2)))
         assert bad <= 1
 
 
@@ -63,11 +55,10 @@ def test_success_floors():
 def test_hmincut_contraction_weights():
     # 4 live vertices, a 2-vertex edge of cost 3 weighs (4-2)*3 over the
     # common denominator 4, i.e. beta = 3/2
-    from hypercuts.node_budgeted import _HyperMinCutWalker
     G = Hypergraph(4, [(0, 1), (0, 1, 2, 3)], [(3,), (5,)])
-    walker = _HyperMinCutWalker(G, [3, 5])
-    info = walker._expand(initial_comps(4))
-    cum, total, eids, _ = info
+    node = hmincut_walk(G).expand(initial_comps(4))
+    tag, cum, total, eids, _ = node
+    assert tag == "sample"
     assert eids == [0, 1]
     assert cum == [6, 6] and total == 6  # spanning edge has weight zero
     assert Fraction(6, 4) == Fraction(3, 2)
@@ -151,10 +142,10 @@ def test_nb_arbitrary_alpha_weights():
     # once with c = 2 -> weight 3*2 over the common denominator 4
     G = Hypergraph(5, [(0, 1), (1, 2)], [(2,), (4,)],
                    [(9,), (2,), (2,), (2,), (2,)])
-    walker = _NBArbitraryWalker(G, [2, 4], [[9, 2, 2, 2, 2]], (5,))
-    info = walker._expand(initial_comps(5))
-    assert info[0] == "sample"
-    cum, total, eids, _ = info[1]
+    walk = nb_arbitrary_walk(G, (5,), [2, 4], [[9, 2, 2, 2, 2]])
+    node = walk.expand(initial_comps(5))
+    tag, cum, total, eids, _ = node
+    assert tag == "sample"
     # edge (0,1): feasible outside = 4 - 1 = 3 -> 3*2 = 6
     # edge (1,2): feasible outside = 4 - 2 = 2 -> 2*4 = 8
     assert eids == [0, 1]
@@ -188,11 +179,11 @@ def test_nb_arbitrary_alpha_sum_claim():
         best, optima = result
         cost = [c[0] for c in G.edge_costs]
         wcols = [[w[0] for w in G.vertex_weights]]
-        walker = _NBArbitraryWalker(G, cost, wcols, budgets)
-        info = walker._expand(initial_comps(G.n))
-        if info[0] != "sample":
+        node = nb_arbitrary_walk(G, budgets, cost, wcols).expand(
+            initial_comps(G.n))
+        if node[0] != "sample":
             continue
-        cum, total, _, _ = info[1]
+        _, cum, total, _, _ = node
         n_feas = sum(1 for v in range(G.n) if G.vertex_weights[v][0] <= budgets[0])
         alpha_sum = Fraction(total, n_feas)
         c_total = sum(cost)
@@ -239,14 +230,14 @@ def test_nb_enum_threshold_monotonicity():
         G = gen_random_instance(7, 8, 3, 1, 2, max_weight=7, seed=seed)
         wcols = [[w[i] for w in G.vertex_weights] for i in range(2)]
         comps = initial_comps(G.n)
-        values0 = sorted({_comp_weight(wcols[0], c) for c in comps})
-        values1 = sorted({_comp_weight(wcols[1], c) for c in comps})
+        values0 = sorted({mask_sum(wcols[0], c) for c in comps})
+        values1 = sorted({mask_sum(wcols[1], c) for c in comps})
         for x0 in values0:
             merged_seen = set()
             for x1 in values1:
                 victim = 0
                 for c in comps:
-                    if _comp_weight(wcols[0], c) > x0 or _comp_weight(wcols[1], c) > x1:
+                    if mask_sum(wcols[0], c) > x0 or mask_sum(wcols[1], c) > x1:
                         victim |= c
                 merged = merge_comp_subset(comps, victim)
                 if 1 < len(merged) < G.rank + 2:

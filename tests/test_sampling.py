@@ -1,10 +1,9 @@
 import random
-from collections import Counter
 
 import pytest
 
 from hypercuts.sampling import (LazyWeightedOrder, derive_rng, derive_seed,
-                                draw_weighted_order, splitmix64, weighted_index)
+                                splitmix64)
 
 
 def test_splitmix_is_deterministic_and_64bit():
@@ -29,28 +28,22 @@ def test_derive_rng_streams_replay():
     assert a == b
 
 
-def test_weighted_index_zero_weights_never_chosen():
-    rng = random.Random(0)
-    weights = [0, 3, 0, 5, 0]
-    cum, total = [], 0
-    for w in weights:
-        total += w
-        cum.append(total)
-    counts = Counter(weighted_index(rng, cum, total) for _ in range(4000))
-    assert set(counts) == {1, 3}
-    # proportions roughly 3:5
-    assert abs(counts[1] / 4000 - 3 / 8) < 0.05
-
-
 def test_lazy_order_matches_eager_draw():
+    # a prefix extended over several ensure calls is the order drawn at once
     items = list(range(6))
     weights = [5, 1, 4, 2, 8, 3]
-    eager = draw_weighted_order(items, weights, random.Random(123))
+    eager = LazyWeightedOrder(items, weights, random.Random(123))
+    eager.ensure(6)
+    assert sorted(eager.prefix) == items
     lazy = LazyWeightedOrder(items, weights, random.Random(123))
     lazy.ensure(3)
-    assert lazy.prefix == eager[:3]
+    first = list(lazy.prefix)
+    assert first == eager.prefix[:3]
+    lazy.ensure(2)
+    assert lazy.prefix == first
     lazy.ensure(6)
-    assert lazy.prefix == eager
+    assert lazy.prefix[:3] == first
+    assert lazy.prefix == eager.prefix
     assert lazy.exhausted_at == 6
 
 

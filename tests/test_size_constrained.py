@@ -10,7 +10,7 @@ from hypercuts.hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE,
                                   KPartition, delta_partition)
 from hypercuts.oracle import oracle_kcut
 from hypercuts.sampling import derive_rng
-from hypercuts.size_constrained import (_KCutWalker, alpha_size,
+from hypercuts.size_constrained import (alpha_size, kcut_walk,
                                         multi_weight_reduction,
                                         size_constrained_min_k_cut,
                                         success_floor_size)
@@ -121,11 +121,10 @@ def test_alpha_sum_claim():
         if result is INFEASIBLE:
             continue
         _, optima = result
-        walker = _KCutWalker(G, 2, (1, 2), False)
-        info = walker._expand(initial_comps(G.n))
-        if info[0] != "sample":
+        node = kcut_walk(G, 2, (1, 2)).expand(initial_comps(G.n))
+        if node[0] != "sample":
             continue
-        total = info[4]
+        total = node[2]
         sigma_lead = 1
         alpha_sum = Fraction(total, math.comb(G.n, sigma_lead))
         for F in optima:
@@ -136,14 +135,15 @@ def test_sampled_edges_leave_room():
     # only edges with positive alpha are contracted: |e| <= n - sigma_{k-1}
     G = gen_random_instance(7, 9, 5, 1, 1, max_weight=3, seed=42,
                             positive_weights=True)
-    walker = _KCutWalker(G, 3, (1, 1, 2), False)
-    info = walker._expand(initial_comps(G.n))
-    if info[0] == "sample":
-        present, spans, cum = info[1], info[2], info[3]
+    walk = kcut_walk(G, 3, (1, 1, 2))
+    node = walk.expand(initial_comps(G.n))
+    if node[0] == "sample":
+        _, cum, _, present, _, _ = node
+        spans = [len(G.edges[eid]) for eid in present]  # singleton components
         prev = 0
         for sz, acc in zip(spans, cum):
             if acc > prev:  # positive sampling weight
-                assert sz <= G.n - walker.sigma_lead
+                assert sz <= G.n - walk.sigma_lead
             prev = acc
 
 
