@@ -18,7 +18,7 @@ import json
 import warnings
 from dataclasses import dataclass
 
-from ._engine import delta_mask
+from ._engine import delta_mask, ids_mask
 
 __all__ = [
     "Cut",
@@ -80,10 +80,7 @@ class Cut:
         return Cut(tuple(ids))
 
     def mask(self) -> int:
-        m = 0
-        for i in self.edge_ids:
-            m |= 1 << i
-        return m
+        return ids_mask(self.edge_ids)
 
     def __iter__(self):
         return iter(self.edge_ids)
@@ -212,7 +209,7 @@ def delta(G: Hypergraph, comps, parts, lenient: bool = False) -> Cut:
     side = 0
     for part in parts:
         if part not in comps:
-            raise InstanceError(f"{part:#b} is not a component of the partition")
+            raise InstanceError(f"{part!r} is not a component of the partition")
         side |= part
     if not lenient and (side == 0 or side == G.full_mask):
         raise InstanceError("delta needs a nonempty proper set of components")
