@@ -23,6 +23,9 @@ visited state.  A node is one of
 An outcome is ``(cut edge-bitmask, witnessed)`` or ``INFEASIBLE``.
 ``witnessed`` records whether the cut comes from a witness the problem's
 constraints accept; it is derived after the fact and never influences a draw.
+Each walk also carries ``value(cut mask)``: the problem's value of a
+witnessed cut, or None when the cut is rejected.  Best-of-N solving keeps the
+least value and never calls it during a walk.
 """
 
 from __future__ import annotations
@@ -135,10 +138,11 @@ class Walk:
     sampled distribution; it makes a warm trial a few dictionary hops.
     """
 
-    def __init__(self, G, expand):
+    def __init__(self, G, expand, value):
         self.masks = G.edge_masks
         self.start = initial_comps(G.n)
         self.expand = expand
+        self.value = value
         self.cache: dict[tuple, tuple] = {}
 
     def run(self, rng, comps=None):

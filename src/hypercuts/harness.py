@@ -97,13 +97,14 @@ def _build_problem(G: Hypergraph, algorithm: str, budgets=None, k=None,
     if algorithm == "bmulti":
         if budgets is None:
             raise InstanceError("bmulti needs budgets")
+        budgets = tuple(budgets)
         walk = bmulti_walk(G, budgets)
         optima = oracle_bmulti(build_catalog(G), budgets)
         if not optima:
             raise InstanceError("no cut satisfies the budgets; no optimum to track")
         return walk, optima, success_floor_edge(G.n, G.rank, G.t_costs)
     if algorithm in ("nb-bmulti-constant", "nb-bmulti-arbitrary"):
-        budgets = budgets or ()
+        budgets = tuple(budgets or ())
         if algorithm == "nb-bmulti-constant":
             walk = nb_constant_walk(G, budgets)
             floor = success_floor_node(G.n, G.rank)

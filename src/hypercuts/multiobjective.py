@@ -131,7 +131,12 @@ def bmulti_walk(G: Hypergraph, budgets, costs=None) -> Walk:
                     return node
         return ("base", {}, outcome)
 
-    return Walk(G, expand)
+    def value(mask):
+        # cost on the last criterion, for cuts within every budget
+        vec = _mask_costs(costs, mask)
+        return vec[-1] if all(v <= b for v, b in zip(vec, budgets)) else None
+
+    return Walk(G, expand, value)
 
 
 def b_multiobjective_min_cut(G: Hypergraph, budgets, rng: random.Random,
@@ -147,24 +152,17 @@ def b_multiobjective_min_cut(G: Hypergraph, budgets, rng: random.Random,
 
 
 def solve_bmulti(G: Hypergraph, budgets, *, trials: int | None = None,
-                 seed: int = 0, costs=None) -> BestOf:
+                 seed: int = 0) -> BestOf:
     """Best of ``trials`` seeded runs of the budgeted walk.
 
     Keeps the cut cheapest on the last criterion among the proper cuts
     within the budgets.  ``trials`` defaults to ``default_trials`` of the
     walk's success floor.
     """
-    costs = _criterion_costs(G, costs)
-    budgets = _check_budgets(len(costs), budgets)
-    walk = bmulti_walk(G, budgets, costs)
+    walk = bmulti_walk(G, budgets)
     if trials is None:
-        trials = default_trials(success_floor_edge(G.n, G.rank, len(costs)))
-
-    def value(mask):
-        vec = _mask_costs(costs, mask)
-        return vec[-1] if all(v <= b for v, b in zip(vec, budgets)) else None
-
-    return best_of_n(walk, trials, seed, value)
+        trials = default_trials(success_floor_edge(G.n, G.rank, G.t_costs))
+    return best_of_n(walk, trials, seed)
 
 
 def success_floor_edge(n: int, r: int, t: int) -> Fraction:

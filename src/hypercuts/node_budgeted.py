@@ -96,12 +96,14 @@ def contract_infeasible(G: Hypergraph, comps, budgets, weights=None):
     return _contract_infeasible(comps, weights, budgets)[0]
 
 
-def _min_cut_expand(masks, cost):
+def _min_cut_walk(G: Hypergraph, cost) -> Walk:
     """Non-uniform contraction weights (|V|-|e|)/|V| * c(e).
 
     When every weight is zero each remaining edge spans all components, so
     the full present edge set is the unique cut and is returned.
     """
+    masks = G.edge_masks
+
     def expand(comps):
         present = present_edge_ids(masks, comps)
         live = len(comps)
@@ -110,14 +112,14 @@ def _min_cut_expand(masks, cost):
             for eid in present])
         return node or ("terminal", (ids_mask(present), True))
 
-    return expand
+    return Walk(G, expand, lambda mask: mask_sum(cost, mask))
 
 
 def hmincut_walk(G: Hypergraph, costs=None) -> Walk:
     """The non-uniform contraction min-cut walk as a reusable cached ``Walk``."""
     if G.n < 2:
         raise InstanceError("need at least 2 vertices")
-    return Walk(G, _min_cut_expand(G.edge_masks, _cost_column(G, costs)))
+    return _min_cut_walk(G, _cost_column(G, costs))
 
 
 def hypergraph_min_cut(G: Hypergraph, rng: random.Random, costs=None) -> Cut:
@@ -130,15 +132,14 @@ def hypergraph_min_cut(G: Hypergraph, rng: random.Random, costs=None) -> Cut:
     return Cut.from_mask(mask)
 
 
-def solve_hmincut(G: Hypergraph, *, trials: int | None = None, seed: int = 0,
-                  costs=None) -> BestOf:
+def solve_hmincut(G: Hypergraph, *, trials: int | None = None,
+                  seed: int = 0) -> BestOf:
     """Best of ``trials`` seeded runs of one min-cut walk (default
     ceil(C(n,2) ln n), which misses a fixed min-cut with probability <= 1/n)."""
-    walk = hmincut_walk(G, costs)
-    cost = _cost_column(G, costs)
+    walk = hmincut_walk(G)
     if trials is None:
         trials = max(1, math.ceil(comb(G.n, 2) * math.log(G.n)))
-    return best_of_n(walk, trials, seed, lambda mask: mask_sum(cost, mask))
+    return best_of_n(walk, trials, seed)
 
 
 def nb_constant_walk(G: Hypergraph, budgets, costs=None, weights=None) -> Walk:
@@ -171,7 +172,7 @@ def nb_constant_walk(G: Hypergraph, budgets, costs=None, weights=None) -> Walk:
         return (sample_node(present, [cost[eid] for eid in present])
                 or ("base", {}, outcome))
 
-    return Walk(G, expand)
+    return Walk(G, expand, lambda mask: mask_sum(cost, mask))
 
 
 def nb_bmulti_constant_rank(G: Hypergraph, budgets, rng: random.Random,
@@ -196,7 +197,8 @@ def nb_arbitrary_walk(G: Hypergraph, budgets, costs=None, weights=None) -> Walk:
     budgets = _check_node_budgets(len(weights), budgets)
     cost = _cost_column(G, costs)
     masks, full = G.edge_masks, G.full_mask
-    delegate = ("delegate", Walk(G, _min_cut_expand(masks, cost)))
+    min_cut = _min_cut_walk(G, cost)
+    delegate = ("delegate", min_cut)
 
     def expand(comps):
         merged, feasible = _contract_infeasible(comps, weights, budgets)
@@ -219,7 +221,7 @@ def nb_arbitrary_walk(G: Hypergraph, budgets, costs=None, weights=None) -> Walk:
             return ("terminal", (ids_mask(present), True))
         return delegate if set_ok else node
 
-    return Walk(G, expand)
+    return Walk(G, expand, min_cut.value)
 
 
 def nb_bmulti_arbitrary_rank(G: Hypergraph, budgets, rng: random.Random,
@@ -235,8 +237,7 @@ def nb_bmulti_arbitrary_rank(G: Hypergraph, budgets, rng: random.Random,
 
 
 def solve_nb_bmulti(G: Hypergraph, budgets, *, rank_mode: str = "constant",
-                    trials: int | None = None, seed: int = 0, costs=None,
-                    weights=None) -> BestOf:
+                    trials: int | None = None, seed: int = 0) -> BestOf:
     """Best of ``trials`` seeded runs of one node-budgeted walk.
 
     ``rank_mode`` picks the constant-rank or the arbitrary-rank walk; the
@@ -244,17 +245,16 @@ def solve_nb_bmulti(G: Hypergraph, budgets, *, rank_mode: str = "constant",
     to ``default_trials`` of the walk's success floor.
     """
     if rank_mode == "constant":
-        walk = nb_constant_walk(G, budgets, costs, weights)
+        walk = nb_constant_walk(G, budgets)
     elif rank_mode == "arbitrary":
-        walk = nb_arbitrary_walk(G, budgets, costs, weights)
+        walk = nb_arbitrary_walk(G, budgets)
     else:
         raise InstanceError(f"unknown rank mode {rank_mode!r}")
-    cost = _cost_column(G, costs)
     if trials is None:
         trials = default_trials(success_floor_node(G.n, G.rank)
                                 if rank_mode == "constant"
                                 else success_floor_node_arbitrary(G.n))
-    return best_of_n(walk, trials, seed, lambda mask: mask_sum(cost, mask))
+    return best_of_n(walk, trials, seed)
 
 
 def nb_multi_enum_constant_rank(G: Hypergraph, rng: random.Random,

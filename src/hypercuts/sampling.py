@@ -94,14 +94,15 @@ class BestOf:
     infeasible_runs: int
 
 
-def best_of_n(walk, trials: int, seed: int, value) -> BestOf:
+def best_of_n(walk, trials: int, seed: int) -> BestOf:
     """Run ``walk`` on trials 0..trials-1 of ``seed``; keep the least value.
 
-    Only witnessed outcomes count; ``value(mask)`` gives a cut's value, or
-    None to reject it.  Ties keep the earliest trial.
+    Only witnessed outcomes count, valued by ``walk.value(mask)`` (None
+    rejects a cut).  Ties keep the earliest trial.
     """
     if trials < 1:
         raise InstanceError("trials must be >= 1")
+    value = walk.value
     best_mask = best_val = None
     infeasible_runs = 0
     for idx in range(trials):

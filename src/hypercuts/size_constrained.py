@@ -122,6 +122,10 @@ class _KCutWalker:
                  self.sigma_lead) * self.cost[eid] for eid in present])
         return ("terminal", alive) if node is None else node + (alive,)
 
+    def value(self, mask: int) -> int:
+        """Edge count of a cut, or its criterion-0 cost with weighted costs."""
+        return mask_sum(self.cost, mask)
+
     def _witnessed(self, label_masks) -> bool:
         """Proper k-partition whose sorted part weights meet the sorted bounds."""
         if any(m == 0 for m in label_masks):
@@ -202,11 +206,13 @@ def solve_kcut(G: Hypergraph, k: int, sizes, *, trials: int | None = None,
     ``default_trials`` of the success floor.
     """
     walk = kcut_walk(G, k, sizes, weighted_costs)
+    if trials is not None and trials < 1:
+        raise InstanceError("trials must be >= 1")
     if G.n < k:
         return INFEASIBLE
     if trials is None:
-        trials = default_trials(success_floor_size(G.n, k, sizes))
-    return best_of_n(walk, trials, seed, lambda mask: mask_sum(walk.cost, mask))
+        trials = default_trials(success_floor_size(G.n, k, walk.sizes))
+    return best_of_n(walk, trials, seed)
 
 
 def success_floor_size(n: int, k: int, sizes) -> Fraction:

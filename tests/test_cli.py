@@ -238,6 +238,18 @@ def test_solve_rejects_zero_trials_on_single_criterion(tmp_path, capsys):
     assert json.loads(err)["code"] == 2
 
 
+def test_solve_kcut_rejects_zero_trials_when_n_below_k(tmp_path, capsys):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"n": 2, "t_costs": 1, "t_weights": 0,
+                                "edges": [[0, 1]], "edge_costs": [[1]],
+                                "vertex_weights": [[], []]}))
+    code, out, err = run_cli(capsys, "solve", "kcut", "--instance", str(path),
+                             "--k", "3", "--sizes", "1,1,1", "--trials", "0")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == 2
+
+
 def test_load_rejects_float_cost(tmp_path, capsys):
     doc = {"n": 3, "t_costs": 1, "t_weights": 0,
            "edges": [[0, 1], [1, 2]], "edge_costs": [[1.7], [1]],

@@ -52,6 +52,20 @@ def test_estimate_reproducible():
     assert c.successes != a.successes or c.seed != a.seed
 
 
+def test_estimate_accepts_one_shot_budget_iterables():
+    G = small_instance()
+    budgets = budgets_for(G)
+    want = estimate(G, "bmulti", budgets=budgets, trials=300, seed=5)
+    got = estimate(G, "bmulti", budgets=iter(budgets), trials=300, seed=5)
+    assert got.to_dict() == want.to_dict()
+    H = gen_random_instance(6, 9, 2, 2, 1, max_cost=8, seed=16,
+                            positive_weights=True)
+    for algorithm in ("nb-bmulti-constant", "nb-bmulti-arbitrary"):
+        want = estimate(H, algorithm, budgets=(20,), trials=300, seed=5)
+        got = estimate(H, algorithm, budgets=iter((20,)), trials=300, seed=5)
+        assert got.to_dict() == want.to_dict()
+
+
 def test_estimate_jobs_matches_serial():
     G = small_instance()
     serial = estimate(G, "bmulti", budgets=budgets_for(G), trials=800, seed=4)
@@ -154,6 +168,7 @@ def test_pipeline_reproducible():
     lambda G: solve_kcut(G, 2, (1, 1), trials=0),
     lambda G: solve_kcut(G, 3, (1, 1), trials=5),
     lambda G: solve_kcut(G, 2, (0, 1), trials=5),
+    lambda G: solve_kcut(Hypergraph(2, [(0, 1)]), 3, (1, 1, 1), trials=0),
 ])
 def test_solve_validates_like_the_one_shot_solvers(solve):
     G = gen_random_instance(6, 9, 2, 2, 1, max_cost=8, seed=16,
