@@ -78,7 +78,10 @@ def _cut_records(G, cuts) -> list[dict]:
 def _maybe_reps(value: str | None) -> int | None:
     if value is None or value == "auto":
         return None
-    return int(value)
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise InstanceError(f"expected an integer or 'auto', got {value!r}") from exc
 
 
 # ---------------------------------------------------------------- commands
@@ -248,6 +251,8 @@ def cmd_estimate(args) -> dict:
 
 def cmd_check(args) -> dict:
     if args.family == "lemma-lp":
+        if args.sweep < 1:
+            raise InstanceError("sweep must be >= 1")
         rng = random.Random(args.seed)
         mismatches = []
         for i in range(args.sweep):

@@ -219,6 +219,8 @@ def pipeline_equivalence(G: Hypergraph, seed: int, runs: int,
     """
     if runs < 1:
         raise InstanceError("runs must be >= 1")
+    if verify_repetitions is not None and verify_repetitions < 1:
+        raise InstanceError("verify repetitions must be >= 1")
     catalog = build_catalog(G)
     true_multi = oracle_multiobjective(catalog)
     true_pareto = oracle_pareto(catalog)

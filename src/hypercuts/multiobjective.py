@@ -19,9 +19,10 @@ Four entry points:
   correct for a pareto-optimal input, FALSE is only returned on an explicit
   dominating witness.
 
-Repeated runs on one instance share a per-state cache (see ``_engine.Walk``),
-which changes nothing about the sampled distribution - state expansion is
-deterministic - but makes a single trial a few dictionary hops.
+Repeated runs on one instance share a per-state cache (see ``_engine.Walk``
+and ``_EnumContext``), which changes nothing about the sampled distribution -
+state expansion is deterministic - but makes a single trial a few dictionary
+hops.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
-from ._engine import Walk, delta_mask, mask_sum, present_edge_ids, sample_node
+from ._engine import (Walk, contract_comps, delta_mask, ids_mask,
+                      initial_comps, mask_sum, present_edge_ids, sample_node)
 from .hypergraph import Cut, Hypergraph, InstanceError
 from .sampling import BestOf, LazyWeightedOrder, best_of_n, default_trials
 
@@ -192,26 +194,68 @@ def interleaving_schedules(n: int, r: int, t: int) -> list[tuple[int, ...]]:
     return schedules
 
 
+# Cap on the entries (partition nodes, successor links and cut masks
+# together) one enumeration context stores.  Past it, new ones are built,
+# used and dropped, so a long run on a large instance stays in bounded memory:
+# a full cache takes about 6 MB at n=10, m=25 under CPython 3.11.
+_ENUM_CACHE_CAP = 1 << 16
+
+
 class _EnumContext:
-    """Precomputed data for repeated runs of the enumeration algorithm."""
+    """Precomputed data for repeated runs of the enumeration algorithm.
+
+    Runs walk a cache of partition nodes ``(comps, present, succ, cuts)``
+    keyed by the component tuple: ``present`` is the bitmask of edge ids
+    spanning two components, ``succ`` maps a contracted edge id to the
+    successor node and ``cuts`` maps a base-case draw to its cut mask; both
+    tables fill on first use.  A phase then scans its order prefix with one
+    bit test per candidate edge and moves with one dictionary hop per
+    contraction.  Expansion is deterministic, so the cache changes no draw.
+    """
 
     def __init__(self, G: Hypergraph, costs):
-        self.G = G
-        self.costs = costs
-        self.t = len(costs)
-        self.r = G.rank
-        self.n = G.n
-        self.base_limit = self.r * self.t
         self.masks = G.edge_masks
-        self.edges = G.edges
         self.full = G.full_mask
         self.supports = []
-        self.support_weights = []
         for ci in costs:
             ids = [e for e in range(G.m) if ci[e] > 0]
-            self.supports.append(ids)
-            self.support_weights.append([ci[e] for e in ids])
-        self.schedules = interleaving_schedules(self.n, self.r, self.t)
+            self.supports.append((ids, [ci[e] for e in ids]))
+        # at most r*t vertices: no contraction phase, only the base case
+        self.schedules = interleaving_schedules(G.n, G.rank, len(costs)) or [()]
+        self.cache: dict[tuple, tuple] = {}
+        self.size = 0
+        self.start = self._node(initial_comps(G.n))
+
+    def _store(self) -> bool:
+        """Count one more cache entry; False once the cache is full."""
+        if self.size >= _ENUM_CACHE_CAP:
+            return False
+        self.size += 1
+        return True
+
+    def _node(self, comps):
+        node = self.cache.get(comps)
+        if node is None:
+            node = (comps, ids_mask(present_edge_ids(self.masks, comps)), {}, {})
+            if self._store():
+                self.cache[comps] = node
+        return node
+
+    def _successor(self, node, eid: int):
+        nxt = self._node(contract_comps(node[0], self.masks[eid]))
+        if self._store():
+            node[2][eid] = nxt
+        return nxt
+
+    def _cut(self, node, bits: int) -> int:
+        side = 0
+        for i, c in enumerate(node[0]):
+            if (bits >> i) & 1:
+                side |= c
+        cut = delta_mask(self.masks, side, self.full)
+        if self._store():
+            node[3][bits] = cut
+        return cut
 
     def run(self, rng: random.Random, out: set[int]) -> None:
         """One invocation; adds the produced cut bitmasks to ``out``.
@@ -219,59 +263,36 @@ class _EnumContext:
         Subset draws landing on the empty or full vertex set induce no
         bipartition and hence no cut; those draws contribute nothing.
         """
-        n, edges, masks = self.n, self.edges, self.masks
-        full_bits = (1 << n) - 1
-        if n <= self.base_limit:
-            bits = rng.getrandbits(n)
-            if bits != 0 and bits != full_bits:
-                out.add(delta_mask(masks, bits, self.full))
-            return
-        orders = [LazyWeightedOrder(ids, ws, rng)
-                  for ids, ws in zip(self.supports, self.support_weights)]
+        orders = [LazyWeightedOrder(ids, ws, rng) for ids, ws in self.supports]
         for schedule in self.schedules:
-            labels = list(range(n))
-            live = n
-            for i, target in enumerate(schedule):
-                order = orders[i]
+            node = self.start
+            for order, target in zip(orders, schedule):
                 prefix = order.prefix
+                drawn = len(prefix)
                 pos = 0
-                while live > target:
-                    eid = None
+                while len(node[0]) > target:
+                    present = node[1]
                     while True:
-                        if pos >= len(prefix):
+                        if pos == drawn:
                             order.ensure(pos + 1)
-                            if pos >= len(prefix):
+                            drawn = len(prefix)
+                            if pos == drawn:
+                                eid = None
                                 break
-                        cand = prefix[pos]
+                        eid = prefix[pos]
                         pos += 1
-                        vs = edges[cand]
-                        l0 = labels[vs[0]]
-                        for v in vs[1:]:
-                            if labels[v] != l0:
-                                eid = cand
-                                break
-                        if eid is not None:
+                        if present >> eid & 1:
                             break
                     if eid is None:
                         break  # permutation exhausted: phase ends early
-                    hit = {labels[v] for v in edges[eid]}
-                    tgt = min(hit)
-                    for v in range(n):
-                        if labels[v] in hit:
-                            labels[v] = tgt
-                    live -= len(hit) - 1
-            comp = {}
-            for v in range(n):
-                comp[labels[v]] = comp.get(labels[v], 0) | (1 << v)
-            comps = [comp[root] for root in sorted(comp)]
-            bits = rng.getrandbits(len(comps))
-            if bits == 0 or bits == (1 << len(comps)) - 1:
+                    nxt = node[2].get(eid)
+                    node = self._successor(node, eid) if nxt is None else nxt
+            k = len(node[0])
+            bits = rng.getrandbits(k)
+            if bits == 0 or bits == (1 << k) - 1:
                 continue
-            side = 0
-            for idx, cmask in enumerate(comps):
-                if (bits >> idx) & 1:
-                    side |= cmask
-            out.add(delta_mask(masks, side, self.full))
+            cut = node[3].get(bits)
+            out.add(self._cut(node, bits) if cut is None else cut)
 
 
 def multiobjective_min_cut_enum(G: Hypergraph, rng: random.Random,
@@ -293,6 +314,14 @@ def default_enum_repetitions(n: int, r: int, t: int) -> int:
 def default_verify_repetitions(n: int, r: int, t: int) -> int:
     """Per-criterion repetition count for the dominance search."""
     return max(1, math.ceil(r * (2 ** (r * t)) * (n ** (2 * t)) * math.log(max(n, 2))))
+
+
+def _verify_repetitions(G: Hypergraph, t: int, repetitions: int | None) -> int:
+    if repetitions is None:
+        return default_verify_repetitions(G.n, G.rank, t)
+    if repetitions < 1:
+        raise InstanceError("verify repetitions must be >= 1")
+    return repetitions
 
 
 def _mask_costs(costs, mask: int) -> tuple[int, ...]:
@@ -349,8 +378,8 @@ def verify_pareto_optimality(G: Hypergraph, cut: Cut, rng: random.Random,
     """
     costs = _criterion_costs(G, costs)
     t = len(costs)
-    if repetitions_per_criterion is None:
-        repetitions_per_criterion = default_verify_repetitions(G.n, G.rank, t)
+    repetitions_per_criterion = _verify_repetitions(G, t,
+                                                    repetitions_per_criterion)
     cut_vec = [sum(ci[e] for e in cut.edge_ids) for ci in costs]
     for i in range(t):
         rotated = [costs[j] for j in range(t) if j != i] + [costs[i]]
@@ -380,6 +409,7 @@ def enumerate_pareto(G: Hypergraph, rng: random.Random,
     """Pareto-optimal cuts: the enumerated collection filtered by the
     randomized dominance check.  Always a subset of the collection."""
     costs = _criterion_costs(G, costs)
+    verify_repetitions = _verify_repetitions(G, len(costs), verify_repetitions)
     collection = enumerate_multiobjective(G, rng, repetitions, costs)
     result = set()
     for cut in sorted(collection, key=lambda c: c.edge_ids):

@@ -261,3 +261,43 @@ def test_load_rejects_float_cost(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["code"] == 2
+
+
+@pytest.fixture()
+def pareto_instance(tmp_path, capsys):
+    path = tmp_path / "pareto.json"
+    code, _, _ = run_cli(capsys, "gen", "random", "--n", "6", "--m", "10",
+                         "--rank", "2", "--t-costs", "2", "--t-weights", "0",
+                         "--seed", "16", "--out", str(path))
+    assert code == 0
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    # too few repetitions: the dominated cut (3, 4, 6, 9) must not pass
+    ["verify", "pareto", "--cut", "3,4,6,9", "--reps", "0"],
+    ["verify", "pareto", "--cut", "3,4,6,9", "--reps", "-5"],
+    ["enumerate", "pareto", "--reps", "10", "--verify-reps", "0"],
+    ["estimate", "pipeline", "--runs", "1", "--reps", "10",
+     "--verify-reps", "0"],
+    # repetition counts that are not integers
+    ["enumerate", "multi", "--reps", "abc"],
+    ["verify", "pareto", "--cut", "3,4,6,9", "--reps", "1.5"],
+    ["enumerate", "pareto", "--reps", "10", "--verify-reps", "1.5"],
+    ["estimate", "pipeline", "--runs", "1", "--reps", "x"],
+    ["estimate", "pipeline", "--runs", "1", "--reps", "10",
+     "--verify-reps", "abc"],
+])
+def test_repetition_counts_are_validated(pareto_instance, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--instance", str(pareto_instance))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == 2
+
+
+@pytest.mark.parametrize("sweep", ["0", "-2"])
+def test_check_lemma_lp_rejects_empty_sweep(capsys, sweep):
+    code, out, err = run_cli(capsys, "check", "lemma-lp", "--sweep", sweep)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == 2

@@ -1,0 +1,140 @@
+"""The cached enumeration context against the label-array loop it replaced.
+
+``reference_run`` is the enumeration repetition as it was written before
+partition nodes were cached: a label array rebuilt per schedule, a relabel
+loop per contraction and a cut computed per draw.  The cached context must
+produce the same cuts from the same generator calls.
+"""
+
+import random
+
+import pytest
+
+from hypercuts import multiobjective
+from hypercuts._engine import delta_mask
+from hypercuts.analysis import gen_random_instance
+from hypercuts.multiobjective import _EnumContext, interleaving_schedules
+from hypercuts.sampling import LazyWeightedOrder
+
+
+def reference_run(G, costs, rng, out):
+    n, edges, masks = G.n, G.edges, G.edge_masks
+    t = len(costs)
+    full_bits = (1 << n) - 1
+    if n <= G.rank * t:
+        bits = rng.getrandbits(n)
+        if bits != 0 and bits != full_bits:
+            out.add(delta_mask(masks, bits, G.full_mask))
+        return
+    orders = []
+    for ci in costs:
+        ids = [e for e in range(G.m) if ci[e] > 0]
+        orders.append(LazyWeightedOrder(ids, [ci[e] for e in ids], rng))
+    for schedule in interleaving_schedules(n, G.rank, t):
+        labels = list(range(n))
+        live = n
+        for i, target in enumerate(schedule):
+            order = orders[i]
+            prefix = order.prefix
+            pos = 0
+            while live > target:
+                eid = None
+                while True:
+                    if pos >= len(prefix):
+                        order.ensure(pos + 1)
+                        if pos >= len(prefix):
+                            break
+                    cand = prefix[pos]
+                    pos += 1
+                    vs = edges[cand]
+                    l0 = labels[vs[0]]
+                    for v in vs[1:]:
+                        if labels[v] != l0:
+                            eid = cand
+                            break
+                    if eid is not None:
+                        break
+                if eid is None:
+                    break
+                hit = {labels[v] for v in edges[eid]}
+                tgt = min(hit)
+                for v in range(n):
+                    if labels[v] in hit:
+                        labels[v] = tgt
+                live -= len(hit) - 1
+        comp = {}
+        for v in range(n):
+            comp[labels[v]] = comp.get(labels[v], 0) | (1 << v)
+        comps = [comp[root] for root in sorted(comp)]
+        bits = rng.getrandbits(len(comps))
+        if bits == 0 or bits == (1 << len(comps)) - 1:
+            continue
+        side = 0
+        for idx, cmask in enumerate(comps):
+            if (bits >> idx) & 1:
+                side |= cmask
+        out.add(delta_mask(masks, side, G.full_mask))
+
+
+def _zero_first(G):
+    costs = G.costs_by_criterion()
+    return [[0] * G.m] + list(costs[1:])
+
+
+# label: (n, m, rank, t, cost columns derived from the instance).  With the
+# first criterion all zero its order is empty, so phase 1 ends at once.
+SHAPES = {
+    "base-only": (4, 7, 2, 2, None),
+    "zero-criterion": (7, 12, 2, 2, _zero_first),
+    "rank-3": (7, 10, 3, 2, None),
+    "t1": (7, 11, 2, 1, None),
+    "t3": (8, 12, 2, 3, None),
+}
+
+
+def _instance(shape, seed):
+    n, m, rank, t, columns = SHAPES[shape]
+    G = gen_random_instance(n, m, rank, t, 0, max_cost=4, seed=seed)
+    return G, (columns(G) if columns else G.costs_by_criterion())
+
+
+def assert_same_as_reference(ctx, G, costs, seed, reps):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(reps):
+        got, want = set(), set()
+        ctx.run(rng, got)
+        reference_run(G, costs, ref_rng, want)
+        assert got == want
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_cached_enumeration_matches_label_array_loop(shape):
+    for seed in range(4):
+        G, costs = _instance(shape, seed)
+        assert_same_as_reference(_EnumContext(G, costs), G, costs, seed, 150)
+
+
+def test_cache_cap_bounds_entries_and_changes_no_output(monkeypatch):
+    G, costs = _instance("rank-3", 1)
+    uncapped = _EnumContext(G, costs)
+    want = set()
+    ref_rng = random.Random(5)
+    states = []
+    for _ in range(300):
+        uncapped.run(ref_rng, want)
+        states.append(ref_rng.getstate())
+    assert uncapped.size > 40
+
+    monkeypatch.setattr(multiobjective, "_ENUM_CACHE_CAP", 40)
+    capped = _EnumContext(G, costs)
+    got = set()
+    rng = random.Random(5)
+    for state in states:
+        capped.run(rng, got)
+        entries = len(capped.cache) + sum(len(node[2]) + len(node[3])
+                                          for node in capped.cache.values())
+        assert entries == capped.size <= 40
+        assert rng.getstate() == state
+    assert got == want
+    assert_same_as_reference(capped, G, costs, 9, 50)

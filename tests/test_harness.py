@@ -147,6 +147,13 @@ def test_pipeline_reports_misses_with_tiny_repetitions():
     assert all("multi_exact" in row for row in report["per_run"])
 
 
+@pytest.mark.parametrize("verify_repetitions", [0, -5])
+def test_pipeline_rejects_fewer_than_one_verify_repetition(verify_repetitions):
+    with pytest.raises(InstanceError):
+        pipeline_equivalence(small_instance(), seed=7, runs=1, repetitions=10,
+                             verify_repetitions=verify_repetitions)
+
+
 def test_pipeline_reproducible():
     G = small_instance()
     a = pipeline_equivalence(G, seed=8, runs=2, repetitions=500,

@@ -6,7 +6,7 @@ import pytest
 
 from hypercuts.analysis import gen_lower_bound_instance, gen_random_instance
 from hypercuts._engine import contract_comps, initial_comps
-from hypercuts.hypergraph import Hypergraph, InstanceError
+from hypercuts.hypergraph import Cut, Hypergraph, InstanceError
 from hypercuts.multiobjective import (_prune_final_criterion,
                                       b_multiobjective_min_cut,
                                       default_enum_repetitions,
@@ -168,6 +168,20 @@ def test_verify_true_for_oracle_pareto_false_for_dominated():
                                         repetitions_per_criterion=3000):
             found_false += 1
     assert found_false >= 0.95 * len(dominated)
+
+
+@pytest.mark.parametrize("reps", [0, -5])
+def test_verify_rejects_fewer_than_one_repetition(reps):
+    # (3, 4, 6, 9) has costs (13, 10) and is dominated: searching nothing
+    # must not certify it
+    G = gen_random_instance(6, 10, 2, 2, 0, seed=16)
+    cut = Cut.of((3, 4, 6, 9))
+    assert cut in build_catalog(G)
+    with pytest.raises(InstanceError):
+        verify_pareto_optimality(G, cut, derive_rng(0, 0), reps)
+    with pytest.raises(InstanceError):
+        enumerate_pareto(G, derive_rng(0, 0), repetitions=10,
+                         verify_repetitions=reps)
 
 
 def test_verify_t1_semantics():
