@@ -11,10 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb
+from itertools import repeat
+from math import comb, lcm
+from operator import mul
 
-from .hypergraph import Hypergraph, InstanceError
+from .hypergraph import Hypergraph, InstanceError, exact_int
 
 LP_RANK_GUARD = 8
 
@@ -25,7 +26,8 @@ class LpInstance:
 
     Variables x_2..x_r, y_2..y_r are implicit; `f` maps each argument in
     {n-r+1, ..., n-1} to a positive value (kept as a finite table so equality
-    checks stay exact).
+    checks stay exact).  `r`, `gamma` and `n` must be ints and every `f` value
+    an int or a Fraction; bools, floats and strings raise InstanceError.
     """
 
     r: int
@@ -34,10 +36,16 @@ class LpInstance:
     f: dict[int, Fraction]
 
     def __post_init__(self):
+        for name in ("r", "gamma", "n"):
+            exact_int(getattr(self, name), name)
         if not (self.n >= self.gamma >= self.r + 1 > 2):
             raise InstanceError(
                 f"need n >= gamma >= r+1 > 2, got n={self.n} gamma={self.gamma} r={self.r}")
-        table = {k: Fraction(v) for k, v in self.f.items()}
+        table = {}
+        for k, v in self.f.items():
+            if not isinstance(v, Fraction):
+                exact_int(v, f"f({k})")
+            table[k] = Fraction(v)
         for j in range(2, self.r + 1):
             arg = self.n - j + 1
             if arg not in table:
@@ -54,24 +62,54 @@ def lp_closed_form(inst: LpInstance) -> Fraction:
         for j in range(2, inst.r + 1))
 
 
-def _best_objective_given_x(inst: LpInstance, x: list[Fraction]) -> Fraction:
-    """Minimize the LP objective over y for a fixed feasible x.
+def _best_objective_given_x(counts, js, fs, gamma: int) -> int:
+    """Minimize the LP objective over y at one grid point, in exact integers.
 
-    With x fixed, maximizing sum y_j f(n-j+1) subject to 0 <= y_j <= x_j and
-    gamma*sum(y) <= sum(j*x_j) is a fractional knapsack: fill the y_j with the
-    largest f first.
+    The grid point is x_j = c_j/grid_step.  With x fixed, maximizing
+    sum y_j f(n-j+1) subject to 0 <= y_j <= x_j and gamma*sum(y) <= sum(j*x_j)
+    is a fractional knapsack: fill the y_j with the largest f first.
+    `counts`, `js` (the index j) and `fs` (F_j = f(n-j+1)*D for a common
+    denominator D) list the variables in that knapsack order.  Every quantity
+    is scaled by grid_step*gamma*D (x_j and y_j by grid_step*gamma, f by D),
+    so the result is the objective times grid_step*gamma*D.
+    """
+    budget = sum(map(mul, js, counts))
+    obj = gamma * sum(map(mul, fs, counts))
+    for c, fj in zip(counts, fs):
+        take = gamma * c
+        if take >= budget:
+            return obj - budget * fj
+        obj -= take * fj
+        budget -= take
+    return obj
+
+
+def _compositions(total: int, parts: int):
+    """Every tuple of `parts` non-negative ints that sums to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def _grid_floor(inst: LpInstance, grid_step: int) -> Fraction:
+    """Minimum LP objective over the grid x_j = c_j/grid_step, sum c_j = grid_step.
+
+    The set of grid points is closed under permuting the coordinates, so the
+    counts are generated directly in knapsack order (largest f first), which
+    is fixed per instance.
     """
     r, gamma = inst.r, inst.gamma
-    budget = sum(Fraction(j) * x[j - 2] for j in range(2, r + 1)) / gamma
-    order = sorted(range(2, r + 1), key=lambda j: inst.f[inst.n - j + 1], reverse=True)
-    obj = sum(x[j - 2] * inst.f[inst.n - j + 1] for j in range(2, r + 1))
-    for j in order:
-        take = min(x[j - 2], budget)
-        obj -= take * inst.f[inst.n - j + 1]
-        budget -= take
-        if budget == 0:
-            break
-    return obj
+    values = [inst.f[inst.n - j + 1] for j in range(2, r + 1)]
+    order = sorted(range(r - 1), key=values.__getitem__, reverse=True)
+    denom = lcm(*(v.denominator for v in values))
+    js = [i + 2 for i in order]
+    fs = [values[i].numerator * (denom // values[i].denominator) for i in order]
+    low = min(map(_best_objective_given_x, _compositions(grid_step, r - 1),
+                  repeat(js), repeat(fs), repeat(gamma)))
+    return Fraction(low, grid_step * gamma * denom)
 
 
 def lp_bruteforce(inst: LpInstance, grid_step: int | None = None) -> Fraction:
@@ -81,10 +119,16 @@ def lp_bruteforce(inst: LpInstance, grid_step: int | None = None) -> Fraction:
     (either one slack pair at the same index j, giving y_j = j/gamma, or two
     indices j1 != j2 with x_j1 = j2/(gamma-j1+j2)); a dense feasibility grid
     over the x-simplex is evaluated as an independent sanity floor.  Must
-    equal lp_closed_form exactly.
+    equal lp_closed_form exactly.  `grid_step` must be an int >= 1.
     """
     if inst.r > LP_RANK_GUARD:
         raise InstanceError(f"rank {inst.r} exceeds the brute-force guard ({LP_RANK_GUARD})")
+    if grid_step is None:
+        # Redundant floor below the extreme-point candidates; coarsened for
+        # larger r where the simplex grid explodes combinatorially.
+        grid_step = 256 if inst.r <= 3 else (64 if inst.r == 4 else 16)
+    elif exact_int(grid_step, "grid_step") < 1:
+        raise InstanceError(f"grid_step must be >= 1, got {grid_step}")
     r, gamma = inst.r, inst.gamma
     candidates = []
     for j in range(2, r + 1):
@@ -97,22 +141,7 @@ def lp_bruteforce(inst: LpInstance, grid_step: int | None = None) -> Fraction:
             # x_j1 = y_j1 = j2/(gamma-j1+j2), x_j2 = 1 - x_j1, y_j2 = 0
             candidates.append(
                 (1 - Fraction(j2, gamma - j1 + j2)) * inst.f[inst.n - j2 + 1])
-    best = min(candidates)
-
-    if grid_step is None:
-        # Redundant floor below the extreme-point candidates; coarsened for
-        # larger r where the simplex grid explodes combinatorially.
-        grid_step = 256 if r <= 3 else (64 if r == 4 else 16)
-    nvars = r - 1
-    for split in combinations_with_replacement(range(nvars), grid_step):
-        counts = [0] * nvars
-        for idx in split:
-            counts[idx] += 1
-        x = [Fraction(c, grid_step) for c in counts]
-        val = _best_objective_given_x(inst, x)
-        if val < best:
-            best = val
-    return best
+    return min(min(candidates), _grid_floor(inst, grid_step))
 
 
 def ratio_inequality_check(n: int, e: int, sigma: int) -> bool:

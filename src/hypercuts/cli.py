@@ -273,6 +273,9 @@ def cmd_check(args) -> dict:
         if mismatches:
             raise CheckFailed(payload)
         return payload
+    if args.max_n < 4:
+        # n = 4 is the smallest n with an (n, e, sigma) case.
+        raise InstanceError("max-n must be >= 4")
     cases = violations = 0
     for n in range(1, args.max_n + 1):
         for e in range(2, n + 1):

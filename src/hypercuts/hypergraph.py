@@ -103,9 +103,10 @@ class KPartition:
         return set(self.labels) == set(range(self.k))
 
 
-def _exact_int(value, what: str) -> int:
+def exact_int(value, what: str) -> int:
     """``value`` if it is an int; bools and every other type are rejected,
-    so no count, id, cost or weight is ever truncated or coerced."""
+    so no count, id, cost, weight or LP parameter is ever truncated or
+    coerced."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InstanceError(f"{what} must be an integer, got {value!r}")
     return value
@@ -116,15 +117,15 @@ class Hypergraph:
 
     def __init__(self, n, edges, edge_costs=None, vertex_weights=None,
                  t_costs=None, t_weights=None):
-        if _exact_int(n, "vertex count") < 1:
+        if exact_int(n, "vertex count") < 1:
             raise InstanceError("vertex count must be positive")
         for count, what in ((t_costs, "t_costs"), (t_weights, "t_weights")):
-            if count is not None and _exact_int(count, what) < 0:
+            if count is not None and exact_int(count, what) < 0:
                 raise InstanceError(f"{what} must be non-negative")
         self.n = n
         self.edges = []
         for e in edges:
-            vs = tuple(sorted({_exact_int(v, "vertex id") for v in e}))
+            vs = tuple(sorted({exact_int(v, "vertex id") for v in e}))
             if len(vs) < 2:
                 raise InstanceError(f"hyperedge {e!r} has fewer than 2 distinct vertices")
             if vs[0] < 0 or vs[-1] >= n:
@@ -142,7 +143,7 @@ class Hypergraph:
             self.t_costs = len(edge_costs[0]) if self.m else 0
         self.edge_costs = []
         for row in edge_costs:
-            row = tuple(_exact_int(c, "edge cost") for c in row)
+            row = tuple(exact_int(c, "edge cost") for c in row)
             if len(row) != self.t_costs:
                 raise InstanceError("cost rows must all have the same length")
             if any(c < 0 for c in row):
@@ -159,7 +160,7 @@ class Hypergraph:
             self.t_weights = len(vertex_weights[0]) if n else 0
         self.vertex_weights = []
         for row in vertex_weights:
-            row = tuple(_exact_int(w, "vertex weight") for w in row)
+            row = tuple(exact_int(w, "vertex weight") for w in row)
             if len(row) != self.t_weights:
                 raise InstanceError("weight rows must all have the same length")
             if any(w < 0 for w in row):
@@ -273,7 +274,7 @@ def load_instance(data) -> Hypergraph:
         raise InstanceError(f"instance document missing fields: {missing}")
 
     for field in ("n", "t_costs", "t_weights"):
-        _exact_int(doc[field], field)
+        exact_int(doc[field], field)
     doc_edges = _rows(doc, "edges")
     doc_costs = _rows(doc, "edge_costs")
     if len(doc_costs) != len(doc_edges):
@@ -282,7 +283,7 @@ def load_instance(data) -> Hypergraph:
     for idx, e in enumerate(doc_edges):
         if len(e) == 0:
             raise InstanceError(f"edge {idx} is empty")
-        if len({_exact_int(v, "vertex id") for v in e}) == 1:
+        if len({exact_int(v, "vertex id") for v in e}) == 1:
             warnings.warn(f"dropping size-1 hyperedge {idx} (crosses no cut)",
                           stacklevel=2)
             continue

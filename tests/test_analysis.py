@@ -45,6 +45,35 @@ def test_lp_instance_validation():
         LpInstance(r=1, gamma=4, n=10, f={})  # r+1 > 2 violated
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"r": 3.0, "gamma": 4, "n": 10, "f": {9: 1, 8: 1}},
+    {"r": 3, "gamma": 4.0, "n": 10, "f": {9: 1, 8: 1}},
+    {"r": 3, "gamma": 4, "n": 10.0, "f": {9: 1, 8: 1}},
+    {"r": 3, "gamma": 4, "n": "10", "f": {9: 1, 8: 1}},
+    {"r": 3, "gamma": True, "n": 10, "f": {9: 1, 8: 1}},
+    {"r": 3, "gamma": 4, "n": True, "f": {9: 1, 8: 1}},
+    {"r": 3, "gamma": 4, "n": 10, "f": {9: 0.5, 8: 1}},
+    {"r": 3, "gamma": 4, "n": 10, "f": {9: 1, 8: "2"}},
+    {"r": 3, "gamma": 4, "n": 10, "f": {9: True, 8: 1}},
+    {"r": 2, "gamma": 4, "n": 10, "f": {9: 1.0}},
+])
+def test_lp_instance_rejects_non_exact_values(kwargs):
+    with pytest.raises(InstanceError):
+        LpInstance(**kwargs)
+
+
+@pytest.mark.parametrize("grid_step", [0, -1, 2.0, True, False, "4", Fraction(4)])
+def test_lp_bruteforce_rejects_bad_grid_step(grid_step):
+    inst = LpInstance(r=3, gamma=4, n=10, f={9: 1, 8: 1})
+    with pytest.raises(InstanceError):
+        lp_bruteforce(inst, grid_step=grid_step)
+
+
+def test_lp_bruteforce_accepts_the_smallest_grid_step():
+    inst = LpInstance(r=3, gamma=5, n=10, f={9: 2, 8: 1})
+    assert lp_bruteforce(inst, grid_step=1) == lp_closed_form(inst)
+
+
 def test_lp_randomized_sweep():
     rng = random.Random(20)
     for _ in range(120):

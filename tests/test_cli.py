@@ -301,3 +301,18 @@ def test_check_lemma_lp_rejects_empty_sweep(capsys, sweep):
     assert code == 2
     assert out == ""
     assert json.loads(err)["code"] == 2
+
+
+@pytest.mark.parametrize("max_n", ["3", "0", "-4"])
+def test_check_ratio_ineq_rejects_max_n_without_cases(capsys, max_n):
+    code, out, err = run_cli(capsys, "check", "ratio-ineq", "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == 2
+
+
+def test_check_ratio_ineq_smallest_max_n_has_a_case(capsys):
+    code, out, _ = run_cli(capsys, "check", "ratio-ineq", "--max-n", "4")
+    assert code == 0
+    rec = parse_text(out)
+    assert rec["ok"] is True and rec["cases"] == 1
