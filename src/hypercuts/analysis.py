@@ -9,11 +9,13 @@ family (hub-to-hub parallel paths), and a seeded random instance generator.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import comb, lcm
 from operator import mul
+from types import MappingProxyType
 
 from .hypergraph import Hypergraph, InstanceError, exact_int
 
@@ -27,13 +29,15 @@ class LpInstance:
     Variables x_2..x_r, y_2..y_r are implicit; `f` maps each argument in
     {n-r+1, ..., n-1} to a positive value (kept as a finite table so equality
     checks stay exact).  `r`, `gamma` and `n` must be ints and every `f` value
-    an int or a Fraction; bools, floats and strings raise InstanceError.
+    an int or a Fraction; bools, floats and strings raise InstanceError.  The
+    validated table is stored read-only, so an instance cannot change after
+    the checks and equal instances hash equally.
     """
 
     r: int
     gamma: int
     n: int
-    f: dict[int, Fraction]
+    f: Mapping[int, Fraction]
 
     def __post_init__(self):
         for name in ("r", "gamma", "n"):
@@ -52,7 +56,10 @@ class LpInstance:
                 raise InstanceError(f"f is missing the value at {arg}")
             if table[arg] <= 0:
                 raise InstanceError("f must be strictly positive on the queried range")
-        object.__setattr__(self, "f", table)
+        object.__setattr__(self, "f", MappingProxyType(table))
+
+    def __hash__(self):
+        return hash((self.r, self.gamma, self.n, frozenset(self.f.items())))
 
 
 def lp_closed_form(inst: LpInstance) -> Fraction:
@@ -127,8 +134,8 @@ def lp_bruteforce(inst: LpInstance, grid_step: int | None = None) -> Fraction:
         # Redundant floor below the extreme-point candidates; coarsened for
         # larger r where the simplex grid explodes combinatorially.
         grid_step = 256 if inst.r <= 3 else (64 if inst.r == 4 else 16)
-    elif exact_int(grid_step, "grid_step") < 1:
-        raise InstanceError(f"grid_step must be >= 1, got {grid_step}")
+    else:
+        exact_int(grid_step, "grid_step", 1)
     r, gamma = inst.r, inst.gamma
     candidates = []
     for j in range(2, r + 1):

@@ -21,9 +21,10 @@ from fractions import Fraction
 from math import comb
 from multiprocessing import get_context
 
-from .hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE, save_instance
-from .multiobjective import (bmulti_walk, enumerate_multiobjective,
-                             success_floor_edge, verify_pareto_optimality)
+from .hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE, exact_int,
+                         exact_ints, save_instance)
+from .multiobjective import (bmulti_walk, pareto_pipeline, success_floor_edge,
+                             verify_repetition_count)
 from .node_budgeted import (hmincut_walk, nb_arbitrary_walk, nb_constant_walk,
                             success_floor_node, success_floor_node_arbitrary)
 from .size_constrained import kcut_walk, success_floor_size
@@ -95,16 +96,17 @@ def _build_problem(G: Hypergraph, algorithm: str, budgets=None, k=None,
                    sizes=None, weighted_costs=False):
     """Returns (walk, oracle cut set or INFEASIBLE, floor)."""
     if algorithm == "bmulti":
-        if budgets is None:
-            raise InstanceError("bmulti needs budgets")
-        budgets = tuple(budgets)
+        # one budget per leading cost criterion; raises without any criterion
+        t = len(G.costs_by_criterion())
+        budgets = exact_ints(budgets, t - 1, "budget")
         walk = bmulti_walk(G, budgets)
         optima = oracle_bmulti(build_catalog(G), budgets)
         if not optima:
             raise InstanceError("no cut satisfies the budgets; no optimum to track")
         return walk, optima, success_floor_edge(G.n, G.rank, G.t_costs)
     if algorithm in ("nb-bmulti-constant", "nb-bmulti-arbitrary"):
-        budgets = tuple(budgets or ())
+        budgets = exact_ints(() if budgets is None else budgets, G.t_weights,
+                             "node budget")
         if algorithm == "nb-bmulti-constant":
             walk = nb_constant_walk(G, budgets)
             floor = success_floor_node(G.n, G.rank)
@@ -138,18 +140,18 @@ def _successes(walk, target_masks, seed: int, start: int, count: int) -> int:
     return successes
 
 
-def _run_chunk(doc: bytes, algorithm: str, budgets, k, sizes, weighted_costs,
-               target_masks, seed: int, start: int, count: int) -> int:
-    """Worker: number of successes among trials [start, start+count)."""
-    import warnings
+# The walk a pool worker runs: set by ``_adopt_walk`` in each forked worker,
+# which inherits the parent's walk instead of rebuilding it.
+_worker_walk = None
 
-    from .hypergraph import load_instance
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        G = load_instance(doc)
-    walk, _, _ = _build_problem(G, algorithm, budgets, k, sizes, weighted_costs)
-    return _successes(walk, target_masks, seed, start, count)
+def _adopt_walk(walk) -> None:
+    global _worker_walk
+    _worker_walk = walk
+
+
+def _worker_successes(target_masks, seed: int, start: int, count: int) -> int:
+    return _successes(_worker_walk, target_masks, seed, start, count)
 
 
 def estimate(G: Hypergraph, algorithm: str, *, budgets=None, k=None, sizes=None,
@@ -163,12 +165,13 @@ def estimate(G: Hypergraph, algorithm: str, *, budgets=None, k=None, sizes=None,
     infeasible and the algorithm reports INFEASIBLE, trials count as
     agreement and the report notes the special case.
     """
+    exact_int(jobs, "jobs", 1)
+    if trials is not None:
+        exact_int(trials, "trials", 1)
     walk, optima, floor = _build_problem(G, algorithm, budgets, k, sizes,
                                          weighted_costs)
     if trials is None:
         trials = default_trials(floor)
-    if trials < 1:
-        raise InstanceError("trials must be >= 1")
     digest = instance_digest(G)
 
     if optima is INFEASIBLE:
@@ -188,15 +191,15 @@ def estimate(G: Hypergraph, algorithm: str, *, budgets=None, k=None, sizes=None,
     target_masks = {cut.mask() for cut in targets}
 
     if jobs > 1:
-        doc = save_instance(G)
         chunk = -(-trials // jobs)
         spans = [(s, min(chunk, trials - s)) for s in range(0, trials, chunk)]
+        # forked workers inherit the built walk: nothing is re-parsed,
+        # rebuilt or pickled but the span arguments
         ctx = get_context("fork")
-        with ctx.Pool(min(jobs, len(spans))) as pool:
-            parts = pool.starmap(
-                _run_chunk,
-                [(doc, algorithm, budgets, k, sizes, weighted_costs,
-                  target_masks, seed, s, c) for s, c in spans])
+        with ctx.Pool(min(jobs, len(spans)), initializer=_adopt_walk,
+                      initargs=(walk,)) as pool:
+            parts = pool.starmap(_worker_successes, [
+                (target_masks, seed, s, c) for s, c in spans])
         successes = sum(parts)
     else:
         successes = _successes(walk, target_masks, seed, 0, trials)
@@ -217,20 +220,16 @@ def pipeline_equivalence(G: Hypergraph, seed: int, runs: int,
     exact-match flags against the oracle sets plus aggregate hit counts.
     Misses are reported, never masked.
     """
-    if runs < 1:
-        raise InstanceError("runs must be >= 1")
-    if verify_repetitions is not None and verify_repetitions < 1:
-        raise InstanceError("verify repetitions must be >= 1")
+    exact_int(runs, "runs", 1)
+    verify_repetitions = verify_repetition_count(G, verify_repetitions)
     catalog = build_catalog(G)
     true_multi = oracle_multiobjective(catalog)
     true_pareto = oracle_pareto(catalog)
     per_run = []
     multi_hits = pareto_hits = 0
     for idx in range(runs):
-        rng = derive_rng(seed, idx)
-        collection = enumerate_multiobjective(G, rng, repetitions)
-        pareto = {cut for cut in sorted(collection, key=lambda c: c.edge_ids)
-                  if verify_pareto_optimality(G, cut, rng, verify_repetitions)}
+        collection, pareto = pareto_pipeline(G, derive_rng(seed, idx),
+                                             repetitions, verify_repetitions)
         m_ok = collection == true_multi
         p_ok = pareto == true_pareto
         multi_hits += m_ok

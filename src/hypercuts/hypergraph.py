@@ -103,13 +103,31 @@ class KPartition:
         return set(self.labels) == set(range(self.k))
 
 
-def exact_int(value, what: str) -> int:
-    """``value`` if it is an int; bools and every other type are rejected,
-    so no count, id, cost, weight or LP parameter is ever truncated or
-    coerced."""
+def exact_int(value, what: str, minimum: int | None = None) -> int:
+    """``value`` if it is an int (at least ``minimum``, when given); bools
+    and every other type are rejected, so no count, id, cost, weight or LP
+    parameter is ever truncated or coerced."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InstanceError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InstanceError(f"{what} must be >= {minimum}, got {value}")
     return value
+
+
+def exact_ints(values, length: int, what: str,
+               minimum: int = 0) -> tuple[int, ...]:
+    """``values`` as a tuple of ``length`` exact ints, each at least
+    ``minimum``: the one way budget and size vectors enter an algorithm."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InstanceError(f"{what}s must be a sequence of integers, "
+                            f"got {values!r}") from None
+    if len(values) != length:
+        raise InstanceError(f"expected {length} {what}s, got {len(values)}")
+    for value in values:
+        exact_int(value, what, minimum)
+    return values
 
 
 class Hypergraph:
@@ -117,11 +135,10 @@ class Hypergraph:
 
     def __init__(self, n, edges, edge_costs=None, vertex_weights=None,
                  t_costs=None, t_weights=None):
-        if exact_int(n, "vertex count") < 1:
-            raise InstanceError("vertex count must be positive")
+        exact_int(n, "vertex count", 1)
         for count, what in ((t_costs, "t_costs"), (t_weights, "t_weights")):
-            if count is not None and exact_int(count, what) < 0:
-                raise InstanceError(f"{what} must be non-negative")
+            if count is not None:
+                exact_int(count, what, 0)
         self.n = n
         self.edges = []
         for e in edges:
@@ -181,9 +198,19 @@ class Hypergraph:
         """Size of the largest hyperedge (2 for an edgeless hypergraph)."""
         return max((len(e) for e in self.edges), default=2)
 
-    def costs_by_criterion(self):
-        """Transpose of edge_costs: one integer list per criterion."""
+    def costs_by_criterion(self) -> list[list[int]]:
+        """Transpose of edge_costs: one integer list per criterion.  Every
+        algorithm reads its edge costs here, so this is where an instance
+        without cost criteria is rejected."""
+        if self.t_costs < 1:
+            raise InstanceError("instance carries no edge costs")
         return [[row[i] for row in self.edge_costs] for i in range(self.t_costs)]
+
+    def weights_by_criterion(self) -> list[list[int]]:
+        """Transpose of vertex_weights: one integer list per criterion
+        (none when the instance carries no weights)."""
+        return [[row[i] for row in self.vertex_weights]
+                for i in range(self.t_weights)]
 
     def cut_costs(self, cut: Cut) -> tuple[int, ...]:
         totals = [0] * self.t_costs
@@ -231,7 +258,7 @@ def delta_partition(G: Hypergraph, partition: KPartition) -> Cut:
 
 
 def cut_cost(G: Hypergraph, cut: Cut, criterion: int) -> int:
-    if not 0 <= criterion < max(G.t_costs, 1):
+    if not 0 <= criterion < G.t_costs:
         raise InstanceError(f"criterion {criterion} out of range")
     total = 0
     for eid in cut.edge_ids:

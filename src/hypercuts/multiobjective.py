@@ -13,12 +13,14 @@ Four entry points:
   yielding at most n^(t-1) cuts per invocation.
 * ``enumerate_multiobjective`` / ``enumerate_pareto`` - repeat the
   enumeration until every budget-optimal cut appears with high probability,
-  prune by the final criterion, and (for the pareto set) keep the cuts that
-  survive the randomized dominance search.
+  prune by the final criterion, and (for the pareto set, via
+  ``pareto_pipeline``) keep the cuts that survive the randomized dominance
+  search.
 * ``verify_pareto_optimality`` - one-sided dominance test: TRUE is always
   correct for a pareto-optimal input, FALSE is only returned on an explicit
   dominating witness.
 
+Every algorithm reads its cost columns from the hypergraph itself.
 Repeated runs on one instance share a per-state cache (see ``_engine.Walk``
 and ``_EnumContext``), which changes nothing about the sampled distribution -
 state expansion is deterministic - but makes a single trial a few dictionary
@@ -35,7 +37,7 @@ from math import comb
 
 from ._engine import (Walk, contract_comps, delta_mask, ids_mask,
                       initial_comps, mask_sum, present_edge_ids, sample_node)
-from .hypergraph import Cut, Hypergraph, InstanceError
+from .hypergraph import Cut, Hypergraph, InstanceError, exact_int, exact_ints
 from .sampling import BestOf, LazyWeightedOrder, best_of_n, default_trials
 
 __all__ = [
@@ -47,28 +49,19 @@ __all__ = [
     "multiobjective_min_cut_enum",
     "enumerate_multiobjective",
     "enumerate_pareto",
+    "pareto_pipeline",
     "verify_pareto_optimality",
     "default_enum_repetitions",
     "default_verify_repetitions",
+    "verify_repetition_count",
     "interleaving_schedules",
 ]
 
 
-def _criterion_costs(G: Hypergraph, costs):
-    if costs is None:
-        costs = G.costs_by_criterion()
-    if not costs:
-        raise InstanceError("need at least one cost criterion")
-    return costs
-
-
-def _check_budgets(t: int, budgets) -> tuple[int, ...]:
-    budgets = tuple(budgets)
-    if len(budgets) != t - 1:
-        raise InstanceError(f"expected {t - 1} budgets for t={t}, got {len(budgets)}")
-    if any(b < 0 for b in budgets):
-        raise InstanceError("budgets must be non-negative")
-    return budgets
+def _costs_and_budgets(G: Hypergraph, budgets):
+    """G's cost columns and the t-1 validated budgets on the leading ones."""
+    costs = G.costs_by_criterion()
+    return costs, exact_ints(budgets, len(costs) - 1, "budget")
 
 
 def _classes(masks, comps, present, costs, budgets):
@@ -89,21 +82,20 @@ def _classes(masks, comps, present, costs, budgets):
     return tuple(classes)
 
 
-def infeasible_classes(G: Hypergraph, comps, budgets, costs=None):
+def infeasible_classes(G: Hypergraph, comps, budgets):
     """Partition the components of ``comps`` into the per-criterion classes.
 
     Class i < t-1 collects the not-yet-classified components whose vertex
     cut exceeds budget i; the final class is the residue.  Returns a tuple of
     t lists of component bitmasks, each in partition order.
     """
-    costs = _criterion_costs(G, costs)
-    budgets = _check_budgets(len(costs), budgets)
+    costs, budgets = _costs_and_budgets(G, budgets)
     masks = G.edge_masks
     return _classes(masks, comps, present_edge_ids(masks, comps), costs,
                     budgets)
 
 
-def bmulti_walk(G: Hypergraph, budgets, costs=None) -> Walk:
+def bmulti_walk(G: Hypergraph, budgets) -> Walk:
     """The budget-constrained contraction walk as a reusable cached ``Walk``.
 
     Above rank*t components the criterion with the largest class drives a
@@ -111,8 +103,12 @@ def bmulti_walk(G: Hypergraph, budgets, costs=None) -> Walk:
     components is drawn.  An outcome is witnessed when that subset induces a
     proper bipartition.
     """
-    costs = _criterion_costs(G, costs)
-    budgets = _check_budgets(len(costs), budgets)
+    return _bmulti_walk(G, *_costs_and_budgets(G, budgets))
+
+
+def _bmulti_walk(G: Hypergraph, costs, budgets) -> Walk:
+    """``bmulti_walk`` over cost columns already read from G, in any order
+    (the verifier rotates them); the budgets bound all but the last."""
     t = len(costs)
     masks, full = G.edge_masks, G.full_mask
     base_limit = G.rank * t
@@ -141,15 +137,15 @@ def bmulti_walk(G: Hypergraph, budgets, costs=None) -> Walk:
     return Walk(G, expand, value)
 
 
-def b_multiobjective_min_cut(G: Hypergraph, budgets, rng: random.Random,
-                             costs=None) -> Cut:
+def b_multiobjective_min_cut(G: Hypergraph, budgets,
+                             rng: random.Random) -> Cut:
     """One run of the budget-constrained random contraction algorithm.
 
     Any fixed budget-optimal cut is returned with probability at least
     ``success_floor_edge(n, r, t)``.  The result can be the empty cut when
     the base-case subset draw lands on the empty or full vertex set.
     """
-    mask, _ = bmulti_walk(G, budgets, costs).run(rng)
+    mask, _ = bmulti_walk(G, budgets).run(rng)
     return Cut.from_mask(mask)
 
 
@@ -295,11 +291,9 @@ class _EnumContext:
             out.add(self._cut(node, bits) if cut is None else cut)
 
 
-def multiobjective_min_cut_enum(G: Hypergraph, rng: random.Random,
-                                costs=None) -> set[Cut]:
+def multiobjective_min_cut_enum(G: Hypergraph, rng: random.Random) -> set[Cut]:
     """One invocation of the budget-free enumeration (at most n^(t-1) cuts)."""
-    costs = _criterion_costs(G, costs)
-    ctx = _EnumContext(G, costs)
+    ctx = _EnumContext(G, G.costs_by_criterion())
     masks: set[int] = set()
     ctx.run(rng, masks)
     return {Cut.from_mask(m) for m in masks}
@@ -316,12 +310,12 @@ def default_verify_repetitions(n: int, r: int, t: int) -> int:
     return max(1, math.ceil(r * (2 ** (r * t)) * (n ** (2 * t)) * math.log(max(n, 2))))
 
 
-def _verify_repetitions(G: Hypergraph, t: int, repetitions: int | None) -> int:
+def verify_repetition_count(G: Hypergraph, repetitions: int | None) -> int:
+    """Per-criterion dominance-search repetitions on G: the default when
+    ``repetitions`` is None, else ``repetitions`` as an exact int >= 1."""
     if repetitions is None:
-        return default_verify_repetitions(G.n, G.rank, t)
-    if repetitions < 1:
-        raise InstanceError("verify repetitions must be >= 1")
-    return repetitions
+        return default_verify_repetitions(G.n, G.rank, G.t_costs)
+    return exact_int(repetitions, "verify repetitions", 1)
 
 
 def _mask_costs(costs, mask: int) -> tuple[int, ...]:
@@ -344,8 +338,7 @@ def _prune_final_criterion(masks: set[int], G: Hypergraph, costs) -> set[int]:
 
 
 def enumerate_multiobjective(G: Hypergraph, rng: random.Random,
-                             repetitions: int | None = None,
-                             costs=None) -> set[Cut]:
+                             repetitions: int | None = None) -> set[Cut]:
     """Union of repeated enumeration runs, pruned by the final criterion.
 
     With the default repetition count the result equals the set of all
@@ -353,11 +346,10 @@ def enumerate_multiobjective(G: Hypergraph, rng: random.Random,
     pruned set can retain non-optimal cuts; callers comparing against ground
     truth should report such misses rather than mask them.
     """
-    costs = _criterion_costs(G, costs)
+    costs = G.costs_by_criterion()
     if repetitions is None:
         repetitions = default_enum_repetitions(G.n, G.rank, len(costs))
-    if repetitions < 1:
-        raise InstanceError("repetitions must be >= 1")
+    exact_int(repetitions, "repetitions", 1)
     ctx = _EnumContext(G, costs)
     masks: set[int] = set()
     for _ in range(repetitions):
@@ -366,8 +358,8 @@ def enumerate_multiobjective(G: Hypergraph, rng: random.Random,
 
 
 def verify_pareto_optimality(G: Hypergraph, cut: Cut, rng: random.Random,
-                             repetitions_per_criterion: int | None = None,
-                             costs=None) -> bool:
+                             repetitions_per_criterion: int | None = None
+                             ) -> bool:
     """Randomized dominance check for a cut of G.
 
     For each criterion i the costs are rotated so that i is minimized
@@ -376,15 +368,15 @@ def verify_pareto_optimality(G: Hypergraph, cut: Cut, rng: random.Random,
     TRUE is deterministic for pareto-optimal cuts; FALSE is correct whenever
     returned and is found with high probability for dominated cuts.
     """
-    costs = _criterion_costs(G, costs)
+    costs = G.costs_by_criterion()
     t = len(costs)
-    repetitions_per_criterion = _verify_repetitions(G, t,
-                                                    repetitions_per_criterion)
+    repetitions_per_criterion = verify_repetition_count(
+        G, repetitions_per_criterion)
     cut_vec = [sum(ci[e] for e in cut.edge_ids) for ci in costs]
     for i in range(t):
         rotated = [costs[j] for j in range(t) if j != i] + [costs[i]]
         budgets = tuple(cut_vec[j] for j in range(t) if j != i)
-        walk = bmulti_walk(G, budgets, rotated)
+        walk = _bmulti_walk(G, rotated, budgets)
         target = cut_vec[i]
         verdict: dict[int, bool] = {}
         for _ in range(repetitions_per_criterion):
@@ -402,17 +394,27 @@ def verify_pareto_optimality(G: Hypergraph, cut: Cut, rng: random.Random,
     return True
 
 
+def pareto_pipeline(G: Hypergraph, rng: random.Random,
+                    repetitions: int | None = None,
+                    verify_repetitions: int | None = None
+                    ) -> tuple[set[Cut], set[Cut]]:
+    """(enumerated collection, its pareto-optimal subset).
+
+    The collection comes from ``enumerate_multiobjective``; each of its cuts,
+    in edge-id order, then goes through the randomized dominance check with
+    the same generator.  The verify repetition count is checked before the
+    enumeration runs.
+    """
+    verify_repetitions = verify_repetition_count(G, verify_repetitions)
+    collection = enumerate_multiobjective(G, rng, repetitions)
+    pareto = {cut for cut in sorted(collection, key=lambda c: c.edge_ids)
+              if verify_pareto_optimality(G, cut, rng, verify_repetitions)}
+    return collection, pareto
+
+
 def enumerate_pareto(G: Hypergraph, rng: random.Random,
                      repetitions: int | None = None,
-                     verify_repetitions: int | None = None,
-                     costs=None) -> set[Cut]:
+                     verify_repetitions: int | None = None) -> set[Cut]:
     """Pareto-optimal cuts: the enumerated collection filtered by the
     randomized dominance check.  Always a subset of the collection."""
-    costs = _criterion_costs(G, costs)
-    verify_repetitions = _verify_repetitions(G, len(costs), verify_repetitions)
-    collection = enumerate_multiobjective(G, rng, repetitions, costs)
-    result = set()
-    for cut in sorted(collection, key=lambda c: c.edge_ids):
-        if verify_pareto_optimality(G, cut, rng, verify_repetitions, costs):
-            result.add(cut)
-    return result
+    return pareto_pipeline(G, rng, repetitions, verify_repetitions)[1]

@@ -9,8 +9,9 @@ a whole fits the budgets.  The enumeration variant moves all randomness into
 a single cost-weighted permutation plus a sweep over contraction stopping
 points and weight thresholds.
 
-INFEASIBLE is a distinguished outcome (no vertex satisfies the budgets),
-not an error.
+Costs are the hypergraph's first cost criterion and weights its vertex
+weight criteria, both read from the hypergraph itself.  INFEASIBLE is a
+distinguished outcome (no vertex satisfies the budgets), not an error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import comb
 from ._engine import (Walk, contract_comps, delta_mask, ids_mask,
                       initial_comps, mask_sum, merge_comp_subset,
                       present_edge_ids, sample_node)
-from .hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE
+from .hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE, exact_ints
 from .sampling import BestOf, LazyWeightedOrder, best_of_n, default_trials
 
 __all__ = [
@@ -43,27 +44,10 @@ __all__ = [
 ]
 
 
-def _weight_columns(G: Hypergraph, weights):
-    if weights is None:
-        weights = [[w[i] for w in G.vertex_weights] for i in range(G.t_weights)]
-    return weights
-
-
-def _cost_column(G: Hypergraph, costs):
-    if costs is None:
-        if G.t_costs < 1:
-            raise InstanceError("instance carries no edge costs")
-        return [c[0] for c in G.edge_costs]
-    return list(costs)
-
-
-def _check_node_budgets(t: int, budgets) -> tuple[int, ...]:
-    budgets = tuple(budgets)
-    if len(budgets) != t:
-        raise InstanceError(f"expected {t} node budgets, got {len(budgets)}")
-    if any(b < 0 for b in budgets):
-        raise InstanceError("budgets must be non-negative")
-    return budgets
+def _weights_and_budgets(G: Hypergraph, budgets):
+    """G's weight columns and one validated budget per column."""
+    weights = G.weights_by_criterion()
+    return weights, exact_ints(budgets, len(weights), "node budget")
 
 
 def _fits(weights, budgets, mask: int) -> bool:
@@ -85,15 +69,13 @@ def _contract_infeasible(comps, weights, budgets):
     return comps, feasible
 
 
-def contract_infeasible(G: Hypergraph, comps, budgets, weights=None):
+def contract_infeasible(G: Hypergraph, comps, budgets):
     """Merge all components of ``comps`` violating some budget into one.
 
     Returns ``comps`` unchanged when at most one component is infeasible.
     Afterwards at most one infeasible component remains.
     """
-    weights = _weight_columns(G, weights)
-    budgets = _check_node_budgets(len(weights), budgets)
-    return _contract_infeasible(comps, weights, budgets)[0]
+    return _contract_infeasible(comps, *_weights_and_budgets(G, budgets))[0]
 
 
 def _min_cut_walk(G: Hypergraph, cost) -> Walk:
@@ -115,20 +97,20 @@ def _min_cut_walk(G: Hypergraph, cost) -> Walk:
     return Walk(G, expand, lambda mask: mask_sum(cost, mask))
 
 
-def hmincut_walk(G: Hypergraph, costs=None) -> Walk:
+def hmincut_walk(G: Hypergraph) -> Walk:
     """The non-uniform contraction min-cut walk as a reusable cached ``Walk``."""
     if G.n < 2:
         raise InstanceError("need at least 2 vertices")
-    return _min_cut_walk(G, _cost_column(G, costs))
+    return _min_cut_walk(G, G.costs_by_criterion()[0])
 
 
-def hypergraph_min_cut(G: Hypergraph, rng: random.Random, costs=None) -> Cut:
+def hypergraph_min_cut(G: Hypergraph, rng: random.Random) -> Cut:
     """One run of the non-uniform contraction min-cut algorithm.
 
     Any fixed min-cut (under the single cost function) is returned with
     probability at least 1/C(n,2).
     """
-    mask, _ = hmincut_walk(G, costs).run(rng)
+    mask, _ = hmincut_walk(G).run(rng)
     return Cut.from_mask(mask)
 
 
@@ -142,7 +124,7 @@ def solve_hmincut(G: Hypergraph, *, trials: int | None = None,
     return best_of_n(walk, trials, seed)
 
 
-def nb_constant_walk(G: Hypergraph, budgets, costs=None, weights=None) -> Walk:
+def nb_constant_walk(G: Hypergraph, budgets) -> Walk:
     """The constant-rank node-budgeted walk as a reusable cached ``Walk``.
 
     Budget-violating components are merged first; above rank+1 components a
@@ -150,9 +132,8 @@ def nb_constant_walk(G: Hypergraph, budgets, costs=None, weights=None) -> Walk:
     is drawn.  An outcome is witnessed when that subset is a proper side
     that fits the budgets, or whose complement does.
     """
-    weights = _weight_columns(G, weights)
-    budgets = _check_node_budgets(len(weights), budgets)
-    cost = _cost_column(G, costs)
+    weights, budgets = _weights_and_budgets(G, budgets)
+    cost = G.costs_by_criterion()[0]
     masks, full = G.edge_masks, G.full_mask
     base_limit = G.rank + 1
 
@@ -175,27 +156,25 @@ def nb_constant_walk(G: Hypergraph, budgets, costs=None, weights=None) -> Walk:
     return Walk(G, expand, lambda mask: mask_sum(cost, mask))
 
 
-def nb_bmulti_constant_rank(G: Hypergraph, budgets, rng: random.Random,
-                            costs=None, weights=None) -> Cut:
+def nb_bmulti_constant_rank(G: Hypergraph, budgets, rng: random.Random) -> Cut:
     """One run of the constant-rank node-budgeted algorithm.
 
     Any fixed node-budgeted budget-optimal cut is returned with probability
     at least 1/(2^(r+1) C(n,2)).
     """
-    mask, _ = nb_constant_walk(G, budgets, costs, weights).run(rng)
+    mask, _ = nb_constant_walk(G, budgets).run(rng)
     return Cut.from_mask(mask)
 
 
-def nb_arbitrary_walk(G: Hypergraph, budgets, costs=None, weights=None) -> Walk:
+def nb_arbitrary_walk(G: Hypergraph, budgets) -> Walk:
     """The arbitrary-rank node-budgeted walk as a reusable cached ``Walk``.
 
     Contraction weights are |U \\ e|/|U| * c(e) over the feasible components
     U; once U as a whole fits the budgets the walk continues as the plain
     min-cut walk.  A state without feasible components is INFEASIBLE.
     """
-    weights = _weight_columns(G, weights)
-    budgets = _check_node_budgets(len(weights), budgets)
-    cost = _cost_column(G, costs)
+    weights, budgets = _weights_and_budgets(G, budgets)
+    cost = G.costs_by_criterion()[0]
     masks, full = G.edge_masks, G.full_mask
     min_cut = _min_cut_walk(G, cost)
     delegate = ("delegate", min_cut)
@@ -224,15 +203,14 @@ def nb_arbitrary_walk(G: Hypergraph, budgets, costs=None, weights=None) -> Walk:
     return Walk(G, expand, min_cut.value)
 
 
-def nb_bmulti_arbitrary_rank(G: Hypergraph, budgets, rng: random.Random,
-                             costs=None, weights=None):
+def nb_bmulti_arbitrary_rank(G: Hypergraph, budgets, rng: random.Random):
     """One run of the arbitrary-rank node-budgeted algorithm.
 
     Returns INFEASIBLE when no vertex satisfies the budgets.  Any fixed
     node-budgeted budget-optimal cut is returned with probability at least
     1 (n=2) or (1/3)/C(n-1,2) (n>=3).
     """
-    out = nb_arbitrary_walk(G, budgets, costs, weights).run(rng)
+    out = nb_arbitrary_walk(G, budgets).run(rng)
     return INFEASIBLE if out is INFEASIBLE else Cut.from_mask(out[0])
 
 
@@ -257,8 +235,7 @@ def solve_nb_bmulti(G: Hypergraph, budgets, *, rank_mode: str = "constant",
     return best_of_n(walk, trials, seed)
 
 
-def nb_multi_enum_constant_rank(G: Hypergraph, rng: random.Random,
-                                costs=None, weights=None) -> set[Cut]:
+def nb_multi_enum_constant_rank(G: Hypergraph, rng: random.Random) -> set[Cut]:
     """Budget-free node-budgeted enumeration (at most r*n^t cuts).
 
     Draws one cost-weighted permutation of the positive-cost edges, sweeps
@@ -267,8 +244,8 @@ def nb_multi_enum_constant_rank(G: Hypergraph, rng: random.Random,
     a random cut whenever the merged hypergraph is new and has between 2 and
     rank+1 supervertices.
     """
-    weights = _weight_columns(G, weights)
-    cost = _cost_column(G, costs)
+    weights = G.weights_by_criterion()
+    cost = G.costs_by_criterion()[0]
     masks = G.edge_masks
     full = G.full_mask
     r = G.rank

@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 
-from .hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE)
+from .hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE, exact_int,
+                         exact_ints)
 
 CATALOG_GUARD = 20   # 2^n bipartition scans
 KCUT_GUARD = 12      # k^n label scans
@@ -100,9 +101,7 @@ def oracle_multiobjective(catalog: CutCatalog) -> set[Cut]:
 
 def oracle_bmulti(catalog: CutCatalog, budgets) -> set[Cut]:
     """All minimizers of the last criterion among cuts within the budgets."""
-    budgets = tuple(budgets)
-    if len(budgets) != catalog.t - 1:
-        raise InstanceError(f"expected {catalog.t - 1} budgets, got {len(budgets)}")
+    budgets = exact_ints(budgets, catalog.t - 1, "budget")
     feasible = [(cut, cost) for cut, cost in catalog.costs.items()
                 if all(cost[i] <= budgets[i] for i in range(catalog.t - 1))]
     if not feasible:
@@ -166,9 +165,9 @@ def oracle_nb_bmulti(G: Hypergraph, budgets, override_guard: bool = False):
     if G.n > CATALOG_GUARD and not override_guard:
         raise InstanceError(
             f"n={G.n} exceeds the 2^n oracle guard ({CATALOG_GUARD})")
-    budgets = tuple(budgets)
-    if len(budgets) != G.t_weights:
-        raise InstanceError(f"expected {G.t_weights} budgets, got {len(budgets)}")
+    budgets = exact_ints(budgets, G.t_weights, "node budget")
+    if G.t_costs < 1:
+        raise InstanceError("the node-budgeted oracle needs a cost criterion")
     weights = [_weights_column(G, i) for i in range(G.t_weights)]
     masks = G.edge_masks
     full = G.full_mask
@@ -218,13 +217,9 @@ def oracle_kcut(G: Hypergraph, k: int, sizes, weighted_costs: bool = False,
     """
     if G.n > KCUT_GUARD and not override_guard:
         raise InstanceError(f"n={G.n} exceeds the k^n oracle guard ({KCUT_GUARD})")
-    if k < 2:
-        raise InstanceError("k must be at least 2")
-    sizes = tuple(sizes)
-    if len(sizes) != k:
-        raise InstanceError(f"expected {k} part sizes, got {len(sizes)}")
-    if any(s < 1 for s in sizes):
-        raise InstanceError("part size bounds must be positive")
+    sizes = exact_ints(sizes, exact_int(k, "k", 2), "part size", 1)
+    if weighted_costs and G.t_costs < 1:
+        raise InstanceError("weighted costs need a cost criterion")
     if G.t_weights == 0:
         w = [1] * G.n
     else:
@@ -270,6 +265,8 @@ def oracle_min_cut(catalog: CutCatalog, criterion: int = 0):
     """(min cost, set of minimum cuts) under one criterion."""
     if not catalog.costs:
         raise InstanceError("catalog is empty (single-vertex hypergraph?)")
+    if not 0 <= criterion < catalog.t:
+        raise InstanceError(f"criterion {criterion} out of range")
     best = min(cost[criterion] for cost in catalog.costs.values())
     return best, {cut for cut, cost in catalog.costs.items()
                   if cost[criterion] == best}

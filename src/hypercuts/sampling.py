@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hypergraph import Cut, InstanceError, INFEASIBLE
+from .hypergraph import Cut, InstanceError, INFEASIBLE, exact_int
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -100,8 +100,7 @@ def best_of_n(walk, trials: int, seed: int) -> BestOf:
     Only witnessed outcomes count, valued by ``walk.value(mask)`` (None
     rejects a cut).  Ties keep the earliest trial.
     """
-    if trials < 1:
-        raise InstanceError("trials must be >= 1")
+    exact_int(trials, "trials", 1)
     value = walk.value
     best_mask = best_val = None
     infeasible_runs = 0

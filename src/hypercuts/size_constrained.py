@@ -16,7 +16,8 @@ from math import comb
 
 from ._engine import (ids_mask, initial_comps, mask_sum, present_edge_ids,
                       sample_node, sample_step)
-from .hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE
+from .hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE, exact_int,
+                         exact_ints)
 from .sampling import best_of_n, default_trials
 
 __all__ = [
@@ -30,14 +31,9 @@ __all__ = [
 
 
 def _check_sizes(k: int, sizes) -> tuple[int, ...]:
-    if k < 2:
-        raise InstanceError("k must be at least 2")
-    sizes = tuple(sizes)
-    if len(sizes) != k:
-        raise InstanceError(f"expected {k} part sizes, got {len(sizes)}")
-    if any(s < 1 for s in sizes):
-        raise InstanceError("part size bounds must be positive")
-    return tuple(sorted(sizes))
+    """The k positive part size bounds, sorted non-decreasing."""
+    k = exact_int(k, "k", 2)
+    return tuple(sorted(exact_ints(sizes, k, "part size", 1)))
 
 
 def alpha_size(n: int, edge_size: int, sigma: int) -> Fraction:
@@ -68,14 +64,9 @@ class _KCutWalker:
         self.sigma_lead = sum(sizes[:-1])
         self.base_limit = max(2 * self.sigma_lead, sum(sizes))
         self.masks = G.edge_masks
-        if weighted_costs:
-            self.cost = [c[0] for c in G.edge_costs]
-        else:
-            self.cost = [1] * G.m
-        if G.t_weights:
-            self.vertex_w = [w[0] for w in G.vertex_weights]
-        else:
-            self.vertex_w = [1] * G.n
+        self.cost = G.costs_by_criterion()[0] if weighted_costs else [1] * G.m
+        weights = G.weights_by_criterion()
+        self.vertex_w = weights[0] if weights else [1] * G.n
         self.start = initial_comps(G.n)
         self.cache: dict[tuple, tuple] = {}
 
@@ -206,8 +197,8 @@ def solve_kcut(G: Hypergraph, k: int, sizes, *, trials: int | None = None,
     ``default_trials`` of the success floor.
     """
     walk = kcut_walk(G, k, sizes, weighted_costs)
-    if trials is not None and trials < 1:
-        raise InstanceError("trials must be >= 1")
+    if trials is not None:
+        exact_int(trials, "trials", 1)
     if G.n < k:
         return INFEASIBLE
     if trials is None:
@@ -237,9 +228,5 @@ def multi_weight_reduction(size_matrix) -> tuple[int, ...]:
     rows = [tuple(row) for row in size_matrix]
     if not rows:
         raise InstanceError("need at least one row of size bounds")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise InstanceError("all rows must have the same length")
-    if any(s < 1 for r in rows for s in r):
-        raise InstanceError("size bounds must be positive")
+    rows = [exact_ints(row, len(rows[0]), "size bound", 1) for row in rows]
     return tuple(sorted(max(col) for col in zip(*rows)))

@@ -69,6 +69,18 @@ def test_lp_bruteforce_rejects_bad_grid_step(grid_step):
         lp_bruteforce(inst, grid_step=grid_step)
 
 
+def test_lp_instance_table_is_read_only_and_hashable():
+    table = {9: 1, 8: 1}
+    inst = LpInstance(r=3, gamma=4, n=10, f=table)
+    with pytest.raises(TypeError):
+        inst.f[8] = -5
+    table[8] = -5  # the caller's dict is not the stored table
+    assert lp_closed_form(inst) == lp_bruteforce(inst) == Fraction(1, 4)
+    twin = LpInstance(r=3, gamma=4, n=10, f={8: Fraction(1), 9: 1})
+    assert twin == inst and hash(twin) == hash(inst)
+    assert len({inst, twin, LpInstance(r=3, gamma=5, n=10, f={9: 1, 8: 1})}) == 2
+
+
 def test_lp_bruteforce_accepts_the_smallest_grid_step():
     inst = LpInstance(r=3, gamma=5, n=10, f={9: 2, 8: 1})
     assert lp_bruteforce(inst, grid_step=1) == lp_closed_form(inst)

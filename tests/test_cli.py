@@ -316,3 +316,31 @@ def test_check_ratio_ineq_smallest_max_n_has_a_case(capsys):
     assert code == 0
     rec = parse_text(out)
     assert rec["ok"] is True and rec["cases"] == 1
+
+
+@pytest.fixture()
+def cost_free_instance(tmp_path, capsys):
+    path = tmp_path / "cost_free.json"
+    code, _, _ = run_cli(capsys, "gen", "random", "--n", "5", "--m", "7",
+                         "--rank", "2", "--t-costs", "0", "--t-weights", "1",
+                         "--positive-weights", "--seed", "4",
+                         "--out", str(path))
+    assert code == 0
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "kcut", "--k", "2", "--sizes", "1,1", "--weighted-costs",
+     "--trials", "50"],
+    ["estimate", "kcut", "--k", "2", "--sizes", "1,1", "--weighted-costs",
+     "--trials", "50"],
+    ["oracle", "kcut", "--k", "2", "--sizes", "1,1", "--weighted-costs"],
+    ["oracle", "nb-bmulti", "--budgets", "3"],
+])
+def test_cost_valued_commands_need_a_cost_criterion(cost_free_instance,
+                                                    capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--instance",
+                             str(cost_free_instance))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == 2

@@ -142,7 +142,7 @@ def test_nb_arbitrary_alpha_weights():
     # once with c = 2 -> weight 3*2 over the common denominator 4
     G = Hypergraph(5, [(0, 1), (1, 2)], [(2,), (4,)],
                    [(9,), (2,), (2,), (2,), (2,)])
-    walk = nb_arbitrary_walk(G, (5,), [2, 4], [[9, 2, 2, 2, 2]])
+    walk = nb_arbitrary_walk(G, (5,))
     node = walk.expand(initial_comps(5))
     tag, cum, total, eids, _ = node
     assert tag == "sample"
@@ -178,9 +178,7 @@ def test_nb_arbitrary_alpha_sum_claim():
             continue
         best, optima = result
         cost = [c[0] for c in G.edge_costs]
-        wcols = [[w[0] for w in G.vertex_weights]]
-        node = nb_arbitrary_walk(G, budgets, cost, wcols).expand(
-            initial_comps(G.n))
+        node = nb_arbitrary_walk(G, budgets).expand(initial_comps(G.n))
         if node[0] != "sample":
             continue
         _, cum, total, _, _ = node
