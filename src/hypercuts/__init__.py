@@ -2,8 +2,8 @@
 
 Library layout:
 
-* ``hypergraph``      core types (Hypergraph, Cut, KPartition), the cut
-                      primitives and instance (de)serialization
+* ``hypergraph``      core types (Hypergraph, Cut), exact-integer input
+                      checks and instance (de)serialization
 * ``_engine``         partitions as component bitmasks and the cached walk
 * ``multiobjective``  edge-cost budgeted min-cut, enumeration and pareto pipelines
 * ``node_budgeted``   node-weight budgeted variants and plain hypergraph min-cut
@@ -12,16 +12,18 @@ Library layout:
 * ``analysis``        closed-form checks and instance generators
 * ``harness``         Monte-Carlo floor estimation against the oracles
 * ``cli``             the ``hypercuts`` command-line front end
+
+Each randomized algorithm has two entry points: ``<algo>_walk(G, ...)``
+builds the cached walk, whose ``run(rng)`` is one run, and
+``solve_<algo>`` keeps the best of N seeded runs.
 """
 
-from .hypergraph import (Cut, KPartition, Hypergraph, InstanceError,
-                         INFEASIBLE, delta, delta_partition, cut_cost,
+from .hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE,
                          load_instance, save_instance)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cut", "KPartition", "Hypergraph", "InstanceError", "INFEASIBLE",
-    "delta", "delta_partition", "cut_cost",
+    "Cut", "Hypergraph", "InstanceError", "INFEASIBLE",
     "load_instance", "save_instance", "__version__",
 ]

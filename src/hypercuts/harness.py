@@ -221,6 +221,8 @@ def pipeline_equivalence(G: Hypergraph, seed: int, runs: int,
     Misses are reported, never masked.
     """
     exact_int(runs, "runs", 1)
+    if repetitions is not None:
+        exact_int(repetitions, "repetitions", 1)
     verify_repetitions = verify_repetition_count(G, verify_repetitions)
     catalog = build_catalog(G)
     true_multi = oracle_multiobjective(catalog)

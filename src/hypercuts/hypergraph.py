@@ -18,17 +18,14 @@ import json
 import warnings
 from dataclasses import dataclass
 
-from ._engine import delta_mask, ids_mask
+from ._engine import ids_mask
 
 __all__ = [
     "Cut",
-    "KPartition",
     "Hypergraph",
     "InstanceError",
     "INFEASIBLE",
-    "delta",
     "delta_partition",
-    "cut_cost",
     "load_instance",
     "save_instance",
 ]
@@ -90,17 +87,6 @@ class Cut:
 
     def __contains__(self, eid):
         return eid in self.edge_ids
-
-
-@dataclass(frozen=True)
-class KPartition:
-    """Vertex labelling into parts 0..k-1.  Proper iff every label is used."""
-
-    labels: tuple[int, ...]
-    k: int
-
-    def is_proper(self) -> bool:
-        return set(self.labels) == set(range(self.k))
 
 
 def exact_int(value, what: str, minimum: int | None = None) -> int:
@@ -225,28 +211,9 @@ class Hypergraph:
                 f"t_costs={self.t_costs}, t_weights={self.t_weights})")
 
 
-def delta(G: Hypergraph, comps, parts, lenient: bool = False) -> Cut:
-    """Cut of original edges crossing (union of ``parts``, complement).
-
-    ``comps`` is a partition of the vertex set as a tuple of component
-    bitmasks and ``parts`` a collection of its components.  The strict
-    variant rejects the empty and the full side (no cut is induced); callers
-    that sample arbitrary subsets pass ``lenient=True`` and get the empty cut
-    for those degenerate inputs.
-    """
-    side = 0
-    for part in parts:
-        if part not in comps:
-            raise InstanceError(f"{part!r} is not a component of the partition")
-        side |= part
-    if not lenient and (side == 0 or side == G.full_mask):
-        raise InstanceError("delta needs a nonempty proper set of components")
-    return Cut.from_mask(delta_mask(G.edge_masks, side, G.full_mask))
-
-
-def delta_partition(G: Hypergraph, partition: KPartition) -> Cut:
-    """Cut of edges whose vertex labels are non-constant under the partition."""
-    labels = partition.labels
+def delta_partition(G: Hypergraph, labels) -> Cut:
+    """Cut of edges whose vertex labels are non-constant, for a label tuple
+    with one entry per vertex."""
     if len(labels) != G.n:
         raise InstanceError("partition must label every vertex")
     ids = []
@@ -255,17 +222,6 @@ def delta_partition(G: Hypergraph, partition: KPartition) -> Cut:
         if any(labels[v] != first for v in vs[1:]):
             ids.append(eid)
     return Cut(tuple(ids))
-
-
-def cut_cost(G: Hypergraph, cut: Cut, criterion: int) -> int:
-    if not 0 <= criterion < G.t_costs:
-        raise InstanceError(f"criterion {criterion} out of range")
-    total = 0
-    for eid in cut.edge_ids:
-        if not 0 <= eid < G.m:
-            raise InstanceError(f"edge id {eid} out of range")
-        total += G.edge_costs[eid][criterion]
-    return total
 
 
 _FIELDS = ("n", "t_costs", "t_weights", "edges", "edge_costs", "vertex_weights")

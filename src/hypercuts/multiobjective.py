@@ -1,21 +1,19 @@
 """Edge-cost multicriteria cut algorithms.
 
-Four entry points:
-
-* ``b_multiobjective_min_cut`` - budget-constrained random contraction.  At
-  each step the remaining vertices are classified per criterion (those whose
-  single-vertex cut already busts the budget), the criterion with the largest
-  class drives a cost-proportional edge contraction, and a uniform random
-  subset cut is returned once at most rank*t vertices remain.
-* ``multiobjective_min_cut_enum`` - the budget-free variant: all randomness
+* ``bmulti_walk`` / ``solve_bmulti`` - budget-constrained random
+  contraction.  At each step the remaining vertices are classified per
+  criterion (those whose single-vertex cut already busts the budget), the
+  criterion with the largest class drives a cost-proportional edge
+  contraction, and a uniform random subset cut is returned once at most
+  rank*t vertices remain.
+* ``enumerate_multiobjective`` - the budget-free variant: all randomness
   moves upfront into one cost-weighted permutation per criterion, and every
   interleaving schedule of per-criterion contraction phases is replayed,
-  yielding at most n^(t-1) cuts per invocation.
-* ``enumerate_multiobjective`` / ``enumerate_pareto`` - repeat the
-  enumeration until every budget-optimal cut appears with high probability,
-  prune by the final criterion, and (for the pareto set, via
-  ``pareto_pipeline``) keep the cuts that survive the randomized dominance
-  search.
+  yielding at most n^(t-1) cuts per repetition.  Repetitions continue until
+  every budget-optimal cut appears with high probability, and the union is
+  pruned by the final criterion.
+* ``pareto_pipeline`` / ``enumerate_pareto`` - keep the enumerated cuts
+  that survive the randomized dominance search.
 * ``verify_pareto_optimality`` - one-sided dominance test: TRUE is always
   correct for a pareto-optimal input, FALSE is only returned on an explicit
   dominating witness.
@@ -41,12 +39,9 @@ from .hypergraph import Cut, Hypergraph, InstanceError, exact_int, exact_ints
 from .sampling import BestOf, LazyWeightedOrder, best_of_n, default_trials
 
 __all__ = [
-    "infeasible_classes",
     "bmulti_walk",
-    "b_multiobjective_min_cut",
     "solve_bmulti",
     "success_floor_edge",
-    "multiobjective_min_cut_enum",
     "enumerate_multiobjective",
     "enumerate_pareto",
     "pareto_pipeline",
@@ -65,6 +60,12 @@ def _costs_and_budgets(G: Hypergraph, budgets):
 
 
 def _classes(masks, comps, present, costs, budgets):
+    """The components of ``comps`` split into per-criterion classes.
+
+    Class i < t-1 collects the not-yet-classified components whose vertex
+    cut over the ``present`` edges exceeds budget i; the final class is the
+    residue.  Each class keeps partition order.
+    """
     remaining = list(comps)
     classes = []
     for ci, budget in zip(costs, budgets):
@@ -80,19 +81,6 @@ def _classes(masks, comps, present, costs, budgets):
         remaining = [comp for comp, d in zip(remaining, deg) if d <= budget]
     classes.append(remaining)
     return tuple(classes)
-
-
-def infeasible_classes(G: Hypergraph, comps, budgets):
-    """Partition the components of ``comps`` into the per-criterion classes.
-
-    Class i < t-1 collects the not-yet-classified components whose vertex
-    cut exceeds budget i; the final class is the residue.  Returns a tuple of
-    t lists of component bitmasks, each in partition order.
-    """
-    costs, budgets = _costs_and_budgets(G, budgets)
-    masks = G.edge_masks
-    return _classes(masks, comps, present_edge_ids(masks, comps), costs,
-                    budgets)
 
 
 def bmulti_walk(G: Hypergraph, budgets) -> Walk:
@@ -135,18 +123,6 @@ def _bmulti_walk(G: Hypergraph, costs, budgets) -> Walk:
         return vec[-1] if all(v <= b for v, b in zip(vec, budgets)) else None
 
     return Walk(G, expand, value)
-
-
-def b_multiobjective_min_cut(G: Hypergraph, budgets,
-                             rng: random.Random) -> Cut:
-    """One run of the budget-constrained random contraction algorithm.
-
-    Any fixed budget-optimal cut is returned with probability at least
-    ``success_floor_edge(n, r, t)``.  The result can be the empty cut when
-    the base-case subset draw lands on the empty or full vertex set.
-    """
-    mask, _ = bmulti_walk(G, budgets).run(rng)
-    return Cut.from_mask(mask)
 
 
 def solve_bmulti(G: Hypergraph, budgets, *, trials: int | None = None,
@@ -289,14 +265,6 @@ class _EnumContext:
                 continue
             cut = node[3].get(bits)
             out.add(self._cut(node, bits) if cut is None else cut)
-
-
-def multiobjective_min_cut_enum(G: Hypergraph, rng: random.Random) -> set[Cut]:
-    """One invocation of the budget-free enumeration (at most n^(t-1) cuts)."""
-    ctx = _EnumContext(G, G.costs_by_criterion())
-    masks: set[int] = set()
-    ctx.run(rng, masks)
-    return {Cut.from_mask(m) for m in masks}
 
 
 def default_enum_repetitions(n: int, r: int, t: int) -> int:

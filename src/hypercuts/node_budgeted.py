@@ -29,14 +29,10 @@ from .hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE, exact_ints
 from .sampling import BestOf, LazyWeightedOrder, best_of_n, default_trials
 
 __all__ = [
-    "contract_infeasible",
     "nb_constant_walk",
     "nb_arbitrary_walk",
     "hmincut_walk",
-    "nb_bmulti_constant_rank",
-    "nb_bmulti_arbitrary_rank",
     "nb_multi_enum_constant_rank",
-    "hypergraph_min_cut",
     "solve_nb_bmulti",
     "solve_hmincut",
     "success_floor_node",
@@ -69,15 +65,6 @@ def _contract_infeasible(comps, weights, budgets):
     return comps, feasible
 
 
-def contract_infeasible(G: Hypergraph, comps, budgets):
-    """Merge all components of ``comps`` violating some budget into one.
-
-    Returns ``comps`` unchanged when at most one component is infeasible.
-    Afterwards at most one infeasible component remains.
-    """
-    return _contract_infeasible(comps, *_weights_and_budgets(G, budgets))[0]
-
-
 def _min_cut_walk(G: Hypergraph, cost) -> Walk:
     """Non-uniform contraction weights (|V|-|e|)/|V| * c(e).
 
@@ -102,16 +89,6 @@ def hmincut_walk(G: Hypergraph) -> Walk:
     if G.n < 2:
         raise InstanceError("need at least 2 vertices")
     return _min_cut_walk(G, G.costs_by_criterion()[0])
-
-
-def hypergraph_min_cut(G: Hypergraph, rng: random.Random) -> Cut:
-    """One run of the non-uniform contraction min-cut algorithm.
-
-    Any fixed min-cut (under the single cost function) is returned with
-    probability at least 1/C(n,2).
-    """
-    mask, _ = hmincut_walk(G).run(rng)
-    return Cut.from_mask(mask)
 
 
 def solve_hmincut(G: Hypergraph, *, trials: int | None = None,
@@ -156,16 +133,6 @@ def nb_constant_walk(G: Hypergraph, budgets) -> Walk:
     return Walk(G, expand, lambda mask: mask_sum(cost, mask))
 
 
-def nb_bmulti_constant_rank(G: Hypergraph, budgets, rng: random.Random) -> Cut:
-    """One run of the constant-rank node-budgeted algorithm.
-
-    Any fixed node-budgeted budget-optimal cut is returned with probability
-    at least 1/(2^(r+1) C(n,2)).
-    """
-    mask, _ = nb_constant_walk(G, budgets).run(rng)
-    return Cut.from_mask(mask)
-
-
 def nb_arbitrary_walk(G: Hypergraph, budgets) -> Walk:
     """The arbitrary-rank node-budgeted walk as a reusable cached ``Walk``.
 
@@ -201,17 +168,6 @@ def nb_arbitrary_walk(G: Hypergraph, budgets) -> Walk:
         return delegate if set_ok else node
 
     return Walk(G, expand, min_cut.value)
-
-
-def nb_bmulti_arbitrary_rank(G: Hypergraph, budgets, rng: random.Random):
-    """One run of the arbitrary-rank node-budgeted algorithm.
-
-    Returns INFEASIBLE when no vertex satisfies the budgets.  Any fixed
-    node-budgeted budget-optimal cut is returned with probability at least
-    1 (n=2) or (1/3)/C(n-1,2) (n>=3).
-    """
-    out = nb_arbitrary_walk(G, budgets).run(rng)
-    return INFEASIBLE if out is INFEASIBLE else Cut.from_mask(out[0])
 
 
 def solve_nb_bmulti(G: Hypergraph, budgets, *, rank_mode: str = "constant",

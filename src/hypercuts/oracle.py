@@ -4,7 +4,8 @@ Every oracle here enumerates the full solution space (all 2^(n-1)-1
 bipartitions, or all k^n label assignments) and applies the problem
 definitions literally.  They exist to verify the randomized algorithms, not
 to be fast: hard size guards refuse instances beyond desk scale unless
-explicitly overridden.
+explicitly overridden.  ``is_cut`` answers catalog membership without
+building the catalog.
 """
 
 from __future__ import annotations
@@ -12,34 +13,26 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 
-from .hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE, exact_int,
-                         exact_ints)
+from ._engine import (contract_comps, delta_mask, ids_mask, initial_comps,
+                      present_edge_ids)
+from .hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE,
+                         delta_partition, exact_int, exact_ints)
 
 CATALOG_GUARD = 20   # 2^n bipartition scans
 KCUT_GUARD = 12      # k^n label scans
 
 
 class CutCatalog:
-    """All distinct cuts delta(X) over the unordered bipartitions of V.
-
-    Each cut carries its exact integer cost vector and one witnessing side
-    (as a vertex bitmask with vertex 0 on the complement side).
-    """
+    """All distinct cuts delta(X) over the unordered bipartitions of V,
+    each with its exact integer cost vector."""
 
     def __init__(self, G: Hypergraph):
         self.G = G
         self.t = G.t_costs
         self.costs: dict[Cut, tuple[int, ...]] = {}
-        self.witness: dict[Cut, int] = {}
-
-    def cuts(self) -> list[Cut]:
-        return list(self.costs)
 
     def __len__(self):
         return len(self.costs)
-
-    def __contains__(self, cut: Cut):
-        return cut in self.costs
 
 
 def build_catalog(G: Hypergraph, override_guard: bool = False) -> CutCatalog:
@@ -61,8 +54,37 @@ def build_catalog(G: Hypergraph, override_guard: bool = False) -> CutCatalog:
         cut = Cut(ids)
         if cut not in cat.costs:
             cat.costs[cut] = G.cut_costs(cut)
-            cat.witness[cut] = side
     return cat
+
+
+def is_cut(G: Hypergraph, cut: Cut) -> bool:
+    """True iff ``cut`` is delta(X) for some nonempty proper X, i.e. iff it
+    is in ``build_catalog(G)``.
+
+    Every edge outside the cut lies on one side of X, so X is a union of the
+    components left by contracting those edges; the search runs over the
+    2^(c-1) unions of the c components instead of the 2^(n-1) sides.
+    """
+    target = cut.mask()
+    masks = G.edge_masks
+    comps = initial_comps(G.n)
+    for eid, em in enumerate(masks):
+        if not target >> eid & 1:
+            comps = contract_comps(comps, em)
+    # edges outside the cut now lie inside components; one of the cut's
+    # lying inside a component too would cross no union of them
+    if ids_mask(present_edge_ids(masks, comps)) != target:
+        return False
+    # the component of vertex 0 stays on the complement side
+    rest = comps[1:]
+    for bits in range(1, 1 << len(rest)):
+        side = 0
+        for i, c in enumerate(rest):
+            if bits >> i & 1:
+                side |= c
+        if delta_mask(masks, side, G.full_mask) == target:
+            return True
+    return False
 
 
 def dominates(costs_a, costs_b) -> bool:
@@ -152,10 +174,6 @@ def oracle_parametric_t2(catalog: CutCatalog) -> set[Cut]:
     return result
 
 
-def _weights_column(G: Hypergraph, criterion: int) -> list[int]:
-    return [w[criterion] for w in G.vertex_weights]
-
-
 def oracle_nb_bmulti(G: Hypergraph, budgets, override_guard: bool = False):
     """Node-budgeted optimum: min cost delta(X) over X with w_i(X) <= b_i.
 
@@ -168,7 +186,7 @@ def oracle_nb_bmulti(G: Hypergraph, budgets, override_guard: bool = False):
     budgets = exact_ints(budgets, G.t_weights, "node budget")
     if G.t_costs < 1:
         raise InstanceError("the node-budgeted oracle needs a cost criterion")
-    weights = [_weights_column(G, i) for i in range(G.t_weights)]
+    weights = G.weights_by_criterion()
     masks = G.edge_masks
     full = G.full_mask
     best = None
@@ -220,10 +238,8 @@ def oracle_kcut(G: Hypergraph, k: int, sizes, weighted_costs: bool = False,
     sizes = exact_ints(sizes, exact_int(k, "k", 2), "part size", 1)
     if weighted_costs and G.t_costs < 1:
         raise InstanceError("weighted costs need a cost criterion")
-    if G.t_weights == 0:
-        w = [1] * G.n
-    else:
-        w = _weights_column(G, 0)
+    weights = G.weights_by_criterion()
+    w = weights[0] if weights else [1] * G.n
     if any(x < 1 for x in w):
         raise InstanceError("size-constrained oracle requires positive vertex weights")
     if G.n < k:
@@ -242,31 +258,27 @@ def oracle_kcut(G: Hypergraph, k: int, sizes, weighted_costs: bool = False,
         if not any(all(part_w[perm[i]] >= sizes[i] for i in range(k))
                    for perm in permutations(range(k))):
             continue
-        ids = []
-        for eid, vs in enumerate(G.edges):
-            first = labels[vs[0]]
-            if any(labels[v] != first for v in vs[1:]):
-                ids.append(eid)
+        cut = delta_partition(G, labels)
         if weighted_costs:
-            value = sum(G.edge_costs[eid][0] for eid in ids)
+            value = sum(G.edge_costs[eid][0] for eid in cut.edge_ids)
         else:
-            value = len(ids)
+            value = len(cut)
         if best is None or value < best:
             best = value
-            best_cuts = {Cut(tuple(ids))}
+            best_cuts = {cut}
         elif value == best:
-            best_cuts.add(Cut(tuple(ids)))
+            best_cuts.add(cut)
     if best is None:
         return INFEASIBLE
     return best, best_cuts
 
 
-def oracle_min_cut(catalog: CutCatalog, criterion: int = 0):
-    """(min cost, set of minimum cuts) under one criterion."""
+def oracle_min_cut(catalog: CutCatalog):
+    """(min cost, set of minimum cuts) under criterion 0."""
     if not catalog.costs:
         raise InstanceError("catalog is empty (single-vertex hypergraph?)")
-    if not 0 <= criterion < catalog.t:
-        raise InstanceError(f"criterion {criterion} out of range")
-    best = min(cost[criterion] for cost in catalog.costs.values())
+    if catalog.t < 1:
+        raise InstanceError("the min-cut oracle needs a cost criterion")
+    best = min(cost[0] for cost in catalog.costs.values())
     return best, {cut for cut, cost in catalog.costs.items()
-                  if cost[criterion] == best}
+                  if cost[0] == best}

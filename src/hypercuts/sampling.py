@@ -67,11 +67,6 @@ class LazyWeightedOrder:
             self.prefix.append(self._items.pop(pos))
             self._total -= self._weights.pop(pos)
 
-    @property
-    def exhausted_at(self) -> int | None:
-        """Length at which the order runs out, or None while items remain."""
-        return len(self.prefix) if self._total == 0 else None
-
 
 def default_trials(floor: Fraction) -> int:
     """max(1000, ceil(30/floor)): at least 30 successes expected at the floor."""

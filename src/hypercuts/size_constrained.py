@@ -16,17 +16,14 @@ from math import comb
 
 from ._engine import (ids_mask, initial_comps, mask_sum, present_edge_ids,
                       sample_node, sample_step)
-from .hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE, exact_int,
+from .hypergraph import (Hypergraph, InstanceError, INFEASIBLE, exact_int,
                          exact_ints)
 from .sampling import best_of_n, default_trials
 
 __all__ = [
-    "alpha_size",
     "kcut_walk",
-    "size_constrained_min_k_cut",
     "solve_kcut",
     "success_floor_size",
-    "multi_weight_reduction",
 ]
 
 
@@ -34,16 +31,6 @@ def _check_sizes(k: int, sizes) -> tuple[int, ...]:
     """The k positive part size bounds, sorted non-decreasing."""
     k = exact_int(k, "k", 2)
     return tuple(sorted(exact_ints(sizes, k, "part size", 1)))
-
-
-def alpha_size(n: int, edge_size: int, sigma: int) -> Fraction:
-    """Contraction weight C(n-|e|, sigma) / C(n, sigma), exactly.
-
-    Zero iff fewer than sigma vertices remain outside the edge.
-    """
-    if n < 2 or not 2 <= edge_size <= n or sigma < 1:
-        raise InstanceError("need n >= 2, 2 <= edge_size <= n, sigma >= 1")
-    return Fraction(comb(n - edge_size, sigma), comb(n, sigma))
 
 
 class _KCutWalker:
@@ -173,20 +160,6 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
     return _KCutWalker(G, k, _check_sizes(k, sizes), weighted_costs)
 
 
-def size_constrained_min_k_cut(G: Hypergraph, k: int, sizes,
-                               rng: random.Random,
-                               weighted_costs: bool = False):
-    """One run of the size-constrained min-k-cut algorithm.
-
-    Vertex weights are deliberately not an input: for any positive integer
-    weighting, any fixed size-constrained min-k-cut is returned with
-    probability at least ``success_floor_size(n, k, sizes)``.  Returns
-    INFEASIBLE when n < k (no k-partition exists).
-    """
-    out = kcut_walk(G, k, sizes, weighted_costs).run(rng)
-    return INFEASIBLE if out is INFEASIBLE else Cut.from_mask(out[0])
-
-
 def solve_kcut(G: Hypergraph, k: int, sizes, *, trials: int | None = None,
                seed: int = 0, weighted_costs: bool = False):
     """Best of ``trials`` seeded runs of one size-constrained walk.
@@ -217,16 +190,3 @@ def success_floor_size(n: int, k: int, sizes) -> Fraction:
     if n <= exponent:
         return Fraction(1, k ** exponent)
     return Fraction(1, (k ** exponent) * n * comb(n, 2 * sigma_lead))
-
-
-def multi_weight_reduction(size_matrix) -> tuple[int, ...]:
-    """Collapse per-weight-function size bounds to their column-wise maximum.
-
-    Running the solver with the reduced vector satisfies every row's lower
-    bounds simultaneously.  Returns the maxima sorted non-decreasing.
-    """
-    rows = [tuple(row) for row in size_matrix]
-    if not rows:
-        raise InstanceError("need at least one row of size bounds")
-    rows = [exact_ints(row, len(rows[0]), "size bound", 1) for row in rows]
-    return tuple(sorted(max(col) for col in zip(*rows)))

@@ -22,14 +22,13 @@ from hypercuts.analysis import (LpInstance, gen_lower_bound_instance,
 from hypercuts.harness import estimate, pipeline_equivalence
 from hypercuts.hypergraph import Cut, Hypergraph
 from hypercuts.multiobjective import verify_pareto_optimality
-from hypercuts.node_budgeted import (hypergraph_min_cut, success_floor_node,
+from hypercuts.node_budgeted import (hmincut_walk, success_floor_node,
                                      success_floor_node_arbitrary)
 from hypercuts.oracle import (build_catalog, oracle_min_cut,
                               oracle_multiobjective, oracle_parametric_t2,
                               oracle_pareto)
 from hypercuts.sampling import derive_rng, derive_seed
-from hypercuts.size_constrained import (size_constrained_min_k_cut,
-                                        success_floor_size)
+from hypercuts.size_constrained import kcut_walk, success_floor_size
 
 import random
 
@@ -96,7 +95,7 @@ def test_criterion_3_pareto_verifier():
         for cut in sorted(pareto, key=lambda c: c.edge_ids):
             true_total += 1
             true_ok += verify_pareto_optimality(G, cut, rng)
-        dominated = [c for c in catalog.cuts() if c not in pareto]
+        dominated = [c for c in catalog.costs if c not in pareto]
         for cut in sorted(dominated, key=lambda c: c.edge_ids):
             false_total += 1
             false_ok += not verify_pareto_optimality(G, cut, rng)
@@ -172,11 +171,13 @@ def test_criterion_6_hypergraph_min_cut_floor_and_best_of():
 
     value, _ = oracle_min_cut(build_catalog(G))
     batch_size = math.ceil(math.comb(6, 2) * math.log(6))
+    walk = hmincut_walk(G)
     batches_ok = 0
     for b in range(100):
         best = None
         for j in range(batch_size):
-            cut = hypergraph_min_cut(G, derive_rng(derive_seed(6, 1 + b), j))
+            mask, _ = walk.run(derive_rng(derive_seed(6, 1 + b), j))
+            cut = Cut.from_mask(mask)
             cost = sum(G.edge_costs[e][0] for e in cut.edge_ids)
             best = cost if best is None else min(best, cost)
         batches_ok += best == value
@@ -204,10 +205,12 @@ def test_criterion_7_size_constrained_floor_and_obliviousness():
     # weight obliviousness: same seed, different weight annotations
     other = Hypergraph(G6.n, G6.edges, G6.edge_costs,
                        [((w[0] * 5 + 2),) for w in G6.vertex_weights])
+    # compares the cuts only: the witnessed flag reads the weights
+    walk_a, walk_b = kcut_walk(G6, 3, (1, 1, 2)), kcut_walk(other, 3, (1, 1, 2))
     oblivious = True
     for i in range(100):
-        a = size_constrained_min_k_cut(G6, 3, (1, 1, 2), derive_rng(71, i))
-        b = size_constrained_min_k_cut(other, 3, (1, 1, 2), derive_rng(71, i))
+        a = Cut.from_mask(walk_a.run(derive_rng(71, i))[0])
+        b = Cut.from_mask(walk_b.run(derive_rng(71, i))[0])
         oblivious &= json.dumps(list(a.edge_ids)) == json.dumps(list(b.edge_ids))
     elapsed = time.time() - t0
     ok = all(r.passed for r in reports) and oblivious

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hypercuts import harness
 from hypercuts.cli import main
 from hypercuts.hypergraph import load_instance
 
@@ -293,6 +294,19 @@ def test_repetition_counts_are_validated(pareto_instance, capsys, argv):
     assert code == 2
     assert out == ""
     assert json.loads(err)["code"] == 2
+
+
+def test_pipeline_checks_repetitions_before_building_the_catalog(
+        pareto_instance, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(harness, "build_catalog",
+                        lambda *args, **kwargs: built.append(args))
+    code, out, err = run_cli(capsys, "estimate", "pipeline", "--runs", "1",
+                             "--reps", "0", "--instance", str(pareto_instance))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == 2
+    assert built == []
 
 
 @pytest.mark.parametrize("sweep", ["0", "-2"])

@@ -21,17 +21,15 @@ from hypercuts.analysis import gen_random_instance
 from hypercuts.cli import main
 from hypercuts.harness import estimate
 from hypercuts.hypergraph import Cut, save_instance
-from hypercuts.multiobjective import (b_multiobjective_min_cut,
-                                      enumerate_multiobjective,
+from hypercuts.multiobjective import (bmulti_walk, enumerate_multiobjective,
                                       enumerate_pareto,
                                       verify_pareto_optimality)
-from hypercuts.node_budgeted import (hypergraph_min_cut,
-                                     nb_bmulti_arbitrary_rank,
-                                     nb_bmulti_constant_rank,
+from hypercuts.node_budgeted import (hmincut_walk, nb_arbitrary_walk,
+                                     nb_constant_walk,
                                      nb_multi_enum_constant_rank)
 from hypercuts.oracle import build_catalog, oracle_pareto
 from hypercuts.sampling import derive_rng
-from hypercuts.size_constrained import size_constrained_min_k_cut
+from hypercuts.size_constrained import kcut_walk
 
 SEEDS = (0, 1, 2)
 TRIALS = 40
@@ -101,38 +99,37 @@ def _kcut_instances():
 
 # ------------------------------------------------------------ one-shot solvers
 
-def _one_shot(call):
+def _one_shot(walk):
+    """One run of ``walk`` per trial generator; the walk's cache changes no
+    draw, so one walk serves every trial."""
     records = []
     for seed in SEEDS:
         for idx in range(TRIALS):
             rng = derive_rng(seed, idx)
-            records.append((_out(call(rng)), rng.getrandbits(32)))
+            out = walk.run(rng)
+            out = INFEASIBLE if out is INFEASIBLE else Cut.from_mask(out[0])
+            records.append((_out(out), rng.getrandbits(32)))
     return records
 
 
 def _case_bmulti():
-    return [_one_shot(lambda rng, G=G, b=b: b_multiobjective_min_cut(G, b, rng))
-            for G, b in _bmulti_instances()]
+    return [_one_shot(bmulti_walk(G, b)) for G, b in _bmulti_instances()]
 
 
 def _case_hmincut():
-    return [_one_shot(lambda rng, G=G: hypergraph_min_cut(G, rng))
-            for G in _hmincut_instances()]
+    return [_one_shot(hmincut_walk(G)) for G in _hmincut_instances()]
 
 
 def _case_nb_constant():
-    return [_one_shot(lambda rng, G=G, b=b: nb_bmulti_constant_rank(G, b, rng))
-            for G, b in _nb_instances()]
+    return [_one_shot(nb_constant_walk(G, b)) for G, b in _nb_instances()]
 
 
 def _case_nb_arbitrary():
-    return [_one_shot(lambda rng, G=G, b=b: nb_bmulti_arbitrary_rank(G, b, rng))
-            for G, b in _nb_instances()]
+    return [_one_shot(nb_arbitrary_walk(G, b)) for G, b in _nb_instances()]
 
 
 def _case_kcut():
-    return [_one_shot(lambda rng, G=G, k=k, s=s, w=w:
-                      size_constrained_min_k_cut(G, k, s, rng, weighted_costs=w))
+    return [_one_shot(kcut_walk(G, k, s, weighted_costs=w))
             for G, k, s, w in _kcut_instances()]
 
 
@@ -163,7 +160,7 @@ def _case_verify_pareto():
     for G, _ in _bmulti_instances()[:3]:
         catalog = build_catalog(G)
         pareto = oracle_pareto(catalog)
-        cuts = sorted(catalog.cuts(), key=lambda c: c.edge_ids)[:6]
+        cuts = sorted(catalog.costs, key=lambda c: c.edge_ids)[:6]
         cuts += sorted(pareto, key=lambda c: c.edge_ids)[:2]
         for seed in SEEDS:
             rng = derive_rng(seed, 2)

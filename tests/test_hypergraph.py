@@ -5,15 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercuts._engine import (contract_comps, initial_comps, mask_sum,
-                               merge_comp_subset, present_edge_ids)
-from hypercuts.hypergraph import (Cut, Hypergraph, InstanceError, KPartition,
-                                  cut_cost, delta, delta_partition,
-                                  load_instance, save_instance)
+from hypercuts._engine import (contract_comps, delta_mask, initial_comps,
+                               mask_sum, merge_comp_subset, present_edge_ids)
+from hypercuts.hypergraph import (Cut, Hypergraph, InstanceError,
+                                  delta_partition, load_instance,
+                                  save_instance)
 
 
 def triangle():
     return Hypergraph(3, [(0, 1), (1, 2), (0, 2)], [(1,), (1,), (1,)])
+
+
+def delta(G, side):
+    """Cut of the edges crossing (side, complement)."""
+    return Cut.from_mask(delta_mask(G.edge_masks, side, G.full_mask))
 
 
 def test_constructor_validation():
@@ -62,57 +67,31 @@ def test_contract_weights_add():
     assert [mask_sum(wcol, c) for c in comps] == [5, 2]
 
 
-def test_delta_rejects_unknown_component():
-    comps = initial_comps(3)
-    with pytest.raises(InstanceError):
-        delta(triangle(), comps, [1 << 7])
-    with pytest.raises(InstanceError):
-        delta(triangle(), contract_comps(comps, 0b011), [0b001])
-
-
 def test_delta_examples():
     T = triangle()
-    comps = initial_comps(3)
-    assert delta(T, comps, [0b001]).edge_ids == (0, 2)
-    merged = contract_comps(comps, 0b011)
-    assert delta(T, merged, [0b011]).edge_ids == (1, 2)
+    assert delta(T, 0b001).edge_ids == (0, 2)
+    assert delta(T, 0b011).edge_ids == (1, 2)
     G = Hypergraph(3, [(0, 1, 2)], [(1,)])
-    assert delta(G, comps, [0b001, 0b010]).edge_ids == (0,)
-
-
-def test_delta_rejects_degenerate_sides():
-    T = triangle()
-    comps = initial_comps(3)
-    with pytest.raises(InstanceError):
-        delta(T, comps, [])
-    with pytest.raises(InstanceError):
-        delta(T, comps, comps)
-    assert delta(T, comps, [], lenient=True).edge_ids == ()
+    assert delta(G, 0b011).edge_ids == (0,)
+    # the empty and the full side induce no cut
+    assert delta(T, 0).edge_ids == ()
+    assert delta(T, T.full_mask).edge_ids == ()
 
 
 def test_delta_partition_examples():
     T = triangle()
-    assert delta_partition(T, KPartition((0, 1, 1), 2)).edge_ids == (0, 2)
-    assert delta_partition(T, KPartition((0, 0, 0), 1)).edge_ids == ()
+    assert delta_partition(T, (0, 1, 1)).edge_ids == (0, 2)
+    assert delta_partition(T, (0, 0, 0)).edge_ids == ()
     G = Hypergraph(3, [(0, 1, 2)], [(1,)])
-    assert delta_partition(G, KPartition((0, 1, 2), 3)).edge_ids == (0,)
+    assert delta_partition(G, (0, 1, 2)).edge_ids == (0,)
     with pytest.raises(InstanceError):
-        delta_partition(T, KPartition((0, 1), 2))
-
-
-def test_kpartition_properness():
-    assert KPartition((0, 1, 0), 2).is_proper()
-    assert not KPartition((0, 0, 0), 2).is_proper()
+        delta_partition(T, (0, 1))
 
 
 def test_cut_cost():
     G = Hypergraph(3, [(0, 1), (1, 2)], [(3, 9), (4, 9)])
-    assert cut_cost(G, Cut.of([0, 1]), 0) == 7
-    assert cut_cost(G, Cut.of([]), 0) == 0
-    with pytest.raises(InstanceError):
-        cut_cost(G, Cut.of([5]), 0)
-    with pytest.raises(InstanceError):
-        cut_cost(G, Cut.of([0]), 2)
+    assert G.cut_costs(Cut.of([0, 1])) == (7, 18)
+    assert G.cut_costs(Cut.of([])) == (0, 0)
 
 
 def test_cut_canonical():
@@ -309,12 +288,11 @@ def test_contraction_invariants(data):
         assert (spans >= 2) == (eid in present)
     # delta symmetric under complement, and it holds every present edge
     if len(comps) >= 2:
-        for i in range(len(comps)):
-            side = comps[:i] + comps[i + 1:]
-            assert delta(G, comps, [comps[i]]) == delta(G, comps, side)
+        for c in comps:
+            assert delta(G, c) == delta(G, G.full_mask & ~c)
         crossing = set()
         for c in comps:
-            crossing |= set(delta(G, comps, [c]).edge_ids)
+            crossing |= set(delta(G, c).edge_ids)
         assert crossing == set(present)
 
 
@@ -326,6 +304,5 @@ def test_delta_partition_matches_delta_for_bipartitions(ne, data):
     labels = tuple(data.draw(st.integers(0, 1)) for _ in range(n))
     if len(set(labels)) < 2:
         return
-    part = KPartition(labels, 2)
-    side = [1 << v for v in range(n) if labels[v] == 0]
-    assert delta_partition(G, part) == delta(G, initial_comps(n), side)
+    side = sum(1 << v for v in range(n) if labels[v] == 0)
+    assert delta_partition(G, labels) == delta(G, side)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypercuts import multiobjective, node_budgeted, size_constrained
 from hypercuts.analysis import gen_random_instance
 from hypercuts.harness import estimate, pipeline_equivalence
-from hypercuts.hypergraph import Cut, Hypergraph, InstanceError, cut_cost
+from hypercuts.hypergraph import Hypergraph, InstanceError
 from hypercuts.multiobjective import (enumerate_multiobjective,
                                       enumerate_pareto, solve_bmulti,
                                       verify_pareto_optimality)
@@ -86,7 +86,7 @@ REJECTED = {
     "pareto float verify repetitions": lambda G: enumerate_pareto(
         G, random.Random(0), 10, 5.0),
     "verify float repetitions": lambda G: verify_pareto_optimality(
-        G, next(iter(build_catalog(G).cuts())), random.Random(0), 2.5),
+        G, next(iter(build_catalog(G).costs)), random.Random(0), 2.5),
     "pipeline float runs": lambda G: pipeline_equivalence(G, 0, 1.0, 10, 10),
 }
 
@@ -104,9 +104,8 @@ def test_non_integer_inputs_raise_instance_error(case):
     lambda G: solve_hmincut(G, trials=10),
     lambda G: oracle_nb_bmulti(G, (2,)),
     lambda G: oracle_min_cut(build_catalog(G)),
-    lambda G: cut_cost(G, Cut.of([0]), 0),
 ], ids=["solve_kcut", "estimate", "oracle_kcut", "solve_hmincut",
-        "oracle_nb_bmulti", "oracle_min_cut", "cut_cost"])
+        "oracle_nb_bmulti", "oracle_min_cut"])
 def test_edge_costs_needed_but_absent(call):
     with pytest.raises(InstanceError):
         call(cost_free_instance())

@@ -62,3 +62,33 @@ def test_guard_catches_each_kind_of_reach():
     assert violations("from ._engine import Walk, sample_step") == []
     assert violations("from . import _engine\n_engine.Walk") == []
     assert violations("from .hypergraph import __doc__") == []
+
+
+def _loaded_names(tree) -> set[str]:
+    """Every name the module reads: loaded ``Name`` ids and attribute names.
+    Imports bind names without reading them, so a re-export is no caller."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _exported(tree) -> list[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return [ast.literal_eval(e) for e in node.value.elts]
+    return []
+
+
+def test_public_names_have_a_production_caller():
+    trees = {m: ast.parse((PACKAGE / f"{m}.py").read_text()) for m in MODULES}
+    loaded = set().union(*(_loaded_names(t) for t in trees.values()))
+    uncalled = sorted({name for tree in trees.values()
+                       for name in _exported(tree)
+                       if not name.endswith("__") and name not in loaded})
+    assert uncalled == []

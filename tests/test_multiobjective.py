@@ -1,24 +1,41 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
 
 from hypercuts.analysis import gen_lower_bound_instance, gen_random_instance
-from hypercuts._engine import contract_comps, initial_comps
+from hypercuts._engine import contract_comps, initial_comps, present_edge_ids
 from hypercuts.hypergraph import Cut, Hypergraph, InstanceError
-from hypercuts.multiobjective import (_prune_final_criterion,
-                                      b_multiobjective_min_cut,
+from hypercuts.multiobjective import (_classes, _EnumContext,
+                                      _prune_final_criterion, bmulti_walk,
                                       default_enum_repetitions,
                                       enumerate_multiobjective,
-                                      enumerate_pareto, infeasible_classes,
+                                      enumerate_pareto,
                                       interleaving_schedules,
-                                      multiobjective_min_cut_enum,
                                       success_floor_edge,
                                       verify_pareto_optimality)
-from hypercuts.oracle import (build_catalog, oracle_bmulti, oracle_min_cut,
-                              oracle_multiobjective, oracle_pareto)
+from hypercuts.oracle import (build_catalog, is_cut, oracle_bmulti,
+                              oracle_min_cut, oracle_multiobjective,
+                              oracle_pareto)
 from hypercuts.sampling import derive_rng
+
+
+def infeasible_classes(G, comps, budgets):
+    """The per-criterion classes of ``comps`` as the budgeted walk sees them."""
+    return _classes(G.edge_masks, comps, present_edge_ids(G.edge_masks, comps),
+                    G.costs_by_criterion(), budgets)
+
+
+def one_run(walk, rng):
+    """The cut of one run of ``walk``."""
+    return Cut.from_mask(walk.run(rng)[0])
+
+
+def enum_once(G, rng):
+    """The cuts of one enumeration repetition, unpruned."""
+    masks = set()
+    _EnumContext(G, G.costs_by_criterion()).run(rng, masks)
+    return {Cut.from_mask(m) for m in masks}
 
 
 def test_infeasible_classes_path_example():
@@ -52,12 +69,13 @@ def test_infeasible_classes_large_budget_and_t1():
 
 def test_two_vertex_base_case_frequency():
     G = Hypergraph(2, [(0, 1)], [(1,)])
+    walk = bmulti_walk(G, ())
     hits = sum(1 for i in range(1000)
-               if b_multiobjective_min_cut(G, (), derive_rng(0, i)).edge_ids == (0,))
+               if one_run(walk, derive_rng(0, i)).edge_ids == (0,))
     assert hits / 1000 >= 0.45
     # any nonempty output is the unique cut
     for i in range(50):
-        out = b_multiobjective_min_cut(G, (), derive_rng(1, i))
+        out = one_run(walk, derive_rng(1, i))
         assert out.edge_ids in ((), (0,))
 
 
@@ -75,9 +93,9 @@ def test_success_floor_edge_values():
 def test_budget_validation():
     G = Hypergraph(2, [(0, 1)], [(1, 2)])
     with pytest.raises(InstanceError):
-        b_multiobjective_min_cut(G, (), random.Random(0))
+        bmulti_walk(G, ())
     with pytest.raises(InstanceError):
-        b_multiobjective_min_cut(G, (1, 2), random.Random(0))
+        bmulti_walk(G, (1, 2))
 
 
 def test_bmulti_floor_on_lower_bound_instance():
@@ -86,8 +104,9 @@ def test_bmulti_floor_on_lower_bound_instance():
     optima = oracle_bmulti(cat, (4,))
     floor = success_floor_edge(G.n, G.rank, 2)
     trials = 4000
+    walk = bmulti_walk(G, (4,))
     hits = sum(1 for i in range(trials)
-               if b_multiobjective_min_cut(G, (4,), derive_rng(3, i)) in optima)
+               if one_run(walk, derive_rng(3, i)) in optima)
     freq = hits / trials
     sigma = math.sqrt(float(floor) * (1 - float(floor)) / trials)
     assert freq >= float(floor) - 3 * sigma
@@ -95,8 +114,9 @@ def test_bmulti_floor_on_lower_bound_instance():
 
 def test_bmulti_deterministic_replay():
     G = gen_random_instance(6, 9, 3, 2, 0, seed=8)
-    a = [b_multiobjective_min_cut(G, (5,), derive_rng(4, i)) for i in range(30)]
-    b = [b_multiobjective_min_cut(G, (5,), derive_rng(4, i)) for i in range(30)]
+    walk = bmulti_walk(G, (5,))  # one cached walk against fresh ones
+    a = [one_run(walk, derive_rng(4, i)) for i in range(30)]
+    b = [one_run(bmulti_walk(G, (5,)), derive_rng(4, i)) for i in range(30)]
     assert a == b
 
 
@@ -112,16 +132,16 @@ def test_interleaving_schedules():
 def test_enum_output_bound_and_membership():
     G = gen_random_instance(5, 8, 2, 2, 0, seed=3)
     cat = build_catalog(G)
-    universe = set(cat.cuts())
+    universe = set(cat.costs)
     for i in range(60):
-        out = multiobjective_min_cut_enum(G, derive_rng(5, i))
+        out = enum_once(G, derive_rng(5, i))
         assert len(out) <= G.n ** (2 - 1)
         assert out <= universe
 
 
 def test_enum_t1_single_schedule():
     G = gen_random_instance(5, 6, 2, 1, 0, seed=4)
-    out = multiobjective_min_cut_enum(G, derive_rng(6, 0))
+    out = enum_once(G, derive_rng(6, 0))
     assert len(out) <= 1
 
 
@@ -129,8 +149,8 @@ def test_enum_base_case_small_graph():
     G = Hypergraph(3, [(0, 1), (1, 2)], [(1, 1), (1, 1)])  # n=3 < rt=4
     outs = set()
     for i in range(60):
-        outs |= multiobjective_min_cut_enum(G, derive_rng(7, i))
-    assert outs <= set(build_catalog(G).cuts())
+        outs |= enum_once(G, derive_rng(7, i))
+    assert outs <= set(build_catalog(G).costs)
 
 
 def test_prune_rule_example():
@@ -161,7 +181,7 @@ def test_verify_true_for_oracle_pareto_false_for_dominated():
     rng = derive_rng(9, 0)
     for cut in sorted(pareto, key=lambda c: c.edge_ids):
         assert verify_pareto_optimality(G, cut, rng, repetitions_per_criterion=50)
-    dominated = [c for c in cat.cuts() if c not in pareto]
+    dominated = [c for c in cat.costs if c not in pareto]
     found_false = 0
     for cut in sorted(dominated, key=lambda c: c.edge_ids):
         if not verify_pareto_optimality(G, cut, rng,
@@ -176,7 +196,7 @@ def test_verify_rejects_fewer_than_one_repetition(reps):
     # must not certify it
     G = gen_random_instance(6, 10, 2, 2, 0, seed=16)
     cut = Cut.of((3, 4, 6, 9))
-    assert cut in build_catalog(G)
+    assert is_cut(G, cut)
     with pytest.raises(InstanceError):
         verify_pareto_optimality(G, cut, derive_rng(0, 0), reps)
     with pytest.raises(InstanceError):
@@ -191,7 +211,7 @@ def test_verify_t1_semantics():
     rng = derive_rng(10, 0)
     for cut in sorted(mins, key=lambda c: c.edge_ids):
         assert verify_pareto_optimality(G, cut, rng, 50)
-    non_min = sorted((c for c in cat.cuts() if c not in mins),
+    non_min = sorted((c for c in cat.costs if c not in mins),
                      key=lambda c: c.edge_ids)[:5]
     for cut in non_min:
         assert not verify_pareto_optimality(G, cut, rng, 3000)

@@ -7,15 +7,26 @@ import pytest
 from hypercuts._engine import initial_comps, mask_sum, merge_comp_subset
 from hypercuts.analysis import gen_random_instance
 from hypercuts.hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE
-from hypercuts.node_budgeted import (contract_infeasible, hmincut_walk,
-                                     hypergraph_min_cut, nb_arbitrary_walk,
-                                     nb_bmulti_arbitrary_rank,
-                                     nb_bmulti_constant_rank,
+from hypercuts.node_budgeted import (hmincut_walk, nb_arbitrary_walk,
+                                     nb_constant_walk,
                                      nb_multi_enum_constant_rank,
                                      success_floor_node,
                                      success_floor_node_arbitrary)
 from hypercuts.oracle import (build_catalog, oracle_min_cut, oracle_nb_bmulti)
 from hypercuts.sampling import derive_rng
+
+
+def contract_infeasible(G, comps, budgets):
+    """``comps`` after the constant-rank walk's merge of its budget-violating
+    components, or ``comps`` itself when the walk does not merge there."""
+    node = nb_constant_walk(G, budgets).expand(comps)
+    return node[1] if node[0] == "merge" else comps
+
+
+def one_run(walk, rng):
+    """The cut of one run of ``walk``, or INFEASIBLE."""
+    out = walk.run(rng)
+    return INFEASIBLE if out is INFEASIBLE else Cut.from_mask(out[0])
 
 
 def test_contract_infeasible_examples():
@@ -66,8 +77,9 @@ def test_hmincut_contraction_weights():
 
 def test_hmincut_spanning_edge_immediate():
     G = Hypergraph(5, [(0, 1, 2, 3, 4)], [(3,)])
+    walk = hmincut_walk(G)
     for i in range(10):
-        assert hypergraph_min_cut(G, derive_rng(0, i)).edge_ids == (0,)
+        assert one_run(walk, derive_rng(0, i)).edge_ids == (0,)
 
 
 def test_hmincut_triangle_floor():
@@ -76,8 +88,9 @@ def test_hmincut_triangle_floor():
     value, mins = oracle_min_cut(cat)
     assert value == 2
     trials = 3000
+    walk = hmincut_walk(G)
     hits = sum(1 for i in range(trials)
-               if hypergraph_min_cut(G, derive_rng(1, i)) in mins)
+               if one_run(walk, derive_rng(1, i)) in mins)
     floor = 1 / math.comb(3, 2)
     sigma = math.sqrt(floor * (1 - floor) / trials)
     assert hits / trials >= floor - 3 * sigma
@@ -85,14 +98,16 @@ def test_hmincut_triangle_floor():
 
 def test_hmincut_disconnected_returns_empty():
     G = Hypergraph(4, [(0, 1), (2, 3)], [(1,), (1,)])
-    outs = {hypergraph_min_cut(G, derive_rng(2, i)) for i in range(20)}
+    walk = hmincut_walk(G)
+    outs = {one_run(walk, derive_rng(2, i)) for i in range(20)}
     assert Cut.of([]) in outs  # empty cut separates the components
 
 
 def test_nb_constant_two_vertex_base():
     G = Hypergraph(2, [(0, 1)], [(1,)], [(1,), (1,)])
+    walk = nb_constant_walk(G, (5,))
     hits = sum(1 for i in range(1000)
-               if nb_bmulti_constant_rank(G, (5,), derive_rng(3, i)).edge_ids == (0,))
+               if one_run(walk, derive_rng(3, i)).edge_ids == (0,))
     assert hits / 1000 >= 0.45
 
 
@@ -104,8 +119,9 @@ def test_nb_constant_floor_small():
     assert result is not INFEASIBLE
     _, optima = result
     trials = 4000
+    walk = nb_constant_walk(G, budgets)
     hits = sum(1 for i in range(trials)
-               if nb_bmulti_constant_rank(G, budgets, derive_rng(4, i)) in optima)
+               if one_run(walk, derive_rng(4, i)) in optima)
     floor = float(success_floor_node(G.n, G.rank))
     sigma = math.sqrt(floor * (1 - floor) / trials)
     assert hits / trials >= floor - 3 * sigma
@@ -123,9 +139,10 @@ def test_nb_constant_heavy_vertex_success_counts_only_feasible_cuts():
     heavy_cut = Cut.of([0, 4])  # delta({0})
     assert heavy_cut not in optima
     trials = 2000
+    walk = nb_constant_walk(G, budgets)
     hits = 0
     for i in range(trials):
-        out = nb_bmulti_constant_rank(G, budgets, derive_rng(5, i))
+        out = one_run(walk, derive_rng(5, i))
         hits += out in optima
     floor = float(success_floor_node(G.n, G.rank))
     sigma = math.sqrt(floor * (1 - floor) / trials)
@@ -134,7 +151,7 @@ def test_nb_constant_heavy_vertex_success_counts_only_feasible_cuts():
 
 def test_nb_arbitrary_all_infeasible():
     G = Hypergraph(3, [(0, 1), (1, 2)], [(1,), (1,)], [(9,), (9,), (9,)])
-    assert nb_bmulti_arbitrary_rank(G, (3,), derive_rng(6, 0)) is INFEASIBLE
+    assert nb_arbitrary_walk(G, (3,)).run(derive_rng(6, 0)) is INFEASIBLE
 
 
 def test_nb_arbitrary_alpha_weights():
@@ -160,8 +177,9 @@ def test_nb_arbitrary_floor_small():
     result = oracle_nb_bmulti(G, budgets)
     _, optima = result
     trials = 2000
+    walk = nb_arbitrary_walk(G, budgets)
     hits = sum(1 for i in range(trials)
-               if nb_bmulti_arbitrary_rank(G, budgets, derive_rng(7, i)) in optima)
+               if one_run(walk, derive_rng(7, i)) in optima)
     floor = float(success_floor_node_arbitrary(G.n))
     sigma = math.sqrt(floor * (1 - floor) / trials)
     assert hits / trials >= floor - 3 * sigma
@@ -194,7 +212,7 @@ def test_nb_enum_outputs_are_cuts_and_bounded():
     for seed in range(5):
         G = gen_random_instance(6, 8, 3, 1, 2, max_weight=6, seed=seed)
         cat = build_catalog(G)
-        universe = set(cat.cuts())
+        universe = set(cat.costs)
         out = nb_multi_enum_constant_rank(G, derive_rng(8, seed))
         assert out <= universe
         assert len(out) <= G.rank * G.n ** G.t_weights
@@ -246,6 +264,8 @@ def test_nb_enum_threshold_monotonicity():
 def test_nb_deterministic_replay():
     G = gen_random_instance(6, 9, 4, 1, 1, max_weight=8, seed=19)
     budgets = (5,)
-    a = [nb_bmulti_arbitrary_rank(G, budgets, derive_rng(11, i)) for i in range(25)]
-    b = [nb_bmulti_arbitrary_rank(G, budgets, derive_rng(11, i)) for i in range(25)]
+    walk = nb_arbitrary_walk(G, budgets)  # one cached walk against fresh ones
+    a = [one_run(walk, derive_rng(11, i)) for i in range(25)]
+    b = [one_run(nb_arbitrary_walk(G, budgets), derive_rng(11, i))
+         for i in range(25)]
     assert a == b

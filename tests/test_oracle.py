@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hypercuts._engine import delta_mask, ids_mask
 from hypercuts.analysis import (gen_multiobjective_not_pareto_instance,
                                 gen_pareto_not_parametric_instance,
                                 gen_random_instance)
 from hypercuts.hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE
-from hypercuts.oracle import (build_catalog, dominates,
+from hypercuts.oracle import (build_catalog, dominates, is_cut,
                               oracle_bmulti, oracle_kcut, oracle_min_cut,
                               oracle_multiobjective, oracle_nb_bmulti,
                               oracle_parametric_t2, oracle_pareto)
@@ -28,7 +31,7 @@ def path4():
 def test_catalog_counts():
     cat = build_catalog(triangle())
     assert len(cat) == 3
-    assert all(len(cut) == 2 for cut in cat.cuts())
+    assert all(len(cut) == 2 for cut in cat.costs)
     sp = Hypergraph(4, [(0, 1, 2, 3)], [(1,)])
     assert len(build_catalog(sp)) == 1
     two = Hypergraph(2, [(0, 1)], [(1,)])
@@ -53,7 +56,7 @@ def test_dominates():
 def test_pareto_multi_on_known_vectors():
     G = path4()
     cat = build_catalog(G)
-    by_cost = {cat.costs[c]: c for c in cat.cuts()}
+    by_cost = {cat.costs[c]: c for c in cat.costs}
     a, b, c, d = (by_cost[(1, 5)], by_cost[(2, 2)],
                   by_cost[(3, 1)], by_cost[(2, 3)])
     pareto = oracle_pareto(cat)
@@ -84,7 +87,7 @@ def test_bmulti_with_cut_costs_as_budgets_iff_multiobjective():
         G = gen_random_instance(6, 8, 2, 2, 0, seed=seed)
         cat = build_catalog(G)
         multi = oracle_multiobjective(cat)
-        for cut in cat.cuts():
+        for cut in cat.costs:
             budgets = cat.costs[cut][:-1]
             members = oracle_bmulti(cat, budgets)
             assert (cut in members) == (cut in multi)
@@ -226,5 +229,19 @@ def test_kcut_permutation_matching_is_permissive():
 def test_empty_edge_set_instance():
     G = Hypergraph(4, [], t_costs=2, t_weights=0)
     cat = build_catalog(G)
-    assert cat.cuts() == [Cut.of([])]
+    assert list(cat.costs) == [Cut.of([])]
     assert oracle_pareto(cat) == {Cut.of([])}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_is_cut_matches_catalog_membership(data):
+    n = data.draw(st.integers(1, 7))
+    edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True)
+    G = Hypergraph(n, data.draw(st.lists(edge, max_size=8)) if n > 1 else [])
+    # a real cut with some of its edges flipped in or out, often none
+    side = data.draw(st.integers(0, G.full_mask))
+    flips = data.draw(st.sets(st.integers(0, G.m - 1)) if G.m else st.just(()))
+    cut = Cut.from_mask(delta_mask(G.edge_masks, side, G.full_mask)
+                        ^ ids_mask(flips))
+    assert is_cut(G, cut) == (cut in build_catalog(G).costs)

@@ -44,18 +44,15 @@ def test_lazy_order_matches_eager_draw():
     lazy.ensure(6)
     assert lazy.prefix[:3] == first
     assert lazy.prefix == eager.prefix
-    assert lazy.exhausted_at == 6
 
 
 def test_lazy_order_exhaustion():
     order = LazyWeightedOrder([0, 1], [2, 2], random.Random(1))
     order.ensure(10)
     assert sorted(order.prefix) == [0, 1]
-    assert order.exhausted_at == 2
 
 
 def test_lazy_order_empty():
     order = LazyWeightedOrder([], [], random.Random(1))
     order.ensure(3)
     assert order.prefix == []
-    assert order.exhausted_at == 0

@@ -7,13 +7,10 @@ import pytest
 from hypercuts._engine import initial_comps
 from hypercuts.analysis import gen_random_instance
 from hypercuts.hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE,
-                                  KPartition, delta_partition)
+                                  delta_partition)
 from hypercuts.oracle import oracle_kcut
 from hypercuts.sampling import derive_rng
-from hypercuts.size_constrained import (alpha_size, kcut_walk,
-                                        multi_weight_reduction,
-                                        size_constrained_min_k_cut,
-                                        success_floor_size)
+from hypercuts.size_constrained import kcut_walk, success_floor_size
 
 
 def triangle():
@@ -21,14 +18,27 @@ def triangle():
                       [(1,), (1,), (1,)])
 
 
+def one_run(walk, rng):
+    """The cut of one run of ``walk``, or INFEASIBLE."""
+    out = walk.run(rng)
+    return INFEASIBLE if out is INFEASIBLE else Cut.from_mask(out[0])
+
+
+def alphas(n, edges, sizes):
+    """alpha_e = C(n-|e|, sigma) / C(n, sigma) at the singleton partition,
+    read off the walk's sample node (numerators over C(n, sigma))."""
+    walk = kcut_walk(Hypergraph(n, edges), len(sizes), sizes)
+    tag, cum, total, eids, _, _ = walk.expand(initial_comps(n))
+    assert tag == "sample" and eids == list(range(len(edges)))
+    denominator = math.comb(n, walk.sigma_lead)
+    return [Fraction(b - a, denominator) for a, b in zip([0] + cum, cum)]
+
+
 def test_alpha_size_examples():
-    assert alpha_size(6, 2, 2) == Fraction(2, 5)
-    assert alpha_size(6, 6, 1) == 0
-    assert alpha_size(5, 3, 2) == Fraction(1, 10)
-    with pytest.raises(InstanceError):
-        alpha_size(6, 1, 1)
-    with pytest.raises(InstanceError):
-        alpha_size(6, 2, 0)
+    spanning = tuple(range(6))
+    assert alphas(6, [(0, 1), spanning], (2, 2)) == [Fraction(2, 5), 0]
+    assert alphas(6, [(0, 1), spanning], (1, 1)) == [Fraction(2, 3), 0]
+    assert alphas(5, [(0, 1, 2)], (2, 2)) == [Fraction(1, 10)]
 
 
 def test_success_floor_size_values():
@@ -49,7 +59,7 @@ def test_sizes_canonicalized_sorted():
 
 def test_infeasible_when_fewer_vertices_than_parts():
     G = triangle()
-    assert size_constrained_min_k_cut(G, 4, (1, 1, 1, 1), derive_rng(0, 0)) is INFEASIBLE
+    assert kcut_walk(G, 4, (1, 1, 1, 1)).run(derive_rng(0, 0)) is INFEASIBLE
 
 
 def test_triangle_floor():
@@ -57,8 +67,9 @@ def test_triangle_floor():
     value, optima = oracle_kcut(G, 2, (1, 1))
     assert value == 2
     trials = 100000
+    walk = kcut_walk(G, 2, (1, 1))
     hits = sum(1 for i in range(trials)
-               if size_constrained_min_k_cut(G, 2, (1, 1), derive_rng(1, i)) in optima)
+               if one_run(walk, derive_rng(1, i)) in optima)
     floor = float(success_floor_size(3, 2, (1, 1)))
     sigma = math.sqrt(floor * (1 - floor) / trials)
     assert hits / trials >= floor - 3 * sigma
@@ -69,8 +80,9 @@ def test_small_hypergraph_oracle_example():
     value, optima = oracle_kcut(G, 2, (1, 1))
     assert value == 1 and Cut.of([0]) in optima
     trials = 20000
+    walk = kcut_walk(G, 2, (1, 1))
     hits = sum(1 for i in range(trials)
-               if size_constrained_min_k_cut(G, 2, (1, 1), derive_rng(2, i)) in optima)
+               if one_run(walk, derive_rng(2, i)) in optima)
     floor = float(success_floor_size(3, 2, (1, 1)))
     sigma = math.sqrt(floor * (1 - floor) / trials)
     assert hits / trials >= floor - 3 * sigma
@@ -80,8 +92,9 @@ def test_spanning_edges_zero_alpha_branch():
     # every edge spans all vertices: all alphas are zero at the first level
     G = Hypergraph(5, [(0, 1, 2, 3, 4), (0, 1, 2, 3, 4)], [(1,), (1,)],
                    [(1,)] * 5)
+    walk = kcut_walk(G, 2, (1, 1))
     for i in range(40):
-        out = size_constrained_min_k_cut(G, 2, (1, 1), derive_rng(3, i))
+        out = one_run(walk, derive_rng(3, i))
         assert out == Cut.of([0, 1])  # both spanning edges cross any partition
 
 
@@ -91,9 +104,11 @@ def test_weight_obliviousness_byte_exact():
     other_weights = [((w[0] * 3 + 1),) for w in base.vertex_weights]
     G1 = base
     G2 = Hypergraph(base.n, base.edges, base.edge_costs, other_weights)
+    # the cut is weight-oblivious; the witnessed flag reads the weights
+    walk1, walk2 = kcut_walk(G1, 2, (1, 2)), kcut_walk(G2, 2, (1, 2))
     for i in range(100):
-        a = size_constrained_min_k_cut(G1, 2, (1, 2), derive_rng(4, i))
-        b = size_constrained_min_k_cut(G2, 2, (1, 2), derive_rng(4, i))
+        a = walk1.run(derive_rng(4, i))[0]
+        b = walk2.run(derive_rng(4, i))[0]
         assert a == b
 
 
@@ -105,10 +120,11 @@ def test_output_is_partition_cut_or_full_edge_set():
                             positive_weights=True)
     possible = set()
     for labels in product(range(G.n), repeat=G.n):
-        possible.add(delta_partition(G, KPartition(labels, G.n)))
+        possible.add(delta_partition(G, labels))
     possible.add(Cut.of(range(G.m)))
+    walk = kcut_walk(G, 2, (1, 1))
     for i in range(300):
-        out = size_constrained_min_k_cut(G, 2, (1, 1), derive_rng(5, i))
+        out = one_run(walk, derive_rng(5, i))
         assert out in possible
 
 
@@ -147,23 +163,11 @@ def test_sampled_edges_leave_room():
             prev = acc
 
 
-def test_multi_weight_reduction():
-    assert multi_weight_reduction([(1, 2, 3), (2, 1, 4)]) == (2, 2, 4)
-    assert multi_weight_reduction([(1, 2, 3)]) == (1, 2, 3)
-    assert multi_weight_reduction([(2, 2), (2, 2)]) == (2, 2)
-    with pytest.raises(InstanceError):
-        multi_weight_reduction([])
-    with pytest.raises(InstanceError):
-        multi_weight_reduction([(1, 2), (1,)])
-    with pytest.raises(InstanceError):
-        multi_weight_reduction([(0, 1)])
-
-
 def test_deterministic_replay():
     G = gen_random_instance(7, 9, 4, 1, 1, max_weight=4, seed=43,
                             positive_weights=True)
-    a = [size_constrained_min_k_cut(G, 2, (1, 2), derive_rng(6, i))
-         for i in range(40)]
-    b = [size_constrained_min_k_cut(G, 2, (1, 2), derive_rng(6, i))
+    walk = kcut_walk(G, 2, (1, 2))  # one cached walk against fresh ones
+    a = [one_run(walk, derive_rng(6, i)) for i in range(40)]
+    b = [one_run(kcut_walk(G, 2, (1, 2)), derive_rng(6, i))
          for i in range(40)]
     assert a == b
