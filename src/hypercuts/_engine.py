@@ -5,10 +5,10 @@ vertex bitmasks sorted by lowest set bit.  The tuple form is hashable, which
 lets the repeated-trial solvers memoize per-state data (present edges,
 sampling tables) across Monte-Carlo runs on the same instance.
 
-Every algorithm is the same absorbing chain over these states; only the
-edge-weight rule and the stopping rule differ.  An algorithm supplies them as
-an ``expand(comps) -> node`` function, and ``Walk`` caches the node of every
-visited state.  A node is one of
+All five algorithms are the same absorbing chain over these states; only
+the edge-weight rule and the stopping rule differ.  An algorithm supplies
+them as an ``expand(comps) -> node`` function, and ``Walk`` caches the node
+of every visited state.  A node is one of
 
 * ``("sample", cum, total, eids, nexts)`` - contract edge ``eids[i]`` with
   probability proportional to its weight (``cum`` holds the prefix sums);
@@ -18,7 +18,16 @@ visited state.  A node is one of
   return ``outcome(side)`` for the union ``side`` of the drawn ones; ``table``
   caches the outcome of each draw;
 * ``("terminal", outcome)`` - stop with a fixed outcome;
+* ``("draw", draw)`` - stop with the outcome ``draw(comps, rng)``;
+* ``("level", draw, sample)`` - push the candidate ``draw(comps, rng)``
+  with the live component count, then take one step of the nested sample
+  node;
 * ``("delegate", walk)`` - continue with another walk from this state.
+
+Once the walk stops, the candidates pushed by level nodes are resolved
+innermost first: each replaces the outcome with probability 1/live.  The
+size-constrained k-cut walk uses them; the four bipartition walks never push
+one.
 
 An outcome is ``(cut edge-bitmask, witnessed)`` or ``INFEASIBLE``.
 ``witnessed`` records whether the cut comes from a witness the problem's
@@ -38,26 +47,13 @@ def initial_comps(n: int) -> tuple[int, ...]:
     return tuple(1 << v for v in range(n))
 
 
-def contract_comps(comps, edge_mask: int) -> tuple[int, ...]:
-    """Merge every component hit by ``edge_mask`` into one."""
+def contract_comps(comps, mask: int) -> tuple[int, ...]:
+    """Merge every component that ``mask`` meets into one (``comps`` as a
+    tuple when it meets none)."""
     merged = 0
     rest = []
     for c in comps:
-        if c & edge_mask:
-            merged |= c
-        else:
-            rest.append(c)
-    rest.append(merged)
-    rest.sort(key=lambda c: c & -c)
-    return tuple(rest)
-
-
-def merge_comp_subset(comps, victim_mask: int) -> tuple[int, ...]:
-    """Merge all components contained in ``victim_mask`` into one."""
-    merged = 0
-    rest = []
-    for c in comps:
-        if c & victim_mask:
+        if c & mask:
             merged |= c
         else:
             rest.append(c)
@@ -153,6 +149,7 @@ class Walk:
         cache = self.cache
         masks = self.masks
         step = sample_step
+        pending = None  # (candidate, live) per level node passed
         while True:
             node = cache.get(comps)
             if node is None:
@@ -162,18 +159,31 @@ class Walk:
                 comps = step(node, comps, masks, rng)
             elif tag == "merge":
                 comps = node[1]
-            elif tag == "base":
-                table = node[1]
-                bits = rng.getrandbits(len(comps))
-                out = table.get(bits)
-                if out is None:
-                    side = 0
-                    for i, c in enumerate(comps):
-                        if (bits >> i) & 1:
-                            side |= c
-                    out = table[bits] = node[2](side)
-                return out
-            elif tag == "terminal":
-                return node[1]
+            elif tag == "level":
+                if pending is None:
+                    pending = []
+                pending.append((node[1](comps, rng), len(comps)))
+                comps = step(node[2], comps, masks, rng)
             else:
-                return node[1].run(rng, comps)
+                break
+        if tag == "base":
+            table = node[1]
+            bits = rng.getrandbits(len(comps))
+            out = table.get(bits)
+            if out is None:
+                side = 0
+                for i, c in enumerate(comps):
+                    if (bits >> i) & 1:
+                        side |= c
+                out = table[bits] = node[2](side)
+        elif tag == "terminal":
+            out = node[1]
+        elif tag == "draw":
+            out = node[1](comps, rng)
+        else:
+            out = node[1].run(rng, comps)
+        if pending:
+            for candidate, live in reversed(pending):
+                if rng.randrange(live) == 0:
+                    out = candidate
+        return out

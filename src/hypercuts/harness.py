@@ -121,8 +121,8 @@ def _build_problem(G: Hypergraph, algorithm: str, budgets=None, k=None,
         _, optima = oracle_min_cut(build_catalog(G))
         return walk, optima, Fraction(1, comb(G.n, 2))
     if algorithm == "kcut":
+        sizes = exact_ints(sizes, exact_int(k, "k", 2), "part size", 1)
         walk = kcut_walk(G, k, sizes, weighted_costs)
-        sizes = walk.sizes
         result = oracle_kcut(G, k, sizes, weighted_costs=weighted_costs)
         optima = result if result is INFEASIBLE else result[1]
         floor = success_floor_size(G.n, k, sizes) if G.n >= k else Fraction(1)

@@ -23,8 +23,7 @@ from itertools import product
 from math import comb
 
 from ._engine import (Walk, contract_comps, delta_mask, ids_mask,
-                      initial_comps, mask_sum, merge_comp_subset,
-                      present_edge_ids, sample_node)
+                      initial_comps, mask_sum, present_edge_ids, sample_node)
 from .hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE, exact_ints
 from .sampling import BestOf, LazyWeightedOrder, best_of_n, default_trials
 
@@ -61,7 +60,7 @@ def _contract_infeasible(comps, weights, budgets):
         else:
             bad_mask |= c
     if len(feasible) < len(comps) - 1:
-        comps = merge_comp_subset(comps, bad_mask)
+        comps = contract_comps(comps, bad_mask)
     return comps, feasible
 
 
@@ -243,7 +242,7 @@ def nb_multi_enum_constant_rank(G: Hypergraph, rng: random.Random) -> set[Cut]:
                 if any(comp_w[i][idx] > thresholds[i]
                        for i in range(len(weights))):
                     victim |= c
-            merged = merge_comp_subset(comps, victim)
+            merged = contract_comps(comps, victim)
             if 1 < len(merged) < r + 2 and merged not in seen:
                 seen.add(merged)
                 nlive = len(merged)

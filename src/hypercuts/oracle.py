@@ -27,7 +27,6 @@ class CutCatalog:
     each with its exact integer cost vector."""
 
     def __init__(self, G: Hypergraph):
-        self.G = G
         self.t = G.t_costs
         self.costs: dict[Cut, tuple[int, ...]] = {}
 

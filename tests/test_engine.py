@@ -1,8 +1,14 @@
 import random
 from collections import Counter
 
-from hypercuts._engine import initial_comps, sample_node, sample_step
+import pytest
+
+from hypercuts._engine import Walk, initial_comps, sample_node, sample_step
 from hypercuts.hypergraph import Hypergraph
+from hypercuts.multiobjective import bmulti_walk
+from hypercuts.node_budgeted import (hmincut_walk, nb_arbitrary_walk,
+                                     nb_constant_walk)
+from hypercuts.size_constrained import kcut_walk
 
 
 def test_sample_step_never_draws_zero_weight_edges():
@@ -25,3 +31,18 @@ def test_sample_step_never_draws_zero_weight_edges():
 def test_sample_node_is_none_without_weight():
     assert sample_node([], []) is None
     assert sample_node([0, 1], [0, 0]) is None
+
+
+@pytest.mark.parametrize("make", [
+    lambda G: bmulti_walk(G, (4,)),
+    lambda G: nb_constant_walk(G, (3,)),
+    lambda G: nb_arbitrary_walk(G, (3,)),
+    hmincut_walk,
+    lambda G: kcut_walk(G, 2, (1, 1)),
+], ids=["bmulti_walk", "nb_constant_walk", "nb_arbitrary_walk",
+        "hmincut_walk", "kcut_walk"])
+def test_every_walk_is_an_engine_walk(make):
+    # one walk loop: every algorithm runs on the engine's cached walk
+    G = Hypergraph(4, [(0, 1), (1, 2, 3), (0, 3)], [(1, 2), (2, 1), (3, 1)],
+                   [(1,), (2,), (1,), (2,)])
+    assert isinstance(make(G), Walk)

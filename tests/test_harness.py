@@ -64,6 +64,16 @@ def test_estimate_accepts_one_shot_budget_iterables():
         want = estimate(H, algorithm, budgets=(20,), trials=300, seed=5)
         got = estimate(H, algorithm, budgets=iter((20,)), trials=300, seed=5)
         assert got.to_dict() == want.to_dict()
+    want = estimate(H, "kcut", k=2, sizes=(1, 1), trials=300, seed=5)
+    got = estimate(H, "kcut", k=2, sizes=iter((1, 1)), trials=300, seed=5)
+    assert got.to_dict() == want.to_dict()
+
+
+def test_solve_kcut_accepts_one_shot_sizes():
+    # the default trial count reads the sizes after the walk is built
+    H = gen_random_instance(6, 9, 2, 2, 1, max_cost=8, seed=16,
+                            positive_weights=True)
+    assert solve_kcut(H, 2, iter((1, 2))) == solve_kcut(H, 2, (1, 2))
 
 
 def test_estimate_jobs_matches_serial():

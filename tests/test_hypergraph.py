@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercuts._engine import (contract_comps, delta_mask, initial_comps,
-                               mask_sum, merge_comp_subset, present_edge_ids)
+                               mask_sum, present_edge_ids)
 from hypercuts.hypergraph import (Cut, Hypergraph, InstanceError,
                                   delta_partition, load_instance,
                                   save_instance)
@@ -55,13 +55,13 @@ def test_contract_merges_and_kills_inner_edges():
 
 def test_contract_singleton_is_noop():
     comps = initial_comps(3)
-    assert merge_comp_subset(comps, 0b010) == comps
+    assert contract_comps(comps, 0b010) == comps
     assert present_edge_ids(triangle().edge_masks, comps) == [0, 1, 2]
 
 
 def test_contract_weights_add():
     G = Hypergraph(3, [(0, 1), (1, 2)], [(1,), (1,)], [(1,), (2,), (4,)])
-    comps = merge_comp_subset(initial_comps(3), 0b101)
+    comps = contract_comps(initial_comps(3), 0b101)
     assert comps == (0b101, 0b010)
     wcol = [w[0] for w in G.vertex_weights]
     assert [mask_sum(wcol, c) for c in comps] == [5, 2]

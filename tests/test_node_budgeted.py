@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypercuts._engine import initial_comps, mask_sum, merge_comp_subset
+from hypercuts._engine import contract_comps, initial_comps, mask_sum
 from hypercuts.analysis import gen_random_instance
 from hypercuts.hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE
 from hypercuts.node_budgeted import (hmincut_walk, nb_arbitrary_walk,
@@ -255,7 +255,7 @@ def test_nb_enum_threshold_monotonicity():
                 for c in comps:
                     if mask_sum(wcols[0], c) > x0 or mask_sum(wcols[1], c) > x1:
                         victim |= c
-                merged = merge_comp_subset(comps, victim)
+                merged = contract_comps(comps, victim)
                 if 1 < len(merged) < G.rank + 2:
                     merged_seen.add(merged)
             assert len(merged_seen) <= G.rank

@@ -26,11 +26,14 @@ def one_run(walk, rng):
 
 def alphas(n, edges, sizes):
     """alpha_e = C(n-|e|, sigma) / C(n, sigma) at the singleton partition,
-    read off the walk's sample node (numerators over C(n, sigma))."""
+    read off the sample node of the walk's first level (numerators over
+    C(n, sigma))."""
     walk = kcut_walk(Hypergraph(n, edges), len(sizes), sizes)
-    tag, cum, total, eids, _, _ = walk.expand(initial_comps(n))
+    node = walk.expand(initial_comps(n))
+    assert node[0] == "level"
+    tag, cum, total, eids, _ = node[2]
     assert tag == "sample" and eids == list(range(len(edges)))
-    denominator = math.comb(n, walk.sigma_lead)
+    denominator = math.comb(n, sum(sorted(sizes)[:-1]))
     return [Fraction(b - a, denominator) for a, b in zip([0] + cum, cum)]
 
 
@@ -130,6 +133,7 @@ def test_output_is_partition_cut_or_full_edge_set():
 
 def test_alpha_sum_claim():
     # sum over e of alpha_e <= |E \ F| for any size-constrained optimum F
+    checked = 0
     for seed in range(6):
         G = gen_random_instance(7, 8, 4, 1, 1, max_weight=4, seed=seed,
                                 positive_weights=True)
@@ -138,13 +142,15 @@ def test_alpha_sum_claim():
             continue
         _, optima = result
         node = kcut_walk(G, 2, (1, 2)).expand(initial_comps(G.n))
-        if node[0] != "sample":
+        if node[0] != "level":
             continue
-        total = node[2]
+        total = node[2][2]
         sigma_lead = 1
         alpha_sum = Fraction(total, math.comb(G.n, sigma_lead))
         for F in optima:
             assert alpha_sum <= G.m - len(F.edge_ids)
+        checked += 1
+    assert checked
 
 
 def test_sampled_edges_leave_room():
@@ -153,14 +159,15 @@ def test_sampled_edges_leave_room():
                             positive_weights=True)
     walk = kcut_walk(G, 3, (1, 1, 2))
     node = walk.expand(initial_comps(G.n))
-    if node[0] == "sample":
-        _, cum, _, present, _, _ = node
-        spans = [len(G.edges[eid]) for eid in present]  # singleton components
-        prev = 0
-        for sz, acc in zip(spans, cum):
-            if acc > prev:  # positive sampling weight
-                assert sz <= G.n - walk.sigma_lead
-            prev = acc
+    assert node[0] == "level"
+    _, cum, _, present, _ = node[2]
+    spans = [len(G.edges[eid]) for eid in present]  # singleton components
+    sigma_lead = 2
+    prev = 0
+    for sz, acc in zip(spans, cum):
+        if acc > prev:  # positive sampling weight
+            assert sz <= G.n - sigma_lead
+        prev = acc
 
 
 def test_deterministic_replay():
