@@ -88,6 +88,16 @@ def delta_mask(edge_masks, side: int, full: int) -> int:
     return out
 
 
+def side_mask(comps, bits: int) -> int:
+    """Union of the components ``comps[i]`` whose bit ``i`` is set in
+    ``bits``."""
+    side = 0
+    for i, c in enumerate(comps):
+        if bits >> i & 1:
+            side |= c
+    return side
+
+
 def mask_sum(values, mask: int) -> int:
     """Sum of ``values[i]`` over the bits ``i`` set in ``mask``."""
     total = 0
@@ -171,11 +181,7 @@ class Walk:
             bits = rng.getrandbits(len(comps))
             out = table.get(bits)
             if out is None:
-                side = 0
-                for i, c in enumerate(comps):
-                    if (bits >> i) & 1:
-                        side |= c
-                out = table[bits] = node[2](side)
+                out = table[bits] = node[2](side_mask(comps, bits))
         elif tag == "terminal":
             out = node[1]
         elif tag == "draw":

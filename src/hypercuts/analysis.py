@@ -207,6 +207,9 @@ def gen_random_instance(n: int, m: int, rank: int, t_costs: int, t_weights: int,
         raise InstanceError("need rank >= 2 and n >= rank")
     if positive_weights and (t_weights < 1 or max_weight < 1):
         raise InstanceError("positive weights need t_weights >= 1 and max_weight >= 1")
+    exact_int(m, "edge count", 0)
+    exact_int(max_cost, "max cost", 0)
+    exact_int(max_weight, "max weight", 0)
     rng = random.Random(seed)
     edges, costs = [], []
     for _ in range(m):
@@ -218,24 +221,3 @@ def gen_random_instance(n: int, m: int, rank: int, t_costs: int, t_weights: int,
                for _ in range(n)]
     return Hypergraph(n, edges, costs, weights, t_costs=t_costs, t_weights=t_weights)
 
-
-def gen_pareto_not_parametric_instance() -> Hypergraph:
-    """Triangle whose third cut is pareto-optimal but sits strictly above the
-    lower convex envelope of the other two, hence is not a parametric min-cut.
-
-    Cut cost vectors: (1,4), (4,1) and (3,3).
-    """
-    edges = [(0, 1), (0, 2), (1, 2)]
-    costs = [(1, 1), (0, 3), (3, 0)]
-    return Hypergraph(3, edges, costs, t_weights=0)
-
-
-def gen_multiobjective_not_pareto_instance() -> Hypergraph:
-    """Triangle with a budget-optimal cut that is dominated.
-
-    Cut cost vectors: (2,4), (6,2) and (4,4); the (4,4) cut ties the budget
-    optimum at b=(4,) yet is dominated by (2,4).
-    """
-    edges = [(0, 1), (0, 2), (1, 2)]
-    costs = [(2, 1), (0, 3), (4, 1)]
-    return Hypergraph(3, edges, costs, t_weights=0)

@@ -84,6 +84,35 @@ def _maybe_reps(value: str | None) -> int | None:
         raise InstanceError(f"expected an integer or 'auto', got {value!r}") from exc
 
 
+def _fixed_target(text: str | None) -> Cut | None:
+    return Cut.of(_ints(text)) if text else None
+
+
+# (flag dest, library keyword, conversion or None to pass the value as is).
+# Conversions run in this order, so of two malformed flags the earlier one
+# is reported.
+_PARAMS = (
+    ("fixed_target", "fixed_target", _fixed_target),
+    ("budgets", "budgets", _ints),
+    ("rank_mode", "rank_mode", None),
+    ("k", "k", None),
+    ("sizes", "sizes", _ints),
+    ("weighted_costs", "weighted_costs", None),
+    ("trials", "trials", None),
+    ("override_guard", "override_guard", None),
+    ("reps", "repetitions", _maybe_reps),
+    ("verify_reps", "verify_repetitions", _maybe_reps),
+)
+
+
+def _params(args) -> dict:
+    """The family flags ``args`` carries, as library keyword arguments: the
+    one place where flags become parameters."""
+    return {name: getattr(args, dest) if convert is None
+            else convert(getattr(args, dest))
+            for dest, name, convert in _PARAMS if dest in args}
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_gen(args) -> dict:
@@ -95,8 +124,11 @@ def cmd_gen(args) -> dict:
             max_cost=args.max_cost, max_weight=args.max_weight,
             seed=args.seed, positive_weights=args.positive_weights)
     data = save_instance(G)
-    with open(args.out, "wb") as fh:
-        fh.write(data)
+    try:
+        with open(args.out, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise InstanceError(f"cannot write instance {args.out}: {exc}") from exc
     return {"out": args.out, "n": G.n, "m": G.m, "rank": G.rank,
             "t_costs": G.t_costs, "t_weights": G.t_weights,
             "digest": harness.instance_digest(G)}
@@ -104,8 +136,7 @@ def cmd_gen(args) -> dict:
 
 def cmd_solve_bmulti(args) -> dict:
     G = _load(args.instance)
-    best = multiobjective.solve_bmulti(G, _ints(args.budgets),
-                                       trials=args.trials, seed=args.seed)
+    best = multiobjective.solve_bmulti(G, seed=args.seed, **_params(args))
     if best.cut is None:
         raise Infeasible({"found": False, "trials": best.trials,
                           "note": "no budget-respecting cut found; instance may be infeasible"})
@@ -115,9 +146,7 @@ def cmd_solve_bmulti(args) -> dict:
 
 def cmd_solve_nb(args) -> dict:
     G = _load(args.instance)
-    best = node_budgeted.solve_nb_bmulti(G, _ints(args.budgets),
-                                         rank_mode=args.rank_mode,
-                                         trials=args.trials, seed=args.seed)
+    best = node_budgeted.solve_nb_bmulti(G, seed=args.seed, **_params(args))
     if best.cut is None:
         raise Infeasible({"found": False, "trials": best.trials,
                           "infeasible_runs": best.infeasible_runs,
@@ -129,24 +158,22 @@ def cmd_solve_nb(args) -> dict:
 
 def cmd_solve_hmincut(args) -> dict:
     G = _load(args.instance)
-    best = node_budgeted.solve_hmincut(G, trials=args.trials, seed=args.seed)
+    best = node_budgeted.solve_hmincut(G, seed=args.seed, **_params(args))
     return {"trials": best.trials, "cut": list(best.cut.edge_ids),
             "cost": best.value}
 
 
 def cmd_solve_kcut(args) -> dict:
     G = _load(args.instance)
-    sizes = _ints(args.sizes)
-    best = size_constrained.solve_kcut(G, args.k, sizes, trials=args.trials,
-                                       seed=args.seed,
-                                       weighted_costs=args.weighted_costs)
+    params = _params(args)
+    best = size_constrained.solve_kcut(G, seed=args.seed, **params)
     if best is INFEASIBLE:
         raise Infeasible({"found": False, "note": f"n={G.n} < k={args.k}"})
     if best.cut is None:
         raise Infeasible({"found": False, "trials": best.trials,
                           "note": "no size-feasible k-cut found; "
                                   "instance may be infeasible"})
-    return {"trials": best.trials, "k": args.k, "sizes": sorted(sizes),
+    return {"trials": best.trials, "k": args.k, "sizes": sorted(params["sizes"]),
             "cut": list(best.cut.edge_ids), "value": best.value}
 
 
@@ -157,14 +184,12 @@ def cmd_enumerate(args) -> dict:
         cuts = node_budgeted.nb_multi_enum_constant_rank(G, rng)
         return {"family": "nb-multi", "count": len(cuts),
                 "cuts": _cut_records(G, cuts)}
-    reps = _maybe_reps(args.reps)
+    params = _params(args)
     if args.family == "multi":
-        cuts = multiobjective.enumerate_multiobjective(G, rng, reps)
+        cuts = multiobjective.enumerate_multiobjective(G, rng, **params)
     else:
-        cuts = multiobjective.enumerate_pareto(
-            G, rng, reps, _maybe_reps(args.verify_reps))
-    used = reps if reps is not None else multiobjective.default_enum_repetitions(
-        G.n, G.rank, G.t_costs)
+        cuts = multiobjective.enumerate_pareto(G, rng, **params)
+    used = multiobjective.enum_repetition_count(G, params["repetitions"])
     return {"family": args.family, "repetitions": used, "count": len(cuts),
             "cuts": _cut_records(G, cuts)}
 
@@ -179,7 +204,7 @@ def cmd_verify(args) -> dict:
         raise InstanceError(f"{list(cut.edge_ids)} is not a cut of this instance")
     rng = derive_rng(args.seed, 0)
     verdict = multiobjective.verify_pareto_optimality(
-        G, cut, rng, _maybe_reps(args.reps))
+        G, cut, rng, _params(args)["repetitions"])
     return {"cut": list(cut.edge_ids), "costs": list(G.cut_costs(cut)),
             "pareto_optimal": verdict}
 
@@ -196,25 +221,19 @@ def cmd_oracle(args) -> dict:
         elif which == "parametric":
             cuts = oracle.oracle_parametric_t2(catalog)
         else:
-            cuts = oracle.oracle_bmulti(catalog, _ints(args.budgets))
+            cuts = oracle.oracle_bmulti(catalog, _params(args)["budgets"])
             if not cuts:
                 raise Infeasible({"family": which, "count": 0,
                                   "note": "no cut satisfies these budgets"})
         return {"family": which, "count": len(cuts),
                 "cuts": _cut_records(G, cuts)}
     if which == "nb-bmulti":
-        result = oracle.oracle_nb_bmulti(G, _ints(args.budgets),
-                                         override_guard=args.override_guard)
-        if result is INFEASIBLE:
-            raise Infeasible({"family": which, "note": "no feasible vertex set"})
-        value, cuts = result
-        return {"family": which, "value": value, "count": len(cuts),
-                "cuts": _cut_records(G, cuts)}
-    result = oracle.oracle_kcut(G, args.k, _ints(args.sizes),
-                                weighted_costs=args.weighted_costs,
-                                override_guard=args.override_guard)
+        query, note = oracle.oracle_nb_bmulti, "no feasible vertex set"
+    else:
+        query, note = oracle.oracle_kcut, "no feasible k-partition"
+    result = query(G, **_params(args))
     if result is INFEASIBLE:
-        raise Infeasible({"family": which, "note": "no feasible k-partition"})
+        raise Infeasible({"family": which, "note": note})
     value, cuts = result
     return {"family": which, "value": value, "count": len(cuts),
             "cuts": _cut_records(G, cuts)}
@@ -222,25 +241,14 @@ def cmd_oracle(args) -> dict:
 
 def cmd_estimate(args) -> dict:
     G = _load(args.instance)
+    params = _params(args)
     if args.family == "pipeline":
-        report = harness.pipeline_equivalence(
-            G, args.seed, args.runs, _maybe_reps(args.reps),
-            _maybe_reps(args.verify_reps))
-        return report
-    fixed = Cut.of(_ints(args.fixed_target)) if args.fixed_target else None
+        return harness.pipeline_equivalence(G, args.seed, args.runs, **params)
     algo = args.family
-    kwargs = {}
-    if algo == "bmulti":
-        kwargs["budgets"] = _ints(args.budgets)
-    elif algo == "nb-bmulti":
-        algo = f"nb-bmulti-{args.rank_mode}"
-        kwargs["budgets"] = _ints(args.budgets)
-    elif algo == "kcut":
-        kwargs["k"] = args.k
-        kwargs["sizes"] = _ints(args.sizes)
-        kwargs["weighted_costs"] = args.weighted_costs
-    report = harness.estimate(G, algo, trials=args.trials, seed=args.seed,
-                              fixed_target=fixed, jobs=args.jobs, **kwargs)
+    if "rank_mode" in params:
+        algo = f"{algo}-{params.pop('rank_mode')}"
+    report = harness.estimate(G, algo, seed=args.seed, jobs=args.jobs,
+                              **params)
     payload = report.to_dict()
     if not report.passed:
         raise CheckFailed(payload)
@@ -292,159 +300,90 @@ def cmd_check(args) -> dict:
 
 # ---------------------------------------------------------------- parser
 
+def _group(*flags) -> argparse.ArgumentParser:
+    """A parent parser holding one flag group, from (flag, add_argument
+    keywords) pairs; each dest is the flag's name."""
+    group = argparse.ArgumentParser(add_help=False)
+    for flag, options in flags:
+        group.add_argument(flag, **options)
+    return group
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--format", choices=("text", "json"), default="text")
+    required = {"required": True}
+    integer = {"type": int, "required": True}
+    switch = {"action": "store_true"}
+    common = _group(("--seed", {"type": int, "default": 0}),
+                    ("--jobs", {"type": int, "default": 1}),
+                    ("--format", {"choices": ("text", "json"),
+                                  "default": "text"}))
+    instance = _group(("--instance", required))
+    budgets = _group(("--budgets", required))
+    rank_mode = _group(("--rank-mode", {"choices": ("constant", "arbitrary"),
+                                        "default": "constant"}))
+    kcut = _group(("--k", integer), ("--sizes", required),
+                  ("--weighted-costs", switch))
+    trials = _group(("--trials", {"type": int}))
+    fixed_target = _group(("--fixed-target", {}))
+    override_guard = _group(("--override-guard", switch))
+    reps = _group(("--reps", {"default": "auto", "help": "repetition count "
+                              "or 'auto' for the default bound"}))
+    verify_reps = _group(("--verify-reps", {"default": "auto"}))
+    n, out = ("--n", integer), ("--out", required)
+
+    # The walk families share their flags across solve, estimate and oracle.
+    walks = {"bmulti": [budgets], "nb-bmulti": [budgets, rank_mode],
+             "hmincut": [], "kcut": [kcut]}
+    solvers = {"bmulti": cmd_solve_bmulti, "nb-bmulti": cmd_solve_nb,
+               "hmincut": cmd_solve_hmincut, "kcut": cmd_solve_kcut}
+    oracles = {"pareto": [], "multi": [], "parametric": [],
+               "bmulti": [budgets], "nb-bmulti": [budgets], "kcut": [kcut]}
+    # command -> (help, {family: (flag groups after common, handler)});
+    # every command but gen and check also takes --instance.
+    commands = {
+        "gen": ("generate instances", {
+            "lowerbound": ([_group(n, ("--t", integer), out)], cmd_gen),
+            "random": ([_group(
+                n, ("--m", integer), ("--rank", integer),
+                ("--t-costs", integer), ("--t-weights", integer),
+                ("--max-cost", {"type": int, "default": 8}),
+                ("--max-weight", {"type": int, "default": 8}),
+                ("--positive-weights", switch), out)], cmd_gen)}),
+        "solve": ("run one randomized solver", {
+            family: ([*groups, trials], solvers[family])
+            for family, groups in walks.items()}),
+        "enumerate": ("enumerate cut collections", {
+            "multi": ([reps], cmd_enumerate),
+            "pareto": ([reps, verify_reps], cmd_enumerate),
+            "nb-multi": ([], cmd_enumerate)}),
+        "verify": ("verify pareto-optimality of a cut", {
+            "pareto": ([_group(("--cut", {"required": True,
+                                          "help": 'edge ids, e.g. "3,7,9"'})),
+                        reps], cmd_verify)}),
+        "oracle": ("exhaustive ground truth (small n)", {
+            family: ([*groups, override_guard], cmd_oracle)
+            for family, groups in oracles.items()}),
+        "estimate": ("Monte-Carlo floor checks vs oracle", {
+            **{family: ([*groups, trials, fixed_target], cmd_estimate)
+               for family, groups in walks.items()},
+            "pipeline": ([_group(("--runs", {"type": int, "default": 20})),
+                          reps, verify_reps], cmd_estimate)}),
+        "check": ("closed-form analysis checks", {
+            "lemma-lp": ([_group(("--sweep", {"type": int, "default": 500}))],
+                         cmd_check),
+            "ratio-ineq": ([_group(("--max-n", {"type": int, "default": 30}))],
+                           cmd_check)}),
+    }
 
     parser = argparse.ArgumentParser(prog="hypercuts", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate instances")
-    gsub = p.add_subparsers(dest="family", required=True)
-    g = gsub.add_parser("lowerbound", parents=[common])
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--t", type=int, required=True)
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen)
-    g = gsub.add_parser("random", parents=[common])
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--rank", type=int, required=True)
-    g.add_argument("--t-costs", dest="t_costs", type=int, required=True)
-    g.add_argument("--t-weights", dest="t_weights", type=int, required=True)
-    g.add_argument("--max-cost", dest="max_cost", type=int, default=8)
-    g.add_argument("--max-weight", dest="max_weight", type=int, default=8)
-    g.add_argument("--positive-weights", dest="positive_weights",
-                   action="store_true")
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("solve", help="run one randomized solver")
-    ssub = p.add_subparsers(dest="family", required=True)
-    s = ssub.add_parser("bmulti", parents=[common])
-    s.add_argument("--instance", required=True)
-    s.add_argument("--budgets", required=True)
-    s.add_argument("--trials", type=int)
-    s.set_defaults(func=cmd_solve_bmulti)
-    s = ssub.add_parser("nb-bmulti", parents=[common])
-    s.add_argument("--instance", required=True)
-    s.add_argument("--budgets", required=True)
-    s.add_argument("--rank-mode", dest="rank_mode",
-                   choices=("constant", "arbitrary"), default="constant")
-    s.add_argument("--trials", type=int)
-    s.set_defaults(func=cmd_solve_nb)
-    s = ssub.add_parser("hmincut", parents=[common])
-    s.add_argument("--instance", required=True)
-    s.add_argument("--trials", type=int)
-    s.set_defaults(func=cmd_solve_hmincut)
-    s = ssub.add_parser("kcut", parents=[common])
-    s.add_argument("--instance", required=True)
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--sizes", required=True)
-    s.add_argument("--trials", type=int)
-    s.add_argument("--weighted-costs", dest="weighted_costs",
-                   action="store_true")
-    s.set_defaults(func=cmd_solve_kcut)
-
-    p = sub.add_parser("enumerate", help="enumerate cut collections")
-    esub = p.add_subparsers(dest="family", required=True)
-    for fam in ("multi", "pareto"):
-        e = esub.add_parser(fam, parents=[common])
-        e.add_argument("--instance", required=True)
-        e.add_argument("--reps", default="auto",
-                       help="repetition count or 'auto' for the default bound")
-        e.add_argument("--verify-reps", dest="verify_reps", default="auto")
-        e.set_defaults(func=cmd_enumerate)
-    e = esub.add_parser("nb-multi", parents=[common])
-    e.add_argument("--instance", required=True)
-    e.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("verify", help="verify pareto-optimality of a cut")
-    vsub = p.add_subparsers(dest="family", required=True)
-    v = vsub.add_parser("pareto", parents=[common])
-    v.add_argument("--instance", required=True)
-    v.add_argument("--cut", required=True, help='edge ids, e.g. "3,7,9"')
-    v.add_argument("--reps", default="auto")
-    v.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("oracle", help="exhaustive ground truth (small n)")
-    osub = p.add_subparsers(dest="family", required=True)
-    for fam in ("pareto", "multi", "parametric"):
-        o = osub.add_parser(fam, parents=[common])
-        o.add_argument("--instance", required=True)
-        o.add_argument("--override-guard", dest="override_guard",
-                       action="store_true")
-        o.set_defaults(func=cmd_oracle)
-    o = osub.add_parser("bmulti", parents=[common])
-    o.add_argument("--instance", required=True)
-    o.add_argument("--budgets", required=True)
-    o.add_argument("--override-guard", dest="override_guard",
-                   action="store_true")
-    o.set_defaults(func=cmd_oracle)
-    o = osub.add_parser("nb-bmulti", parents=[common])
-    o.add_argument("--instance", required=True)
-    o.add_argument("--budgets", required=True)
-    o.add_argument("--override-guard", dest="override_guard",
-                   action="store_true")
-    o.set_defaults(func=cmd_oracle)
-    o = osub.add_parser("kcut", parents=[common])
-    o.add_argument("--instance", required=True)
-    o.add_argument("--k", type=int, required=True)
-    o.add_argument("--sizes", required=True)
-    o.add_argument("--weighted-costs", dest="weighted_costs",
-                   action="store_true")
-    o.add_argument("--override-guard", dest="override_guard",
-                   action="store_true")
-    o.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("estimate", help="Monte-Carlo floor checks vs oracle")
-    xsub = p.add_subparsers(dest="family", required=True)
-    x = xsub.add_parser("bmulti", parents=[common])
-    x.add_argument("--instance", required=True)
-    x.add_argument("--budgets", required=True)
-    x.add_argument("--trials", type=int)
-    x.add_argument("--fixed-target", dest="fixed_target")
-    x.set_defaults(func=cmd_estimate)
-    x = xsub.add_parser("nb-bmulti", parents=[common])
-    x.add_argument("--instance", required=True)
-    x.add_argument("--budgets", required=True)
-    x.add_argument("--rank-mode", dest="rank_mode",
-                   choices=("constant", "arbitrary"), default="constant")
-    x.add_argument("--trials", type=int)
-    x.add_argument("--fixed-target", dest="fixed_target")
-    x.set_defaults(func=cmd_estimate)
-    x = xsub.add_parser("hmincut", parents=[common])
-    x.add_argument("--instance", required=True)
-    x.add_argument("--trials", type=int)
-    x.add_argument("--fixed-target", dest="fixed_target")
-    x.set_defaults(func=cmd_estimate)
-    x = xsub.add_parser("kcut", parents=[common])
-    x.add_argument("--instance", required=True)
-    x.add_argument("--k", type=int, required=True)
-    x.add_argument("--sizes", required=True)
-    x.add_argument("--weighted-costs", dest="weighted_costs",
-                   action="store_true")
-    x.add_argument("--trials", type=int)
-    x.add_argument("--fixed-target", dest="fixed_target")
-    x.set_defaults(func=cmd_estimate)
-    x = xsub.add_parser("pipeline", parents=[common])
-    x.add_argument("--instance", required=True)
-    x.add_argument("--runs", type=int, default=20)
-    x.add_argument("--reps", default="auto")
-    x.add_argument("--verify-reps", dest="verify_reps", default="auto")
-    x.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("check", help="closed-form analysis checks")
-    csub = p.add_subparsers(dest="family", required=True)
-    c = csub.add_parser("lemma-lp", parents=[common])
-    c.add_argument("--sweep", type=int, default=500)
-    c.set_defaults(func=cmd_check)
-    c = csub.add_parser("ratio-ineq", parents=[common])
-    c.add_argument("--max-n", dest="max_n", type=int, default=30)
-    c.set_defaults(func=cmd_check)
-
+    for command, (text, families) in commands.items():
+        fsub = sub.add_parser(command, help=text).add_subparsers(
+            dest="family", required=True)
+        located = [] if command in ("gen", "check") else [instance]
+        for family, (groups, func) in families.items():
+            fsub.add_parser(family, parents=[common, *located, *groups]
+                            ).set_defaults(func=func)
     return parser
 
 

@@ -23,7 +23,8 @@ from multiprocessing import get_context
 
 from .hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE, exact_int,
                          exact_ints, save_instance)
-from .multiobjective import (bmulti_walk, pareto_pipeline, success_floor_edge,
+from .multiobjective import (bmulti_walk, enum_repetition_count,
+                             pareto_pipeline, success_floor_edge,
                              verify_repetition_count)
 from .node_budgeted import (hmincut_walk, nb_arbitrary_walk, nb_constant_walk,
                             success_floor_node, success_floor_node_arbitrary)
@@ -221,8 +222,7 @@ def pipeline_equivalence(G: Hypergraph, seed: int, runs: int,
     Misses are reported, never masked.
     """
     exact_int(runs, "runs", 1)
-    if repetitions is not None:
-        exact_int(repetitions, "repetitions", 1)
+    repetitions = enum_repetition_count(G, repetitions)
     verify_repetitions = verify_repetition_count(G, verify_repetitions)
     catalog = build_catalog(G)
     true_multi = oracle_multiobjective(catalog)

@@ -34,7 +34,8 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from ._engine import (Walk, contract_comps, delta_mask, ids_mask,
-                      initial_comps, mask_sum, present_edge_ids, sample_node)
+                      initial_comps, mask_sum, present_edge_ids, sample_node,
+                      side_mask)
 from .hypergraph import Cut, Hypergraph, InstanceError, exact_int, exact_ints
 from .sampling import BestOf, LazyWeightedOrder, best_of_n, default_trials
 
@@ -48,6 +49,7 @@ __all__ = [
     "verify_pareto_optimality",
     "default_enum_repetitions",
     "default_verify_repetitions",
+    "enum_repetition_count",
     "verify_repetition_count",
     "interleaving_schedules",
 ]
@@ -220,11 +222,7 @@ class _EnumContext:
         return nxt
 
     def _cut(self, node, bits: int) -> int:
-        side = 0
-        for i, c in enumerate(node[0]):
-            if (bits >> i) & 1:
-                side |= c
-        cut = delta_mask(self.masks, side, self.full)
+        cut = delta_mask(self.masks, side_mask(node[0], bits), self.full)
         if self._store():
             node[3][bits] = cut
         return cut
@@ -278,6 +276,14 @@ def default_verify_repetitions(n: int, r: int, t: int) -> int:
     return max(1, math.ceil(r * (2 ** (r * t)) * (n ** (2 * t)) * math.log(max(n, 2))))
 
 
+def enum_repetition_count(G: Hypergraph, repetitions: int | None) -> int:
+    """Enumeration repetitions on G: the default when ``repetitions`` is
+    None, else ``repetitions`` as an exact int >= 1."""
+    if repetitions is None:
+        return default_enum_repetitions(G.n, G.rank, G.t_costs)
+    return exact_int(repetitions, "repetitions", 1)
+
+
 def verify_repetition_count(G: Hypergraph, repetitions: int | None) -> int:
     """Per-criterion dominance-search repetitions on G: the default when
     ``repetitions`` is None, else ``repetitions`` as an exact int >= 1."""
@@ -315,9 +321,7 @@ def enumerate_multiobjective(G: Hypergraph, rng: random.Random,
     truth should report such misses rather than mask them.
     """
     costs = G.costs_by_criterion()
-    if repetitions is None:
-        repetitions = default_enum_repetitions(G.n, G.rank, len(costs))
-    exact_int(repetitions, "repetitions", 1)
+    repetitions = enum_repetition_count(G, repetitions)
     ctx = _EnumContext(G, costs)
     masks: set[int] = set()
     for _ in range(repetitions):

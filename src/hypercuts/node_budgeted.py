@@ -23,7 +23,8 @@ from itertools import product
 from math import comb
 
 from ._engine import (Walk, contract_comps, delta_mask, ids_mask,
-                      initial_comps, mask_sum, present_edge_ids, sample_node)
+                      initial_comps, mask_sum, present_edge_ids, sample_node,
+                      side_mask)
 from .hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE, exact_ints
 from .sampling import BestOf, LazyWeightedOrder, best_of_n, default_trials
 
@@ -250,11 +251,8 @@ def nb_multi_enum_constant_rank(G: Hypergraph, rng: random.Random) -> set[Cut]:
                     bits = rng.getrandbits(nlive)
                     if bits != 0 and bits != (1 << nlive) - 1:
                         break
-                side = 0
-                for idx, c in enumerate(merged):
-                    if (bits >> idx) & 1:
-                        side |= c
-                out.add(Cut.from_mask(delta_mask(masks, side, full)))
+                out.add(Cut.from_mask(delta_mask(
+                    masks, side_mask(merged, bits), full)))
     return out
 
 

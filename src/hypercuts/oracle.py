@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from ._engine import (contract_comps, delta_mask, ids_mask, initial_comps,
-                      present_edge_ids)
+                      present_edge_ids, side_mask)
 from .hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE,
                          delta_partition, exact_int, exact_ints)
 
@@ -77,11 +77,7 @@ def is_cut(G: Hypergraph, cut: Cut) -> bool:
     # the component of vertex 0 stays on the complement side
     rest = comps[1:]
     for bits in range(1, 1 << len(rest)):
-        side = 0
-        for i, c in enumerate(rest):
-            if bits >> i & 1:
-                side |= c
-        if delta_mask(masks, side, G.full_mask) == target:
+        if delta_mask(masks, side_mask(rest, bits), G.full_mask) == target:
             return True
     return False
 

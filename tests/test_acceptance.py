@@ -15,8 +15,6 @@ from fractions import Fraction
 from itertools import product
 
 from hypercuts.analysis import (LpInstance, gen_lower_bound_instance,
-                                gen_multiobjective_not_pareto_instance,
-                                gen_pareto_not_parametric_instance,
                                 gen_random_instance, lp_bruteforce,
                                 lp_closed_form, ratio_inequality_check)
 from hypercuts.harness import estimate, pipeline_equivalence
@@ -29,6 +27,8 @@ from hypercuts.oracle import (build_catalog, oracle_min_cut,
                               oracle_pareto)
 from hypercuts.sampling import derive_rng, derive_seed
 from hypercuts.size_constrained import kcut_walk, success_floor_size
+from instances import (gen_multiobjective_not_pareto_instance,
+                       gen_pareto_not_parametric_instance)
 
 import random
 

@@ -5,13 +5,13 @@ from itertools import product
 import pytest
 
 from hypercuts.analysis import (LpInstance, gen_lower_bound_instance,
-                                gen_multiobjective_not_pareto_instance,
-                                gen_pareto_not_parametric_instance,
                                 gen_random_instance, lp_bruteforce,
                                 lp_closed_form, ratio_inequality_check)
 from hypercuts.hypergraph import Cut, InstanceError
 from hypercuts.oracle import (build_catalog, oracle_bmulti,
                               oracle_multiobjective, oracle_pareto)
+from instances import (gen_multiobjective_not_pareto_instance,
+                       gen_pareto_not_parametric_instance)
 
 
 def test_lp_closed_form_examples():

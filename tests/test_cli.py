@@ -1,9 +1,12 @@
+import argparse
+import copy
 import json
+import pathlib
 
 import pytest
 
 from hypercuts import harness
-from hypercuts.cli import main
+from hypercuts.cli import build_parser, main
 from hypercuts.hypergraph import load_instance
 
 
@@ -358,3 +361,88 @@ def test_cost_valued_commands_need_a_cost_criterion(cost_free_instance,
     assert code == 2
     assert out == ""
     assert json.loads(err)["code"] == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--m", "-3", "--t-weights", "0"],
+    ["--m", "7", "--max-cost", "-1", "--t-weights", "0"],
+    ["--m", "7", "--t-weights", "1", "--max-weight", "-1"],
+])
+def test_gen_random_rejects_negative_counts(tmp_path, capsys, flags):
+    path = tmp_path / "neg.json"
+    code, out, err = run_cli(capsys, "gen", "random", "--n", "5", "--rank",
+                             "2", "--t-costs", "1", *flags, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == 2
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("family", [
+    ["lowerbound", "--n", "6", "--t", "2"],
+    ["random", "--n", "5", "--m", "7", "--rank", "2", "--t-costs", "1",
+     "--t-weights", "0"],
+])
+@pytest.mark.parametrize("target", ["dir", "missing/inst.json"])
+def test_gen_reports_unwritable_out_as_usage_error(tmp_path, capsys, family,
+                                                   target):
+    (tmp_path / "dir").mkdir()
+    code, out, err = run_cli(capsys, "gen", *family,
+                             "--out", str(tmp_path / target))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == 2
+
+
+# The option surface of every subcommand as first recorded:
+# subcommand -> handler and (flags, dest, default, type, choices, action,
+# required) per option.
+SURFACE = json.loads((pathlib.Path(__file__).parent / "cli_surface.json")
+                     .read_text())
+
+
+def _subparsers(parser) -> dict:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def cli_surface(parser) -> dict:
+    surface = {}
+    for command, group in _subparsers(parser).items():
+        for family, sub in _subparsers(group).items():
+            options = sorted(
+                [a.option_strings, a.dest, a.default,
+                 getattr(a.type, "__name__", a.type),
+                 list(a.choices) if a.choices else None,
+                 type(a).__name__, a.required]
+                for a in sub._actions)
+            surface[f"{command} {family}"] = {
+                "func": sub.get_default("func").__name__, "options": options}
+    return surface
+
+
+def test_cli_surface_is_the_recorded_one_less_enumerate_multi_verify_reps():
+    expected = copy.deepcopy(SURFACE)
+    expected["enumerate multi"]["options"].remove(
+        [["--verify-reps"], "verify_reps", "auto", None, None, "_StoreAction",
+         False])
+    assert cli_surface(build_parser()) == expected
+
+
+@pytest.mark.parametrize("value", ["5", "banana"])
+def test_enumerate_multi_takes_no_verify_reps(pareto_instance, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "multi", "--instance", str(pareto_instance),
+              "--reps", "10", "--verify-reps", value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [[]] + sorted(
+    {(name.split()[0],) for name in SURFACE} | {tuple(name.split())
+                                               for name in SURFACE}))
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert "usage: hypercuts" in capsys.readouterr().out

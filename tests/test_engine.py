@@ -3,12 +3,20 @@ from collections import Counter
 
 import pytest
 
-from hypercuts._engine import Walk, initial_comps, sample_node, sample_step
+from hypercuts._engine import (Walk, initial_comps, sample_node, sample_step,
+                               side_mask)
 from hypercuts.hypergraph import Hypergraph
 from hypercuts.multiobjective import bmulti_walk
 from hypercuts.node_budgeted import (hmincut_walk, nb_arbitrary_walk,
                                      nb_constant_walk)
 from hypercuts.size_constrained import kcut_walk
+
+
+def test_side_mask_is_the_union_of_the_picked_components():
+    comps = (0b0011, 0b0100, 0b11000)
+    assert side_mask(comps, 0) == 0
+    assert side_mask(comps, 0b101) == 0b11011
+    assert side_mask(comps, 0b111) == 0b11111
 
 
 def test_sample_step_never_draws_zero_weight_edges():

@@ -77,12 +77,22 @@ def _loaded_names(tree) -> set[str]:
 
 
 def _exported(tree) -> list[str]:
+    """``__all__`` when the module declares one, else its public top-level
+    functions and classes."""
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets)):
             return [ast.literal_eval(e) for e in node.value.elts]
-    return []
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_exported_falls_back_to_public_definitions():
+    source = "X = 1\ndef f(): pass\nclass C: pass\ndef _g(): pass\n"
+    assert _exported(ast.parse(source)) == ["f", "C"]
+    assert _exported(ast.parse("__all__ = ['X']\n" + source)) == ["X"]
 
 
 def test_public_names_have_a_production_caller():

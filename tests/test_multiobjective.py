@@ -9,6 +9,7 @@ from hypercuts.hypergraph import Cut, Hypergraph, InstanceError
 from hypercuts.multiobjective import (_classes, _EnumContext,
                                       _prune_final_criterion, bmulti_walk,
                                       default_enum_repetitions,
+                                      enum_repetition_count,
                                       enumerate_multiobjective,
                                       enumerate_pareto,
                                       interleaving_schedules,
@@ -232,6 +233,15 @@ def test_enumerate_pareto_subset_and_oracle_match():
 def test_default_repetitions_formula():
     assert default_enum_repetitions(6, 2, 2) == math.ceil(
         4 * 2 * 16 * 6 ** 4 * math.log(6))
+
+
+def test_enum_repetition_count_defaults_and_validates():
+    G = gen_random_instance(6, 10, 2, 2, 0, seed=16)
+    assert enum_repetition_count(G, None) == default_enum_repetitions(6, 2, 2)
+    assert enum_repetition_count(G, 7) == 7
+    for bad in (0, -3, 1.5, True, "10"):
+        with pytest.raises(InstanceError):
+            enum_repetition_count(G, bad)
 
 
 def test_enum_deterministic_replay():

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercuts._engine import delta_mask, ids_mask
-from hypercuts.analysis import (gen_multiobjective_not_pareto_instance,
-                                gen_pareto_not_parametric_instance,
-                                gen_random_instance)
+from hypercuts.analysis import gen_random_instance
 from hypercuts.hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE
 from hypercuts.oracle import (build_catalog, dominates, is_cut,
                               oracle_bmulti, oracle_kcut, oracle_min_cut,
                               oracle_multiobjective, oracle_nb_bmulti,
                               oracle_parametric_t2, oracle_pareto)
+from instances import (gen_multiobjective_not_pareto_instance,
+                       gen_pareto_not_parametric_instance)
 
 
 def triangle(costs=None):
