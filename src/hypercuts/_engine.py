@@ -21,7 +21,9 @@ of every visited state.  A node is one of
 * ``("draw", draw)`` - stop with the outcome ``draw(comps, rng)``;
 * ``("level", draw, sample)`` - push the candidate ``draw(comps, rng)``
   with the live component count, then take one step of the nested sample
-  node;
+  node.  The candidate is a zero-argument function returning an outcome:
+  ``draw`` makes every random choice, and the outcome is computed only for
+  the candidate that survives;
 * ``("delegate", walk)`` - continue with another walk from this state.
 
 Once the walk stops, the candidates pushed by level nodes are resolved
@@ -127,9 +129,23 @@ def sample_node(eids, weights):
     return ("sample", cum, cum[-1], eids, [None] * len(eids))
 
 
+def draw_below(rng, n: int) -> int:
+    """``rng.randrange(n)`` for an int ``n >= 1``, from one call frame.
+
+    Makes the same ``getrandbits(n.bit_length())`` rejection calls as
+    CPython 3.11's ``Random.randrange(n)``, so it returns the same value and
+    leaves the generator in the same state.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def sample_step(node, comps, edge_masks, rng):
     """Successor of ``comps`` under one draw from a sample node."""
-    idx = bisect_right(node[1], rng.randrange(node[2]))
+    idx = bisect_right(node[1], draw_below(rng, node[2]))
     nexts = node[4]
     nxt = nexts[idx]
     if nxt is None:
@@ -189,7 +205,10 @@ class Walk:
         else:
             out = node[1].run(rng, comps)
         if pending:
+            survivor = None
             for candidate, live in reversed(pending):
-                if rng.randrange(live) == 0:
-                    out = candidate
+                if draw_below(rng, live) == 0:
+                    survivor = candidate
+            if survivor is not None:
+                out = survivor()
         return out

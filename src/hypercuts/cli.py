@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -40,13 +41,27 @@ class CheckFailed(Exception):
         self.payload = payload
 
 
+def _finite(value):
+    """``value`` with every non-finite float (the z-slack of a floor of 1,
+    say) replaced by None: JSON has no token for them."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _emit(payload: dict, fmt: str) -> None:
+    payload = _finite(payload)
     if fmt == "json":
-        json.dump(payload, sys.stdout, indent=2, default=str)
+        json.dump(payload, sys.stdout, indent=2, default=str, allow_nan=False)
         sys.stdout.write("\n")
     else:
         for key, value in payload.items():
-            sys.stdout.write(f"{key}\t{json.dumps(value, default=str)}\n")
+            text = json.dumps(value, default=str, allow_nan=False)
+            sys.stdout.write(f"{key}\t{text}\n")
 
 
 def _load(path: str):

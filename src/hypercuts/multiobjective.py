@@ -37,7 +37,8 @@ from ._engine import (Walk, contract_comps, delta_mask, ids_mask,
                       initial_comps, mask_sum, present_edge_ids, sample_node,
                       side_mask)
 from .hypergraph import Cut, Hypergraph, InstanceError, exact_int, exact_ints
-from .sampling import BestOf, LazyWeightedOrder, best_of_n, default_trials
+from .sampling import (BestOf, DrawNode, LazyWeightedOrder, best_of_n,
+                       default_trials)
 
 __all__ = [
     "bmulti_walk",
@@ -168,10 +169,12 @@ def interleaving_schedules(n: int, r: int, t: int) -> list[tuple[int, ...]]:
     return schedules
 
 
-# Cap on the entries (partition nodes, successor links and cut masks
-# together) one enumeration context stores.  Past it, new ones are built,
-# used and dropped, so a long run on a large instance stays in bounded memory:
-# a full cache takes about 6 MB at n=10, m=25 under CPython 3.11.
+# Cap on the entries (partition nodes, successor links, cut masks and
+# draw-trie branches together) one enumeration context stores.  Past it, new
+# partition entries are built, used and dropped and orders leave the trie for
+# flat lists, so a long run on a large instance stays in bounded memory.
+# Under CPython 3.11 a full cache takes about 8 MB at n=10, m=25, and 16 MB
+# at n=8, m=16, where trie nodes fill most of it.
 _ENUM_CACHE_CAP = 1 << 16
 
 
@@ -185,19 +188,24 @@ class _EnumContext:
     tables fill on first use.  A phase then scans its order prefix with one
     bit test per candidate edge and moves with one dictionary hop per
     contraction.  Expansion is deterministic, so the cache changes no draw.
+
+    Each criterion's cost-weighted order is drawn over one ``DrawNode``
+    trie (``roots``) that every repetition shares, so most draws are one
+    bisect and one dictionary hop too.  Trie branches count against the
+    same cap.
     """
 
     def __init__(self, G: Hypergraph, costs):
         self.masks = G.edge_masks
         self.full = G.full_mask
-        self.supports = []
+        self.size = 0
+        self.roots = []
         for ci in costs:
             ids = [e for e in range(G.m) if ci[e] > 0]
-            self.supports.append((ids, [ci[e] for e in ids]))
+            self.roots.append(DrawNode.root(ids, [ci[e] for e in ids]))
         # at most r*t vertices: no contraction phase, only the base case
         self.schedules = interleaving_schedules(G.n, G.rank, len(costs)) or [()]
         self.cache: dict[tuple, tuple] = {}
-        self.size = 0
         self.start = self._node(initial_comps(G.n))
 
     def _store(self) -> bool:
@@ -233,7 +241,8 @@ class _EnumContext:
         Subset draws landing on the empty or full vertex set induce no
         bipartition and hence no cut; those draws contribute nothing.
         """
-        orders = [LazyWeightedOrder(ids, ws, rng) for ids, ws in self.supports]
+        keep = self._store
+        orders = [LazyWeightedOrder(root, rng, keep) for root in self.roots]
         for schedule in self.schedules:
             node = self.start
             for order, target in zip(orders, schedule):

@@ -26,7 +26,8 @@ from ._engine import (Walk, contract_comps, delta_mask, ids_mask,
                       initial_comps, mask_sum, present_edge_ids, sample_node,
                       side_mask)
 from .hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE, exact_ints
-from .sampling import BestOf, LazyWeightedOrder, best_of_n, default_trials
+from .sampling import (BestOf, DrawNode, LazyWeightedOrder, best_of_n,
+                       default_trials, never_keep)
 
 __all__ = [
     "nb_constant_walk",
@@ -208,7 +209,8 @@ def nb_multi_enum_constant_rank(G: Hypergraph, rng: random.Random) -> set[Cut]:
     n = G.n
 
     support = [e for e in range(G.m) if cost[e] > 0]
-    order = LazyWeightedOrder(support, [cost[e] for e in support], rng)
+    root = DrawNode.root(support, [cost[e] for e in support])
+    order = LazyWeightedOrder(root, rng, never_keep)
     order.ensure(len(support))
 
     # States after each effective contraction along the permutation; the

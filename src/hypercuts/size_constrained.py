@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import partial
 from math import comb
 
-from ._engine import Walk, ids_mask, mask_sum, present_edge_ids, sample_node
+from ._engine import (Walk, draw_below, ids_mask, mask_sum, present_edge_ids,
+                      sample_node)
 from .hypergraph import (Hypergraph, InstanceError, INFEASIBLE, exact_int,
                          exact_ints)
 from .sampling import best_of_n, default_trials
@@ -79,23 +80,28 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
         # uniform independent label per supervertex (k^|V| outcomes)
         label_masks = [0] * k
         for c in comps:
-            label_masks[rng.randrange(k)] |= c
+            label_masks[draw_below(rng, k)] |= c
+        return outcome(label_masks)
+
+    def settle(alive, label_masks):
+        """delta of a partial labelling, or the present edge set ``alive``
+        when the labelling leaves a part empty."""
+        if any(m == 0 for m in label_masks):
+            return alive, False
         return outcome(label_masks)
 
     def candidate(alive, comps, rng):
-        """delta of a random partial labelling, or the present edge set
-        ``alive`` when the labelling leaves a part empty."""
+        """A random partial labelling, drawn now and settled only if the
+        level's candidate survives (settling draws nothing)."""
         chosen = sorted(rng.sample(range(len(comps)), 2 * sigma_lead))
         label_masks = [0] * k
         picked = 0
         for idx in chosen:
-            label_masks[rng.randrange(k)] |= comps[idx]
+            label_masks[draw_below(rng, k)] |= comps[idx]
             picked |= comps[idx]
         # everything outside the sample joins the last part
         label_masks[k - 1] |= G.full_mask & ~picked
-        if any(m == 0 for m in label_masks):
-            return alive, False
-        return outcome(label_masks)
+        return partial(settle, alive, label_masks)
 
     def expand(comps):
         live = len(comps)
@@ -110,7 +116,9 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
         node = sample_node(present, [
             comb(live - sum(1 for c in comps if c & masks[eid]), sigma_lead)
             * cost[eid] for eid in present])
-        return ("draw", draw) if node is None else ("level", draw, node)
+        if node is None:
+            return ("draw", lambda comps, rng: draw(comps, rng)())
+        return ("level", draw, node)
 
     return Walk(G, expand, lambda mask: mask_sum(cost, mask))
 

@@ -7,7 +7,7 @@ import pytest
 
 from hypercuts import harness
 from hypercuts.cli import build_parser, main
-from hypercuts.hypergraph import load_instance
+from hypercuts.hypergraph import Hypergraph, load_instance, save_instance
 
 
 def run_cli(capsys, *argv):
@@ -172,6 +172,26 @@ def test_estimate_json_format(instance_path, capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["algorithm"] == "hmincut"
+
+
+def test_infinite_z_slack_is_strict_json(tmp_path, capsys):
+    # n < k: the floor is 1, so the z-slack is infinite
+    path = tmp_path / "six.json"
+    path.write_bytes(save_instance(Hypergraph(
+        6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], None, [(1,)] * 6)))
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    argv = ["estimate", "kcut", "--instance", str(path), "--k", "7",
+            "--sizes", "1,1,1,1,1,1,1", "--trials", "10"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out, parse_constant=reject)["z_slack"] is None
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    for line in out.splitlines():
+        json.loads(line.split("\t", 1)[1], parse_constant=reject)
 
 
 def test_check_commands(capsys):

@@ -2,8 +2,10 @@
 
 ``reference_run`` is the enumeration repetition as it was written before
 partition nodes were cached: a label array rebuilt per schedule, a relabel
-loop per contraction and a cut computed per draw.  The cached context must
-produce the same cuts from the same generator calls.
+loop per contraction and a cut computed per draw.  Its orders are
+``ReferenceOrder``, the linear-scan weighted order the draw trie replaced,
+so the reference follows no change to the library's order.  The cached
+context must produce the same cuts from the same generator calls.
 """
 
 import random
@@ -14,7 +16,29 @@ from hypercuts import multiobjective
 from hypercuts._engine import delta_mask
 from hypercuts.analysis import gen_random_instance
 from hypercuts.multiobjective import _EnumContext, interleaving_schedules
-from hypercuts.sampling import LazyWeightedOrder
+
+
+class ReferenceOrder:
+    """A weighted order drawn by ``randrange``, a cumulative scan over the
+    items left and two ``pop`` calls per item."""
+
+    def __init__(self, items, weights, rng):
+        self._items = list(items)
+        self._weights = list(weights)
+        self._total = sum(self._weights)
+        self._rng = rng
+        self.prefix = []
+
+    def ensure(self, length):
+        while len(self.prefix) < length and self._total > 0:
+            target = self._rng.randrange(self._total)
+            acc = 0
+            for pos, w in enumerate(self._weights):
+                acc += w
+                if acc > target:
+                    break
+            self.prefix.append(self._items.pop(pos))
+            self._total -= self._weights.pop(pos)
 
 
 def reference_run(G, costs, rng, out):
@@ -29,7 +53,7 @@ def reference_run(G, costs, rng, out):
     orders = []
     for ci in costs:
         ids = [e for e in range(G.m) if ci[e] > 0]
-        orders.append(LazyWeightedOrder(ids, [ci[e] for e in ids], rng))
+        orders.append(ReferenceOrder(ids, [ci[e] for e in ids], rng))
     for schedule in interleaving_schedules(n, G.rank, t):
         labels = list(range(n))
         live = n
@@ -115,6 +139,20 @@ def test_cached_enumeration_matches_label_array_loop(shape):
         assert_same_as_reference(_EnumContext(G, costs), G, costs, seed, 150)
 
 
+def _trie_entries(node):
+    # a branch is an entry once marked (False) and stays one once built
+    return sum(1 + (_trie_entries(child) if child else 0)
+               for child in node.children.values())
+
+
+def _entries(ctx):
+    """(draw-trie branches, partition nodes plus their links and cuts)."""
+    tries = sum(_trie_entries(root) for root in ctx.roots)
+    partitions = len(ctx.cache) + sum(len(node[2]) + len(node[3])
+                                      for node in ctx.cache.values())
+    return tries, partitions
+
+
 def test_cache_cap_bounds_entries_and_changes_no_output(monkeypatch):
     G, costs = _instance("rank-3", 1)
     uncapped = _EnumContext(G, costs)
@@ -125,6 +163,7 @@ def test_cache_cap_bounds_entries_and_changes_no_output(monkeypatch):
         uncapped.run(ref_rng, want)
         states.append(ref_rng.getstate())
     assert uncapped.size > 40
+    assert sum(_entries(uncapped)) == uncapped.size
 
     monkeypatch.setattr(multiobjective, "_ENUM_CACHE_CAP", 40)
     capped = _EnumContext(G, costs)
@@ -132,9 +171,10 @@ def test_cache_cap_bounds_entries_and_changes_no_output(monkeypatch):
     rng = random.Random(5)
     for state in states:
         capped.run(rng, got)
-        entries = len(capped.cache) + sum(len(node[2]) + len(node[3])
-                                          for node in capped.cache.values())
-        assert entries == capped.size <= 40
+        tries, partitions = _entries(capped)
+        assert tries + partitions == capped.size <= 40
         assert rng.getstate() == state
+    # both kinds of entry share the cap
+    assert tries > 0 and partitions > 0
     assert got == want
     assert_same_as_reference(capped, G, costs, 9, 50)

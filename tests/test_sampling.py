@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from hypercuts.sampling import (LazyWeightedOrder, derive_rng, derive_seed,
-                                splitmix64)
+from hypercuts._engine import draw_below
+from hypercuts.sampling import (DrawNode, LazyWeightedOrder, derive_rng,
+                                derive_seed, never_keep, splitmix64)
+from test_enum_context import ReferenceOrder
 
 
 def test_splitmix_is_deterministic_and_64bit():
@@ -32,10 +34,12 @@ def test_lazy_order_matches_eager_draw():
     # a prefix extended over several ensure calls is the order drawn at once
     items = list(range(6))
     weights = [5, 1, 4, 2, 8, 3]
-    eager = LazyWeightedOrder(items, weights, random.Random(123))
+    root = DrawNode.root(items, weights)
+    eager = LazyWeightedOrder(root, random.Random(123), lambda: True)
     eager.ensure(6)
     assert sorted(eager.prefix) == items
-    lazy = LazyWeightedOrder(items, weights, random.Random(123))
+    # the second order over the root takes the branches the first marked
+    lazy = LazyWeightedOrder(root, random.Random(123), lambda: True)
     lazy.ensure(3)
     first = list(lazy.prefix)
     assert first == eager.prefix[:3]
@@ -47,12 +51,45 @@ def test_lazy_order_matches_eager_draw():
 
 
 def test_lazy_order_exhaustion():
-    order = LazyWeightedOrder([0, 1], [2, 2], random.Random(1))
+    order = LazyWeightedOrder(DrawNode.root([0, 1], [2, 2]),
+                              random.Random(1), lambda: True)
     order.ensure(10)
     assert sorted(order.prefix) == [0, 1]
 
 
 def test_lazy_order_empty():
-    order = LazyWeightedOrder([], [], random.Random(1))
+    order = LazyWeightedOrder(DrawNode.root([], []), random.Random(1),
+                              lambda: True)
     order.ensure(3)
     assert order.prefix == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 2 ** 31 - 1, 2 ** 31,
+                               2 ** 31 + 1, 2 ** 64 + 3])
+def test_draw_below_is_randrange(n):
+    for seed in range(5):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert draw_below(rng, n) == ref.randrange(n)
+            assert rng.getstate() == ref.getstate()
+
+
+def test_trie_orders_match_the_linear_scan():
+    # a trie kept across orders, a trie that stores nothing and the old
+    # linear scan all draw the same permutation from the same generator calls
+    items = list(range(9))
+    weights = [3, 1, 4, 1, 5, 9, 2, 6, 5]
+    root = DrawNode.root(items, weights)
+    for seed in range(20):
+        rngs = [random.Random(seed) for _ in range(3)]
+        orders = [LazyWeightedOrder(root, rngs[0], lambda: True),
+                  LazyWeightedOrder(DrawNode.root(items, weights), rngs[1],
+                                    never_keep),
+                  ReferenceOrder(items, weights, rngs[2])]
+        for length in (2, 5, 9):
+            for order in orders:
+                order.ensure(length)
+        assert orders[0].prefix == orders[1].prefix == orders[2].prefix
+        assert sorted(orders[0].prefix) == items
+        assert len({rng.getstate() for rng in rngs}) == 1
+    assert any(root.children.values())  # a branch taken twice is stored
