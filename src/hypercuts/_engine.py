@@ -36,7 +36,9 @@ An outcome is ``(cut edge-bitmask, witnessed)`` or ``INFEASIBLE``.
 constraints accept; it is derived after the fact and never influences a draw.
 Each walk also carries ``value(cut mask)``: the problem's value of a
 witnessed cut, or None when the cut is rejected.  Best-of-N solving keeps the
-least value and never calls it during a walk.
+least value and never calls it during a walk.  And each carries ``floor``,
+the exact ``Fraction`` its analysis guarantees as the probability that one
+walk returns a given optimal cut; default trial counts derive from it.
 """
 
 from __future__ import annotations
@@ -160,11 +162,12 @@ class Walk:
     sampled distribution; it makes a warm trial a few dictionary hops.
     """
 
-    def __init__(self, G, expand, value):
+    def __init__(self, G, expand, value, floor):
         self.masks = G.edge_masks
         self.start = initial_comps(G.n)
         self.expand = expand
         self.value = value
+        self.floor = floor
         self.cache: dict[tuple, tuple] = {}
 
     def run(self, rng, comps=None):

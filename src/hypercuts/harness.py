@@ -18,17 +18,14 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from multiprocessing import get_context
 
 from .hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE, exact_int,
                          exact_ints, save_instance)
 from .multiobjective import (bmulti_walk, enum_repetition_count,
-                             pareto_pipeline, success_floor_edge,
-                             verify_repetition_count)
-from .node_budgeted import (hmincut_walk, nb_arbitrary_walk, nb_constant_walk,
-                            success_floor_node, success_floor_node_arbitrary)
-from .size_constrained import kcut_walk, success_floor_size
+                             pareto_pipeline, verify_repetition_count)
+from .node_budgeted import hmincut_walk, nb_arbitrary_walk, nb_constant_walk
+from .size_constrained import kcut_walk
 from .oracle import (build_catalog, oracle_bmulti, oracle_kcut, oracle_min_cut,
                      oracle_multiobjective, oracle_nb_bmulti, oracle_pareto)
 from .sampling import default_trials, derive_rng
@@ -95,7 +92,7 @@ class TrialReport:
 
 def _build_problem(G: Hypergraph, algorithm: str, budgets=None, k=None,
                    sizes=None, weighted_costs=False):
-    """Returns (walk, oracle cut set or INFEASIBLE, floor)."""
+    """Returns (walk, oracle cut set or INFEASIBLE)."""
     if algorithm == "bmulti":
         # one budget per leading cost criterion; raises without any criterion
         t = len(G.costs_by_criterion())
@@ -104,30 +101,25 @@ def _build_problem(G: Hypergraph, algorithm: str, budgets=None, k=None,
         optima = oracle_bmulti(build_catalog(G), budgets)
         if not optima:
             raise InstanceError("no cut satisfies the budgets; no optimum to track")
-        return walk, optima, success_floor_edge(G.n, G.rank, G.t_costs)
+        return walk, optima
     if algorithm in ("nb-bmulti-constant", "nb-bmulti-arbitrary"):
         budgets = exact_ints(() if budgets is None else budgets, G.t_weights,
                              "node budget")
         if algorithm == "nb-bmulti-constant":
             walk = nb_constant_walk(G, budgets)
-            floor = success_floor_node(G.n, G.rank)
         else:
             walk = nb_arbitrary_walk(G, budgets)
-            floor = success_floor_node_arbitrary(G.n)
         result = oracle_nb_bmulti(G, budgets)
-        optima = result if result is INFEASIBLE else result[1]
-        return walk, optima, floor
+        return walk, result if result is INFEASIBLE else result[1]
     if algorithm == "hmincut":
         walk = hmincut_walk(G)
         _, optima = oracle_min_cut(build_catalog(G))
-        return walk, optima, Fraction(1, comb(G.n, 2))
+        return walk, optima
     if algorithm == "kcut":
         sizes = exact_ints(sizes, exact_int(k, "k", 2), "part size", 1)
         walk = kcut_walk(G, k, sizes, weighted_costs)
         result = oracle_kcut(G, k, sizes, weighted_costs=weighted_costs)
-        optima = result if result is INFEASIBLE else result[1]
-        floor = success_floor_size(G.n, k, sizes) if G.n >= k else Fraction(1)
-        return walk, optima, floor
+        return walk, result if result is INFEASIBLE else result[1]
     raise InstanceError(f"unknown algorithm {algorithm!r}")
 
 
@@ -169,10 +161,10 @@ def estimate(G: Hypergraph, algorithm: str, *, budgets=None, k=None, sizes=None,
     exact_int(jobs, "jobs", 1)
     if trials is not None:
         exact_int(trials, "trials", 1)
-    walk, optima, floor = _build_problem(G, algorithm, budgets, k, sizes,
-                                         weighted_costs)
+    walk, optima = _build_problem(G, algorithm, budgets, k, sizes,
+                                  weighted_costs)
     if trials is None:
-        trials = default_trials(floor)
+        trials = default_trials(walk.floor)
     digest = instance_digest(G)
 
     if optima is INFEASIBLE:
@@ -205,7 +197,7 @@ def estimate(G: Hypergraph, algorithm: str, *, budgets=None, k=None, sizes=None,
     else:
         successes = _successes(walk, target_masks, seed, 0, trials)
 
-    return TrialReport(algorithm, digest, trials, successes, floor, seed,
+    return TrialReport(algorithm, digest, trials, successes, walk.floor, seed,
                        optima=len(optima),
                        extra={"fixed_target": sorted(fixed_target.edge_ids)}
                        if fixed_target else {})

@@ -79,14 +79,8 @@ class Cut:
     def mask(self) -> int:
         return ids_mask(self.edge_ids)
 
-    def __iter__(self):
-        return iter(self.edge_ids)
-
     def __len__(self):
         return len(self.edge_ids)
-
-    def __contains__(self, eid):
-        return eid in self.edge_ids
 
 
 def exact_int(value, what: str, minimum: int | None = None) -> int:

@@ -37,8 +37,7 @@ from ._engine import (Walk, contract_comps, delta_mask, ids_mask,
                       initial_comps, mask_sum, present_edge_ids, sample_node,
                       side_mask)
 from .hypergraph import Cut, Hypergraph, InstanceError, exact_int, exact_ints
-from .sampling import (BestOf, DrawNode, LazyWeightedOrder, best_of_n,
-                       default_trials)
+from .sampling import BestOf, DrawNode, LazyWeightedOrder, best_of_n
 
 __all__ = [
     "bmulti_walk",
@@ -99,7 +98,8 @@ def bmulti_walk(G: Hypergraph, budgets) -> Walk:
 
 def _bmulti_walk(G: Hypergraph, costs, budgets) -> Walk:
     """``bmulti_walk`` over cost columns already read from G, in any order
-    (the verifier rotates them); the budgets bound all but the last."""
+    (the verifier rotates them); the budgets bound all but the last.  Its
+    floor is ``success_floor_edge(n, rank, t)``."""
     t = len(costs)
     masks, full = G.edge_masks, G.full_mask
     base_limit = G.rank * t
@@ -125,7 +125,7 @@ def _bmulti_walk(G: Hypergraph, costs, budgets) -> Walk:
         vec = _mask_costs(costs, mask)
         return vec[-1] if all(v <= b for v, b in zip(vec, budgets)) else None
 
-    return Walk(G, expand, value)
+    return Walk(G, expand, value, success_floor_edge(G.n, G.rank, t))
 
 
 def solve_bmulti(G: Hypergraph, budgets, *, trials: int | None = None,
@@ -136,10 +136,7 @@ def solve_bmulti(G: Hypergraph, budgets, *, trials: int | None = None,
     within the budgets.  ``trials`` defaults to ``default_trials`` of the
     walk's success floor.
     """
-    walk = bmulti_walk(G, budgets)
-    if trials is None:
-        trials = default_trials(success_floor_edge(G.n, G.rank, G.t_costs))
-    return best_of_n(walk, trials, seed)
+    return best_of_n(bmulti_walk(G, budgets), trials, seed)
 
 
 def success_floor_edge(n: int, r: int, t: int) -> Fraction:
@@ -353,7 +350,7 @@ def verify_pareto_optimality(G: Hypergraph, cut: Cut, rng: random.Random,
     t = len(costs)
     repetitions_per_criterion = verify_repetition_count(
         G, repetitions_per_criterion)
-    cut_vec = [sum(ci[e] for e in cut.edge_ids) for ci in costs]
+    cut_vec = G.cut_costs(cut)
     for i in range(t):
         rotated = [costs[j] for j in range(t) if j != i] + [costs[i]]
         budgets = tuple(cut_vec[j] for j in range(t) if j != i)
@@ -366,10 +363,8 @@ def verify_pareto_optimality(G: Hypergraph, cut: Cut, rng: random.Random,
                 continue
             hit = verdict.get(mask)
             if hit is None:
-                vec = _mask_costs(rotated, mask)
-                hit = (vec[-1] < target
-                       and all(vec[j] <= budgets[j] for j in range(t - 1)))
-                verdict[mask] = hit
+                value = walk.value(mask)
+                hit = verdict[mask] = value is not None and value < target
             if hit:
                 return False
     return True

@@ -27,7 +27,7 @@ from ._engine import (Walk, contract_comps, delta_mask, ids_mask,
                       side_mask)
 from .hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE, exact_ints
 from .sampling import (BestOf, DrawNode, LazyWeightedOrder, best_of_n,
-                       default_trials, never_keep)
+                       never_keep)
 
 __all__ = [
     "nb_constant_walk",
@@ -70,7 +70,8 @@ def _min_cut_walk(G: Hypergraph, cost) -> Walk:
     """Non-uniform contraction weights (|V|-|e|)/|V| * c(e).
 
     When every weight is zero each remaining edge spans all components, so
-    the full present edge set is the unique cut and is returned.
+    the full present edge set is the unique cut and is returned.  Its floor
+    is 1/C(n,2); the caller rejects n < 2.
     """
     masks = G.edge_masks
 
@@ -82,7 +83,8 @@ def _min_cut_walk(G: Hypergraph, cost) -> Walk:
             for eid in present])
         return node or ("terminal", (ids_mask(present), True))
 
-    return Walk(G, expand, lambda mask: mask_sum(cost, mask))
+    return Walk(G, expand, lambda mask: mask_sum(cost, mask),
+                Fraction(1, comb(G.n, 2)))
 
 
 def hmincut_walk(G: Hypergraph) -> Walk:
@@ -131,7 +133,8 @@ def nb_constant_walk(G: Hypergraph, budgets) -> Walk:
         return (sample_node(present, [cost[eid] for eid in present])
                 or ("base", {}, outcome))
 
-    return Walk(G, expand, lambda mask: mask_sum(cost, mask))
+    return Walk(G, expand, lambda mask: mask_sum(cost, mask),
+                success_floor_node(G.n, G.rank))
 
 
 def nb_arbitrary_walk(G: Hypergraph, budgets) -> Walk:
@@ -144,6 +147,7 @@ def nb_arbitrary_walk(G: Hypergraph, budgets) -> Walk:
     weights, budgets = _weights_and_budgets(G, budgets)
     cost = G.costs_by_criterion()[0]
     masks, full = G.edge_masks, G.full_mask
+    floor = success_floor_node_arbitrary(G.n)
     min_cut = _min_cut_walk(G, cost)
     delegate = ("delegate", min_cut)
 
@@ -168,7 +172,7 @@ def nb_arbitrary_walk(G: Hypergraph, budgets) -> Walk:
             return ("terminal", (ids_mask(present), True))
         return delegate if set_ok else node
 
-    return Walk(G, expand, min_cut.value)
+    return Walk(G, expand, min_cut.value, floor)
 
 
 def solve_nb_bmulti(G: Hypergraph, budgets, *, rank_mode: str = "constant",
@@ -185,10 +189,6 @@ def solve_nb_bmulti(G: Hypergraph, budgets, *, rank_mode: str = "constant",
         walk = nb_arbitrary_walk(G, budgets)
     else:
         raise InstanceError(f"unknown rank mode {rank_mode!r}")
-    if trials is None:
-        trials = default_trials(success_floor_node(G.n, G.rank)
-                                if rank_mode == "constant"
-                                else success_floor_node_arbitrary(G.n))
     return best_of_n(walk, trials, seed)
 
 

@@ -92,6 +92,8 @@ def dominates(costs_a, costs_b) -> bool:
 
 def oracle_pareto(catalog: CutCatalog) -> set[Cut]:
     """Cuts not dominated by any other cut."""
+    if catalog.t < 1:
+        raise InstanceError("the pareto oracle needs a cost criterion")
     items = list(catalog.costs.items())
     result = set()
     for cut, cost in items:
@@ -105,6 +107,8 @@ def oracle_multiobjective(catalog: CutCatalog) -> set[Cut]:
 
     Equivalently, F is budget-optimal at the budget vector b_i = c_i(F).
     """
+    if catalog.t < 1:
+        raise InstanceError("the multiobjective oracle needs a cost criterion")
     items = list(catalog.costs.items())
     result = set()
     for cut, cost in items:

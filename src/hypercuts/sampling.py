@@ -173,12 +173,15 @@ class BestOf:
     infeasible_runs: int
 
 
-def best_of_n(walk, trials: int, seed: int) -> BestOf:
+def best_of_n(walk, trials: int | None, seed: int) -> BestOf:
     """Run ``walk`` on trials 0..trials-1 of ``seed``; keep the least value.
 
-    Only witnessed outcomes count, valued by ``walk.value(mask)`` (None
-    rejects a cut).  Ties keep the earliest trial.
+    ``trials`` defaults to ``default_trials(walk.floor)``.  Only witnessed
+    outcomes count, valued by ``walk.value(mask)`` (None rejects a cut).
+    Ties keep the earliest trial.
     """
+    if trials is None:
+        trials = default_trials(walk.floor)
     exact_int(trials, "trials", 1)
     value = walk.value
     best_mask = best_val = None

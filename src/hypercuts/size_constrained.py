@@ -22,7 +22,7 @@ from ._engine import (Walk, draw_below, ids_mask, mask_sum, present_edge_ids,
                       sample_node)
 from .hypergraph import (Hypergraph, InstanceError, INFEASIBLE, exact_int,
                          exact_ints)
-from .sampling import best_of_n, default_trials
+from .sampling import best_of_n
 
 __all__ = [
     "kcut_walk",
@@ -48,7 +48,8 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
     with its candidate.  An outcome is witnessed when it comes from a proper
     k-partition whose sorted part weights meet the sorted size bounds; the
     flag never influences a draw, so outputs stay weight-oblivious.
-    Every run is INFEASIBLE when n < k.
+    Every run is INFEASIBLE when n < k, and the floor is then 1; otherwise
+    it is ``success_floor_size(n, k, sizes)``.
     """
     sizes = _check_sizes(k, sizes)
     sigma_lead = sum(sizes[:-1])
@@ -120,7 +121,8 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
             return ("draw", lambda comps, rng: draw(comps, rng)())
         return ("level", draw, node)
 
-    return Walk(G, expand, lambda mask: mask_sum(cost, mask))
+    floor = success_floor_size(G.n, k, sizes) if G.n >= k else Fraction(1)
+    return Walk(G, expand, lambda mask: mask_sum(cost, mask), floor)
 
 
 def solve_kcut(G: Hypergraph, k: int, sizes, *, trials: int | None = None,
@@ -132,14 +134,11 @@ def solve_kcut(G: Hypergraph, k: int, sizes, *, trials: int | None = None,
     k-partition.  Returns INFEASIBLE when n < k.  ``trials`` defaults to
     ``default_trials`` of the success floor.
     """
-    sizes = _check_sizes(k, sizes)
     walk = kcut_walk(G, k, sizes, weighted_costs)
     if trials is not None:
         exact_int(trials, "trials", 1)
     if G.n < k:
         return INFEASIBLE
-    if trials is None:
-        trials = default_trials(success_floor_size(G.n, k, sizes))
     return best_of_n(walk, trials, seed)
 
 

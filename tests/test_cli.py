@@ -373,6 +373,10 @@ def cost_free_instance(tmp_path, capsys):
      "--trials", "50"],
     ["oracle", "kcut", "--k", "2", "--sizes", "1,1", "--weighted-costs"],
     ["oracle", "nb-bmulti", "--budgets", "3"],
+    ["oracle", "multi"],
+    ["oracle", "pareto"],
+    ["estimate", "pipeline", "--runs", "1", "--reps", "3",
+     "--verify-reps", "3"],
 ])
 def test_cost_valued_commands_need_a_cost_criterion(cost_free_instance,
                                                     capsys, argv):
@@ -466,3 +470,105 @@ def test_help_exits_zero(capsys, argv):
         main([*argv, "--help"])
     assert exc.value.code == 0
     assert "usage: hypercuts" in capsys.readouterr().out
+
+
+PATH_EDGES = [[0, 1], [1, 2], [2, 3]]
+
+# Instances at the edges of the input space.
+EDGE_INSTANCES = {
+    "one-vertex": {"n": 1, "t_costs": 2, "t_weights": 1, "edges": [],
+                   "edge_costs": [], "vertex_weights": [[1]]},
+    "two-vertices-no-edges": {"n": 2, "t_costs": 2, "t_weights": 1,
+                              "edges": [], "edge_costs": [],
+                              "vertex_weights": [[1], [1]]},
+    "disconnected": {"n": 3, "t_costs": 2, "t_weights": 1,
+                     "edges": [[0, 1]], "edge_costs": [[1, 2]],
+                     "vertex_weights": [[1], [2], [1]]},
+    "all-zero": {"n": 4, "t_costs": 2, "t_weights": 1, "edges": PATH_EDGES,
+                 "edge_costs": [[0, 0]] * 3, "vertex_weights": [[0]] * 4},
+    "no-weights": {"n": 4, "t_costs": 2, "t_weights": 0, "edges": PATH_EDGES,
+                   "edge_costs": [[1, 2], [2, 1], [1, 1]],
+                   "vertex_weights": [[]] * 4},
+    "no-costs": {"n": 4, "t_costs": 0, "t_weights": 1, "edges": PATH_EDGES,
+                 "edge_costs": [[]] * 3, "vertex_weights": [[1]] * 4},
+}
+
+KCUT = ["--k", "2", "--sizes", "1,1"]
+NB = ["--budgets", "{node}"]
+
+# One argv per family of every command that reads an instance; "{budgets}",
+# "{node}" and "{cut}" are filled in per instance.
+SWEEP = {
+    "solve-bmulti": ["solve", "bmulti", "--budgets", "{budgets}",
+                     "--trials", "20"],
+    "solve-nb-constant": ["solve", "nb-bmulti", *NB, "--trials", "20"],
+    "solve-nb-arbitrary": ["solve", "nb-bmulti", *NB, "--rank-mode",
+                           "arbitrary", "--trials", "20"],
+    "solve-hmincut": ["solve", "hmincut", "--trials", "20"],
+    "solve-kcut": ["solve", "kcut", *KCUT, "--trials", "20"],
+    "enumerate-multi": ["enumerate", "multi", "--reps", "3"],
+    "enumerate-pareto": ["enumerate", "pareto", "--reps", "3",
+                         "--verify-reps", "3"],
+    "enumerate-nb-multi": ["enumerate", "nb-multi"],
+    "verify-pareto": ["verify", "pareto", "--cut", "{cut}", "--reps", "3"],
+    "oracle-pareto": ["oracle", "pareto"],
+    "oracle-multi": ["oracle", "multi"],
+    "oracle-parametric": ["oracle", "parametric"],
+    "oracle-bmulti": ["oracle", "bmulti", "--budgets", "{budgets}"],
+    "oracle-nb-bmulti": ["oracle", "nb-bmulti", *NB],
+    "oracle-kcut": ["oracle", "kcut", *KCUT],
+    "estimate-bmulti": ["estimate", "bmulti", "--budgets", "{budgets}",
+                        "--trials", "20"],
+    "estimate-nb-constant": ["estimate", "nb-bmulti", *NB, "--trials", "20"],
+    "estimate-nb-arbitrary": ["estimate", "nb-bmulti", *NB, "--rank-mode",
+                              "arbitrary", "--trials", "20"],
+    "estimate-hmincut": ["estimate", "hmincut", "--trials", "20"],
+    "estimate-kcut": ["estimate", "kcut", *KCUT, "--trials", "20"],
+    "estimate-pipeline": ["estimate", "pipeline", "--runs", "1", "--reps",
+                          "3", "--verify-reps", "3"],
+}
+
+
+def test_exit_code_sweep_covers_every_instance_family():
+    swept = {" ".join(argv[:2]) for argv in SWEEP.values()}
+    assert swept == {name for name in SURFACE
+                     if name.split()[0] not in ("gen", "check")}
+
+
+def strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP))
+@pytest.mark.parametrize("name", sorted(EDGE_INSTANCES))
+def test_every_failure_maps_to_a_documented_exit_code(tmp_path, capsys,
+                                                      name, command):
+    doc = EDGE_INSTANCES[name]
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc))
+    fill = {"budgets": ",".join(["3"] * (doc["t_costs"] - 1)),
+            "node": ",".join(["5"] * doc["t_weights"]),
+            "cut": "0" if doc["edges"] else ""}
+    argv = [token.format(**fill) for token in SWEEP[command]]
+    code, out, err = run_cli(capsys, *argv, "--instance", str(path),
+                             "--format", "json")
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out == ""
+        assert strict_json(err)["code"] == 2
+    else:
+        strict_json(out)
+
+
+@pytest.mark.parametrize("mode", ["constant", "arbitrary"])
+def test_solve_nb_bmulti_rejects_a_single_vertex(tmp_path, capsys, mode):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(EDGE_INSTANCES["one-vertex"]))
+    code, out, err = run_cli(capsys, "solve", "nb-bmulti", "--instance",
+                             str(path), "--budgets", "5", "--rank-mode",
+                             mode, "--trials", "5")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == 2

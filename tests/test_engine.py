@@ -1,15 +1,18 @@
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from hypercuts._engine import (Walk, initial_comps, sample_node, sample_step,
                                side_mask)
 from hypercuts.hypergraph import Hypergraph
-from hypercuts.multiobjective import bmulti_walk
+from hypercuts.multiobjective import bmulti_walk, success_floor_edge
 from hypercuts.node_budgeted import (hmincut_walk, nb_arbitrary_walk,
-                                     nb_constant_walk)
-from hypercuts.size_constrained import kcut_walk
+                                     nb_constant_walk, success_floor_node,
+                                     success_floor_node_arbitrary)
+from hypercuts.size_constrained import kcut_walk, success_floor_size
 
 
 def test_side_mask_is_the_union_of_the_picked_components():
@@ -54,3 +57,25 @@ def test_every_walk_is_an_engine_walk(make):
     G = Hypergraph(4, [(0, 1), (1, 2, 3), (0, 3)], [(1, 2), (2, 1), (3, 1)],
                    [(1,), (2,), (1,), (2,)])
     assert isinstance(make(G), Walk)
+
+
+@pytest.mark.parametrize("make, floor", [
+    (lambda G: bmulti_walk(G, (4,)), lambda G: success_floor_edge(G.n, 3, 2)),
+    (lambda G: nb_constant_walk(G, (3,)), lambda G: success_floor_node(G.n, 3)),
+    (lambda G: nb_arbitrary_walk(G, (3,)),
+     lambda G: success_floor_node_arbitrary(G.n)),
+    (hmincut_walk, lambda G: Fraction(1, math.comb(G.n, 2))),
+    (lambda G: kcut_walk(G, 2, (1, 1)),
+     lambda G: success_floor_size(G.n, 2, (1, 1))),
+    (lambda G: kcut_walk(G, G.n + 1, (1,) * (G.n + 1)), lambda G: 1),
+], ids=["bmulti_walk", "nb_constant_walk", "nb_arbitrary_walk",
+        "hmincut_walk", "kcut_walk", "kcut_walk-n-below-k"])
+@pytest.mark.parametrize("n", [4, 7])
+def test_every_walk_carries_its_success_floor(make, floor, n):
+    # rank 3 and t_costs 2: at n = 7 the bmulti floor leaves its n <= rt
+    # branch
+    G = Hypergraph(n, [(0, 1), (1, 2, 3), (0, 3)], [(1, 2), (2, 1), (3, 1)],
+                   [(1,)] * n)
+    walk = make(G)
+    assert isinstance(walk.floor, Fraction)
+    assert walk.floor == floor(G)

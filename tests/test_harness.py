@@ -30,6 +30,38 @@ def test_default_trials():
         default_trials(Fraction(0))
 
 
+def _nb_instance(n, rank, seed):
+    G = gen_random_instance(n, 2 * n, rank, 1, 1, max_cost=5, seed=seed)
+    assert (G.n, G.rank) == (n, rank)
+    return G
+
+
+# Each shape has 30/floor > 1000, so a wrong floor changes the count.
+@pytest.mark.parametrize("run, trials", [
+    # 30 / (1/240): success_floor_edge(6, 2, 2)
+    (lambda: solve_bmulti(small_instance(), budgets_for(small_instance())),
+     7200),
+    # 30 / (1/240): success_floor_node(6, 3)
+    (lambda: solve_nb_bmulti(_nb_instance(6, 3, 1), (12,)), 7200),
+    # 30 / (1/63): success_floor_node_arbitrary(8)
+    (lambda: solve_nb_bmulti(_nb_instance(8, 2, 2), (12,),
+                             rank_mode="arbitrary"), 1890),
+    # 30 / (1/360): success_floor_size(6, 2, (1, 1))
+    (lambda: solve_kcut(small_instance(), 2, (1, 1)), 10800),
+    # ceil(C(6,2) ln 6)
+    (lambda: solve_hmincut(small_instance()), 27),
+    # 30 / (1/C(9,2))
+    (lambda: estimate(gen_random_instance(9, 14, 2, 1, 0, seed=5),
+                      "hmincut"), 1080),
+    # n < k: floor 1
+    (lambda: estimate(Hypergraph(2, [(0, 1)]), "kcut", k=3,
+                      sizes=(1, 1, 1)), 1000),
+], ids=["bmulti", "nb-constant", "nb-arbitrary", "kcut", "hmincut",
+        "estimate-hmincut", "estimate-kcut-n-below-k"])
+def test_default_trial_counts(run, trials):
+    assert run().trials == trials
+
+
 def test_estimate_bmulti_report_fields():
     G = small_instance()
     rep = estimate(G, "bmulti", budgets=budgets_for(G), trials=2000, seed=3)
