@@ -7,12 +7,16 @@ sampling tables) across Monte-Carlo runs on the same instance.
 
 All five algorithms are the same absorbing chain over these states; only
 the edge-weight rule and the stopping rule differ.  An algorithm supplies
-them as an ``expand(comps) -> node`` function, and ``Walk`` caches the node
-of every visited state.  A node is one of
+them as an ``expand(comps, parent=None) -> node`` function, and ``Walk``
+caches the node of every visited state.  A node is one of
 
-* ``("sample", cum, total, eids, nexts)`` - contract edge ``eids[i]`` with
-  probability proportional to its weight (``cum`` holds the prefix sums);
-  ``nexts`` caches the successor states, built on first use;
+* ``("sample", cum, total, eids, nexts, inherit)`` - contract edge
+  ``eids[i]`` with probability proportional to its weight (``cum`` holds the
+  prefix sums); ``eids`` lists every present edge in id order, zero-weight
+  ones included; ``nexts`` caches the successor states, built on first use;
+  ``inherit`` is the walk's own data about the state that its successors
+  are expanded from, kept compact (``bytes`` or tuples aligned with
+  ``comps`` or ``eids``, never a dict or set per node);
 * ``("merge", comps)`` - move to ``comps`` without drawing;
 * ``("base", table, outcome)`` - draw a uniform subset of the components and
   return ``outcome(side)`` for the union ``side`` of the drawn ones; ``table``
@@ -25,6 +29,16 @@ of every visited state.  A node is one of
   ``draw`` makes every random choice, and the outcome is computed only for
   the candidate that survives;
 * ``("delegate", walk)`` - continue with another walk from this state.
+
+A contraction merges the components one edge meets into one component M
+and leaves every other component, and every present edge outside M, as it
+was.  So on a cache miss right after a sample step (a level node's nested
+one included) ``Walk.run`` passes ``parent = (sample node, parent comps)``,
+and ``expand`` derives the new node from the parent's present edges and
+``inherit`` data (see ``contraction``, ``inherit_present``,
+``inherit_counts`` and ``realign``).  After a merge, a delegate or at the
+start, ``parent`` is None and the node is built from scratch.  Both ways
+give equal nodes, and ``expand(comps)`` alone is the reference.
 
 Once the walk stops, the candidates pushed by level nodes are resolved
 innermost first: each replaces the outcome with probability 1/live.  The
@@ -53,18 +67,97 @@ def initial_comps(n: int) -> tuple[int, ...]:
 
 def contract_comps(comps, mask: int) -> tuple[int, ...]:
     """Merge every component that ``mask`` meets into one (``comps`` as a
-    tuple when it meets none)."""
+    tuple when it meets none).
+
+    The merged component takes its first member's place: its lowest bit is
+    that member's, so the result stays sorted by lowest set bit.
+    """
     merged = 0
     rest = []
+    at = 0
     for c in comps:
         if c & mask:
+            if not merged:
+                at = len(rest)
             merged |= c
         else:
             rest.append(c)
     if merged:
-        rest.append(merged)
-        rest.sort(key=lambda c: c & -c)
+        rest.insert(at, merged)
     return tuple(rest)
+
+
+def contraction(comps, parent_comps):
+    """``(i, M, merged)`` for a state ``comps`` reached from ``parent_comps``
+    by one contraction: ``M = comps[i]`` is the component it made and
+    ``merged`` lists, in order, the parent components inside M.  Every other
+    component is a parent component, unchanged."""
+    i = 0
+    while comps[i] == parent_comps[i]:
+        i += 1
+    M = comps[i]
+    return i, M, [c for c in parent_comps[i:] if c & M]
+
+
+def realign(parent_comps, values, i: int, M: int, value) -> list:
+    """Per-component ``values`` of ``parent_comps`` carried over to the
+    contracted state whose merged component is ``M = comps[i]``: the merged
+    components' entries give way to ``value`` at index i."""
+    out = [x for c, x in zip(parent_comps, values) if not c & M]
+    out.insert(i, value)
+    return out
+
+
+def inherit_present(edge_masks, eids, M: int) -> list[int]:
+    """The present edges ``eids`` of a parent state that are still present
+    after a contraction made ``M``: those not inside M, in the same order."""
+    out_of_m = ~M
+    return [eid for eid in eids if edge_masks[eid] & out_of_m]
+
+
+def inherit_counts(edge_masks, eids, counts, M: int, lost, gained: int):
+    """``(present, counts)`` after a contraction made ``M``.
+
+    ``counts[j]`` is how many counted components the parent's present edge
+    ``eids[j]`` meets.  ``lost`` lists the counted parent components merged
+    into M, and ``gained`` is 1 when M itself is counted, else 0.  An edge
+    meeting M loses the merged components it met and gains M; every other
+    edge keeps its count.
+    """
+    out_of_m = ~M
+    present = []
+    out = []
+    for eid, k in zip(eids, counts):
+        em = edge_masks[eid]
+        if em & M:
+            if not em & out_of_m:
+                continue
+            for c in lost:
+                if c & em:
+                    k -= 1
+            k += gained
+        present.append(eid)
+        out.append(k)
+    return present, out
+
+
+def present_counts(edge_masks, comps, parent):
+    """``(present, counts)``: the present edges of ``comps`` and how many
+    components each meets.  With ``parent`` they come from the parent's
+    sample node, whose ``inherit`` holds its counts."""
+    if parent is None:
+        present = present_edge_ids(edge_masks, comps)
+        return present, [sum(1 for c in comps if c & edge_masks[eid])
+                         for eid in present]
+    prev, prev_comps = parent
+    _, M, merged = contraction(comps, prev_comps)
+    return inherit_counts(edge_masks, prev[3], prev[5], M, merged, 1)
+
+
+def packer(top: int):
+    """Constructor for a compact sequence of ints in ``0..top``: ``bytes``
+    when each fits in a byte, else ``tuple``."""
+    return bytes if top < 256 else tuple
 
 
 def present_edge_ids(edge_masks, comps) -> list[int]:
@@ -105,12 +198,10 @@ def side_mask(comps, bits: int) -> int:
 def mask_sum(values, mask: int) -> int:
     """Sum of ``values[i]`` over the bits ``i`` set in ``mask``."""
     total = 0
-    i = 0
     while mask:
-        if mask & 1:
-            total += values[i]
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        total += values[low.bit_length() - 1]
+        mask ^= low
     return total
 
 
@@ -122,13 +213,14 @@ def ids_mask(eids) -> int:
     return out
 
 
-def sample_node(eids, weights):
+def sample_node(eids, weights, inherit=None):
     """Node contracting ``eids[i]`` with probability proportional to
-    ``weights[i]``, or None when every weight is zero."""
+    ``weights[i]``, or None when every weight is zero.  ``inherit`` is the
+    walk's data for expanding the node's successors."""
     cum = list(accumulate(weights))
     if not cum or cum[-1] == 0:
         return None
-    return ("sample", cum, cum[-1], eids, [None] * len(eids))
+    return ("sample", cum, cum[-1], eids, [None] * len(eids), inherit)
 
 
 def draw_below(rng, n: int) -> int:
@@ -179,20 +271,25 @@ class Walk:
         masks = self.masks
         step = sample_step
         pending = None  # (candidate, live) per level node passed
+        prev = prev_comps = None  # the sample step that led here, if any
         while True:
             node = cache.get(comps)
             if node is None:
-                node = cache[comps] = self.expand(comps)
+                node = cache[comps] = self.expand(
+                    comps, None if prev is None else (prev, prev_comps))
             tag = node[0]
             if tag == "sample":
+                prev, prev_comps = node, comps
                 comps = step(node, comps, masks, rng)
             elif tag == "merge":
+                prev = None
                 comps = node[1]
             elif tag == "level":
                 if pending is None:
                     pending = []
                 pending.append((node[1](comps, rng), len(comps)))
-                comps = step(node[2], comps, masks, rng)
+                prev, prev_comps = node[2], comps
+                comps = step(prev, comps, masks, rng)
             else:
                 break
         if tag == "base":

@@ -67,14 +67,9 @@ class Cut:
 
     @staticmethod
     def from_mask(mask: int) -> "Cut":
-        ids = []
-        i = 0
-        while mask:
-            if mask & 1:
-                ids.append(i)
-            mask >>= 1
-            i += 1
-        return Cut(tuple(ids))
+        # bin(mask)[:1:-1] lists the bits lowest first
+        return Cut(tuple([i for i, bit in enumerate(bin(mask)[:1:-1])
+                          if bit == "1"]))
 
     def mask(self) -> int:
         return ids_mask(self.edge_ids)

@@ -33,9 +33,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
-from ._engine import (Walk, contract_comps, delta_mask, ids_mask,
-                      initial_comps, mask_sum, present_edge_ids, sample_node,
-                      side_mask)
+from ._engine import (Walk, contract_comps, contraction, delta_mask, ids_mask,
+                      inherit_present, initial_comps, mask_sum, packer,
+                      present_edge_ids, realign, sample_node, side_mask)
 from .hypergraph import Cut, Hypergraph, InstanceError, exact_int, exact_ints
 from .sampling import BestOf, DrawNode, LazyWeightedOrder, best_of_n
 
@@ -61,28 +61,20 @@ def _costs_and_budgets(G: Hypergraph, budgets):
     return costs, exact_ints(budgets, len(costs) - 1, "budget")
 
 
-def _classes(masks, comps, present, costs, budgets):
-    """The components of ``comps`` split into per-criterion classes.
+def _class_of(masks, present, costs, budgets, comp: int) -> int:
+    """The per-criterion class of the component ``comp``.
 
-    Class i < t-1 collects the not-yet-classified components whose vertex
-    cut over the ``present`` edges exceeds budget i; the final class is the
-    residue.  Each class keeps partition order.
+    Class i < t-1 holds the components whose vertex cut over the
+    ``present`` edges exceeds budget i and no earlier budget; class t-1 is
+    the residue.  A contraction leaves every component but the merged one
+    with the same present edges around it, so only that one's class can
+    change.
     """
-    remaining = list(comps)
-    classes = []
-    for ci, budget in zip(costs, budgets):
-        deg = [0] * len(remaining)
-        for eid in present:
-            c = ci[eid]
-            if c:
-                em = masks[eid]
-                for j, comp in enumerate(remaining):
-                    if em & comp:
-                        deg[j] += c
-        classes.append([comp for comp, d in zip(remaining, deg) if d > budget])
-        remaining = [comp for comp, d in zip(remaining, deg) if d <= budget]
-    classes.append(remaining)
-    return tuple(classes)
+    touching = [eid for eid in present if masks[eid] & comp]
+    for i, (ci, budget) in enumerate(zip(costs, budgets)):
+        if sum([ci[eid] for eid in touching]) > budget:
+            return i
+    return len(budgets)
 
 
 def bmulti_walk(G: Hypergraph, budgets) -> Walk:
@@ -103,19 +95,30 @@ def _bmulti_walk(G: Hypergraph, costs, budgets) -> Walk:
     t = len(costs)
     masks, full = G.edge_masks, G.full_mask
     base_limit = G.rank * t
+    pack = packer(t - 1)  # one class index per component
 
     def outcome(side):
         return delta_mask(masks, side, full), 0 != side != full
 
-    def expand(comps):
+    def expand(comps, parent=None):
         if len(comps) > base_limit:
-            present = present_edge_ids(masks, comps)
-            sizes = [len(c) for c in _classes(masks, comps, present, costs,
-                                              budgets)]
+            if parent is None:
+                present = present_edge_ids(masks, comps)
+                classes = pack([_class_of(masks, present, costs, budgets, c)
+                                for c in comps])
+            else:
+                prev, prev_comps = parent
+                i, M, _ = contraction(comps, prev_comps)
+                present = inherit_present(masks, prev[3], M)
+                classes = pack(realign(
+                    prev_comps, prev[5], i, M,
+                    _class_of(masks, present, costs, budgets, M)))
+            sizes = [classes.count(i) for i in range(t)]
             # largest class drives the contraction; ties break to the lowest
             # criterion, zero-mass criteria fall through to the next largest
             for i in sorted(range(t), key=lambda j: (-sizes[j], j)):
-                node = sample_node(present, [costs[i][eid] for eid in present])
+                node = sample_node(present, [costs[i][eid] for eid in present],
+                                   classes)
                 if node:
                     return node
         return ("base", {}, outcome)

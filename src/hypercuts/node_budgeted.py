@@ -22,9 +22,10 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from ._engine import (Walk, contract_comps, delta_mask, ids_mask,
-                      initial_comps, mask_sum, present_edge_ids, sample_node,
-                      side_mask)
+from ._engine import (Walk, contract_comps, contraction, delta_mask, ids_mask,
+                      inherit_counts, inherit_present, initial_comps,
+                      mask_sum, packer, present_counts, present_edge_ids,
+                      realign, sample_node, side_mask)
 from .hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE, exact_ints
 from .sampling import (BestOf, DrawNode, LazyWeightedOrder, best_of_n,
                        never_keep)
@@ -51,17 +52,30 @@ def _fits(weights, budgets, mask: int) -> bool:
     return all(mask_sum(wcol, mask) <= b for wcol, b in zip(weights, budgets))
 
 
-def _contract_infeasible(comps, weights, budgets):
+def _fit_flags(weights, budgets, comps, parent):
+    """``(fits, i)``: one byte per component of ``comps``, 1 when it fits
+    the budgets, and the index of the component that the step from
+    ``parent`` merged (None without a parent).  With a parent only that
+    component is weighed; the others keep the flags the parent's sample node
+    holds as its first ``inherit`` item."""
+    if parent is None:
+        return bytes([_fits(weights, budgets, c) for c in comps]), None
+    prev, prev_comps = parent
+    i, M, _ = contraction(comps, prev_comps)
+    return bytes(realign(prev_comps, prev[5][0], i, M,
+                         _fits(weights, budgets, M))), i
+
+
+def _contract_infeasible(comps, fits):
     """(comps with its budget-violating components merged into one, the
-    feasible components); ``comps`` itself when at most one violates."""
-    feasible = []
-    bad_mask = 0
-    for c in comps:
-        if _fits(weights, budgets, c):
-            feasible.append(c)
-        else:
-            bad_mask |= c
+    feasible components); ``comps`` itself when at most one violates.
+    ``fits`` holds one flag per component."""
+    feasible = [c for c, ok in zip(comps, fits) if ok]
     if len(feasible) < len(comps) - 1:
+        bad_mask = 0
+        for c, ok in zip(comps, fits):
+            if not ok:
+                bad_mask |= c
         comps = contract_comps(comps, bad_mask)
     return comps, feasible
 
@@ -71,16 +85,18 @@ def _min_cut_walk(G: Hypergraph, cost) -> Walk:
 
     When every weight is zero each remaining edge spans all components, so
     the full present edge set is the unique cut and is returned.  Its floor
-    is 1/C(n,2); the caller rejects n < 2.
+    is 1/C(n,2); the caller rejects n < 2.  A sample node inherits the
+    number of components each present edge meets.
     """
     masks = G.edge_masks
+    pack = packer(G.rank)
 
-    def expand(comps):
-        present = present_edge_ids(masks, comps)
+    def expand(comps, parent=None):
+        present, counts = present_counts(masks, comps, parent)
         live = len(comps)
-        node = sample_node(present, [
-            (live - sum(1 for c in comps if c & masks[eid])) * cost[eid]
-            for eid in present])
+        node = sample_node(present, [(live - k) * cost[eid]
+                                     for eid, k in zip(present, counts)],
+                           pack(counts))
         return node or ("terminal", (ids_mask(present), True))
 
     return Walk(G, expand, lambda mask: mask_sum(cost, mask),
@@ -122,15 +138,19 @@ def nb_constant_walk(G: Hypergraph, budgets) -> Walk:
             _fits(weights, budgets, side) or _fits(weights, budgets, full & ~side))
         return delta_mask(masks, side, full), witnessed
 
-    def expand(comps):
-        merged, _ = _contract_infeasible(comps, weights, budgets)
+    def expand(comps, parent=None):
+        fits, i = _fit_flags(weights, budgets, comps, parent)
+        merged, _ = _contract_infeasible(comps, fits)
         if merged is not comps:
             return ("merge", merged)
         if len(comps) <= base_limit:
             return ("base", {}, outcome)
-        present = present_edge_ids(masks, comps)
+        if parent is None:
+            present = present_edge_ids(masks, comps)
+        else:
+            present = inherit_present(masks, parent[0][3], comps[i])
         # a zero-cost state terminates via the base case
-        return (sample_node(present, [cost[eid] for eid in present])
+        return (sample_node(present, [cost[eid] for eid in present], (fits,))
                 or ("base", {}, outcome))
 
     return Walk(G, expand, lambda mask: mask_sum(cost, mask),
@@ -150,17 +170,31 @@ def nb_arbitrary_walk(G: Hypergraph, budgets) -> Walk:
     floor = success_floor_node_arbitrary(G.n)
     min_cut = _min_cut_walk(G, cost)
     delegate = ("delegate", min_cut)
+    pack = packer(G.rank)  # per present edge, the feasible components it meets
 
-    def expand(comps):
-        merged, feasible = _contract_infeasible(comps, weights, budgets)
+    def expand(comps, parent=None):
+        fits, i = _fit_flags(weights, budgets, comps, parent)
+        merged, feasible = _contract_infeasible(comps, fits)
         if not feasible:
             return ("terminal", INFEASIBLE)
         if merged is not comps:
             return ("merge", merged)
-        present = present_edge_ids(masks, comps)
-        node = sample_node(present, [
-            (len(feasible) - sum(1 for c in feasible if c & masks[eid]))
-            * cost[eid] for eid in present])
+        if parent is None:
+            present = present_edge_ids(masks, comps)
+            counts = [sum(1 for c in feasible if c & masks[eid])
+                      for eid in present]
+        else:
+            # the counts cover the feasible components only
+            prev, prev_comps = parent
+            M = comps[i]
+            lost = [c for c, ok in zip(prev_comps, prev[5][0])
+                    if ok and c & M]
+            present, counts = inherit_counts(masks, prev[3], prev[5][1], M,
+                                             lost, fits[i])
+        live = len(feasible)
+        node = sample_node(present, [(live - k) * cost[eid]
+                                     for eid, k in zip(present, counts)],
+                           (fits, pack(counts)))
         feas_mask = 0
         for c in feasible:
             feas_mask |= c

@@ -6,10 +6,18 @@ definitions literally.  They exist to verify the randomized algorithms, not
 to be fast: hard size guards refuse instances beyond desk scale unless
 explicitly overridden.  ``is_cut`` answers catalog membership without
 building the catalog.
+
+``build_catalog`` visits the sides in Gray-code order and updates each cut
+and its costs from the previous side's, one flipped vertex at a time.  The
+order in which cuts enter ``CutCatalog.costs`` is not part of the API: every
+oracle returns a set, and the CLI sorts what it prints.  ``oracle_pareto``
+and ``oracle_multiobjective`` scan the distinct cost vectors in sorted order
+and compare each with the front kept so far, not with every other cut.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -35,24 +43,54 @@ class CutCatalog:
 
 
 def build_catalog(G: Hypergraph, override_guard: bool = False) -> CutCatalog:
-    """Catalog of every cut of G (complete, deduplicated, exact costs)."""
+    """Catalog of every cut of G (complete, deduplicated, exact costs).
+
+    The sides are visited in Gray-code order, so each one differs from the
+    last by one vertex.  A per-edge count of the vertices on the side, the
+    sorted crossing edge ids and the running cost totals then change only at
+    that vertex's edges.
+    """
     if G.n > CATALOG_GUARD and not override_guard:
         raise InstanceError(
             f"n={G.n} exceeds the 2^n oracle guard ({CATALOG_GUARD}); "
             "pass override_guard=True to force")
     cat = CutCatalog(G)
-    masks = G.edge_masks
-    full = G.full_mask
+    costs = cat.costs
+    span = range(G.t_costs)
+    incident = [[] for _ in range(G.n)]
+    for eid, (e, row) in enumerate(zip(G.edges, G.edge_costs)):
+        for v in e:
+            incident[v].append((eid, len(e), row))
+    inside = [0] * G.m
+    crossing: list[int] = []
+    totals = [0] * G.t_costs
+    side = 0
     # Vertex 0 stays on the complement side, so each unordered bipartition
-    # is visited exactly once.
-    for side_bits in range(1, 1 << (G.n - 1)):
-        side = side_bits << 1
-        other = full & ~side
-        ids = tuple(eid for eid, em in enumerate(masks)
-                    if (em & side) and (em & other))
-        cut = Cut(ids)
-        if cut not in cat.costs:
-            cat.costs[cut] = G.cut_costs(cut)
+    # is visited exactly once; step i flips the vertex after i's lowest bit.
+    # An edge crosses while 0 < inside < its size.
+    for i in range(1, 1 << (G.n - 1)):
+        bit = (i & -i) << 1
+        side ^= bit
+        joins = side & bit
+        for eid, size, row in incident[bit.bit_length() - 1]:
+            k = inside[eid]
+            if joins:
+                inside[eid] = k + 1
+                enters = k == 0
+                leaves = k + 1 == size
+            else:
+                inside[eid] = k - 1
+                enters = k == size
+                leaves = k == 1
+            if enters:
+                insort(crossing, eid)
+                for j in span:
+                    totals[j] += row[j]
+            elif leaves:
+                del crossing[bisect_left(crossing, eid)]
+                for j in span:
+                    totals[j] -= row[j]
+        costs.setdefault(Cut(tuple(crossing)), tuple(totals))
     return cat
 
 
@@ -91,37 +129,53 @@ def dominates(costs_a, costs_b) -> bool:
 
 
 def oracle_pareto(catalog: CutCatalog) -> set[Cut]:
-    """Cuts not dominated by any other cut."""
+    """Cuts not dominated by any other cut.
+
+    A dominating vector sorts before the one it dominates, and a vector that
+    a dominated vector dominates is dominated by an undominated one too.  So
+    each distinct vector, in sorted order, is checked only against the
+    undominated vectors kept so far.  Equal vectors never dominate each
+    other.
+    """
     if catalog.t < 1:
         raise InstanceError("the pareto oracle needs a cost criterion")
-    items = list(catalog.costs.items())
-    result = set()
-    for cut, cost in items:
-        if not any(dominates(c2, cost) for _, c2 in items if c2 != cost):
-            result.add(cut)
-    return result
+    return _front(catalog, dominates)
+
+
+def _beats(costs_a, costs_b) -> bool:
+    """True iff a is <= b on the leading criteria and < b on the last."""
+    return costs_a[-1] < costs_b[-1] and all(
+        x <= y for x, y in zip(costs_a[:-1], costs_b[:-1]))
+
+
+def _front(catalog: CutCatalog, beats) -> set[Cut]:
+    """Cuts whose cost vector no other cut's vector ``beats``, for a strict
+    order ``beats`` under which a beating vector is lexicographically
+    smaller."""
+    front = []
+    for cost in sorted(set(catalog.costs.values())):
+        if not any(beats(kept, cost) for kept in front):
+            front.append(cost)
+    kept = set(front)
+    return {cut for cut, cost in catalog.costs.items() if cost in kept}
 
 
 def oracle_multiobjective(catalog: CutCatalog) -> set[Cut]:
     """Cuts F with no F' that is <= on the first t-1 criteria and < on the last.
 
     Equivalently, F is budget-optimal at the budget vector b_i = c_i(F).
+    Such an F' sorts before F, and the relation is transitive, so the
+    cost-vector-ordered front of ``oracle_pareto`` decides it too.
     """
     if catalog.t < 1:
         raise InstanceError("the multiobjective oracle needs a cost criterion")
-    items = list(catalog.costs.items())
-    result = set()
-    for cut, cost in items:
-        beaten = any(
-            c2[-1] < cost[-1] and all(c2[i] <= cost[i] for i in range(len(cost) - 1))
-            for _, c2 in items)
-        if not beaten:
-            result.add(cut)
-    return result
+    return _front(catalog, _beats)
 
 
 def oracle_bmulti(catalog: CutCatalog, budgets) -> set[Cut]:
     """All minimizers of the last criterion among cuts within the budgets."""
+    if catalog.t < 1:
+        raise InstanceError("the budgeted oracle needs a cost criterion")
     budgets = exact_ints(budgets, catalog.t - 1, "budget")
     feasible = [(cut, cost) for cut, cost in catalog.costs.items()
                 if all(cost[i] <= budgets[i] for i in range(catalog.t - 1))]
@@ -240,7 +294,8 @@ def oracle_kcut(G: Hypergraph, k: int, sizes, weighted_costs: bool = False,
     weights = G.weights_by_criterion()
     w = weights[0] if weights else [1] * G.n
     if any(x < 1 for x in w):
-        raise InstanceError("size-constrained oracle requires positive vertex weights")
+        raise InstanceError(
+            "size-constrained cuts require positive vertex weights")
     if G.n < k:
         return INFEASIBLE
 

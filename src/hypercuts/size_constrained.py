@@ -1,11 +1,12 @@
 """Size-constrained min-k-cut via weight-oblivious non-uniform contraction.
 
-The solver never reads vertex weights: it contracts hyperedges with
+The solver's draws never read vertex weights: it contracts hyperedges with
 probability proportional to alpha_e = C(n-|e|, sigma_{k-1}) / C(n, sigma_{k-1})
 (optionally scaled by edge cost), keeps a candidate cut R built from a random
 partial labelling at every level, and on the way back up returns the level's
 candidate with probability 1/n.  The same seed therefore produces identical
-output for every choice of vertex-weight annotation.
+output for every choice of positive vertex-weight annotation; a weight
+below 1 is rejected up front, as the oracle rejects it.
 
 The walk is an ``_engine.Walk``: each level is a ``level`` node (the
 candidate draw plus the alpha-weighted sample node) and the base case is a
@@ -18,8 +19,8 @@ from fractions import Fraction
 from functools import partial
 from math import comb
 
-from ._engine import (Walk, draw_below, ids_mask, mask_sum, present_edge_ids,
-                      sample_node)
+from ._engine import (Walk, draw_below, ids_mask, mask_sum, packer,
+                      present_counts, sample_node)
 from .hypergraph import (Hypergraph, InstanceError, INFEASIBLE, exact_int,
                          exact_ints)
 from .sampling import best_of_n
@@ -49,7 +50,8 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
     k-partition whose sorted part weights meet the sorted size bounds; the
     flag never influences a draw, so outputs stay weight-oblivious.
     Every run is INFEASIBLE when n < k, and the floor is then 1; otherwise
-    it is ``success_floor_size(n, k, sizes)``.
+    it is ``success_floor_size(n, k, sizes)``.  Vertex weights (criterion
+    0, or unit without weights) must be positive.
     """
     sizes = _check_sizes(k, sizes)
     sigma_lead = sum(sizes[:-1])
@@ -58,6 +60,10 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
     cost = G.costs_by_criterion()[0] if weighted_costs else [1] * G.m
     weights = G.weights_by_criterion()
     vertex_w = weights[0] if weights else [1] * G.n
+    if any(w < 1 for w in vertex_w):
+        raise InstanceError(
+            "size-constrained cuts require positive vertex weights")
+    pack = packer(G.rank)  # per present edge, the components it meets
 
     def crossing(label_masks) -> int:
         """Edges meeting at least two label classes (only present ones can)."""
@@ -104,7 +110,7 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
         label_masks[k - 1] |= G.full_mask & ~picked
         return partial(settle, alive, label_masks)
 
-    def expand(comps):
+    def expand(comps, parent=None):
         live = len(comps)
         if live < k:
             # only the start state: a contraction of positive weight
@@ -112,11 +118,12 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
             return ("terminal", INFEASIBLE)
         if live <= base_limit:
             return ("draw", base)
-        present = present_edge_ids(masks, comps)
+        present, counts = present_counts(masks, comps, parent)
         draw = partial(candidate, ids_mask(present))
-        node = sample_node(present, [
-            comb(live - sum(1 for c in comps if c & masks[eid]), sigma_lead)
-            * cost[eid] for eid in present])
+        alpha = [comb(x, sigma_lead) for x in range(live + 1)]
+        node = sample_node(present, [alpha[live - c] * cost[eid]
+                                     for eid, c in zip(present, counts)],
+                           pack(counts))
         if node is None:
             return ("draw", lambda comps, rng: draw(comps, rng)())
         return ("level", draw, node)

@@ -387,6 +387,16 @@ def test_cost_valued_commands_need_a_cost_criterion(cost_free_instance,
     assert json.loads(err)["code"] == 2
 
 
+def test_oracle_bmulti_names_the_missing_cost_criterion(cost_free_instance,
+                                                       capsys):
+    code, out, err = run_cli(capsys, "oracle", "bmulti", "--budgets", "",
+                             "--instance", str(cost_free_instance))
+    assert code == 2
+    assert out == ""
+    assert (json.loads(err)["error"]
+            == "the budgeted oracle needs a cost criterion")
+
+
 @pytest.mark.parametrize("flags", [
     ["--m", "-3", "--t-weights", "0"],
     ["--m", "7", "--max-cost", "-1", "--t-weights", "0"],
@@ -572,3 +582,19 @@ def test_solve_nb_bmulti_rejects_a_single_vertex(tmp_path, capsys, mode):
     assert code == 2
     assert out == ""
     assert json.loads(err)["code"] == 2
+
+
+def test_kcut_commands_reject_zero_vertex_weights_alike(tmp_path, capsys):
+    # solve used to run every trial and exit 3 on the all-zero instance
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(EDGE_INSTANCES["all-zero"]))
+    errors = []
+    for argv in (["solve", "kcut", *KCUT, "--trials", "20"],
+                 ["estimate", "kcut", *KCUT, "--trials", "20"],
+                 ["oracle", "kcut", *KCUT]):
+        code, out, err = run_cli(capsys, *argv, "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        errors.append(json.loads(err)["error"])
+    assert errors == [
+        "size-constrained cuts require positive vertex weights"] * 3

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from hypercuts._engine import (Walk, initial_comps, sample_node, sample_step,
-                               side_mask)
+from hypercuts._engine import (Walk, contract_comps, initial_comps,
+                               sample_node, sample_step, side_mask)
+from hypercuts.analysis import gen_random_instance
 from hypercuts.hypergraph import Hypergraph
+from hypercuts.sampling import derive_rng
 from hypercuts.multiobjective import bmulti_walk, success_floor_edge
 from hypercuts.node_budgeted import (hmincut_walk, nb_arbitrary_walk,
                                      nb_constant_walk, success_floor_node,
@@ -79,3 +81,90 @@ def test_every_walk_carries_its_success_floor(make, floor, n):
     walk = make(G)
     assert isinstance(walk.floor, Fraction)
     assert walk.floor == floor(G)
+
+
+def sorted_contract(comps, mask):
+    """``contract_comps`` as it was first written: merge, then sort by
+    lowest set bit."""
+    merged = 0
+    rest = []
+    for c in comps:
+        if c & mask:
+            merged |= c
+        else:
+            rest.append(c)
+    if merged:
+        rest.append(merged)
+        rest.sort(key=lambda c: c & -c)
+    return tuple(rest)
+
+
+def test_contract_comps_matches_the_sorting_version():
+    rng = random.Random(11)
+    for _ in range(4000):
+        n = rng.randrange(1, 16)
+        comps = initial_comps(n)
+        # a random partition: a few random merges of the singletons
+        for _ in range(rng.randrange(n + 1)):
+            comps = sorted_contract(comps,
+                                    rng.getrandbits(n) & rng.getrandbits(n))
+        mask = rng.getrandbits(n + 2) & rng.getrandbits(n + 2)
+        assert contract_comps(comps, mask) == sorted_contract(comps, mask)
+
+
+def comparable(node):
+    """The fields of a node that are functions of its state alone: tables
+    a walk fills as it goes (``nexts``, a base node's cache) are left out."""
+    tag = node[0]
+    if tag == "sample":
+        return (tag, node[1], node[2], node[3], node[5])
+    if tag == "level":
+        return (tag, node[1].args, comparable(node[2]))
+    if tag in ("merge", "terminal", "delegate"):
+        return node
+    return (tag,)
+
+
+# (n, m, rank, cost criteria) with n <= 10 and ranks 2-5: the budgeted walk
+# samples only above rank * t components.  Costs run 0..4 and weights 1..4,
+# so ties, zero-cost edges and budget-violating components all occur.
+GRID = [(10, 14, 2, 3), (10, 14, 3, 2), (10, 12, 4, 2), (9, 12, 5, 1)]
+
+
+def walk_families(G):
+    costs = sorted(c[0] for c in G.edge_costs)
+    weights = sorted(w[0] for w in G.vertex_weights)
+    node_budget = (weights[G.n // 2] + weights[-1],)
+    budgets = (costs[len(costs) // 2] * 2,) * (G.t_costs - 1)
+    return {
+        "bmulti": bmulti_walk(G, budgets),
+        "nb-constant": nb_constant_walk(G, node_budget),
+        "nb-arbitrary": nb_arbitrary_walk(G, node_budget),
+        "hmincut": hmincut_walk(G),
+        "kcut": kcut_walk(G, 2, (1, 2)),
+    }
+
+
+@pytest.mark.parametrize("family", ["bmulti", "nb-constant", "nb-arbitrary",
+                                    "hmincut", "kcut"])
+@pytest.mark.parametrize("shape", GRID, ids=lambda s: "n%d-m%d-r%d-t%d" % s)
+def test_incremental_expansion_equals_expansion_from_scratch(family, shape):
+    # a cache miss after a sample step expands from the parent node; every
+    # node cached that way must equal the one expand(comps) builds alone
+    n, m, rank, t = shape
+    G = gen_random_instance(n, m, rank, t, 1, max_cost=4, max_weight=4,
+                            seed=n * 100 + rank, positive_weights=True)
+    walk = walk_families(G)[family]
+    for i in range(2000):
+        walk.run(derive_rng(5, i))
+    walks = [walk] + [node[1] for node in walk.cache.values()
+                      if node[0] == "delegate"][:1]
+    inherited = 0
+    for w in walks:
+        for comps, node in w.cache.items():
+            assert comparable(node) == comparable(w.expand(comps)), comps
+            sample = node[2] if node[0] == "level" else node
+            if sample[0] == "sample":
+                inherited += sum(nxt in w.cache for nxt in sample[4]
+                                 if nxt is not None)
+    assert inherited >= 10

@@ -22,9 +22,9 @@ from hypercuts.multiobjective import (enumerate_multiobjective,
                                       enumerate_pareto, solve_bmulti,
                                       verify_pareto_optimality)
 from hypercuts.node_budgeted import solve_hmincut, solve_nb_bmulti
-from hypercuts.oracle import (build_catalog, oracle_kcut, oracle_min_cut,
-                              oracle_multiobjective, oracle_nb_bmulti,
-                              oracle_pareto)
+from hypercuts.oracle import (build_catalog, oracle_bmulti, oracle_kcut,
+                              oracle_min_cut, oracle_multiobjective,
+                              oracle_nb_bmulti, oracle_pareto)
 from hypercuts.sampling import best_of_n
 from hypercuts.size_constrained import kcut_walk, solve_kcut
 
@@ -107,10 +107,11 @@ def test_non_integer_inputs_raise_instance_error(case):
     lambda G: oracle_min_cut(build_catalog(G)),
     lambda G: oracle_multiobjective(build_catalog(G)),
     lambda G: oracle_pareto(build_catalog(G)),
+    lambda G: oracle_bmulti(build_catalog(G), ()),
     lambda G: pipeline_equivalence(G, 0, 1),
 ], ids=["solve_kcut", "estimate", "oracle_kcut", "solve_hmincut",
         "oracle_nb_bmulti", "oracle_min_cut", "oracle_multiobjective",
-        "oracle_pareto", "pipeline_equivalence"])
+        "oracle_pareto", "oracle_bmulti", "pipeline_equivalence"])
 def test_edge_costs_needed_but_absent(call):
     with pytest.raises(InstanceError):
         call(cost_free_instance())

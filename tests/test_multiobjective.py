@@ -6,7 +6,7 @@ import pytest
 from hypercuts.analysis import gen_lower_bound_instance, gen_random_instance
 from hypercuts._engine import contract_comps, initial_comps, present_edge_ids
 from hypercuts.hypergraph import Cut, Hypergraph, InstanceError
-from hypercuts.multiobjective import (_classes, _EnumContext,
+from hypercuts.multiobjective import (_class_of, _EnumContext,
                                       _prune_final_criterion, bmulti_walk,
                                       default_enum_repetitions,
                                       enum_repetition_count,
@@ -22,9 +22,14 @@ from hypercuts.sampling import derive_rng
 
 
 def infeasible_classes(G, comps, budgets):
-    """The per-criterion classes of ``comps`` as the budgeted walk sees them."""
-    return _classes(G.edge_masks, comps, present_edge_ids(G.edge_masks, comps),
-                    G.costs_by_criterion(), budgets)
+    """The per-criterion classes of ``comps`` as the budgeted walk sees them,
+    each in partition order."""
+    present = present_edge_ids(G.edge_masks, comps)
+    costs = G.costs_by_criterion()
+    labels = [_class_of(G.edge_masks, present, costs, budgets, c)
+              for c in comps]
+    return tuple([c for c, label in zip(comps, labels) if label == i]
+                 for i in range(len(costs)))
 
 
 def one_run(walk, rng):

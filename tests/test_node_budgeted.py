@@ -68,7 +68,7 @@ def test_hmincut_contraction_weights():
     # common denominator 4, i.e. beta = 3/2
     G = Hypergraph(4, [(0, 1), (0, 1, 2, 3)], [(3,), (5,)])
     node = hmincut_walk(G).expand(initial_comps(4))
-    tag, cum, total, eids, _ = node
+    tag, cum, total, eids = node[:4]
     assert tag == "sample"
     assert eids == [0, 1]
     assert cum == [6, 6] and total == 6  # spanning edge has weight zero
@@ -161,7 +161,7 @@ def test_nb_arbitrary_alpha_weights():
                    [(9,), (2,), (2,), (2,), (2,)])
     walk = nb_arbitrary_walk(G, (5,))
     node = walk.expand(initial_comps(5))
-    tag, cum, total, eids, _ = node
+    tag, cum, total, eids = node[:4]
     assert tag == "sample"
     # edge (0,1): feasible outside = 4 - 1 = 3 -> 3*2 = 6
     # edge (1,2): feasible outside = 4 - 2 = 2 -> 2*4 = 8
@@ -199,7 +199,7 @@ def test_nb_arbitrary_alpha_sum_claim():
         node = nb_arbitrary_walk(G, budgets).expand(initial_comps(G.n))
         if node[0] != "sample":
             continue
-        _, cum, total, _, _ = node
+        _, cum, total, _ = node[:4]
         n_feas = sum(1 for v in range(G.n) if G.vertex_weights[v][0] <= budgets[0])
         alpha_sum = Fraction(total, n_feas)
         c_total = sum(cost)

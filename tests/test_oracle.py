@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypercuts._engine import delta_mask, ids_mask
 from hypercuts.analysis import gen_random_instance
 from hypercuts.hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE
-from hypercuts.oracle import (build_catalog, dominates, is_cut,
+from hypercuts.oracle import (CutCatalog, build_catalog, dominates, is_cut,
                               oracle_bmulti, oracle_kcut, oracle_min_cut,
                               oracle_multiobjective, oracle_nb_bmulti,
                               oracle_parametric_t2, oracle_pareto)
@@ -245,3 +245,76 @@ def test_is_cut_matches_catalog_membership(data):
     cut = Cut.from_mask(delta_mask(G.edge_masks, side, G.full_mask)
                         ^ ids_mask(flips))
     assert is_cut(G, cut) == (cut in build_catalog(G).costs)
+
+
+def scanned_catalog(G):
+    """``build_catalog``'s first loop: every side scanned edge by edge."""
+    costs = {}
+    full = G.full_mask
+    for side_bits in range(1, 1 << (G.n - 1)):
+        side = side_bits << 1
+        other = full & ~side
+        cut = Cut(tuple(eid for eid, em in enumerate(G.edge_masks)
+                        if (em & side) and (em & other)))
+        if cut not in costs:
+            costs[cut] = G.cut_costs(cut)
+    return costs
+
+
+CATALOG_CASES = {
+    "n1": Hypergraph(1, [], t_costs=2),
+    "n2": Hypergraph(2, [(0, 1)], [(3, 1)]),
+    "n2-edgeless": Hypergraph(2, [], t_costs=1),
+    "edgeless": Hypergraph(5, [], t_costs=2),
+    # repeated edges and a disconnected vertex give repeated cuts
+    "repeats": Hypergraph(5, [(0, 1), (0, 1), (1, 2, 3), (1, 2, 3)],
+                          [(1, 2), (2, 1), (0, 3), (3, 0)]),
+    "no-costs": Hypergraph(4, [(0, 1), (1, 2), (2, 3)], [(), (), ()],
+                           t_costs=0),
+}
+for _seed, (_n, _m, _r) in enumerate([(6, 8, 2), (8, 12, 3), (9, 10, 4),
+                                      (10, 14, 5), (7, 4, 5), (11, 20, 3)]):
+    CATALOG_CASES[f"random-n{_n}-r{_r}"] = gen_random_instance(
+        _n, _m, _r, 1 + _seed % 3, 0, max_cost=3, seed=_seed)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_CASES))
+def test_gray_code_catalog_equals_the_scanned_catalog(name):
+    G = CATALOG_CASES[name]
+    assert build_catalog(G).costs == scanned_catalog(G)
+
+
+def all_pairs_pareto(costs):
+    return {cut for cut, cost in costs.items()
+            if not any(dominates(c2, cost) for c2 in costs.values()
+                       if c2 != cost)}
+
+
+def all_pairs_multiobjective(costs):
+    return {cut for cut, cost in costs.items()
+            if not any(c2[-1] < cost[-1] and all(
+                c2[i] <= cost[i] for i in range(len(cost) - 1))
+                for c2 in costs.values())}
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_sorted_fronts_equal_all_pairs_filters(t):
+    # values in 0..3 over up to 40 cuts: many tied and equal vectors
+    rng = random.Random(t)
+    for _ in range(300):
+        catalog = CutCatalog(Hypergraph(2, [], t_costs=t))
+        for eid in range(rng.randrange(41)):
+            catalog.costs[Cut((eid,))] = tuple(rng.randrange(4)
+                                               for _ in range(t))
+        assert oracle_pareto(catalog) == all_pairs_pareto(catalog.costs)
+        assert (oracle_multiobjective(catalog)
+                == all_pairs_multiobjective(catalog.costs))
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CATALOG_CASES
+                                        if n.startswith("random")))
+def test_sorted_fronts_equal_all_pairs_filters_on_catalogs(name):
+    catalog = build_catalog(CATALOG_CASES[name])
+    assert oracle_pareto(catalog) == all_pairs_pareto(catalog.costs)
+    assert (oracle_multiobjective(catalog)
+            == all_pairs_multiobjective(catalog.costs))

@@ -31,7 +31,7 @@ def alphas(n, edges, sizes):
     walk = kcut_walk(Hypergraph(n, edges), len(sizes), sizes)
     node = walk.expand(initial_comps(n))
     assert node[0] == "level"
-    tag, cum, total, eids, _ = node[2]
+    tag, cum, total, eids = node[2][:4]
     assert tag == "sample" and eids == list(range(len(edges)))
     denominator = math.comb(n, sum(sorted(sizes)[:-1]))
     return [Fraction(b - a, denominator) for a, b in zip([0] + cum, cum)]
@@ -160,7 +160,7 @@ def test_sampled_edges_leave_room():
     walk = kcut_walk(G, 3, (1, 1, 2))
     node = walk.expand(initial_comps(G.n))
     assert node[0] == "level"
-    _, cum, _, present, _ = node[2]
+    _, cum, _, present = node[2][:4]
     spans = [len(G.edges[eid]) for eid in present]  # singleton components
     sigma_lead = 2
     prev = 0
