@@ -258,7 +258,8 @@ def cmd_estimate(args) -> dict:
     G = _load(args.instance)
     params = _params(args)
     if args.family == "pipeline":
-        return harness.pipeline_equivalence(G, args.seed, args.runs, **params)
+        return harness.pipeline_equivalence(G, args.seed, args.runs,
+                                            jobs=args.jobs, **params)
     algo = args.family
     if "rank_mode" in params:
         algo = f"{algo}-{params.pop('rank_mode')}"

@@ -123,28 +123,45 @@ def _build_problem(G: Hypergraph, algorithm: str, budgets=None, k=None,
     raise InstanceError(f"unknown algorithm {algorithm!r}")
 
 
+def _hit(out, target_masks) -> bool:
+    """Whether a walk's outcome is a success: a cut in ``target_masks``, or
+    INFEASIBLE when ``target_masks`` is None (an infeasible instance)."""
+    if target_masks is None:
+        return out is INFEASIBLE
+    return out is not INFEASIBLE and out[0] in target_masks
+
+
 def _successes(walk, target_masks, seed: int, start: int, count: int) -> int:
-    """Trials in [start, start+count) whose cut is one of ``target_masks``."""
+    """Trials in [start, start+count) whose outcome is a success."""
     successes = 0
     for idx in range(start, start + count):
-        out = walk.run(derive_rng(seed, idx))
-        if out is not INFEASIBLE and out[0] in target_masks:
+        if _hit(walk.run(derive_rng(seed, idx)), target_masks):
             successes += 1
     return successes
 
 
-# The walk a pool worker runs: set by ``_adopt_walk`` in each forked worker,
-# which inherits the parent's walk instead of rebuilding it.
-_worker_walk = None
+# What a pool worker works on (a walk, or a pipeline's fixed arguments): set
+# by ``_adopt`` in each forked worker, which inherits it from the parent
+# instead of rebuilding it.
+_worker_state = None
 
 
-def _adopt_walk(walk) -> None:
-    global _worker_walk
-    _worker_walk = walk
+def _adopt(state) -> None:
+    global _worker_state
+    _worker_state = state
 
 
-def _worker_successes(target_masks, seed: int, start: int, count: int) -> int:
-    return _successes(_worker_walk, target_masks, seed, start, count)
+def _call_adopted(fn, *args):
+    return fn(_worker_state, *args)
+
+
+def _fork_map(fn, state, calls, workers: int) -> list:
+    """``[fn(state, *args) for args in calls]`` in order, over ``workers``
+    forked processes: each inherits ``state``, so only ``calls`` are
+    pickled."""
+    with get_context("fork").Pool(workers, initializer=_adopt,
+                                  initargs=(state,)) as pool:
+        return pool.starmap(_call_adopted, [(fn, *args) for args in calls])
 
 
 def estimate(G: Hypergraph, algorithm: str, *, budgets=None, k=None, sizes=None,
@@ -168,74 +185,79 @@ def estimate(G: Hypergraph, algorithm: str, *, budgets=None, k=None, sizes=None,
     digest = instance_digest(G)
 
     if optima is INFEASIBLE:
-        successes = 0
-        for idx in range(trials):
-            if walk.run(derive_rng(seed, idx)) is INFEASIBLE:
-                successes += 1
-        return TrialReport(algorithm, digest, trials, successes, Fraction(1),
-                           seed, note="instance infeasible; counting INFEASIBLE agreement")
-
-    if fixed_target is not None:
-        if fixed_target not in optima:
-            raise InstanceError("fixed target is not oracle-optimal")
-        targets = {fixed_target}
+        target_masks = None
     else:
-        targets = optima
-    target_masks = {cut.mask() for cut in targets}
+        if fixed_target is not None:
+            if fixed_target not in optima:
+                raise InstanceError("fixed target is not oracle-optimal")
+            targets = {fixed_target}
+        else:
+            targets = optima
+        target_masks = {cut.mask() for cut in targets}
 
-    if jobs > 1:
+    start = walk.expand(walk.start)
+    if start[0] == "terminal":
+        # every trial stops at the start with this outcome and draws nothing
+        successes = trials if _hit(start[1], target_masks) else 0
+    elif jobs > 1:
         chunk = -(-trials // jobs)
-        spans = [(s, min(chunk, trials - s)) for s in range(0, trials, chunk)]
-        # forked workers inherit the built walk: nothing is re-parsed,
-        # rebuilt or pickled but the span arguments
-        ctx = get_context("fork")
-        with ctx.Pool(min(jobs, len(spans)), initializer=_adopt_walk,
-                      initargs=(walk,)) as pool:
-            parts = pool.starmap(_worker_successes, [
-                (target_masks, seed, s, c) for s, c in spans])
-        successes = sum(parts)
+        spans = [(target_masks, seed, s, min(chunk, trials - s))
+                 for s in range(0, trials, chunk)]
+        successes = sum(_fork_map(_successes, walk, spans, len(spans)))
     else:
         successes = _successes(walk, target_masks, seed, 0, trials)
 
+    if optima is INFEASIBLE:
+        return TrialReport(algorithm, digest, trials, successes, Fraction(1),
+                           seed, note="instance infeasible; counting INFEASIBLE agreement")
     return TrialReport(algorithm, digest, trials, successes, walk.floor, seed,
                        optima=len(optima),
                        extra={"fixed_target": sorted(fixed_target.edge_ids)}
                        if fixed_target else {})
 
 
+def _pipeline_run(state, idx: int) -> dict:
+    """Run ``idx`` of a pipeline check: its row of ``per_run``."""
+    G, seed, repetitions, verify_repetitions, true_multi, true_pareto = state
+    collection, pareto = pareto_pipeline(G, derive_rng(seed, idx),
+                                         repetitions, verify_repetitions)
+    return {"run": idx, "multi_exact": collection == true_multi,
+            "pareto_exact": pareto == true_pareto,
+            "enumerated": len(collection), "pareto": len(pareto)}
+
+
 def pipeline_equivalence(G: Hypergraph, seed: int, runs: int,
                          repetitions: int | None = None,
-                         verify_repetitions: int | None = None) -> dict:
+                         verify_repetitions: int | None = None,
+                         jobs: int = 1) -> dict:
     """Repeatedly run the enumeration pipelines and compare with the oracle.
 
     Each run enumerates the budget-optimal collection once and derives the
     pareto set by the randomized dominance filter; the report carries per-run
     exact-match flags against the oracle sets plus aggregate hit counts.
-    Misses are reported, never masked.
+    Misses are reported, never masked.  Run i draws from its own generator,
+    so ``jobs`` forked workers share the runs without changing the report.
     """
     exact_int(runs, "runs", 1)
+    exact_int(jobs, "jobs", 1)
     repetitions = enum_repetition_count(G, repetitions)
     verify_repetitions = verify_repetition_count(G, verify_repetitions)
     catalog = build_catalog(G)
     true_multi = oracle_multiobjective(catalog)
     true_pareto = oracle_pareto(catalog)
-    per_run = []
-    multi_hits = pareto_hits = 0
-    for idx in range(runs):
-        collection, pareto = pareto_pipeline(G, derive_rng(seed, idx),
-                                             repetitions, verify_repetitions)
-        m_ok = collection == true_multi
-        p_ok = pareto == true_pareto
-        multi_hits += m_ok
-        pareto_hits += p_ok
-        per_run.append({"run": idx, "multi_exact": m_ok, "pareto_exact": p_ok,
-                        "enumerated": len(collection), "pareto": len(pareto)})
+    state = (G, seed, repetitions, verify_repetitions, true_multi, true_pareto)
+    workers = min(jobs, runs)
+    if workers > 1:
+        per_run = _fork_map(_pipeline_run, state,
+                            [(idx,) for idx in range(runs)], workers)
+    else:
+        per_run = [_pipeline_run(state, idx) for idx in range(runs)]
     return {
         "instance": instance_digest(G),
         "seed": seed,
         "runs": runs,
-        "multi_exact_runs": multi_hits,
-        "pareto_exact_runs": pareto_hits,
+        "multi_exact_runs": sum(row["multi_exact"] for row in per_run),
+        "pareto_exact_runs": sum(row["pareto_exact"] for row in per_run),
         "oracle_multi": len(true_multi),
         "oracle_pareto": len(true_pareto),
         "per_run": per_run,

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from ._engine import (contract_comps, delta_mask, ids_mask, initial_comps,
-                      present_edge_ids, side_mask)
+                      mask_sum, present_edge_ids, side_mask)
 from .hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE,
                          delta_partition, exact_int, exact_ints)
 
@@ -245,22 +245,7 @@ def oracle_nb_bmulti(G: Hypergraph, budgets, override_guard: bool = False):
     best = None
     best_cuts: set[Cut] = set()
     for side in range(1, full):
-        ok = True
-        for wcol, b in zip(weights, budgets):
-            total = 0
-            bits = side
-            v = 0
-            while bits:
-                if bits & 1:
-                    total += wcol[v]
-                    if total > b:
-                        break
-                bits >>= 1
-                v += 1
-            if total > b:
-                ok = False
-                break
-        if not ok:
+        if any(mask_sum(wcol, side) > b for wcol, b in zip(weights, budgets)):
             continue
         other = full & ~side
         ids = tuple(eid for eid, em in enumerate(masks)

@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import partial
 from math import comb
 
-from ._engine import (Walk, draw_below, ids_mask, mask_sum, packer,
-                      present_counts, sample_node)
+from ._engine import (Walk, draw_below, draw_sample, ids_mask, mask_sum,
+                      packer, present_counts, sample_node)
 from .hypergraph import (Hypergraph, InstanceError, INFEASIBLE, exact_int,
                          exact_ints)
 from .sampling import best_of_n
@@ -30,6 +30,10 @@ __all__ = [
     "solve_kcut",
     "success_floor_size",
 ]
+
+# Most labellings whose outcome one walk keeps; past it outcomes are
+# computed afresh.
+_OUTCOME_CAP = 1 << 16
 
 
 def _check_sizes(k: int, sizes) -> tuple[int, ...]:
@@ -76,12 +80,20 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
                 out |= 1 << eid
         return out
 
+    memo = {}  # outcome per labelling, up to _OUTCOME_CAP of them
+
     def outcome(label_masks):
-        if any(m == 0 for m in label_masks):
-            return crossing(label_masks), False
-        part_w = sorted(mask_sum(vertex_w, lm) for lm in label_masks)
-        return crossing(label_masks), all(
-            w >= s for w, s in zip(part_w, sizes))
+        key = tuple(label_masks)
+        out = memo.get(key)
+        if out is None:
+            if 0 in key:
+                out = crossing(key), False
+            else:
+                part_w = sorted(mask_sum(vertex_w, lm) for lm in key)
+                out = crossing(key), all(w >= s for w, s in zip(part_w, sizes))
+            if len(memo) < _OUTCOME_CAP:
+                memo[key] = out
+        return out
 
     def base(comps, rng):
         # uniform independent label per supervertex (k^|V| outcomes)
@@ -93,19 +105,20 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
     def settle(alive, label_masks):
         """delta of a partial labelling, or the present edge set ``alive``
         when the labelling leaves a part empty."""
-        if any(m == 0 for m in label_masks):
+        if 0 in label_masks:
             return alive, False
         return outcome(label_masks)
 
     def candidate(alive, comps, rng):
         """A random partial labelling, drawn now and settled only if the
         level's candidate survives (settling draws nothing)."""
-        chosen = sorted(rng.sample(range(len(comps)), 2 * sigma_lead))
+        chosen = sorted(draw_sample(rng, len(comps), 2 * sigma_lead))
         label_masks = [0] * k
         picked = 0
         for idx in chosen:
-            label_masks[draw_below(rng, k)] |= comps[idx]
-            picked |= comps[idx]
+            c = comps[idx]
+            label_masks[draw_below(rng, k)] |= c
+            picked |= c
         # everything outside the sample joins the last part
         label_masks[k - 1] |= G.full_mask & ~picked
         return partial(settle, alive, label_masks)

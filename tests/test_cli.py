@@ -153,6 +153,20 @@ def test_estimate_cli_and_exit_codes(instance_path, capsys):
     assert rec2["runs"] == 2
 
 
+def test_estimate_pipeline_jobs_give_the_serial_payload(instance_path,
+                                                        capsys):
+    argv = ["estimate", "pipeline", "--instance", str(instance_path),
+            "--runs", "3", "--reps", "300", "--verify-reps", "100",
+            "--seed", "7", "--format", "json"]
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(capsys, *argv, "--jobs", jobs)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert [row["run"] for row in json.loads(outs[0])["per_run"]] == [0, 1, 2]
+
+
 def test_estimate_nb_rank_modes(instance_path, capsys):
     for mode in ("constant", "arbitrary"):
         code, out, _ = run_cli(capsys, "estimate", "nb-bmulti", "--instance",

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from hypercuts._engine import (Walk, contract_comps, initial_comps,
-                               sample_node, sample_step, side_mask)
+from hypercuts._engine import (Walk, contract_comps, draw_sample,
+                               initial_comps, sample_node, sample_step,
+                               side_mask)
 from hypercuts.analysis import gen_random_instance
 from hypercuts.hypergraph import Hypergraph
 from hypercuts.sampling import derive_rng
@@ -22,6 +23,16 @@ def test_side_mask_is_the_union_of_the_picked_components():
     assert side_mask(comps, 0) == 0
     assert side_mask(comps, 0b101) == 0b11011
     assert side_mask(comps, 0b111) == 0b11111
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_draw_sample_is_rng_sample(n):
+    # n <= 21 takes the inlined pool branch, n > 21 defers to rng.sample
+    for seed in range(5):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for k in range(n + 1):
+            assert draw_sample(rng, n, k) == ref.sample(range(n), k)
+            assert rng.getstate() == ref.getstate()
 
 
 def test_sample_step_never_draws_zero_weight_edges():

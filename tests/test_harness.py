@@ -3,14 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from hypercuts import harness
 from hypercuts.analysis import gen_random_instance
 from hypercuts.harness import (TrialReport, default_trials, estimate,
                                instance_digest, pipeline_equivalence)
 from hypercuts.hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE
 from hypercuts.multiobjective import solve_bmulti
-from hypercuts.node_budgeted import solve_hmincut, solve_nb_bmulti
-from hypercuts.oracle import build_catalog, oracle_bmulti, oracle_min_cut
-from hypercuts.size_constrained import solve_kcut
+from hypercuts.node_budgeted import (nb_arbitrary_walk, solve_hmincut,
+                                     solve_nb_bmulti)
+from hypercuts.oracle import (build_catalog, oracle_bmulti, oracle_min_cut,
+                              oracle_nb_bmulti)
+from hypercuts.sampling import derive_rng
+from hypercuts.size_constrained import kcut_walk, solve_kcut
 
 
 def small_instance():
@@ -114,6 +118,50 @@ def test_estimate_jobs_matches_serial():
     parallel = estimate(G, "bmulti", budgets=budgets_for(G), trials=800,
                         seed=4, jobs=2)
     assert serial.successes == parallel.successes
+
+
+def _walked_report(algorithm, G, walk, optima, trials, seed):
+    """The report ``estimate`` gives, from running every trial's walk."""
+    outs = [walk.run(derive_rng(seed, idx)) for idx in range(trials)]
+    if optima is INFEASIBLE:
+        return TrialReport(algorithm, instance_digest(G), trials,
+                           sum(out is INFEASIBLE for out in outs), Fraction(1),
+                           seed, note="instance infeasible; counting "
+                           "INFEASIBLE agreement")
+    masks = {cut.mask() for cut in optima}
+    return TrialReport(algorithm, instance_digest(G), trials,
+                       sum(out[0] in masks for out in outs), walk.floor, seed,
+                       optima=len(optima))
+
+
+# starts that are terminal: n < k, and one edge spanning every vertex
+TERMINAL_STARTS = {
+    "kcut-n-below-k": (Hypergraph(2, [(0, 1)]), "kcut",
+                       {"k": 3, "sizes": (1, 1, 1)},
+                       lambda G: kcut_walk(G, 3, (1, 1, 1)),
+                       lambda G: INFEASIBLE),
+    "nb-arbitrary-spanning-edge": (
+        Hypergraph(3, [(0, 1, 2)], [(1,)], [(1,)] * 3),
+        "nb-bmulti-arbitrary", {"budgets": (1,)},
+        lambda G: nb_arbitrary_walk(G, (1,)),
+        lambda G: oracle_nb_bmulti(G, (1,))[1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TERMINAL_STARTS))
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_estimate_counts_a_terminal_start_without_walking(case, jobs,
+                                                          monkeypatch):
+    G, algorithm, kwargs, make_walk, oracle = TERMINAL_STARTS[case]
+    walk = make_walk(G)
+    assert walk.expand(walk.start)[0] == "terminal"
+    want = _walked_report(algorithm, G, walk, oracle(G), 1000, 5)
+    calls = []
+    monkeypatch.setattr(harness, "derive_rng",
+                        lambda *args: calls.append(args))
+    got = estimate(G, algorithm, seed=5, jobs=jobs, **kwargs)
+    assert got == want
+    assert calls == []
 
 
 def test_estimate_fixed_target():

@@ -89,6 +89,8 @@ REJECTED = {
     "verify float repetitions": lambda G: verify_pareto_optimality(
         G, next(iter(build_catalog(G).costs)), random.Random(0), 2.5),
     "pipeline float runs": lambda G: pipeline_equivalence(G, 0, 1.0, 10, 10),
+    "pipeline zero jobs": lambda G: pipeline_equivalence(G, 0, 1, 10, 10,
+                                                         jobs=0),
 }
 
 

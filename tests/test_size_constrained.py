@@ -1,9 +1,11 @@
+import inspect
 import math
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from hypercuts import size_constrained
 from hypercuts._engine import initial_comps
 from hypercuts.analysis import gen_random_instance
 from hypercuts.hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE,
@@ -11,6 +13,7 @@ from hypercuts.hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE,
 from hypercuts.oracle import oracle_kcut
 from hypercuts.sampling import derive_rng
 from hypercuts.size_constrained import kcut_walk, success_floor_size
+from test_kcut_walk import SHAPES
 
 
 def triangle():
@@ -178,3 +181,31 @@ def test_deterministic_replay():
     b = [one_run(kcut_walk(G, 2, (1, 2)), derive_rng(6, i))
          for i in range(40)]
     assert a == b
+
+
+def outcome_memo(walk):
+    """The walk's per-labelling outcome memo, read off its closures."""
+    base = inspect.getclosurevars(walk.expand).nonlocals["base"]
+    outcome = inspect.getclosurevars(base).nonlocals["outcome"]
+    return inspect.getclosurevars(outcome).nonlocals["memo"]
+
+
+@pytest.mark.parametrize("G, k, sizes, weighted",
+                         [shape[1:5] for shape in SHAPES if shape[0] != "n<k"],
+                         ids=[shape[0] for shape in SHAPES if shape[0] != "n<k"])
+def test_outcome_memo_cap_changes_no_run(G, k, sizes, weighted, monkeypatch):
+    uncapped = kcut_walk(G, k, sizes, weighted)
+    want = []
+    for i in range(2000):
+        rng = derive_rng(72, i)
+        want.append((uncapped.run(rng), rng.getstate()))
+    cap = 4
+    monkeypatch.setattr(size_constrained, "_OUTCOME_CAP", cap)
+    capped = kcut_walk(G, k, sizes, weighted)
+    memo = outcome_memo(capped)
+    for i in range(2000):
+        rng = derive_rng(72, i)
+        assert (capped.run(rng), rng.getstate()) == want[i], i
+        assert len(memo) <= cap
+    # the cap is reached wherever more labellings were settled than it holds
+    assert len(memo) == min(cap, len(outcome_memo(uncapped)))
