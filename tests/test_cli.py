@@ -559,6 +559,25 @@ def test_exit_code_sweep_covers_every_instance_family():
                      if name.split()[0] not in ("gen", "check")}
 
 
+# Every (instance, command) pair of the sweep exits 0 unless listed here.
+EXIT_CODES = {
+    "all-zero": {"solve-kcut": 2, "estimate-kcut": 2, "oracle-kcut": 2},
+    "no-costs": {**dict.fromkeys(SWEEP, 2), "solve-kcut": 0,
+                 "estimate-kcut": 0, "oracle-kcut": 0},
+    "one-vertex": {"solve-bmulti": 3, "solve-nb-constant": 2,
+                   "solve-nb-arbitrary": 2, "solve-hmincut": 2,
+                   "solve-kcut": 3, "verify-pareto": 2, "oracle-bmulti": 3,
+                   "oracle-nb-bmulti": 3, "oracle-kcut": 3,
+                   "estimate-bmulti": 2, "estimate-nb-constant": 2,
+                   "estimate-nb-arbitrary": 2, "estimate-hmincut": 2},
+}
+
+
+def test_pinned_exit_codes_name_swept_pairs():
+    assert set(EXIT_CODES) <= set(EDGE_INSTANCES)
+    assert all(set(codes) <= set(SWEEP) for codes in EXIT_CODES.values())
+
+
 def strict_json(text: str):
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
@@ -578,7 +597,7 @@ def test_every_failure_maps_to_a_documented_exit_code(tmp_path, capsys,
     argv = [token.format(**fill) for token in SWEEP[command]]
     code, out, err = run_cli(capsys, *argv, "--instance", str(path),
                              "--format", "json")
-    assert code in (0, 1, 2, 3)
+    assert code == EXIT_CODES.get(name, {}).get(command, 0)
     if code == 2:
         assert out == ""
         assert strict_json(err)["code"] == 2
