@@ -10,12 +10,12 @@ Library layout:
 * ``size_constrained`` size-constrained min-k-cut
 * ``oracle``          exhaustive ground truth for small instances
 * ``analysis``        closed-form checks and instance generators
-* ``harness``         Monte-Carlo floor estimation against the oracles
+* ``harness``         best-of-N solving and Monte-Carlo floor checks
 * ``cli``             the ``hypercuts`` command-line front end
 
 Each randomized algorithm has two entry points: ``<algo>_walk(G, ...)``
 builds the cached walk, whose ``run(rng)`` is one run, and
-``solve_<algo>`` keeps the best of N seeded runs.
+``harness.solve(G, algorithm, ...)`` keeps the best of N seeded runs.
 """
 
 from .hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE,

@@ -284,6 +284,13 @@ class Walk:
         self.floor = floor
         self.cache: dict[tuple, tuple] = {}
 
+    def fixed_outcome(self):
+        """The outcome of every run if the start is terminal, else None."""
+        node = self.cache.get(self.start)
+        if node is None:
+            node = self.cache[self.start] = self.expand(self.start)
+        return node[1] if node[0] == "terminal" else None
+
     def run(self, rng, comps=None):
         """One walk from ``comps`` (default: the singleton partition);
         returns its outcome."""

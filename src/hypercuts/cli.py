@@ -18,7 +18,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import analysis, harness, multiobjective, node_budgeted, oracle, size_constrained
+from . import analysis, harness, multiobjective, node_budgeted, oracle
 from .hypergraph import (Cut, InstanceError, INFEASIBLE, load_instance,
                          save_instance)
 from .sampling import derive_rng
@@ -149,47 +149,42 @@ def cmd_gen(args) -> dict:
             "digest": harness.instance_digest(G)}
 
 
-def cmd_solve_bmulti(args) -> dict:
-    G = _load(args.instance)
-    best = multiobjective.solve_bmulti(G, seed=args.seed, **_params(args))
-    if best.cut is None:
-        raise Infeasible({"found": False, "trials": best.trials,
-                          "note": "no budget-respecting cut found; instance may be infeasible"})
-    return {"found": True, "trials": best.trials, "cut": list(best.cut.edge_ids),
-            "costs": list(G.cut_costs(best.cut))}
+def _algorithm(family: str, params: dict) -> str:
+    """A walk family's library algorithm; pops --rank-mode off ``params``."""
+    mode = params.pop("rank_mode", None)
+    return family if mode is None else f"{family}-{mode}"
 
 
-def cmd_solve_nb(args) -> dict:
-    G = _load(args.instance)
-    best = node_budgeted.solve_nb_bmulti(G, seed=args.seed, **_params(args))
-    if best.cut is None:
-        raise Infeasible({"found": False, "trials": best.trials,
-                          "infeasible_runs": best.infeasible_runs,
-                          "note": "no feasible cut found; instance may be infeasible"})
-    return {"found": True, "trials": best.trials, "rank_mode": args.rank_mode,
-            "cut": list(best.cut.edge_ids), "cost": best.value,
-            "infeasible_runs": best.infeasible_runs}
+# solve family -> (payload keys with a cut, keys without one, cut sought)
+_SOLVED = {
+    "bmulti": ("found trials cut costs", "found trials note",
+               "budget-respecting cut"),
+    "nb-bmulti": ("found trials rank_mode cut cost infeasible_runs",
+                  "found trials infeasible_runs note", "feasible cut"),
+    "hmincut": ("trials cut cost", "found trials note", "cut"),
+    "kcut": ("trials k sizes cut value", "found trials note",
+             "size-feasible k-cut"),
+}
 
 
-def cmd_solve_hmincut(args) -> dict:
-    G = _load(args.instance)
-    best = node_budgeted.solve_hmincut(G, seed=args.seed, **_params(args))
-    return {"trials": best.trials, "cut": list(best.cut.edge_ids),
-            "cost": best.value}
-
-
-def cmd_solve_kcut(args) -> dict:
+def cmd_solve(args) -> dict:
     G = _load(args.instance)
     params = _params(args)
-    best = size_constrained.solve_kcut(G, seed=args.seed, **params)
-    if best is INFEASIBLE:
+    best = harness.solve(G, _algorithm(args.family, params), seed=args.seed,
+                         **params)
+    with_cut, without_cut, sought = _SOLVED[args.family]
+    cut = best.cut
+    if cut is None and G.n < params.get("k", 0):
         raise Infeasible({"found": False, "note": f"n={G.n} < k={args.k}"})
-    if best.cut is None:
-        raise Infeasible({"found": False, "trials": best.trials,
-                          "note": "no size-feasible k-cut found; "
-                                  "instance may be infeasible"})
-    return {"trials": best.trials, "k": args.k, "sizes": sorted(params["sizes"]),
-            "cut": list(best.cut.edge_ids), "value": best.value}
+    fields = {**vars(args), "found": cut is not None, "trials": best.trials,
+              "infeasible_runs": best.infeasible_runs,
+              "note": f"no {sought} found; instance may be infeasible",
+              "sizes": sorted(params.get("sizes", ())),
+              "cost": best.value, "value": best.value}
+    if cut is None:
+        raise Infeasible({key: fields[key] for key in without_cut.split()})
+    fields.update(cut=list(cut.edge_ids), costs=list(G.cut_costs(cut)))
+    return {key: fields[key] for key in with_cut.split()}
 
 
 def cmd_enumerate(args) -> dict:
@@ -226,6 +221,7 @@ def cmd_verify(args) -> dict:
 
 def cmd_oracle(args) -> dict:
     G = _load(args.instance)
+    params = _params(args)  # before the catalog: a malformed flag exits early
     which = args.family
     if which in ("pareto", "multi", "bmulti", "parametric"):
         catalog = oracle.build_catalog(G, override_guard=args.override_guard)
@@ -236,7 +232,7 @@ def cmd_oracle(args) -> dict:
         elif which == "parametric":
             cuts = oracle.oracle_parametric_t2(catalog)
         else:
-            cuts = oracle.oracle_bmulti(catalog, _params(args)["budgets"])
+            cuts = oracle.oracle_bmulti(catalog, params["budgets"])
             if not cuts:
                 raise Infeasible({"family": which, "count": 0,
                                   "note": "no cut satisfies these budgets"})
@@ -246,7 +242,7 @@ def cmd_oracle(args) -> dict:
         query, note = oracle.oracle_nb_bmulti, "no feasible vertex set"
     else:
         query, note = oracle.oracle_kcut, "no feasible k-partition"
-    result = query(G, **_params(args))
+    result = query(G, **params)
     if result is INFEASIBLE:
         raise Infeasible({"family": which, "note": note})
     value, cuts = result
@@ -260,11 +256,8 @@ def cmd_estimate(args) -> dict:
     if args.family == "pipeline":
         return harness.pipeline_equivalence(G, args.seed, args.runs,
                                             jobs=args.jobs, **params)
-    algo = args.family
-    if "rank_mode" in params:
-        algo = f"{algo}-{params.pop('rank_mode')}"
-    report = harness.estimate(G, algo, seed=args.seed, jobs=args.jobs,
-                              **params)
+    report = harness.estimate(G, _algorithm(args.family, params),
+                              seed=args.seed, jobs=args.jobs, **params)
     payload = report.to_dict()
     if not report.passed:
         raise CheckFailed(payload)
@@ -350,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     # The walk families share their flags across solve, estimate and oracle.
     walks = {"bmulti": [budgets], "nb-bmulti": [budgets, rank_mode],
              "hmincut": [], "kcut": [kcut]}
-    solvers = {"bmulti": cmd_solve_bmulti, "nb-bmulti": cmd_solve_nb,
-               "hmincut": cmd_solve_hmincut, "kcut": cmd_solve_kcut}
     oracles = {"pareto": [], "multi": [], "parametric": [],
                "bmulti": [budgets], "nb-bmulti": [budgets], "kcut": [kcut]}
     # command -> (help, {family: (flag groups after common, handler)});
@@ -366,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                 ("--max-weight", {"type": int, "default": 8}),
                 ("--positive-weights", switch), out)], cmd_gen)}),
         "solve": ("run one randomized solver", {
-            family: ([*groups, trials], solvers[family])
+            family: ([*groups, trials], cmd_solve)
             for family, groups in walks.items()}),
         "enumerate": ("enumerate cut collections", {
             "multi": ([reps], cmd_enumerate),

@@ -1,11 +1,12 @@
-"""Monte-Carlo estimation harness.
+"""Best-of-N solving and Monte-Carlo estimation over one problem table.
 
-``estimate`` runs a randomized solver many times against the exhaustive
-oracle for the same instance and reports the empirical hit frequency of the
-oracle-optimal set next to the algorithm's proven probability floor.  The
-pass policy is one-sided: the floors are lower bounds, so a run passes when
-the empirical frequency is no more than three binomial standard deviations
-below the floor.
+``PROBLEMS`` maps each randomized algorithm to its walk and its exhaustive
+oracle.  ``solve`` keeps the best of N seeded runs of the walk; ``estimate``
+runs it many times against the oracle and reports the empirical hit
+frequency of the oracle-optimal set next to the algorithm's proven
+probability floor.  The pass policy is one-sided: the floors are lower
+bounds, so a run passes when the empirical frequency is no more than three
+binomial standard deviations below the floor.
 
 Reports are reproducible: trial i uses a generator derived from
 (master seed, i), so results are independent of execution order and of the
@@ -16,22 +17,23 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import get_context
 
 from .hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE, exact_int,
-                         exact_ints, save_instance)
+                         save_instance)
 from .multiobjective import (bmulti_walk, enum_repetition_count,
                              pareto_pipeline, verify_repetition_count)
 from .node_budgeted import hmincut_walk, nb_arbitrary_walk, nb_constant_walk
 from .size_constrained import kcut_walk
 from .oracle import (build_catalog, oracle_bmulti, oracle_kcut, oracle_min_cut,
                      oracle_multiobjective, oracle_nb_bmulti, oracle_pareto)
-from .sampling import default_trials, derive_rng
+from .sampling import BestOf, best_of_n, default_trials, derive_rng
 
-__all__ = ["TrialReport", "estimate", "default_trials", "pipeline_equivalence",
-           "instance_digest"]
+__all__ = ["PROBLEMS", "TrialReport", "solve", "estimate", "default_trials",
+           "pipeline_equivalence", "instance_digest"]
 
 
 def instance_digest(G: Hypergraph) -> str:
@@ -90,37 +92,50 @@ class TrialReport:
         }
 
 
-def _build_problem(G: Hypergraph, algorithm: str, budgets=None, k=None,
-                   sizes=None, weighted_costs=False):
-    """Returns (walk, oracle cut set or INFEASIBLE)."""
-    if algorithm == "bmulti":
-        # one budget per leading cost criterion; raises without any criterion
-        t = len(G.costs_by_criterion())
-        budgets = exact_ints(budgets, t - 1, "budget")
-        walk = bmulti_walk(G, budgets)
-        optima = oracle_bmulti(build_catalog(G), budgets)
-        if not optima:
-            raise InstanceError("no cut satisfies the budgets; no optimum to track")
-        return walk, optima
-    if algorithm in ("nb-bmulti-constant", "nb-bmulti-arbitrary"):
-        budgets = exact_ints(() if budgets is None else budgets, G.t_weights,
-                             "node budget")
-        if algorithm == "nb-bmulti-constant":
-            walk = nb_constant_walk(G, budgets)
-        else:
-            walk = nb_arbitrary_walk(G, budgets)
-        result = oracle_nb_bmulti(G, budgets)
-        return walk, result if result is INFEASIBLE else result[1]
-    if algorithm == "hmincut":
-        walk = hmincut_walk(G)
-        _, optima = oracle_min_cut(build_catalog(G))
-        return walk, optima
-    if algorithm == "kcut":
-        sizes = exact_ints(sizes, exact_int(k, "k", 2), "part size", 1)
-        walk = kcut_walk(G, k, sizes, weighted_costs)
-        result = oracle_kcut(G, k, sizes, weighted_costs=weighted_costs)
-        return walk, result if result is INFEASIBLE else result[1]
-    raise InstanceError(f"unknown algorithm {algorithm!r}")
+def _cuts(result):
+    """The optimal cut set of an oracle's (value, cuts), or INFEASIBLE."""
+    return result if result is INFEASIBLE else result[1]
+
+
+# algorithm -> (walk factory, oracle: the optimal cut set or INFEASIBLE,
+# solve's default trial count or None for default_trials(walk.floor)), all
+# callables of (G, **params).  Each looks up this module's names when
+# called, so a hook on, say, ``harness.oracle_kcut`` sees every call.
+PROBLEMS = {
+    "bmulti": (lambda G, budgets=None: bmulti_walk(G, budgets),
+               lambda G, budgets=None: oracle_bmulti(build_catalog(G),
+                                                     budgets), None),
+    "nb-bmulti-constant": (
+        lambda G, budgets=(): nb_constant_walk(G, budgets),
+        lambda G, budgets=(): _cuts(oracle_nb_bmulti(G, budgets)), None),
+    "nb-bmulti-arbitrary": (
+        lambda G, budgets=(): nb_arbitrary_walk(G, budgets),
+        lambda G, budgets=(): _cuts(oracle_nb_bmulti(G, budgets)), None),
+    # ceil(C(n,2) ln n) runs miss a fixed min-cut with probability <= 1/n
+    "hmincut": (lambda G: hmincut_walk(G),
+                lambda G: oracle_min_cut(build_catalog(G))[1],
+                lambda G: math.ceil(math.comb(G.n, 2) * math.log(G.n))),
+    "kcut": (lambda G, k=None, sizes=None, weighted_costs=False:
+             kcut_walk(G, k, sizes, weighted_costs),
+             lambda G, **params: _cuts(oracle_kcut(G, **params)), None),
+}
+
+
+def _problem(algorithm: str) -> tuple:
+    if algorithm not in PROBLEMS:
+        raise InstanceError(f"unknown algorithm {algorithm!r}")
+    return PROBLEMS[algorithm]
+
+
+def solve(G: Hypergraph, algorithm: str, *, trials: int | None = None,
+          seed: int = 0, **params) -> BestOf:
+    """Best of ``trials`` seeded runs of ``algorithm``'s walk on ``G`` (see
+    ``best_of_n``, whose default applies when the row has no count)."""
+    make_walk, _, default = _problem(algorithm)
+    walk = make_walk(G, **params)
+    if trials is None and default is not None:
+        trials = default(G)
+    return best_of_n(walk, trials, seed)
 
 
 def _hit(out, target_masks) -> bool:
@@ -164,41 +179,44 @@ def _fork_map(fn, state, calls, workers: int) -> list:
         return pool.starmap(_call_adopted, [(fn, *args) for args in calls])
 
 
-def estimate(G: Hypergraph, algorithm: str, *, budgets=None, k=None, sizes=None,
-             weighted_costs: bool = False, trials: int | None = None,
-             seed: int = 0, fixed_target: Cut | None = None,
-             jobs: int = 1) -> TrialReport:
+def estimate(G: Hypergraph, algorithm: str, *, trials: int | None = None,
+             seed: int = 0, fixed_target: Cut | None = None, jobs: int = 1,
+             **params) -> TrialReport:
     """Monte-Carlo floor check of one algorithm against the oracle optimum.
 
     Success means the returned cut lies in the oracle-optimal set (or equals
     ``fixed_target``, which must be oracle-optimal).  When the instance is
     infeasible and the algorithm reports INFEASIBLE, trials count as
-    agreement and the report notes the special case.
+    agreement and the report notes the special case.  ``params`` go to
+    ``algorithm``'s row in ``PROBLEMS``.
     """
     exact_int(jobs, "jobs", 1)
     if trials is not None:
         exact_int(trials, "trials", 1)
-    walk, optima = _build_problem(G, algorithm, budgets, k, sizes,
-                                  weighted_costs)
+    make_walk, oracle, _ = _problem(algorithm)
+    # the walk and the oracle each read the parameters
+    params = {name: tuple(value) if isinstance(value, Iterator) else value
+              for name, value in params.items()}
+    walk = make_walk(G, **params)
+    optima = oracle(G, **params)
+    if optima is not INFEASIBLE and not optima:
+        raise InstanceError("no cut satisfies the budgets; no optimum to track")
     if trials is None:
         trials = default_trials(walk.floor)
     digest = instance_digest(G)
 
+    if fixed_target is not None and (optima is INFEASIBLE
+                                     or fixed_target not in optima):
+        raise InstanceError("fixed target is not oracle-optimal")
     if optima is INFEASIBLE:
         target_masks = None
     else:
-        if fixed_target is not None:
-            if fixed_target not in optima:
-                raise InstanceError("fixed target is not oracle-optimal")
-            targets = {fixed_target}
-        else:
-            targets = optima
+        targets = optima if fixed_target is None else {fixed_target}
         target_masks = {cut.mask() for cut in targets}
 
-    start = walk.expand(walk.start)
-    if start[0] == "terminal":
-        # every trial stops at the start with this outcome and draws nothing
-        successes = trials if _hit(start[1], target_masks) else 0
+    fixed = walk.fixed_outcome()
+    if fixed is not None:
+        successes = trials if _hit(fixed, target_masks) else 0
     elif jobs > 1:
         chunk = -(-trials // jobs)
         spans = [(target_masks, seed, s, min(chunk, trials - s))

@@ -1,6 +1,6 @@
 """Edge-cost multicriteria cut algorithms.
 
-* ``bmulti_walk`` / ``solve_bmulti`` - budget-constrained random
+* ``bmulti_walk`` - budget-constrained random
   contraction.  At each step the remaining vertices are classified per
   criterion (those whose single-vertex cut already busts the budget), the
   criterion with the largest class drives a cost-proportional edge
@@ -37,11 +37,10 @@ from ._engine import (Walk, contract_comps, contraction, delta_mask, ids_mask,
                       inherit_present, initial_comps, mask_sum, packer,
                       present_edge_ids, realign, sample_node, side_mask)
 from .hypergraph import Cut, Hypergraph, InstanceError, exact_int, exact_ints
-from .sampling import BestOf, DrawNode, LazyWeightedOrder, best_of_n
+from .sampling import DrawNode, LazyWeightedOrder
 
 __all__ = [
     "bmulti_walk",
-    "solve_bmulti",
     "success_floor_edge",
     "enumerate_multiobjective",
     "enumerate_pareto",
@@ -129,17 +128,6 @@ def _bmulti_walk(G: Hypergraph, costs, budgets) -> Walk:
         return vec[-1] if all(v <= b for v, b in zip(vec, budgets)) else None
 
     return Walk(G, expand, value, success_floor_edge(G.n, G.rank, t))
-
-
-def solve_bmulti(G: Hypergraph, budgets, *, trials: int | None = None,
-                 seed: int = 0) -> BestOf:
-    """Best of ``trials`` seeded runs of the budgeted walk.
-
-    Keeps the cut cheapest on the last criterion among the proper cuts
-    within the budgets.  ``trials`` defaults to ``default_trials`` of the
-    walk's success floor.
-    """
-    return best_of_n(bmulti_walk(G, budgets), trials, seed)
 
 
 def success_floor_edge(n: int, r: int, t: int) -> Fraction:

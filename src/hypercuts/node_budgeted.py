@@ -16,7 +16,6 @@ distinguished outcome (no vertex satisfies the budgets), not an error.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -27,16 +26,13 @@ from ._engine import (Walk, contract_comps, contraction, delta_mask, ids_mask,
                       mask_sum, packer, present_counts, present_edge_ids,
                       realign, sample_node, side_mask)
 from .hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE, exact_ints
-from .sampling import (BestOf, DrawNode, LazyWeightedOrder, best_of_n,
-                       never_keep)
+from .sampling import DrawNode, LazyWeightedOrder, never_keep
 
 __all__ = [
     "nb_constant_walk",
     "nb_arbitrary_walk",
     "hmincut_walk",
     "nb_multi_enum_constant_rank",
-    "solve_nb_bmulti",
-    "solve_hmincut",
     "success_floor_node",
     "success_floor_node_arbitrary",
 ]
@@ -108,16 +104,6 @@ def hmincut_walk(G: Hypergraph) -> Walk:
     if G.n < 2:
         raise InstanceError("need at least 2 vertices")
     return _min_cut_walk(G, G.costs_by_criterion()[0])
-
-
-def solve_hmincut(G: Hypergraph, *, trials: int | None = None,
-                  seed: int = 0) -> BestOf:
-    """Best of ``trials`` seeded runs of one min-cut walk (default
-    ceil(C(n,2) ln n), which misses a fixed min-cut with probability <= 1/n)."""
-    walk = hmincut_walk(G)
-    if trials is None:
-        trials = max(1, math.ceil(comb(G.n, 2) * math.log(G.n)))
-    return best_of_n(walk, trials, seed)
 
 
 def nb_constant_walk(G: Hypergraph, budgets) -> Walk:
@@ -207,23 +193,6 @@ def nb_arbitrary_walk(G: Hypergraph, budgets) -> Walk:
         return delegate if set_ok else node
 
     return Walk(G, expand, min_cut.value, floor)
-
-
-def solve_nb_bmulti(G: Hypergraph, budgets, *, rank_mode: str = "constant",
-                    trials: int | None = None, seed: int = 0) -> BestOf:
-    """Best of ``trials`` seeded runs of one node-budgeted walk.
-
-    ``rank_mode`` picks the constant-rank or the arbitrary-rank walk; the
-    cut of least cost among witnessed outcomes is kept.  ``trials`` defaults
-    to ``default_trials`` of the walk's success floor.
-    """
-    if rank_mode == "constant":
-        walk = nb_constant_walk(G, budgets)
-    elif rank_mode == "arbitrary":
-        walk = nb_arbitrary_walk(G, budgets)
-    else:
-        raise InstanceError(f"unknown rank mode {rank_mode!r}")
-    return best_of_n(walk, trials, seed)
 
 
 def nb_multi_enum_constant_rank(G: Hypergraph, rng: random.Random) -> set[Cut]:

@@ -178,18 +178,24 @@ def best_of_n(walk, trials: int | None, seed: int) -> BestOf:
 
     ``trials`` defaults to ``default_trials(walk.floor)``.  Only witnessed
     outcomes count, valued by ``walk.value(mask)`` (None rejects a cut).
-    Ties keep the earliest trial.
+    Ties keep the earliest trial.  A terminal start's outcome, the same on
+    every trial, is counted once for all of them.
     """
     if trials is None:
         trials = default_trials(walk.floor)
     exact_int(trials, "trials", 1)
+    fixed = walk.fixed_outcome()
+    if fixed is None:
+        outs, runs = (walk.run(derive_rng(seed, idx))
+                      for idx in range(trials)), 1
+    else:
+        outs, runs = (fixed,), trials
     value = walk.value
     best_mask = best_val = None
     infeasible_runs = 0
-    for idx in range(trials):
-        out = walk.run(derive_rng(seed, idx))
+    for out in outs:
         if out is INFEASIBLE:
-            infeasible_runs += 1
+            infeasible_runs += runs
             continue
         mask, witnessed = out
         if not witnessed:

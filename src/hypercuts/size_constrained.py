@@ -23,11 +23,9 @@ from ._engine import (Walk, draw_below, draw_sample, ids_mask, mask_sum,
                       packer, present_counts, sample_node)
 from .hypergraph import (Hypergraph, InstanceError, INFEASIBLE, exact_int,
                          exact_ints)
-from .sampling import best_of_n
 
 __all__ = [
     "kcut_walk",
-    "solve_kcut",
     "success_floor_size",
 ]
 
@@ -143,23 +141,6 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
 
     floor = success_floor_size(G.n, k, sizes) if G.n >= k else Fraction(1)
     return Walk(G, expand, lambda mask: mask_sum(cost, mask), floor)
-
-
-def solve_kcut(G: Hypergraph, k: int, sizes, *, trials: int | None = None,
-               seed: int = 0, weighted_costs: bool = False):
-    """Best of ``trials`` seeded runs of one size-constrained walk.
-
-    Keeps the cut of least value (edge count, or criterion-0 cost with
-    ``weighted_costs``) among outcomes witnessed by a proper, size-feasible
-    k-partition.  Returns INFEASIBLE when n < k.  ``trials`` defaults to
-    ``default_trials`` of the success floor.
-    """
-    walk = kcut_walk(G, k, sizes, weighted_costs)
-    if trials is not None:
-        exact_int(trials, "trials", 1)
-    if G.n < k:
-        return INFEASIBLE
-    return best_of_n(walk, trials, seed)
 
 
 def success_floor_size(n: int, k: int, sizes) -> Fraction:

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from hypercuts import harness
+from hypercuts import harness, oracle
 from hypercuts.cli import build_parser, main
 from hypercuts.hypergraph import Hypergraph, load_instance, save_instance
 
@@ -271,6 +271,21 @@ def test_solve_rejects_zero_trials_on_single_criterion(tmp_path, capsys):
     assert code == 0
     code, out, err = run_cli(capsys, "solve", "bmulti", "--instance",
                              str(path), "--budgets", "", "--trials", "0")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == 2
+
+
+@pytest.mark.parametrize("argv", [["bmulti", "--budgets", "banana"],
+                                  ["nb-bmulti", "--budgets", "x"],
+                                  ["kcut", "--k", "2", "--sizes", "x"]])
+def test_oracle_rejects_malformed_flags_before_building_the_catalog(
+        instance_path, capsys, monkeypatch, argv):
+    def build_catalog(*args, **kwargs):
+        raise AssertionError("catalog built before the flags were parsed")
+    monkeypatch.setattr(oracle, "build_catalog", build_catalog)
+    code, out, err = run_cli(capsys, "oracle", *argv, "--instance",
+                             str(instance_path))
     assert code == 2
     assert out == ""
     assert json.loads(err)["code"] == 2

@@ -3,18 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from hypercuts import harness
+from hypercuts import harness, sampling
 from hypercuts.analysis import gen_random_instance
-from hypercuts.harness import (TrialReport, default_trials, estimate,
-                               instance_digest, pipeline_equivalence)
+from hypercuts.harness import (PROBLEMS, TrialReport, default_trials,
+                               estimate, instance_digest, pipeline_equivalence,
+                               solve)
 from hypercuts.hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE
-from hypercuts.multiobjective import solve_bmulti
-from hypercuts.node_budgeted import (nb_arbitrary_walk, solve_hmincut,
-                                     solve_nb_bmulti)
-from hypercuts.oracle import (build_catalog, oracle_bmulti, oracle_min_cut,
-                              oracle_nb_bmulti)
-from hypercuts.sampling import derive_rng
-from hypercuts.size_constrained import kcut_walk, solve_kcut
+from hypercuts.node_budgeted import nb_arbitrary_walk
+from hypercuts.oracle import build_catalog, oracle_bmulti, oracle_nb_bmulti
+from hypercuts.sampling import BestOf, best_of_n, derive_rng
+from hypercuts.size_constrained import kcut_walk
 
 
 def small_instance():
@@ -43,17 +41,18 @@ def _nb_instance(n, rank, seed):
 # Each shape has 30/floor > 1000, so a wrong floor changes the count.
 @pytest.mark.parametrize("run, trials", [
     # 30 / (1/240): success_floor_edge(6, 2, 2)
-    (lambda: solve_bmulti(small_instance(), budgets_for(small_instance())),
-     7200),
+    (lambda: solve(small_instance(), "bmulti",
+                   budgets=budgets_for(small_instance())), 7200),
     # 30 / (1/240): success_floor_node(6, 3)
-    (lambda: solve_nb_bmulti(_nb_instance(6, 3, 1), (12,)), 7200),
+    (lambda: solve(_nb_instance(6, 3, 1), "nb-bmulti-constant",
+                   budgets=(12,)), 7200),
     # 30 / (1/63): success_floor_node_arbitrary(8)
-    (lambda: solve_nb_bmulti(_nb_instance(8, 2, 2), (12,),
-                             rank_mode="arbitrary"), 1890),
+    (lambda: solve(_nb_instance(8, 2, 2), "nb-bmulti-arbitrary",
+                   budgets=(12,)), 1890),
     # 30 / (1/360): success_floor_size(6, 2, (1, 1))
-    (lambda: solve_kcut(small_instance(), 2, (1, 1)), 10800),
+    (lambda: solve(small_instance(), "kcut", k=2, sizes=(1, 1)), 10800),
     # ceil(C(6,2) ln 6)
-    (lambda: solve_hmincut(small_instance()), 27),
+    (lambda: solve(small_instance(), "hmincut"), 27),
     # 30 / (1/C(9,2))
     (lambda: estimate(gen_random_instance(9, 14, 2, 1, 0, seed=5),
                       "hmincut"), 1080),
@@ -109,7 +108,8 @@ def test_solve_kcut_accepts_one_shot_sizes():
     # the default trial count reads the sizes after the walk is built
     H = gen_random_instance(6, 9, 2, 2, 1, max_cost=8, seed=16,
                             positive_weights=True)
-    assert solve_kcut(H, 2, iter((1, 2))) == solve_kcut(H, 2, (1, 2))
+    assert (solve(H, "kcut", k=2, sizes=iter((1, 2)))
+            == solve(H, "kcut", k=2, sizes=(1, 2)))
 
 
 def test_estimate_jobs_matches_serial():
@@ -254,18 +254,19 @@ def test_pipeline_reproducible():
 
 
 @pytest.mark.parametrize("solve", [
-    lambda G: solve_bmulti(G, (5,), trials=0),
-    lambda G: solve_bmulti(G, (), trials=5),
-    lambda G: solve_bmulti(G, (-1,), trials=5),
-    lambda G: solve_nb_bmulti(G, (5,), trials=0),
-    lambda G: solve_nb_bmulti(G, (5,), rank_mode="arbitrary", trials=0),
-    lambda G: solve_nb_bmulti(G, (5, 5), trials=5),
-    lambda G: solve_nb_bmulti(G, (5,), rank_mode="sideways", trials=5),
-    lambda G: solve_hmincut(G, trials=0),
-    lambda G: solve_kcut(G, 2, (1, 1), trials=0),
-    lambda G: solve_kcut(G, 3, (1, 1), trials=5),
-    lambda G: solve_kcut(G, 2, (0, 1), trials=5),
-    lambda G: solve_kcut(Hypergraph(2, [(0, 1)]), 3, (1, 1, 1), trials=0),
+    lambda G: solve(G, "bmulti", budgets=(5,), trials=0),
+    lambda G: solve(G, "bmulti", budgets=(), trials=5),
+    lambda G: solve(G, "bmulti", budgets=(-1,), trials=5),
+    lambda G: solve(G, "nb-bmulti-constant", budgets=(5,), trials=0),
+    lambda G: solve(G, "nb-bmulti-arbitrary", budgets=(5,), trials=0),
+    lambda G: solve(G, "nb-bmulti-constant", budgets=(5, 5), trials=5),
+    lambda G: solve(G, "nb-bmulti-sideways", budgets=(5,), trials=5),
+    lambda G: solve(G, "hmincut", trials=0),
+    lambda G: solve(G, "kcut", k=2, sizes=(1, 1), trials=0),
+    lambda G: solve(G, "kcut", k=3, sizes=(1, 1), trials=5),
+    lambda G: solve(G, "kcut", k=2, sizes=(0, 1), trials=5),
+    lambda G: solve(Hypergraph(2, [(0, 1)]), "kcut", k=3, sizes=(1, 1, 1),
+                    trials=0),
 ])
 def test_solve_validates_like_the_one_shot_solvers(solve):
     G = gen_random_instance(6, 9, 2, 2, 1, max_cost=8, seed=16,
@@ -274,16 +275,70 @@ def test_solve_validates_like_the_one_shot_solvers(solve):
         solve(G)
 
 
-def test_solve_best_of_n_reaches_the_oracle_optimum():
-    G = small_instance()
-    budgets = budgets_for(G)
-    catalog = build_catalog(G)
-    best = solve_bmulti(G, budgets, trials=3000, seed=1)
-    assert best.trials == 3000 and best.infeasible_runs == 0
-    assert best.cut in oracle_bmulti(catalog, budgets)
-    assert best.value == catalog.costs[best.cut][1]
-    value, optima = oracle_min_cut(catalog)
-    best = solve_hmincut(G, seed=2)
-    assert best.trials == 27  # ceil(C(6,2) ln 6)
-    assert best.value == value and best.cut in optima
-    assert solve_kcut(Hypergraph(2, [(0, 1)]), 3, (1, 1, 1)) is INFEASIBLE
+def _nb_weighted_instance():
+    return gen_random_instance(6, 9, 2, 2, 1, max_cost=8, seed=16,
+                               positive_weights=True)
+
+
+# one (instance, params, trials or None for the row's default) per row of
+# PROBLEMS; a new row fails the test below until it has a case here
+SOLVE_CASES = {
+    "bmulti": (small_instance, lambda G: {"budgets": budgets_for(G)}, 3000),
+    "nb-bmulti-constant": (_nb_weighted_instance,
+                           lambda G: {"budgets": (20,)}, None),
+    "nb-bmulti-arbitrary": (_nb_weighted_instance,
+                            lambda G: {"budgets": (20,)}, None),
+    "hmincut": (small_instance, lambda G: {}, None),
+    "kcut": (small_instance, lambda G: {"k": 2, "sizes": (1, 2)}, None),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(PROBLEMS))
+def test_solve_best_of_n_reaches_the_oracle_optimum(algorithm):
+    make, params_of, trials = SOLVE_CASES[algorithm]
+    G = make()
+    params = params_of(G)
+    make_walk, oracle, _ = PROBLEMS[algorithm]
+    optima = oracle(G, **params)
+    assert optima is not INFEASIBLE
+    best = solve(G, algorithm, trials=trials, seed=1, **params)
+    walk = make_walk(G, **params)
+    if trials is None:
+        trials = (27 if algorithm == "hmincut"  # ceil(C(6,2) ln 6)
+                  else default_trials(walk.floor))
+    assert best.trials == trials and best.infeasible_runs == 0
+    assert best.cut in optima
+    assert best.value == walk.value(best.cut.mask())
+
+
+@pytest.mark.parametrize("case", sorted(TERMINAL_STARTS))
+def test_solve_counts_a_terminal_start_without_walking(case, monkeypatch):
+    G, algorithm, kwargs, make_walk, _ = TERMINAL_STARTS[case]
+    walk = make_walk(G)
+    walk.fixed_outcome = lambda: None  # the reference runs every trial
+    want = best_of_n(walk, None, 5)
+    calls = []
+    monkeypatch.setattr(sampling, "derive_rng",
+                        lambda *args: calls.append(args))
+    got = solve(G, algorithm, seed=5, **kwargs)
+    assert got == want
+    assert calls == []
+
+
+def test_solve_kcut_below_k_finds_no_cut_on_every_trial():
+    best = solve(Hypergraph(2, [(0, 1)]), "kcut", k=3, sizes=(1, 1, 1))
+    assert best == BestOf(None, None, 1000, 1000)
+
+
+def test_estimate_rejects_a_fixed_target_on_an_infeasible_instance():
+    # no cut is optimal where no vertex set fits the budgets
+    G = Hypergraph(3, [(0, 1), (1, 2)], [(1,), (1,)], [(9,), (9,), (9,)])
+    with pytest.raises(InstanceError, match="not oracle-optimal"):
+        estimate(G, "nb-bmulti-arbitrary", budgets=(3,), trials=50,
+                 fixed_target=Cut.of([0]))
+
+
+@pytest.mark.parametrize("run", [solve, estimate])
+def test_an_unknown_keyword_raises_type_error(run):
+    with pytest.raises(TypeError):
+        run(small_instance(), "hmincut", trials=10, budgets=(3,))

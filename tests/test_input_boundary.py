@@ -16,17 +16,16 @@ from hypothesis import strategies as st
 
 from hypercuts import multiobjective, node_budgeted, size_constrained
 from hypercuts.analysis import gen_random_instance
-from hypercuts.harness import estimate, pipeline_equivalence
+from hypercuts.harness import estimate, pipeline_equivalence, solve
 from hypercuts.hypergraph import Hypergraph, InstanceError
 from hypercuts.multiobjective import (enumerate_multiobjective,
-                                      enumerate_pareto, solve_bmulti,
+                                      enumerate_pareto,
                                       verify_pareto_optimality)
-from hypercuts.node_budgeted import solve_hmincut, solve_nb_bmulti
 from hypercuts.oracle import (build_catalog, oracle_bmulti, oracle_kcut,
                               oracle_min_cut, oracle_multiobjective,
                               oracle_nb_bmulti, oracle_pareto)
 from hypercuts.sampling import best_of_n
-from hypercuts.size_constrained import kcut_walk, solve_kcut
+from hypercuts.size_constrained import kcut_walk
 
 ALGORITHM_MODULES = (multiobjective, node_budgeted, size_constrained)
 
@@ -60,16 +59,17 @@ def cost_free_instance():
 
 
 REJECTED = {
-    "bmulti float budget": lambda G: solve_bmulti(G, (3.5,)),
-    "bmulti bool budget": lambda G: solve_bmulti(G, (True,)),
-    "bmulti str budget": lambda G: solve_bmulti(G, ("3",)),
-    "bmulti scalar budget": lambda G: solve_bmulti(G, 3),
-    "nb float budget": lambda G: solve_nb_bmulti(G, (2.5,)),
-    "nb arbitrary float budget": lambda G: solve_nb_bmulti(
-        G, (2.5,), rank_mode="arbitrary"),
-    "kcut float size": lambda G: solve_kcut(G, 2, (1.5, 1)),
-    "kcut float k": lambda G: solve_kcut(G, 2.0, (1, 1)),
-    "kcut bool size": lambda G: solve_kcut(G, 2, (True, 1)),
+    "bmulti float budget": lambda G: solve(G, "bmulti", budgets=(3.5,)),
+    "bmulti bool budget": lambda G: solve(G, "bmulti", budgets=(True,)),
+    "bmulti str budget": lambda G: solve(G, "bmulti", budgets=("3",)),
+    "bmulti scalar budget": lambda G: solve(G, "bmulti", budgets=3),
+    "nb float budget": lambda G: solve(G, "nb-bmulti-constant",
+                                                budgets=(2.5,)),
+    "nb arbitrary float budget": lambda G: solve(
+        G, "nb-bmulti-arbitrary", budgets=(2.5,)),
+    "kcut float size": lambda G: solve(G, "kcut", k=2, sizes=(1.5, 1)),
+    "kcut float k": lambda G: solve(G, "kcut", k=2.0, sizes=(1, 1)),
+    "kcut bool size": lambda G: solve(G, "kcut", k=2, sizes=(True, 1)),
     "estimate float budget": lambda G: estimate(G, "bmulti", budgets=(3.5,)),
     "estimate float node budget": lambda G: estimate(
         G, "nb-bmulti-constant", budgets=(2.5,), trials=10),
@@ -79,9 +79,11 @@ REJECTED = {
                                                  jobs=-2),
     "estimate float jobs": lambda G: estimate(G, "hmincut", trials=10,
                                               jobs=2.0),
-    "hmincut float trials": lambda G: solve_hmincut(G, trials=5.5),
-    "bmulti bool trials": lambda G: solve_bmulti(G, (3,), trials=True),
-    "kcut float trials": lambda G: solve_kcut(G, 2, (1, 1), trials=3.0),
+    "hmincut float trials": lambda G: solve(G, "hmincut", trials=5.5),
+    "bmulti bool trials": lambda G: solve(G, "bmulti", budgets=(3,),
+                                              trials=True),
+    "kcut float trials": lambda G: solve(G, "kcut", k=2, sizes=(1, 1),
+                                             trials=3.0),
     "enumerate float repetitions": lambda G: enumerate_multiobjective(
         G, random.Random(0), 10.0),
     "pareto float verify repetitions": lambda G: enumerate_pareto(
@@ -101,10 +103,11 @@ def test_non_integer_inputs_raise_instance_error(case):
 
 
 @pytest.mark.parametrize("call", [
-    lambda G: solve_kcut(G, 2, (1, 1), trials=10, weighted_costs=True),
+    lambda G: solve(G, "kcut", k=2, sizes=(1, 1), trials=10,
+                    weighted_costs=True),
     lambda G: estimate(G, "kcut", k=2, sizes=(1, 1), weighted_costs=True),
     lambda G: oracle_kcut(G, 2, (1, 1), weighted_costs=True),
-    lambda G: solve_hmincut(G, trials=10),
+    lambda G: solve(G, "hmincut", trials=10),
     lambda G: oracle_nb_bmulti(G, (2,)),
     lambda G: oracle_min_cut(build_catalog(G)),
     lambda G: oracle_multiobjective(build_catalog(G)),
@@ -143,17 +146,18 @@ def test_non_int_vectors_and_counts_raise_only_instance_error(data, bad):
     G = instance()
     vector = data.draw(st.sampled_from([(bad,), (1, bad), bad]))
     calls = [
-        lambda: solve_bmulti(G, vector, trials=5),
-        lambda: solve_nb_bmulti(G, vector, trials=5),
-        lambda: solve_kcut(G, 2, vector, trials=5),
+        lambda: solve(G, "bmulti", budgets=vector, trials=5),
+        lambda: solve(G, "nb-bmulti-constant", budgets=vector,
+                      trials=5),
+        lambda: solve(G, "kcut", k=2, sizes=vector, trials=5),
         lambda: estimate(G, "bmulti", budgets=vector, trials=5),
         lambda: estimate(G, "kcut", k=2, sizes=vector, trials=5),
     ]
     if bad is not None:  # None selects the default count
         calls += [
-            lambda: solve_kcut(G, bad, (1, 1), trials=5),
+            lambda: solve(G, "kcut", k=bad, sizes=(1, 1), trials=5),
             lambda: best_of_n(_Walk(), bad, 0),
-            lambda: solve_hmincut(G, trials=bad),
+            lambda: solve(G, "hmincut", trials=bad),
             lambda: estimate(G, "hmincut", trials=bad),
             lambda: estimate(G, "hmincut", trials=5, jobs=bad),
             lambda: enumerate_multiobjective(G, random.Random(0), bad),

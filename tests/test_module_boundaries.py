@@ -102,3 +102,35 @@ def test_public_names_have_a_production_caller():
                        for name in _exported(tree)
                        if not name.endswith("__") and name not in loaded})
     assert uncalled == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names an import binds that the module never reads nor lists in its
+    ``__all__`` (``from __future__`` imports aside)."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set(_exported(tree))
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and name not in exported:
+                    unused.append(f"line {node.lineno}: {name}")
+    return unused
+
+
+def test_unused_import_guard_catches_an_unread_name():
+    assert unused_imports("import math\nfrom .x import a, b\nb()") == [
+        "line 1: math", "line 2: a"]
+    assert unused_imports("from .x import a\n__all__ = ['a']") == []
+    assert unused_imports("from __future__ import annotations") == []
+    assert unused_imports("import os.path\nos.sep") == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_read_or_exported(module):
+    assert unused_imports((PACKAGE / f"{module}.py").read_text()) == []
