@@ -269,6 +269,11 @@ def sample_step(node, comps, edge_masks, rng):
     return nxt
 
 
+# Cap on the states one walk caches.  Past it a state's node is built, used
+# and dropped, so a long run on a large instance stays in bounded memory.
+_WALK_CACHE_CAP = 1 << 14
+
+
 class Walk:
     """Cached absorbing-chain walk over the partitions of one hypergraph.
 
@@ -304,8 +309,10 @@ class Walk:
         while True:
             node = cache.get(comps)
             if node is None:
-                node = cache[comps] = self.expand(
+                node = self.expand(
                     comps, None if prev is None else (prev, prev_comps))
+                if len(cache) < _WALK_CACHE_CAP:
+                    cache[comps] = node
             tag = node[0]
             if tag == "sample":
                 prev, prev_comps = node, comps

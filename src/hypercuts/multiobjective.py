@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
@@ -37,7 +38,7 @@ from ._engine import (Walk, contract_comps, contraction, delta_mask, ids_mask,
                       inherit_present, initial_comps, mask_sum, packer,
                       present_edge_ids, realign, sample_node, side_mask)
 from .hypergraph import Cut, Hypergraph, InstanceError, exact_int, exact_ints
-from .sampling import DrawNode, LazyWeightedOrder
+from .sampling import DrawNode
 
 __all__ = [
     "bmulti_walk",
@@ -158,11 +159,11 @@ def interleaving_schedules(n: int, r: int, t: int) -> list[tuple[int, ...]]:
 
 
 # Cap on the entries (partition nodes, successor links, cut masks and
-# draw-trie branches together) one enumeration context stores.  Past it, new
-# partition entries are built, used and dropped and orders leave the trie for
-# flat lists, so a long run on a large instance stays in bounded memory.
-# Under CPython 3.11 a full cache takes about 8 MB at n=10, m=25, and 16 MB
-# at n=8, m=16, where trie nodes fill most of it.
+# draw-trie branches together) one enumeration context stores; trie branches
+# take at most half of it, so they never crowd out partition entries.  Past
+# it, new partition entries are built, used and dropped and orders leave the
+# trie for flat lists, so a long run on a large instance stays in bounded
+# memory.
 _ENUM_CACHE_CAP = 1 << 16
 
 
@@ -178,15 +179,15 @@ class _EnumContext:
     contraction.  Expansion is deterministic, so the cache changes no draw.
 
     Each criterion's cost-weighted order is drawn over one ``DrawNode``
-    trie (``roots``) that every repetition shares, so most draws are one
-    bisect and one dictionary hop too.  Trie branches count against the
-    same cap.
+    trie (``roots``) that every repetition shares.  A branch is marked the
+    first time an order takes it and its node is built the second time;
+    each marked branch is one ``branches`` entry, counted against the cap.
     """
 
     def __init__(self, G: Hypergraph, costs):
         self.masks = G.edge_masks
         self.full = G.full_mask
-        self.size = 0
+        self.size = self.branches = 0
         self.roots = []
         for ci in costs:
             ids = [e for e in range(G.m) if ci[e] > 0]
@@ -201,6 +202,14 @@ class _EnumContext:
         if self.size >= _ENUM_CACHE_CAP:
             return False
         self.size += 1
+        return True
+
+    def _branch(self) -> bool:
+        """Count one more trie branch; False once branches hold half the
+        cap or the cache is full."""
+        if self.branches >= _ENUM_CACHE_CAP // 2 or not self._store():
+            return False
+        self.branches += 1
         return True
 
     def _node(self, comps):
@@ -226,22 +235,47 @@ class _EnumContext:
     def run(self, rng: random.Random, out: set[int]) -> None:
         """One invocation; adds the produced cut bitmasks to ``out``.
 
-        Subset draws landing on the empty or full vertex set induce no
-        bipartition and hence no cut; those draws contribute nothing.
+        Each criterion's order is its ``prefix`` list and a cursor: the trie
+        node it stands on, or once a pick leaves the trie (a branch not
+        stored yet) the flat ``LazyWeightedOrder`` of the items left.  A
+        pick on the trie is ``draw_below``, written out, one bisect and one
+        hop.  Subset draws landing on the empty or full vertex set induce
+        no bipartition and hence no cut; those draws contribute nothing.
         """
-        keep = self._store
-        orders = [LazyWeightedOrder(root, rng, keep) for root in self.roots]
+        getrandbits = rng.getrandbits
+        cursors = list(self.roots)
+        prefixes = [[] for _ in cursors]
         for schedule in self.schedules:
             node = self.start
-            for order, target in zip(orders, schedule):
-                prefix = order.prefix
+            for i, target in enumerate(schedule):
+                cur = cursors[i]
+                prefix = prefixes[i]
                 drawn = len(prefix)
                 pos = 0
                 while len(node[0]) > target:
                     present = node[1]
                     while True:
                         if pos == drawn:
-                            order.ensure(pos + 1)
+                            if cur.__class__ is not DrawNode:
+                                cur.ensure(pos + 1)
+                            elif cur.total:
+                                total = cur.total
+                                k = total.bit_length()
+                                r = getrandbits(k)
+                                while r >= total:
+                                    r = getrandbits(k)
+                                at = bisect_right(cur.cum, r)
+                                prefix.append(cur.items[at])
+                                nxt = cur.children.get(at)
+                                if nxt:
+                                    cur = nxt
+                                elif nxt is None:  # first visit: mark, then leave
+                                    if self._branch():
+                                        cur.children[at] = False
+                                    cur = cur.flat(at, rng, prefix)
+                                else:  # second visit: build the node
+                                    nxt = cur.children[at] = cur.child(at)
+                                    cur = nxt
                             drawn = len(prefix)
                             if pos == drawn:
                                 eid = None
@@ -254,8 +288,9 @@ class _EnumContext:
                         break  # permutation exhausted: phase ends early
                     nxt = node[2].get(eid)
                     node = self._successor(node, eid) if nxt is None else nxt
+                cursors[i] = cur
             k = len(node[0])
-            bits = rng.getrandbits(k)
+            bits = getrandbits(k)
             if bits == 0 or bits == (1 << k) - 1:
                 continue
             cut = node[3].get(bits)

@@ -26,7 +26,7 @@ from ._engine import (Walk, contract_comps, contraction, delta_mask, ids_mask,
                       mask_sum, packer, present_counts, present_edge_ids,
                       realign, sample_node, side_mask)
 from .hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE, exact_ints
-from .sampling import DrawNode, LazyWeightedOrder, never_keep
+from .sampling import LazyWeightedOrder
 
 __all__ = [
     "nb_constant_walk",
@@ -212,8 +212,7 @@ def nb_multi_enum_constant_rank(G: Hypergraph, rng: random.Random) -> set[Cut]:
     n = G.n
 
     support = [e for e in range(G.m) if cost[e] > 0]
-    root = DrawNode.root(support, [cost[e] for e in support])
-    order = LazyWeightedOrder(root, rng, never_keep)
+    order = LazyWeightedOrder(support, [cost[e] for e in support], rng)
     order.ensure(len(support))
 
     # States after each effective contraction along the permutation; the

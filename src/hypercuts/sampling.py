@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -51,7 +50,8 @@ class DrawNode:
     the node left once the item at ``pos`` is drawn, or False while orders
     have taken that branch only once.  Orders drawn over one trie share its
     nodes, so a draw on a stored branch is one ``draw_below``, one bisect
-    and one dict hop.
+    and one dict hop; a draw that leaves the trie goes on in a
+    ``LazyWeightedOrder`` over the items left.
     """
 
     __slots__ = ("items", "cum", "total", "children")
@@ -74,10 +74,14 @@ class DrawNode:
         return DrawNode(self.items[:pos] + self.items[pos + 1:],
                         cum[:pos] + [c - w for c in cum[pos + 1:]])
 
-
-def never_keep() -> bool:
-    """The ``keep`` of an order whose draws no other order replays."""
-    return False
+    def flat(self, pos: int, rng: random.Random, prefix) -> LazyWeightedOrder:
+        """The order that draws on from the items left once ``items[pos]``
+        is drawn, appending to ``prefix``."""
+        cum = self.cum
+        weights = [b - a for a, b in zip([0] + cum, cum)]
+        del weights[pos]
+        return LazyWeightedOrder(self.items[:pos] + self.items[pos + 1:],
+                                 weights, rng, prefix)
 
 
 class LazyWeightedOrder:
@@ -86,50 +90,22 @@ class LazyWeightedOrder:
     Equivalent to drawing the full permutation upfront by repeatedly picking a
     not-yet-chosen item with probability proportional to its weight, but only
     the consumed prefix is actually drawn.  Weights must be positive
-    integers.  Each pick is the item at ``bisect_right(cum,
-    randrange(total))`` among those left.
-
-    The order is a cursor over a ``DrawNode`` trie.  A pick on a stored
-    branch moves it to the child node.  Any other pick leaves the trie: the
-    order copies the items left into flat lists and draws on from them in
-    place, building no node.  Each stored branch costs one ``keep()`` that
-    returned True: the first time an order takes a branch it is marked, the
-    second time its node is built and stored.  A prefix drawn once in a
-    long run is seldom drawn again, so it takes no node.  An order that no
-    other order shares passes ``never_keep`` and draws all but its first
-    pick from flat lists.
+    integers.  Each pick draws ``randrange(total)`` and takes the first item
+    whose running weight sum exceeds it, by a linear scan and two pops.
+    ``prefix`` may be a list already holding earlier picks.
     """
 
-    def __init__(self, node: DrawNode, rng: random.Random, keep):
-        self.node = node
+    def __init__(self, items, weights, rng: random.Random, prefix=None):
+        self._items = list(items)
+        self._weights = list(weights)
+        self._total = sum(self._weights)
         self._rng = rng
-        self._keep = keep
-        self._items = None  # the flat lists, once the order leaves the trie
-        self._weights = None
-        self._total = 0
-        self.prefix: list = []
+        self.prefix: list = [] if prefix is None else prefix
 
     def ensure(self, length: int) -> None:
         """Materialize the first ``length`` entries (or all, if fewer remain)."""
         prefix = self.prefix
         rng = self._rng
-        if self._items is None:
-            node = self.node
-            while len(prefix) < length and node.total:
-                pos = bisect_right(node.cum, draw_below(rng, node.total))
-                prefix.append(node.items[pos])
-                nxt = node.children.get(pos)
-                if not nxt:  # a branch not stored yet
-                    if nxt is None:
-                        if self._keep():
-                            node.children[pos] = False
-                        self._leave_trie(node, pos)
-                        break
-                    nxt = node.children[pos] = node.child(pos)
-                node = self.node = nxt
-            else:
-                return
-        # off the trie: the linear scan and two pops per pick
         items, weights = self._items, self._weights
         total = self._total
         while len(prefix) < length and total > 0:
@@ -142,14 +118,6 @@ class LazyWeightedOrder:
             prefix.append(items.pop(pos))
             total -= weights.pop(pos)
         self._total = total
-
-    def _leave_trie(self, node: DrawNode, pos: int) -> None:
-        """Continue in flat lists of the items ``node`` leaves once ``pos``
-        is drawn."""
-        cum = node.cum
-        self._weights = [b - a for a, b in zip([0] + cum, cum)]
-        self._total = node.total - self._weights.pop(pos)
-        self._items = node.items[:pos] + node.items[pos + 1:]
 
 
 def default_trials(floor: Fraction) -> int:

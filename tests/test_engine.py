@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypercuts import _engine
 from hypercuts._engine import (Walk, contract_comps, draw_sample,
                                initial_comps, sample_node, sample_step,
                                side_mask)
@@ -179,3 +180,21 @@ def test_incremental_expansion_equals_expansion_from_scratch(family, shape):
                 inherited += sum(nxt in w.cache for nxt in sample[4]
                                  if nxt is not None)
     assert inherited >= 10
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bmulti_walk(gen_random_instance(9, 16, 2, 2, 0, seed=3), (9,)),
+    lambda: kcut_walk(gen_random_instance(10, 20, 3, 1, 1, max_weight=4, seed=3,
+                                          positive_weights=True), 2, (1, 2)),
+], ids=["bmulti", "kcut"])
+def test_walk_cache_cap_changes_no_outcome(monkeypatch, make):
+    uncapped = make()
+    rng = random.Random(8)
+    want = [(uncapped.run(rng), rng.getstate()) for _ in range(400)]
+    assert len(uncapped.cache) > 30
+    monkeypatch.setattr(_engine, "_WALK_CACHE_CAP", 30)
+    capped = make()
+    rng = random.Random(8)
+    for expected in want:
+        assert (capped.run(rng), rng.getstate()) == expected
+        assert len(capped.cache) <= 30

@@ -16,6 +16,7 @@ from hypercuts import multiobjective
 from hypercuts._engine import delta_mask
 from hypercuts.analysis import gen_random_instance
 from hypercuts.multiobjective import _EnumContext, interleaving_schedules
+from hypercuts.sampling import DrawNode
 
 
 class ReferenceOrder:
@@ -173,8 +174,52 @@ def test_cache_cap_bounds_entries_and_changes_no_output(monkeypatch):
         capped.run(rng, got)
         tries, partitions = _entries(capped)
         assert tries + partitions == capped.size <= 40
+        assert tries == capped.branches <= 20  # trie branches: half the cap
         assert rng.getstate() == state
     # both kinds of entry share the cap
     assert tries > 0 and partitions > 0
     assert got == want
     assert_same_as_reference(capped, G, costs, 9, 50)
+
+
+def _count_leaves(monkeypatch):
+    """Record ``len(prefix)`` each time an order leaves the trie."""
+    leaves = []
+    flat = DrawNode.flat
+
+    def counted(node, pos, rng, prefix):
+        leaves.append(len(prefix))
+        return flat(node, pos, rng, prefix)
+
+    monkeypatch.setattr(DrawNode, "flat", counted)
+    return leaves
+
+
+def _built(node):
+    return sum(1 + _built(child) for child in node.children.values() if child)
+
+
+def test_pipeline_shape_matches_reference(monkeypatch):
+    # the bench's pipeline shape: n=6, rank 2, t=2, max cost 8
+    G = gen_random_instance(6, 10, 2, 2, 0, max_cost=8, seed=11)
+    costs = G.costs_by_criterion()
+    ctx = _EnumContext(G, costs)
+    leaves = _count_leaves(monkeypatch)
+    assert_same_as_reference(ctx, G, costs, 2, 4000)
+    warm = len(leaves)
+    assert_same_as_reference(ctx, G, costs, 3, 1000)
+    # stored branches carry the warm repetitions: an order leaves the trie
+    # on a branch taken for the first time only
+    assert all(_built(root) > 0 for root in ctx.roots)
+    assert len(leaves) - warm < 100
+
+
+def test_capped_orders_leave_the_trie_mid_repetition(monkeypatch):
+    G, costs = _instance("t3", 2)
+    monkeypatch.setattr(multiobjective, "_ENUM_CACHE_CAP", 60)
+    ctx = _EnumContext(G, costs)
+    leaves = _count_leaves(monkeypatch)
+    assert_same_as_reference(ctx, G, costs, 4, 400)
+    assert ctx.size == 60 and 0 < ctx.branches <= 30
+    # orders leave after stored hops, also in repetitions past the cap
+    assert max(leaves) >= 2 and len(leaves) > 400

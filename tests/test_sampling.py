@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from bisect import bisect_right
+
 from hypercuts._engine import draw_below
 from hypercuts.sampling import (DrawNode, LazyWeightedOrder, derive_rng,
-                                derive_seed, never_keep, splitmix64)
+                                derive_seed, splitmix64)
 from test_enum_context import ReferenceOrder
 
 
@@ -34,12 +36,10 @@ def test_lazy_order_matches_eager_draw():
     # a prefix extended over several ensure calls is the order drawn at once
     items = list(range(6))
     weights = [5, 1, 4, 2, 8, 3]
-    root = DrawNode.root(items, weights)
-    eager = LazyWeightedOrder(root, random.Random(123), lambda: True)
+    eager = LazyWeightedOrder(items, weights, random.Random(123))
     eager.ensure(6)
     assert sorted(eager.prefix) == items
-    # the second order over the root takes the branches the first marked
-    lazy = LazyWeightedOrder(root, random.Random(123), lambda: True)
+    lazy = LazyWeightedOrder(items, weights, random.Random(123))
     lazy.ensure(3)
     first = list(lazy.prefix)
     assert first == eager.prefix[:3]
@@ -51,15 +51,13 @@ def test_lazy_order_matches_eager_draw():
 
 
 def test_lazy_order_exhaustion():
-    order = LazyWeightedOrder(DrawNode.root([0, 1], [2, 2]),
-                              random.Random(1), lambda: True)
+    order = LazyWeightedOrder([0, 1], [2, 2], random.Random(1))
     order.ensure(10)
     assert sorted(order.prefix) == [0, 1]
 
 
 def test_lazy_order_empty():
-    order = LazyWeightedOrder(DrawNode.root([], []), random.Random(1),
-                              lambda: True)
+    order = LazyWeightedOrder([], [], random.Random(1))
     order.ensure(3)
     assert order.prefix == []
 
@@ -74,22 +72,45 @@ def test_draw_below_is_randrange(n):
             assert rng.getstate() == ref.getstate()
 
 
+def _trie_order(root, rng, length):
+    """``length`` picks over a trie that stores every branch it takes."""
+    prefix, node = [], root
+    while len(prefix) < length and node.total:
+        pos = bisect_right(node.cum, draw_below(rng, node.total))
+        prefix.append(node.items[pos])
+        if pos not in node.children:
+            node.children[pos] = node.child(pos)
+        node = node.children[pos]
+    return prefix
+
+
 def test_trie_orders_match_the_linear_scan():
-    # a trie kept across orders, a trie that stores nothing and the old
-    # linear scan all draw the same permutation from the same generator calls
+    # a trie kept across orders, an order that leaves a fresh trie after its
+    # first pick and the old linear scan all draw the same permutation from
+    # the same generator calls
     items = list(range(9))
     weights = [3, 1, 4, 1, 5, 9, 2, 6, 5]
     root = DrawNode.root(items, weights)
     for seed in range(20):
         rngs = [random.Random(seed) for _ in range(3)]
-        orders = [LazyWeightedOrder(root, rngs[0], lambda: True),
-                  LazyWeightedOrder(DrawNode.root(items, weights), rngs[1],
-                                    never_keep),
-                  ReferenceOrder(items, weights, rngs[2])]
+        kept = _trie_order(root, rngs[0], 9)
+        fresh = DrawNode.root(items, weights)
+        first = bisect_right(fresh.cum, draw_below(rngs[1], fresh.total))
+        left = fresh.flat(first, rngs[1], [items[first]])
+        reference = ReferenceOrder(items, weights, rngs[2])
         for length in (2, 5, 9):
-            for order in orders:
-                order.ensure(length)
-        assert orders[0].prefix == orders[1].prefix == orders[2].prefix
-        assert sorted(orders[0].prefix) == items
+            left.ensure(length)
+            reference.ensure(length)
+        assert kept == left.prefix == reference.prefix
+        assert sorted(kept) == items
         assert len({rng.getstate() for rng in rngs}) == 1
     assert any(root.children.values())  # a branch taken twice is stored
+
+
+def test_child_holds_the_items_left_and_their_weights():
+    root = DrawNode.root("abcd", [3, 1, 4, 2])
+    for pos, (items, cum) in enumerate([("bcd", [1, 5, 7]), ("acd", [3, 7, 9]),
+                                        ("abd", [3, 4, 6]), ("abc", [3, 4, 8])]):
+        child = root.child(pos)
+        assert (child.items, child.cum, child.total) == (list(items), cum, cum[-1])
+    assert root.child(0).child(0).child(0).child(0).total == 0
