@@ -10,13 +10,12 @@ the edge-weight rule and the stopping rule differ.  An algorithm supplies
 them as an ``expand(comps, parent=None) -> node`` function, and ``Walk``
 caches the node of every visited state.  A node is one of
 
-* ``("sample", cum, total, eids, nexts, inherit)`` - contract edge
+* ``("sample", cum, total, eids, nexts, counts, labels)`` - contract edge
   ``eids[i]`` with probability proportional to its weight (``cum`` holds the
   prefix sums); ``eids`` lists every present edge in id order, zero-weight
   ones included; ``nexts`` caches the successor states, built on first use;
-  ``inherit`` is the walk's own data about the state that its successors
-  are expanded from, kept compact (``bytes`` or tuples aligned with
-  ``comps`` or ``eids``, never a dict or set per node);
+  ``counts`` (aligned with ``eids``) and ``labels`` (aligned with
+  ``comps``) are the state's ``expansion`` data, each compact or None;
 * ``("merge", comps)`` - move to ``comps`` without drawing;
 * ``("base", table, outcome)`` - draw a uniform subset of the components and
   return ``outcome(side)`` for the union ``side`` of the drawn ones; ``table``
@@ -34,11 +33,11 @@ A contraction merges the components one edge meets into one component M
 and leaves every other component, and every present edge outside M, as it
 was.  So on a cache miss right after a sample step (a level node's nested
 one included) ``Walk.run`` passes ``parent = (sample node, parent comps)``,
-and ``expand`` derives the new node from the parent's present edges and
-``inherit`` data (see ``contraction``, ``inherit_present``,
-``inherit_counts`` and ``realign``).  After a merge, a delegate or at the
-start, ``parent`` is None and the node is built from scratch.  Both ways
-give equal nodes, and ``expand(comps)`` alone is the reference.
+and ``expand`` hands it to ``expansion``, the one rule that derives a
+state's present edges, edge counts and component labels, from the parent
+or, when ``parent`` is None (after a merge, a delegate or at the start),
+from scratch.  Both ways give equal nodes, and ``expand(comps)`` alone is
+the reference.
 
 Once the walk stops, the candidates pushed by level nodes are resolved
 innermost first: each replaces the outcome with probability 1/live.  The
@@ -87,7 +86,7 @@ def contract_comps(comps, mask: int) -> tuple[int, ...]:
     return tuple(rest)
 
 
-def contraction(comps, parent_comps):
+def _contraction(comps, parent_comps):
     """``(i, M, merged)`` for a state ``comps`` reached from ``parent_comps``
     by one contraction: ``M = comps[i]`` is the component it made and
     ``merged`` lists, in order, the parent components inside M.  Every other
@@ -99,7 +98,7 @@ def contraction(comps, parent_comps):
     return i, M, [c for c in parent_comps[i:] if c & M]
 
 
-def realign(parent_comps, values, i: int, M: int, value) -> list:
+def _realign(parent_comps, values, i: int, M: int, value) -> list:
     """Per-component ``values`` of ``parent_comps`` carried over to the
     contracted state whose merged component is ``M = comps[i]``: the merged
     components' entries give way to ``value`` at index i."""
@@ -108,21 +107,13 @@ def realign(parent_comps, values, i: int, M: int, value) -> list:
     return out
 
 
-def inherit_present(edge_masks, eids, M: int) -> list[int]:
-    """The present edges ``eids`` of a parent state that are still present
-    after a contraction made ``M``: those not inside M, in the same order."""
-    out_of_m = ~M
-    return [eid for eid in eids if edge_masks[eid] & out_of_m]
+def _inherit_counts(edge_masks, eids, counts, M: int, merged):
+    """``(present, counts)`` after a contraction made ``M`` out of the
+    parent components ``merged``.
 
-
-def inherit_counts(edge_masks, eids, counts, M: int, lost, gained: int):
-    """``(present, counts)`` after a contraction made ``M``.
-
-    ``counts[j]`` is how many counted components the parent's present edge
-    ``eids[j]`` meets.  ``lost`` lists the counted parent components merged
-    into M, and ``gained`` is 1 when M itself is counted, else 0.  An edge
-    meeting M loses the merged components it met and gains M; every other
-    edge keeps its count.
+    ``counts[j]`` is how many components the parent's present edge
+    ``eids[j]`` meets.  An edge meeting M loses the merged components it met
+    and gains M; every other edge keeps its count.
     """
     out_of_m = ~M
     present = []
@@ -132,32 +123,55 @@ def inherit_counts(edge_masks, eids, counts, M: int, lost, gained: int):
         if em & M:
             if not em & out_of_m:
                 continue
-            for c in lost:
+            for c in merged:
                 if c & em:
                     k -= 1
-            k += gained
+            k += 1
         present.append(eid)
         out.append(k)
-    return present, out
+    return present, _compact(out)
 
 
-def present_counts(edge_masks, comps, parent):
-    """``(present, counts)``: the present edges of ``comps`` and how many
-    components each meets.  With ``parent`` they come from the parent's
-    sample node, whose ``inherit`` holds its counts."""
+def _compact(values):
+    """``values`` (ints >= 0) as ``bytes``, or as a tuple once one reaches
+    256."""
+    try:
+        return bytes(values)
+    except ValueError:
+        return tuple(values)
+
+
+def expansion(edge_masks, comps, parent, label=None, count=False):
+    """``(present, counts, labels)`` of the state ``comps``: its present
+    edges in id order; with ``count``, how many components each one meets;
+    with ``label``, ``label(present, c)`` for each component c.  Counts and
+    labels are compact, or None when not asked for, and a walk asks for the
+    same ones at every state.  With ``parent = (sample node, parent comps)``
+    the parent's present edges outside the merged component M and its other
+    components' labels carry over, the counts are updated per edge and only
+    M is labelled anew; without one everything is computed from scratch.
+    """
+    counts = labels = None
     if parent is None:
         present = present_edge_ids(edge_masks, comps)
-        return present, [sum(1 for c in comps if c & edge_masks[eid])
-                         for eid in present]
+        if count:
+            counts = _compact([sum(1 for c in comps if c & edge_masks[eid])
+                               for eid in present])
+        if label is not None:
+            labels = _compact([label(present, c) for c in comps])
+        return present, counts, labels
     prev, prev_comps = parent
-    _, M, merged = contraction(comps, prev_comps)
-    return inherit_counts(edge_masks, prev[3], prev[5], M, merged, 1)
-
-
-def packer(top: int):
-    """Constructor for a compact sequence of ints in ``0..top``: ``bytes``
-    when each fits in a byte, else ``tuple``."""
-    return bytes if top < 256 else tuple
+    i, M, merged = _contraction(comps, prev_comps)
+    if count:
+        present, counts = _inherit_counts(edge_masks, prev[3], prev[5], M,
+                                          merged)
+    else:
+        out_of_m = ~M
+        present = [eid for eid in prev[3] if edge_masks[eid] & out_of_m]
+    if label is not None:
+        labels = _compact(_realign(prev_comps, prev[6], i, M,
+                                   label(present, M)))
+    return present, counts, labels
 
 
 def present_edge_ids(edge_masks, comps) -> list[int]:
@@ -213,14 +227,15 @@ def ids_mask(eids) -> int:
     return out
 
 
-def sample_node(eids, weights, inherit=None):
+def sample_node(eids, weights, counts=None, labels=None):
     """Node contracting ``eids[i]`` with probability proportional to
-    ``weights[i]``, or None when every weight is zero.  ``inherit`` is the
-    walk's data for expanding the node's successors."""
+    ``weights[i]``, or None when every weight is zero.  ``counts`` and
+    ``labels`` are the state's ``expansion`` data, which its successors are
+    expanded from."""
     cum = list(accumulate(weights))
     if not cum or cum[-1] == 0:
         return None
-    return ("sample", cum, cum[-1], eids, [None] * len(eids), inherit)
+    return ("sample", cum, cum[-1], eids, [None] * len(eids), counts, labels)
 
 
 def draw_below(rng, n: int) -> int:

@@ -34,9 +34,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
-from ._engine import (Walk, contract_comps, contraction, delta_mask, ids_mask,
-                      inherit_present, initial_comps, mask_sum, packer,
-                      present_edge_ids, realign, sample_node, side_mask)
+from ._engine import (Walk, contract_comps, delta_mask, expansion, ids_mask,
+                      initial_comps, mask_sum, present_edge_ids, sample_node,
+                      side_mask)
 from .hypergraph import Cut, Hypergraph, InstanceError, exact_int, exact_ints
 from .sampling import DrawNode
 
@@ -95,30 +95,22 @@ def _bmulti_walk(G: Hypergraph, costs, budgets) -> Walk:
     t = len(costs)
     masks, full = G.edge_masks, G.full_mask
     base_limit = G.rank * t
-    pack = packer(t - 1)  # one class index per component
 
     def outcome(side):
         return delta_mask(masks, side, full), 0 != side != full
 
+    def class_of(present, comp):
+        return _class_of(masks, present, costs, budgets, comp)
+
     def expand(comps, parent=None):
         if len(comps) > base_limit:
-            if parent is None:
-                present = present_edge_ids(masks, comps)
-                classes = pack([_class_of(masks, present, costs, budgets, c)
-                                for c in comps])
-            else:
-                prev, prev_comps = parent
-                i, M, _ = contraction(comps, prev_comps)
-                present = inherit_present(masks, prev[3], M)
-                classes = pack(realign(
-                    prev_comps, prev[5], i, M,
-                    _class_of(masks, present, costs, budgets, M)))
+            present, _, classes = expansion(masks, comps, parent, class_of)
             sizes = [classes.count(i) for i in range(t)]
             # largest class drives the contraction; ties break to the lowest
             # criterion, zero-mass criteria fall through to the next largest
             for i in sorted(range(t), key=lambda j: (-sizes[j], j)):
                 node = sample_node(present, [costs[i][eid] for eid in present],
-                                   classes)
+                                   None, classes)
                 if node:
                     return node
         return ("base", {}, outcome)

@@ -21,10 +21,8 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from ._engine import (Walk, contract_comps, contraction, delta_mask, ids_mask,
-                      inherit_counts, inherit_present, initial_comps,
-                      mask_sum, packer, present_counts, present_edge_ids,
-                      realign, sample_node, side_mask)
+from ._engine import (Walk, contract_comps, delta_mask, expansion, ids_mask,
+                      initial_comps, mask_sum, sample_node, side_mask)
 from .hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE, exact_ints
 from .sampling import LazyWeightedOrder
 
@@ -39,27 +37,15 @@ __all__ = [
 
 
 def _weights_and_budgets(G: Hypergraph, budgets):
-    """G's weight columns and one validated budget per column."""
+    """G's weight columns, one validated budget per column, and the budget
+    fit of a component as an ``expansion`` label."""
     weights = G.weights_by_criterion()
-    return weights, exact_ints(budgets, len(weights), "node budget")
+    budgets = exact_ints(budgets, len(weights), "node budget")
+    return weights, budgets, lambda present, c: _fits(weights, budgets, c)
 
 
 def _fits(weights, budgets, mask: int) -> bool:
     return all(mask_sum(wcol, mask) <= b for wcol, b in zip(weights, budgets))
-
-
-def _fit_flags(weights, budgets, comps, parent):
-    """``(fits, i)``: one byte per component of ``comps``, 1 when it fits
-    the budgets, and the index of the component that the step from
-    ``parent`` merged (None without a parent).  With a parent only that
-    component is weighed; the others keep the flags the parent's sample node
-    holds as its first ``inherit`` item."""
-    if parent is None:
-        return bytes([_fits(weights, budgets, c) for c in comps]), None
-    prev, prev_comps = parent
-    i, M, _ = contraction(comps, prev_comps)
-    return bytes(realign(prev_comps, prev[5][0], i, M,
-                         _fits(weights, budgets, M))), i
 
 
 def _contract_infeasible(comps, fits):
@@ -81,18 +67,16 @@ def _min_cut_walk(G: Hypergraph, cost) -> Walk:
 
     When every weight is zero each remaining edge spans all components, so
     the full present edge set is the unique cut and is returned.  Its floor
-    is 1/C(n,2); the caller rejects n < 2.  A sample node inherits the
-    number of components each present edge meets.
+    is 1/C(n,2); the caller rejects n < 2.
     """
     masks = G.edge_masks
-    pack = packer(G.rank)
 
     def expand(comps, parent=None):
-        present, counts = present_counts(masks, comps, parent)
+        present, counts, _ = expansion(masks, comps, parent, count=True)
         live = len(comps)
         node = sample_node(present, [(live - k) * cost[eid]
                                      for eid, k in zip(present, counts)],
-                           pack(counts))
+                           counts)
         return node or ("terminal", (ids_mask(present), True))
 
     return Walk(G, expand, lambda mask: mask_sum(cost, mask),
@@ -114,7 +98,7 @@ def nb_constant_walk(G: Hypergraph, budgets) -> Walk:
     is drawn.  An outcome is witnessed when that subset is a proper side
     that fits the budgets, or whose complement does.
     """
-    weights, budgets = _weights_and_budgets(G, budgets)
+    weights, budgets, fit = _weights_and_budgets(G, budgets)
     cost = G.costs_by_criterion()[0]
     masks, full = G.edge_masks, G.full_mask
     base_limit = G.rank + 1
@@ -125,18 +109,15 @@ def nb_constant_walk(G: Hypergraph, budgets) -> Walk:
         return delta_mask(masks, side, full), witnessed
 
     def expand(comps, parent=None):
-        fits, i = _fit_flags(weights, budgets, comps, parent)
+        present, _, fits = expansion(masks, comps, parent, fit)
         merged, _ = _contract_infeasible(comps, fits)
         if merged is not comps:
             return ("merge", merged)
         if len(comps) <= base_limit:
             return ("base", {}, outcome)
-        if parent is None:
-            present = present_edge_ids(masks, comps)
-        else:
-            present = inherit_present(masks, parent[0][3], comps[i])
         # a zero-cost state terminates via the base case
-        return (sample_node(present, [cost[eid] for eid in present], (fits,))
+        return (sample_node(present, [cost[eid] for eid in present], None,
+                            fits)
                 or ("base", {}, outcome))
 
     return Walk(G, expand, lambda mask: mask_sum(cost, mask),
@@ -150,40 +131,29 @@ def nb_arbitrary_walk(G: Hypergraph, budgets) -> Walk:
     U; once U as a whole fits the budgets the walk continues as the plain
     min-cut walk.  A state without feasible components is INFEASIBLE.
     """
-    weights, budgets = _weights_and_budgets(G, budgets)
+    weights, budgets, fit = _weights_and_budgets(G, budgets)
     cost = G.costs_by_criterion()[0]
     masks, full = G.edge_masks, G.full_mask
     floor = success_floor_node_arbitrary(G.n)
     min_cut = _min_cut_walk(G, cost)
     delegate = ("delegate", min_cut)
-    pack = packer(G.rank)  # per present edge, the feasible components it meets
 
     def expand(comps, parent=None):
-        fits, i = _fit_flags(weights, budgets, comps, parent)
+        present, counts, fits = expansion(masks, comps, parent, fit, True)
         merged, feasible = _contract_infeasible(comps, fits)
         if not feasible:
             return ("terminal", INFEASIBLE)
         if merged is not comps:
             return ("merge", merged)
-        if parent is None:
-            present = present_edge_ids(masks, comps)
-            counts = [sum(1 for c in feasible if c & masks[eid])
-                      for eid in present]
-        else:
-            # the counts cover the feasible components only
-            prev, prev_comps = parent
-            M = comps[i]
-            lost = [c for c, ok in zip(prev_comps, prev[5][0])
-                    if ok and c & M]
-            present, counts = inherit_counts(masks, prev[3], prev[5][1], M,
-                                             lost, fits[i])
-        live = len(feasible)
-        node = sample_node(present, [(live - k) * cost[eid]
-                                     for eid, k in zip(present, counts)],
-                           (fits, pack(counts)))
         feas_mask = 0
         for c in feasible:
             feas_mask |= c
+        # k counts the violating component too (at most one is left)
+        live, bad = len(feasible), ~feas_mask
+        node = sample_node(present, [(live - k + bool(masks[eid] & bad))
+                                     * cost[eid]
+                                     for eid, k in zip(present, counts)],
+                           counts, fits)
         set_ok = _fits(weights, budgets, feas_mask)
         if node is None:
             # every edge covers all feasible components

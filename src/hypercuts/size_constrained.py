@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import partial
 from math import comb
 
-from ._engine import (Walk, draw_below, draw_sample, ids_mask, mask_sum,
-                      packer, present_counts, sample_node)
+from ._engine import (Walk, draw_below, draw_sample, expansion, ids_mask,
+                      mask_sum, sample_node)
 from .hypergraph import (Hypergraph, InstanceError, INFEASIBLE, exact_int,
                          exact_ints)
 
@@ -65,7 +65,6 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
     if any(w < 1 for w in vertex_w):
         raise InstanceError(
             "size-constrained cuts require positive vertex weights")
-    pack = packer(G.rank)  # per present edge, the components it meets
 
     def crossing(label_masks) -> int:
         """Edges meeting at least two label classes (only present ones can)."""
@@ -129,12 +128,12 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
             return ("terminal", INFEASIBLE)
         if live <= base_limit:
             return ("draw", base)
-        present, counts = present_counts(masks, comps, parent)
+        present, counts, _ = expansion(masks, comps, parent, count=True)
         draw = partial(candidate, ids_mask(present))
         alpha = [comb(x, sigma_lead) for x in range(live + 1)]
         node = sample_node(present, [alpha[live - c] * cost[eid]
                                      for eid, c in zip(present, counts)],
-                           pack(counts))
+                           counts)
         if node is None:
             return ("draw", lambda comps, rng: draw(comps, rng)())
         return ("level", draw, node)

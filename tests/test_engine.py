@@ -129,7 +129,7 @@ def comparable(node):
     a walk fills as it goes (``nexts``, a base node's cache) are left out."""
     tag = node[0]
     if tag == "sample":
-        return (tag, node[1], node[2], node[3], node[5])
+        return (tag, node[1], node[2], node[3], node[5], node[6])
     if tag == "level":
         return (tag, node[1].args, comparable(node[2]))
     if tag in ("merge", "terminal", "delegate"):
