@@ -140,9 +140,10 @@ def solve(G: Hypergraph, algorithm: str, *, trials: int | None = None,
 
 def _hit(out, target_masks) -> bool:
     """Whether a walk's outcome is a success: a cut in ``target_masks``, or
-    INFEASIBLE when ``target_masks`` is None (an infeasible instance)."""
+    no witnessed cut when ``target_masks`` is None (an infeasible instance:
+    INFEASIBLE, or a cut its constraints reject)."""
     if target_masks is None:
-        return out is INFEASIBLE
+        return out is INFEASIBLE or not out[1]
     return out is not INFEASIBLE and out[0] in target_masks
 
 
@@ -186,8 +187,8 @@ def estimate(G: Hypergraph, algorithm: str, *, trials: int | None = None,
 
     Success means the returned cut lies in the oracle-optimal set (or equals
     ``fixed_target``, which must be oracle-optimal).  When the instance is
-    infeasible and the algorithm reports INFEASIBLE, trials count as
-    agreement and the report notes the special case.  ``params`` go to
+    infeasible, a trial succeeds when it witnesses no cut, and the report
+    notes the special case.  ``params`` go to
     ``algorithm``'s row in ``PROBLEMS``.
     """
     exact_int(jobs, "jobs", 1)
@@ -227,7 +228,8 @@ def estimate(G: Hypergraph, algorithm: str, *, trials: int | None = None,
 
     if optima is INFEASIBLE:
         return TrialReport(algorithm, digest, trials, successes, Fraction(1),
-                           seed, note="instance infeasible; counting INFEASIBLE agreement")
+                           seed, note="instance infeasible; counting trials "
+                           "that witness no cut")
     return TrialReport(algorithm, digest, trials, successes, walk.floor, seed,
                        optima=len(optima),
                        extra={"fixed_target": sorted(fixed_target.edge_ids)}

@@ -125,9 +125,9 @@ def _walked_report(algorithm, G, walk, optima, trials, seed):
     outs = [walk.run(derive_rng(seed, idx)) for idx in range(trials)]
     if optima is INFEASIBLE:
         return TrialReport(algorithm, instance_digest(G), trials,
-                           sum(out is INFEASIBLE for out in outs), Fraction(1),
-                           seed, note="instance infeasible; counting "
-                           "INFEASIBLE agreement")
+                           sum(out is INFEASIBLE or not out[1] for out in outs),
+                           Fraction(1), seed, note="instance infeasible; "
+                           "counting trials that witness no cut")
     masks = {cut.mask() for cut in optima}
     return TrialReport(algorithm, instance_digest(G), trials,
                        sum(out[0] in masks for out in outs), walk.floor, seed,
@@ -182,6 +182,23 @@ def test_estimate_infeasible_agreement():
     G = Hypergraph(3, [(0, 1), (1, 2)], [(1,), (1,)], [(9,), (9,), (9,)])
     rep = estimate(G, "nb-bmulti-arbitrary", budgets=(3,), trials=50, seed=0)
     assert rep.successes == rep.trials
+    assert "infeasible" in rep.note
+
+
+@pytest.mark.parametrize("algorithm, params", [
+    ("nb-bmulti-constant", {"budgets": (3,)}),
+    ("nb-bmulti-arbitrary", {"budgets": (3,)}),
+    ("kcut", {"k": 2, "sizes": (20, 20)}),
+])
+def test_estimate_passes_walks_that_witness_no_cut_on_an_infeasible_instance(
+        algorithm, params):
+    # no vertex fits budget 3, and no 2-partition of 4 vertices of weight 9
+    # has two parts of weight 20: every walk returns INFEASIBLE or a cut it
+    # does not witness, and each is a correct answer
+    G = Hypergraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [(1,)] * 4, [(9,)] * 4)
+    assert PROBLEMS[algorithm][1](G, **params) is INFEASIBLE
+    rep = estimate(G, algorithm, trials=200, seed=0, **params)
+    assert (rep.successes, rep.passed) == (200, True)
     assert "infeasible" in rep.note
 
 
