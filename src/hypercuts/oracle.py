@@ -100,7 +100,8 @@ def is_cut(G: Hypergraph, cut: Cut) -> bool:
 
     Every edge outside the cut lies on one side of X, so X is a union of the
     components left by contracting those edges; the search runs over the
-    2^(c-1) unions of the c components instead of the 2^(n-1) sides.
+    2^(c-1) unions of the c components instead of the 2^(n-1) sides, and
+    raises InstanceError when c exceeds ``CATALOG_GUARD``.
     """
     target = cut.mask()
     masks = G.edge_masks
@@ -112,6 +113,9 @@ def is_cut(G: Hypergraph, cut: Cut) -> bool:
     # lying inside a component too would cross no union of them
     if ids_mask(present_edge_ids(masks, comps)) != target:
         return False
+    if len(comps) > CATALOG_GUARD:
+        raise InstanceError(f"{len(comps)} components exceed the 2^c cut "
+                            f"membership guard ({CATALOG_GUARD})")
     # the component of vertex 0 stays on the complement side
     rest = comps[1:]
     for bits in range(1, 1 << len(rest)):

@@ -116,6 +116,39 @@ def test_verify_rejects_non_cut(instance_path, capsys):
         assert json.loads(err)["code"] == 2
 
 
+def _triangle_and_path(n):
+    """The triangle 0-1-2 and the path 2-3-...-(n-1), every edge at (1, 2):
+    edge 0 alone is no cut, each path edge alone is one."""
+    edges = [(0, 1), (1, 2), (0, 2)] + [(v, v + 1) for v in range(2, n - 1)]
+    return Hypergraph(n, edges, [(1, 2)] * len(edges))
+
+
+@pytest.mark.parametrize("n", [21, 40])
+def test_verify_checks_membership_above_the_catalog_guard(tmp_path, capsys,
+                                                          n):
+    path = tmp_path / "tp.json"
+    path.write_bytes(save_instance(_triangle_and_path(n)))
+    code, out, err = run_cli(capsys, "verify", "pareto", "--instance",
+                             str(path), "--cut", "0", "--reps", "5")
+    assert (code, out) == (2, "")
+    assert "not a cut" in json.loads(err)["error"]
+    code, out, _ = run_cli(capsys, "verify", "pareto", "--instance",
+                           str(path), "--cut", "3", "--reps", "5")
+    assert code == 0 and "pareto_optimal" in parse_text(out)
+
+
+def test_verify_refuses_a_cut_leaving_more_components_than_the_guard(
+        tmp_path, capsys):
+    # a perfect matching on 42 vertices, cut on one edge: 41 components
+    G = Hypergraph(42, [(2 * i, 2 * i + 1) for i in range(21)], [(1, 1)] * 21)
+    path = tmp_path / "matching.json"
+    path.write_bytes(save_instance(G))
+    code, out, err = run_cli(capsys, "verify", "pareto", "--instance",
+                             str(path), "--cut", "0", "--reps", "5")
+    assert (code, out) == (2, "")
+    assert str(oracle.CATALOG_GUARD) in json.loads(err)["error"]
+
+
 def test_enumerate_nb_multi(instance_path, capsys):
     code, out, _ = run_cli(capsys, "enumerate", "nb-multi", "--instance",
                            str(instance_path), "--seed", "6")
