@@ -192,43 +192,37 @@ def oracle_bmulti(catalog: CutCatalog, budgets) -> set[Cut]:
 def oracle_parametric_t2(catalog: CutCatalog) -> set[Cut]:
     """Cuts minimal under lam*c1 + (1-lam)*c2 for some lam strictly in (0,1).
 
-    Decided exactly by a breakpoint sweep: candidate lambdas are all pairwise
-    line intersections inside (0,1), the midpoints of the intervals between
-    them, and 1/2 as a fallback.  Restricted to t = 2.
+    The minimum over cuts is the lower envelope of their lines in lam, whose
+    pieces are the vertices of the lower-left convex hull of the distinct
+    cost vectors.  So every cut is weighed, in exact integers, at the
+    envelope's breakpoints and at the midpoints around them; a cut minimal
+    anywhere in (0,1) is minimal at one of those.  Restricted to t = 2.
     """
     if catalog.t != 2:
         raise InstanceError("parametric membership oracle supports t=2 only")
-    items = list(catalog.costs.items())
-    if not items:
-        return set()
-    # Each cut is the line lam -> lam*c1 + (1-lam)*c2 = lam*(c1-c2) + c2.
-    lines = [(Fraction(c1 - c2), Fraction(c2)) for _, (c1, c2) in items]
-
-    points = set()
-    for i in range(len(lines)):
-        a1, b1 = lines[i]
-        for j in range(i + 1, len(lines)):
-            a2, b2 = lines[j]
-            if a1 != a2:
-                lam = (b2 - b1) / (a1 - a2)
-                if 0 < lam < 1:
-                    points.add(lam)
-    sweep = sorted(points)
-    candidates = list(sweep)
-    bounds = [Fraction(0)] + sweep + [Fraction(1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        candidates.append((lo + hi) / 2)
-    if not candidates:
-        candidates = [Fraction(1, 2)]
-
-    result = set()
-    for lam in candidates:
-        values = [a * lam + b for a, b in lines]
-        best = min(values)
-        for (cut, _), val in zip(items, values):
-            if val == best:
-                result.add(cut)
-    return result
+    vectors = sorted(set(catalog.costs.values()))
+    hull = []
+    for a1, a2 in vectors:
+        if hull and a2 >= hull[-1][1]:
+            continue  # no lower in c2 than a vector no higher in c1
+        # drop the last vertex while it lies on or above the chord to here
+        while len(hull) > 1:
+            (o1, o2), (p1, p2) = hull[-2:]
+            if (p1 - o1) * (a2 - o2) > (p2 - o2) * (a1 - o1):
+                break
+            hull.pop()
+        hull.append((a1, a2))
+    # lines a and b cross where lam*(a1-a2) + a2 = lam*(b1-b2) + b2
+    breaks = [Fraction(a2 - b2, (a2 - b2) + (b1 - a1))
+              for (a1, a2), (b1, b2) in zip(hull, hull[1:])]
+    bounds = [Fraction(0)] + breaks + [Fraction(1)]
+    best = set()
+    for lam in breaks + [(lo + hi) / 2 for lo, hi in zip(bounds, bounds[1:])]:
+        p, q = lam.numerator, lam.denominator
+        values = [p * c1 + (q - p) * c2 for c1, c2 in vectors]
+        low = min(values, default=None)
+        best.update(c for c, v in zip(vectors, values) if v == low)
+    return {cut for cut, cost in catalog.costs.items() if cost in best}
 
 
 def oracle_nb_bmulti(G: Hypergraph, budgets, override_guard: bool = False):

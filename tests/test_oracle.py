@@ -125,6 +125,51 @@ def test_parametric_sweep_matches_dense_grid():
         assert grid <= swept  # grid can only miss tangency points
 
 
+def all_pairs_parametric(catalog):
+    """The former ``oracle_parametric_t2``, frozen as a reference: every
+    pairwise line intersection in (0,1), the midpoints between them, and
+    every cut evaluated at each."""
+    items = list(catalog.costs.items())
+    if not items:
+        return set()
+    lines = [(Fraction(c1 - c2), Fraction(c2)) for _, (c1, c2) in items]
+    points = set()
+    for i, (a1, b1) in enumerate(lines):
+        for a2, b2 in lines[i + 1:]:
+            if a1 != a2:
+                lam = (b2 - b1) / (a1 - a2)
+                if 0 < lam < 1:
+                    points.add(lam)
+    sweep = sorted(points)
+    bounds = [Fraction(0)] + sweep + [Fraction(1)]
+    candidates = sweep + [(lo + hi) / 2 for lo, hi in zip(bounds, bounds[1:])]
+    result = set()
+    for lam in candidates:
+        values = [a * lam + b for a, b in lines]
+        best = min(values)
+        result |= {cut for (cut, _), v in zip(items, values) if v == best}
+    return result
+
+
+def test_parametric_matches_the_all_pairs_sweep():
+    rng = random.Random(13)
+    cat = build_catalog(path4())
+    for _ in range(1500):
+        # few distinct values: ties and collinear vectors are common
+        top = rng.choice([2, 4, 9, 40])
+        cat.costs = {Cut.of([i]): (rng.randint(0, top), rng.randint(0, top))
+                     for i in range(rng.randrange(12))}
+        assert oracle_parametric_t2(cat) == all_pairs_parametric(cat)
+    # (0,9) (3,3) (6,0) lie on the envelope; (1,7) and (2,5) on its chord
+    cat.costs = {Cut.of([i]): v for i, v in enumerate(
+        [(0, 9), (1, 7), (2, 5), (3, 3), (6, 0), (4, 4), (6, 1)])}
+    assert oracle_parametric_t2(cat) == {Cut.of([i]) for i in range(5)}
+    for seed in range(20):
+        cat = build_catalog(gen_random_instance(7, 10, 3, 2, 0, max_cost=6,
+                                                seed=seed))
+        assert oracle_parametric_t2(cat) == all_pairs_parametric(cat)
+
+
 def test_containments_on_random_instances():
     strict_pp = strict_pm = False
     instances = [gen_random_instance(6, 8, 3, 2, 0, seed=s) for s in range(10)]
