@@ -182,6 +182,25 @@ def test_incremental_expansion_equals_expansion_from_scratch(family, shape):
     assert inherited >= 10
 
 
+@pytest.mark.parametrize("family", ["hmincut", "nb-arbitrary", "kcut"])
+def test_counts_of_edges_wider_than_a_byte_expand_alike(family):
+    # one edge meets 270 singletons, a count too large for a byte, so the
+    # counts of those states are held as a tuple
+    n = 300
+    edges = [tuple(range(270))] + [(v, v + 1) for v in range(269, n - 1)]
+    G = Hypergraph(n, edges, [(1,)] * len(edges), [(1,)] * n)
+    walk = {"hmincut": hmincut_walk, "kcut": lambda G: kcut_walk(G, 2, (1, 1)),
+            "nb-arbitrary": lambda G: nb_arbitrary_walk(G, (150,))}[family](G)
+    for i in range(20):
+        walk.run(derive_rng(9, i))
+    wide = 0
+    for comps, node in walk.cache.items():
+        assert comparable(node) == comparable(walk.expand(comps)), comps
+        sample = node[2] if node[0] == "level" else node
+        wide += sample[0] == "sample" and isinstance(sample[5], tuple)
+    assert wide >= 100
+
+
 @pytest.mark.parametrize("make", [
     lambda: bmulti_walk(gen_random_instance(9, 16, 2, 2, 0, seed=3), (9,)),
     lambda: kcut_walk(gen_random_instance(10, 20, 3, 1, 1, max_weight=4, seed=3,
