@@ -188,8 +188,8 @@ def estimate(G: Hypergraph, algorithm: str, *, trials: int | None = None,
     Success means the returned cut lies in the oracle-optimal set (or equals
     ``fixed_target``, which must be oracle-optimal).  When the instance is
     infeasible, a trial succeeds when it witnesses no cut, and the report
-    notes the special case.  ``params`` go to
-    ``algorithm``'s row in ``PROBLEMS``.
+    notes the special case.  ``params`` go to ``algorithm``'s row in
+    ``PROBLEMS``.
     """
     exact_int(jobs, "jobs", 1)
     if trials is not None:
