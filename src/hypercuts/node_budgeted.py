@@ -139,7 +139,8 @@ def nb_arbitrary_walk(G: Hypergraph, budgets) -> Walk:
     delegate = ("delegate", min_cut)
 
     def expand(comps, parent=None):
-        present, counts, fits = expansion(masks, comps, parent, fit, True)
+        present, counts, fits = expansion(masks, comps, parent, fit,
+                                          count=True)
         merged, feasible = _contract_infeasible(comps, fits)
         if not feasible:
             return ("terminal", INFEASIBLE)
