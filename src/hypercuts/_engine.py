@@ -227,14 +227,34 @@ def ids_mask(eids) -> int:
     return out
 
 
+def beats_last(costs_a, costs_b) -> bool:
+    """True iff a is <= b on the leading criteria and < b on the last."""
+    return costs_a[-1] < costs_b[-1] and all(
+        x <= y for x, y in zip(costs_a[:-1], costs_b[:-1]))
+
+
+def front(vectors_by_key, beats) -> set:
+    """Keys whose vector no other key's vector ``beats``, for a strict
+    transitive order under which a beating vector sorts first: each distinct
+    vector, in sorted order, is checked only against those kept so far."""
+    kept = []
+    for vec in sorted(set(vectors_by_key.values())):
+        if not any(beats(k, vec) for k in kept):
+            kept.append(vec)
+    kept = set(kept)
+    return {key for key, vec in vectors_by_key.items() if vec in kept}
+
+
 def sample_node(eids, weights, counts=None, labels=None):
     """Node contracting ``eids[i]`` with probability proportional to
-    ``weights[i]``, or None when every weight is zero.  ``counts`` and
-    ``labels`` are the state's ``expansion`` data, which its successors are
-    expanded from."""
+    ``weights[i]``, or None when every weight is zero (ValueError when they
+    total below zero: no draw could end).  ``counts`` and ``labels`` are the
+    state's ``expansion`` data, which its successors are expanded from."""
     cum = list(accumulate(weights))
     if not cum or cum[-1] == 0:
         return None
+    if cum[-1] < 0:
+        raise ValueError(f"sample weights total {cum[-1]} < 0")
     return ("sample", cum, cum[-1], eids, [None] * len(eids), counts, labels)
 
 

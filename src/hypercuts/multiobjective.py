@@ -11,7 +11,8 @@
   interleaving schedule of per-criterion contraction phases is replayed,
   yielding at most n^(t-1) cuts per repetition.  Repetitions continue until
   every budget-optimal cut appears with high probability, and the union is
-  pruned by the final criterion.
+  pruned by the final criterion through ``_engine.front``, the sorted front
+  that ``oracle_multiobjective`` and ``oracle_pareto`` use too.
 * ``pareto_pipeline`` / ``enumerate_pareto`` - keep the enumerated cuts
   that survive the randomized dominance search.
 * ``verify_pareto_optimality`` - one-sided dominance test: TRUE is always
@@ -34,9 +35,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
-from ._engine import (Walk, contract_comps, delta_mask, expansion, ids_mask,
-                      initial_comps, mask_sum, present_edge_ids, sample_node,
-                      side_mask)
+from ._engine import (Walk, beats_last, contract_comps, delta_mask, expansion,
+                      front, ids_mask, initial_comps, mask_sum,
+                      present_edge_ids, sample_node, side_mask)
 from .hypergraph import Cut, Hypergraph, InstanceError, exact_int, exact_ints
 from .sampling import DrawNode
 
@@ -320,19 +321,10 @@ def _mask_costs(costs, mask: int) -> tuple[int, ...]:
     return tuple(mask_sum(ci, mask) for ci in costs)
 
 
-def _prune_final_criterion(masks: set[int], G: Hypergraph, costs) -> set[int]:
+def _prune_final_criterion(masks: set[int], costs) -> set[int]:
     """Drop F when some F' in the collection is <= on the leading criteria and
     strictly cheaper on the last; idempotent and order-independent."""
-    vectors = {m: _mask_costs(costs, m) for m in masks}
-    t = len(costs)
-    survivors = set()
-    for m, vec in vectors.items():
-        beaten = any(
-            other[-1] < vec[-1] and all(other[i] <= vec[i] for i in range(t - 1))
-            for other in vectors.values())
-        if not beaten:
-            survivors.add(m)
-    return survivors
+    return front({m: _mask_costs(costs, m) for m in masks}, beats_last)
 
 
 def enumerate_multiobjective(G: Hypergraph, rng: random.Random,
@@ -350,7 +342,7 @@ def enumerate_multiobjective(G: Hypergraph, rng: random.Random,
     masks: set[int] = set()
     for _ in range(repetitions):
         ctx.run(rng, masks)
-    return {Cut.from_mask(m) for m in _prune_final_criterion(masks, G, costs)}
+    return {Cut.from_mask(m) for m in _prune_final_criterion(masks, costs)}
 
 
 def verify_pareto_optimality(G: Hypergraph, cut: Cut, rng: random.Random,

@@ -27,6 +27,7 @@ from .hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE, exact_ints
 from .sampling import LazyWeightedOrder
 
 __all__ = [
+    "nb_inputs",
     "nb_constant_walk",
     "nb_arbitrary_walk",
     "hmincut_walk",
@@ -36,16 +37,20 @@ __all__ = [
 ]
 
 
-def _weights_and_budgets(G: Hypergraph, budgets):
-    """G's weight columns, one validated budget per column, and the budget
-    fit of a component as an ``expansion`` label."""
+def nb_inputs(G: Hypergraph, budgets):
+    """``(fits, cost)`` of the node-budgeted problem on G: ``fits(mask)``
+    tells whether a vertex set fits one validated budget per weight column,
+    and ``cost`` is G's first cost column.  The budgets are checked before
+    the costs."""
     weights = G.weights_by_criterion()
     budgets = exact_ints(budgets, len(weights), "node budget")
-    return weights, budgets, lambda present, c: _fits(weights, budgets, c)
+    cost = G.costs_by_criterion()[0]
 
+    def fits(mask: int) -> bool:
+        return all(mask_sum(wcol, mask) <= b
+                   for wcol, b in zip(weights, budgets))
 
-def _fits(weights, budgets, mask: int) -> bool:
-    return all(mask_sum(wcol, mask) <= b for wcol, b in zip(weights, budgets))
+    return fits, cost
 
 
 def _contract_infeasible(comps, fits):
@@ -98,26 +103,25 @@ def nb_constant_walk(G: Hypergraph, budgets) -> Walk:
     is drawn.  An outcome is witnessed when that subset is a proper side
     that fits the budgets, or whose complement does.
     """
-    weights, budgets, fit = _weights_and_budgets(G, budgets)
-    cost = G.costs_by_criterion()[0]
+    fits, cost = nb_inputs(G, budgets)
     masks, full = G.edge_masks, G.full_mask
     base_limit = G.rank + 1
 
     def outcome(side):
-        witnessed = 0 != side != full and (
-            _fits(weights, budgets, side) or _fits(weights, budgets, full & ~side))
+        witnessed = 0 != side != full and (fits(side) or fits(full & ~side))
         return delta_mask(masks, side, full), witnessed
 
     def expand(comps, parent=None):
-        present, _, fits = expansion(masks, comps, parent, fit)
-        merged, _ = _contract_infeasible(comps, fits)
+        present, _, flags = expansion(masks, comps, parent,
+                                      lambda present, c: fits(c))
+        merged, _ = _contract_infeasible(comps, flags)
         if merged is not comps:
             return ("merge", merged)
         if len(comps) <= base_limit:
             return ("base", {}, outcome)
         # a zero-cost state terminates via the base case
         return (sample_node(present, [cost[eid] for eid in present], None,
-                            fits)
+                            flags)
                 or ("base", {}, outcome))
 
     return Walk(G, expand, lambda mask: mask_sum(cost, mask),
@@ -131,17 +135,17 @@ def nb_arbitrary_walk(G: Hypergraph, budgets) -> Walk:
     U; once U as a whole fits the budgets the walk continues as the plain
     min-cut walk.  A state without feasible components is INFEASIBLE.
     """
-    weights, budgets, fit = _weights_and_budgets(G, budgets)
-    cost = G.costs_by_criterion()[0]
+    fits, cost = nb_inputs(G, budgets)
     masks, full = G.edge_masks, G.full_mask
     floor = success_floor_node_arbitrary(G.n)
     min_cut = _min_cut_walk(G, cost)
     delegate = ("delegate", min_cut)
 
     def expand(comps, parent=None):
-        present, counts, fits = expansion(masks, comps, parent, fit,
-                                          count=True)
-        merged, feasible = _contract_infeasible(comps, fits)
+        present, counts, flags = expansion(masks, comps, parent,
+                                           lambda present, c: fits(c),
+                                           count=True)
+        merged, feasible = _contract_infeasible(comps, flags)
         if not feasible:
             return ("terminal", INFEASIBLE)
         if merged is not comps:
@@ -154,8 +158,8 @@ def nb_arbitrary_walk(G: Hypergraph, budgets) -> Walk:
         node = sample_node(present, [(live - k + bool(masks[eid] & bad))
                                      * cost[eid]
                                      for eid, k in zip(present, counts)],
-                           counts, fits)
-        set_ok = _fits(weights, budgets, feas_mask)
+                           counts, flags)
+        set_ok = fits(feas_mask)
         if node is None:
             # every edge covers all feasible components
             if set_ok and len(feasible) < len(comps):
@@ -191,14 +195,10 @@ def nb_multi_enum_constant_rank(G: Hypergraph, rng: random.Random) -> set[Cut]:
     snapshots = [initial_comps(n)]
     comps = snapshots[0]
     for eid in order.prefix:
-        em = masks[eid]
-        low = em & -em
-        for c in comps:
-            if c & low:
-                if em & ~c:
-                    comps = contract_comps(comps, em)
-                    snapshots.append(comps)
-                break
+        nxt = contract_comps(comps, masks[eid])
+        if len(nxt) < len(comps):
+            comps = nxt
+            snapshots.append(comps)
 
     def state_for(limit: int):
         for comps in snapshots:

@@ -7,12 +7,16 @@ to be fast: hard size guards refuse instances beyond desk scale unless
 explicitly overridden.  ``is_cut`` answers catalog membership without
 building the catalog.
 
-``build_catalog`` visits the sides in Gray-code order and updates each cut
-and its costs from the previous side's, one flipped vertex at a time.  The
-order in which cuts enter ``CutCatalog.costs`` is not part of the API: every
+One side scan, ``_sides``, visits the sides in Gray-code order and updates
+each cut and its costs from the previous side's, one flipped vertex at a
+time; it feeds both ``build_catalog`` and ``oracle_nb_bmulti``.  The order
+in which cuts enter ``CutCatalog.costs`` is not part of the API: every
 oracle returns a set, and the CLI sorts what it prints.  ``oracle_pareto``
-and ``oracle_multiobjective`` scan the distinct cost vectors in sorted order
-and compare each with the front kept so far, not with every other cut.
+and ``oracle_multiobjective`` filter the distinct cost vectors through
+``_engine.front``, which compares each, in sorted order, with the front kept
+so far, not with every other cut; the enumeration's final-criterion prune
+uses the same front.  The node-budgeted and k-cut oracles read and check
+their inputs through ``nb_inputs`` and ``kcut_inputs``, as the walks do.
 """
 
 from __future__ import annotations
@@ -21,10 +25,12 @@ from bisect import bisect_left, insort
 from fractions import Fraction
 from itertools import permutations, product
 
-from ._engine import (contract_comps, delta_mask, ids_mask, initial_comps,
-                      mask_sum, present_edge_ids, side_mask)
+from ._engine import (beats_last, contract_comps, delta_mask, front, ids_mask,
+                      initial_comps, present_edge_ids, side_mask)
 from .hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE,
-                         delta_partition, exact_int, exact_ints)
+                         delta_partition, exact_ints)
+from .node_budgeted import nb_inputs
+from .size_constrained import kcut_inputs
 
 CATALOG_GUARD = 20   # 2^n bipartition scans
 KCUT_GUARD = 12      # k^n label scans
@@ -42,54 +48,68 @@ class CutCatalog:
         return len(self.costs)
 
 
-def build_catalog(G: Hypergraph, override_guard: bool = False) -> CutCatalog:
-    """Catalog of every cut of G (complete, deduplicated, exact costs).
+def _sides(G: Hypergraph, override_guard: bool):
+    """Every unordered bipartition of V as ``(side, crossing, totals)``.
 
-    The sides are visited in Gray-code order, so each one differs from the
-    last by one vertex.  A per-edge count of the vertices on the side, the
-    sorted crossing edge ids and the running cost totals then change only at
-    that vertex's edges.
+    ``side`` is the vertex mask of the part without vertex 0, ``crossing``
+    the sorted ids of the edges it cuts and ``totals`` their summed cost
+    vectors; both lists are updated in place between sides.  The sides come
+    in Gray-code order, so each one differs from the last by one vertex: a
+    per-edge count of the vertices on the side, ``crossing`` and ``totals``
+    then change only at that vertex's edges.  The guard is checked at the
+    call, before any side is visited.
     """
     if G.n > CATALOG_GUARD and not override_guard:
         raise InstanceError(
             f"n={G.n} exceeds the 2^n oracle guard ({CATALOG_GUARD}); "
             "pass override_guard=True to force")
+
+    def scan():
+        span = range(G.t_costs)
+        incident = [[] for _ in range(G.n)]
+        for eid, (e, row) in enumerate(zip(G.edges, G.edge_costs)):
+            for v in e:
+                incident[v].append((eid, len(e), row))
+        inside = [0] * G.m
+        crossing: list[int] = []
+        totals = [0] * G.t_costs
+        side = 0
+        # Vertex 0 stays on the complement side, so each unordered
+        # bipartition is visited exactly once; step i flips the vertex after
+        # i's lowest bit.  An edge crosses while 0 < inside < its size.
+        for i in range(1, 1 << (G.n - 1)):
+            bit = (i & -i) << 1
+            side ^= bit
+            joins = side & bit
+            for eid, size, row in incident[bit.bit_length() - 1]:
+                k = inside[eid]
+                if joins:
+                    inside[eid] = k + 1
+                    enters = k == 0
+                    leaves = k + 1 == size
+                else:
+                    inside[eid] = k - 1
+                    enters = k == size
+                    leaves = k == 1
+                if enters:
+                    insort(crossing, eid)
+                    for j in span:
+                        totals[j] += row[j]
+                elif leaves:
+                    del crossing[bisect_left(crossing, eid)]
+                    for j in span:
+                        totals[j] -= row[j]
+            yield side, crossing, totals
+
+    return scan()
+
+
+def build_catalog(G: Hypergraph, override_guard: bool = False) -> CutCatalog:
+    """Catalog of every cut of G (complete, deduplicated, exact costs),
+    read off the Gray-code side scan."""
     cat = CutCatalog(G)
     costs = cat.costs
-    span = range(G.t_costs)
-    incident = [[] for _ in range(G.n)]
-    for eid, (e, row) in enumerate(zip(G.edges, G.edge_costs)):
-        for v in e:
-            incident[v].append((eid, len(e), row))
-    inside = [0] * G.m
-    crossing: list[int] = []
-    totals = [0] * G.t_costs
-    side = 0
-    # Vertex 0 stays on the complement side, so each unordered bipartition
-    # is visited exactly once; step i flips the vertex after i's lowest bit.
-    # An edge crosses while 0 < inside < its size.
-    for i in range(1, 1 << (G.n - 1)):
-        bit = (i & -i) << 1
-        side ^= bit
-        joins = side & bit
-        for eid, size, row in incident[bit.bit_length() - 1]:
-            k = inside[eid]
-            if joins:
-                inside[eid] = k + 1
-                enters = k == 0
-                leaves = k + 1 == size
-            else:
-                inside[eid] = k - 1
-                enters = k == size
-                leaves = k == 1
-            if enters:
-                insort(crossing, eid)
-                for j in span:
-                    totals[j] += row[j]
-            elif leaves:
-                del crossing[bisect_left(crossing, eid)]
-                for j in span:
-                    totals[j] -= row[j]
+    for _, crossing, totals in _sides(G, override_guard):
         costs.setdefault(Cut(tuple(crossing)), tuple(totals))
     return cat
 
@@ -135,33 +155,13 @@ def dominates(costs_a, costs_b) -> bool:
 def oracle_pareto(catalog: CutCatalog) -> set[Cut]:
     """Cuts not dominated by any other cut.
 
-    A dominating vector sorts before the one it dominates, and a vector that
-    a dominated vector dominates is dominated by an undominated one too.  So
-    each distinct vector, in sorted order, is checked only against the
-    undominated vectors kept so far.  Equal vectors never dominate each
-    other.
+    Domination is strict and transitive, and a dominating vector sorts
+    before the one it dominates, so the sorted ``front`` decides it.  Equal
+    vectors never dominate each other.
     """
     if catalog.t < 1:
         raise InstanceError("the pareto oracle needs a cost criterion")
-    return _front(catalog, dominates)
-
-
-def _beats(costs_a, costs_b) -> bool:
-    """True iff a is <= b on the leading criteria and < b on the last."""
-    return costs_a[-1] < costs_b[-1] and all(
-        x <= y for x, y in zip(costs_a[:-1], costs_b[:-1]))
-
-
-def _front(catalog: CutCatalog, beats) -> set[Cut]:
-    """Cuts whose cost vector no other cut's vector ``beats``, for a strict
-    order ``beats`` under which a beating vector is lexicographically
-    smaller."""
-    front = []
-    for cost in sorted(set(catalog.costs.values())):
-        if not any(beats(kept, cost) for kept in front):
-            front.append(cost)
-    kept = set(front)
-    return {cut for cut, cost in catalog.costs.items() if cost in kept}
+    return front(catalog.costs, dominates)
 
 
 def oracle_multiobjective(catalog: CutCatalog) -> set[Cut]:
@@ -169,11 +169,11 @@ def oracle_multiobjective(catalog: CutCatalog) -> set[Cut]:
 
     Equivalently, F is budget-optimal at the budget vector b_i = c_i(F).
     Such an F' sorts before F, and the relation is transitive, so the
-    cost-vector-ordered front of ``oracle_pareto`` decides it too.
+    sorted ``front`` of ``oracle_pareto`` decides it too.
     """
     if catalog.t < 1:
         raise InstanceError("the multiobjective oracle needs a cost criterion")
-    return _front(catalog, _beats)
+    return front(catalog.costs, beats_last)
 
 
 def oracle_bmulti(catalog: CutCatalog, budgets) -> set[Cut]:
@@ -225,38 +225,31 @@ def oracle_parametric_t2(catalog: CutCatalog) -> set[Cut]:
     return {cut for cut, cost in catalog.costs.items() if cost in best}
 
 
+def _optima(candidates):
+    """(least value, set of cuts at it) over ``(value, cut)`` pairs, or
+    INFEASIBLE when there are none."""
+    best, cuts = None, set()
+    for value, cut in candidates:
+        if best is None or value < best:
+            best, cuts = value, {cut}
+        elif value == best:
+            cuts.add(cut)
+    return INFEASIBLE if best is None else (best, cuts)
+
+
 def oracle_nb_bmulti(G: Hypergraph, budgets, override_guard: bool = False):
     """Node-budgeted optimum: min cost delta(X) over X with w_i(X) <= b_i.
 
     Returns (optimal cost, set of optimal cuts), or INFEASIBLE when no
     nonempty proper vertex set satisfies the budgets.  Cost is criterion 0.
+    delta(X) is delta(V - X), so a bipartition counts when either side fits.
     """
-    if G.n > CATALOG_GUARD and not override_guard:
-        raise InstanceError(
-            f"n={G.n} exceeds the 2^n oracle guard ({CATALOG_GUARD})")
-    budgets = exact_ints(budgets, G.t_weights, "node budget")
-    if G.t_costs < 1:
-        raise InstanceError("the node-budgeted oracle needs a cost criterion")
-    weights = G.weights_by_criterion()
-    masks = G.edge_masks
+    sides = _sides(G, override_guard)
+    fits, _ = nb_inputs(G, budgets)
     full = G.full_mask
-    best = None
-    best_cuts: set[Cut] = set()
-    for side in range(1, full):
-        if any(mask_sum(wcol, side) > b for wcol, b in zip(weights, budgets)):
-            continue
-        other = full & ~side
-        ids = tuple(eid for eid, em in enumerate(masks)
-                    if (em & side) and (em & other))
-        value = sum(G.edge_costs[eid][0] for eid in ids)
-        if best is None or value < best:
-            best = value
-            best_cuts = {Cut(ids)}
-        elif value == best:
-            best_cuts.add(Cut(ids))
-    if best is None:
-        return INFEASIBLE
-    return best, best_cuts
+    return _optima((totals[0], Cut(tuple(crossing)))
+                   for side, crossing, totals in sides
+                   if fits(side) or fits(full & ~side))
 
 
 def oracle_kcut(G: Hypergraph, k: int, sizes, weighted_costs: bool = False,
@@ -265,49 +258,30 @@ def oracle_kcut(G: Hypergraph, k: int, sizes, weighted_costs: bool = False,
 
     A partition is feasible when some matching of parts to the size lower
     bounds works; all k! matchings are checked rather than assuming sorted
-    parts.  Vertex weights are criterion 0 (unit if the instance carries no
-    weights) and must be positive.  Returns (optimal value, set of optimal
-    cuts) or INFEASIBLE.
+    parts.  The inputs are read by ``kcut_inputs``.  Returns (optimal
+    value, set of optimal cuts) or INFEASIBLE.
     """
     if G.n > KCUT_GUARD and not override_guard:
         raise InstanceError(f"n={G.n} exceeds the k^n oracle guard ({KCUT_GUARD})")
-    sizes = exact_ints(sizes, exact_int(k, "k", 2), "part size", 1)
-    if weighted_costs and G.t_costs < 1:
-        raise InstanceError("weighted costs need a cost criterion")
-    weights = G.weights_by_criterion()
-    w = weights[0] if weights else [1] * G.n
-    if any(x < 1 for x in w):
-        raise InstanceError(
-            "size-constrained cuts require positive vertex weights")
+    sizes, cost, w = kcut_inputs(G, k, sizes, weighted_costs)
     if G.n < k:
         return INFEASIBLE
 
-    best = None
-    best_cuts: set[Cut] = set()
-    # Vertex 0 pinned to part 0: feasibility and delta are label-symmetric.
-    for rest in product(range(k), repeat=G.n - 1):
-        labels = (0,) + rest
-        if len(set(labels)) != k:
-            continue
-        part_w = [0] * k
-        for v, lab in enumerate(labels):
-            part_w[lab] += w[v]
-        if not any(all(part_w[perm[i]] >= sizes[i] for i in range(k))
+    def partitions():
+        # Vertex 0 pinned to part 0: feasibility and delta are label-symmetric.
+        for rest in product(range(k), repeat=G.n - 1):
+            labels = (0,) + rest
+            if len(set(labels)) != k:
+                continue
+            part_w = [0] * k
+            for v, lab in enumerate(labels):
+                part_w[lab] += w[v]
+            if any(all(part_w[perm[i]] >= sizes[i] for i in range(k))
                    for perm in permutations(range(k))):
-            continue
-        cut = delta_partition(G, labels)
-        if weighted_costs:
-            value = sum(G.edge_costs[eid][0] for eid in cut.edge_ids)
-        else:
-            value = len(cut)
-        if best is None or value < best:
-            best = value
-            best_cuts = {cut}
-        elif value == best:
-            best_cuts.add(cut)
-    if best is None:
-        return INFEASIBLE
-    return best, best_cuts
+                cut = delta_partition(G, labels)
+                yield sum(cost[eid] for eid in cut.edge_ids), cut
+
+    return _optima(partitions())
 
 
 def oracle_min_cut(catalog: CutCatalog):

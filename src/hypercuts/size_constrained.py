@@ -25,6 +25,7 @@ from .hypergraph import (Hypergraph, InstanceError, INFEASIBLE, exact_int,
                          exact_ints)
 
 __all__ = [
+    "kcut_inputs",
     "kcut_walk",
     "success_floor_size",
 ]
@@ -40,6 +41,22 @@ def _check_sizes(k: int, sizes) -> tuple[int, ...]:
     return tuple(sorted(exact_ints(sizes, k, "part size", 1)))
 
 
+def kcut_inputs(G: Hypergraph, k: int, sizes, weighted_costs: bool = False):
+    """``(sizes, cost, weights)`` of the size-constrained problem on G, read
+    and checked in this order: the k positive part size bounds sorted
+    non-decreasing, the edge cost column (criterion 0, or unit without
+    ``weighted_costs``) and the vertex weight column (criterion 0, or unit
+    without weights), which must be positive."""
+    sizes = _check_sizes(k, sizes)
+    cost = G.costs_by_criterion()[0] if weighted_costs else [1] * G.m
+    weights = G.weights_by_criterion()
+    vertex_w = weights[0] if weights else [1] * G.n
+    if any(w < 1 for w in vertex_w):
+        raise InstanceError(
+            "size-constrained cuts require positive vertex weights")
+    return sizes, cost, vertex_w
+
+
 def kcut_walk(G: Hypergraph, k: int, sizes,
               weighted_costs: bool = False) -> Walk:
     """The size-constrained contraction walk as a reusable cached ``Walk``.
@@ -52,19 +69,13 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
     k-partition whose sorted part weights meet the sorted size bounds; the
     flag never influences a draw, so outputs stay weight-oblivious.
     Every run is INFEASIBLE when n < k, and the floor is then 1; otherwise
-    it is ``success_floor_size(n, k, sizes)``.  Vertex weights (criterion
-    0, or unit without weights) must be positive.
+    it is ``success_floor_size(n, k, sizes)``.  The inputs are read by
+    ``kcut_inputs``.
     """
-    sizes = _check_sizes(k, sizes)
+    sizes, cost, vertex_w = kcut_inputs(G, k, sizes, weighted_costs)
     sigma_lead = sum(sizes[:-1])
     base_limit = max(2 * sigma_lead, sum(sizes))
     masks = G.edge_masks
-    cost = G.costs_by_criterion()[0] if weighted_costs else [1] * G.m
-    weights = G.weights_by_criterion()
-    vertex_w = weights[0] if weights else [1] * G.n
-    if any(w < 1 for w in vertex_w):
-        raise InstanceError(
-            "size-constrained cuts require positive vertex weights")
 
     def crossing(label_masks) -> int:
         """Edges meeting at least two label classes (only present ones can)."""

@@ -459,6 +459,22 @@ def test_oracle_bmulti_names_the_missing_cost_criterion(cost_free_instance,
             == "the budgeted oracle needs a cost criterion")
 
 
+@pytest.mark.parametrize("family", [
+    ["nb-bmulti", "--budgets", "2"],
+    ["kcut", "--k", "2", "--sizes", "1,1", "--weighted-costs"],
+])
+def test_solve_estimate_and_oracle_name_the_missing_costs_alike(
+        cost_free_instance, capsys, family):
+    errors = set()
+    for command, extra in (("solve", ["--trials", "50"]),
+                           ("estimate", ["--trials", "50"]), ("oracle", [])):
+        code, out, err = run_cli(capsys, command, *family, *extra,
+                                 "--instance", str(cost_free_instance))
+        assert (code, out) == (2, "")
+        errors.add(json.loads(err)["error"])
+    assert errors == {"instance carries no edge costs"}
+
+
 @pytest.mark.parametrize("flags", [
     ["--m", "-3", "--t-weights", "0"],
     ["--m", "7", "--max-cost", "-1", "--t-weights", "0"],

@@ -58,6 +58,12 @@ def test_sample_node_is_none_without_weight():
     assert sample_node([0, 1], [0, 0]) is None
 
 
+def test_sample_node_rejects_a_negative_total():
+    # draw_below would loop forever on it
+    with pytest.raises(ValueError):
+        sample_node([0, 1], [2, -5])
+
+
 @pytest.mark.parametrize("make", [
     lambda G: bmulti_walk(G, (4,)),
     lambda G: nb_constant_walk(G, (3,)),

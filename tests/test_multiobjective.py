@@ -165,12 +165,12 @@ def test_prune_rule_example():
                    [(1, 5), (2, 2), (3, 1), (2, 3)])
     costs = G.costs_by_criterion()
     masks = {0b0001, 0b0010, 0b0100, 0b1000}
-    kept = _prune_final_criterion(masks, G, costs)
+    kept = _prune_final_criterion(masks, costs)
     assert kept == {0b0001, 0b0010, 0b0100}
     # idempotent
-    assert _prune_final_criterion(kept, G, costs) == kept
+    assert _prune_final_criterion(kept, costs) == kept
     # singleton collection unchanged
-    assert _prune_final_criterion({0b1000}, G, costs) == {0b1000}
+    assert _prune_final_criterion({0b1000}, costs) == {0b1000}
 
 
 def test_enumerate_multiobjective_matches_oracle():

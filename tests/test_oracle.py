@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercuts._engine import delta_mask, ids_mask
+from hypercuts._engine import delta_mask, ids_mask, mask_sum
 from hypercuts.analysis import gen_random_instance
 from hypercuts.hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE
+from hypercuts.multiobjective import _prune_final_criterion
 from hypercuts.oracle import (CutCatalog, build_catalog, dominates, is_cut,
                               oracle_bmulti, oracle_kcut, oracle_min_cut,
                               oracle_multiobjective, oracle_nb_bmulti,
@@ -342,6 +343,16 @@ def all_pairs_multiobjective(costs):
                 for c2 in costs.values())}
 
 
+def all_pairs_prune(masks, costs):
+    """The enumeration's final-criterion prune, every pair compared."""
+    vectors = {m: tuple(mask_sum(ci, m) for ci in costs) for m in masks}
+    t = len(costs)
+    return {m for m, vec in vectors.items()
+            if not any(other[-1] < vec[-1]
+                       and all(other[i] <= vec[i] for i in range(t - 1))
+                       for other in vectors.values())}
+
+
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_sorted_fronts_equal_all_pairs_filters(t):
     # values in 0..3 over up to 40 cuts: many tied and equal vectors
@@ -354,6 +365,11 @@ def test_sorted_fronts_equal_all_pairs_filters(t):
         assert oracle_pareto(catalog) == all_pairs_pareto(catalog.costs)
         assert (oracle_multiobjective(catalog)
                 == all_pairs_multiobjective(catalog.costs))
+        # the same vectors as one-edge cuts in the enumeration's collection
+        costs = [[vec[i] for vec in catalog.costs.values()] for i in range(t)]
+        masks = {1 << eid for eid in range(len(catalog))}
+        assert (_prune_final_criterion(masks, costs)
+                == all_pairs_prune(masks, costs))
 
 
 @pytest.mark.parametrize("name", sorted(n for n in CATALOG_CASES
@@ -363,3 +379,51 @@ def test_sorted_fronts_equal_all_pairs_filters_on_catalogs(name):
     assert oracle_pareto(catalog) == all_pairs_pareto(catalog.costs)
     assert (oracle_multiobjective(catalog)
             == all_pairs_multiobjective(catalog.costs))
+
+
+def all_sides_nb_bmulti(G, budgets):
+    """``oracle_nb_bmulti`` as every side scanned edge by edge."""
+    weights = G.weights_by_criterion()
+    full = G.full_mask
+    best, best_cuts = None, set()
+    for side in range(1, full):
+        if any(mask_sum(w, side) > b for w, b in zip(weights, budgets)):
+            continue
+        other = full & ~side
+        ids = tuple(eid for eid, em in enumerate(G.edge_masks)
+                    if (em & side) and (em & other))
+        value = sum(G.edge_costs[eid][0] for eid in ids)
+        if best is None or value < best:
+            best, best_cuts = value, {Cut(ids)}
+        elif value == best:
+            best_cuts.add(Cut(ids))
+    return INFEASIBLE if best is None else (best, best_cuts)
+
+
+NB_CASES = {
+    "n1": (Hypergraph(1, [], t_costs=1, vertex_weights=[(1,)]), [(0,), (1,)]),
+    "n2": (Hypergraph(2, [(0, 1)], [(3,)], [(2,), (1,)]),
+           [(0,), (1,), (2,), (3,)]),
+    "edgeless": (Hypergraph(5, [], t_costs=1,
+                            vertex_weights=[(1,), (2,), (3,), (1,), (2,)]),
+                 [(0,), (1,), (3,), (9,)]),
+    "repeats": (Hypergraph(5, [(0, 1), (0, 1), (1, 2, 3), (1, 2, 3)],
+                           [(1, 2), (2, 1), (0, 3), (3, 0)],
+                           [(1,), (1,), (4,), (1,), (2,)]),
+                [(0,), (1,), (2,), (4,), (9,)]),
+}
+for _seed in range(12):
+    _n, _r, _tw = 4 + _seed % 6, 2 + _seed % 4, 1 + _seed % 2
+    NB_CASES[f"random-{_seed}-n{_n}-r{_r}-w{_tw}"] = (
+        gen_random_instance(_n, 2 * _n, _r, 1 + _seed % 2, _tw, max_cost=3,
+                            max_weight=3, seed=_seed),
+        # from budget 0, often infeasible, to past the total weight
+        [(b,) * _tw for b in range(0, 3 * _n + 1, 2)]
+        + [tuple(range(1 + i, 1 + _tw + i)) for i in range(4)])
+
+
+@pytest.mark.parametrize("name", sorted(NB_CASES))
+def test_gray_code_nb_oracle_equals_the_all_sides_oracle(name):
+    G, budget_rows = NB_CASES[name]
+    for budgets in budget_rows:
+        assert oracle_nb_bmulti(G, budgets) == all_sides_nb_bmulti(G, budgets)
