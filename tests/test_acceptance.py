@@ -71,7 +71,8 @@ def test_criterion_2_enumeration_pipelines():
     t0 = time.time()
     multi_hits = pareto_hits = runs = 0
     for idx, G in enumerate(_pipeline_corpus()):
-        report = pipeline_equivalence(G, seed=derive_seed(2, idx), runs=4)
+        report = pipeline_equivalence(G, seed=derive_seed(2, idx), runs=4,
+                                      jobs=2)
         multi_hits += report["multi_exact_runs"]
         pareto_hits += report["pareto_exact_runs"]
         runs += report["runs"]
