@@ -294,16 +294,6 @@ def draw_sample(rng, n: int, k: int) -> list[int]:
     return out
 
 
-def sample_step(node, comps, edge_masks, rng):
-    """Successor of ``comps`` under one draw from a sample node."""
-    idx = bisect_right(node[1], draw_below(rng, node[2]))
-    nexts = node[4]
-    nxt = nexts[idx]
-    if nxt is None:
-        nxt = nexts[idx] = contract_comps(comps, edge_masks[node[3][idx]])
-    return nxt
-
-
 # Cap on the states one walk caches.  Past it a state's node is built, used
 # and dropped, so a long run on a large instance stays in bounded memory.
 _WALK_CACHE_CAP = 1 << 14
@@ -338,7 +328,7 @@ class Walk:
             comps = self.start
         cache = self.cache
         masks = self.masks
-        step = sample_step
+        getrandbits = rng.getrandbits
         pending = None  # (candidate, live) per level node passed
         prev = prev_comps = None  # the sample step that led here, if any
         while True:
@@ -349,23 +339,34 @@ class Walk:
                 if len(cache) < _WALK_CACHE_CAP:
                     cache[comps] = node
             tag = node[0]
-            if tag == "sample":
-                prev, prev_comps = node, comps
-                comps = step(node, comps, masks, rng)
-            elif tag == "merge":
-                prev = None
-                comps = node[1]
-            elif tag == "level":
-                if pending is None:
-                    pending = []
-                pending.append((node[1](comps, rng), len(comps)))
-                prev, prev_comps = node[2], comps
-                comps = step(prev, comps, masks, rng)
-            else:
-                break
+            if tag != "sample":
+                if tag == "level":
+                    if pending is None:
+                        pending = []
+                    pending.append((node[1](comps, rng), len(comps)))
+                    node = node[2]
+                elif tag == "merge":
+                    prev = None
+                    comps = node[1]
+                    continue
+                else:
+                    break
+            # a sample step: draw_below(rng, total), written out
+            total = node[2]
+            bits = total.bit_length()
+            r = getrandbits(bits)
+            while r >= total:
+                r = getrandbits(bits)
+            idx = bisect_right(node[1], r)
+            nexts = node[4]
+            nxt = nexts[idx]
+            if nxt is None:
+                nxt = nexts[idx] = contract_comps(comps, masks[node[3][idx]])
+            prev, prev_comps = node, comps
+            comps = nxt
         if tag == "base":
             table = node[1]
-            bits = rng.getrandbits(len(comps))
+            bits = getrandbits(len(comps))
             out = table.get(bits)
             if out is None:
                 out = table[bits] = node[2](side_mask(comps, bits))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,7 +31,8 @@ from .node_budgeted import hmincut_walk, nb_arbitrary_walk, nb_constant_walk
 from .size_constrained import kcut_walk
 from .oracle import (build_catalog, oracle_bmulti, oracle_kcut, oracle_min_cut,
                      oracle_multiobjective, oracle_nb_bmulti, oracle_pareto)
-from .sampling import BestOf, best_of_n, default_trials, derive_rng
+from .sampling import (BestOf, best_of_n, default_trials, derive_rng,
+                       trial_rngs)
 
 __all__ = ["PROBLEMS", "TrialReport", "solve", "estimate", "default_trials",
            "pipeline_equivalence", "instance_digest"]
@@ -149,11 +151,9 @@ def _hit(out, target_masks) -> bool:
 
 def _successes(walk, target_masks, seed: int, start: int, count: int) -> int:
     """Trials in [start, start+count) whose outcome is a success."""
-    successes = 0
-    for idx in range(start, start + count):
-        if _hit(walk.run(derive_rng(seed, idx)), target_masks):
-            successes += 1
-    return successes
+    run = walk.run
+    return sum(_hit(run(rng), target_masks)
+               for rng in trial_rngs(seed, start, count))
 
 
 # What a pool worker works on (a walk, or a pipeline's fixed arguments): set
@@ -169,6 +169,13 @@ def _adopt(state) -> None:
 
 def _call_adopted(fn, *args):
     return fn(_worker_state, *args)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: a pool needs no more workers."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _fork_map(fn, state, calls, workers: int) -> list:
@@ -216,10 +223,11 @@ def estimate(G: Hypergraph, algorithm: str, *, trials: int | None = None,
         target_masks = {cut.mask() for cut in targets}
 
     fixed = walk.fixed_outcome()
+    workers = min(jobs, trials, _usable_cpus())
     if fixed is not None:
         successes = trials if _hit(fixed, target_masks) else 0
-    elif jobs > 1:
-        chunk = -(-trials // jobs)
+    elif workers > 1:
+        chunk = -(-trials // workers)
         spans = [(target_masks, seed, s, min(chunk, trials - s))
                  for s in range(0, trials, chunk)]
         successes = sum(_fork_map(_successes, walk, spans, len(spans)))
@@ -266,7 +274,7 @@ def pipeline_equivalence(G: Hypergraph, seed: int, runs: int,
     true_multi = oracle_multiobjective(catalog)
     true_pareto = oracle_pareto(catalog)
     state = (G, seed, repetitions, verify_repetitions, true_multi, true_pareto)
-    workers = min(jobs, runs)
+    workers = min(jobs, runs, _usable_cpus())
     if workers > 1:
         per_run = _fork_map(_pipeline_run, state,
                             [(idx,) for idx in range(runs)], workers)

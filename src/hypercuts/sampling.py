@@ -42,6 +42,18 @@ def derive_rng(master_seed: int, index: int) -> random.Random:
     return random.Random(derive_seed(master_seed, index))
 
 
+def trial_rngs(master_seed: int, start: int, count: int):
+    """``derive_rng(master_seed, i)`` for each trial ``i`` in ``start ..
+    start+count-1``, as one ``random.Random`` reseeded in place (the C-level
+    seed of ``Random(x)``): each is valid only until the next is drawn."""
+    rng = random.Random()
+    reseed = super(random.Random, rng).seed
+    for idx in range(start, start + count):
+        reseed(derive_seed(master_seed, idx))
+        rng.gauss_next = None  # as Random.seed resets it
+        yield rng
+
+
 class DrawNode:
     """One node of a weighted-draw trie.
 
@@ -154,8 +166,7 @@ def best_of_n(walk, trials: int | None, seed: int) -> BestOf:
     exact_int(trials, "trials", 1)
     fixed = walk.fixed_outcome()
     if fixed is None:
-        outs, runs = (walk.run(derive_rng(seed, idx))
-                      for idx in range(trials)), 1
+        outs, runs = map(walk.run, trial_rngs(seed, 0, trials)), 1
     else:
         outs, runs = (fixed,), trials
     value = walk.value

@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import partial
 from math import comb
 
-from ._engine import (Walk, draw_below, draw_sample, expansion, ids_mask,
-                      mask_sum, sample_node)
+from ._engine import (Walk, draw_sample, expansion, ids_mask, mask_sum,
+                      sample_node)
 from .hypergraph import (Hypergraph, InstanceError, INFEASIBLE, exact_int,
                          exact_ints)
 
@@ -75,7 +75,7 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
     sizes, cost, vertex_w = kcut_inputs(G, k, sizes, weighted_costs)
     sigma_lead = sum(sizes[:-1])
     base_limit = max(2 * sigma_lead, sum(sizes))
-    masks = G.edge_masks
+    masks, label_bits = G.edge_masks, k.bit_length()
 
     def crossing(label_masks) -> int:
         """Edges meeting at least two label classes (only present ones can)."""
@@ -103,12 +103,20 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
                 memo[key] = out
         return out
 
+    def labels(parts, rng):
+        """Label masks of one uniform label per component in ``parts``."""
+        getrandbits = rng.getrandbits
+        label_masks = [0] * k
+        for c in parts:
+            lab = getrandbits(label_bits)
+            while lab >= k:  # draw_below(rng, k), written out
+                lab = getrandbits(label_bits)
+            label_masks[lab] |= c
+        return label_masks
+
     def base(comps, rng):
         # uniform independent label per supervertex (k^|V| outcomes)
-        label_masks = [0] * k
-        for c in comps:
-            label_masks[draw_below(rng, k)] |= c
-        return outcome(label_masks)
+        return outcome(labels(comps, rng))
 
     def settle(alive, label_masks):
         """delta of a partial labelling, or the present edge set ``alive``
@@ -120,15 +128,11 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
     def candidate(alive, comps, rng):
         """A random partial labelling, drawn now and settled only if the
         level's candidate survives (settling draws nothing)."""
-        chosen = sorted(draw_sample(rng, len(comps), 2 * sigma_lead))
-        label_masks = [0] * k
-        picked = 0
-        for idx in chosen:
-            c = comps[idx]
-            label_masks[draw_below(rng, k)] |= c
-            picked |= c
+        parts = [comps[idx] for idx in
+                 sorted(draw_sample(rng, len(comps), 2 * sigma_lead))]
+        label_masks = labels(parts, rng)
         # everything outside the sample joins the last part
-        label_masks[k - 1] |= G.full_mask & ~picked
+        label_masks[k - 1] |= G.full_mask & ~sum(parts)
         return partial(settle, alive, label_masks)
 
     def expand(comps, parent=None):

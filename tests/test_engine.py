@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from hypercuts import _engine
-from hypercuts._engine import (Walk, contract_comps, draw_sample,
-                               initial_comps, sample_node, sample_step,
-                               side_mask)
+from bisect import bisect_right
+
+from hypercuts._engine import (Walk, contract_comps, draw_below, draw_sample,
+                               initial_comps, sample_node, side_mask)
 from hypercuts.analysis import gen_random_instance
 from hypercuts.hypergraph import Hypergraph
 from hypercuts.sampling import derive_rng
@@ -37,15 +38,20 @@ def test_draw_sample_is_rng_sample(n):
 
 
 def test_sample_step_never_draws_zero_weight_edges():
+    # a walk whose start is the sample node and which stops with the state
+    # its one step reached
     G = Hypergraph(10, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
-    comps = initial_comps(10)
     node = sample_node(list(range(5)), [0, 3, 0, 5, 0])
+    stop = ("draw", lambda comps, rng: comps)
+    walk = Walk(G, lambda comps, parent=None:
+                node if comps == initial_comps(10) else stop, None, None)
     rng = random.Random(0)
     counts = Counter()
     for _ in range(4000):
-        nxt = sample_step(node, comps, G.edge_masks, rng)
+        nxt = walk.run(rng)
         (eid,) = [e for e, em in enumerate(G.edge_masks) if em in nxt]
         counts[eid] += 1
+    assert walk.cache[walk.start] is node
     assert set(counts) == {1, 3}
     # proportions roughly 3:5
     assert abs(counts[1] / 4000 - 3 / 8) < 0.05
@@ -223,3 +229,127 @@ def test_walk_cache_cap_changes_no_outcome(monkeypatch, make):
     for expected in want:
         assert (capped.run(rng), rng.getstate()) == expected
         assert len(capped.cache) <= 30
+
+
+def frozen_sample_step(node, comps, edge_masks, rng):
+    """Successor of ``comps`` under one draw from a sample node."""
+    idx = bisect_right(node[1], draw_below(rng, node[2]))
+    nexts = node[4]
+    nxt = nexts[idx]
+    if nxt is None:
+        nxt = nexts[idx] = contract_comps(comps, edge_masks[node[3][idx]])
+    return nxt
+
+
+def frozen_run(walk, rng, cap, comps=None):
+    """``Walk.run`` as it was while its sample step was the function
+    ``frozen_sample_step``, caching at most ``cap`` states."""
+    if comps is None:
+        comps = walk.start
+    cache = walk.cache
+    masks = walk.masks
+    pending = None
+    prev = prev_comps = None
+    while True:
+        node = cache.get(comps)
+        if node is None:
+            node = walk.expand(
+                comps, None if prev is None else (prev, prev_comps))
+            if len(cache) < cap:
+                cache[comps] = node
+        tag = node[0]
+        if tag == "sample":
+            prev, prev_comps = node, comps
+            comps = frozen_sample_step(node, comps, masks, rng)
+        elif tag == "merge":
+            prev = None
+            comps = node[1]
+        elif tag == "level":
+            if pending is None:
+                pending = []
+            pending.append((node[1](comps, rng), len(comps)))
+            prev, prev_comps = node[2], comps
+            comps = frozen_sample_step(prev, comps, masks, rng)
+        else:
+            break
+    if tag == "base":
+        table = node[1]
+        bits = rng.getrandbits(len(comps))
+        out = table.get(bits)
+        if out is None:
+            out = table[bits] = node[2](side_mask(comps, bits))
+    elif tag == "terminal":
+        out = node[1]
+    elif tag == "draw":
+        out = node[1](comps, rng)
+    else:
+        out = frozen_run(node[1], rng, cap, comps)
+    if pending:
+        survivor = None
+        for candidate, live in reversed(pending):
+            if draw_below(rng, live) == 0:
+                survivor = candidate
+        if survivor is not None:
+            out = survivor()
+    return out
+
+
+@pytest.mark.parametrize("cap", [_engine._WALK_CACHE_CAP, 30],
+                         ids=["uncapped", "capped-30"])
+@pytest.mark.parametrize("family", ["bmulti", "nb-constant", "nb-arbitrary",
+                                    "hmincut", "kcut"])
+@pytest.mark.parametrize("shape", GRID, ids=lambda s: "n%d-m%d-r%d-t%d" % s)
+def test_walk_run_matches_the_frozen_loop(monkeypatch, shape, family, cap):
+    # the same outcome from the same generator calls, run after run, on a
+    # warm walk and on one whose cache fills up
+    n, m, rank, t = shape
+    G = gen_random_instance(n, m, rank, t, 1, max_cost=4, max_weight=4,
+                            seed=n * 100 + rank, positive_weights=True)
+    monkeypatch.setattr(_engine, "_WALK_CACHE_CAP", cap)
+    walk, reference = walk_families(G)[family], walk_families(G)[family]
+    for i in range(300):
+        a, b = derive_rng(7, i), derive_rng(7, i)
+        assert walk.run(a) == frozen_run(reference, b, cap), i
+        assert a.getstate() == b.getstate(), i
+    assert len(walk.cache) == min(cap, len(reference.cache))
+
+
+@pytest.mark.parametrize("family", ["bmulti", "nb-constant"])
+@pytest.mark.parametrize("seed", range(6))
+def test_base_outcomes_witness_by_the_problems_rule(family, seed):
+    # every subset a cached base node can draw: its cut crosses the side,
+    # and it is witnessed exactly when the side is proper (bmulti) and, for
+    # nb-constant, when it or its complement fits the node budget
+    G = gen_random_instance(8, 12, 3, 2, 1, max_cost=4, max_weight=4,
+                            seed=80 + seed, positive_weights=True)
+    weight = [w[0] for w in G.vertex_weights]
+    budget = sum(weight) * 2 // 5
+    full = G.full_mask
+
+    def fits(side):
+        return sum(w for v, w in enumerate(weight) if side >> v & 1) <= budget
+
+    if family == "bmulti":
+        walk = walk_families(G)["bmulti"]
+    else:
+        walk = nb_constant_walk(G, (budget,))
+    for i in range(300):
+        walk.run(derive_rng(seed, i))
+    checked = complement_only = 0
+    for comps, node in walk.cache.items():
+        if node[0] != "base":
+            continue
+        for bits in range(1 << len(comps)):
+            side = sum(c for i, c in enumerate(comps) if bits >> i & 1)
+            proper = 0 != side != full
+            if family == "nb-constant":
+                witnessed = proper and (fits(side) or fits(full & ~side))
+                complement_only += (witnessed and not fits(side))
+            else:
+                witnessed = proper
+            cut = sum(1 << eid for eid, e in enumerate(G.edges)
+                      if {side >> v & 1 for v in e} == {0, 1})
+            assert node[2](side) == (cut, witnessed), (comps, bits)
+            checked += 1
+    assert checked >= 100
+    assert family == "bmulti" or complement_only > 0

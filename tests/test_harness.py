@@ -130,7 +130,8 @@ def _walked_report(algorithm, G, walk, optima, trials, seed):
                            "counting trials that witness no cut")
     masks = {cut.mask() for cut in optima}
     return TrialReport(algorithm, instance_digest(G), trials,
-                       sum(out[0] in masks for out in outs), walk.floor, seed,
+                       sum(out is not INFEASIBLE and out[0] in masks
+                           for out in outs), walk.floor, seed,
                        optima=len(optima))
 
 
@@ -157,7 +158,7 @@ def test_estimate_counts_a_terminal_start_without_walking(case, jobs,
     assert walk.expand(walk.start)[0] == "terminal"
     want = _walked_report(algorithm, G, walk, oracle(G), 1000, 5)
     calls = []
-    monkeypatch.setattr(harness, "derive_rng",
+    monkeypatch.setattr(harness, "trial_rngs",
                         lambda *args: calls.append(args))
     got = estimate(G, algorithm, seed=5, jobs=jobs, **kwargs)
     assert got == want
@@ -335,11 +336,92 @@ def test_solve_counts_a_terminal_start_without_walking(case, monkeypatch):
     walk.fixed_outcome = lambda: None  # the reference runs every trial
     want = best_of_n(walk, None, 5)
     calls = []
-    monkeypatch.setattr(sampling, "derive_rng",
+    monkeypatch.setattr(sampling, "trial_rngs",
                         lambda *args: calls.append(args))
     got = solve(G, algorithm, seed=5, **kwargs)
     assert got == want
     assert calls == []
+
+
+def _best_of_derived(walk, trials, seed):
+    """The result ``best_of_n`` gives, from one ``derive_rng`` per trial."""
+    best_val = best_mask = None
+    infeasible_runs = 0
+    for idx in range(trials):
+        out = walk.run(derive_rng(seed, idx))
+        if out is INFEASIBLE:
+            infeasible_runs += 1
+        elif out[1]:
+            val = walk.value(out[0])
+            if val is not None and (best_val is None or val < best_val):
+                best_val, best_mask = val, out[0]
+    cut = None if best_mask is None else Cut.from_mask(best_mask)
+    return BestOf(cut, best_val, trials, infeasible_runs)
+
+
+@pytest.mark.parametrize("algorithm", sorted(PROBLEMS))
+def test_trial_loops_run_each_trial_on_its_derived_generator(algorithm):
+    # best_of_n and estimate reseed one generator per loop; every trial must
+    # still see derive_rng(seed, trial)
+    make, params_of, _ = SOLVE_CASES[algorithm]
+    G = make()
+    params = params_of(G)
+    make_walk, oracle, _ = PROBLEMS[algorithm]
+    assert (best_of_n(make_walk(G, **params), 400, 3)
+            == _best_of_derived(make_walk(G, **params), 400, 3))
+    want = _walked_report(algorithm, G, make_walk(G, **params),
+                          oracle(G, **params), 401, 3)
+    for jobs in (1, 2):
+        assert estimate(G, algorithm, trials=401, seed=3, jobs=jobs,
+                        **params) == want
+
+
+class _SerialContext:
+    """A stand-in for ``get_context("fork")`` whose pools record their size
+    and run every call in this process."""
+
+    def __init__(self):
+        self.pool_sizes = []
+
+    def Pool(self, workers, initializer, initargs):
+        self.pool_sizes.append(workers)
+        initializer(*initargs)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, calls):
+        return [fn(*args) for args in calls]
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_jobs_are_capped_at_the_usable_cpus(monkeypatch, affinity):
+    # --jobs 5000 must not fork 5000 processes; the pool gets one worker per
+    # CPU this process may use, and the results are the serial ones
+    G = small_instance()
+    serial_estimate = estimate(G, "bmulti", budgets=budgets_for(G),
+                               trials=600, seed=4)
+    serial_pipeline = pipeline_equivalence(G, seed=8, runs=5, repetitions=50,
+                                           verify_repetitions=20)
+    if affinity:
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2}, raising=False)
+    else:
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    context = _SerialContext()
+    monkeypatch.setattr(harness, "get_context", lambda method: context)
+    monkeypatch.setattr(harness, "_worker_state", None)
+    assert estimate(G, "bmulti", budgets=budgets_for(G), trials=600, seed=4,
+                    jobs=5000) == serial_estimate
+    assert pipeline_equivalence(G, seed=8, runs=5, repetitions=50,
+                                verify_repetitions=20,
+                                jobs=5000) == serial_pipeline
+    assert context.pool_sizes == [3, 3]
 
 
 def test_solve_kcut_below_k_finds_no_cut_on_every_trial():

@@ -8,16 +8,27 @@ also records which branches a run took, so each shape below is checked to
 reach the branch it is named after.
 """
 
+from bisect import bisect_right
 from math import comb
 
 import pytest
 
-from hypercuts._engine import (ids_mask, initial_comps, mask_sum,
-                               present_edge_ids, sample_node, sample_step)
+from hypercuts._engine import (contract_comps, ids_mask, initial_comps,
+                               mask_sum, present_edge_ids, sample_node)
 from hypercuts.analysis import gen_random_instance
 from hypercuts.hypergraph import Hypergraph, INFEASIBLE
 from hypercuts.sampling import derive_rng
 from hypercuts.size_constrained import kcut_walk
+
+
+def _sample_step(node, comps, masks, rng):
+    """Successor of ``comps`` under one draw from a sample node."""
+    idx = bisect_right(node[1], rng.randrange(node[2]))
+    nexts = node[4]
+    nxt = nexts[idx]
+    if nxt is None:
+        nxt = nexts[idx] = contract_comps(comps, masks[node[3][idx]])
+    return nxt
 
 
 class ReferenceWalker:
@@ -56,7 +67,7 @@ class ReferenceWalker:
                 break
             self.seen.add("level")
             pending.append((candidate, len(comps)))
-            comps = sample_step(node, comps, self.masks, rng)
+            comps = _sample_step(node, comps, self.masks, rng)
         for candidate, live in reversed(pending):
             if rng.randrange(live) == 0:
                 result = candidate

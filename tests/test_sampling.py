@@ -6,7 +6,7 @@ from bisect import bisect_right
 
 from hypercuts._engine import draw_below
 from hypercuts.sampling import (DrawNode, LazyWeightedOrder, derive_rng,
-                                derive_seed, splitmix64)
+                                derive_seed, splitmix64, trial_rngs)
 from test_enum_context import ReferenceOrder
 
 
@@ -30,6 +30,24 @@ def test_derive_rng_streams_replay():
     a = [derive_rng(5, i).random() for i in range(10)]
     b = [derive_rng(5, i).random() for i in range(10)]
     assert a == b
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 64 + 3])
+@pytest.mark.parametrize("start, count", [(0, 40), (17, 25), (3, 0)])
+def test_trial_rngs_are_the_derived_generators(seed, start, count):
+    got = []
+    for rng in trial_rngs(seed, start, count):
+        got.append(rng.getstate())
+        # a trial's draws, a held-over gauss value included, leave the next
+        # trial's state alone
+        rng.gauss(0.0, 1.0)
+    assert got == [derive_rng(seed, i).getstate()
+                   for i in range(start, start + count)]
+
+
+def test_trial_rngs_reject_a_negative_index():
+    with pytest.raises(ValueError):
+        list(trial_rngs(0, -2, 3))
 
 
 def test_lazy_order_matches_eager_draw():
