@@ -272,28 +272,6 @@ def draw_below(rng, n: int) -> int:
     return r
 
 
-def draw_sample(rng, n: int, k: int) -> list[int]:
-    """``rng.sample(range(n), k)``, from one call frame when ``n <= 21``.
-
-    Up to that bound CPython 3.11's ``Random.sample`` always takes its pool
-    branch (21 is its least set size), which this repeats with inlined
-    ``draw_below`` calls: the same value and the same generator state.
-    """
-    if n > 21 or not 0 <= k <= n:
-        return rng.sample(range(n), k)
-    getrandbits = rng.getrandbits
-    pool = list(range(n))
-    out = []
-    for i in range(n, n - k, -1):
-        bits = i.bit_length()
-        j = getrandbits(bits)
-        while j >= i:  # draw_below(rng, i), inlined
-            j = getrandbits(bits)
-        out.append(pool[j])
-        pool[j] = pool[i - 1]
-    return out
-
-
 # Cap on the states one walk caches.  Past it a state's node is built, used
 # and dropped, so a long run on a large instance stays in bounded memory.
 _WALK_CACHE_CAP = 1 << 14

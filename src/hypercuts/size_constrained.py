@@ -19,8 +19,7 @@ from fractions import Fraction
 from functools import partial
 from math import comb
 
-from ._engine import (Walk, draw_sample, expansion, ids_mask, mask_sum,
-                      sample_node)
+from ._engine import Walk, expansion, ids_mask, mask_sum, sample_node
 from .hypergraph import (Hypergraph, InstanceError, INFEASIBLE, exact_int,
                          exact_ints)
 
@@ -75,7 +74,8 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
     sizes, cost, vertex_w = kcut_inputs(G, k, sizes, weighted_costs)
     sigma_lead = sum(sizes[:-1])
     base_limit = max(2 * sigma_lead, sum(sizes))
-    masks, label_bits = G.edge_masks, k.bit_length()
+    sample_size, label_bits = 2 * sigma_lead, k.bit_length()
+    masks = G.edge_masks
 
     def crossing(label_masks) -> int:
         """Edges meeting at least two label classes (only present ones can)."""
@@ -103,20 +103,17 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
                 memo[key] = out
         return out
 
-    def labels(parts, rng):
-        """Label masks of one uniform label per component in ``parts``."""
-        getrandbits = rng.getrandbits
-        label_masks = [0] * k
-        for c in parts:
-            lab = getrandbits(label_bits)
-            while lab >= k:  # draw_below(rng, k), written out
-                lab = getrandbits(label_bits)
-            label_masks[lab] |= c
-        return label_masks
-
+    # every label below is draw_below(rng, k), written out
     def base(comps, rng):
         # uniform independent label per supervertex (k^|V| outcomes)
-        return outcome(labels(comps, rng))
+        getrandbits = rng.getrandbits
+        label_masks = [0] * k
+        for c in comps:
+            lab = getrandbits(label_bits)
+            while lab >= k:
+                lab = getrandbits(label_bits)
+            label_masks[lab] |= c
+        return outcome(label_masks)
 
     def settle(alive, label_masks):
         """delta of a partial labelling, or the present edge set ``alive``
@@ -127,12 +124,35 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
 
     def candidate(alive, comps, rng):
         """A random partial labelling, drawn now and settled only if the
-        level's candidate survives (settling draws nothing)."""
-        parts = [comps[idx] for idx in
-                 sorted(draw_sample(rng, len(comps), 2 * sigma_lead))]
-        label_masks = labels(parts, rng)
+        level's candidate survives (settling draws nothing).  It labels
+        ``rng.sample(range(live), 2 * sigma_lead)``, whose pool branch (up to
+        21, CPython 3.11's least set size, its only one) is written out."""
+        getrandbits = rng.getrandbits
+        live = len(comps)
+        if live > 21:
+            chosen = rng.sample(range(live), sample_size)
+        else:
+            pool = list(range(live))
+            chosen = []
+            for i in range(live, live - sample_size, -1):
+                bits = i.bit_length()
+                j = getrandbits(bits)
+                while j >= i:
+                    j = getrandbits(bits)
+                chosen.append(pool[j])
+                pool[j] = pool[i - 1]
+        chosen.sort()
+        label_masks = [0] * k
+        picked = 0
+        for idx in chosen:
+            c = comps[idx]
+            lab = getrandbits(label_bits)
+            while lab >= k:
+                lab = getrandbits(label_bits)
+            label_masks[lab] |= c
+            picked |= c
         # everything outside the sample joins the last part
-        label_masks[k - 1] |= G.full_mask & ~sum(parts)
+        label_masks[k - 1] |= G.full_mask & ~picked
         return partial(settle, alive, label_masks)
 
     def expand(comps, parent=None):

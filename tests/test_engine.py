@@ -8,7 +8,7 @@ import pytest
 from hypercuts import _engine
 from bisect import bisect_right
 
-from hypercuts._engine import (Walk, contract_comps, draw_below, draw_sample,
+from hypercuts._engine import (Walk, contract_comps, draw_below,
                                initial_comps, sample_node, side_mask)
 from hypercuts.analysis import gen_random_instance
 from hypercuts.hypergraph import Hypergraph
@@ -29,11 +29,24 @@ def test_side_mask_is_the_union_of_the_picked_components():
 
 @pytest.mark.parametrize("n", range(1, 31))
 def test_draw_sample_is_rng_sample(n):
-    # n <= 21 takes the inlined pool branch, n > 21 defers to rng.sample
-    for seed in range(5):
-        rng, ref = random.Random(seed), random.Random(seed)
-        for k in range(n + 1):
-            assert draw_sample(rng, n, k) == ref.sample(range(n), k)
+    # a k-cut level candidate labels rng.sample(range(live), 2 sigma) of its
+    # live components, n >= 1 of them left outside the sample; live <= 21
+    # takes the written-out pool branch, live > 21 calls rng.sample
+    for k, sizes in ((2, (1, 1)), (3, (1, 1, 1)), (2, (3, 3))):
+        s = 2 * sum(sizes[:-1])
+        live = s + n
+        G = Hypergraph(live, [(v, v + 1) for v in range(live - 1)])
+        walk = kcut_walk(G, k, sizes)
+        tag, draw, _ = walk.expand(walk.start)
+        assert tag == "level"
+        for seed in range(5):
+            rng, ref = random.Random(seed), random.Random(seed)
+            chosen = sorted(ref.sample(range(live), s))
+            want = [0] * k
+            for idx in chosen:
+                want[ref.randrange(k)] |= 1 << idx
+            want[k - 1] |= G.full_mask & ~sum(1 << idx for idx in chosen)
+            assert draw(walk.start, rng).args[1] == want
             assert rng.getstate() == ref.getstate()
 
 
