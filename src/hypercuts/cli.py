@@ -199,8 +199,12 @@ def cmd_enumerate(args) -> dict:
         cuts = multiobjective.enumerate_multiobjective(G, rng, **params)
     else:
         cuts = multiobjective.enumerate_pareto(G, rng, **params)
-    used = multiobjective.enum_repetition_count(G, params["repetitions"])
-    return {"family": args.family, "repetitions": used, "count": len(cuts),
+    used = {"repetitions": multiobjective.enum_repetition_count(
+        G, params["repetitions"])}
+    if args.family == "pareto":
+        used["verify_repetitions"] = multiobjective.verify_repetition_count(
+            G, params["verify_repetitions"])
+    return {"family": args.family, **used, "count": len(cuts),
             "cuts": _cut_records(G, cuts)}
 
 

@@ -23,7 +23,14 @@ Every algorithm reads its cost columns from the hypergraph itself.
 Repeated runs on one instance share a per-state cache (see ``_engine.Walk``
 and ``_EnumContext``), which changes nothing about the sampled distribution -
 state expansion is deterministic - but makes a single trial a few dictionary
-hops.
+hops.  The enumeration also caches its draw steps.  A step is a
+repetition's state at one generator call: a pick on a criterion's draw-trie
+node, which maps each drawn position to the next step, or a base draw on a
+partition node, which has one next step.  A step is built the second time a
+repetition takes the branch to it, only while every criterion's order is on
+its trie, and steps have a share of the cache cap of their own.  A
+repetition follows stored steps until its first draw with none stored after
+it, then finishes in the one enumeration loop.
 """
 
 from __future__ import annotations
@@ -159,6 +166,37 @@ def interleaving_schedules(n: int, r: int, t: int) -> list[tuple[int, ...]]:
 # memory.
 _ENUM_CACHE_CAP = 1 << 16
 
+# Cap on the draw steps (the first step and every marked branch) one
+# enumeration context stores: a share of _ENUM_CACHE_CAP of their own, not
+# counted in its entries.
+_ENUM_STEP_CAP = _ENUM_CACHE_CAP // 32
+
+
+class _Step:
+    """A repetition's state at one generator call, every cursor on the trie.
+
+    A pick step draws a position on criterion ``phase``'s trie node (``cum``,
+    ``total``) in ``k``-bit calls; a base step (``cum`` None) draws ``k``
+    bits on the partition ``node``, whose full set is ``total``.
+    ``next[pos]`` is the step after drawing ``pos`` (a base step has only
+    ``next[0]``), False once that branch was taken, else None.  ``sched``,
+    ``phase``, ``node`` and ``cursors`` say where the loop stands.
+    """
+
+    __slots__ = ("cum", "total", "k", "next", "node", "sched", "phase",
+                 "cursors")
+
+    def __init__(self, sched, phase, node, cur, cursors):
+        self.sched, self.phase, self.node = sched, phase, node
+        self.cursors = cursors
+        if cur is None:
+            self.cum, self.k = None, len(node[0])
+            self.total = (1 << self.k) - 1
+        else:
+            self.cum, self.total = cur.cum, cur.total
+            self.k = self.total.bit_length()
+        self.next = [None] * (1 if cur is None else len(cur.cum))
+
 
 class _EnumContext:
     """Precomputed data for repeated runs of the enumeration algorithm.
@@ -175,12 +213,24 @@ class _EnumContext:
     trie (``roots``) that every repetition shares.  A branch is marked the
     first time an order takes it and its node is built the second time;
     each marked branch is one ``branches`` entry, counted against the cap.
+
+    What a repetition does between two generator calls depends only on the
+    draws before it, so repetitions also share a tree of steps from
+    ``first``, each the state at one generator call (``_Step``).  A step's
+    branch is marked the first time a repetition takes it and the next step
+    is built the second time, where ``_play`` reaches its next draw, only
+    while every cursor is on the trie (a flat order changes as it draws);
+    ``steps`` counts the first step and the marks against their own share
+    of the cap, ``_ENUM_STEP_CAP``.  ``paths`` holds the prefix of each trie
+    node a step stands on; ``ends`` holds one step per partition node for a
+    repetition's last draw, which nothing follows.  After its first draw
+    with no step stored after it, a repetition finishes in ``_play``.
     """
 
     def __init__(self, G: Hypergraph, costs):
         self.masks = G.edge_masks
         self.full = G.full_mask
-        self.size = self.branches = 0
+        self.size = self.branches = self.steps = 0
         self.roots = []
         for ci in costs:
             ids = [e for e in range(G.m) if ci[e] > 0]
@@ -189,6 +239,9 @@ class _EnumContext:
         self.schedules = interleaving_schedules(G.n, G.rank, len(costs)) or [()]
         self.cache: dict[tuple, tuple] = {}
         self.start = self._node(initial_comps(G.n))
+        self.first = None
+        self.ends = {}
+        self.paths = {}
 
     def _store(self) -> bool:
         """Count one more cache entry; False once the cache is full."""
@@ -228,23 +281,111 @@ class _EnumContext:
     def run(self, rng: random.Random, out: set[int]) -> None:
         """One invocation; adds the produced cut bitmasks to ``out``.
 
+        The repetition follows stored steps while it can: a pick is
+        ``draw_below``, written out, one bisect and one list hop.  After its
+        first draw with no step stored after it, ``_play`` finishes the
+        repetition, or on the branch's second visit stops at the next draw
+        to store it as a step.  Subset draws landing on the empty or full
+        vertex set induce no bipartition and hence no cut; those draws
+        contribute nothing.
+        """
+        getrandbits = rng.getrandbits
+        last = len(self.schedules) - 1
+        step = self.first
+        if step is None:
+            cursors, prefixes = list(self.roots), [[] for _ in self.roots]
+            found = self._play(rng, out, 0, 0, self.start, cursors, prefixes,
+                               None, self.steps < _ENUM_STEP_CAP)
+            if found is None:
+                return
+            self.steps += 1
+            step = self.first = self._new_step(found, cursors, prefixes, None)
+        while True:
+            cum = step.cum
+            if cum is None:
+                bits = getrandbits(step.k)
+                if bits and bits != step.total:
+                    node = step.node
+                    cut = node[3].get(bits)
+                    out.add(self._cut(node, bits) if cut is None else cut)
+                at = 0
+            else:
+                total = step.total
+                k = step.k
+                r = getrandbits(k)
+                while r >= total:
+                    r = getrandbits(k)
+                at = bisect_right(cum, r)
+            nxt = step.next[at]
+            if nxt:
+                step = nxt
+                continue
+            if cum is None and step.sched == last:
+                return
+            if nxt is None and self.steps < _ENUM_STEP_CAP:  # first visit
+                self.steps += 1
+                step.next[at] = False
+            cursors = list(step.cursors)
+            # a copy of each cursor's path, for the loop to append to
+            prefixes = list(map(list, map(self.paths.__getitem__, cursors)))
+            if cum is None:  # after a base draw the next schedule starts
+                found = self._play(rng, out, step.sched + 1, 0, self.start,
+                                   cursors, prefixes, None, nxt is False)
+            else:
+                found = self._play(rng, out, step.sched, step.phase,
+                                   step.node, cursors, prefixes, at,
+                                   nxt is False)
+            if found is None:
+                return
+            nxt = step.next[at] = self._new_step(found, cursors, prefixes,
+                                                 step)
+            step = nxt
+
+    def _new_step(self, found, cursors, prefixes, parent):
+        """The step at ``found``, where ``_play`` stopped and left
+        ``cursors`` and ``prefixes``; it shares the cursor tuple of the step
+        ``parent`` when no cursor moved."""
+        sched, phase, node, draws_on = found
+        if draws_on is None and sched == len(self.schedules) - 1:
+            # the repetition's last draw: nothing follows it, so one step per
+            # partition node serves every path
+            end = self.ends.get(node[0])
+            if end is None:
+                end = self.ends[node[0]] = _Step(sched, phase, node, None, None)
+            return end
+        cursors = tuple(cursors)
+        if parent is not None and cursors == parent.cursors:
+            cursors = parent.cursors
+        for cur, prefix in zip(cursors, prefixes):
+            if cur not in self.paths:
+                self.paths[cur] = tuple(prefix)
+        return _Step(sched, phase, node, draws_on, cursors)
+
+    def _play(self, rng, out, sched, phase, node, cursors, prefixes, at,
+              build):
+        """The repetition's loop, from schedule ``sched`` and phase ``phase``
+        on, standing at the partition ``node``.
+
         Each criterion's order is its ``prefix`` list and a cursor: the trie
         node it stands on, or once a pick leaves the trie (a branch not
         stored yet) the flat ``LazyWeightedOrder`` of the items left.  A
         pick on the trie is ``draw_below``, written out, one bisect and one
-        hop.  Subset draws landing on the empty or full vertex set induce
-        no bipartition and hence no cut; those draws contribute nothing.
+        hop.  ``at``, when not None, is the position the pick the loop
+        stands at has drawn already.  With ``build`` the loop stops at its
+        next draw while every cursor is on the trie, leaving ``cursors`` and
+        ``prefixes`` as they stand, and returns ``(sched, phase, node,
+        cursor)``, the cursor None at a base draw.  Else it finishes the
+        repetition and returns None.
         """
         getrandbits = rng.getrandbits
-        cursors = list(self.roots)
-        prefixes = [[] for _ in cursors]
-        for schedule in self.schedules:
-            node = self.start
+        pos = 0 if at is None else len(prefixes[phase])
+        for sched, schedule in enumerate(self.schedules[sched:], sched):
             for i, target in enumerate(schedule):
+                if i < phase:
+                    continue
                 cur = cursors[i]
                 prefix = prefixes[i]
                 drawn = len(prefix)
-                pos = 0
                 while len(node[0]) > target:
                     present = node[1]
                     while True:
@@ -252,12 +393,16 @@ class _EnumContext:
                             if cur.__class__ is not DrawNode:
                                 cur.ensure(pos + 1)
                             elif cur.total:
-                                total = cur.total
-                                k = total.bit_length()
-                                r = getrandbits(k)
-                                while r >= total:
+                                if at is None:
+                                    if build:
+                                        cursors[i] = cur
+                                        return sched, i, node, cur
+                                    total = cur.total
+                                    k = total.bit_length()
                                     r = getrandbits(k)
-                                at = bisect_right(cur.cum, r)
+                                    while r >= total:
+                                        r = getrandbits(k)
+                                    at = bisect_right(cur.cum, r)
                                 prefix.append(cur.items[at])
                                 nxt = cur.children.get(at)
                                 if nxt:
@@ -266,9 +411,11 @@ class _EnumContext:
                                     if self._branch():
                                         cur.children[at] = False
                                     cur = cur.flat(at, rng, prefix)
+                                    build = False
                                 else:  # second visit: build the node
                                     nxt = cur.children[at] = cur.child(at)
                                     cur = nxt
+                                at = None
                             drawn = len(prefix)
                             if pos == drawn:
                                 eid = None
@@ -282,12 +429,17 @@ class _EnumContext:
                     nxt = node[2].get(eid)
                     node = self._successor(node, eid) if nxt is None else nxt
                 cursors[i] = cur
+                pos = 0
+            if build:
+                return sched, len(schedule), node, None
             k = len(node[0])
             bits = getrandbits(k)
-            if bits == 0 or bits == (1 << k) - 1:
-                continue
-            cut = node[3].get(bits)
-            out.add(self._cut(node, bits) if cut is None else cut)
+            if bits and bits != (1 << k) - 1:
+                cut = node[3].get(bits)
+                out.add(self._cut(node, bits) if cut is None else cut)
+            phase = 0
+            node = self.start
+        return None
 
 
 def default_enum_repetitions(n: int, r: int, t: int) -> int:

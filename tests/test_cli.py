@@ -8,6 +8,7 @@ import pytest
 from hypercuts import harness, oracle
 from hypercuts.cli import build_parser, main
 from hypercuts.hypergraph import Hypergraph, load_instance, save_instance
+from hypercuts.multiobjective import default_verify_repetitions
 
 
 def run_cli(capsys, *argv):
@@ -548,6 +549,31 @@ def test_enumerate_multi_takes_no_verify_reps(pareto_instance, capsys, value):
               "--reps", "10", "--verify-reps", value])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("verify_reps", ["7", "auto"])
+def test_enumerate_reports_the_repetition_counts_it_used(tmp_path, capsys,
+                                                         verify_reps):
+    path = tmp_path / "small.json"
+    code, _, _ = run_cli(capsys, "gen", "random", "--n", "4", "--m", "5",
+                         "--rank", "2", "--t-costs", "2", "--t-weights", "0",
+                         "--seed", "3", "--out", str(path))
+    assert code == 0
+    G = load_instance(path.read_bytes())
+    want = (default_verify_repetitions(G.n, G.rank, G.t_costs)
+            if verify_reps == "auto" else 7)
+    code, out, _ = run_cli(capsys, "enumerate", "pareto", "--instance",
+                           str(path), "--reps", "20", "--verify-reps",
+                           verify_reps)
+    assert code == 0
+    rec = parse_text(out)
+    assert (rec["repetitions"], rec["verify_repetitions"]) == (20, want)
+    # enumerate multi runs no dominance check, so it reports no count for one
+    code, out, _ = run_cli(capsys, "enumerate", "multi", "--instance",
+                           str(path), "--reps", "20")
+    assert code == 0
+    rec = parse_text(out)
+    assert rec["repetitions"] == 20 and "verify_repetitions" not in rec
 
 
 @pytest.mark.parametrize("argv", [[]] + sorted(

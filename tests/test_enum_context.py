@@ -199,10 +199,14 @@ def _built(node):
     return sum(1 + _built(child) for child in node.children.values() if child)
 
 
-def test_pipeline_shape_matches_reference(monkeypatch):
+def _pipeline_instance():
     # the bench's pipeline shape: n=6, rank 2, t=2, max cost 8
     G = gen_random_instance(6, 10, 2, 2, 0, max_cost=8, seed=11)
-    costs = G.costs_by_criterion()
+    return G, G.costs_by_criterion()
+
+
+def test_pipeline_shape_matches_reference(monkeypatch):
+    G, costs = _pipeline_instance()
     ctx = _EnumContext(G, costs)
     leaves = _count_leaves(monkeypatch)
     assert_same_as_reference(ctx, G, costs, 2, 4000)
@@ -223,3 +227,64 @@ def test_capped_orders_leave_the_trie_mid_repetition(monkeypatch):
     assert ctx.size == 60 and 0 < ctx.branches <= 30
     # orders leave after stored hops, also in repetitions past the cap
     assert max(leaves) >= 2 and len(leaves) > 400
+
+
+# step caps: roomy, most branches only marked, every repetition in the loop
+STEP_CAPS = {"roomy": 1 << 20, "forty": 40, "zero": 0}
+
+
+@pytest.mark.parametrize("cap", sorted(STEP_CAPS))
+@pytest.mark.parametrize("shape", sorted(SHAPES) + ["pipeline"])
+def test_steps_match_reference_at_every_step_cap(monkeypatch, shape, cap):
+    monkeypatch.setattr(multiobjective, "_ENUM_STEP_CAP", STEP_CAPS[cap])
+    for seed in range(2):
+        if shape == "pipeline":
+            G, costs = _pipeline_instance()
+        else:
+            G, costs = _instance(shape, seed)
+        ctx = _EnumContext(G, costs)
+        assert_same_as_reference(ctx, G, costs, seed, 300)
+        assert ctx.steps <= STEP_CAPS[cap]
+        assert (ctx.first is None) == (cap == "zero")
+    if cap == "forty":  # base-only draws once per repetition: one step
+        assert ctx.steps == (1 if shape == "base-only" else 40)
+
+
+def _steps(ctx):
+    """Every stored step, the shared last-draw steps included once."""
+    seen, todo = {}, [ctx.first]
+    while todo:
+        step = todo.pop()
+        if id(step) in seen:
+            continue
+        seen[id(step)] = step
+        todo.extend(s for s in step.next if s)
+    return list(seen.values())
+
+
+def test_stored_steps_stand_on_the_trie_after_a_capped_run(monkeypatch):
+    G, costs = _instance("t3", 2)
+    # a small cache: orders leave the trie mid-repetition
+    monkeypatch.setattr(multiobjective, "_ENUM_CACHE_CAP", 60)
+    monkeypatch.setattr(multiobjective, "_ENUM_STEP_CAP", 24)
+    ctx = _EnumContext(G, costs)
+    leaves = _count_leaves(monkeypatch)
+    assert_same_as_reference(ctx, G, costs, 4, 400)
+    assert leaves and ctx.steps == 24
+    last = len(ctx.schedules) - 1
+    picks = 0
+    for step in _steps(ctx):
+        if step.cum is None and step.sched == last:
+            # nothing follows the last draw: one step per partition serves
+            assert ctx.ends[step.node[0]] is step
+            continue
+        # no stored step holds a flat LazyWeightedOrder cursor
+        assert all(cur.__class__ is DrawNode for cur in step.cursors)
+        for cur, root in zip(step.cursors, ctx.roots):
+            path = ctx.paths[cur]
+            assert sorted(path + tuple(cur.items)) == sorted(root.items)
+        if step.cum is not None:
+            picks += 1
+            assert step.cursors[step.phase].cum is step.cum
+            assert len(step.next) == len(step.cum)
+    assert picks > 0
