@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: gen, solve, enumerate, verify, oracle, estimate, check.
-Global flags: --seed, --jobs, --format text|json.
+Global flags: --seed, --format text|json; ``estimate`` also takes --jobs.
 
 Exit codes: 0 ok, 1 check failed, 2 usage error, 3 infeasible.
 
@@ -327,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     integer = {"type": int, "required": True}
     switch = {"action": "store_true"}
     common = _group(("--seed", {"type": int, "default": 0}),
-                    ("--jobs", {"type": int, "default": 1}),
                     ("--format", {"choices": ("text", "json"),
                                   "default": "text"}))
     instance = _group(("--instance", required))
@@ -342,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     reps = _group(("--reps", {"default": "auto", "help": "repetition count "
                               "or 'auto' for the default bound"}))
     verify_reps = _group(("--verify-reps", {"default": "auto"}))
+    jobs = _group(("--jobs", {"type": int, "default": 1}))
     n, out = ("--n", integer), ("--out", required)
 
     # The walk families share their flags across solve, estimate and oracle.
@@ -375,10 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
             family: ([*groups, override_guard], cmd_oracle)
             for family, groups in oracles.items()}),
         "estimate": ("Monte-Carlo floor checks vs oracle", {
-            **{family: ([*groups, trials, fixed_target], cmd_estimate)
+            **{family: ([*groups, trials, fixed_target, jobs], cmd_estimate)
                for family, groups in walks.items()},
             "pipeline": ([_group(("--runs", {"type": int, "default": 20})),
-                          reps, verify_reps], cmd_estimate)}),
+                          reps, verify_reps, jobs], cmd_estimate)}),
         "check": ("closed-form analysis checks", {
             "lemma-lp": ([_group(("--sweep", {"type": int, "default": 500}))],
                          cmd_check),

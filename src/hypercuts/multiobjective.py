@@ -23,14 +23,16 @@ Every algorithm reads its cost columns from the hypergraph itself.
 Repeated runs on one instance share a per-state cache (see ``_engine.Walk``
 and ``_EnumContext``), which changes nothing about the sampled distribution -
 state expansion is deterministic - but makes a single trial a few dictionary
-hops.  The enumeration also caches its draw steps.  A step is a
-repetition's state at one generator call: a pick on a criterion's draw-trie
-node, which maps each drawn position to the next step, or a base draw on a
-partition node, which has one next step.  A step is built the second time a
-repetition takes the branch to it, only while every criterion's order is on
-its trie, and steps have a share of the cache cap of their own.  A
-repetition follows stored steps until its first draw with none stored after
-it, then finishes in the one enumeration loop.
+hops.  Each criterion's order is one ``sampling.DrawNode`` cursor, which
+holds the items drawn to reach it: on the shared draw trie, or past it on
+nodes built for one repetition and never stored.  The enumeration also
+caches its draw steps.  A step is a repetition's state at one generator
+call: a pick on a criterion's cursor, which maps each drawn position to the
+next step, or a base draw on a partition node, which has one next step.  A
+step is built the second time a repetition takes the branch to it, and
+steps have a share of the cache cap of their own.  A repetition follows
+stored steps until its first draw with none stored after it, then finishes
+in the one enumeration loop.
 """
 
 from __future__ import annotations
@@ -161,8 +163,8 @@ def interleaving_schedules(n: int, r: int, t: int) -> list[tuple[int, ...]]:
 # Cap on the entries (partition nodes, successor links, cut masks and
 # draw-trie branches together) one enumeration context stores; trie branches
 # take at most half of it, so they never crowd out partition entries.  Past
-# it, new partition entries are built, used and dropped and orders leave the
-# trie for flat lists, so a long run on a large instance stays in bounded
+# it, new partition entries are built, used and dropped and orders go on
+# over off-trie nodes, so a long run on a large instance stays in bounded
 # memory.
 _ENUM_CACHE_CAP = 1 << 16
 
@@ -173,9 +175,9 @@ _ENUM_STEP_CAP = _ENUM_CACHE_CAP // 32
 
 
 class _Step:
-    """A repetition's state at one generator call, every cursor on the trie.
+    """A repetition's state at one generator call.
 
-    A pick step draws a position on criterion ``phase``'s trie node (``cum``,
+    A pick step draws a position on criterion ``phase``'s cursor (``cum``,
     ``total``) in ``k``-bit calls; a base step (``cum`` None) draws ``k``
     bits on the partition ``node``, whose full set is ``total``.
     ``next[pos]`` is the step after drawing ``pos`` (a base step has only
@@ -205,25 +207,27 @@ class _EnumContext:
     keyed by the component tuple: ``present`` is the bitmask of edge ids
     spanning two components, ``succ`` maps a contracted edge id to the
     successor node and ``cuts`` maps a base-case draw to its cut mask; both
-    tables fill on first use.  A phase then scans its order prefix with one
-    bit test per candidate edge and moves with one dictionary hop per
-    contraction.  Expansion is deterministic, so the cache changes no draw.
+    tables fill on first use.  A phase then scans its order's drawn items
+    with one bit test per candidate edge and moves with one dictionary hop
+    per contraction.  Expansion is deterministic, so the cache changes no
+    draw.
 
-    Each criterion's cost-weighted order is drawn over one ``DrawNode``
+    Each criterion's cost-weighted order is a ``DrawNode`` cursor on one
     trie (``roots``) that every repetition shares.  A branch is marked the
     first time an order takes it and its node is built the second time;
     each marked branch is one ``branches`` entry, counted against the cap.
+    A pick on a branch not built, or past the cap, goes on over off-trie
+    nodes, which are never stored and mark nothing.
 
     What a repetition does between two generator calls depends only on the
     draws before it, so repetitions also share a tree of steps from
     ``first``, each the state at one generator call (``_Step``).  A step's
     branch is marked the first time a repetition takes it and the next step
-    is built the second time, where ``_play`` reaches its next draw, only
-    while every cursor is on the trie (a flat order changes as it draws);
-    ``steps`` counts the first step and the marks against their own share
-    of the cap, ``_ENUM_STEP_CAP``.  ``paths`` holds the prefix of each trie
-    node a step stands on; ``ends`` holds one step per partition node for a
-    repetition's last draw, which nothing follows.  After its first draw
+    is built the second time, where ``_play`` reaches its next draw; no node
+    changes once built, so a step may stand on off-trie cursors.  ``steps``
+    counts the first step and the marks against their own share of the
+    cap, ``_ENUM_STEP_CAP``.  ``ends`` holds one step per partition node for
+    a repetition's last draw, which nothing follows.  After its first draw
     with no step stored after it, a repetition finishes in ``_play``.
     """
 
@@ -241,7 +245,6 @@ class _EnumContext:
         self.start = self._node(initial_comps(G.n))
         self.first = None
         self.ends = {}
-        self.paths = {}
 
     def _store(self) -> bool:
         """Count one more cache entry; False once the cache is full."""
@@ -293,13 +296,13 @@ class _EnumContext:
         last = len(self.schedules) - 1
         step = self.first
         if step is None:
-            cursors, prefixes = list(self.roots), [[] for _ in self.roots]
-            found = self._play(rng, out, 0, 0, self.start, cursors, prefixes,
-                               None, self.steps < _ENUM_STEP_CAP)
+            cursors = list(self.roots)
+            found = self._play(rng, out, 0, 0, self.start, cursors, None,
+                               self.steps < _ENUM_STEP_CAP)
             if found is None:
                 return
             self.steps += 1
-            step = self.first = self._new_step(found, cursors, prefixes, None)
+            step = self.first = self._new_step(found, cursors, None)
         while True:
             cum = step.cum
             if cum is None:
@@ -326,25 +329,21 @@ class _EnumContext:
                 self.steps += 1
                 step.next[at] = False
             cursors = list(step.cursors)
-            # a copy of each cursor's path, for the loop to append to
-            prefixes = list(map(list, map(self.paths.__getitem__, cursors)))
             if cum is None:  # after a base draw the next schedule starts
                 found = self._play(rng, out, step.sched + 1, 0, self.start,
-                                   cursors, prefixes, None, nxt is False)
+                                   cursors, None, nxt is False)
             else:
                 found = self._play(rng, out, step.sched, step.phase,
-                                   step.node, cursors, prefixes, at,
-                                   nxt is False)
+                                   step.node, cursors, at, nxt is False)
             if found is None:
                 return
-            nxt = step.next[at] = self._new_step(found, cursors, prefixes,
-                                                 step)
+            nxt = step.next[at] = self._new_step(found, cursors, step)
             step = nxt
 
-    def _new_step(self, found, cursors, prefixes, parent):
+    def _new_step(self, found, cursors, parent):
         """The step at ``found``, where ``_play`` stopped and left
-        ``cursors`` and ``prefixes``; it shares the cursor tuple of the step
-        ``parent`` when no cursor moved."""
+        ``cursors``; it shares the cursor tuple of the step ``parent`` when
+        no cursor moved."""
         sched, phase, node, draws_on = found
         if draws_on is None and sched == len(self.schedules) - 1:
             # the repetition's last draw: nothing follows it, so one step per
@@ -356,76 +355,71 @@ class _EnumContext:
         cursors = tuple(cursors)
         if parent is not None and cursors == parent.cursors:
             cursors = parent.cursors
-        for cur, prefix in zip(cursors, prefixes):
-            if cur not in self.paths:
-                self.paths[cur] = tuple(prefix)
         return _Step(sched, phase, node, draws_on, cursors)
 
-    def _play(self, rng, out, sched, phase, node, cursors, prefixes, at,
-              build):
+    def _play(self, rng, out, sched, phase, node, cursors, at, build):
         """The repetition's loop, from schedule ``sched`` and phase ``phase``
         on, standing at the partition ``node``.
 
-        Each criterion's order is its ``prefix`` list and a cursor: the trie
-        node it stands on, or once a pick leaves the trie (a branch not
-        stored yet) the flat ``LazyWeightedOrder`` of the items left.  A
-        pick on the trie is ``draw_below``, written out, one bisect and one
-        hop.  ``at``, when not None, is the position the pick the loop
-        stands at has drawn already.  With ``build`` the loop stops at its
-        next draw while every cursor is on the trie, leaving ``cursors`` and
-        ``prefixes`` as they stand, and returns ``(sched, phase, node,
-        cursor)``, the cursor None at a base draw.  Else it finishes the
-        repetition and returns None.
+        Each criterion's order is its cursor, a ``DrawNode``: a phase scans
+        the cursor's drawn items and draws one more when it runs out.  A
+        pick is ``draw_below``, written out, and one bisect; on a built
+        branch it is one hop more, while a pick on a branch not built yet,
+        or on an off-trie node, builds an off-trie node.
+        ``at``, when not None, is the position the pick the loop stands at
+        has drawn already.  With ``build`` the loop stops at its next draw,
+        leaving ``cursors`` as they stand, and returns ``(sched, phase,
+        node, cursor)``, the cursor None at a base draw.  Else it finishes
+        the repetition and returns None.
         """
         getrandbits = rng.getrandbits
-        pos = 0 if at is None else len(prefixes[phase])
-        for sched, schedule in enumerate(self.schedules[sched:], sched):
-            for i, target in enumerate(schedule):
-                if i < phase:
-                    continue
+        schedules = self.schedules
+        pos = 0 if at is None else cursors[phase].depth
+        for sched in range(sched, len(schedules)):
+            schedule = schedules[sched]
+            for i in range(phase, len(schedule)):
+                target = schedule[i]
                 cur = cursors[i]
-                prefix = prefixes[i]
-                drawn = len(prefix)
+                order, drawn = cur.order, cur.depth
                 while len(node[0]) > target:
                     present = node[1]
                     while True:
                         if pos == drawn:
-                            if cur.__class__ is not DrawNode:
-                                cur.ensure(pos + 1)
-                            elif cur.total:
-                                if at is None:
-                                    if build:
-                                        cursors[i] = cur
-                                        return sched, i, node, cur
-                                    total = cur.total
-                                    k = total.bit_length()
+                            if not cur.total:
+                                eid = None
+                                break  # permutation exhausted
+                            if at is None:
+                                if build:
+                                    cursors[i] = cur
+                                    return sched, i, node, cur
+                                total = cur.total
+                                k = total.bit_length()
+                                r = getrandbits(k)
+                                while r >= total:
                                     r = getrandbits(k)
-                                    while r >= total:
-                                        r = getrandbits(k)
-                                    at = bisect_right(cur.cum, r)
-                                prefix.append(cur.items[at])
-                                nxt = cur.children.get(at)
+                                at = bisect_right(cur.cum, r)
+                            children = cur.children
+                            if children is None:  # off the trie
+                                cur = cur.child(at)
+                            else:
+                                nxt = children.get(at)
                                 if nxt:
                                     cur = nxt
-                                elif nxt is None:  # first visit: mark, then leave
+                                elif nxt is None:  # first visit: mark, leave
                                     if self._branch():
-                                        cur.children[at] = False
-                                    cur = cur.flat(at, rng, prefix)
-                                    build = False
+                                        children[at] = False
+                                    cur = cur.child(at)
                                 else:  # second visit: build the node
-                                    nxt = cur.children[at] = cur.child(at)
-                                    cur = nxt
-                                at = None
-                            drawn = len(prefix)
-                            if pos == drawn:
-                                eid = None
-                                break
-                        eid = prefix[pos]
+                                    cur = children[at] = cur.child(at, {})
+                            at = None
+                            order = cur.order
+                            drawn += 1
+                        eid = order[pos]
                         pos += 1
                         if present >> eid & 1:
                             break
                     if eid is None:
-                        break  # permutation exhausted: phase ends early
+                        break  # the phase ends early
                     nxt = node[2].get(eid)
                     node = self._successor(node, eid) if nxt is None else nxt
                 cursors[i] = cur

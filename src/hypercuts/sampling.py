@@ -55,45 +55,42 @@ def trial_rngs(master_seed: int, start: int, count: int):
 
 
 class DrawNode:
-    """One node of a weighted-draw trie.
+    """One node of a weighted-draw trie: an order drawn ``depth`` items deep.
 
-    ``items`` are the items not yet drawn, in their original order, with
-    cumulative weights ``cum`` summing to ``total``.  ``children[pos]`` is
-    the node left once the item at ``pos`` is drawn, or False while orders
-    have taken that branch only once.  Orders drawn over one trie share its
-    nodes, so a draw on a stored branch is one ``draw_below``, one bisect
-    and one dict hop; a draw that leaves the trie goes on in a
-    ``LazyWeightedOrder`` over the items left.
+    ``order`` holds the ``depth`` items drawn, in draw order, then the items
+    left, in their original order, whose cumulative weights ``cum`` sum to
+    ``total``.  ``children[pos]`` is the stored node left once the item left
+    at ``pos`` is drawn, or False while orders have taken that branch only
+    once.  Orders drawn over one trie share its nodes, so a draw on a stored
+    branch is one ``draw_below``, one bisect and one dict hop.  A node off
+    the trie (``children`` None) stores and marks no branch: a draw on it
+    builds a new off-trie node.  No node changes once built.
     """
 
-    __slots__ = ("items", "cum", "total", "children")
+    __slots__ = ("order", "depth", "cum", "total", "children")
 
-    def __init__(self, items, cum):
-        self.items = items
+    def __init__(self, order, depth, cum, children):
+        self.order = order
+        self.depth = depth
         self.cum = cum
         self.total = cum[-1] if cum else 0
-        self.children: dict[int, DrawNode | bool] = {}
+        self.children: dict[int, DrawNode | bool] | None = children
 
     @classmethod
     def root(cls, items, weights) -> DrawNode:
         """The trie over ``items`` with positive integer ``weights``."""
-        return cls(list(items), list(accumulate(weights)))
+        return cls(tuple(items), 0, list(accumulate(weights)), {})
 
-    def child(self, pos: int) -> DrawNode:
-        """A new node for the items left once ``items[pos]`` is drawn."""
-        cum = self.cum
+    def child(self, pos: int, children=None) -> DrawNode:
+        """A new node for the order once the item left at ``pos`` is drawn:
+        on the trie with ``children`` a dict, else off it."""
+        depth, cum = self.depth, self.cum
         w = cum[pos] - cum[pos - 1] if pos else cum[0]
-        return DrawNode(self.items[:pos] + self.items[pos + 1:],
-                        cum[:pos] + [c - w for c in cum[pos + 1:]])
-
-    def flat(self, pos: int, rng: random.Random, prefix) -> LazyWeightedOrder:
-        """The order that draws on from the items left once ``items[pos]``
-        is drawn, appending to ``prefix``."""
-        cum = self.cum
-        weights = [b - a for a, b in zip([0] + cum, cum)]
-        del weights[pos]
-        return LazyWeightedOrder(self.items[:pos] + self.items[pos + 1:],
-                                 weights, rng, prefix)
+        # one list copy and a move: cheaper than slicing the tuple four ways
+        moved = list(self.order)
+        moved.insert(depth, moved.pop(depth + pos))
+        return DrawNode(tuple(moved), depth + 1,
+                        cum[:pos] + [c - w for c in cum[pos + 1:]], children)
 
 
 class LazyWeightedOrder:
@@ -104,15 +101,14 @@ class LazyWeightedOrder:
     the consumed prefix is actually drawn.  Weights must be positive
     integers.  Each pick draws ``randrange(total)`` and takes the first item
     whose running weight sum exceeds it, by a linear scan and two pops.
-    ``prefix`` may be a list already holding earlier picks.
     """
 
-    def __init__(self, items, weights, rng: random.Random, prefix=None):
+    def __init__(self, items, weights, rng: random.Random):
         self._items = list(items)
         self._weights = list(weights)
         self._total = sum(self._weights)
         self._rng = rng
-        self.prefix: list = [] if prefix is None else prefix
+        self.prefix: list = []
 
     def ensure(self, length: int) -> None:
         """Materialize the first ``length`` entries (or all, if fewer remain)."""

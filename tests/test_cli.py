@@ -539,7 +539,20 @@ def test_cli_surface_is_the_recorded_one_less_enumerate_multi_verify_reps():
     expected["enumerate multi"]["options"].remove(
         [["--verify-reps"], "verify_reps", "auto", None, None, "_StoreAction",
          False])
+    # only the estimate families act on --jobs, so only they take it
+    for name, entry in expected.items():
+        if not name.startswith("estimate "):
+            entry["options"].remove([["--jobs"], "jobs", 1, "int", None,
+                                     "_StoreAction", False])
     assert cli_surface(build_parser()) == expected
+
+
+def test_solve_takes_no_jobs(instance_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "hmincut", "--instance", str(instance_path),
+              "--jobs", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("value", ["5", "banana"])

@@ -9,6 +9,7 @@ context must produce the same cuts from the same generator calls.
 """
 
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -183,15 +184,18 @@ def test_cache_cap_bounds_entries_and_changes_no_output(monkeypatch):
 
 
 def _count_leaves(monkeypatch):
-    """Record ``len(prefix)`` each time an order leaves the trie."""
+    """Record the depth of each off-trie node built from a trie node: one
+    entry each time an order leaves the trie."""
     leaves = []
-    flat = DrawNode.flat
+    child = DrawNode.child
 
-    def counted(node, pos, rng, prefix):
-        leaves.append(len(prefix))
-        return flat(node, pos, rng, prefix)
+    def counted(node, pos, children=None):
+        built = child(node, pos, children)
+        if node.children is not None and built.children is None:
+            leaves.append(built.depth)
+        return built
 
-    monkeypatch.setattr(DrawNode, "flat", counted)
+    monkeypatch.setattr(DrawNode, "child", counted)
     return leaves
 
 
@@ -262,7 +266,33 @@ def _steps(ctx):
     return list(seen.values())
 
 
-def test_stored_steps_stand_on_the_trie_after_a_capped_run(monkeypatch):
+def _assert_whole_orders(ctx):
+    """Each stored step's cursors hold whole orders of their roots: the
+    drawn items and the items left make up the root's items, and the items
+    left keep their original order and weights.  Last-draw steps are the
+    shared ones.  Returns the stored steps."""
+    weights = [dict(zip(root.order, [b - a for a, b in
+                                     zip([0] + root.cum, root.cum)]))
+               for root in ctx.roots]
+    last = len(ctx.schedules) - 1
+    steps = _steps(ctx)
+    for step in steps:
+        if step.cum is None and step.sched == last:
+            # nothing follows the last draw: one step per partition serves
+            assert ctx.ends[step.node[0]] is step
+            continue
+        for cur, root, weight in zip(step.cursors, ctx.roots, weights):
+            assert sorted(cur.order) == sorted(root.order)
+            left = cur.order[cur.depth:]
+            assert list(left) == [e for e in root.order if e in left]
+            assert cur.cum == list(accumulate(weight[e] for e in left))
+        if step.cum is not None:
+            assert step.cursors[step.phase].cum is step.cum
+            assert len(step.next) == len(step.cum)
+    return steps
+
+
+def test_stored_steps_hold_whole_orders_after_a_capped_run(monkeypatch):
     G, costs = _instance("t3", 2)
     # a small cache: orders leave the trie mid-repetition
     monkeypatch.setattr(multiobjective, "_ENUM_CACHE_CAP", 60)
@@ -271,20 +301,21 @@ def test_stored_steps_stand_on_the_trie_after_a_capped_run(monkeypatch):
     leaves = _count_leaves(monkeypatch)
     assert_same_as_reference(ctx, G, costs, 4, 400)
     assert leaves and ctx.steps == 24
-    last = len(ctx.schedules) - 1
-    picks = 0
-    for step in _steps(ctx):
-        if step.cum is None and step.sched == last:
-            # nothing follows the last draw: one step per partition serves
-            assert ctx.ends[step.node[0]] is step
-            continue
-        # no stored step holds a flat LazyWeightedOrder cursor
-        assert all(cur.__class__ is DrawNode for cur in step.cursors)
-        for cur, root in zip(step.cursors, ctx.roots):
-            path = ctx.paths[cur]
-            assert sorted(path + tuple(cur.items)) == sorted(root.items)
-        if step.cum is not None:
-            picks += 1
-            assert step.cursors[step.phase].cum is step.cum
-            assert len(step.next) == len(step.cum)
-    assert picks > 0
+    assert any(step.cum is not None for step in _assert_whole_orders(ctx))
+
+
+def test_steps_stand_on_off_trie_nodes_and_match_reference(monkeypatch):
+    G, costs = _instance("t3", 2)
+    # a small cache and a roomy step share: orders leave the trie early and
+    # steps go on building past them
+    monkeypatch.setattr(multiobjective, "_ENUM_CACHE_CAP", 60)
+    monkeypatch.setattr(multiobjective, "_ENUM_STEP_CAP", 1 << 20)
+    ctx = _EnumContext(G, costs)
+    assert_same_as_reference(ctx, G, costs, 4, 400)
+    assert_same_as_reference(ctx, G, costs, 5, 400)
+    tries, partitions = _entries(ctx)
+    # off-trie nodes mark nothing: every counted branch hangs off a root
+    assert tries == ctx.branches and tries + partitions == ctx.size == 60
+    off = [cur for step in _assert_whole_orders(ctx) if step.cursors
+           for cur in step.cursors if cur.children is None]
+    assert off and max(cur.depth for cur in off) >= 2

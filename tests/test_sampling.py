@@ -90,16 +90,18 @@ def test_draw_below_is_randrange(n):
             assert rng.getstate() == ref.getstate()
 
 
-def _trie_order(root, rng, length):
-    """``length`` picks over a trie that stores every branch it takes."""
-    prefix, node = [], root
-    while len(prefix) < length and node.total:
+def _draw(node, rng, length, store):
+    """``length`` picks from ``node`` on: over stored trie nodes with
+    ``store``, else over off-trie nodes.  Returns the last node."""
+    while node.depth < length and node.total:
         pos = bisect_right(node.cum, draw_below(rng, node.total))
-        prefix.append(node.items[pos])
+        if not store:
+            node = node.child(pos)
+            continue
         if pos not in node.children:
-            node.children[pos] = node.child(pos)
+            node.children[pos] = node.child(pos, {})
         node = node.children[pos]
-    return prefix
+    return node
 
 
 def test_trie_orders_match_the_linear_scan():
@@ -111,24 +113,32 @@ def test_trie_orders_match_the_linear_scan():
     root = DrawNode.root(items, weights)
     for seed in range(20):
         rngs = [random.Random(seed) for _ in range(3)]
-        kept = _trie_order(root, rngs[0], 9)
+        kept = _draw(root, rngs[0], 9, True)
         fresh = DrawNode.root(items, weights)
-        first = bisect_right(fresh.cum, draw_below(rngs[1], fresh.total))
-        left = fresh.flat(first, rngs[1], [items[first]])
+        left = _draw(fresh, rngs[1], 1, True)
         reference = ReferenceOrder(items, weights, rngs[2])
         for length in (2, 5, 9):
-            left.ensure(length)
+            left = _draw(left, rngs[1], length, False)
+            assert left.children is None  # off the trie: nothing stored
             reference.ensure(length)
-        assert kept == left.prefix == reference.prefix
-        assert sorted(kept) == items
+            assert list(left.order[:length]) == reference.prefix
+        assert kept.order == left.order
+        assert sorted(kept.order) == items and kept.total == 0
         assert len({rng.getstate() for rng in rngs}) == 1
     assert any(root.children.values())  # a branch taken twice is stored
 
 
 def test_child_holds_the_items_left_and_their_weights():
     root = DrawNode.root("abcd", [3, 1, 4, 2])
-    for pos, (items, cum) in enumerate([("bcd", [1, 5, 7]), ("acd", [3, 7, 9]),
-                                        ("abd", [3, 4, 6]), ("abc", [3, 4, 8])]):
+    for pos, (order, cum) in enumerate([("abcd", [1, 5, 7]),
+                                        ("bacd", [3, 7, 9]),
+                                        ("cabd", [3, 4, 6]),
+                                        ("dabc", [3, 4, 8])]):
         child = root.child(pos)
-        assert (child.items, child.cum, child.total) == (list(items), cum, cum[-1])
-    assert root.child(0).child(0).child(0).child(0).total == 0
+        assert (child.order, child.depth, child.cum, child.total) == (
+            tuple(order), 1, cum, cum[-1])
+        assert child.children is None and root.child(pos, {}).children == {}
+    # drawn items in draw order, items left in their original order
+    node = root.child(2).child(2).child(0)
+    assert (node.order, node.depth, node.cum) == (tuple("cdab"), 3, [1])
+    assert node.child(0).total == 0
