@@ -119,23 +119,20 @@ def _grid_floor(inst: LpInstance, grid_step: int) -> Fraction:
     return Fraction(low, grid_step * gamma * denom)
 
 
-def lp_bruteforce(inst: LpInstance, grid_step: int | None = None) -> Fraction:
+def lp_bruteforce(inst: LpInstance) -> Fraction:
     """Minimum objective over the candidate extreme points, plus a grid floor.
 
     The two candidate families come from the extreme-point case analysis
     (either one slack pair at the same index j, giving y_j = j/gamma, or two
     indices j1 != j2 with x_j1 = j2/(gamma-j1+j2)); a dense feasibility grid
     over the x-simplex is evaluated as an independent sanity floor.  Must
-    equal lp_closed_form exactly.  `grid_step` must be an int >= 1.
+    equal lp_closed_form exactly.
     """
     if inst.r > LP_RANK_GUARD:
         raise InstanceError(f"rank {inst.r} exceeds the brute-force guard ({LP_RANK_GUARD})")
-    if grid_step is None:
-        # Redundant floor below the extreme-point candidates; coarsened for
-        # larger r where the simplex grid explodes combinatorially.
-        grid_step = 256 if inst.r <= 3 else (64 if inst.r == 4 else 16)
-    else:
-        exact_int(grid_step, "grid_step", 1)
+    # Redundant floor below the extreme-point candidates; coarsened for
+    # larger r where the simplex grid explodes combinatorially.
+    grid_step = 256 if inst.r <= 3 else (64 if inst.r == 4 else 16)
     r, gamma = inst.r, inst.gamma
     candidates = []
     for j in range(2, r + 1):

@@ -29,10 +29,10 @@ nodes built for one repetition and never stored.  The enumeration also
 caches its draw steps.  A step is a repetition's state at one generator
 call: a pick on a criterion's cursor, which maps each drawn position to the
 next step, or a base draw on a partition node, which has one next step.  A
-step is built the second time a repetition takes the branch to it, and
-steps have a share of the cache cap of their own.  A repetition follows
-stored steps until its first draw with none stored after it, then finishes
-in the one enumeration loop.
+step is built the second time a repetition takes the branch to it.  A
+repetition follows stored steps until its first draw with none stored after
+it, then finishes in the one enumeration loop.  Every entry the enumeration
+stores counts against one cap, ``_ENUM_CACHE_CAP``.
 """
 
 from __future__ import annotations
@@ -65,12 +65,6 @@ __all__ = [
 ]
 
 
-def _costs_and_budgets(G: Hypergraph, budgets):
-    """G's cost columns and the t-1 validated budgets on the leading ones."""
-    costs = G.costs_by_criterion()
-    return costs, exact_ints(budgets, len(costs) - 1, "budget")
-
-
 def _class_of(masks, present, costs, budgets, comp: int) -> int:
     """The per-criterion class of the component ``comp``.
 
@@ -95,7 +89,8 @@ def bmulti_walk(G: Hypergraph, budgets) -> Walk:
     components is drawn.  An outcome is witnessed when that subset induces a
     proper bipartition.
     """
-    return _bmulti_walk(G, *_costs_and_budgets(G, budgets))
+    costs = G.costs_by_criterion()
+    return _bmulti_walk(G, costs, exact_ints(budgets, len(costs) - 1, "budget"))
 
 
 def _bmulti_walk(G: Hypergraph, costs, budgets) -> Walk:
@@ -160,18 +155,13 @@ def interleaving_schedules(n: int, r: int, t: int) -> list[tuple[int, ...]]:
     return schedules
 
 
-# Cap on the entries (partition nodes, successor links, cut masks and
-# draw-trie branches together) one enumeration context stores; trie branches
-# take at most half of it, so they never crowd out partition entries.  Past
-# it, new partition entries are built, used and dropped and orders go on
-# over off-trie nodes, so a long run on a large instance stays in bounded
-# memory.
+# Cap on the entries one enumeration context stores: partition nodes,
+# successor links, cut masks, marked draw-trie branches, marked step
+# branches and the first step, all counted alike.  Past it, new partition
+# entries are built, used and dropped, orders go on over off-trie nodes and
+# repetitions finish in the loop, so a long run on a large instance stays in
+# bounded memory.
 _ENUM_CACHE_CAP = 1 << 16
-
-# Cap on the draw steps (the first step and every marked branch) one
-# enumeration context stores: a share of _ENUM_CACHE_CAP of their own, not
-# counted in its entries.
-_ENUM_STEP_CAP = _ENUM_CACHE_CAP // 32
 
 
 class _Step:
@@ -214,8 +204,7 @@ class _EnumContext:
 
     Each criterion's cost-weighted order is a ``DrawNode`` cursor on one
     trie (``roots``) that every repetition shares.  A branch is marked the
-    first time an order takes it and its node is built the second time;
-    each marked branch is one ``branches`` entry, counted against the cap.
+    first time an order takes it and its node is built the second time.
     A pick on a branch not built, or past the cap, goes on over off-trie
     nodes, which are never stored and mark nothing.
 
@@ -224,17 +213,21 @@ class _EnumContext:
     ``first``, each the state at one generator call (``_Step``).  A step's
     branch is marked the first time a repetition takes it and the next step
     is built the second time, where ``_play`` reaches its next draw; no node
-    changes once built, so a step may stand on off-trie cursors.  ``steps``
-    counts the first step and the marks against their own share of the
-    cap, ``_ENUM_STEP_CAP``.  ``ends`` holds one step per partition node for
-    a repetition's last draw, which nothing follows.  After its first draw
-    with no step stored after it, a repetition finishes in ``_play``.
+    changes once built, so a step may stand on off-trie cursors.  ``ends``
+    holds one step per partition node for a repetition's last draw, which
+    nothing follows.  After its first draw with no step stored after it, a
+    repetition finishes in ``_play``.
+
+    ``size`` counts every stored entry against ``_ENUM_CACHE_CAP``: each
+    partition node, successor link and cut mask, each marked branch of the
+    trie or of the steps, and the first step.  Building on a mark costs no
+    further entry.
     """
 
     def __init__(self, G: Hypergraph, costs):
         self.masks = G.edge_masks
         self.full = G.full_mask
-        self.size = self.branches = self.steps = 0
+        self.size = 0
         self.roots = []
         for ci in costs:
             ids = [e for e in range(G.m) if ci[e] > 0]
@@ -251,14 +244,6 @@ class _EnumContext:
         if self.size >= _ENUM_CACHE_CAP:
             return False
         self.size += 1
-        return True
-
-    def _branch(self) -> bool:
-        """Count one more trie branch; False once branches hold half the
-        cap or the cache is full."""
-        if self.branches >= _ENUM_CACHE_CAP // 2 or not self._store():
-            return False
-        self.branches += 1
         return True
 
     def _node(self, comps):
@@ -298,10 +283,9 @@ class _EnumContext:
         if step is None:
             cursors = list(self.roots)
             found = self._play(rng, out, 0, 0, self.start, cursors, None,
-                               self.steps < _ENUM_STEP_CAP)
+                               self._store())
             if found is None:
                 return
-            self.steps += 1
             step = self.first = self._new_step(found, cursors, None)
         while True:
             cum = step.cum
@@ -325,8 +309,7 @@ class _EnumContext:
                 continue
             if cum is None and step.sched == last:
                 return
-            if nxt is None and self.steps < _ENUM_STEP_CAP:  # first visit
-                self.steps += 1
+            if nxt is None and self._store():  # first visit
                 step.next[at] = False
             cursors = list(step.cursors)
             if cum is None:  # after a base draw the next schedule starts
@@ -406,7 +389,7 @@ class _EnumContext:
                                 if nxt:
                                     cur = nxt
                                 elif nxt is None:  # first visit: mark, leave
-                                    if self._branch():
+                                    if self._store():
                                         children[at] = False
                                     cur = cur.child(at)
                                 else:  # second visit: build the node

