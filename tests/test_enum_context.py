@@ -9,6 +9,7 @@ context must produce the same cuts from the same generator calls.
 """
 
 import random
+import sys
 from itertools import accumulate
 
 import pytest
@@ -311,15 +312,31 @@ def test_stored_steps_hold_whole_orders_after_a_capped_run(monkeypatch):
 
 def test_steps_stand_on_off_trie_nodes_and_match_reference(monkeypatch):
     G, costs = _instance("t3", 2)
-    # A step branch marked with the cache's last entry leaves none for the
-    # trie branch under it, so the step built on that mark stands on an
-    # off-trie node.  At this cap that happens two draws into an order.
-    monkeypatch.setattr(multiobjective, "_ENUM_CACHE_CAP", 28)
     ctx = _EnumContext(G, costs)
-    assert_same_as_reference(ctx, G, costs, 4, 400)
+    store, armed = ctx._store, []
+
+    def store_then_fill():
+        # Once armed, the first pick step's mark over a trie branch not yet
+        # marked takes the cache's last entry.  The trie branch then stays
+        # unmarked, so the step built on that mark stands on an off-trie node.
+        frame = sys._getframe(1)
+        stored = store()
+        if stored and armed and frame.f_code.co_name == "run" and ctx.first:
+            step, at = frame.f_locals["step"], frame.f_locals["at"]
+            cur = step.cursors[step.phase] if step.cum is not None else None
+            if cur and cur.children is not None and at not in cur.children:
+                monkeypatch.setattr(multiobjective, "_ENUM_CACHE_CAP",
+                                    ctx.size)
+        return stored
+
+    ctx._store = store_then_fill
+    assert_same_as_reference(ctx, G, costs, 4, 50)
+    armed.append(True)
+    assert_same_as_reference(ctx, G, costs, 4, 200)
     assert_same_as_reference(ctx, G, costs, 5, 400)
+    cap = multiobjective._ENUM_CACHE_CAP
     # off-trie nodes mark nothing: every counted branch hangs off a root
-    assert sum(_entries(ctx)) == ctx.size == 28
+    assert sum(_entries(ctx)) == ctx.size == cap < 1 << 16
     off = [cur for step in _assert_whole_orders(ctx) if step.cursors
            for cur in step.cursors if cur.children is None]
     assert off and max(cur.depth for cur in off) >= 2

@@ -2,17 +2,16 @@
 
 Usage::
 
-    python3 tools/enum_shapes.py OLD_TREE NEW_TREE [--rounds 7]
-        [--warm 20000] [--reps 20000] [--shapes pipe-0,pipe-1,n8m16,n10m25]
+    python3 tools/enum_shapes.py OLD_TREE NEW_TREE
 
 Each tree is a checkout of this repository; only its ``src`` is imported.
-The shapes are fixed:
+The run is fixed: ``ROUNDS`` rounds over the four ``SHAPES``, which are:
 
 * ``pipe-0``, ``pipe-1``: the two seed-0 ``pareto_pipeline`` instances of
   ``perfbench/workloads.generate`` (read from this script's own checkout),
   each run from a fresh context for its default repetition count;
 * ``n8m16``, ``n10m25``: ``gen_random_instance(n, m, 2, 2, 0, max_cost=8,
-  seed=1)``, timed over ``--reps`` repetitions after ``--warm`` untimed ones.
+  seed=1)``, timed over ``REPS`` repetitions after ``WARM`` untimed ones.
 
 Every run draws from ``random.Random(3)``.  Per round and shape, each tree
 runs in a subprocess of its own, and the tree that goes first alternates
@@ -42,6 +41,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 BENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 
 SHAPES = ("pipe-0", "pipe-1", "n8m16", "n10m25")
+ROUNDS = 7
+WARM = 50_000
+REPS = 20_000
 
 # One run of one shape in one tree; prints a JSON line.  It reads the
 # context's structures directly, so it counts the same kinds in trees whose
@@ -103,9 +105,9 @@ print(json.dumps({
 """
 
 
-def run_one(tree, shape, args, traced=False):
+def run_one(tree, shape, traced=False):
     cmd = [sys.executable, "-B", "-c", RUN, tree, BENCH, shape,
-           str(args.warm), str(args.reps), "1" if traced else "0"]
+           str(WARM), str(REPS), "1" if traced else "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(cmd, env=env, capture_output=True, text=True,
                           check=False)
@@ -125,33 +127,25 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old")
     ap.add_argument("new")
-    ap.add_argument("--rounds", type=int, default=7)
-    ap.add_argument("--warm", type=int, default=20000)
-    ap.add_argument("--reps", type=int, default=20000)
-    ap.add_argument("--shapes", default=",".join(SHAPES))
     args = ap.parse_args(argv)
     trees = {"old": os.path.abspath(args.old), "new": os.path.abspath(args.new)}
-    shapes = args.shapes.split(",")
-    for shape in shapes:
-        if shape not in SHAPES:
-            ap.error(f"unknown shape {shape!r}; choose from {', '.join(SHAPES)}")
-    times = {(s, k): [] for s in shapes for k in trees}
+    times = {(s, k): [] for s in SHAPES for k in trees}
     last = {}
-    for rnd in range(args.rounds):
+    for rnd in range(ROUNDS):
         order = list(trees) if rnd % 2 == 0 else list(trees)[::-1]
-        for shape in shapes:
+        for shape in SHAPES:
             for key in order:
-                res = run_one(trees[key], shape, args)
+                res = run_one(trees[key], shape)
                 times[shape, key].append(res["us"])
                 if (shape, key) in last and last[shape, key]["state"] != res["state"]:
                     sys.exit(f"{shape} in {key} ended in two different states")
                 last[shape, key] = res
-        print(f"round {rnd + 1}/{args.rounds} done", file=sys.stderr)
-    for shape in shapes:
+        print(f"round {rnd + 1}/{ROUNDS} done", file=sys.stderr)
+    for shape in SHAPES:
         print(f"{shape}:")
         for key in trees:
             med, q1, q3 = quartiles(times[shape, key])
-            traced = run_one(trees[key], shape, args, traced=True)
+            traced = run_one(trees[key], shape, traced=True)
             res = last[shape, key]
             print(f"  {key}  {med:8.2f} us/rep [{q1:.2f}, {q3:.2f}]"
                   f"  entries {res['tries']} trie + {res['partitions']}"
