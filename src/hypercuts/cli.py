@@ -19,8 +19,8 @@ import sys
 from fractions import Fraction
 
 from . import analysis, harness, multiobjective, node_budgeted, oracle
-from .hypergraph import (Cut, InstanceError, INFEASIBLE, load_instance,
-                         save_instance)
+from .hypergraph import (Cut, InstanceError, INFEASIBLE, exact_int,
+                         load_instance, save_instance)
 from .sampling import derive_rng
 
 EXIT_OK = 0
@@ -210,10 +210,7 @@ def cmd_enumerate(args) -> dict:
 
 def cmd_verify(args) -> dict:
     G = _load(args.instance)
-    ids = _ints(args.cut)
-    cut = Cut.of(ids)
-    if any(e < 0 or e >= G.m for e in cut.edge_ids):
-        raise InstanceError("cut mentions unknown edge ids")
+    cut = Cut.of(_ints(args.cut))
     if not oracle.is_cut(G, cut):
         raise InstanceError(f"{list(cut.edge_ids)} is not a cut of this instance")
     rng = derive_rng(args.seed, 0)
@@ -270,8 +267,7 @@ def cmd_estimate(args) -> dict:
 
 def cmd_check(args) -> dict:
     if args.family == "lemma-lp":
-        if args.sweep < 1:
-            raise InstanceError("sweep must be >= 1")
+        exact_int(args.sweep, "sweep", 1)
         rng = random.Random(args.seed)
         mismatches = []
         for i in range(args.sweep):
@@ -292,9 +288,8 @@ def cmd_check(args) -> dict:
         if mismatches:
             raise CheckFailed(payload)
         return payload
-    if args.max_n < 4:
-        # n = 4 is the smallest n with an (n, e, sigma) case.
-        raise InstanceError("max-n must be >= 4")
+    # n = 4 is the smallest n with an (n, e, sigma) case.
+    exact_int(args.max_n, "max-n", 4)
     cases = violations = 0
     for n in range(1, args.max_n + 1):
         for e in range(2, n + 1):

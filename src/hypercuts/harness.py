@@ -198,6 +198,7 @@ def estimate(G: Hypergraph, algorithm: str, *, trials: int | None = None,
     notes the special case.  ``params`` go to ``algorithm``'s row in
     ``PROBLEMS``.
     """
+    exact_int(seed, "seed")
     exact_int(jobs, "jobs", 1)
     if trials is not None:
         exact_int(trials, "trials", 1)
@@ -266,6 +267,7 @@ def pipeline_equivalence(G: Hypergraph, seed: int, runs: int,
     Misses are reported, never masked.  Run i draws from its own generator,
     so ``jobs`` forked workers share the runs without changing the report.
     """
+    exact_int(seed, "seed")
     exact_int(runs, "runs", 1)
     exact_int(jobs, "jobs", 1)
     repetitions = enum_repetition_count(G, repetitions)

@@ -187,9 +187,18 @@ class Hypergraph:
         return [[row[i] for row in self.vertex_weights]
                 for i in range(self.t_weights)]
 
+    def cut_ids(self, cut: Cut) -> tuple[int, ...]:
+        """``cut``'s edge ids, each checked to be an edge of this hypergraph:
+        a negative id would otherwise index the edges from the end."""
+        for eid in cut.edge_ids:
+            if not 0 <= exact_int(eid, "edge id") < self.m:
+                raise InstanceError(f"cut names edge {eid}; this instance's "
+                                    f"edge ids are 0..{self.m - 1}")
+        return cut.edge_ids
+
     def cut_costs(self, cut: Cut) -> tuple[int, ...]:
         totals = [0] * self.t_costs
-        for eid in cut.edge_ids:
+        for eid in self.cut_ids(cut):
             row = self.edge_costs[eid]
             for i in range(self.t_costs):
                 totals[i] += row[i]

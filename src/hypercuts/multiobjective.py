@@ -138,9 +138,7 @@ def success_floor_edge(n: int, r: int, t: int) -> Fraction:
         raise InstanceError("need n >= 1, t >= 1, r >= 2")
     if n <= r * t:
         return Fraction(1, 2 ** (r * t))
-    top = n - t * (r - 2)
-    if top < 2 * t:
-        raise InstanceError(f"(n={n}, r={r}, t={t}) outside the floor's regime")
+    top = n - t * (r - 2)  # > 2t, since n > rt
     return Fraction(2 * t + 1, 2 ** (r * t) * (r * t + 1)) / comb(top, 2 * t)
 
 
@@ -486,7 +484,8 @@ def verify_pareto_optimality(G: Hypergraph, cut: Cut, rng: random.Random,
     subject to budgets equal to the cut's costs under the other criteria;
     finding a budget-respecting cut strictly cheaper on i proves domination.
     TRUE is deterministic for pareto-optimal cuts; FALSE is correct whenever
-    returned and is found with high probability for dominated cuts.
+    returned and is found with high probability for dominated cuts.  A cut
+    naming an edge G does not have raises InstanceError.
     """
     costs = G.costs_by_criterion()
     t = len(costs)

@@ -6,8 +6,8 @@ The arbitrary-rank solver replaces uniform contraction with the non-uniform
 weights alpha_e = |U \\ e|/|U| * c(e) over the set U of feasible vertices and
 delegates to the plain non-uniform min-cut solver (beta_e weights) once U as
 a whole fits the budgets.  The enumeration variant moves all randomness into
-a single cost-weighted permutation plus a sweep over contraction stopping
-points and weight thresholds.
+a single cost-weighted permutation: it contracts along it once and sweeps
+each distinct contraction state once over every tuple of weight thresholds.
 
 Costs are the hypergraph's first cost criterion and weights its vertex
 weight criteria, both read from the hypergraph itself.  INFEASIBLE is a
@@ -173,43 +173,33 @@ def nb_arbitrary_walk(G: Hypergraph, budgets) -> Walk:
 def nb_multi_enum_constant_rank(G: Hypergraph, rng: random.Random) -> set[Cut]:
     """Budget-free node-budgeted enumeration (at most r*n^t cuts).
 
-    Draws one cost-weighted permutation of the positive-cost edges, sweeps
-    every contraction stopping point n' and every tuple of realized weight
-    thresholds, merges the supervertices exceeding some threshold, and emits
-    a random cut whenever the merged hypergraph is new and has between 2 and
-    rank+1 supervertices.
+    Draws one cost-weighted permutation of the positive-cost edges and
+    contracts along it once, keeping each distinct state.  The walk for a
+    stopping point n' ends in the first state with at most n' vertices, so
+    sweeping each state once, from the last back, meets them in the order
+    of n' = 2..n.  For every tuple of realized weight thresholds it merges
+    the supervertices exceeding some threshold, and emits a random cut
+    whenever the merged hypergraph is new and has between 2 and rank+1
+    supervertices.
     """
     weights = G.weights_by_criterion()
     cost = G.costs_by_criterion()[0]
     masks = G.edge_masks
     full = G.full_mask
     r = G.rank
-    n = G.n
 
     support = [e for e in range(G.m) if cost[e] > 0]
     order = LazyWeightedOrder(support, [cost[e] for e in support], rng)
     order.ensure(len(support))
-
-    # States after each effective contraction along the permutation; the
-    # walk for threshold n' stops at the first state with <= n' vertices.
-    snapshots = [initial_comps(n)]
-    comps = snapshots[0]
+    states = [initial_comps(G.n)]
     for eid in order.prefix:
-        nxt = contract_comps(comps, masks[eid])
-        if len(nxt) < len(comps):
-            comps = nxt
-            snapshots.append(comps)
-
-    def state_for(limit: int):
-        for comps in snapshots:
-            if len(comps) <= limit:
-                return comps
-        return snapshots[-1]
+        nxt = contract_comps(states[-1], masks[eid])
+        if len(nxt) < len(states[-1]):
+            states.append(nxt)
 
     seen: set[tuple] = set()
     out: set[Cut] = set()
-    for n_prime in range(2, n + 1):
-        comps = state_for(n_prime)
+    for comps in reversed(states):
         comp_w = [[mask_sum(wcol, c) for c in comps] for wcol in weights]
         value_sets = [sorted(set(col)) for col in comp_w]
         for thresholds in product(*value_sets):

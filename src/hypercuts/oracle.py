@@ -121,9 +121,10 @@ def is_cut(G: Hypergraph, cut: Cut) -> bool:
     Every edge outside the cut lies on one side of X, so X is a union of the
     components left by contracting those edges; the search runs over the
     2^(c-1) unions of the c components instead of the 2^(n-1) sides, and
-    raises InstanceError when c exceeds ``CATALOG_GUARD``.
+    raises InstanceError when c exceeds ``CATALOG_GUARD`` or the cut names
+    an edge G does not have.
     """
-    target = cut.mask()
+    target = ids_mask(G.cut_ids(cut))
     masks = G.edge_masks
     comps = initial_comps(G.n)
     for eid, em in enumerate(masks):

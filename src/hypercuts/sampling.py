@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -99,33 +100,24 @@ class LazyWeightedOrder:
     Equivalent to drawing the full permutation upfront by repeatedly picking a
     not-yet-chosen item with probability proportional to its weight, but only
     the consumed prefix is actually drawn.  Weights must be positive
-    integers.  Each pick draws ``randrange(total)`` and takes the first item
-    whose running weight sum exceeds it, by a linear scan and two pops.
+    integers.  A pick is a ``DrawNode``'s: ``draw_below`` of the total and a
+    bisect for the first running sum of the items left above it.
     """
 
     def __init__(self, items, weights, rng: random.Random):
         self._items = list(items)
-        self._weights = list(weights)
-        self._total = sum(self._weights)
+        self._cum = list(accumulate(weights))
         self._rng = rng
         self.prefix: list = []
 
     def ensure(self, length: int) -> None:
         """Materialize the first ``length`` entries (or all, if fewer remain)."""
-        prefix = self.prefix
-        rng = self._rng
-        items, weights = self._items, self._weights
-        total = self._total
-        while len(prefix) < length and total > 0:
-            target = draw_below(rng, total)
-            acc = 0
-            for pos, w in enumerate(weights):
-                acc += w
-                if acc > target:
-                    break
+        prefix, items, cum, rng = self.prefix, self._items, self._cum, self._rng
+        while len(prefix) < length and cum and cum[-1] > 0:
+            pos = bisect_right(cum, draw_below(rng, cum[-1]))
+            w = cum[pos] - cum[pos - 1] if pos else cum[0]
             prefix.append(items.pop(pos))
-            total -= weights.pop(pos)
-        self._total = total
+            cum[pos:] = [c - w for c in cum[pos + 1:]]
 
 
 def default_trials(floor: Fraction) -> int:
@@ -160,6 +152,7 @@ def best_of_n(walk, trials: int | None, seed: int) -> BestOf:
     if trials is None:
         trials = default_trials(walk.floor)
     exact_int(trials, "trials", 1)
+    exact_int(seed, "seed")
     fixed = walk.fixed_outcome()
     if fixed is None:
         outs, runs = map(walk.run, trial_rngs(seed, 0, trials)), 1

@@ -44,6 +44,11 @@ def test_lp_instance_validation():
         LpInstance(r=3, gamma=4, n=10, f={9: 1, 8: 0})  # not positive
     with pytest.raises(InstanceError):
         LpInstance(r=1, gamma=4, n=10, f={})  # r+1 > 2 violated
+    r = analysis.LP_RANK_GUARD + 1
+    above = LpInstance(r=r, gamma=r + 1, n=r + 1,
+                       f={r + 2 - j: 1 for j in range(2, r + 1)})
+    with pytest.raises(InstanceError, match="guard"):
+        lp_bruteforce(above)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -124,6 +129,8 @@ def test_lower_bound_instance_structure():
     assert [len(g) for g in groups] == [4, 4]
     with pytest.raises(InstanceError):
         gen_lower_bound_instance(3, 2)
+    with pytest.raises(InstanceError, match="at least one criterion"):
+        gen_lower_bound_instance(8, 0)
 
 
 def test_lower_bound_uneven_split():

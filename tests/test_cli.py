@@ -2,10 +2,11 @@ import argparse
 import copy
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
-from hypercuts import harness, oracle
+from hypercuts import analysis, harness, oracle
 from hypercuts.cli import build_parser, main
 from hypercuts.hypergraph import Hypergraph, load_instance, save_instance
 from hypercuts.multiobjective import default_verify_repetitions
@@ -115,6 +116,15 @@ def test_verify_rejects_non_cut(instance_path, capsys):
                            str(instance_path), "--cut", "0", "--seed", "1")
     if code != 0:  # most single edges are not cuts; accept either outcome
         assert json.loads(err)["code"] == 2
+
+
+@pytest.mark.parametrize("cut", ["99", "9", "-1,2"])
+def test_verify_rejects_edge_ids_outside_the_instance(instance_path, capsys,
+                                                      cut):
+    code, out, err = run_cli(capsys, "verify", "pareto", "--instance",
+                             str(instance_path), f"--cut={cut}", "--reps", "5")
+    assert (code, out) == (2, "")
+    assert "edge ids are 0..8" in json.loads(err)["error"]
 
 
 def _triangle_and_path(n):
@@ -409,6 +419,28 @@ def test_check_ratio_ineq_rejects_max_n_without_cases(capsys, max_n):
     assert code == 2
     assert out == ""
     assert json.loads(err)["code"] == 2
+
+
+def test_failed_estimate_exits_1_with_its_payload_on_stdout(
+        instance_path, capsys, monkeypatch):
+    report = harness.TrialReport("hmincut", "digest", 100, 0,
+                                 Fraction(1, 2), 7)
+    monkeypatch.setattr(harness, "estimate", lambda *a, **k: report)
+    code, out, err = run_cli(capsys, "estimate", "hmincut", "--instance",
+                             str(instance_path), "--trials", "100")
+    assert (code, err) == (1, "")
+    rec = parse_text(out)
+    assert rec == report.to_dict() and rec["passed"] is False
+
+
+def test_lemma_lp_mismatch_exits_1_with_its_payload_on_stdout(capsys,
+                                                               monkeypatch):
+    monkeypatch.setattr(analysis, "lp_closed_form", lambda inst: Fraction(-1))
+    code, out, err = run_cli(capsys, "check", "lemma-lp", "--sweep", "3")
+    assert (code, err) == (1, "")
+    rec = parse_text(out)
+    assert rec["ok"] is False and rec["sweep"] == 3
+    assert [row["closed"] for row in rec["mismatches"]] == ["-1"] * 3
 
 
 def test_check_ratio_ineq_smallest_max_n_has_a_case(capsys):

@@ -32,6 +32,15 @@ def test_constructor_validation():
         Hypergraph(3, [(0, 1)], [(1,)], [(0,), (-2,), (0,)])
     with pytest.raises(InstanceError):
         Hypergraph(0, [])
+    # one cost row per edge and one weight row per vertex, each of one length
+    with pytest.raises(InstanceError, match="one row per edge"):
+        Hypergraph(3, [(0, 1)], [(1,), (1,)])
+    with pytest.raises(InstanceError, match="cost rows"):
+        Hypergraph(3, [(0, 1), (1, 2)], [(1,), (1, 2)])
+    with pytest.raises(InstanceError, match="one row per vertex"):
+        Hypergraph(3, [(0, 1)], [(1,)], [(0,), (0,)])
+    with pytest.raises(InstanceError, match="weight rows"):
+        Hypergraph(3, [(0, 1)], [(1,)], [(0,), (0, 1), (0,)])
 
 
 def test_duplicate_edges_keep_distinct_ids():

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 from hypercuts import multiobjective, node_budgeted, size_constrained
 from hypercuts.analysis import gen_random_instance
 from hypercuts.harness import estimate, pipeline_equivalence, solve
-from hypercuts.hypergraph import Hypergraph, InstanceError
+from hypercuts.hypergraph import Cut, Hypergraph, InstanceError
 from hypercuts.multiobjective import (enumerate_multiobjective,
                                       enumerate_pareto,
                                       verify_pareto_optimality)
-from hypercuts.oracle import (build_catalog, oracle_bmulti, oracle_kcut,
-                              oracle_min_cut, oracle_multiobjective,
+from hypercuts.oracle import (build_catalog, is_cut, oracle_bmulti,
+                              oracle_kcut, oracle_min_cut, oracle_multiobjective,
                               oracle_nb_bmulti, oracle_pareto)
 from hypercuts.sampling import best_of_n
 from hypercuts.size_constrained import kcut_walk
@@ -164,6 +164,23 @@ def test_non_int_vectors_and_counts_raise_only_instance_error(data, bad):
             lambda: enumerate_pareto(G, random.Random(0), 5, bad),
             lambda: pipeline_equivalence(G, 0, bad, 5, 5),
         ]
+    calls += [  # None is no seed either
+        lambda: best_of_n(_Walk(), 5, bad),
+        lambda: solve(G, "hmincut", trials=5, seed=bad),
+        lambda: estimate(G, "hmincut", trials=5, seed=bad),
+        lambda: pipeline_equivalence(G, bad, 1, 5, 5),
+    ]
     call = data.draw(st.sampled_from(calls))
     with pytest.raises(InstanceError):
         call()
+
+
+@pytest.mark.parametrize("ids", [(-1,), (-1, 2), (9,), (99,), (1.0,)],
+                         ids=str)
+def test_cut_ids_outside_the_instance_raise_instance_error(ids):
+    # a negative id would index the edge costs from the end
+    G = gen_random_instance(6, 9, 2, 2, 0, max_cost=8, seed=3)
+    with pytest.raises(InstanceError):
+        is_cut(G, Cut(ids))
+    with pytest.raises(InstanceError):
+        verify_pareto_optimality(G, Cut(ids), random.Random(0), 50)

@@ -66,6 +66,11 @@ def test_pareto_multi_on_known_vectors():
     assert {a, b, c} <= multi and d not in multi
 
 
+def test_min_cut_oracle_rejects_the_empty_catalog_of_one_vertex():
+    with pytest.raises(InstanceError, match="catalog is empty"):
+        oracle_min_cut(build_catalog(Hypergraph(1, [], [], t_costs=1)))
+
+
 def test_t1_pareto_equals_min_cut_set():
     G = gen_random_instance(6, 9, 3, 1, 0, seed=2)
     cat = build_catalog(G)

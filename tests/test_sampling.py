@@ -106,22 +106,25 @@ def _draw(node, rng, length, store):
 
 def test_trie_orders_match_the_linear_scan():
     # a trie kept across orders, an order that leaves a fresh trie after its
-    # first pick and the old linear scan all draw the same permutation from
-    # the same generator calls
+    # first pick, a LazyWeightedOrder and the old linear scan all draw the
+    # same permutation from the same generator calls
     items = list(range(9))
     weights = [3, 1, 4, 1, 5, 9, 2, 6, 5]
     root = DrawNode.root(items, weights)
     for seed in range(20):
-        rngs = [random.Random(seed) for _ in range(3)]
+        rngs = [random.Random(seed) for _ in range(4)]
         kept = _draw(root, rngs[0], 9, True)
         fresh = DrawNode.root(items, weights)
         left = _draw(fresh, rngs[1], 1, True)
         reference = ReferenceOrder(items, weights, rngs[2])
+        lazy = LazyWeightedOrder(items, weights, rngs[3])
         for length in (2, 5, 9):
             left = _draw(left, rngs[1], length, False)
             assert left.children is None  # off the trie: nothing stored
             reference.ensure(length)
+            lazy.ensure(length)
             assert list(left.order[:length]) == reference.prefix
+            assert lazy.prefix == reference.prefix
         assert kept.order == left.order
         assert sorted(kept.order) == items and kept.total == 0
         assert len({rng.getstate() for rng in rngs}) == 1

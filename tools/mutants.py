@@ -1,0 +1,191 @@
+"""Mutation matrix: which tests kill each hand-made mutant of the library.
+
+Usage::
+
+    python3 tools/mutants.py
+
+``MUTANTS`` lists (name, file under ``src/hypercuts``, old text, new text,
+equivalent).  The old text must occur exactly once in its file.  An
+equivalent mutant changes no result the library promises (a tie-break the
+docs fix but any choice of which is valid, say), so no test is owed to kill
+it.
+
+The script copies this checkout's ``src``, ``tests`` and ``README.md`` into
+a temporary directory, once unmutated and once per mutant, and runs pytest
+there twice:
+
+1. the suite without ``GOLDENS``, the tests that compare seeded outputs
+   with recorded ones (``tests/test_golden.py`` and acceptance criterion 2);
+2. ``GOLDENS`` alone.
+
+A ``conftest.py`` written into each copy bounds every test with
+``signal.alarm`` at ``TEST_BOUND_S`` seconds, so a mutant that makes a test
+hang is killed by that test.  The unmutated copy must pass both runs; a test
+it fails is reported and not counted as a kill.  For each mutant the script
+prints the tests that kill it in each run, then one line per mutant:
+kills without the goldens, kills by the goldens, and a verdict.  A
+non-equivalent mutant that only the goldens kill, or that survives, is
+flagged: the suite has no semantic test for what it breaks.
+
+Standard library and pytest only; it writes nothing into this checkout.
+Each mutant takes about as long as the suite, about a minute on a 2-core
+machine.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+import xml.etree.ElementTree as ET
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("src", "tests", "README.md")
+TEST_BOUND_S = 120
+GOLDENS = ("tests/test_golden.py",
+           "tests/test_acceptance.py::test_criterion_2_enumeration_pipelines")
+
+MUTANTS = [
+    ("hmincut-uniform-weights", "node_budgeted.py",
+     "node = sample_node(present, [(live - k) * cost[eid]\n",
+     "node = sample_node(present, [1\n", False),
+    ("kcut-comb-sigma-plus-1", "size_constrained.py",
+     "alpha = [comb(x, sigma_lead) for x in range(live + 1)]",
+     "alpha = [comb(x, sigma_lead + 1) for x in range(live + 1)]", False),
+    ("nb-arbitrary-no-violator-term", "node_budgeted.py",
+     "(live - k + bool(masks[eid] & bad))", "(live - k)", False),
+    # the docs fix the lowest criterion, but any tie-break keeps the floor
+    ("bmulti-ties-to-highest", "multiobjective.py",
+     "key=lambda j: (-sizes[j], j)", "key=lambda j: (-sizes[j], -j)", True),
+    ("nb-constant-no-fitting-complement", "node_budgeted.py",
+     "(fits(side) or fits(full & ~side))", "fits(side)", False),
+    # any sweep order draws one uniform side per distinct merged partition,
+    # so only checks of seeded outputs can kill it
+    ("nb-enum-sweep-forward", "node_budgeted.py",
+     "for comps in reversed(states):", "for comps in states:", True),
+    ("order-pick-bisect-left", "sampling.py",
+     "from bisect import bisect_right",
+     "from bisect import bisect_left as bisect_right", False),
+]
+
+CONFTEST = f'''
+import signal
+
+import pytest
+
+
+class Hang(BaseException):
+    """Not an Exception, so no retry loop (hypothesis's) swallows it."""
+
+
+def _hang(signum, frame):
+    raise Hang("test ran past {TEST_BOUND_S} s")
+
+
+signal.signal(signal.SIGALRM, _hang)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    signal.alarm({TEST_BOUND_S})
+    yield
+    signal.alarm(0)
+'''
+
+
+def make_copy(where: str, mutant=None) -> str:
+    """A copy of the checkout's tested files under ``where``, with
+    ``mutant`` applied."""
+    tree = os.path.join(where, "tree")
+    for name in COPIED:
+        src = os.path.join(ROOT, name)
+        if os.path.isdir(src):
+            shutil.copytree(src, os.path.join(tree, name),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy(src, os.path.join(tree, name))
+    with open(os.path.join(tree, "conftest.py"), "w") as fh:
+        fh.write(CONFTEST)
+    if mutant is not None:
+        name, fname, old, new, _ = mutant
+        path = os.path.join(tree, "src", "hypercuts", fname)
+        with open(path) as fh:
+            text = fh.read()
+        if text.count(old) != 1:
+            raise SystemExit(f"{name}: old text found {text.count(old)} "
+                             f"times in {fname}, not once")
+        with open(path, "w") as fh:
+            fh.write(text.replace(old, new))
+    return tree
+
+
+def failures(tree: str, args) -> list[str]:
+    """The tests of one pytest run in ``tree`` that fail or error."""
+    report = os.path.join(os.path.dirname(tree), "report.xml")
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"--junitxml={report}", *args], cwd=tree, env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    if proc.returncode not in (0, 1):
+        return [f"(pytest exited {proc.returncode})"]
+    failed = []
+    for case in ET.parse(report).iter("testcase"):
+        if case.find("failure") is not None or case.find("error") is not None:
+            failed.append(f"{case.get('classname')}::{case.get('name')}")
+    return failed
+
+
+def kill_sets(mutant=None) -> tuple[list[str], list[str]]:
+    """(failing tests without the goldens, failing goldens) of one copy."""
+    with tempfile.TemporaryDirectory() as where:
+        tree = make_copy(where, mutant)
+        rest = ["tests", f"--ignore={GOLDENS[0]}", f"--deselect={GOLDENS[1]}"]
+        return failures(tree, rest), failures(tree, list(GOLDENS))
+
+
+def main() -> int:
+    start = time.monotonic()
+    base_rest, base_golden = kill_sets()
+    broken = set(base_rest) | set(base_golden)
+    print(f"unmutated copy: {len(broken)} failing tests "
+          f"({time.monotonic() - start:.0f} s)")
+    for test in sorted(broken):
+        print(f"  {test}")
+    rows = []
+    for mutant in MUTANTS:
+        name, _, _, _, equivalent = mutant
+        began = time.monotonic()
+        rest, golden = (sorted(set(k) - broken) for k in kill_sets(mutant))
+        print(f"\n{name} ({'equivalent' if equivalent else 'not equivalent'},"
+              f" {time.monotonic() - began:.0f} s)")
+        print(f"  killed without the goldens by {len(rest)}:")
+        for test in rest:
+            print(f"    {test}")
+        print(f"  killed by the goldens by {len(golden)}:")
+        for test in golden:
+            print(f"    {test}")
+        if rest:
+            verdict = "killed"
+        elif golden:
+            verdict = "only the goldens kill it"
+        else:
+            verdict = "survives"
+        if not equivalent and not rest:
+            verdict += "; NEEDS A SEMANTIC TEST"
+        rows.append((name, equivalent, len(rest), len(golden), verdict))
+    print("\nmutant | equivalent | kills without goldens | golden kills | "
+          "verdict")
+    for name, equivalent, rest, golden, verdict in rows:
+        print(f"{name} | {'yes' if equivalent else 'no'} | {rest} | "
+              f"{golden} | {verdict}")
+    print(f"total {time.monotonic() - start:.0f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
