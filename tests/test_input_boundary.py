@@ -2,9 +2,10 @@
 
 The solvers read edge costs and vertex weights from their ``Hypergraph``
 alone, so no public function of the algorithm modules takes a ``costs`` or
-``weights`` parameter.  Budget and size vectors and every count go through
-``exact_int``/``exact_ints``: anything but an exact ``int`` (bools included)
-raises ``InstanceError``, never ``TypeError`` and never a result.
+``weights`` parameter.  Budget and size vectors, every count and every seed
+go through ``exact_int``/``exact_ints``: anything but an exact ``int`` (bools
+included) raises ``InstanceError``, never ``TypeError`` and never a result.
+A cut's edge ids go through ``Hypergraph.cut_ids`` the same way.
 """
 
 import inspect
@@ -22,8 +23,9 @@ from hypercuts.multiobjective import (enumerate_multiobjective,
                                       enumerate_pareto,
                                       verify_pareto_optimality)
 from hypercuts.oracle import (build_catalog, is_cut, oracle_bmulti,
-                              oracle_kcut, oracle_min_cut, oracle_multiobjective,
-                              oracle_nb_bmulti, oracle_pareto)
+                              oracle_kcut, oracle_min_cut,
+                              oracle_multiobjective, oracle_nb_bmulti,
+                              oracle_pareto)
 from hypercuts.sampling import best_of_n
 from hypercuts.size_constrained import kcut_walk
 
