@@ -78,7 +78,8 @@ def _best_objective_given_x(counts, js, fs, gamma: int) -> int:
     `counts`, `js` (the index j) and `fs` (F_j = f(n-j+1)*D for a common
     denominator D) list the variables in that knapsack order.  Every quantity
     is scaled by grid_step*gamma*D (x_j and y_j by grid_step*gamma, f by D),
-    so the result is the objective times grid_step*gamma*D.
+    so the result is the objective times grid_step*gamma*D.  The takes sum
+    to gamma*grid_step > r*grid_step >= the budget, so the loop returns.
     """
     budget = sum(map(mul, js, counts))
     obj = gamma * sum(map(mul, fs, counts))
@@ -88,7 +89,6 @@ def _best_objective_given_x(counts, js, fs, gamma: int) -> int:
             return obj - budget * fj
         obj -= take * fj
         budget -= take
-    return obj
 
 
 def _compositions(total: int, parts: int):

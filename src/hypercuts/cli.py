@@ -6,7 +6,9 @@ Global flags: --seed, --format text|json; ``estimate`` also takes --jobs.
 Exit codes: 0 ok, 1 check failed, 2 usage error, 3 infeasible.
 
 Text output is one record per line, ``key<TAB>json-value``; json output is a
-single object.  Failure paths emit a machine-readable error object on stderr.
+single object.  A failed check (exit 1) or an infeasible instance (exit 3)
+prints its payload the same way; a usage error (exit 2) emits a
+machine-readable error object on stderr.
 """
 
 from __future__ import annotations
@@ -29,32 +31,16 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
 
-class Infeasible(Exception):
-    def __init__(self, payload):
-        super().__init__("infeasible")
-        self.payload = payload
+class PayloadExit(Exception):
+    """A command's payload, printed as its output, with a nonzero exit code
+    (``EXIT_INFEASIBLE`` or ``EXIT_CHECK_FAILED``)."""
 
-
-class CheckFailed(Exception):
-    def __init__(self, payload):
-        super().__init__("check failed")
-        self.payload = payload
-
-
-def _finite(value):
-    """``value`` with every non-finite float (the z-slack of a floor of 1,
-    say) replaced by None: JSON has no token for them."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _finite(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite(v) for v in value]
-    return value
+    def __init__(self, payload, code: int):
+        super().__init__(payload)
+        self.payload, self.code = payload, code
 
 
 def _emit(payload: dict, fmt: str) -> None:
-    payload = _finite(payload)
     if fmt == "json":
         json.dump(payload, sys.stdout, indent=2, default=str, allow_nan=False)
         sys.stdout.write("\n")
@@ -175,14 +161,16 @@ def cmd_solve(args) -> dict:
     with_cut, without_cut, sought = _SOLVED[args.family]
     cut = best.cut
     if cut is None and G.n < params.get("k", 0):
-        raise Infeasible({"found": False, "note": f"n={G.n} < k={args.k}"})
+        raise PayloadExit({"found": False, "note": f"n={G.n} < k={args.k}"},
+                          EXIT_INFEASIBLE)
     fields = {**vars(args), "found": cut is not None, "trials": best.trials,
               "infeasible_runs": best.infeasible_runs,
               "note": f"no {sought} found; instance may be infeasible",
               "sizes": sorted(params.get("sizes", ())),
               "cost": best.value, "value": best.value}
     if cut is None:
-        raise Infeasible({key: fields[key] for key in without_cut.split()})
+        raise PayloadExit({key: fields[key] for key in without_cut.split()},
+                          EXIT_INFEASIBLE)
     fields.update(cut=list(cut.edge_ids), costs=list(G.cut_costs(cut)))
     return {key: fields[key] for key in with_cut.split()}
 
@@ -235,8 +223,9 @@ def cmd_oracle(args) -> dict:
         else:
             cuts = oracle.oracle_bmulti(catalog, params["budgets"])
             if not cuts:
-                raise Infeasible({"family": which, "count": 0,
-                                  "note": "no cut satisfies these budgets"})
+                raise PayloadExit({"family": which, "count": 0,
+                                   "note": "no cut satisfies these budgets"},
+                                  EXIT_INFEASIBLE)
         return {"family": which, "count": len(cuts),
                 "cuts": _cut_records(G, cuts)}
     if which == "nb-bmulti":
@@ -245,7 +234,7 @@ def cmd_oracle(args) -> dict:
         query, note = oracle.oracle_kcut, "no feasible k-partition"
     result = query(G, **params)
     if result is INFEASIBLE:
-        raise Infeasible({"family": which, "note": note})
+        raise PayloadExit({"family": which, "note": note}, EXIT_INFEASIBLE)
     value, cuts = result
     return {"family": which, "value": value, "count": len(cuts),
             "cuts": _cut_records(G, cuts)}
@@ -260,8 +249,10 @@ def cmd_estimate(args) -> dict:
     report = harness.estimate(G, _algorithm(args.family, params),
                               seed=args.seed, jobs=args.jobs, **params)
     payload = report.to_dict()
+    if not math.isfinite(payload["z_slack"]):
+        payload["z_slack"] = None  # a floor of 1, say: JSON has no infinity
     if not report.passed:
-        raise CheckFailed(payload)
+        raise PayloadExit(payload, EXIT_CHECK_FAILED)
     return payload
 
 
@@ -286,7 +277,7 @@ def cmd_check(args) -> dict:
         payload = {"check": "lemma-lp", "sweep": args.sweep,
                    "mismatches": mismatches, "ok": not mismatches}
         if mismatches:
-            raise CheckFailed(payload)
+            raise PayloadExit(payload, EXIT_CHECK_FAILED)
         return payload
     # n = 4 is the smallest n with an (n, e, sigma) case.
     exact_int(args.max_n, "max-n", 4)
@@ -302,7 +293,7 @@ def cmd_check(args) -> dict:
     payload = {"check": "ratio-ineq", "max_n": args.max_n,
                "cases": cases, "violations": violations, "ok": violations == 0}
     if violations:
-        raise CheckFailed(payload)
+        raise PayloadExit(payload, EXIT_CHECK_FAILED)
     return payload
 
 
@@ -399,12 +390,9 @@ def main(argv=None) -> int:
     fmt = getattr(args, "format", "text")
     try:
         payload = args.func(args)
-    except Infeasible as exc:
+    except PayloadExit as exc:
         _emit(exc.payload, fmt)
-        return EXIT_INFEASIBLE
-    except CheckFailed as exc:
-        _emit(exc.payload, fmt)
-        return EXIT_CHECK_FAILED
+        return exc.code
     except InstanceError as exc:
         json.dump({"error": str(exc), "code": EXIT_USAGE}, sys.stderr)
         sys.stderr.write("\n")

@@ -181,7 +181,9 @@ def _usable_cpus() -> int:
 def _fork_map(fn, state, calls, workers: int) -> list:
     """``[fn(state, *args) for args in calls]`` in order, over ``workers``
     forked processes: each inherits ``state``, so only ``calls`` are
-    pickled."""
+    pickled.  A single worker runs the calls in this process."""
+    if workers == 1:
+        return [fn(state, *args) for args in calls]
     with get_context("fork").Pool(workers, initializer=_adopt,
                                   initargs=(state,)) as pool:
         return pool.starmap(_call_adopted, [(fn, *args) for args in calls])
@@ -227,13 +229,11 @@ def estimate(G: Hypergraph, algorithm: str, *, trials: int | None = None,
     workers = min(jobs, trials, _usable_cpus())
     if fixed is not None:
         successes = trials if _hit(fixed, target_masks) else 0
-    elif workers > 1:
+    else:
         chunk = -(-trials // workers)
         spans = [(target_masks, seed, s, min(chunk, trials - s))
                  for s in range(0, trials, chunk)]
         successes = sum(_fork_map(_successes, walk, spans, len(spans)))
-    else:
-        successes = _successes(walk, target_masks, seed, 0, trials)
 
     if optima is INFEASIBLE:
         return TrialReport(algorithm, digest, trials, successes, Fraction(1),
@@ -276,12 +276,8 @@ def pipeline_equivalence(G: Hypergraph, seed: int, runs: int,
     true_multi = oracle_multiobjective(catalog)
     true_pareto = oracle_pareto(catalog)
     state = (G, seed, repetitions, verify_repetitions, true_multi, true_pareto)
-    workers = min(jobs, runs, _usable_cpus())
-    if workers > 1:
-        per_run = _fork_map(_pipeline_run, state,
-                            [(idx,) for idx in range(runs)], workers)
-    else:
-        per_run = [_pipeline_run(state, idx) for idx in range(runs)]
+    per_run = _fork_map(_pipeline_run, state, [(idx,) for idx in range(runs)],
+                        min(jobs, runs, _usable_cpus()))
     return {
         "instance": instance_digest(G),
         "seed": seed,

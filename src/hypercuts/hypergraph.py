@@ -105,6 +105,25 @@ def exact_ints(values, length: int, what: str,
     return values
 
 
+def _table(rows, count: int, width: int | None, owner: str, noun: str):
+    """``(width, rows)`` for a cost or weight table: ``count`` rows (one per
+    edge or vertex) of ``width`` non-negative exact ints each, ``width``
+    being the first row's length when None (0 without rows)."""
+    if len(rows) != count:
+        raise InstanceError(f"{owner}_{noun}s must have one row per {owner}")
+    if width is None:
+        width = len(rows[0]) if count else 0
+    table = []
+    for row in rows:
+        row = tuple(exact_int(x, f"{owner} {noun}") for x in row)
+        if len(row) != width:
+            raise InstanceError(f"{noun} rows must all have the same length")
+        if any(x < 0 for x in row):
+            raise InstanceError(f"{owner} {noun}s must be non-negative")
+        table.append(row)
+    return width, table
+
+
 class Hypergraph:
     """Immutable hypergraph with per-edge cost vectors and per-vertex weights."""
 
@@ -126,46 +145,15 @@ class Hypergraph:
         self.m = len(self.edges)
 
         if edge_costs is None:
-            edge_costs = [(1,) * (t_costs if t_costs is not None else 1)] * self.m
-        if len(edge_costs) != self.m:
-            raise InstanceError("edge_costs must have one row per edge")
-        if t_costs is not None:
-            self.t_costs = t_costs
-        else:
-            self.t_costs = len(edge_costs[0]) if self.m else 0
-        self.edge_costs = []
-        for row in edge_costs:
-            row = tuple(exact_int(c, "edge cost") for c in row)
-            if len(row) != self.t_costs:
-                raise InstanceError("cost rows must all have the same length")
-            if any(c < 0 for c in row):
-                raise InstanceError("edge costs must be non-negative")
-            self.edge_costs.append(row)
-
+            edge_costs = [(1,) * (1 if t_costs is None else t_costs)] * self.m
+        self.t_costs, self.edge_costs = _table(edge_costs, self.m, t_costs,
+                                               "edge", "cost")
         if vertex_weights is None:
-            vertex_weights = [(() if t_weights is None else (0,) * t_weights)] * n
-        if len(vertex_weights) != n:
-            raise InstanceError("vertex_weights must have one row per vertex")
-        if t_weights is not None:
-            self.t_weights = t_weights
-        else:
-            self.t_weights = len(vertex_weights[0]) if n else 0
-        self.vertex_weights = []
-        for row in vertex_weights:
-            row = tuple(exact_int(w, "vertex weight") for w in row)
-            if len(row) != self.t_weights:
-                raise InstanceError("weight rows must all have the same length")
-            if any(w < 0 for w in row):
-                raise InstanceError("vertex weights must be non-negative")
-            self.vertex_weights.append(row)
-
+            vertex_weights = [(0,) * (t_weights or 0)] * n
+        self.t_weights, self.vertex_weights = _table(
+            vertex_weights, n, t_weights, "vertex", "weight")
         # Bitmask per edge over vertex ids; used by every algorithm hot path.
-        self.edge_masks = []
-        for vs in self.edges:
-            m = 0
-            for v in vs:
-                m |= 1 << v
-            self.edge_masks.append(m)
+        self.edge_masks = [ids_mask(vs) for vs in self.edges]
         self.full_mask = (1 << n) - 1
 
     @property

@@ -17,6 +17,7 @@ and ``oracle_multiobjective`` filter the distinct cost vectors through
 so far, not with every other cut; the enumeration's final-criterion prune
 uses the same front.  The node-budgeted and k-cut oracles read and check
 their inputs through ``nb_inputs`` and ``kcut_inputs``, as the walks do.
+The oracles that minimise one value pick their optima through ``_optima``.
 """
 
 from __future__ import annotations
@@ -182,12 +183,10 @@ def oracle_bmulti(catalog: CutCatalog, budgets) -> set[Cut]:
     if catalog.t < 1:
         raise InstanceError("the budgeted oracle needs a cost criterion")
     budgets = exact_ints(budgets, catalog.t - 1, "budget")
-    feasible = [(cut, cost) for cut, cost in catalog.costs.items()
-                if all(cost[i] <= budgets[i] for i in range(catalog.t - 1))]
-    if not feasible:
-        return set()
-    best = min(cost[-1] for _, cost in feasible)
-    return {cut for cut, cost in feasible if cost[-1] == best}
+    optima = _optima((cost[-1], cut) for cut, cost in catalog.costs.items()
+                     if all(cost[i] <= budgets[i]
+                            for i in range(catalog.t - 1)))
+    return set() if optima is INFEASIBLE else optima[1]
 
 
 def oracle_parametric_t2(catalog: CutCatalog) -> set[Cut]:
@@ -291,6 +290,4 @@ def oracle_min_cut(catalog: CutCatalog):
         raise InstanceError("catalog is empty (single-vertex hypergraph?)")
     if catalog.t < 1:
         raise InstanceError("the min-cut oracle needs a cost criterion")
-    best = min(cost[0] for cost in catalog.costs.values())
-    return best, {cut for cut, cost in catalog.costs.items()
-                  if cost[0] == best}
+    return _optima((cost[0], cut) for cut, cost in catalog.costs.items())
