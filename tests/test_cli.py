@@ -443,6 +443,16 @@ def test_lemma_lp_mismatch_exits_1_with_its_payload_on_stdout(capsys,
     assert [row["closed"] for row in rec["mismatches"]] == ["-1"] * 3
 
 
+def test_ratio_ineq_violation_exits_1_with_its_payload_on_stdout(
+        capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "ratio_inequality_check",
+                        lambda n, e, sigma: False)
+    code, out, err = run_cli(capsys, "check", "ratio-ineq", "--max-n", "5")
+    assert (code, err) == (1, "")
+    rec = parse_text(out)
+    assert rec["ok"] is False and rec["violations"] == rec["cases"] > 0
+
+
 def test_check_ratio_ineq_smallest_max_n_has_a_case(capsys):
     code, out, _ = run_cli(capsys, "check", "ratio-ineq", "--max-n", "4")
     assert code == 0

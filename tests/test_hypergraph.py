@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hypercuts._engine import (contract_comps, delta_mask, initial_comps,
                                mask_sum, present_edge_ids)
-from hypercuts.hypergraph import (Cut, Hypergraph, InstanceError,
+from hypercuts.hypergraph import (INFEASIBLE, Cut, Hypergraph, InstanceError,
                                   delta_partition, load_instance,
                                   save_instance)
 
@@ -254,6 +254,18 @@ def test_save_load_round_trip():
     assert H.n == G.n and H.edges == G.edges
     assert H.edge_costs == G.edge_costs and H.vertex_weights == G.vertex_weights
     assert save_instance(H) == data
+
+
+def test_load_takes_a_parsed_document_as_the_bytes_path_does():
+    G = Hypergraph(4, [(0, 1), (1, 2, 3)], [(1, 2), (3, 4)],
+                   [(1,), (0,), (2,), (5,)])
+    data = save_instance(G)
+    assert save_instance(load_instance(json.loads(data))) == data
+
+
+def test_infeasible_is_falsy_and_named():
+    assert not INFEASIBLE
+    assert repr(INFEASIBLE) == "INFEASIBLE"
 
 
 # ----------------------------------------------------------- property tests

@@ -126,6 +126,19 @@ def test_bmulti_deterministic_replay():
     assert a == b
 
 
+def test_bmulti_tied_classes_contract_by_the_lowest_criterion():
+    # a 6-cycle at budget 6: vertices 0-2 see criterion-0 cost 10 > 6 and
+    # fall in class 0, vertices 3-5 in class 1, so the classes tie 3-3 and
+    # the documented tie-break makes criterion 0's costs drive the draw
+    G = Hypergraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)],
+                   [(5, 1), (5, 2), (5, 3), (1, 4), (1, 5), (5, 6)])
+    walk = bmulti_walk(G, (6,))
+    node = walk.expand(walk.start)
+    assert node[0] == "sample"
+    assert list(node[6]) == [0, 0, 0, 1, 1, 1]
+    assert node[1] == [5, 10, 15, 16, 17, 22]  # criterion 1: [1, 3, 6, ...]
+
+
 def test_interleaving_schedules():
     assert interleaving_schedules(5, 2, 2) == [(4, 4), (5, 4)]
     assert interleaving_schedules(5, 2, 1) == [(2,)]

@@ -57,9 +57,8 @@ MUTANTS = [
      "alpha = [comb(x, sigma_lead + 1) for x in range(live + 1)]", False),
     ("nb-arbitrary-no-violator-term", "node_budgeted.py",
      "(live - k + bool(masks[eid] & bad))", "(live - k)", False),
-    # the docs fix the lowest criterion, but any tie-break keeps the floor
     ("bmulti-ties-to-highest", "multiobjective.py",
-     "key=lambda j: (-sizes[j], j)", "key=lambda j: (-sizes[j], -j)", True),
+     "key=lambda j: (-sizes[j], j)", "key=lambda j: (-sizes[j], -j)", False),
     ("nb-constant-no-fitting-complement", "node_budgeted.py",
      "(fits(side) or fits(full & ~side))", "fits(side)", False),
     # any sweep order draws one uniform side per distinct merged partition,
@@ -69,6 +68,23 @@ MUTANTS = [
     ("order-pick-bisect-left", "sampling.py",
      "from bisect import bisect_right",
      "from bisect import bisect_left as bisect_right", False),
+    ("verify-weak-improvement", "multiobjective.py",
+     "value is not None and value < target",
+     "value is not None and value <= target", False),
+    # strict on the leading criteria too; ``beats_last`` itself also serves
+    # ``oracle_multiobjective``, so the prune gets its own rule
+    ("prune-strict-leading-criteria", "multiobjective.py",
+     "for m in masks}, beats_last)",
+     "for m in masks}, lambda a, b: a[-1] < b[-1] and all(\n"
+     "        x < y for x, y in zip(a[:-1], b[:-1])))", False),
+    # resolved outermost first, where the docs resolve innermost first: the
+    # innermost level whose coin comes up 0 then survives
+    ("kcut-candidates-outermost-first", "_engine.py",
+     "for candidate, live in reversed(pending):",
+     "for candidate, live in pending:", False),
+    ("enum-store-one-past-cap", "multiobjective.py",
+     "if self.size >= _ENUM_CACHE_CAP:", "if self.size > _ENUM_CACHE_CAP:",
+     False),
 ]
 
 CONFTEST = f'''
