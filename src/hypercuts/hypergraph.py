@@ -113,9 +113,10 @@ def _table(rows, count: int, width: int | None, owner: str, noun: str):
         raise InstanceError(f"{owner}_{noun}s must have one row per {owner}")
     if width is None:
         width = len(rows[0]) if count else 0
+    what = f"{owner} {noun}"
     table = []
     for row in rows:
-        row = tuple(exact_int(x, f"{owner} {noun}") for x in row)
+        row = tuple(exact_int(x, what) for x in row)
         if len(row) != width:
             raise InstanceError(f"{noun} rows must all have the same length")
         if any(x < 0 for x in row):
