@@ -28,10 +28,10 @@ class LpInstance:
 
     Variables x_2..x_r, y_2..y_r are implicit; `f` maps each argument in
     {n-r+1, ..., n-1} to a positive value (kept as a finite table so equality
-    checks stay exact).  `r`, `gamma` and `n` must be ints and every `f` value
-    an int or a Fraction; bools, floats and strings raise InstanceError.  The
-    validated table is stored read-only, so an instance cannot change after
-    the checks and equal instances hash equally.
+    checks stay exact).  `r` >= 2, `gamma` >= r+1 and `n` >= gamma must be
+    ints and every `f` value an int or a Fraction; anything else raises
+    InstanceError.  The validated table is stored read-only, so an instance
+    cannot change after the checks and equal instances hash equally.
     """
 
     r: int
@@ -40,11 +40,9 @@ class LpInstance:
     f: Mapping[int, Fraction]
 
     def __post_init__(self):
-        for name in ("r", "gamma", "n"):
-            exact_int(getattr(self, name), name)
-        if not (self.n >= self.gamma >= self.r + 1 > 2):
-            raise InstanceError(
-                f"need n >= gamma >= r+1 > 2, got n={self.n} gamma={self.gamma} r={self.r}")
+        exact_int(self.r, "r", 2)
+        exact_int(self.gamma, "gamma", self.r + 1)
+        exact_int(self.n, "n", self.gamma)
         table = {}
         for k, v in self.f.items():
             if not isinstance(v, Fraction):
@@ -151,10 +149,11 @@ def lp_bruteforce(inst: LpInstance) -> Fraction:
 def ratio_inequality_check(n: int, e: int, sigma: int) -> bool:
     """Exact check of C(n-e,s)/C(n,s) * 1/C(n-e+1,2s) >= 1/C(n,2s).
 
-    Requires positive integers with e >= 2 and n - e + 1 > 2*sigma.
+    Requires exact ints n >= 1, e >= 2, sigma >= 1 with n - e + 1 > 2*sigma.
     """
-    if n < 1 or e < 2 or sigma < 1:
-        raise InstanceError("need n >= 1, e >= 2, sigma >= 1")
+    exact_int(n, "n", 1)
+    exact_int(e, "e", 2)
+    exact_int(sigma, "sigma", 1)
     if n - e + 1 <= 2 * sigma:
         raise InstanceError("hypothesis requires n - e + 1 > 2*sigma")
     lhs = comb(n - e, sigma) * comb(n, 2 * sigma)
@@ -171,10 +170,7 @@ def gen_lower_bound_instance(n: int, t: int) -> Hypergraph:
     path has the equal cost vector (2t, ..., 2t); there are at least
     ((n-2)/t)^t such cuts and all of them are pareto-optimal.
     """
-    if t < 1:
-        raise InstanceError("need at least one criterion")
-    if n < t + 2:
-        raise InstanceError(f"need n >= t+2, got n={n} t={t}")
+    exact_int(n, "n", exact_int(t, "t", 1) + 2)
     u, v = 0, 1
     internal = n - 2
     base, extra = divmod(internal, t)
@@ -197,23 +193,22 @@ def gen_random_instance(n: int, m: int, rank: int, t_costs: int, t_weights: int,
 
     Vertices within an edge are distinct; costs are uniform in [0, max_cost]
     and weights in [0, max_weight] (or [1, max_weight] with positive_weights,
-    as the size-constrained problems require).  Connectivity is not
-    guaranteed; disconnected instances have empty min-cuts and are valid.
+    as the size-constrained problems require); every count and the seed are
+    exact ints.  Disconnected instances have empty min-cuts and are valid.
     """
-    if rank < 2 or n < rank:
-        raise InstanceError("need rank >= 2 and n >= rank")
-    if positive_weights and (t_weights < 1 or max_weight < 1):
-        raise InstanceError("positive weights need t_weights >= 1 and max_weight >= 1")
-    exact_int(m, "edge count", 0)
-    exact_int(max_cost, "max cost", 0)
-    exact_int(max_weight, "max weight", 0)
-    rng = random.Random(seed)
+    exact_int(n, "n", exact_int(rank, "rank", 2))
+    low = 1 if positive_weights else 0
+    for value, what, least in ((m, "edge count", 0), (t_costs, "t_costs", 0),
+                               (t_weights, "t_weights", low),
+                               (max_cost, "max cost", 0),
+                               (max_weight, "max weight", low)):
+        exact_int(value, what, least)
+    rng = random.Random(exact_int(seed, "seed"))
     edges, costs = [], []
     for _ in range(m):
         size = rng.randrange(2, rank + 1)
         edges.append(tuple(sorted(rng.sample(range(n), size))))
         costs.append(tuple(rng.randrange(max_cost + 1) for _ in range(t_costs)))
-    low = 1 if positive_weights else 0
     weights = [tuple(rng.randrange(low, max_weight + 1) for _ in range(t_weights))
                for _ in range(n)]
     return Hypergraph(n, edges, costs, weights, t_costs=t_costs, t_weights=t_weights)

@@ -216,9 +216,10 @@ def estimate(G: Hypergraph, algorithm: str, *, trials: int | None = None,
         trials = default_trials(walk.floor)
     digest = instance_digest(G)
 
-    if fixed_target is not None and (optima is INFEASIBLE
-                                     or fixed_target not in optima):
-        raise InstanceError("fixed target is not oracle-optimal")
+    if fixed_target is not None:
+        G.cut_ids(fixed_target)  # edges of G, in canonical form
+        if optima is INFEASIBLE or fixed_target not in optima:
+            raise InstanceError("fixed target is not oracle-optimal")
     if optima is INFEASIBLE:
         target_masks = None
     else:

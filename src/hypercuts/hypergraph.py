@@ -116,11 +116,9 @@ def _table(rows, count: int, width: int | None, owner: str, noun: str):
     what = f"{owner} {noun}"
     table = []
     for row in rows:
-        row = tuple(exact_int(x, what) for x in row)
+        row = tuple(exact_int(x, what, 0) for x in row)
         if len(row) != width:
             raise InstanceError(f"{noun} rows must all have the same length")
-        if any(x < 0 for x in row):
-            raise InstanceError(f"{owner} {noun}s must be non-negative")
         table.append(row)
     return width, table
 
@@ -177,12 +175,12 @@ class Hypergraph:
                 for i in range(self.t_weights)]
 
     def cut_ids(self, cut: Cut) -> tuple[int, ...]:
-        """``cut``'s edge ids, each checked to be an edge of this hypergraph:
-        a negative id would otherwise index the edges from the end."""
-        for eid in cut.edge_ids:
-            if not 0 <= exact_int(eid, "edge id") < self.m:
-                raise InstanceError(f"cut names edge {eid}; this instance's "
-                                    f"edge ids are 0..{self.m - 1}")
+        """``cut``'s edge ids, checked to be this hypergraph's edge ids in the
+        strictly increasing form of ``Cut.of``: none negative, none twice."""
+        for last, eid in zip((-1, *cut.edge_ids), cut.edge_ids):
+            if not last < exact_int(eid, "edge id") < self.m:
+                raise InstanceError(f"cut names edge {eid}; this instance's edge "
+                                    f"ids are 0..{self.m - 1}, strictly increasing")
         return cut.edge_ids
 
     def cut_costs(self, cut: Cut) -> tuple[int, ...]:

@@ -47,7 +47,7 @@ from math import comb
 from ._engine import (Walk, beats_last, contract_comps, delta_mask, expansion,
                       front, ids_mask, initial_comps, mask_sum,
                       present_edge_ids, sample_node, side_mask)
-from .hypergraph import Cut, Hypergraph, InstanceError, exact_int, exact_ints
+from .hypergraph import Cut, Hypergraph, exact_int, exact_ints
 from .sampling import DrawNode
 
 __all__ = [
@@ -128,14 +128,18 @@ def _bmulti_walk(G: Hypergraph, costs, budgets) -> Walk:
     return Walk(G, expand, value, success_floor_edge(G.n, G.rank, t))
 
 
+def _check_shape(n: int, r: int, t: int) -> tuple[int, int, int]:
+    """(n, r, t), checked to be exact ints with n >= 1, r >= 2, t >= 1."""
+    return exact_int(n, "n", 1), exact_int(r, "r", 2), exact_int(t, "t", 1)
+
+
 def success_floor_edge(n: int, r: int, t: int) -> Fraction:
     """Per-cut success probability floor of the budgeted contraction walk.
 
     1/2^(rt) when n <= rt, else (2t+1) / (2^(rt) (rt+1) C(n-t(r-2), 2t)).
     Exact rational.
     """
-    if n < 1 or t < 1 or r < 2:
-        raise InstanceError("need n >= 1, t >= 1, r >= 2")
+    _check_shape(n, r, t)
     if n <= r * t:
         return Fraction(1, 2 ** (r * t))
     top = n - t * (r - 2)  # > 2t, since n > rt
@@ -144,6 +148,7 @@ def success_floor_edge(n: int, r: int, t: int) -> Fraction:
 
 def interleaving_schedules(n: int, r: int, t: int) -> list[tuple[int, ...]]:
     """All phase-target sequences n_1 >= ... >= n_{t-1} >= n_t = r*t, n_1 <= n."""
+    _check_shape(n, r, t)
     last = r * t
     if n <= last:
         return []
@@ -423,19 +428,21 @@ class _EnumContext:
 def default_enum_repetitions(n: int, r: int, t: int) -> int:
     """Repetition count making the collection a superset of the budget-optimal
     cuts with high probability (asymptotic bound instantiated with constant 1)."""
-    return max(1, math.ceil(r * r * t * (2 ** (r * t)) * (n ** (2 * t)) * math.log(max(n, 2))))
+    _check_shape(n, r, t)  # so the count is at least 1
+    return math.ceil(r * r * t * (2 ** (r * t)) * (n ** (2 * t)) * math.log(max(n, 2)))
 
 
 def default_verify_repetitions(n: int, r: int, t: int) -> int:
     """Per-criterion repetition count for the dominance search."""
-    return max(1, math.ceil(r * (2 ** (r * t)) * (n ** (2 * t)) * math.log(max(n, 2))))
+    _check_shape(n, r, t)  # so the count is at least 1
+    return math.ceil(r * (2 ** (r * t)) * (n ** (2 * t)) * math.log(max(n, 2)))
 
 
 def enum_repetition_count(G: Hypergraph, repetitions: int | None) -> int:
     """Enumeration repetitions on G: the default when ``repetitions`` is
     None, else ``repetitions`` as an exact int >= 1."""
     if repetitions is None:
-        return default_enum_repetitions(G.n, G.rank, G.t_costs)
+        return default_enum_repetitions(G.n, G.rank, len(G.costs_by_criterion()))
     return exact_int(repetitions, "repetitions", 1)
 
 
@@ -443,7 +450,7 @@ def verify_repetition_count(G: Hypergraph, repetitions: int | None) -> int:
     """Per-criterion dominance-search repetitions on G: the default when
     ``repetitions`` is None, else ``repetitions`` as an exact int >= 1."""
     if repetitions is None:
-        return default_verify_repetitions(G.n, G.rank, G.t_costs)
+        return default_verify_repetitions(G.n, G.rank, len(G.costs_by_criterion()))
     return exact_int(repetitions, "verify repetitions", 1)
 
 

@@ -23,7 +23,7 @@ from math import comb
 
 from ._engine import (Walk, contract_comps, delta_mask, expansion, ids_mask,
                       initial_comps, mask_sum, sample_node, side_mask)
-from .hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE, exact_ints
+from .hypergraph import Cut, Hypergraph, INFEASIBLE, exact_int, exact_ints
 from .sampling import LazyWeightedOrder
 
 __all__ = [
@@ -90,8 +90,7 @@ def _min_cut_walk(G: Hypergraph, cost) -> Walk:
 
 def hmincut_walk(G: Hypergraph) -> Walk:
     """The non-uniform contraction min-cut walk as a reusable cached ``Walk``."""
-    if G.n < 2:
-        raise InstanceError("need at least 2 vertices")
+    exact_int(G.n, "vertex count", 2)
     return _min_cut_walk(G, G.costs_by_criterion()[0])
 
 
@@ -223,15 +222,13 @@ def nb_multi_enum_constant_rank(G: Hypergraph, rng: random.Random) -> set[Cut]:
 
 def success_floor_node(n: int, r: int) -> Fraction:
     """Floor 1/(2^(r+1) C(n,2)) for the constant-rank node-budgeted walk."""
-    if n < 2:
-        raise InstanceError("need n >= 2")
+    exact_int(n, "n", 2)
+    exact_int(r, "r", 2)
     return Fraction(1, (2 ** (r + 1)) * comb(n, 2))
 
 
 def success_floor_node_arbitrary(n: int) -> Fraction:
     """Floor for the arbitrary-rank walk: 1 at n=2, else (1/3)/C(n-1,2)."""
-    if n < 2:
-        raise InstanceError("need n >= 2")
-    if n == 2:
+    if exact_int(n, "n", 2) == 2:
         return Fraction(1)
     return Fraction(1, 3) / comb(n - 1, 2)

@@ -33,10 +33,9 @@ def splitmix64(x: int) -> int:
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Seed for trial ``index``: splitmix64 state jumped ``index + 1`` steps."""
-    if index < 0:
-        raise ValueError("trial index must be non-negative")
-    state = (master_seed + (index + 1) * _GAMMA) & _MASK64
-    return splitmix64(state)
+    exact_int(master_seed, "seed")
+    exact_int(index, "trial index", 0)
+    return splitmix64(master_seed + (index + 1) * _GAMMA)
 
 
 def derive_rng(master_seed: int, index: int) -> random.Random:
@@ -46,11 +45,14 @@ def derive_rng(master_seed: int, index: int) -> random.Random:
 def trial_rngs(master_seed: int, start: int, count: int):
     """``derive_rng(master_seed, i)`` for each trial ``i`` in ``start ..
     start+count-1``, as one ``random.Random`` reseeded in place (the C-level
-    seed of ``Random(x)``): each is valid only until the next is drawn."""
+    seed of ``Random(x)``): each is valid only until the next is drawn.  The
+    arguments are checked once; each trial steps the splitmix64 state."""
+    state = exact_int(master_seed, "seed") + exact_int(start, "trial index", 0) * _GAMMA
     rng = random.Random()
     reseed = super(random.Random, rng).seed
-    for idx in range(start, start + count):
-        reseed(derive_seed(master_seed, idx))
+    for _ in range(exact_int(count, "trial count", 0)):
+        state += _GAMMA  # splitmix64 reduces it mod 2^64
+        reseed(splitmix64(state))
         rng.gauss_next = None  # as Random.seed resets it
         yield rng
 

@@ -181,8 +181,7 @@ def success_floor_size(n: int, k: int, sizes) -> Fraction:
     """Per-cut success floor: k^-M at or below the base threshold
     M = max(2*sigma_{k-1}, sigma_k), else 1/(k^M * n * C(n, 2*sigma_{k-1}))."""
     sizes = _check_sizes(k, sizes)
-    if n < k:
-        raise InstanceError("need n >= k")
+    exact_int(n, "n", k)
     sigma_lead = sum(sizes[:-1])
     exponent = max(2 * sigma_lead, sum(sizes))
     if n <= exponent:

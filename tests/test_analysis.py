@@ -129,7 +129,7 @@ def test_lower_bound_instance_structure():
     assert [len(g) for g in groups] == [4, 4]
     with pytest.raises(InstanceError):
         gen_lower_bound_instance(3, 2)
-    with pytest.raises(InstanceError, match="at least one criterion"):
+    with pytest.raises(InstanceError, match="t must be >= 1"):
         gen_lower_bound_instance(8, 0)
 
 

@@ -5,7 +5,10 @@ alone, so no public function of the algorithm modules takes a ``costs`` or
 ``weights`` parameter.  Budget and size vectors, every count and every seed
 go through ``exact_int``/``exact_ints``: anything but an exact ``int`` (bools
 included) raises ``InstanceError``, never ``TypeError`` and never a result.
-A cut's edge ids go through ``Hypergraph.cut_ids`` the same way.
+So do the integers of every success floor, schedule, repetition default,
+instance generator and seeding function, each with its minimum.  A cut's
+edge ids go through ``Hypergraph.cut_ids`` the same way: ids of the
+instance, strictly increasing.
 """
 
 import inspect
@@ -16,18 +19,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercuts import multiobjective, node_budgeted, size_constrained
-from hypercuts.analysis import gen_random_instance
+from hypercuts.analysis import (LpInstance, gen_lower_bound_instance,
+                                gen_random_instance, ratio_inequality_check)
 from hypercuts.harness import estimate, pipeline_equivalence, solve
 from hypercuts.hypergraph import Cut, Hypergraph, InstanceError
-from hypercuts.multiobjective import (enumerate_multiobjective,
+from hypercuts.multiobjective import (default_enum_repetitions,
+                                      default_verify_repetitions,
+                                      enumerate_multiobjective,
                                       enumerate_pareto,
+                                      interleaving_schedules,
+                                      success_floor_edge,
                                       verify_pareto_optimality)
+from hypercuts.node_budgeted import (hmincut_walk, success_floor_node,
+                                     success_floor_node_arbitrary)
 from hypercuts.oracle import (build_catalog, is_cut, oracle_bmulti,
                               oracle_kcut, oracle_min_cut,
                               oracle_multiobjective, oracle_nb_bmulti,
                               oracle_pareto)
-from hypercuts.sampling import best_of_n
-from hypercuts.size_constrained import kcut_walk
+from hypercuts.sampling import best_of_n, derive_seed, trial_rngs
+from hypercuts.size_constrained import kcut_walk, success_floor_size
 
 ALGORITHM_MODULES = (multiobjective, node_budgeted, size_constrained)
 
@@ -95,7 +105,63 @@ REJECTED = {
     "pipeline float runs": lambda G: pipeline_equivalence(G, 0, 1.0, 10, 10),
     "pipeline zero jobs": lambda G: pipeline_equivalence(G, 0, 1, 10, 10,
                                                          jobs=0),
+    "hmincut_walk one vertex": lambda G: hmincut_walk(Hypergraph(1, [])),
 }
+
+
+def _all_trial_rngs(**kwargs):
+    return list(trial_rngs(**kwargs))
+
+
+# (name, function, valid keyword arguments, the minimum of each integer
+# argument given the others, None for a seed).  Each such argument made a
+# float, a bool or one below its minimum is a row of REJECTED.
+INTEGER_ARGUMENTS = [
+    ("LpInstance", LpInstance, {"r": 3, "gamma": 4, "n": 10, "f": {9: 1, 8: 1}},
+     {"r": 2, "gamma": 4, "n": 4}),
+    ("ratio_inequality_check", ratio_inequality_check,
+     {"n": 10, "e": 2, "sigma": 2}, {"n": 1, "e": 2, "sigma": 1}),
+    ("gen_lower_bound_instance", gen_lower_bound_instance, {"n": 8, "t": 2},
+     {"n": 4, "t": 1}),
+    ("gen_random_instance", gen_random_instance,
+     {"n": 6, "m": 9, "rank": 2, "t_costs": 2, "t_weights": 1, "max_cost": 8,
+      "max_weight": 8, "seed": 0, "positive_weights": True},
+     {"n": 2, "m": 0, "rank": 2, "t_costs": 0, "t_weights": 1, "max_cost": 0,
+      "max_weight": 1, "seed": None}),
+    *((fn.__name__, fn, {"n": 6, "r": 2, "t": 2}, {"n": 1, "r": 2, "t": 1})
+      for fn in (success_floor_edge, interleaving_schedules,
+                 default_enum_repetitions, default_verify_repetitions)),
+    ("success_floor_node", success_floor_node, {"n": 6, "r": 2},
+     {"n": 2, "r": 2}),
+    ("success_floor_node_arbitrary", success_floor_node_arbitrary, {"n": 6},
+     {"n": 2}),
+    ("success_floor_size", success_floor_size, {"n": 6, "k": 2, "sizes": (1, 1)},
+     {"n": 2, "k": 2}),
+    ("derive_seed", derive_seed, {"master_seed": 5, "index": 3},
+     {"master_seed": None, "index": 0}),
+    ("trial_rngs", _all_trial_rngs, {"master_seed": 5, "start": 3, "count": 4},
+     {"master_seed": None, "start": 0, "count": 0}),
+]
+
+
+def _spoiled(fn, kwargs, name, value):
+    return lambda G: fn(**{**kwargs, name: value})
+
+
+for _name, _fn, _kwargs, _minima in INTEGER_ARGUMENTS:
+    for _arg, _least in _minima.items():
+        _bad = {"float": float(_kwargs[_arg]), "bool": True}
+        if _least is not None:
+            _bad["below minimum"] = _least - 1
+        for _kind, _value in _bad.items():
+            REJECTED[f"{_name} {_kind} {_arg}"] = _spoiled(_fn, _kwargs, _arg,
+                                                           _value)
+
+
+def test_integer_arguments_are_valid_as_given():
+    # each row spoils one argument of a call that succeeds
+    for _, fn, kwargs, _ in INTEGER_ARGUMENTS:
+        fn(**kwargs)
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
@@ -171,18 +237,60 @@ def test_non_int_vectors_and_counts_raise_only_instance_error(data, bad):
         lambda: solve(G, "hmincut", trials=5, seed=bad),
         lambda: estimate(G, "hmincut", trials=5, seed=bad),
         lambda: pipeline_equivalence(G, bad, 1, 5, 5),
+        lambda: gen_random_instance(6, 9, 2, 2, 0, seed=bad),
+        lambda: derive_seed(bad, 0),
+    ]
+    calls += [  # no floor, schedule, default or generator takes None
+        lambda: LpInstance(r=3, gamma=bad, n=10, f={9: 1, 8: 1}),
+        lambda: ratio_inequality_check(10, bad, 2),
+        lambda: gen_lower_bound_instance(8, bad),
+        lambda: gen_random_instance(6, 9, 2, bad, 0),
+        lambda: success_floor_edge(6, 2, bad),
+        lambda: interleaving_schedules(6, bad, 2),
+        lambda: default_enum_repetitions(bad, 2, 2),
+        lambda: default_verify_repetitions(6, 2, bad),
+        lambda: success_floor_node(bad, 2),
+        lambda: success_floor_node_arbitrary(bad),
+        lambda: success_floor_size(bad, 2, (1, 1)),
+        lambda: derive_seed(0, bad),
+        lambda: list(trial_rngs(0, bad, 3)),
+        lambda: list(trial_rngs(0, 0, bad)),
     ]
     call = data.draw(st.sampled_from(calls))
     with pytest.raises(InstanceError):
         call()
 
 
-@pytest.mark.parametrize("ids", [(-1,), (-1, 2), (9,), (99,), (1.0,)],
-                         ids=str)
+@pytest.mark.parametrize("ids", [(-1,), (-1, 2), (9,), (99,), (1.0,),
+                                 (3, 1), (2, 2)], ids=str)
 def test_cut_ids_outside_the_instance_raise_instance_error(ids):
-    # a negative id would index the edge costs from the end
+    # a negative id would index the edge costs from the end, and an id out
+    # of order or repeated would count its costs twice
     G = gen_random_instance(6, 9, 2, 2, 0, max_cost=8, seed=3)
     with pytest.raises(InstanceError):
         is_cut(G, Cut(ids))
     with pytest.raises(InstanceError):
         verify_pareto_optimality(G, Cut(ids), random.Random(0), 50)
+    with pytest.raises(InstanceError):
+        G.cut_costs(Cut(ids))
+
+
+def test_a_repeated_id_is_not_counted_twice():
+    # (3, 6, 8) is pareto-optimal at costs (14, 2); repeating edge 3 made
+    # it cost (18, 2) and be refuted as dominated
+    G = gen_random_instance(6, 9, 2, 2, 0, seed=16)
+    cut = Cut((3, 6, 8))
+    assert G.cut_costs(cut) == (14, 2)
+    assert verify_pareto_optimality(G, cut, random.Random(0), 200)
+    with pytest.raises(InstanceError, match="strictly increasing"):
+        verify_pareto_optimality(G, Cut((3, 6, 8, 3)), random.Random(0), 200)
+
+
+def test_a_fixed_target_out_of_order_names_its_ids():
+    # the min cut is (0, 1, 5, 6); listed in reverse it used to be reported
+    # as not oracle-optimal
+    G = gen_random_instance(6, 9, 2, 1, 0, seed=3)
+    with pytest.raises(InstanceError, match="strictly increasing"):
+        estimate(G, "hmincut", trials=10, fixed_target=Cut((6, 5, 1, 0)))
+    rep = estimate(G, "hmincut", trials=10, fixed_target=Cut.of((6, 5, 1, 0)))
+    assert rep.extra == {"fixed_target": [0, 1, 5, 6]}

@@ -4,6 +4,7 @@ import pytest
 
 from bisect import bisect_right
 
+from hypercuts import sampling
 from hypercuts._engine import draw_below
 from hypercuts.sampling import (DrawNode, LazyWeightedOrder, derive_rng,
                                 derive_seed, splitmix64, trial_rngs)
@@ -48,6 +49,28 @@ def test_trial_rngs_are_the_derived_generators(seed, start, count):
 def test_trial_rngs_reject_a_negative_index():
     with pytest.raises(ValueError):
         list(trial_rngs(0, -2, 3))
+
+
+@pytest.mark.parametrize("seed", [-7, 0, 1, 12345, 2 ** 64 - 1, 2 ** 70])
+@pytest.mark.parametrize("start", [0, 5, 1000])
+def test_trial_rngs_step_to_the_derived_states(seed, start):
+    # one splitmix64 state stepped per trial, wrapping past 2^64, is the
+    # state derive_seed jumps to
+    got = [rng.getstate() for rng in trial_rngs(seed, start, 6)]
+    assert got == [derive_rng(seed, i).getstate()
+                   for i in range(start, start + 6)]
+
+
+def test_trial_rngs_check_their_arguments_once(monkeypatch):
+    checked = []
+
+    def exact_int(value, *args):
+        checked.append(value)
+        return value
+
+    monkeypatch.setattr(sampling, "exact_int", exact_int)
+    assert sum(1 for _ in trial_rngs(3, 2, 50)) == 50
+    assert checked == [3, 2, 50]
 
 
 def test_lazy_order_matches_eager_draw():

@@ -85,6 +85,15 @@ MUTANTS = [
     ("enum-store-one-past-cap", "multiobjective.py",
      "if self.size >= _ENUM_CACHE_CAP:", "if self.size > _ENUM_CACHE_CAP:",
      False),
+    ("exact-int-accepts-bools", "hypergraph.py",
+     "if not isinstance(value, int) or isinstance(value, bool):",
+     "if not isinstance(value, int):", False),
+    ("cut-ids-unordered", "hypergraph.py",
+     "if not last < exact_int(eid, \"edge id\") < self.m:",
+     "if not 0 <= exact_int(eid, \"edge id\") < self.m:", False),
+    ("trial-rngs-one-step-late", "sampling.py",
+     "exact_int(start, \"trial index\", 0) * _GAMMA",
+     "(exact_int(start, \"trial index\", 0) + 1) * _GAMMA", False),
 ]
 
 CONFTEST = f'''
