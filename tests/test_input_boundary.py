@@ -276,8 +276,8 @@ def test_cut_ids_outside_the_instance_raise_instance_error(ids):
 
 
 def test_a_repeated_id_is_not_counted_twice():
-    # (3, 6, 8) is pareto-optimal at costs (14, 2); repeating edge 3 made
-    # it cost (18, 2) and be refuted as dominated
+    # (3, 6, 8) is pareto-optimal at costs (14, 2); summed with edge 3
+    # twice it would cost (18, 2), and the verifier would refute it
     G = gen_random_instance(6, 9, 2, 2, 0, seed=16)
     cut = Cut((3, 6, 8))
     assert G.cut_costs(cut) == (14, 2)
@@ -287,8 +287,8 @@ def test_a_repeated_id_is_not_counted_twice():
 
 
 def test_a_fixed_target_out_of_order_names_its_ids():
-    # the min cut is (0, 1, 5, 6); listed in reverse it used to be reported
-    # as not oracle-optimal
+    # the min cut is (0, 1, 5, 6): listed in reverse, the error names the
+    # order of its ids, not the optimum
     G = gen_random_instance(6, 9, 2, 1, 0, seed=3)
     with pytest.raises(InstanceError, match="strictly increasing"):
         estimate(G, "hmincut", trials=10, fixed_target=Cut((6, 5, 1, 0)))
