@@ -12,12 +12,10 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import comb, lcm
-from operator import mul
 from types import MappingProxyType
 
-from .hypergraph import Hypergraph, InstanceError, exact_int
+from .hypergraph import Hypergraph, InstanceError, exact_bool, exact_int
 
 LP_RANK_GUARD = 8
 
@@ -67,44 +65,21 @@ def lp_closed_form(inst: LpInstance) -> Fraction:
         for j in range(2, inst.r + 1))
 
 
-def _best_objective_given_x(counts, js, fs, gamma: int) -> int:
-    """Minimize the LP objective over y at one grid point, in exact integers.
-
-    The grid point is x_j = c_j/grid_step.  With x fixed, maximizing
-    sum y_j f(n-j+1) subject to 0 <= y_j <= x_j and gamma*sum(y) <= sum(j*x_j)
-    is a fractional knapsack: fill the y_j with the largest f first.
-    `counts`, `js` (the index j) and `fs` (F_j = f(n-j+1)*D for a common
-    denominator D) list the variables in that knapsack order.  Every quantity
-    is scaled by grid_step*gamma*D (x_j and y_j by grid_step*gamma, f by D),
-    so the result is the objective times grid_step*gamma*D.  The takes sum
-    to gamma*grid_step > r*grid_step >= the budget, so the loop returns.
-    """
-    budget = sum(map(mul, js, counts))
-    obj = gamma * sum(map(mul, fs, counts))
-    for c, fj in zip(counts, fs):
-        take = gamma * c
-        if take >= budget:
-            return obj - budget * fj
-        obj -= take * fj
-        budget -= take
-
-
-def _compositions(total: int, parts: int):
-    """Every tuple of `parts` non-negative ints that sums to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def _grid_floor(inst: LpInstance, grid_step: int) -> Fraction:
     """Minimum LP objective over the grid x_j = c_j/grid_step, sum c_j = grid_step.
 
     The set of grid points is closed under permuting the coordinates, so the
-    counts are generated directly in knapsack order (largest f first), which
-    is fixed per instance.
+    counts c are walked directly in knapsack order (largest f first), which
+    is fixed per instance, one coordinate per recursion level.  With x fixed,
+    maximizing sum y_j f(n-j+1) subject to 0 <= y_j <= x_j and
+    gamma*sum(y) <= sum(j*x_j) is a fractional knapsack: fill the y_j with
+    the largest f first.  Every quantity is an exact int scaled by
+    grid_step*gamma*D, for D the common denominator of the f values (x_j and
+    y_j by grid_step*gamma, f by D, as F_j = f(n-j+1)*D).  Each level adds
+    its count's share of the budget sum(j*c_j) and of the objective
+    gamma*sum(F_j*c_j); the knapsack fill runs at the leaf, over the one
+    count list the levels update in place.  The takes sum to
+    gamma*grid_step > r*grid_step >= the budget, so the fill returns.
     """
     r, gamma = inst.r, inst.gamma
     values = [inst.f[inst.n - j + 1] for j in range(2, r + 1)]
@@ -112,9 +87,30 @@ def _grid_floor(inst: LpInstance, grid_step: int) -> Fraction:
     denom = lcm(*(v.denominator for v in values))
     js = [i + 2 for i in order]
     fs = [values[i].numerator * (denom // values[i].denominator) for i in order]
-    low = min(map(_best_objective_given_x, _compositions(grid_step, r - 1),
-                  repeat(js), repeat(fs), repeat(gamma)))
-    return Fraction(low, grid_step * gamma * denom)
+    counts, last = [0] * (r - 1), r - 2
+
+    def low(depth: int, left: int, budget: int, obj: int) -> int:
+        """The least objective over the points extending counts[:depth]."""
+        if depth == last:
+            counts[last] = left
+            budget += js[last] * left
+            obj += gamma * fs[last] * left
+            for c, fj in zip(counts, fs):
+                take = gamma * c
+                if take >= budget:
+                    return obj - budget * fj
+                obj -= take * fj
+                budget -= take
+        j, f = js[depth], gamma * fs[depth]
+        best = None
+        for c in range(left + 1):
+            counts[depth] = c
+            value = low(depth + 1, left - c, budget + j * c, obj + f * c)
+            if best is None or value < best:
+                best = value
+        return best
+
+    return Fraction(low(0, grid_step, 0, 0), grid_step * gamma * denom)
 
 
 def lp_bruteforce(inst: LpInstance) -> Fraction:
@@ -197,7 +193,7 @@ def gen_random_instance(n: int, m: int, rank: int, t_costs: int, t_weights: int,
     exact ints.  Disconnected instances have empty min-cuts and are valid.
     """
     exact_int(n, "n", exact_int(rank, "rank", 2))
-    low = 1 if positive_weights else 0
+    low = 1 if exact_bool(positive_weights, "positive_weights") else 0
     for value, what, least in ((m, "edge count", 0), (t_costs, "t_costs", 0),
                                (t_weights, "t_weights", low),
                                (max_cost, "max cost", 0),

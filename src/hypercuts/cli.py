@@ -14,6 +14,7 @@ machine-readable error object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -308,7 +309,11 @@ def _group(*flags) -> argparse.ArgumentParser:
     return group
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.  Each family stores its
+    handler's name, which ``main`` looks up on this module at call time, so
+    a handler replaced after the first call is the one that runs."""
     required = {"required": True}
     integer = {"type": int, "required": True}
     switch = {"action": "store_true"}
@@ -380,16 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
         located = [] if command in ("gen", "check") else [instance]
         for family, (groups, func) in families.items():
             fsub.add_parser(family, parents=[common, *located, *groups]
-                            ).set_defaults(func=func)
+                            ).set_defaults(func=func.__name__)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     fmt = getattr(args, "format", "text")
     try:
-        payload = args.func(args)
+        payload = globals()[args.func](args)
     except PayloadExit as exc:
         _emit(exc.payload, fmt)
         return exc.code

@@ -89,6 +89,14 @@ def exact_int(value, what: str, minimum: int | None = None) -> int:
     return value
 
 
+def exact_bool(value, what: str) -> bool:
+    """``value`` if it is True or False; a flag is never read from a truthy
+    int, string or None."""
+    if value is not True and value is not False:
+        raise InstanceError(f"{what} must be True or False, got {value!r}")
+    return value
+
+
 def exact_ints(values, length: int, what: str,
                minimum: int = 0) -> tuple[int, ...]:
     """``values`` as a tuple of ``length`` exact ints, each at least

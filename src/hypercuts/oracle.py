@@ -29,7 +29,7 @@ from itertools import permutations, product
 from ._engine import (beats_last, contract_comps, delta_mask, front, ids_mask,
                       initial_comps, present_edge_ids, side_mask)
 from .hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE,
-                         delta_partition, exact_ints)
+                         delta_partition, exact_bool, exact_ints)
 from .node_budgeted import nb_inputs
 from .size_constrained import kcut_inputs
 
@@ -60,7 +60,7 @@ def _sides(G: Hypergraph, override_guard: bool):
     then change only at that vertex's edges.  The guard is checked at the
     call, before any side is visited.
     """
-    if G.n > CATALOG_GUARD and not override_guard:
+    if not exact_bool(override_guard, "override_guard") and G.n > CATALOG_GUARD:
         raise InstanceError(
             f"n={G.n} exceeds the 2^n oracle guard ({CATALOG_GUARD}); "
             "pass override_guard=True to force")
@@ -261,7 +261,7 @@ def oracle_kcut(G: Hypergraph, k: int, sizes, weighted_costs: bool = False,
     parts.  The inputs are read by ``kcut_inputs``.  Returns (optimal
     value, set of optimal cuts) or INFEASIBLE.
     """
-    if G.n > KCUT_GUARD and not override_guard:
+    if not exact_bool(override_guard, "override_guard") and G.n > KCUT_GUARD:
         raise InstanceError(f"n={G.n} exceeds the k^n oracle guard ({KCUT_GUARD})")
     sizes, cost, w = kcut_inputs(G, k, sizes, weighted_costs)
     if G.n < k:

@@ -123,7 +123,12 @@ class LazyWeightedOrder:
 
 
 def default_trials(floor: Fraction) -> int:
-    """max(1000, ceil(30/floor)): at least 30 successes expected at the floor."""
+    """max(1000, ceil(30/floor)): at least 30 successes expected at the floor.
+
+    ``floor`` is exact, a Fraction or an int; a float raises InstanceError.
+    """
+    if not isinstance(floor, Fraction):
+        exact_int(floor, "floor")
     if floor <= 0:
         raise InstanceError("floor must be positive")
     return max(1000, math.ceil(30 / floor))

@@ -20,8 +20,8 @@ from functools import partial
 from math import comb
 
 from ._engine import Walk, expansion, ids_mask, mask_sum, sample_node
-from .hypergraph import (Hypergraph, InstanceError, INFEASIBLE, exact_int,
-                         exact_ints)
+from .hypergraph import (Hypergraph, InstanceError, INFEASIBLE, exact_bool,
+                         exact_int, exact_ints)
 
 __all__ = [
     "kcut_inputs",
@@ -47,7 +47,8 @@ def kcut_inputs(G: Hypergraph, k: int, sizes, weighted_costs: bool = False):
     ``weighted_costs``) and the vertex weight column (criterion 0, or unit
     without weights), which must be positive."""
     sizes = _check_sizes(k, sizes)
-    cost = G.costs_by_criterion()[0] if weighted_costs else [1] * G.m
+    cost = (G.costs_by_criterion()[0]
+            if exact_bool(weighted_costs, "weighted_costs") else [1] * G.m)
     weights = G.weights_by_criterion()
     vertex_w = weights[0] if weights else [1] * G.n
     if any(w < 1 for w in vertex_w):

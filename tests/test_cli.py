@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypercuts import analysis, harness, oracle
+from hypercuts import analysis, cli, harness, oracle
 from hypercuts.cli import build_parser, main
 from hypercuts.hypergraph import Hypergraph, load_instance, save_instance
 from hypercuts.multiobjective import default_verify_repetitions
@@ -572,7 +572,7 @@ def cli_surface(parser) -> dict:
                  type(a).__name__, a.required]
                 for a in sub._actions)
             surface[f"{command} {family}"] = {
-                "func": sub.get_default("func").__name__, "options": options}
+                "func": sub.get_default("func"), "options": options}
     return surface
 
 
@@ -587,6 +587,37 @@ def test_cli_surface_is_the_recorded_one_less_enumerate_multi_verify_reps():
             entry["options"].remove([["--jobs"], "jobs", 1, "int", None,
                                      "_StoreAction", False])
     assert cli_surface(build_parser()) == expected
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_the_reused_parser_gives_each_call_its_own_arguments(instance_path,
+                                                             capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "hmincut", "--instance", str(instance_path),
+              "--trials", "many"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    argv = ["solve", "hmincut", "--instance", str(instance_path),
+            "--trials", "50"]
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0 and first[1]
+    # a json call in between leaves no --format or --seed behind
+    code, out, _ = run_cli(capsys, *argv, "--seed", "4", "--format", "json")
+    assert code == 0 and json.loads(out)["trials"] == 50
+    assert run_cli(capsys, *argv) == first
+
+
+def test_a_handler_replaced_after_a_call_is_the_one_that_runs(capsys,
+                                                               monkeypatch):
+    argv = ("check", "ratio-ineq", "--max-n", "4")
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "cmd_check",
+                        lambda args: {"replaced": args.family})
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, parse_text(out)) == (0, {"replaced": "ratio-ineq"})
 
 
 def test_solve_takes_no_jobs(instance_path, capsys):

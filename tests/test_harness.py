@@ -28,8 +28,16 @@ def budgets_for(G):
 def test_default_trials():
     assert default_trials(Fraction(1, 240)) == 7200
     assert default_trials(Fraction(1, 2)) == 1000
+    assert default_trials(1) == 1000
     with pytest.raises(InstanceError):
         default_trials(Fraction(0))
+
+
+@pytest.mark.parametrize("floor", [0.5, 1e-3, 1.0, True, "1/2", None],
+                         ids=repr)
+def test_default_trials_takes_only_an_exact_floor(floor):
+    with pytest.raises(InstanceError, match="floor"):
+        default_trials(floor)
 
 
 def _nb_instance(n, rank, seed):

@@ -294,3 +294,46 @@ def test_a_fixed_target_out_of_order_names_its_ids():
         estimate(G, "hmincut", trials=10, fixed_target=Cut((6, 5, 1, 0)))
     rep = estimate(G, "hmincut", trials=10, fixed_target=Cut.of((6, 5, 1, 0)))
     assert rep.extra == {"fixed_target": [0, 1, 5, 6]}
+
+
+# (name, call with the flag set to ``value``).  A flag is True or False, so
+# no truthy object (a string "no", say) can switch it on.
+BOOLEAN_FLAGS = [
+    ("kcut_walk weighted_costs",
+     lambda G, value: kcut_walk(G, 2, (1, 1), weighted_costs=value)),
+    ("solve kcut weighted_costs",
+     lambda G, value: solve(G, "kcut", k=2, sizes=(1, 1), trials=5,
+                            weighted_costs=value)),
+    ("oracle_kcut weighted_costs",
+     lambda G, value: oracle_kcut(G, 2, (1, 1), weighted_costs=value)),
+    ("oracle_kcut override_guard",
+     lambda G, value: oracle_kcut(G, 2, (1, 1), override_guard=value)),
+    ("build_catalog override_guard",
+     lambda G, value: build_catalog(G, override_guard=value)),
+    ("oracle_nb_bmulti override_guard",
+     lambda G, value: oracle_nb_bmulti(G, (2,), override_guard=value)),
+    ("gen_random_instance positive_weights",
+     lambda G, value: gen_random_instance(6, 9, 2, 1, 1, seed=4,
+                                          positive_weights=value)),
+]
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None], ids=repr)
+@pytest.mark.parametrize("name, call", BOOLEAN_FLAGS,
+                         ids=[name for name, _ in BOOLEAN_FLAGS])
+def test_boolean_flags_take_only_booleans(name, call, value):
+    G = instance()
+    for flag in (True, False):
+        call(G, flag)
+    with pytest.raises(InstanceError, match=name.split()[-1]):
+        call(G, value)
+
+
+def test_a_string_flag_neither_weighs_cuts_nor_passes_the_guard():
+    G = gen_random_instance(6, 9, 2, 1, 1, seed=4, positive_weights=True)
+    assert kcut_walk(G, 2, (1, 1), weighted_costs=True).value(0b111) == 11
+    assert kcut_walk(G, 2, (1, 1), weighted_costs=False).value(0b111) == 3
+    big = Hypergraph(22, [(v, v + 1) for v in range(21)], [(1,)] * 21)
+    for value in ("no", False):
+        with pytest.raises(InstanceError, match="guard"):
+            build_catalog(big, override_guard=value)

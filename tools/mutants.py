@@ -94,6 +94,9 @@ MUTANTS = [
     ("trial-rngs-one-step-late", "sampling.py",
      "exact_int(start, \"trial index\", 0) * _GAMMA",
      "(exact_int(start, \"trial index\", 0) + 1) * _GAMMA", False),
+    # no count takes all that is left, so the x_j = 1 vertices are skipped
+    ("lp-grid-drops-full-counts", "analysis.py",
+     "for c in range(left + 1):", "for c in range(left):", False),
 ]
 
 CONFTEST = f'''
