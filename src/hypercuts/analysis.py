@@ -4,6 +4,8 @@ Covers the linear program whose optimum has a closed form (checked against
 an independent extreme-point/grid brute force), the exact binomial ratio
 inequality used by the size-constrained analysis, the pareto lower-bound
 family (hub-to-hub parallel paths), and a seeded random instance generator.
+It owns the two analysis sweeps, ``lemma_lp_sweep`` and
+``ratio_inequality_sweep``, that ``check`` and acceptance criteria 8-9 run.
 """
 
 from __future__ import annotations
@@ -155,6 +157,40 @@ def ratio_inequality_check(n: int, e: int, sigma: int) -> bool:
     lhs = comb(n - e, sigma) * comb(n, 2 * sigma)
     rhs = comb(n, sigma) * comb(n - e + 1, 2 * sigma)
     return lhs >= rhs
+
+
+def lemma_lp_sweep(seed: int, count: int) -> list[dict]:
+    """Closed form against brute force on ``count`` >= 1 LP instances drawn
+    from ``random.Random(seed)``: r in [2, 6], gamma in [r+1, 12], n in
+    [gamma, gamma+8] and each f value a/b with a in [1, 99], b in [1, 9].
+    Returns one record (r, gamma, n and both optima) per mismatch."""
+    exact_int(count, "sweep", 1)
+    rng = random.Random(exact_int(seed, "seed"))
+    mismatches = []
+    for _ in range(count):
+        r = rng.randrange(2, 7)
+        gamma = rng.randrange(r + 1, 13)
+        n = gamma + rng.randrange(0, 9)
+        f = {n - j + 1: Fraction(rng.randrange(1, 100), rng.randrange(1, 10))
+             for j in range(2, r + 1)}
+        inst = LpInstance(r=r, gamma=gamma, n=n, f=f)
+        closed, brute = lp_closed_form(inst), lp_bruteforce(inst)
+        if closed != brute:
+            mismatches.append({"r": r, "gamma": gamma, "n": n,
+                               "closed": str(closed), "brute": str(brute)})
+    return mismatches
+
+
+def ratio_inequality_sweep(max_n: int) -> tuple[int, int]:
+    """``ratio_inequality_check`` on every (n, e, sigma) with n <= ``max_n``
+    (at least 4, the smallest n with a case); returns (cases, violations)."""
+    cases = violations = 0
+    for n in range(4, exact_int(max_n, "max-n", 4) + 1):
+        for e in range(2, n - 1):
+            for sigma in range(1, (n - e) // 2 + 1):  # n - e + 1 > 2*sigma
+                cases += 1
+                violations += not ratio_inequality_check(n, e, sigma)
+    return cases, violations
 
 
 def gen_lower_bound_instance(n: int, t: int) -> Hypergraph:

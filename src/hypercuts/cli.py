@@ -17,13 +17,11 @@ import argparse
 import functools
 import json
 import math
-import random
 import sys
-from fractions import Fraction
 
 from . import analysis, harness, multiobjective, node_budgeted, oracle
-from .hypergraph import (Cut, InstanceError, INFEASIBLE, exact_int,
-                         load_instance, save_instance)
+from .hypergraph import (Cut, InstanceError, INFEASIBLE, load_instance,
+                         save_instance)
 from .sampling import derive_rng
 
 EXIT_OK = 0
@@ -69,12 +67,12 @@ def _ints(text: str) -> tuple[int, ...]:
         raise InstanceError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _cut_records(G, cuts) -> list[dict]:
-    out = []
-    for cut in sorted(cuts, key=lambda c: (len(c.edge_ids), c.edge_ids)):
-        out.append({"edge_ids": list(cut.edge_ids),
-                    "costs": list(G.cut_costs(cut))})
-    return out
+def _collection(G, family: str, cuts, **fields) -> dict:
+    """A cut collection's payload; cuts in order of size, then of ids."""
+    order = sorted(cuts, key=lambda c: (len(c.edge_ids), c.edge_ids))
+    records = [{"edge_ids": list(c.edge_ids), "costs": list(G.cut_costs(c))}
+               for c in order]
+    return {"family": family, **fields, "count": len(cuts), "cuts": records}
 
 
 def _maybe_reps(value: str | None) -> int | None:
@@ -180,9 +178,8 @@ def cmd_enumerate(args) -> dict:
     G = _load(args.instance)
     rng = derive_rng(args.seed, 0)
     if args.family == "nb-multi":
-        cuts = node_budgeted.nb_multi_enum_constant_rank(G, rng)
-        return {"family": "nb-multi", "count": len(cuts),
-                "cuts": _cut_records(G, cuts)}
+        return _collection(G, "nb-multi",
+                           node_budgeted.nb_multi_enum_constant_rank(G, rng))
     params = _params(args)
     if args.family == "multi":
         cuts = multiobjective.enumerate_multiobjective(G, rng, **params)
@@ -193,8 +190,7 @@ def cmd_enumerate(args) -> dict:
     if args.family == "pareto":
         used["verify_repetitions"] = multiobjective.verify_repetition_count(
             G, params["verify_repetitions"])
-    return {"family": args.family, **used, "count": len(cuts),
-            "cuts": _cut_records(G, cuts)}
+    return _collection(G, args.family, cuts, **used)
 
 
 def cmd_verify(args) -> dict:
@@ -227,8 +223,7 @@ def cmd_oracle(args) -> dict:
                 raise PayloadExit({"family": which, "count": 0,
                                    "note": "no cut satisfies these budgets"},
                                   EXIT_INFEASIBLE)
-        return {"family": which, "count": len(cuts),
-                "cuts": _cut_records(G, cuts)}
+        return _collection(G, which, cuts)
     if which == "nb-bmulti":
         query, note = oracle.oracle_nb_bmulti, "no feasible vertex set"
     else:
@@ -237,8 +232,7 @@ def cmd_oracle(args) -> dict:
     if result is INFEASIBLE:
         raise PayloadExit({"family": which, "note": note}, EXIT_INFEASIBLE)
     value, cuts = result
-    return {"family": which, "value": value, "count": len(cuts),
-            "cuts": _cut_records(G, cuts)}
+    return _collection(G, which, cuts, value=value)
 
 
 def cmd_estimate(args) -> dict:
@@ -259,41 +253,14 @@ def cmd_estimate(args) -> dict:
 
 def cmd_check(args) -> dict:
     if args.family == "lemma-lp":
-        exact_int(args.sweep, "sweep", 1)
-        rng = random.Random(args.seed)
-        mismatches = []
-        for i in range(args.sweep):
-            r = rng.randrange(2, 7)
-            gamma = rng.randrange(r + 1, 13)
-            n = gamma + rng.randrange(0, 9)
-            f = {n - j + 1: Fraction(rng.randrange(1, 100),
-                                     rng.randrange(1, 10))
-                 for j in range(2, r + 1)}
-            inst = analysis.LpInstance(r=r, gamma=gamma, n=n, f=f)
-            closed = analysis.lp_closed_form(inst)
-            brute = analysis.lp_bruteforce(inst)
-            if closed != brute:
-                mismatches.append({"r": r, "gamma": gamma, "n": n,
-                                   "closed": str(closed), "brute": str(brute)})
+        mismatches = analysis.lemma_lp_sweep(args.seed, args.sweep)
         payload = {"check": "lemma-lp", "sweep": args.sweep,
                    "mismatches": mismatches, "ok": not mismatches}
-        if mismatches:
-            raise PayloadExit(payload, EXIT_CHECK_FAILED)
-        return payload
-    # n = 4 is the smallest n with an (n, e, sigma) case.
-    exact_int(args.max_n, "max-n", 4)
-    cases = violations = 0
-    for n in range(1, args.max_n + 1):
-        for e in range(2, n + 1):
-            sigma = 1
-            while n - e + 1 > 2 * sigma:
-                cases += 1
-                if not analysis.ratio_inequality_check(n, e, sigma):
-                    violations += 1
-                sigma += 1
-    payload = {"check": "ratio-ineq", "max_n": args.max_n,
-               "cases": cases, "violations": violations, "ok": violations == 0}
-    if violations:
+    else:
+        cases, violations = analysis.ratio_inequality_sweep(args.max_n)
+        payload = {"check": "ratio-ineq", "max_n": args.max_n, "cases": cases,
+                   "violations": violations, "ok": violations == 0}
+    if not payload["ok"]:
         raise PayloadExit(payload, EXIT_CHECK_FAILED)
     return payload
 

@@ -1,12 +1,13 @@
 """Best-of-N solving and Monte-Carlo estimation over one problem table.
 
 ``PROBLEMS`` maps each randomized algorithm to its walk and its exhaustive
-oracle.  ``solve`` keeps the best of N seeded runs of the walk; ``estimate``
-runs it many times against the oracle and reports the empirical hit
-frequency of the oracle-optimal set next to the algorithm's proven
-probability floor.  The pass policy is one-sided: the floors are lower
-bounds, so a run passes when the empirical frequency is no more than three
-binomial standard deviations below the floor.
+oracle.  The module owns both seeded trial loops and their terminal-start
+rule: ``best_of_n`` (behind ``solve``) keeps the best of N seeded runs of
+the walk; ``estimate`` runs it many times against the oracle and reports
+the empirical hit frequency of the oracle-optimal set next to the
+algorithm's proven probability floor.  The pass policy is one-sided: the
+floors are lower bounds, so a run passes when the empirical frequency is no
+more than three binomial standard deviations below the floor.
 
 Reports are reproducible: trial i uses a generator derived from
 (master seed, i), so results are independent of execution order and of the
@@ -31,11 +32,11 @@ from .node_budgeted import hmincut_walk, nb_arbitrary_walk, nb_constant_walk
 from .size_constrained import kcut_walk
 from .oracle import (build_catalog, oracle_bmulti, oracle_kcut, oracle_min_cut,
                      oracle_multiobjective, oracle_nb_bmulti, oracle_pareto)
-from .sampling import (BestOf, best_of_n, default_trials, derive_rng,
-                       trial_rngs)
+from .sampling import derive_rng, trial_rngs
 
-__all__ = ["PROBLEMS", "TrialReport", "solve", "estimate", "default_trials",
-           "pipeline_equivalence", "instance_digest"]
+__all__ = ["PROBLEMS", "TrialReport", "BestOf", "solve", "best_of_n",
+           "estimate", "default_trials", "pipeline_equivalence",
+           "instance_digest"]
 
 
 def instance_digest(G: Hypergraph) -> str:
@@ -129,6 +130,70 @@ def _problem(algorithm: str) -> tuple:
     return PROBLEMS[algorithm]
 
 
+def _outcomes(walk, seed: int, start: int, count: int):
+    """(outcomes, trials each stands for) of trials [start, start+count):
+    a run per trial, or once for all a terminal start's one outcome."""
+    fixed = walk.fixed_outcome()
+    if fixed is None:
+        return map(walk.run, trial_rngs(seed, start, count)), 1
+    return (fixed,), count
+
+
+def default_trials(floor: Fraction) -> int:
+    """max(1000, ceil(30/floor)): at least 30 successes expected at the floor.
+
+    ``floor`` is exact, a Fraction or an int; a float raises InstanceError.
+    """
+    if not isinstance(floor, Fraction):
+        exact_int(floor, "floor")
+    if floor <= 0:
+        raise InstanceError("floor must be positive")
+    return max(1000, math.ceil(30 / floor))
+
+
+@dataclass(frozen=True)
+class BestOf:
+    """Cheapest cut found by ``trials`` seeded runs of a walk.
+
+    ``cut`` and ``value`` are None when no run produced an acceptable cut;
+    ``infeasible_runs`` counts the runs that returned INFEASIBLE.
+    """
+
+    cut: Cut | None
+    value: int | None
+    trials: int
+    infeasible_runs: int
+
+
+def best_of_n(walk, trials: int | None, seed: int) -> BestOf:
+    """Run ``walk`` on trials 0..trials-1 of ``seed``; keep the least value.
+
+    ``trials`` defaults to ``default_trials(walk.floor)``.  Only witnessed
+    outcomes count, valued by ``walk.value(mask)`` (None rejects a cut).
+    Ties keep the earliest trial, and a terminal start is not walked.
+    """
+    if trials is None:
+        trials = default_trials(walk.floor)
+    exact_int(trials, "trials", 1)
+    exact_int(seed, "seed")
+    outs, runs = _outcomes(walk, seed, 0, trials)
+    value = walk.value
+    best_mask = best_val = None
+    infeasible_runs = 0
+    for out in outs:
+        if out is INFEASIBLE:
+            infeasible_runs += runs
+            continue
+        mask, witnessed = out
+        if not witnessed:
+            continue
+        val = value(mask)
+        if val is not None and (best_val is None or val < best_val):
+            best_val, best_mask = val, mask
+    cut = None if best_mask is None else Cut.from_mask(best_mask)
+    return BestOf(cut, best_val, trials, infeasible_runs)
+
+
 def solve(G: Hypergraph, algorithm: str, *, trials: int | None = None,
           seed: int = 0, **params) -> BestOf:
     """Best of ``trials`` seeded runs of ``algorithm``'s walk on ``G`` (see
@@ -151,9 +216,8 @@ def _hit(out, target_masks) -> bool:
 
 def _successes(walk, target_masks, seed: int, start: int, count: int) -> int:
     """Trials in [start, start+count) whose outcome is a success."""
-    run = walk.run
-    return sum(_hit(run(rng), target_masks)
-               for rng in trial_rngs(seed, start, count))
+    outs, runs = _outcomes(walk, seed, start, count)
+    return runs * sum(_hit(out, target_masks) for out in outs)
 
 
 # What a pool worker works on (a walk, or a pipeline's fixed arguments): set
@@ -226,15 +290,12 @@ def estimate(G: Hypergraph, algorithm: str, *, trials: int | None = None,
         targets = optima if fixed_target is None else {fixed_target}
         target_masks = {cut.mask() for cut in targets}
 
-    fixed = walk.fixed_outcome()
-    workers = min(jobs, trials, _usable_cpus())
-    if fixed is not None:
-        successes = trials if _hit(fixed, target_masks) else 0
-    else:
-        chunk = -(-trials // workers)
-        spans = [(target_masks, seed, s, min(chunk, trials - s))
-                 for s in range(0, trials, chunk)]
-        successes = sum(_fork_map(_successes, walk, spans, len(spans)))
+    terminal = walk.fixed_outcome() is not None  # no trial walks: no fork
+    workers = 1 if terminal else min(jobs, trials, _usable_cpus())
+    chunk = -(-trials // workers)
+    spans = [(target_masks, seed, s, min(chunk, trials - s))
+             for s in range(0, trials, chunk)]
+    successes = sum(_fork_map(_successes, walk, spans, len(spans)))
 
     if optima is INFEASIBLE:
         return TrialReport(algorithm, digest, trials, successes, Fraction(1),
@@ -243,7 +304,7 @@ def estimate(G: Hypergraph, algorithm: str, *, trials: int | None = None,
     return TrialReport(algorithm, digest, trials, successes, walk.floor, seed,
                        optima=len(optima),
                        extra={"fixed_target": sorted(fixed_target.edge_ids)}
-                       if fixed_target else {})
+                       if fixed_target is not None else {})
 
 
 def _pipeline_run(state, idx: int) -> dict:

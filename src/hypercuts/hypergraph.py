@@ -74,9 +74,6 @@ class Cut:
     def mask(self) -> int:
         return ids_mask(self.edge_ids)
 
-    def __len__(self):
-        return len(self.edge_ids)
-
 
 def exact_int(value, what: str, minimum: int | None = None) -> int:
     """``value`` if it is an int (at least ``minimum``, when given); bools

@@ -4,20 +4,17 @@ All algorithms draw from a ``random.Random`` instance so that every run is
 replayable from a seed.  Monte-Carlo trials use per-trial generators derived
 from (master seed, trial index) via a splitmix64-style jump, which makes
 trials independent and safe to execute in any order or in parallel.
-``best_of_n`` keeps the cheapest cut over such trials of one walk.
+``DrawNode`` and ``LazyWeightedOrder`` draw weighted orders lazily.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 
 from ._engine import draw_below
-from .hypergraph import Cut, InstanceError, INFEASIBLE, exact_int
+from .hypergraph import exact_int
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -120,63 +117,3 @@ class LazyWeightedOrder:
             w = cum[pos] - cum[pos - 1] if pos else cum[0]
             prefix.append(items.pop(pos))
             cum[pos:] = [c - w for c in cum[pos + 1:]]
-
-
-def default_trials(floor: Fraction) -> int:
-    """max(1000, ceil(30/floor)): at least 30 successes expected at the floor.
-
-    ``floor`` is exact, a Fraction or an int; a float raises InstanceError.
-    """
-    if not isinstance(floor, Fraction):
-        exact_int(floor, "floor")
-    if floor <= 0:
-        raise InstanceError("floor must be positive")
-    return max(1000, math.ceil(30 / floor))
-
-
-@dataclass(frozen=True)
-class BestOf:
-    """Cheapest cut found by ``trials`` seeded runs of a walk.
-
-    ``cut`` and ``value`` are None when no run produced an acceptable cut;
-    ``infeasible_runs`` counts the runs that returned INFEASIBLE.
-    """
-
-    cut: Cut | None
-    value: int | None
-    trials: int
-    infeasible_runs: int
-
-
-def best_of_n(walk, trials: int | None, seed: int) -> BestOf:
-    """Run ``walk`` on trials 0..trials-1 of ``seed``; keep the least value.
-
-    ``trials`` defaults to ``default_trials(walk.floor)``.  Only witnessed
-    outcomes count, valued by ``walk.value(mask)`` (None rejects a cut).
-    Ties keep the earliest trial.  A terminal start's outcome, the same on
-    every trial, is counted once for all of them.
-    """
-    if trials is None:
-        trials = default_trials(walk.floor)
-    exact_int(trials, "trials", 1)
-    exact_int(seed, "seed")
-    fixed = walk.fixed_outcome()
-    if fixed is None:
-        outs, runs = map(walk.run, trial_rngs(seed, 0, trials)), 1
-    else:
-        outs, runs = (fixed,), trials
-    value = walk.value
-    best_mask = best_val = None
-    infeasible_runs = 0
-    for out in outs:
-        if out is INFEASIBLE:
-            infeasible_runs += runs
-            continue
-        mask, witnessed = out
-        if not witnessed:
-            continue
-        val = value(mask)
-        if val is not None and (best_val is None or val < best_val):
-            best_val, best_mask = val, mask
-    cut = None if best_mask is None else Cut.from_mask(best_mask)
-    return BestOf(cut, best_val, trials, infeasible_runs)

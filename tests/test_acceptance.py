@@ -14,9 +14,9 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from hypercuts.analysis import (LpInstance, gen_lower_bound_instance,
-                                gen_random_instance, lp_bruteforce,
-                                lp_closed_form, ratio_inequality_check)
+from hypercuts.analysis import (gen_lower_bound_instance,
+                                gen_random_instance, lemma_lp_sweep,
+                                ratio_inequality_sweep)
 from hypercuts.harness import estimate, pipeline_equivalence
 from hypercuts.hypergraph import Cut, Hypergraph
 from hypercuts.multiobjective import verify_pareto_optimality
@@ -224,16 +224,7 @@ def test_criterion_7_size_constrained_floor_and_obliviousness():
 
 def test_criterion_8_lp_closed_form_sweep():
     """Closed-form LP optimum equals brute force on a 500-instance sweep."""
-    rng = random.Random(8)
-    mismatches = 0
-    for _ in range(500):
-        r = rng.randrange(2, 7)
-        gamma = rng.randrange(r + 1, 13)
-        n = gamma + rng.randrange(0, 9)
-        f = {n - j + 1: Fraction(rng.randrange(1, 100), rng.randrange(1, 10))
-             for j in range(2, r + 1)}
-        inst = LpInstance(r=r, gamma=gamma, n=n, f=f)
-        mismatches += lp_closed_form(inst) != lp_bruteforce(inst)
+    mismatches = len(lemma_lp_sweep(8, 500))
     ok = mismatches == 0
     _report(8, ok, f"500 instances (gamma<=12, r<=6), {mismatches} mismatches")
     assert mismatches == 0
@@ -241,14 +232,7 @@ def test_criterion_8_lp_closed_form_sweep():
 
 def test_criterion_9_ratio_inequality_sweep():
     """Binomial ratio inequality holds exhaustively for n <= 30."""
-    cases = violations = 0
-    for n in range(1, 31):
-        for e in range(2, n + 1):
-            sigma = 1
-            while n - e + 1 > 2 * sigma:
-                cases += 1
-                violations += not ratio_inequality_check(n, e, sigma)
-                sigma += 1
+    cases, violations = ratio_inequality_sweep(30)
     ok = violations == 0 and cases > 0
     _report(9, ok, f"{cases} (n,e,sigma) triples, {violations} violations")
     assert violations == 0

@@ -6,8 +6,10 @@ import pytest
 
 from hypercuts import analysis
 from hypercuts.analysis import (LpInstance, gen_lower_bound_instance,
-                                gen_random_instance, lp_bruteforce,
-                                lp_closed_form, ratio_inequality_check)
+                                gen_random_instance, lemma_lp_sweep,
+                                lp_bruteforce, lp_closed_form,
+                                ratio_inequality_check,
+                                ratio_inequality_sweep)
 from hypercuts.hypergraph import Cut, InstanceError
 from hypercuts.oracle import (build_catalog, oracle_bmulti,
                               oracle_multiobjective, oracle_pareto)
@@ -97,6 +99,40 @@ def test_lp_randomized_sweep():
              for j in range(2, r + 1)}
         inst = LpInstance(r=r, gamma=gamma, n=n, f=f)
         assert lp_closed_form(inst) == lp_bruteforce(inst)
+
+
+def _criterion_8_draws(seed, count):
+    """(r, gamma, n, f) of the first ``count`` instances of the criterion-8
+    generator, drawn here from ``random.Random(seed)`` in its documented
+    ranges."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        r = rng.randrange(2, 7)
+        gamma = rng.randrange(r + 1, 13)
+        n = gamma + rng.randrange(0, 9)
+        f = {n - j + 1: Fraction(rng.randrange(1, 100), rng.randrange(1, 10))
+             for j in range(2, r + 1)}
+        draws.append((r, gamma, n, f))
+    return draws
+
+
+@pytest.mark.parametrize("seed", [8, 0, 1, 41])
+def test_lemma_lp_sweep_draws_the_documented_instances(seed, monkeypatch):
+    # a closed form below every optimum makes each instance a mismatch record
+    monkeypatch.setattr(analysis, "lp_closed_form", lambda inst: Fraction(-1))
+    records = lemma_lp_sweep(seed, 6)
+    want = [{"r": r, "gamma": gamma, "n": n, "closed": "-1",
+             "brute": str(lp_bruteforce(LpInstance(r, gamma, n, f)))}
+            for r, gamma, n, f in _criterion_8_draws(seed, 6)]
+    assert records == want
+    # the bench stratifies lp_sweep by the rank of the first instance drawn
+    assert records[0]["r"] == random.Random(seed).randrange(2, 7)
+
+
+def test_ratio_inequality_sweep_counts_every_case():
+    assert ratio_inequality_sweep(30) == (1925, 0)
+    assert ratio_inequality_sweep(4) == (1, 0)  # (4, 2, 1) alone
 
 
 def test_ratio_inequality_examples():

@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from hypercuts import harness, sampling
+from hypercuts import harness
 from hypercuts.analysis import gen_random_instance
-from hypercuts.harness import (PROBLEMS, TrialReport, default_trials,
-                               estimate, instance_digest, pipeline_equivalence,
-                               solve)
+from hypercuts.harness import (PROBLEMS, BestOf, TrialReport, best_of_n,
+                               default_trials, estimate, instance_digest,
+                               pipeline_equivalence, solve)
 from hypercuts.hypergraph import Cut, Hypergraph, InstanceError, INFEASIBLE
 from hypercuts.node_budgeted import nb_arbitrary_walk
 from hypercuts.oracle import build_catalog, oracle_bmulti, oracle_nb_bmulti
-from hypercuts.sampling import BestOf, best_of_n, derive_rng
+from hypercuts.sampling import derive_rng
 from hypercuts.size_constrained import kcut_walk
 
 
@@ -187,6 +187,13 @@ def test_estimate_fixed_target():
                  else Cut.of([0, 1]))
 
 
+def test_estimate_reports_an_empty_fixed_target():
+    # disconnected: the empty cut is the one minimum cut
+    G = Hypergraph(4, [(0, 1), (2, 3)], [(1,), (1,)])
+    rep = estimate(G, "hmincut", trials=100, seed=0, fixed_target=Cut(()))
+    assert rep.to_dict()["fixed_target"] == []
+
+
 def test_estimate_infeasible_agreement():
     G = Hypergraph(3, [(0, 1), (1, 2)], [(1,), (1,)], [(9,), (9,), (9,)])
     rep = estimate(G, "nb-bmulti-arbitrary", budgets=(3,), trials=50, seed=0)
@@ -344,7 +351,7 @@ def test_solve_counts_a_terminal_start_without_walking(case, monkeypatch):
     walk.fixed_outcome = lambda: None  # the reference runs every trial
     want = best_of_n(walk, None, 5)
     calls = []
-    monkeypatch.setattr(sampling, "trial_rngs",
+    monkeypatch.setattr(harness, "trial_rngs",
                         lambda *args: calls.append(args))
     got = solve(G, algorithm, seed=5, **kwargs)
     assert got == want

@@ -20,8 +20,11 @@ from hypothesis import strategies as st
 
 from hypercuts import multiobjective, node_budgeted, size_constrained
 from hypercuts.analysis import (LpInstance, gen_lower_bound_instance,
-                                gen_random_instance, ratio_inequality_check)
-from hypercuts.harness import estimate, pipeline_equivalence, solve
+                                gen_random_instance, lemma_lp_sweep,
+                                ratio_inequality_check,
+                                ratio_inequality_sweep)
+from hypercuts.harness import (best_of_n, estimate, pipeline_equivalence,
+                               solve)
 from hypercuts.hypergraph import Cut, Hypergraph, InstanceError
 from hypercuts.multiobjective import (default_enum_repetitions,
                                       default_verify_repetitions,
@@ -36,7 +39,7 @@ from hypercuts.oracle import (build_catalog, is_cut, oracle_bmulti,
                               oracle_kcut, oracle_min_cut,
                               oracle_multiobjective, oracle_nb_bmulti,
                               oracle_pareto)
-from hypercuts.sampling import best_of_n, derive_seed, trial_rngs
+from hypercuts.sampling import derive_seed, trial_rngs
 from hypercuts.size_constrained import kcut_walk, success_floor_size
 
 ALGORITHM_MODULES = (multiobjective, node_budgeted, size_constrained)
@@ -121,6 +124,10 @@ INTEGER_ARGUMENTS = [
      {"r": 2, "gamma": 4, "n": 4}),
     ("ratio_inequality_check", ratio_inequality_check,
      {"n": 10, "e": 2, "sigma": 2}, {"n": 1, "e": 2, "sigma": 1}),
+    ("lemma_lp_sweep", lemma_lp_sweep, {"seed": 8, "count": 2},
+     {"seed": None, "count": 1}),
+    ("ratio_inequality_sweep", ratio_inequality_sweep, {"max_n": 6},
+     {"max_n": 4}),
     ("gen_lower_bound_instance", gen_lower_bound_instance, {"n": 8, "t": 2},
      {"n": 4, "t": 1}),
     ("gen_random_instance", gen_random_instance,

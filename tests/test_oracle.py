@@ -32,7 +32,7 @@ def path4():
 def test_catalog_counts():
     cat = build_catalog(triangle())
     assert len(cat) == 3
-    assert all(len(cut) == 2 for cut in cat.costs)
+    assert all(len(cut.edge_ids) == 2 for cut in cat.costs)
     sp = Hypergraph(4, [(0, 1, 2, 3)], [(1,)])
     assert len(build_catalog(sp)) == 1
     two = Hypergraph(2, [(0, 1)], [(1,)])
@@ -212,7 +212,7 @@ def test_nb_bmulti_examples():
                       [(1,), (1,), (1,), (5,)])
     value, cuts = oracle_nb_bmulti(star, (3,))
     assert value == 1
-    assert all(len(c) == 1 for c in cuts)
+    assert all(len(c.edge_ids) == 1 for c in cuts)
     # delta(X) = delta(complement): heavy side excluded but complement works
     assert Cut.of([2]) in cuts  # witness side {3} infeasible, {0,1,2} feasible? no:
     # {0,1,2} weighs 3 <= 3, so the cut isolating vertex 3 is feasible via complement

@@ -97,6 +97,14 @@ MUTANTS = [
     # no count takes all that is left, so the x_j = 1 vertices are skipped
     ("lp-grid-drops-full-counts", "analysis.py",
      "for c in range(left + 1):", "for c in range(left):", False),
+    # ties keep the latest trial, where the docs keep the earliest
+    ("best-of-n-ties-to-latest", "harness.py",
+     "(best_val is None or val < best_val)",
+     "(best_val is None or val <= best_val)", False),
+    # the criterion-8 generator never draws n = gamma + 8
+    ("lemma-lp-sweep-narrow-n", "analysis.py",
+     "n = gamma + rng.randrange(0, 9)", "n = gamma + rng.randrange(0, 8)",
+     False),
 ]
 
 CONFTEST = f'''
