@@ -21,12 +21,13 @@ caches the node of every visited state.  A node is one of
   return ``outcome(side)`` for the union ``side`` of the drawn ones; ``table``
   caches the outcome of each draw;
 * ``("terminal", outcome)`` - stop with a fixed outcome;
-* ``("draw", draw)`` - stop with the outcome ``draw(comps, rng)``;
-* ``("level", draw, sample)`` - push the candidate ``draw(comps, rng)``
-  with the live component count, then take one step of the nested sample
-  node.  The candidate is a zero-argument function returning an outcome:
-  ``draw`` makes every random choice, and the outcome is computed only for
-  the candidate that survives;
+* ``("draw", draws, decode)`` - make the draws ``raws`` and stop with the
+  outcome ``decode(comps, raws)``;
+* ``("level", draws, sample, decode)`` - make the draws ``raws``, push the
+  candidate ``(decode, comps, raws)`` and take one step of the nested
+  sample node.  ``draws`` lists ``(bound, bits)``, each a ``draw_below(rng,
+  bound)`` of ``bits = bound.bit_length()``, or is one call ``draws(rng)``
+  where the count of draws depends on their values;
 * ``("delegate", walk)`` - continue with another walk from this state.
 
 A contraction merges the components one edge meets into one component M
@@ -40,9 +41,10 @@ from scratch.  Both ways give equal nodes, and ``expand(comps)`` alone is
 the reference.
 
 Once the walk stops, the candidates pushed by level nodes are resolved
-innermost first: each replaces the outcome with probability 1/live.  The
-size-constrained k-cut walk uses them; the four bipartition walks never push
-one.
+innermost first: each replaces the outcome with probability 1/live, live
+its state's component count.  Only the survivor, or a draw node's draws
+when none survives, is decoded.  The size-constrained k-cut walk uses
+both nodes; the four bipartition walks neither.
 
 An outcome is ``(cut edge-bitmask, witnessed)`` or ``INFEASIBLE``.
 ``witnessed`` records whether the cut comes from a witness the problem's
@@ -307,7 +309,8 @@ class Walk:
         cache = self.cache
         masks = self.masks
         getrandbits = rng.getrandbits
-        pending = None  # (candidate, live) per level node passed
+        pending = None  # (decode, comps, raws) per level node passed
+        entry = None  # that of the draw node stopped at, or the survivor
         prev = prev_comps = None  # the sample step that led here, if any
         while True:
             node = cache.get(comps)
@@ -318,10 +321,23 @@ class Walk:
                     cache[comps] = node
             tag = node[0]
             if tag != "sample":
-                if tag == "level":
+                if tag == "level" or tag == "draw":
+                    draws = node[1]
+                    if callable(draws):
+                        raws = draws(rng)
+                    else:  # draw_below(rng, bound) each, written out
+                        raws = []
+                        for bound, bits in draws:
+                            r = getrandbits(bits)
+                            while r >= bound:
+                                r = getrandbits(bits)
+                            raws.append(r)
+                    if tag == "draw":
+                        entry = (node[2], comps, raws)
+                        break
                     if pending is None:
                         pending = []
-                    pending.append((node[1](comps, rng), len(comps)))
+                    pending.append((node[3], comps, raws))
                     node = node[2]
                 elif tag == "merge":
                     prev = None
@@ -350,15 +366,18 @@ class Walk:
                 out = table[bits] = node[2](side_mask(comps, bits))
         elif tag == "terminal":
             out = node[1]
-        elif tag == "draw":
-            out = node[1](comps, rng)
-        else:
+        elif tag == "delegate":
             out = node[1].run(rng, comps)
         if pending:
-            survivor = None
-            for candidate, live in reversed(pending):
-                if draw_below(rng, live) == 0:
-                    survivor = candidate
-            if survivor is not None:
-                out = survivor()
+            for candidate in reversed(pending):
+                live = len(candidate[1])
+                bits = live.bit_length()
+                r = getrandbits(bits)
+                while r >= live:
+                    r = getrandbits(bits)
+                if r == 0:
+                    entry = candidate
+        if entry is not None:
+            decode, comps, raws = entry
+            out = decode(comps, raws)
         return out

@@ -8,9 +8,10 @@ candidate with probability 1/n.  The same seed therefore produces identical
 output for every choice of positive vertex-weight annotation; a weight
 below 1 is rejected up front, as the oracle rejects it.
 
-The walk is an ``_engine.Walk``: each level is a ``level`` node (the
-candidate draw plus the alpha-weighted sample node) and the base case is a
-``draw`` node, so the engine resolves the candidates on the way back up.
+The walk is an ``_engine.Walk`` whose ``level`` and ``draw`` nodes carry
+their draws as data: a level's candidate is ``rng.sample``'s draws and a
+label per pick, the base case a label per component.  The engine decodes
+only the labelling that survives on the way back up, the base's included.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from fractions import Fraction
 from functools import partial
 from math import comb
 
-from ._engine import Walk, expansion, ids_mask, mask_sum, sample_node
+from ._engine import (Walk, draw_below, expansion, ids_mask, mask_sum,
+                      sample_node)
 from .hypergraph import (Hypergraph, InstanceError, INFEASIBLE, exact_bool,
                          exact_int, exact_ints)
 
@@ -57,6 +59,22 @@ def kcut_inputs(G: Hypergraph, k: int, sizes, weighted_costs: bool = False):
     return sizes, cost, vertex_w
 
 
+def _picks(raws, live: int, size: int):
+    """``(component index, label)`` per pick of a level's draws ``raws``:
+    ``rng.sample(range(live), size)``, sorted, zipped with the labels
+    ``raws[size:]``.  The sample's draws are its pool picks (bounds live,
+    live-1, ...) up to 21 components and its result above 21."""
+    if live > 21:
+        chosen = raws[:size]
+    else:
+        pool = list(range(live))
+        chosen = []
+        for i, j in zip(range(live, 0, -1), raws[:size]):
+            chosen.append(pool[j])
+            pool[j] = pool[i - 1]
+    return zip(sorted(chosen), raws[size:])
+
+
 def kcut_walk(G: Hypergraph, k: int, sizes,
               weighted_costs: bool = False) -> Walk:
     """The size-constrained contraction walk as a reusable cached ``Walk``.
@@ -91,7 +109,11 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
 
     memo = {}  # outcome per labelling, up to _OUTCOME_CAP of them
 
-    def outcome(label_masks):
+    def labelled(comps, labels):
+        """The outcome of label ``labels[i]`` on each component comps[i]."""
+        label_masks = [0] * k
+        for c, lab in zip(comps, labels):
+            label_masks[lab] |= c
         key = tuple(label_masks)
         out = memo.get(key)
         if out is None:
@@ -104,57 +126,32 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
                 memo[key] = out
         return out
 
-    # every label below is draw_below(rng, k), written out
-    def base(comps, rng):
-        # uniform independent label per supervertex (k^|V| outcomes)
-        getrandbits = rng.getrandbits
-        label_masks = [0] * k
-        for c in comps:
-            lab = getrandbits(label_bits)
-            while lab >= k:
-                lab = getrandbits(label_bits)
-            label_masks[lab] |= c
-        return outcome(label_masks)
-
-    def settle(alive, label_masks):
-        """delta of a partial labelling, or the present edge set ``alive``
-        when the labelling leaves a part empty."""
-        if 0 in label_masks:
+    def settle(alive, comps, raws):
+        """The outcome of a level's candidate drawn as ``raws``: the sample
+        takes its labels and every other component k-1.  A part left empty
+        settles to the present edge set ``alive``."""
+        labels = [k - 1] * len(comps)
+        for idx, lab in _picks(raws, len(comps), sample_size):
+            labels[idx] = lab
+        if len(set(labels)) < k:
             return alive, False
-        return outcome(label_masks)
+        return labelled(comps, labels)
 
-    def candidate(alive, comps, rng):
-        """A random partial labelling, drawn now and settled only if the
-        level's candidate survives (settling draws nothing).  It labels
-        ``rng.sample(range(live), 2 * sigma_lead)``, whose pool branch (up to
-        21, CPython 3.11's least set size, its only one) is written out."""
-        getrandbits = rng.getrandbits
-        live = len(comps)
+    def level_draws(live):
+        """``rng.sample(range(live), sample_size)``, then a label per pick:
+        up to 21 components (CPython 3.11's least set size) the sample's
+        pool draws as data, above 21 one call making the sample's own."""
+        labels = [(k, label_bits)] * sample_size
         if live > 21:
-            chosen = rng.sample(range(live), sample_size)
-        else:
-            pool = list(range(live))
-            chosen = []
-            for i in range(live, live - sample_size, -1):
-                bits = i.bit_length()
-                j = getrandbits(bits)
-                while j >= i:
-                    j = getrandbits(bits)
-                chosen.append(pool[j])
-                pool[j] = pool[i - 1]
-        chosen.sort()
-        label_masks = [0] * k
-        picked = 0
-        for idx in chosen:
-            c = comps[idx]
-            lab = getrandbits(label_bits)
-            while lab >= k:
-                lab = getrandbits(label_bits)
-            label_masks[lab] |= c
-            picked |= c
-        # everything outside the sample joins the last part
-        label_masks[k - 1] |= G.full_mask & ~picked
-        return partial(settle, alive, label_masks)
+            return lambda rng: rng.sample(range(live), sample_size) + [
+                draw_below(rng, k) for _ in labels]
+        return [(i, i.bit_length())
+                for i in range(live, live - sample_size, -1)] + labels
+
+    # each state's draws by its live component count: a label per component
+    # at or below base_limit, a level's candidate above it
+    draws = [[(k, label_bits)] * live if live <= base_limit
+             else level_draws(live) for live in range(G.n + 1)]
 
     def expand(comps, parent=None):
         live = len(comps)
@@ -163,16 +160,17 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
             # leaves at least sigma_{k-1} + 1 >= k components
             return ("terminal", INFEASIBLE)
         if live <= base_limit:
-            return ("draw", base)
+            # uniform independent label per supervertex (k^|V| outcomes)
+            return ("draw", draws[live], labelled)
         present, counts, _ = expansion(masks, comps, parent, count=True)
-        draw = partial(candidate, ids_mask(present))
+        settled = partial(settle, ids_mask(present))
         alpha = [comb(x, sigma_lead) for x in range(live + 1)]
         node = sample_node(present, [alpha[live - c] * cost[eid]
                                      for eid, c in zip(present, counts)],
                            counts)
         if node is None:
-            return ("draw", lambda comps, rng: draw(comps, rng)())
-        return ("level", draw, node)
+            return ("draw", draws[live], settled)
+        return ("level", draws[live], node, settled)
 
     floor = success_floor_size(G.n, k, sizes) if G.n >= k else Fraction(1)
     return Walk(G, expand, lambda mask: mask_sum(cost, mask), floor)

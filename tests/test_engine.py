@@ -17,7 +17,7 @@ from hypercuts.multiobjective import bmulti_walk, success_floor_edge
 from hypercuts.node_budgeted import (hmincut_walk, nb_arbitrary_walk,
                                      nb_constant_walk, success_floor_node,
                                      success_floor_node_arbitrary)
-from hypercuts.size_constrained import kcut_walk, success_floor_size
+from hypercuts.size_constrained import _picks, kcut_walk, success_floor_size
 
 
 def test_side_mask_is_the_union_of_the_picked_components():
@@ -27,27 +27,51 @@ def test_side_mask_is_the_union_of_the_picked_components():
     assert side_mask(comps, 0b111) == 0b11111
 
 
+def draw_raws(draws, rng):
+    """The raw draws of a level or draw node's ``draws``: one call, or one
+    ``draw_below(rng, bound)`` per ``(bound, bits)``."""
+    if callable(draws):
+        return draws(rng)
+    assert all(bits == bound.bit_length() for bound, bits in draws)
+    return [draw_below(rng, bound) for bound, _ in draws]
+
+
+def path_outcome(G, sizes, label_masks):
+    """The outcome a k-cut candidate labelling of the unit-weight path G
+    settles to: every edge, unwitnessed, when a part is empty."""
+    if 0 in label_masks:
+        return G.full_mask >> 1, False
+    crossing = sum(1 << v for v in range(G.n - 1)
+                   if not any(lm >> v & 3 == 3 for lm in label_masks))
+    parts = sorted(bin(lm).count("1") for lm in label_masks)
+    return crossing, all(p >= s for p, s in zip(parts, sorted(sizes)))
+
+
 @pytest.mark.parametrize("n", range(1, 31))
 def test_draw_sample_is_rng_sample(n):
     # a k-cut level candidate labels rng.sample(range(live), 2 sigma) of its
     # live components, n >= 1 of them left outside the sample; live <= 21
-    # takes the written-out pool branch, live > 21 calls rng.sample
+    # draws the pool branch as data, live > 21 calls rng.sample
     for k, sizes in ((2, (1, 1)), (3, (1, 1, 1)), (2, (3, 3))):
         s = 2 * sum(sizes[:-1])
         live = s + n
         G = Hypergraph(live, [(v, v + 1) for v in range(live - 1)])
         walk = kcut_walk(G, k, sizes)
-        tag, draw, _ = walk.expand(walk.start)
+        tag, draws, _, decode = walk.expand(walk.start)
         assert tag == "level"
+        assert callable(draws) == (live > 21)
         for seed in range(5):
             rng, ref = random.Random(seed), random.Random(seed)
             chosen = sorted(ref.sample(range(live), s))
-            want = [0] * k
-            for idx in chosen:
-                want[ref.randrange(k)] |= 1 << idx
-            want[k - 1] |= G.full_mask & ~sum(1 << idx for idx in chosen)
-            assert draw(walk.start, rng).args[1] == want
+            labels = [ref.randrange(k) for _ in chosen]
+            raws = draw_raws(draws, rng)
             assert rng.getstate() == ref.getstate()
+            assert list(_picks(raws, live, s)) == list(zip(chosen, labels))
+            want = [0] * k
+            for idx, lab in zip(chosen, labels):
+                want[lab] |= 1 << idx
+            want[k - 1] |= G.full_mask & ~sum(1 << idx for idx in chosen)
+            assert decode(walk.start, raws) == path_outcome(G, sizes, want)
 
 
 def test_sample_step_never_draws_zero_weight_edges():
@@ -55,9 +79,9 @@ def test_sample_step_never_draws_zero_weight_edges():
     # its one step reached
     G = Hypergraph(10, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
     node = sample_node(list(range(5)), [0, 3, 0, 5, 0])
-    stop = ("draw", lambda comps, rng: comps)
     walk = Walk(G, lambda comps, parent=None:
-                node if comps == initial_comps(10) else stop, None, None)
+                node if comps == initial_comps(10) else ("terminal", comps),
+                None, None)
     rng = random.Random(0)
     counts = Counter()
     for _ in range(4000):
@@ -149,14 +173,18 @@ def test_contract_comps_matches_the_sorting_version():
         assert contract_comps(comps, mask) == sorted_contract(comps, mask)
 
 
-def comparable(node):
-    """The fields of a node that are functions of its state alone: tables
-    a walk fills as it goes (``nexts``, a base node's cache) are left out."""
+def comparable(node, comps):
+    """The fields of a node that are functions of its state ``comps`` alone:
+    tables a walk fills as it goes (``nexts``, a base node's cache) are left
+    out, and a decoder counts by what it makes of a few seeded draws."""
     tag = node[0]
     if tag == "sample":
         return (tag, node[1], node[2], node[3], node[5], node[6])
-    if tag == "level":
-        return (tag, node[1].args, comparable(node[2]))
+    if tag in ("level", "draw"):
+        decoded = [node[-1](comps, draw_raws(node[1], random.Random(seed)))
+                   for seed in range(4)]
+        inner = comparable(node[2], comps) if tag == "level" else None
+        return (tag, node[1], decoded, inner)
     if tag in ("merge", "terminal", "delegate"):
         return node
     return (tag,)
@@ -199,7 +227,8 @@ def test_incremental_expansion_equals_expansion_from_scratch(family, shape):
     inherited = 0
     for w in walks:
         for comps, node in w.cache.items():
-            assert comparable(node) == comparable(w.expand(comps)), comps
+            assert comparable(node, comps) == comparable(w.expand(comps),
+                                                  comps), comps
             sample = node[2] if node[0] == "level" else node
             if sample[0] == "sample":
                 inherited += sum(nxt in w.cache for nxt in sample[4]
@@ -220,7 +249,8 @@ def test_counts_of_edges_wider_than_a_byte_expand_alike(family):
         walk.run(derive_rng(9, i))
     wide = 0
     for comps, node in walk.cache.items():
-        assert comparable(node) == comparable(walk.expand(comps)), comps
+        assert comparable(node, comps) == comparable(walk.expand(comps),
+                                                  comps), comps
         sample = node[2] if node[0] == "level" else node
         wide += sample[0] == "sample" and isinstance(sample[5], tuple)
     assert wide >= 100
@@ -255,13 +285,14 @@ def frozen_sample_step(node, comps, edge_masks, rng):
 
 
 def frozen_run(walk, rng, cap, comps=None):
-    """``Walk.run`` as it was while its sample step was the function
-    ``frozen_sample_step``, caching at most ``cap`` states."""
+    """``Walk.run`` written plainly, its sample step the function
+    ``frozen_sample_step`` and its draws ``draw_raws``, caching at most
+    ``cap`` states."""
     if comps is None:
         comps = walk.start
     cache = walk.cache
     masks = walk.masks
-    pending = None
+    pending = []
     prev = prev_comps = None
     while True:
         node = cache.get(comps)
@@ -278,13 +309,12 @@ def frozen_run(walk, rng, cap, comps=None):
             prev = None
             comps = node[1]
         elif tag == "level":
-            if pending is None:
-                pending = []
-            pending.append((node[1](comps, rng), len(comps)))
+            pending.append((node[3], comps, draw_raws(node[1], rng)))
             prev, prev_comps = node[2], comps
             comps = frozen_sample_step(prev, comps, masks, rng)
         else:
             break
+    entry = None
     if tag == "base":
         table = node[1]
         bits = rng.getrandbits(len(comps))
@@ -294,16 +324,16 @@ def frozen_run(walk, rng, cap, comps=None):
     elif tag == "terminal":
         out = node[1]
     elif tag == "draw":
-        out = node[1](comps, rng)
+        entry = (node[2], comps, draw_raws(node[1], rng))
     else:
         out = frozen_run(node[1], rng, cap, comps)
-    if pending:
-        survivor = None
-        for candidate, live in reversed(pending):
-            if draw_below(rng, live) == 0:
-                survivor = candidate
-        if survivor is not None:
-            out = survivor()
+    # innermost first: the outermost level whose coin comes up 0 survives
+    for candidate in reversed(pending):
+        if draw_below(rng, len(candidate[1])) == 0:
+            entry = candidate
+    if entry is not None:
+        decode, comps, raws = entry
+        out = decode(comps, raws)
     return out
 
 

@@ -159,6 +159,15 @@ SHAPES = [
     ("k4", gen_random_instance(10, 15, 3, 1, 1, max_weight=3, seed=64,
                                positive_weights=True),
      4, (1, 1, 1, 1), False, "level"),
+    # sample size 2 from 24 live components: CPython's rng.sample takes its
+    # set branch above 21, where the number of draws depends on repeats
+    ("set-branch", gen_random_instance(24, 30, 3, 1, 1, max_weight=3,
+                                       seed=65, positive_weights=True),
+     2, (1, 2), True, "level"),
+    # sigma_{k-1} = 3: each candidate labels a sample of 6
+    ("sample-6", gen_random_instance(11, 16, 3, 1, 1, max_weight=3, seed=66,
+                                     positive_weights=True),
+     3, (2, 2, 1), False, "level"),
 ]
 
 

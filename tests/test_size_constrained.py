@@ -1,5 +1,6 @@
 import inspect
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -12,7 +13,7 @@ from hypercuts.hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE,
                                   delta_partition)
 from hypercuts.oracle import oracle_kcut
 from hypercuts.sampling import derive_rng
-from hypercuts.size_constrained import kcut_walk, success_floor_size
+from hypercuts.size_constrained import _picks, kcut_walk, success_floor_size
 from test_kcut_walk import SHAPES
 
 
@@ -45,6 +46,24 @@ def test_alpha_size_examples():
     assert alphas(6, [(0, 1), spanning], (2, 2)) == [Fraction(2, 5), 0]
     assert alphas(6, [(0, 1), spanning], (1, 1)) == [Fraction(2, 3), 0]
     assert alphas(5, [(0, 1, 2)], (2, 2)) == [Fraction(1, 10)]
+
+
+def test_one_candidate_has_the_law_of_sample_then_labels():
+    # live = 6, 2 sigma = 4, k = 3: each accepted raw sequence of the first
+    # level's draw list decodes to a sorted sample of 4 and its labels, and
+    # each of the C(6, 4) * 3^4 labellings comes from exactly 4! sequences,
+    # the law of rng.sample followed by randrange(k), with zero tolerance
+    G = Hypergraph(6, [(v, v + 1) for v in range(5)])
+    tag, draws = kcut_walk(G, 3, (1, 1, 1)).expand(initial_comps(6))[:2]
+    assert tag == "level"
+    assert [bound for bound, _ in draws] == [6, 5, 4, 3, 3, 3, 3, 3]
+    law = Counter(tuple(_picks(raws, 6, 4))
+                  for raws in product(*(range(b) for b, _ in draws)))
+    assert len(law) == math.comb(6, 4) * 3 ** 4
+    assert set(law.values()) == {math.factorial(4)}
+    for picks in law:
+        sample = [idx for idx, _ in picks]
+        assert sample == sorted(set(sample))
 
 
 def test_success_floor_size_values():
@@ -184,10 +203,15 @@ def test_deterministic_replay():
 
 
 def outcome_memo(walk):
-    """The walk's per-labelling outcome memo, read off its closures."""
-    base = inspect.getclosurevars(walk.expand).nonlocals["base"]
-    outcome = inspect.getclosurevars(base).nonlocals["outcome"]
-    return inspect.getclosurevars(outcome).nonlocals["memo"]
+    """The walk's per-labelling outcome memo: the dict named ``memo`` that
+    the functions its ``expand`` reaches close over."""
+    todo = [walk.expand]
+    while todo:
+        free = inspect.getclosurevars(todo.pop()).nonlocals
+        if "memo" in free:
+            return free["memo"]
+        todo += [f for f in free.values() if inspect.isfunction(f)]
+    raise AssertionError("no outcome memo")
 
 
 @pytest.mark.parametrize("G, k, sizes, weighted",

@@ -80,8 +80,13 @@ MUTANTS = [
     # resolved outermost first, where the docs resolve innermost first: the
     # innermost level whose coin comes up 0 then survives
     ("kcut-candidates-outermost-first", "_engine.py",
-     "for candidate, live in reversed(pending):",
-     "for candidate, live in pending:", False),
+     "for candidate in reversed(pending):",
+     "for candidate in pending:", False),
+    # each label goes to the pick drawn in its place, not to the pick at
+    # its place in sorted order; the law of one candidate stays the same
+    ("kcut-labels-zip-unsorted", "size_constrained.py",
+     "return zip(sorted(chosen), raws[size:])",
+     "return zip(chosen, raws[size:])", False),
     ("enum-store-one-past-cap", "multiobjective.py",
      "if self.size >= _ENUM_CACHE_CAP:", "if self.size > _ENUM_CACHE_CAP:",
      False),
