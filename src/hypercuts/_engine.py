@@ -8,14 +8,18 @@ sampling tables) across Monte-Carlo runs on the same instance.
 All five algorithms are the same absorbing chain over these states; only
 the edge-weight rule and the stopping rule differ.  An algorithm supplies
 them as an ``expand(comps, parent=None) -> node`` function, and ``Walk``
-caches the node of every visited state.  A node is one of
+caches every visited state as an entry ``(comps, node)``.  A node is one
+of
 
 * ``("sample", cum, total, eids, nexts, counts, labels)`` - contract edge
   ``eids[i]`` with probability proportional to its weight (``cum`` holds the
   prefix sums); ``eids`` lists every present edge in id order, zero-weight
-  ones included; ``nexts`` caches the successor states, built on first use;
-  ``counts`` (aligned with ``eids``) and ``labels`` (aligned with
-  ``comps``) are the state's ``expansion`` data, each compact or None;
+  ones included; ``nexts[i]`` links the successor after ``eids[i]`` on
+  first use: the successor's cache entry itself, so a warm step hashes no
+  tuple, and only once that entry is cached, so past the cap a link keeps
+  nothing alive; ``counts`` (aligned with ``eids``) and ``labels``
+  (aligned with ``comps``) are the state's ``expansion`` data, each
+  compact or None;
 * ``("merge", comps)`` - move to ``comps`` without drawing;
 * ``("base", table, outcome)`` - draw a uniform subset of the components and
   return ``outcome(side)`` for the union ``side`` of the drawn ones; ``table``
@@ -33,12 +37,16 @@ caches the node of every visited state.  A node is one of
 A contraction merges the components one edge meets into one component M
 and leaves every other component, and every present edge outside M, as it
 was.  So on a cache miss right after a sample step (a level node's nested
-one included) ``Walk.run`` passes ``parent = (sample node, parent comps)``,
+one included) ``Walk.runs`` passes ``parent = (sample node, parent comps)``,
 and ``expand`` hands it to ``expansion``, the one rule that derives a
 state's present edges, edge counts and component labels, from the parent
 or, when ``parent`` is None (after a merge, a delegate or at the start),
 from scratch.  Both ways give equal nodes, and ``expand(comps)`` alone is
 the reference.
+
+``Walk.runs(rngs)`` is the one loop: it runs one walk per generator in one
+frame and yields each outcome.  ``Walk.run(rng)`` is its single walk, which
+a delegate node takes.
 
 Once the walk stops, the candidates pushed by level nodes are resolved
 innermost first: each replaces the outcome with probability 1/live, live
@@ -283,7 +291,7 @@ class Walk:
     """Cached absorbing-chain walk over the partitions of one hypergraph.
 
     Expansion is deterministic, so the cache changes nothing about the
-    sampled distribution; it makes a warm trial a few dictionary hops.
+    sampled distribution; it makes a warm trial a few list hops.
     """
 
     def __init__(self, G, expand, value, floor):
@@ -292,92 +300,100 @@ class Walk:
         self.expand = expand
         self.value = value
         self.floor = floor
-        self.cache: dict[tuple, tuple] = {}
+        self.cache: dict[tuple, tuple] = {}  # comps -> (comps, node)
+
+    def _entry(self, comps, parent=None):
+        """The ``(comps, node)`` entry of ``comps``: the cache's, or one
+        expanded (from ``parent``) and stored while the cache is under cap."""
+        entry = self.cache.get(comps)
+        if entry is None:
+            entry = (comps, self.expand(comps, parent))
+            if len(self.cache) < _WALK_CACHE_CAP:
+                self.cache[comps] = entry
+        return entry
 
     def fixed_outcome(self):
         """The outcome of every run if the start is terminal, else None."""
-        node = self.cache.get(self.start)
-        if node is None:
-            node = self.cache[self.start] = self.expand(self.start)
+        node = self._entry(self.start)[1]
         return node[1] if node[0] == "terminal" else None
 
     def run(self, rng, comps=None):
         """One walk from ``comps`` (default: the singleton partition);
         returns its outcome."""
-        if comps is None:
-            comps = self.start
+        return next(self.runs((rng,), comps))
+
+    def runs(self, rngs, comps=None):
+        """One walk per generator in ``rngs``, each from ``comps`` (default:
+        the singleton partition); yields each walk's outcome."""
         cache = self.cache
         masks = self.masks
-        getrandbits = rng.getrandbits
-        pending = None  # (decode, comps, raws) per level node passed
-        entry = None  # that of the draw node stopped at, or the survivor
-        prev = prev_comps = None  # the sample step that led here, if any
-        while True:
-            node = cache.get(comps)
-            if node is None:
-                node = self.expand(
-                    comps, None if prev is None else (prev, prev_comps))
-                if len(cache) < _WALK_CACHE_CAP:
-                    cache[comps] = node
-            tag = node[0]
-            if tag != "sample":
-                if tag == "level" or tag == "draw":
-                    draws = node[1]
-                    if callable(draws):
-                        raws = draws(rng)
-                    else:  # draw_below(rng, bound) each, written out
-                        raws = []
-                        for bound, bits in draws:
-                            r = getrandbits(bits)
-                            while r >= bound:
+        entry_of = self._entry
+        head = entry_of(self.start if comps is None else comps)
+        for rng in rngs:
+            stopped = None  # the draw node's candidate, or the survivor
+            pending = None  # (decode, comps, raws) per level passed
+            getrandbits = rng.getrandbits
+            comps, node = head
+            while True:
+                tag = node[0]
+                if tag != "sample":
+                    if tag == "level" or tag == "draw":
+                        draws = node[1]
+                        if callable(draws):
+                            raws = draws(rng)
+                        else:  # draw_below(rng, bound) each, written out
+                            raws = []
+                            for bound, bits in draws:
                                 r = getrandbits(bits)
-                            raws.append(r)
-                    if tag == "draw":
-                        entry = (node[2], comps, raws)
+                                while r >= bound:
+                                    r = getrandbits(bits)
+                                raws.append(r)
+                        if tag == "draw":
+                            stopped = (node[2], comps, raws)
+                            break
+                        if pending is None:
+                            pending = []
+                        pending.append((node[3], comps, raws))
+                        node = node[2]
+                    elif tag == "merge":
+                        comps, node = entry_of(node[1])
+                        continue
+                    else:
                         break
-                    if pending is None:
-                        pending = []
-                    pending.append((node[3], comps, raws))
-                    node = node[2]
-                elif tag == "merge":
-                    prev = None
-                    comps = node[1]
-                    continue
-                else:
-                    break
-            # a sample step: draw_below(rng, total), written out
-            total = node[2]
-            bits = total.bit_length()
-            r = getrandbits(bits)
-            while r >= total:
+                # a sample step: draw_below(rng, total), written out
+                total = node[2]
+                bits = total.bit_length()
                 r = getrandbits(bits)
-            idx = bisect_right(node[1], r)
-            nexts = node[4]
-            nxt = nexts[idx]
-            if nxt is None:
-                nxt = nexts[idx] = contract_comps(comps, masks[node[3][idx]])
-            prev, prev_comps = node, comps
-            comps = nxt
-        if tag == "base":
-            table = node[1]
-            bits = getrandbits(len(comps))
-            out = table.get(bits)
-            if out is None:
-                out = table[bits] = node[2](side_mask(comps, bits))
-        elif tag == "terminal":
-            out = node[1]
-        elif tag == "delegate":
-            out = node[1].run(rng, comps)
-        if pending:
-            for candidate in reversed(pending):
-                live = len(candidate[1])
-                bits = live.bit_length()
-                r = getrandbits(bits)
-                while r >= live:
+                while r >= total:
                     r = getrandbits(bits)
-                if r == 0:
-                    entry = candidate
-        if entry is not None:
-            decode, comps, raws = entry
-            out = decode(comps, raws)
-        return out
+                idx = bisect_right(node[1], r)
+                link = node[4][idx]
+                if link is None:
+                    nxt = contract_comps(comps, masks[node[3][idx]])
+                    link = entry_of(nxt, (node, comps))
+                    if cache.get(nxt) is link:  # only a cached entry
+                        node[4][idx] = link
+                comps, node = link
+            if tag == "base":
+                table = node[1]
+                bits = getrandbits(len(comps))
+                out = table.get(bits)
+                if out is None:
+                    out = table[bits] = node[2](side_mask(comps, bits))
+            elif tag == "terminal":
+                out = node[1]
+            elif tag == "delegate":
+                out = node[1].run(rng, comps)
+            if pending:
+                for candidate in reversed(pending):
+                    live = len(candidate[1])
+                    bits = live.bit_length()
+                    r = getrandbits(bits)
+                    while r >= live:
+                        r = getrandbits(bits)
+                    if r == 0:
+                        stopped = candidate
+            if stopped is not None:
+                decode, comps, raws = stopped
+                out = decode(comps, raws)
+            yield out

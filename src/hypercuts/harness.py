@@ -135,7 +135,7 @@ def _outcomes(walk, seed: int, start: int, count: int):
     a run per trial, or once for all a terminal start's one outcome."""
     fixed = walk.fixed_outcome()
     if fixed is None:
-        return map(walk.run, trial_rngs(seed, start, count)), 1
+        return walk.runs(trial_rngs(seed, start, count)), 1
     return (fixed,), count
 
 
@@ -170,7 +170,8 @@ def best_of_n(walk, trials: int | None, seed: int) -> BestOf:
 
     ``trials`` defaults to ``default_trials(walk.floor)``.  Only witnessed
     outcomes count, valued by ``walk.value(mask)`` (None rejects a cut).
-    Ties keep the earliest trial, and a terminal start is not walked.
+    Ties keep the earliest trial, so each distinct mask is valued once, and
+    a terminal start is not walked.
     """
     if trials is None:
         trials = default_trials(walk.floor)
@@ -180,13 +181,15 @@ def best_of_n(walk, trials: int | None, seed: int) -> BestOf:
     value = walk.value
     best_mask = best_val = None
     infeasible_runs = 0
+    seen = set()
     for out in outs:
         if out is INFEASIBLE:
             infeasible_runs += runs
             continue
         mask, witnessed = out
-        if not witnessed:
+        if not witnessed or mask in seen:
             continue
+        seen.add(mask)
         val = value(mask)
         if val is not None and (best_val is None or val < best_val):
             best_val, best_mask = val, mask

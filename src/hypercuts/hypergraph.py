@@ -55,7 +55,7 @@ class _Infeasible:
 INFEASIBLE = _Infeasible()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cut:
     """A cut as a canonical (sorted, deduplicated) tuple of original edge ids."""
 

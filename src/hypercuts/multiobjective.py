@@ -41,7 +41,7 @@ import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from math import comb
 
 from ._engine import (Walk, beats_last, contract_comps, delta_mask, expansion,
@@ -272,10 +272,10 @@ class _EnumContext:
             node[3][bits] = cut
         return cut
 
-    def run(self, rng: random.Random, out: set[int]) -> None:
-        """One invocation; adds the produced cut bitmasks to ``out``.
+    def run(self, rng: random.Random, out: set[int], count: int = 1) -> None:
+        """``count`` invocations; adds the produced cut bitmasks to ``out``.
 
-        The repetition follows stored steps while it can: a pick is
+        A repetition follows stored steps while it can: a pick is
         ``draw_below``, written out, one bisect and one list hop.  After its
         first draw with no step stored after it, ``_play`` finishes the
         repetition, or on the branch's second visit stops at the next draw
@@ -285,49 +285,50 @@ class _EnumContext:
         """
         getrandbits = rng.getrandbits
         last = len(self.schedules) - 1
-        step = self.first
-        if step is None:
-            cursors = list(self.roots)
-            found = self._play(rng, out, 0, 0, self.start, cursors, None,
-                               self._store())
-            if found is None:
-                return
-            step = self.first = self._new_step(found, cursors, None)
-        while True:
-            cum = step.cum
-            if cum is None:
-                bits = getrandbits(step.k)
-                if bits and bits != step.total:
-                    node = step.node
-                    cut = node[3].get(bits)
-                    out.add(self._cut(node, bits) if cut is None else cut)
-                at = 0
-            else:
-                total = step.total
-                k = step.k
-                r = getrandbits(k)
-                while r >= total:
+        for _ in range(count):
+            step = self.first
+            if step is None:
+                cursors = list(self.roots)
+                found = self._play(rng, out, 0, 0, self.start, cursors, None,
+                                   self._store())
+                if found is None:
+                    continue
+                step = self.first = self._new_step(found, cursors, None)
+            while True:
+                cum = step.cum
+                if cum is None:
+                    bits = getrandbits(step.k)
+                    if bits and bits != step.total:
+                        node = step.node
+                        cut = node[3].get(bits)
+                        out.add(self._cut(node, bits) if cut is None else cut)
+                    at = 0
+                else:
+                    total = step.total
+                    k = step.k
                     r = getrandbits(k)
-                at = bisect_right(cum, r)
-            nxt = step.next[at]
-            if nxt:
+                    while r >= total:
+                        r = getrandbits(k)
+                    at = bisect_right(cum, r)
+                nxt = step.next[at]
+                if nxt:
+                    step = nxt
+                    continue
+                if cum is None and step.sched == last:
+                    break
+                if nxt is None and self._store():  # first visit
+                    step.next[at] = False
+                cursors = list(step.cursors)
+                if cum is None:  # after a base draw the next schedule starts
+                    found = self._play(rng, out, step.sched + 1, 0,
+                                       self.start, cursors, None, nxt is False)
+                else:
+                    found = self._play(rng, out, step.sched, step.phase,
+                                       step.node, cursors, at, nxt is False)
+                if found is None:
+                    break
+                nxt = step.next[at] = self._new_step(found, cursors, step)
                 step = nxt
-                continue
-            if cum is None and step.sched == last:
-                return
-            if nxt is None and self._store():  # first visit
-                step.next[at] = False
-            cursors = list(step.cursors)
-            if cum is None:  # after a base draw the next schedule starts
-                found = self._play(rng, out, step.sched + 1, 0, self.start,
-                                   cursors, None, nxt is False)
-            else:
-                found = self._play(rng, out, step.sched, step.phase,
-                                   step.node, cursors, at, nxt is False)
-            if found is None:
-                return
-            nxt = step.next[at] = self._new_step(found, cursors, step)
-            step = nxt
 
     def _new_step(self, found, cursors, parent):
         """The step at ``found``, where ``_play`` stopped and left
@@ -477,8 +478,7 @@ def enumerate_multiobjective(G: Hypergraph, rng: random.Random,
     repetitions = enum_repetition_count(G, repetitions)
     ctx = _EnumContext(G, costs)
     masks: set[int] = set()
-    for _ in range(repetitions):
-        ctx.run(rng, masks)
+    ctx.run(rng, masks, repetitions)
     return {Cut.from_mask(m) for m in _prune_final_criterion(masks, costs)}
 
 
@@ -505,8 +505,7 @@ def verify_pareto_optimality(G: Hypergraph, cut: Cut, rng: random.Random,
         walk = _bmulti_walk(G, rotated, budgets)
         target = cut_vec[i]
         verdict: dict[int, bool] = {}
-        for _ in range(repetitions_per_criterion):
-            mask, proper = walk.run(rng)
+        for mask, proper in walk.runs(repeat(rng, repetitions_per_criterion)):
             if not proper:
                 continue
             hit = verdict.get(mask)

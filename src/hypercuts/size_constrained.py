@@ -152,6 +152,8 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
     # at or below base_limit, a level's candidate above it
     draws = [[(k, label_bits)] * live if live <= base_limit
              else level_draws(live) for live in range(G.n + 1)]
+    # C(x, sigma_{k-1}) for x <= n, an edge's weight by its live - |e|
+    alpha = [comb(x, sigma_lead) for x in range(G.n + 1)]
 
     def expand(comps, parent=None):
         live = len(comps)
@@ -164,7 +166,6 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
             return ("draw", draws[live], labelled)
         present, counts, _ = expansion(masks, comps, parent, count=True)
         settled = partial(settle, ids_mask(present))
-        alpha = [comb(x, sigma_lead) for x in range(live + 1)]
         node = sample_node(present, [alpha[live - c] * cost[eid]
                                      for eid, c in zip(present, counts)],
                            counts)

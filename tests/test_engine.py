@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
@@ -88,12 +89,14 @@ def test_sample_step_never_draws_zero_weight_edges():
         nxt = walk.run(rng)
         (eid,) = [e for e, em in enumerate(G.edge_masks) if em in nxt]
         counts[eid] += 1
-    assert walk.cache[walk.start] is node
+    assert walk.cache[walk.start] == (walk.start, node)
+    assert walk.cache[walk.start][1] is node
     assert set(counts) == {1, 3}
     # proportions roughly 3:5
     assert abs(counts[1] / 4000 - 3 / 8) < 0.05
-    # successor states are built only for the edges drawn
-    assert [nxt is not None for nxt in node[4]] == [False, True, False, True, False]
+    # successors are linked only for the edges drawn, each to its cache entry
+    assert [link is not None for link in node[4]] == [False, True, False, True, False]
+    assert all(link is walk.cache[link[0]] for link in node[4] if link)
 
 
 def test_sample_node_is_none_without_weight():
@@ -196,6 +199,12 @@ def comparable(node, comps):
 GRID = [(10, 14, 2, 3), (10, 14, 3, 2), (10, 12, 4, 2), (9, 12, 5, 1)]
 
 
+def grid_instance(shape):
+    n, m, rank, t = shape
+    return gen_random_instance(n, m, rank, t, 1, max_cost=4, max_weight=4,
+                               seed=n * 100 + rank, positive_weights=True)
+
+
 def walk_families(G):
     costs = sorted(c[0] for c in G.edge_costs)
     weights = sorted(w[0] for w in G.vertex_weights)
@@ -216,23 +225,22 @@ def walk_families(G):
 def test_incremental_expansion_equals_expansion_from_scratch(family, shape):
     # a cache miss after a sample step expands from the parent node; every
     # node cached that way must equal the one expand(comps) builds alone
-    n, m, rank, t = shape
-    G = gen_random_instance(n, m, rank, t, 1, max_cost=4, max_weight=4,
-                            seed=n * 100 + rank, positive_weights=True)
+    G = grid_instance(shape)
     walk = walk_families(G)[family]
     for i in range(2000):
         walk.run(derive_rng(5, i))
-    walks = [walk] + [node[1] for node in walk.cache.values()
+    walks = [walk] + [node[1] for _, node in walk.cache.values()
                       if node[0] == "delegate"][:1]
     inherited = 0
     for w in walks:
-        for comps, node in w.cache.items():
+        for comps, (key, node) in w.cache.items():
+            assert key is comps
             assert comparable(node, comps) == comparable(w.expand(comps),
                                                   comps), comps
             sample = node[2] if node[0] == "level" else node
             if sample[0] == "sample":
-                inherited += sum(nxt in w.cache for nxt in sample[4]
-                                 if nxt is not None)
+                inherited += sum(link[0] in w.cache for link in sample[4]
+                                 if link is not None)
     assert inherited >= 10
 
 
@@ -248,7 +256,7 @@ def test_counts_of_edges_wider_than_a_byte_expand_alike(family):
     for i in range(20):
         walk.run(derive_rng(9, i))
     wide = 0
-    for comps, node in walk.cache.items():
+    for comps, (_, node) in walk.cache.items():
         assert comparable(node, comps) == comparable(walk.expand(comps),
                                                   comps), comps
         sample = node[2] if node[0] == "level" else node
@@ -345,9 +353,7 @@ def frozen_run(walk, rng, cap, comps=None):
 def test_walk_run_matches_the_frozen_loop(monkeypatch, shape, family, cap):
     # the same outcome from the same generator calls, run after run, on a
     # warm walk and on one whose cache fills up
-    n, m, rank, t = shape
-    G = gen_random_instance(n, m, rank, t, 1, max_cost=4, max_weight=4,
-                            seed=n * 100 + rank, positive_weights=True)
+    G = grid_instance(shape)
     monkeypatch.setattr(_engine, "_WALK_CACHE_CAP", cap)
     walk, reference = walk_families(G)[family], walk_families(G)[family]
     for i in range(300):
@@ -355,6 +361,87 @@ def test_walk_run_matches_the_frozen_loop(monkeypatch, shape, family, cap):
         assert walk.run(a) == frozen_run(reference, b, cap), i
         assert a.getstate() == b.getstate(), i
     assert len(walk.cache) == min(cap, len(reference.cache))
+
+
+def mixed_walk(G):
+    """A k-cut walk whose draw nodes stop with a fixed outcome instead on
+    the states where vertex 1 has joined vertex 0: some runs stop at a draw
+    node and some at a terminal one, level candidates pending either way."""
+    walk = kcut_walk(G, 2, (1, 2))
+    expand = walk.expand
+
+    def mixed(comps, parent=None):
+        node = expand(comps, parent)
+        if node[0] == "draw" and comps[0] & 2:
+            return ("terminal", (0, False))
+        return node
+
+    walk.expand = mixed
+    return walk
+
+
+def runs_families(G):
+    return {**walk_families(G), "mixed": mixed_walk(G)}
+
+
+RUNS_FAMILIES = ["bmulti", "nb-constant", "nb-arbitrary", "hmincut", "kcut",
+                 "mixed"]
+
+
+@pytest.mark.parametrize("cap", [_engine._WALK_CACHE_CAP, 30],
+                         ids=["uncapped", "capped-30"])
+@pytest.mark.parametrize("family", RUNS_FAMILIES)
+@pytest.mark.parametrize("shape", GRID, ids=lambda s: "n%d-m%d-r%d-t%d" % s)
+def test_runs_equals_one_run_per_generator(monkeypatch, shape, family, cap):
+    # runs(rngs) is run(rng) once per generator: the same outcome and
+    # generator state after every walk and the same states cached, whether
+    # the walks share one generator or each has its own
+    G = grid_instance(shape)
+    monkeypatch.setattr(_engine, "_WALK_CACHE_CAP", cap)
+    single, batched = runs_families(G)[family], runs_families(G)[family]
+    rng = random.Random(4)
+    want = [(single.run(rng), rng.getstate()) for _ in range(300)]
+    rng = random.Random(4)
+    assert [(out, rng.getstate())
+            for out in batched.runs(repeat(rng, 300))] == want
+    want = []
+    for i in range(300):
+        rng = derive_rng(7, i)
+        want.append((single.run(rng), rng.getstate()))
+    rngs = [derive_rng(7, i) for i in range(300)]
+    assert [(out, rngs[i].getstate())
+            for i, out in enumerate(batched.runs(rngs))] == want
+    assert list(batched.cache) == list(single.cache)
+    assert len(batched.cache) <= cap
+
+
+@pytest.mark.parametrize("cap", [_engine._WALK_CACHE_CAP, 30],
+                         ids=["uncapped", "capped-30"])
+@pytest.mark.parametrize("family", RUNS_FAMILIES)
+@pytest.mark.parametrize("shape", GRID[:2],
+                         ids=lambda s: "n%d-m%d-r%d-t%d" % s)
+def test_links_are_the_cache_entries(monkeypatch, shape, family, cap):
+    # a sample node's successor link is the successor's own cache entry,
+    # never a copy of it, and no link keeps an uncached state alive
+    G = grid_instance(shape)
+    monkeypatch.setattr(_engine, "_WALK_CACHE_CAP", cap)
+    walk = runs_families(G)[family]
+    for _ in walk.runs(derive_rng(3, i) for i in range(600)):
+        pass
+    walks = [walk] + [node[1] for _, node in walk.cache.values()
+                      if node[0] == "delegate"][:1]
+    links = 0
+    for w in walks:
+        for comps, (key, node) in w.cache.items():
+            assert key is comps
+            sample = node[2] if node[0] == "level" else node
+            if sample[0] != "sample":
+                continue
+            for link in sample[4]:
+                if link is not None:
+                    assert w.cache.get(link[0]) is link, link[0]
+                    links += 1
+    assert links >= 10
 
 
 @pytest.mark.parametrize("family", ["bmulti", "nb-constant"])
@@ -379,7 +466,7 @@ def test_base_outcomes_witness_by_the_problems_rule(family, seed):
     for i in range(300):
         walk.run(derive_rng(seed, i))
     checked = complement_only = 0
-    for comps, node in walk.cache.items():
+    for comps, (_, node) in walk.cache.items():
         if node[0] != "base":
             continue
         for bits in range(1 << len(comps)):

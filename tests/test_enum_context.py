@@ -142,6 +142,26 @@ def test_cached_enumeration_matches_label_array_loop(shape):
         assert_same_as_reference(_EnumContext(G, costs), G, costs, seed, 150)
 
 
+@pytest.mark.parametrize("cap", [multiobjective._ENUM_CACHE_CAP, 40, 0],
+                         ids=["uncapped", "capped-40", "capped-0"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_counted_run_equals_single_runs(monkeypatch, shape, cap):
+    # run(rng, out, count) is count single repetitions in one frame: the
+    # same masks, generator state and stored entries after every call
+    monkeypatch.setattr(multiobjective, "_ENUM_CACHE_CAP", cap)
+    G, costs = _instance(shape, 2)
+    single, counted = _EnumContext(G, costs), _EnumContext(G, costs)
+    rng, ref_rng = random.Random(3), random.Random(3)
+    got, want = set(), set()
+    for count in (1, 2, 5, 30, 120):
+        for _ in range(count):
+            single.run(ref_rng, want)
+        counted.run(rng, got, count)
+        assert got == want
+        assert rng.getstate() == ref_rng.getstate()
+        assert counted.size == single.size <= cap
+
+
 def _trie_entries(node):
     # a branch is an entry once marked (False) and stays one once built
     return sum(1 + (_trie_entries(child) if child else 0)

@@ -391,6 +391,26 @@ def test_trial_loops_run_each_trial_on_its_derived_generator(algorithm):
                         **params) == want
 
 
+@pytest.mark.parametrize("algorithm", sorted(PROBLEMS))
+def test_best_of_n_values_each_witnessed_mask_once(algorithm):
+    # a mask seen again cannot beat the best it already set, so best_of_n
+    # values it once; the result is the one that values every trial
+    make, params_of, _ = SOLVE_CASES[algorithm]
+    G = make()
+    params = params_of(G)
+    make_walk, _, _ = PROBLEMS[algorithm]
+    walk = make_walk(G, **params)
+    value, valued = walk.value, []
+    walk.value = lambda mask: valued.append(mask) or value(mask)
+    best = best_of_n(walk, 400, 3)
+    witnessed = [out[0] for out in (walk.run(derive_rng(3, idx))
+                                    for idx in range(400))
+                 if out is not INFEASIBLE and out[1]]
+    assert sorted(valued) == sorted(set(witnessed))
+    assert len(valued) < len(witnessed)
+    assert best == _best_of_derived(make_walk(G, **params), 400, 3)
+
+
 class _SerialContext:
     """A stand-in for ``get_context("fork")`` whose pools record their size
     and run every call in this process."""

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 import warnings
 
 import pytest
@@ -108,6 +111,19 @@ def test_cut_canonical():
     assert Cut.of([1, 3]) == Cut.of([3, 1])
     assert Cut.from_mask(0b1010).edge_ids == (1, 3)
     assert Cut.of([1, 3]).mask() == 0b1010
+
+
+def test_cut_is_slotted_and_copies_equal_it():
+    cut = Cut.of([9, 1, 4])
+    assert not hasattr(cut, "__dict__")
+    copies = [pickle.loads(pickle.dumps(cut, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies + [copy.deepcopy(cut), copy.copy(cut)]:
+        assert other == cut and hash(other) == hash(cut)
+        assert other.edge_ids == (1, 4, 9)
+        assert {other: 1}[cut] == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cut.edge_ids = ()
 
 
 def test_load_minimal_instance():

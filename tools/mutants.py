@@ -53,8 +53,8 @@ MUTANTS = [
      "node = sample_node(present, [(live - k) * cost[eid]\n",
      "node = sample_node(present, [1\n", False),
     ("kcut-comb-sigma-plus-1", "size_constrained.py",
-     "alpha = [comb(x, sigma_lead) for x in range(live + 1)]",
-     "alpha = [comb(x, sigma_lead + 1) for x in range(live + 1)]", False),
+     "alpha = [comb(x, sigma_lead) for x in range(G.n + 1)]",
+     "alpha = [comb(x, sigma_lead + 1) for x in range(G.n + 1)]", False),
     ("nb-arbitrary-no-violator-term", "node_budgeted.py",
      "(live - k + bool(masks[eid] & bad))", "(live - k)", False),
     ("bmulti-ties-to-highest", "multiobjective.py",
@@ -106,6 +106,18 @@ MUTANTS = [
     ("best-of-n-ties-to-latest", "harness.py",
      "(best_val is None or val < best_val)",
      "(best_val is None or val <= best_val)", False),
+    # a walk that stops at no draw node and keeps no level candidate
+    # decodes the entry an earlier walk of the same call stopped at
+    ("runs-stopped-not-reset", "_engine.py",
+     "        for rng in rngs:\n"
+     "            stopped = None  # the draw node's candidate, or the survivor\n",
+     "        stopped = None\n"
+     "        for rng in rngs:\n", False),
+    # past the cap a link keeps an uncached successor alive; outputs stay
+    # the same, the bound on memory does not
+    ("walk-link-uncached", "_engine.py",
+     "if cache.get(nxt) is link:  # only a cached entry",
+     "if True:  # only a cached entry", False),
     # the criterion-8 generator never draws n = gamma + 8
     ("lemma-lp-sweep-narrow-n", "analysis.py",
      "n = gamma + rng.randrange(0, 9)", "n = gamma + rng.randrange(0, 8)",
