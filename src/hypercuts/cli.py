@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Subcommands: gen, solve, enumerate, verify, oracle, estimate, check.
-Global flags: --seed, --format text|json; ``estimate`` also takes --jobs.
+Global flag: --format text|json.  Families that draw take --seed (gen random,
+solve, enumerate, verify, estimate, check lemma-lp); estimate takes --jobs.
 
 Exit codes: 0 ok, 1 check failed, 2 usage error, 3 infeasible.
 
 Text output is one record per line, ``key<TAB>json-value``; json output is a
 single object.  A failed check (exit 1) or an infeasible instance (exit 3)
-prints its payload the same way; a usage error (exit 2) emits a
-machine-readable error object on stderr.
+prints its payload the same way.  A usage error (exit 2) that the library
+raises prints a machine-readable error object on stderr; one that argparse
+catches (a missing, unknown or malformed flag) prints argparse's usage text.
 """
 
 from __future__ import annotations
@@ -284,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     required = {"required": True}
     integer = {"type": int, "required": True}
     switch = {"action": "store_true"}
-    common = _group(("--seed", {"type": int, "default": 0}),
-                    ("--format", {"choices": ("text", "json"),
+    seed = _group(("--seed", {"type": int, "default": 0}))
+    common = _group(("--format", {"choices": ("text", "json"),
                                   "default": "text"}))
     instance = _group(("--instance", required))
     budgets = _group(("--budgets", required))
@@ -308,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     oracles = {"pareto": [], "multi": [], "parametric": [],
                "bmulti": [budgets], "nb-bmulti": [budgets], "kcut": [kcut]}
     # command -> (help, {family: (flag groups after common, handler)});
-    # every command but gen and check also takes --instance.
+    # gen and check take no --instance; families that draw nothing, no --seed.
+    unseeded = {"gen lowerbound", "check ratio-ineq",
+                *(f"oracle {family}" for family in oracles)}
     commands = {
         "gen": ("generate instances", {
             "lowerbound": ([_group(n, ("--t", integer), out)], cmd_gen),
@@ -351,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
             dest="family", required=True)
         located = [] if command in ("gen", "check") else [instance]
         for family, (groups, func) in families.items():
-            fsub.add_parser(family, parents=[common, *located, *groups]
+            drawn = [] if f"{command} {family}" in unseeded else [seed]
+            fsub.add_parser(family, parents=[*drawn, common, *located, *groups]
                             ).set_defaults(func=func.__name__)
     return parser
 

@@ -20,7 +20,7 @@ import hashlib
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import get_context
 
@@ -55,7 +55,7 @@ class TrialReport:
     seed: int
     note: str = ""
     optima: int = 0
-    extra: dict = field(default_factory=dict)
+    fixed_target: Cut | None = None
 
     @property
     def frequency(self) -> float:
@@ -91,7 +91,8 @@ class TrialReport:
             "seed": self.seed,
             "optima": self.optima,
             **({"note": self.note} if self.note else {}),
-            **self.extra,
+            **({"fixed_target": list(self.fixed_target.edge_ids)}
+               if self.fixed_target is not None else {}),
         }
 
 
@@ -305,9 +306,7 @@ def estimate(G: Hypergraph, algorithm: str, *, trials: int | None = None,
                            seed, note="instance infeasible; counting trials "
                            "that witness no cut")
     return TrialReport(algorithm, digest, trials, successes, walk.floor, seed,
-                       optima=len(optima),
-                       extra={"fixed_target": sorted(fixed_target.edge_ids)}
-                       if fixed_target is not None else {})
+                       optima=len(optima), fixed_target=fixed_target)
 
 
 def _pipeline_run(state, idx: int) -> dict:

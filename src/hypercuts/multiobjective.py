@@ -163,10 +163,11 @@ def interleaving_schedules(n: int, r: int, t: int) -> list[tuple[int, ...]]:
 # branches and the first step, all counted alike.  Past it, new partition
 # entries are built, used and dropped, orders go on over off-trie nodes and
 # repetitions finish in the loop, so a long run on a large instance stays in
-# bounded memory.  The bound is on entries, not bytes: trie branches may take
-# the whole cap, and a built trie node copies its order and cumulative
-# weights, about 230 + 16m bytes for costs below 256 (CPython 3.11).  At
-# m=25 a cache of trie nodes alone would hold about 41 MB, more at larger m.
+# bounded memory.  The bound is on entries, not bytes.  At n=10, m=25 the
+# cache holds 13.8 MB as it fills and 15.0 MB after 200,000 repetitions, as
+# marked branches are built (tracemalloc, CPython 3.11).  A built trie node
+# copies its order and cumulative weights, about 230 + 16m bytes for costs
+# below 256, so at m=25 a cache of trie nodes alone would hold about 41 MB.
 _ENUM_CACHE_CAP = 1 << 16
 
 

@@ -23,7 +23,6 @@ The oracles that minimise one value pick their optima through ``_optima``.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from fractions import Fraction
 from itertools import permutations, product
 
 from ._engine import (beats_last, contract_comps, delta_mask, front, ids_mask,
@@ -192,37 +191,27 @@ def oracle_bmulti(catalog: CutCatalog, budgets) -> set[Cut]:
 def oracle_parametric_t2(catalog: CutCatalog) -> set[Cut]:
     """Cuts minimal under lam*c1 + (1-lam)*c2 for some lam strictly in (0,1).
 
-    The minimum over cuts is the lower envelope of their lines in lam, whose
-    pieces are the vertices of the lower-left convex hull of the distinct
-    cost vectors.  So every cut is weighed, in exact integers, at the
-    envelope's breakpoints and at the midpoints around them; a cut minimal
-    anywhere in (0,1) is minimal at one of those.  Restricted to t = 2.
+    The minimum over cuts is the lower envelope of their lines in lam.  A
+    vector is on it for some lam in (0,1) exactly when it lies on the
+    lower-left convex hull chain of the distinct vectors, collinear points
+    included: sorted by c1, each lower in c2 than the last, and none above
+    the chord between its neighbours.  Restricted to t = 2.
     """
     if catalog.t != 2:
         raise InstanceError("parametric membership oracle supports t=2 only")
-    vectors = sorted(set(catalog.costs.values()))
     hull = []
-    for a1, a2 in vectors:
+    for a1, a2 in sorted(set(catalog.costs.values())):
         if hull and a2 >= hull[-1][1]:
             continue  # no lower in c2 than a vector no higher in c1
-        # drop the last vertex while it lies on or above the chord to here
+        # drop the last vertex while it lies strictly above the chord to here
         while len(hull) > 1:
             (o1, o2), (p1, p2) = hull[-2:]
-            if (p1 - o1) * (a2 - o2) > (p2 - o2) * (a1 - o1):
+            if (p1 - o1) * (a2 - o2) >= (p2 - o2) * (a1 - o1):
                 break
             hull.pop()
         hull.append((a1, a2))
-    # lines a and b cross where lam*(a1-a2) + a2 = lam*(b1-b2) + b2
-    breaks = [Fraction(a2 - b2, (a2 - b2) + (b1 - a1))
-              for (a1, a2), (b1, b2) in zip(hull, hull[1:])]
-    bounds = [Fraction(0)] + breaks + [Fraction(1)]
-    best = set()
-    for lam in breaks + [(lo + hi) / 2 for lo, hi in zip(bounds, bounds[1:])]:
-        p, q = lam.numerator, lam.denominator
-        values = [p * c1 + (q - p) * c2 for c1, c2 in vectors]
-        low = min(values, default=None)
-        best.update(c for c, v in zip(vectors, values) if v == low)
-    return {cut for cut, cost in catalog.costs.items() if cost in best}
+    chain = set(hull)
+    return {cut for cut, cost in catalog.costs.items() if cost in chain}
 
 
 def _optima(candidates):

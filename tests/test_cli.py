@@ -1,5 +1,4 @@
 import argparse
-import copy
 import json
 import pathlib
 from fractions import Fraction
@@ -360,6 +359,21 @@ def test_load_rejects_float_cost(tmp_path, capsys):
     assert json.loads(err)["code"] == 2
 
 
+@pytest.mark.parametrize("rows", [[[1], [1]], [[1], [1], [1], [1]]])
+def test_a_cost_row_count_other_than_the_edge_count_exits_2(tmp_path, capsys,
+                                                            rows):
+    doc = {"n": 3, "t_costs": 1, "t_weights": 0,
+           "edges": [[0, 1], [1, 2], [0, 2]], "edge_costs": rows,
+           "vertex_weights": [[], [], []]}
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "solve", "hmincut", "--instance",
+                             str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "edge_costs must have one row per edge",
+                               "code": 2}
+
+
 @pytest.fixture()
 def pareto_instance(tmp_path, capsys):
     path = tmp_path / "pareto.json"
@@ -549,9 +563,9 @@ def test_gen_reports_unwritable_out_as_usage_error(tmp_path, capsys, family,
     assert json.loads(err)["code"] == 2
 
 
-# The option surface of every subcommand as first recorded:
-# subcommand -> handler and (flags, dest, default, type, choices, action,
-# required) per option.
+# The option surface of every subcommand, as recorded from
+# ``cli_surface(build_parser())``: subcommand -> handler and (flags, dest,
+# default, type, choices, action, required) per option.
 SURFACE = json.loads((pathlib.Path(__file__).parent / "cli_surface.json")
                      .read_text())
 
@@ -576,17 +590,8 @@ def cli_surface(parser) -> dict:
     return surface
 
 
-def test_cli_surface_is_the_recorded_one_less_enumerate_multi_verify_reps():
-    expected = copy.deepcopy(SURFACE)
-    expected["enumerate multi"]["options"].remove(
-        [["--verify-reps"], "verify_reps", "auto", None, None, "_StoreAction",
-         False])
-    # only the estimate families act on --jobs, so only they take it
-    for name, entry in expected.items():
-        if not name.startswith("estimate "):
-            entry["options"].remove([["--jobs"], "jobs", 1, "int", None,
-                                     "_StoreAction", False])
-    assert cli_surface(build_parser()) == expected
+def test_cli_surface_is_the_recorded_one():
+    assert cli_surface(build_parser()) == SURFACE
 
 
 def test_the_parser_is_built_once_per_process():
@@ -626,6 +631,23 @@ def test_solve_takes_no_jobs(instance_path, capsys):
               "--jobs", "2"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "lowerbound", "--n", "4", "--t", "2", "--out", "lb.json"],
+    ["check", "ratio-ineq", "--max-n", "4"],
+    *(["oracle", *family, "--instance", "inst.json"] for family in (
+        ["pareto"], ["multi"], ["parametric"], ["bmulti", "--budgets", "5"],
+        ["nb-bmulti", "--budgets", "5"],
+        ["kcut", "--k", "2", "--sizes", "1,1"])),
+])
+def test_families_that_draw_nothing_take_no_seed(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "0"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --seed 0" in err
 
 
 @pytest.mark.parametrize("value", ["5", "banana"])

@@ -160,6 +160,18 @@ def test_load_rejections():
         load_instance(json.dumps(bad))
 
 
+# three edges with one cost row short, which would index past the rows, and
+# one row over, which would be dropped, were the rows not counted
+@pytest.mark.parametrize("rows", [[[2], [3]], [[2], [3], [5], [7]]])
+def test_load_rejects_a_cost_row_count_other_than_the_edge_count(rows):
+    doc = {"n": 3, "t_costs": 1, "t_weights": 0,
+           "edges": [[0, 1], [1, 2], [0, 2]], "edge_costs": rows,
+           "vertex_weights": [[], [], []]}
+    with pytest.raises(InstanceError,
+                       match="^edge_costs must have one row per edge$"):
+        load_instance(json.dumps(doc))
+
+
 def _doc():
     return {"n": 3, "t_costs": 1, "t_weights": 1, "edges": [[0, 1], [1, 2]],
             "edge_costs": [[2], [3]], "vertex_weights": [[1], [2], [4]]}

@@ -300,7 +300,8 @@ def test_a_fixed_target_out_of_order_names_its_ids():
     with pytest.raises(InstanceError, match="strictly increasing"):
         estimate(G, "hmincut", trials=10, fixed_target=Cut((6, 5, 1, 0)))
     rep = estimate(G, "hmincut", trials=10, fixed_target=Cut.of((6, 5, 1, 0)))
-    assert rep.extra == {"fixed_target": [0, 1, 5, 6]}
+    assert rep.fixed_target == Cut((0, 1, 5, 6))
+    assert rep.to_dict()["fixed_target"] == [0, 1, 5, 6]
 
 
 # (name, call with the flag set to ``value``).  A flag is True or False, so

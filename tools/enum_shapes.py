@@ -18,8 +18,9 @@ runs in a subprocess of its own, and the tree that goes first alternates
 between rounds.  One more subprocess per tree and shape repeats the run under
 ``tracemalloc``, started once the instance is built.  For each shape the
 script prints the microseconds per timed repetition as median [q1, q3] per
-tree and the ratio of the medians (new / old), whether both trees end with
-the same generator state and cut set, the entries the context holds by kind
+tree (``bench_pairs.spread``, the quartile rule of the BENCH files) and the
+ratio of the medians (new / old), whether both trees end with the same
+generator state and cut set, the entries the context holds by kind
 (draw-trie branches, partition nodes with their links and cuts, draw steps)
 and the memory tracemalloc counts as held at the end of the run and at its
 peak (MB of 10^6 bytes).
@@ -36,6 +37,8 @@ import os
 import statistics
 import subprocess
 import sys
+
+from bench_pairs import spread
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 BENCH = os.path.join(os.path.dirname(HERE), "perfbench")
@@ -116,13 +119,6 @@ def run_one(tree, shape, traced=False):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def quartiles(values):
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4)
-    return q2, q1, q3
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old")
@@ -144,10 +140,11 @@ def main(argv=None):
     for shape in SHAPES:
         print(f"{shape}:")
         for key in trees:
-            med, q1, q3 = quartiles(times[shape, key])
+            row = spread(times[shape, key])
             traced = run_one(trees[key], shape, traced=True)
             res = last[shape, key]
-            print(f"  {key}  {med:8.2f} us/rep [{q1:.2f}, {q3:.2f}]"
+            print(f"  {key}  {row['median']:8.2f} us/rep"
+                  f" [{row['q1']:.2f}, {row['q3']:.2f}]"
                   f"  entries {res['tries']} trie + {res['partitions']}"
                   f" partition + {res['steps']} step"
                   f" = {res['tries'] + res['partitions'] + res['steps']}"

@@ -122,6 +122,16 @@ MUTANTS = [
     ("lemma-lp-sweep-narrow-n", "analysis.py",
      "n = gamma + rng.randrange(0, 9)", "n = gamma + rng.randrange(0, 8)",
      False),
+    # a vector on a hull edge between two vertices is minimal at that edge's
+    # breakpoint, so dropping collinear vertices loses parametric cuts
+    ("parametric-hull-drops-collinear", "oracle.py",
+     "if (p1 - o1) * (a2 - o2) >= (p2 - o2) * (a1 - o1):",
+     "if (p1 - o1) * (a2 - o2) > (p2 - o2) * (a1 - o1):", False),
+    # a row short raises IndexError, a row over is silently dropped
+    ("loader-no-cost-row-count", "hypergraph.py",
+     "    if len(doc_costs) != len(doc_edges):\n"
+     "        raise InstanceError(\"edge_costs must have one row per edge\")\n",
+     "", False),
 ]
 
 CONFTEST = f'''
