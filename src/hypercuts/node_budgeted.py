@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from ._engine import (Walk, contract_comps, delta_mask, expansion, ids_mask,
+from ._engine import (Walk, contract_comps, delta_mask, expansion,
                       initial_comps, mask_sum, sample_node, side_mask)
 from .hypergraph import Cut, Hypergraph, INFEASIBLE, exact_int, exact_ints
 from .sampling import LazyWeightedOrder
@@ -70,11 +70,12 @@ def _contract_infeasible(comps, fits):
 def _min_cut_walk(G: Hypergraph, cost) -> Walk:
     """Non-uniform contraction weights (|V|-|e|)/|V| * c(e).
 
-    When every weight is zero each remaining edge spans all components, so
-    the full present edge set is the unique cut and is returned.  Its floor
-    is 1/C(n,2); the caller rejects n < 2.
+    When every weight is zero each remaining edge of positive cost spans
+    all components, so every bipartition of them costs the same and the walk
+    cuts off the first one.  Its floor is 1/C(n,2); the caller rejects
+    n < 2.
     """
-    masks = G.edge_masks
+    masks, full = G.edge_masks, G.full_mask
 
     def expand(comps, parent=None):
         present, counts, _ = expansion(masks, comps, parent, count=True)
@@ -82,7 +83,7 @@ def _min_cut_walk(G: Hypergraph, cost) -> Walk:
         node = sample_node(present, [(live - k) * cost[eid]
                                      for eid, k in zip(present, counts)],
                            counts)
-        return node or ("terminal", (ids_mask(present), True))
+        return node or ("terminal", (delta_mask(masks, comps[0], full), True))
 
     return Walk(G, expand, lambda mask: mask_sum(cost, mask),
                 Fraction(1, comb(G.n, 2)))
@@ -160,10 +161,10 @@ def nb_arbitrary_walk(G: Hypergraph, budgets) -> Walk:
                            counts, flags)
         set_ok = fits(feas_mask)
         if node is None:
-            # every edge covers all feasible components
+            # every edge of positive cost covers all feasible components
             if set_ok and len(feasible) < len(comps):
                 return ("terminal", (delta_mask(masks, feas_mask, full), True))
-            return ("terminal", (ids_mask(present), True))
+            return ("terminal", (delta_mask(masks, feasible[0], full), True))
         return delegate if set_ok else node
 
     return Walk(G, expand, min_cut.value, floor)

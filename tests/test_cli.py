@@ -7,7 +7,8 @@ import pytest
 
 from hypercuts import analysis, cli, harness, oracle
 from hypercuts.cli import build_parser, main
-from hypercuts.hypergraph import Hypergraph, load_instance, save_instance
+from hypercuts.hypergraph import (Cut, Hypergraph, load_instance,
+                                  save_instance)
 from hypercuts.multiobjective import default_verify_repetitions
 
 
@@ -79,6 +80,27 @@ def test_solve_hmincut_matches_oracle(instance_path, capsys):
     from hypercuts.oracle import build_catalog, oracle_min_cut
     G = load_instance(instance_path.read_bytes())
     assert rec["cost"] == oracle_min_cut(build_catalog(G))[0]
+
+
+def test_hmincut_on_zero_costs_prints_a_cut(tmp_path, capsys):
+    # every edge of the zero-cost triangle is present once no weight is
+    # left, and the three together are no cut
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({
+        "n": 3, "t_costs": 1, "t_weights": 0,
+        "edges": [[0, 1], [1, 2], [0, 2]], "edge_costs": [[0]] * 3,
+        "vertex_weights": [[]] * 3}))
+    code, out, _ = run_cli(capsys, "solve", "hmincut", "--instance",
+                           str(path))
+    assert code == 0
+    rec = parse_text(out)
+    G = load_instance(path.read_bytes())
+    assert rec["cost"] == 0
+    assert oracle.is_cut(G, Cut.of(rec["cut"]))
+    code, out, _ = run_cli(capsys, "estimate", "hmincut", "--instance",
+                           str(path), "--trials", "200")
+    assert code == 0
+    assert parse_text(out)["passed"] is True
 
 
 def test_solve_kcut_and_nb(instance_path, capsys):

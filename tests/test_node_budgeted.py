@@ -14,7 +14,9 @@ from hypercuts.node_budgeted import (hmincut_walk, nb_arbitrary_walk,
                                      nb_multi_enum_constant_rank,
                                      success_floor_node,
                                      success_floor_node_arbitrary)
-from hypercuts.oracle import (build_catalog, oracle_min_cut, oracle_nb_bmulti)
+from hypercuts.harness import estimate, solve
+from hypercuts.oracle import (build_catalog, is_cut, oracle_min_cut,
+                              oracle_nb_bmulti)
 from hypercuts.sampling import derive_rng
 
 
@@ -103,6 +105,44 @@ def test_hmincut_disconnected_returns_empty():
     walk = hmincut_walk(G)
     outs = {one_run(walk, derive_rng(2, i)) for i in range(20)}
     assert Cut.of([]) in outs  # empty cut separates the components
+
+
+@pytest.mark.parametrize("algorithm, params", [
+    ("hmincut", {}), ("nb-bmulti-arbitrary", {"budgets": ()})])
+def test_zero_cost_triangle_gives_a_cut(algorithm, params):
+    # with no weight left every edge is present, yet the set of all three
+    # is no cut: a zero-cost edge need not span every component
+    G = Hypergraph(3, [(0, 1), (1, 2), (0, 2)], [(0,), (0,), (0,)])
+    best = solve(G, algorithm, trials=50, seed=0, **params)
+    assert best.value == 0
+    assert is_cut(G, best.cut)
+    assert estimate(G, algorithm, trials=200, seed=0, **params).passed
+
+
+def zero_cost_sweep():
+    """(seed, G, walk) over small seeded instances where costs of zero are
+    common: hmincut and the budget-free nb-arbitrary walk on unweighted
+    ones, and nb-arbitrary on weighted ones at a budget varied per seed."""
+    for s in range(300):
+        G = gen_random_instance(7, 10, 3, 1, 0, max_cost=2, seed=s)
+        yield s, G, hmincut_walk(G)
+        yield s, G, nb_arbitrary_walk(G, ())
+        G = gen_random_instance(7, 10, 3, 1, 1, max_cost=2, max_weight=4,
+                                seed=s, positive_weights=True)
+        w = sorted(x[0] for x in G.vertex_weights)
+        yield s, G, nb_arbitrary_walk(G, (w[s % 7] + w[s // 7 % 7],))
+
+
+def test_every_outcome_on_zero_cost_instances_is_a_cut():
+    checked = 0
+    for s, G, walk in zero_cost_sweep():
+        masks = {out[0] for out in (walk.run(derive_rng(s, i))
+                                    for i in range(200))
+                 if out is not INFEASIBLE}
+        for mask in masks:
+            assert is_cut(G, Cut.from_mask(mask)), (s, mask)
+        checked += len(masks)
+    assert checked >= 1000
 
 
 def test_nb_constant_two_vertex_base():
