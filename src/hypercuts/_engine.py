@@ -31,8 +31,7 @@ of
   candidate ``(decode, comps, raws)`` and take one step of the nested
   sample node.  ``draws`` lists ``(bound, bits)``, each a ``draw_below(rng,
   bound)`` of ``bits = bound.bit_length()``, or is one call ``draws(rng)``
-  where the count of draws depends on their values;
-* ``("delegate", walk)`` - continue with another walk from this state.
+  where the count of draws depends on their values.
 
 A contraction merges the components one edge meets into one component M
 and leaves every other component, and every present edge outside M, as it
@@ -40,13 +39,11 @@ was.  So on a cache miss right after a sample step (a level node's nested
 one included) ``Walk.runs`` passes ``parent = (sample node, parent comps)``,
 and ``expand`` hands it to ``expansion``, the one rule that derives a
 state's present edges, edge counts and component labels, from the parent
-or, when ``parent`` is None (after a merge, a delegate or at the start),
-from scratch.  Both ways give equal nodes, and ``expand(comps)`` alone is
-the reference.
+or, when ``parent`` is None (after a merge or at the start), from scratch.
+Both ways give equal nodes, and ``expand(comps)`` alone is the reference.
 
 ``Walk.runs(rngs)`` is the one loop: it runs one walk per generator in one
-frame and yields each outcome.  ``Walk.run(rng)`` is its single walk, which
-a delegate node takes.
+frame and yields each outcome.  ``Walk.run(rng)`` is its single walk.
 
 Once the walk stops, the candidates pushed by level nodes are resolved
 innermost first: each replaces the outcome with probability 1/live, live
@@ -317,18 +314,17 @@ class Walk:
         node = self._entry(self.start)[1]
         return node[1] if node[0] == "terminal" else None
 
-    def run(self, rng, comps=None):
-        """One walk from ``comps`` (default: the singleton partition);
-        returns its outcome."""
-        return next(self.runs((rng,), comps))
+    def run(self, rng):
+        """One walk from the singleton partition; returns its outcome."""
+        return next(self.runs((rng,)))
 
-    def runs(self, rngs, comps=None):
-        """One walk per generator in ``rngs``, each from ``comps`` (default:
-        the singleton partition); yields each walk's outcome."""
+    def runs(self, rngs):
+        """One walk per generator in ``rngs``, each from the singleton
+        partition; yields each walk's outcome."""
         cache = self.cache
         masks = self.masks
         entry_of = self._entry
-        head = entry_of(self.start if comps is None else comps)
+        head = entry_of(self.start)
         for rng in rngs:
             stopped = None  # the draw node's candidate, or the survivor
             pending = None  # (decode, comps, raws) per level passed
@@ -382,8 +378,6 @@ class Walk:
                     out = table[bits] = node[2](side_mask(comps, bits))
             elif tag == "terminal":
                 out = node[1]
-            elif tag == "delegate":
-                out = node[1].run(rng, comps)
             if pending:
                 for candidate in reversed(pending):
                     live = len(candidate[1])

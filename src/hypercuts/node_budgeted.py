@@ -3,11 +3,12 @@
 The constant-rank solver interleaves cost-proportional uniform contractions
 with a deterministic step merging all budget-violating vertices into one.
 The arbitrary-rank solver replaces uniform contraction with the non-uniform
-weights alpha_e = |U \\ e|/|U| * c(e) over the set U of feasible vertices and
-delegates to the plain non-uniform min-cut solver (beta_e weights) once U as
-a whole fits the budgets.  The enumeration variant moves all randomness into
-a single cost-weighted permutation: it contracts along it once and sweeps
-each distinct contraction state once over every tuple of weight thresholds.
+weights alpha_e = |U \\ e|/|U| * c(e) over the set U of feasible vertices.
+Once U as a whole fits the budgets the same walk switches to the plain
+non-uniform min-cut weights (beta_e), for good: every later U fits too.  The
+enumeration variant moves all randomness into a single cost-weighted
+permutation: it contracts along it once and sweeps each distinct
+contraction state once over every tuple of weight thresholds.
 
 Costs are the hypergraph's first cost criterion and weights its vertex
 weight criteria, both read from the hypergraph itself.  INFEASIBLE is a
@@ -67,14 +68,16 @@ def _contract_infeasible(comps, fits):
     return comps, feasible
 
 
-def _min_cut_walk(G: Hypergraph, cost) -> Walk:
-    """Non-uniform contraction weights (|V|-|e|)/|V| * c(e).
+def hmincut_walk(G: Hypergraph) -> Walk:
+    """The non-uniform contraction min-cut walk as a reusable cached ``Walk``.
 
-    When every weight is zero each remaining edge of positive cost spans
-    all components, so every bipartition of them costs the same and the walk
-    cuts off the first one.  Its floor is 1/C(n,2); the caller rejects
-    n < 2.
+    Contraction weights are (|V|-|e|)/|V| * c(e).  When every weight is
+    zero each remaining edge of positive cost spans all components, so every
+    bipartition of them costs the same and the walk cuts off the first one.
+    Its floor is 1/C(n,2).
     """
+    exact_int(G.n, "vertex count", 2)
+    cost = G.costs_by_criterion()[0]
     masks, full = G.edge_masks, G.full_mask
 
     def expand(comps, parent=None):
@@ -87,12 +90,6 @@ def _min_cut_walk(G: Hypergraph, cost) -> Walk:
 
     return Walk(G, expand, lambda mask: mask_sum(cost, mask),
                 Fraction(1, comb(G.n, 2)))
-
-
-def hmincut_walk(G: Hypergraph) -> Walk:
-    """The non-uniform contraction min-cut walk as a reusable cached ``Walk``."""
-    exact_int(G.n, "vertex count", 2)
-    return _min_cut_walk(G, G.costs_by_criterion()[0])
 
 
 def nb_constant_walk(G: Hypergraph, budgets) -> Walk:
@@ -131,15 +128,16 @@ def nb_constant_walk(G: Hypergraph, budgets) -> Walk:
 def nb_arbitrary_walk(G: Hypergraph, budgets) -> Walk:
     """The arbitrary-rank node-budgeted walk as a reusable cached ``Walk``.
 
-    Contraction weights are |U \\ e|/|U| * c(e) over the feasible components
-    U; once U as a whole fits the budgets the walk continues as the plain
-    min-cut walk.  A state without feasible components is INFEASIBLE.
+    While the union U of the feasible components busts the budgets, an edge
+    weighs |U \\ e|/|U| * c(e).  Once U fits, the weights are the min-cut
+    walk's (|V|-|e|)/|V| * c(e).  That switch is absorbing: a contraction
+    either stays inside U or joins the violating component, so every later
+    feasible union is a subset of U and fits too.  With no weight left every
+    edge of positive cost covers all feasible components, and the walk cuts
+    off the first one.  A state without feasible components is INFEASIBLE.
     """
     fits, cost = nb_inputs(G, budgets)
     masks, full = G.edge_masks, G.full_mask
-    floor = success_floor_node_arbitrary(G.n)
-    min_cut = _min_cut_walk(G, cost)
-    delegate = ("delegate", min_cut)
 
     def expand(comps, parent=None):
         present, counts, flags = expansion(masks, comps, parent,
@@ -153,21 +151,21 @@ def nb_arbitrary_walk(G: Hypergraph, budgets) -> Walk:
         feas_mask = 0
         for c in feasible:
             feas_mask |= c
-        # k counts the violating component too (at most one is left)
-        live, bad = len(feasible), ~feas_mask
+        # k counts the violating component too (at most one is left); once
+        # U fits, live counts it as well and the min-cut weights apply
+        if fits(feas_mask):
+            live, bad = len(comps), 0
+        else:
+            live, bad = len(feasible), ~feas_mask
         node = sample_node(present, [(live - k + bool(masks[eid] & bad))
                                      * cost[eid]
                                      for eid, k in zip(present, counts)],
                            counts, flags)
-        set_ok = fits(feas_mask)
-        if node is None:
-            # every edge of positive cost covers all feasible components
-            if set_ok and len(feasible) < len(comps):
-                return ("terminal", (delta_mask(masks, feas_mask, full), True))
-            return ("terminal", (delta_mask(masks, feasible[0], full), True))
-        return delegate if set_ok else node
+        return node or ("terminal",
+                        (delta_mask(masks, feasible[0], full), True))
 
-    return Walk(G, expand, min_cut.value, floor)
+    return Walk(G, expand, lambda mask: mask_sum(cost, mask),
+                success_floor_node_arbitrary(G.n))
 
 
 def nb_multi_enum_constant_rank(G: Hypergraph, rng: random.Random) -> set[Cut]:

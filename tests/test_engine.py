@@ -16,7 +16,8 @@ from hypercuts.hypergraph import Hypergraph
 from hypercuts.sampling import derive_rng
 from hypercuts.multiobjective import bmulti_walk, success_floor_edge
 from hypercuts.node_budgeted import (hmincut_walk, nb_arbitrary_walk,
-                                     nb_constant_walk, success_floor_node,
+                                     nb_constant_walk, nb_inputs,
+                                     success_floor_node,
                                      success_floor_node_arbitrary)
 from hypercuts.size_constrained import _picks, kcut_walk, success_floor_size
 
@@ -188,7 +189,7 @@ def comparable(node, comps):
                    for seed in range(4)]
         inner = comparable(node[2], comps) if tag == "level" else None
         return (tag, node[1], decoded, inner)
-    if tag in ("merge", "terminal", "delegate"):
+    if tag in ("merge", "terminal"):
         return node
     return (tag,)
 
@@ -205,10 +206,14 @@ def grid_instance(shape):
                                seed=n * 100 + rank, positive_weights=True)
 
 
+def grid_node_budget(G):
+    weights = sorted(w[0] for w in G.vertex_weights)
+    return (weights[G.n // 2] + weights[-1],)
+
+
 def walk_families(G):
     costs = sorted(c[0] for c in G.edge_costs)
-    weights = sorted(w[0] for w in G.vertex_weights)
-    node_budget = (weights[G.n // 2] + weights[-1],)
+    node_budget = grid_node_budget(G)
     budgets = (costs[len(costs) // 2] * 2,) * (G.t_costs - 1)
     return {
         "bmulti": bmulti_walk(G, budgets),
@@ -229,19 +234,50 @@ def test_incremental_expansion_equals_expansion_from_scratch(family, shape):
     walk = walk_families(G)[family]
     for i in range(2000):
         walk.run(derive_rng(5, i))
-    walks = [walk] + [node[1] for _, node in walk.cache.values()
-                      if node[0] == "delegate"][:1]
     inherited = 0
-    for w in walks:
-        for comps, (key, node) in w.cache.items():
-            assert key is comps
-            assert comparable(node, comps) == comparable(w.expand(comps),
-                                                  comps), comps
-            sample = node[2] if node[0] == "level" else node
-            if sample[0] == "sample":
-                inherited += sum(link[0] in w.cache for link in sample[4]
-                                 if link is not None)
+    for comps, (key, node) in walk.cache.items():
+        assert key is comps
+        assert comparable(node, comps) == comparable(walk.expand(comps),
+                                                     comps), comps
+        sample = node[2] if node[0] == "level" else node
+        if sample[0] == "sample":
+            inherited += sum(link[0] in walk.cache for link in sample[4]
+                             if link is not None)
     assert inherited >= 10
+
+
+@pytest.mark.parametrize("shape", GRID, ids=lambda s: "n%d-m%d-r%d-t%d" % s)
+def test_nb_arbitrary_takes_the_min_cut_weights_once_its_feasible_set_fits(
+        shape):
+    # where the union U of the feasible components fits the budget, the
+    # arbitrary-rank walk's node samples or stops as the min-cut walk's
+    # does; the switch is absorbing, so every linked successor's U fits too
+    G = grid_instance(shape)
+    walk = walk_families(G)["nb-arbitrary"]
+    min_cut = hmincut_walk(G)
+    fits, _ = nb_inputs(G, grid_node_budget(G))
+
+    def union_fits(comps):
+        """At most one component violates, and the others' union fits."""
+        feasible = [c for c in comps if fits(c)]
+        return len(feasible) >= len(comps) - 1 and fits(sum(feasible))
+
+    for i in range(2000):
+        walk.run(derive_rng(5, i))
+    fitting = linked = 0
+    for comps, (_, node) in walk.cache.items():
+        if not union_fits(comps):
+            continue
+        fitting += 1
+        want = min_cut.expand(comps)
+        assert node[0] == want[0], comps
+        if node[0] == "sample":
+            assert (node[3], node[1]) == (want[3], want[1]), comps
+            for link in node[4]:
+                if link is not None:
+                    assert union_fits(link[0]), link[0]
+                    linked += 1
+    assert fitting >= 10 and linked >= 20
 
 
 @pytest.mark.parametrize("family", ["hmincut", "nb-arbitrary", "kcut"])
@@ -292,12 +328,11 @@ def frozen_sample_step(node, comps, edge_masks, rng):
     return nxt
 
 
-def frozen_run(walk, rng, cap, comps=None):
+def frozen_run(walk, rng, cap):
     """``Walk.run`` written plainly, its sample step the function
     ``frozen_sample_step`` and its draws ``draw_raws``, caching at most
     ``cap`` states."""
-    if comps is None:
-        comps = walk.start
+    comps = walk.start
     cache = walk.cache
     masks = walk.masks
     pending = []
@@ -333,8 +368,6 @@ def frozen_run(walk, rng, cap, comps=None):
         out = node[1]
     elif tag == "draw":
         entry = (node[2], comps, draw_raws(node[1], rng))
-    else:
-        out = frozen_run(node[1], rng, cap, comps)
     # innermost first: the outermost level whose coin comes up 0 survives
     for candidate in reversed(pending):
         if draw_below(rng, len(candidate[1])) == 0:
@@ -428,19 +461,16 @@ def test_links_are_the_cache_entries(monkeypatch, shape, family, cap):
     walk = runs_families(G)[family]
     for _ in walk.runs(derive_rng(3, i) for i in range(600)):
         pass
-    walks = [walk] + [node[1] for _, node in walk.cache.values()
-                      if node[0] == "delegate"][:1]
     links = 0
-    for w in walks:
-        for comps, (key, node) in w.cache.items():
-            assert key is comps
-            sample = node[2] if node[0] == "level" else node
-            if sample[0] != "sample":
-                continue
-            for link in sample[4]:
-                if link is not None:
-                    assert w.cache.get(link[0]) is link, link[0]
-                    links += 1
+    for comps, (key, node) in walk.cache.items():
+        assert key is comps
+        sample = node[2] if node[0] == "level" else node
+        if sample[0] != "sample":
+            continue
+        for link in sample[4]:
+            if link is not None:
+                assert walk.cache.get(link[0]) is link, link[0]
+                links += 1
     assert links >= 10
 
 

@@ -57,6 +57,14 @@ MUTANTS = [
      "alpha = [comb(x, sigma_lead + 1) for x in range(G.n + 1)]", False),
     ("nb-arbitrary-no-violator-term", "node_budgeted.py",
      "(live - k + bool(masks[eid] & bad))", "(live - k)", False),
+    # alpha weights after U fits: the min-cut walk's weights never apply
+    ("nb-arbitrary-alpha-after-fit", "node_budgeted.py",
+     "if fits(feas_mask):", "if False:", False),
+    # a weightless min-cut state stops with every present edge, which is
+    # no cut when a zero-cost edge spans only some components
+    ("min-cut-stop-present-edges", "node_budgeted.py",
+     "delta_mask(masks, comps[0], full)",
+     "sum(1 << eid for eid in present)", False),
     ("bmulti-ties-to-highest", "multiobjective.py",
      "key=lambda j: (-sizes[j], j)", "key=lambda j: (-sizes[j], -j)", False),
     ("nb-constant-no-fitting-complement", "node_budgeted.py",
