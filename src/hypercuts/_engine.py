@@ -6,7 +6,9 @@ lets the repeated-trial solvers memoize per-state data (present edges,
 sampling tables) across Monte-Carlo runs on the same instance.
 
 All five algorithms are the same absorbing chain over these states; only
-the edge-weight rule and the stopping rule differ.  An algorithm supplies
+the edge-weight rule and the stopping rule differ.  The min-cut walk is the
+arbitrary-rank node-budgeted walk on which every vertex set fits, so the
+five share four rules.  An algorithm supplies
 them as an ``expand(comps, parent=None) -> node`` function, and ``Walk``
 caches every visited state as an entry ``(comps, node)``.  A node is one
 of

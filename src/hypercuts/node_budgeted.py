@@ -5,7 +5,8 @@ with a deterministic step merging all budget-violating vertices into one.
 The arbitrary-rank solver replaces uniform contraction with the non-uniform
 weights alpha_e = |U \\ e|/|U| * c(e) over the set U of feasible vertices.
 Once U as a whole fits the budgets the same walk switches to the plain
-non-uniform min-cut weights (beta_e), for good: every later U fits too.  The
+non-uniform min-cut weights (beta_e), for good: every later U fits too.  So
+the min-cut walk is this walk on which every vertex set fits.  The
 enumeration variant moves all randomness into a single cost-weighted
 permutation: it contracts along it once and sweeps each distinct
 contraction state once over every tuple of weight thresholds.
@@ -68,30 +69,6 @@ def _contract_infeasible(comps, fits):
     return comps, feasible
 
 
-def hmincut_walk(G: Hypergraph) -> Walk:
-    """The non-uniform contraction min-cut walk as a reusable cached ``Walk``.
-
-    Contraction weights are (|V|-|e|)/|V| * c(e).  When every weight is
-    zero each remaining edge of positive cost spans all components, so every
-    bipartition of them costs the same and the walk cuts off the first one.
-    Its floor is 1/C(n,2).
-    """
-    exact_int(G.n, "vertex count", 2)
-    cost = G.costs_by_criterion()[0]
-    masks, full = G.edge_masks, G.full_mask
-
-    def expand(comps, parent=None):
-        present, counts, _ = expansion(masks, comps, parent, count=True)
-        live = len(comps)
-        node = sample_node(present, [(live - k) * cost[eid]
-                                     for eid, k in zip(present, counts)],
-                           counts)
-        return node or ("terminal", (delta_mask(masks, comps[0], full), True))
-
-    return Walk(G, expand, lambda mask: mask_sum(cost, mask),
-                Fraction(1, comb(G.n, 2)))
-
-
 def nb_constant_walk(G: Hypergraph, budgets) -> Walk:
     """The constant-rank node-budgeted walk as a reusable cached ``Walk``.
 
@@ -136,7 +113,27 @@ def nb_arbitrary_walk(G: Hypergraph, budgets) -> Walk:
     edge of positive cost covers all feasible components, and the walk cuts
     off the first one.  A state without feasible components is INFEASIBLE.
     """
-    fits, cost = nb_inputs(G, budgets)
+    return _karger_walk(G, *nb_inputs(G, budgets),
+                        success_floor_node_arbitrary(G.n))
+
+
+def hmincut_walk(G: Hypergraph) -> Walk:
+    """The non-uniform contraction min-cut walk as a reusable cached ``Walk``.
+
+    It is the arbitrary-rank walk on which every vertex set fits: U is all
+    of V, so an edge weighs (|V|-|e|)/|V| * c(e).  When every weight is
+    zero each remaining edge of positive cost spans all components, so every
+    bipartition of them costs the same and the walk cuts off the first one.
+    Its floor is 1/C(n,2).
+    """
+    exact_int(G.n, "vertex count", 2)
+    return _karger_walk(G, lambda mask: True, G.costs_by_criterion()[0],
+                        Fraction(1, comb(G.n, 2)))
+
+
+def _karger_walk(G: Hypergraph, fits, cost, floor: Fraction) -> Walk:
+    """The walk of ``nb_arbitrary_walk`` with the vertex sets ``fits``
+    accepts as feasible, edge costs ``cost`` and success floor ``floor``."""
     masks, full = G.edge_masks, G.full_mask
 
     def expand(comps, parent=None):
@@ -164,8 +161,7 @@ def nb_arbitrary_walk(G: Hypergraph, budgets) -> Walk:
         return node or ("terminal",
                         (delta_mask(masks, feasible[0], full), True))
 
-    return Walk(G, expand, lambda mask: mask_sum(cost, mask),
-                success_floor_node_arbitrary(G.n))
+    return Walk(G, expand, lambda mask: mask_sum(cost, mask), floor)
 
 
 def nb_multi_enum_constant_rank(G: Hypergraph, rng: random.Random) -> set[Cut]:
