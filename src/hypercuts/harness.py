@@ -7,7 +7,8 @@ the walk; ``estimate`` runs it many times against the oracle and reports
 the empirical hit frequency of the oracle-optimal set next to the
 algorithm's proven probability floor.  The pass policy is one-sided: the
 floors are lower bounds, so a run passes when the empirical frequency is no
-more than three binomial standard deviations below the floor.
+more than three binomial standard deviations below the floor.  That rule is
+decided in exact rationals; the float ``z_slack`` is only reported.
 
 Reports are reproducible: trial i uses a generator derived from
 (master seed, i), so results are independent of execution order and of the
@@ -75,7 +76,10 @@ class TrialReport:
 
     @property
     def passed(self) -> bool:
-        return self.z_slack >= -3.0
+        """z >= -3, decided exactly: f >= p, or (p - f)^2 * trials is at
+        most 9 p (1 - p).  The float ``z_slack`` is for display."""
+        p, f = self.floor, Fraction(self.successes, self.trials)
+        return f >= p or (p - f) ** 2 * self.trials <= 9 * p * (1 - p)
 
     def to_dict(self) -> dict:
         return {

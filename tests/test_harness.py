@@ -251,6 +251,17 @@ def test_trial_report_z_slack_degenerate_sigma():
     assert rep2.z_slack == -math.inf and not rep2.passed
 
 
+@pytest.mark.parametrize("trials, successes",
+                         [(49, 14), (81, 27), (100, 35), (196, 77),
+                          (289, 119)])
+def test_trial_report_passes_at_exactly_three_sigma_below(trials, successes):
+    # z is exactly -3 at floor 1/2, where the float z_slack reads below -3
+    rep = TrialReport("x", "d", trials, successes, Fraction(1, 2), 0)
+    assert rep.passed
+    assert not TrialReport("x", "d", trials, successes - 1, Fraction(1, 2),
+                           0).passed
+
+
 def test_pipeline_equivalence_small():
     G = small_instance()
     report = pipeline_equivalence(G, seed=7, runs=3, repetitions=4000,
