@@ -47,7 +47,7 @@ from math import comb
 from ._engine import (Walk, beats_last, contract_comps, delta_mask, expansion,
                       front, ids_mask, initial_comps, mask_sum,
                       present_edge_ids, sample_node, side_mask)
-from .hypergraph import Cut, Hypergraph, exact_int, exact_ints
+from .hypergraph import Cut, Hypergraph, InstanceError, exact_int, exact_ints
 from .sampling import DrawNode
 
 __all__ = [
@@ -427,17 +427,30 @@ class _EnumContext:
         return None
 
 
+def _times_log_n(count: int, n: int, what: str, flags: str) -> int:
+    """ceil(count * ln max(n, 2)); InstanceError when ``count`` is past the
+    float range, asking for the repetition count through ``flags``."""
+    try:
+        return math.ceil(count * math.log(max(n, 2)))
+    except OverflowError:
+        raise InstanceError(f"the default {what} count overflows a float; "
+                            f"give one explicitly ({flags})") from None
+
+
 def default_enum_repetitions(n: int, r: int, t: int) -> int:
     """Repetition count making the collection a superset of the budget-optimal
     cuts with high probability (asymptotic bound instantiated with constant 1)."""
     _check_shape(n, r, t)  # so the count is at least 1
-    return math.ceil(r * r * t * (2 ** (r * t)) * (n ** (2 * t)) * math.log(max(n, 2)))
+    return _times_log_n(r * r * t * (2 ** (r * t)) * (n ** (2 * t)), n,
+                        "enumeration repetition", "--reps")
 
 
 def default_verify_repetitions(n: int, r: int, t: int) -> int:
     """Per-criterion repetition count for the dominance search."""
     _check_shape(n, r, t)  # so the count is at least 1
-    return math.ceil(r * (2 ** (r * t)) * (n ** (2 * t)) * math.log(max(n, 2)))
+    return _times_log_n(r * (2 ** (r * t)) * (n ** (2 * t)), n,
+                        "verification repetition",
+                        "--verify-reps; --reps for verify pareto")
 
 
 def enum_repetition_count(G: Hypergraph, repetitions: int | None) -> int:

@@ -341,6 +341,24 @@ def test_solve_rejects_zero_trials_on_single_criterion(tmp_path, capsys):
     assert json.loads(err)["code"] == 2
 
 
+@pytest.mark.parametrize("argv", [["enumerate", "multi"],
+                                  ["enumerate", "pareto"],
+                                  ["estimate", "pipeline"],
+                                  ["verify", "pareto", "--cut", "0"]])
+def test_default_repetitions_past_the_float_range_exit_2(tmp_path, capsys,
+                                                         argv):
+    path = tmp_path / "t150.json"
+    code, _, _ = run_cli(capsys, "gen", "random", "--n", "6", "--m", "9",
+                         "--rank", "2", "--t-costs", "150", "--t-weights",
+                         "0", "--out", str(path))
+    assert code == 0
+    code, out, err = run_cli(capsys, *argv, "--instance", str(path),
+                             "--reps", "auto")
+    assert code == 2
+    assert out == ""
+    assert "overflows a float" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("argv", [["bmulti", "--budgets", "banana"],
                                   ["nb-bmulti", "--budgets", "x"],
                                   ["kcut", "--k", "2", "--sizes", "x"]])

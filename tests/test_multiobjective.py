@@ -9,6 +9,7 @@ from hypercuts.hypergraph import Cut, Hypergraph, InstanceError
 from hypercuts.multiobjective import (_class_of, _EnumContext,
                                       _prune_final_criterion, bmulti_walk,
                                       default_enum_repetitions,
+                                      default_verify_repetitions,
                                       enum_repetition_count,
                                       enumerate_multiobjective,
                                       enumerate_pareto,
@@ -251,6 +252,18 @@ def test_enumerate_pareto_subset_and_oracle_match():
 def test_default_repetitions_formula():
     assert default_enum_repetitions(6, 2, 2) == math.ceil(
         4 * 2 * 16 * 6 ** 4 * math.log(6))
+
+
+def test_default_repetitions_past_the_float_range_are_usage_errors():
+    # at n=6, r=2 the counts leave the float range from t=142 and t=143
+    assert default_enum_repetitions(6, 2, 141) == math.ceil(
+        4 * 141 * 2 ** 282 * 6 ** 282 * math.log(6))
+    assert default_verify_repetitions(6, 2, 142) == math.ceil(
+        2 * 2 ** 284 * 6 ** 284 * math.log(6))
+    with pytest.raises(InstanceError, match="--reps"):
+        default_enum_repetitions(6, 2, 142)
+    with pytest.raises(InstanceError, match="--verify-reps"):
+        default_verify_repetitions(6, 2, 143)
 
 
 def test_enum_repetition_count_defaults_and_validates():
