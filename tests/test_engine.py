@@ -280,6 +280,20 @@ def test_nb_arbitrary_takes_the_min_cut_weights_once_its_feasible_set_fits(
     assert fitting >= 10 and linked >= 20
 
 
+@pytest.mark.parametrize("shape", GRID, ids=lambda s: "n%d-m%d-r%d-t%d" % s)
+def test_min_cut_walk_is_the_arbitrary_rank_walk_where_every_set_fits(shape):
+    # at budgets of each weight column's total every vertex set fits, so
+    # the two walks make the same generator calls and outcomes run by run
+    G = grid_instance(shape)
+    totals = tuple(sum(col) for col in G.weights_by_criterion())
+    min_cut, arbitrary = hmincut_walk(G), nb_arbitrary_walk(G, totals)
+    for i in range(300):
+        a, b = derive_rng(7, i), derive_rng(7, i)
+        assert min_cut.run(a) == arbitrary.run(b), i
+        assert a.getstate() == b.getstate(), i
+    assert len(min_cut.cache) == len(arbitrary.cache) >= 20
+
+
 @pytest.mark.parametrize("family", ["hmincut", "nb-arbitrary", "kcut"])
 def test_counts_of_edges_wider_than_a_byte_expand_alike(family):
     # one edge meets 270 singletons, a count too large for a byte, so the
