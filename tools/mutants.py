@@ -49,9 +49,12 @@ GOLDENS = ("tests/test_golden.py",
            "tests/test_acceptance.py::test_criterion_2_enumeration_pipelines")
 
 MUTANTS = [
+    # in the walk hmincut shares with nb-arbitrary, every present edge
+    # weighs 1, whatever its cost and size
     ("hmincut-uniform-weights", "node_budgeted.py",
-     "node = sample_node(present, [(live - k) * cost[eid]\n",
-     "node = sample_node(present, [1\n", False),
+     "[(live - k + bool(masks[eid] & bad))\n"
+     "                                     * cost[eid]\n",
+     "[1\n", False),
     ("kcut-comb-sigma-plus-1", "size_constrained.py",
      "alpha = [comb(x, sigma_lead) for x in range(G.n + 1)]",
      "alpha = [comb(x, sigma_lead + 1) for x in range(G.n + 1)]", False),
@@ -60,10 +63,10 @@ MUTANTS = [
     # alpha weights after U fits: the min-cut walk's weights never apply
     ("nb-arbitrary-alpha-after-fit", "node_budgeted.py",
      "if fits(feas_mask):", "if False:", False),
-    # a weightless min-cut state stops with every present edge, which is
-    # no cut when a zero-cost edge spans only some components
+    # a weightless min-cut or arbitrary-rank state stops with every present
+    # edge, which is no cut when a zero-cost edge spans only some components
     ("min-cut-stop-present-edges", "node_budgeted.py",
-     "delta_mask(masks, comps[0], full)",
+     "delta_mask(masks, feasible[0], full)",
      "sum(1 << eid for eid in present)", False),
     ("bmulti-ties-to-highest", "multiobjective.py",
      "key=lambda j: (-sizes[j], j)", "key=lambda j: (-sizes[j], -j)", False),
@@ -110,6 +113,10 @@ MUTANTS = [
     # no count takes all that is left, so the x_j = 1 vertices are skipped
     ("lp-grid-drops-full-counts", "analysis.py",
      "for c in range(left + 1):", "for c in range(left):", False),
+    # a report exactly three standard deviations below its floor fails
+    ("pass-boundary-strict", "harness.py",
+     "(p - f) ** 2 * self.trials <= 9 * p * (1 - p)",
+     "(p - f) ** 2 * self.trials < 9 * p * (1 - p)", False),
     # ties keep the latest trial, where the docs keep the earliest
     ("best-of-n-ties-to-latest", "harness.py",
      "(best_val is None or val < best_val)",
