@@ -8,10 +8,9 @@ sampling tables) across Monte-Carlo runs on the same instance.
 All five algorithms are the same absorbing chain over these states; only
 the edge-weight rule and the stopping rule differ.  The min-cut walk is the
 arbitrary-rank node-budgeted walk on which every vertex set fits, so the
-five share four rules.  An algorithm supplies
-them as an ``expand(comps, parent=None) -> node`` function, and ``Walk``
-caches every visited state as an entry ``(comps, node)``.  A node is one
-of
+five share four rules.  An algorithm supplies them as an
+``expand(comps, parent=None) -> node`` function, and ``Walk`` caches every
+visited state as an entry ``(comps, node)``.  A node is one of
 
 * ``("sample", cum, total, eids, nexts, counts, labels)`` - contract edge
   ``eids[i]`` with probability proportional to its weight (``cum`` holds the
