@@ -10,7 +10,6 @@ trials independent and safe to execute in any order or in parallel.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from itertools import accumulate
 
 from ._engine import draw_below
@@ -99,21 +98,42 @@ class LazyWeightedOrder:
     Equivalent to drawing the full permutation upfront by repeatedly picking a
     not-yet-chosen item with probability proportional to its weight, but only
     the consumed prefix is actually drawn.  Weights must be positive
-    integers.  A pick is a ``DrawNode``'s: ``draw_below`` of the total and a
-    bisect for the first running sum of the items left above it.
+    integers.  A pick is a ``DrawNode``'s: ``draw_below`` of the total, and
+    the first item left whose running sum is above the draw.  A Fenwick tree
+    over the original positions, with a drawn item's weight set to 0, finds
+    that item by one top-down descent, so a pick is O(log m).
     """
 
     def __init__(self, items, weights, rng: random.Random):
         self._items = list(items)
-        self._cum = list(accumulate(weights))
+        self._weights = list(weights)
+        self._total = sum(self._weights)
+        self._tree = tree = [0] + self._weights  # 1-based Fenwick sums
+        for i in range(1, len(tree)):
+            j = i + (i & -i)
+            if j < len(tree):
+                tree[j] += tree[i]
         self._rng = rng
         self.prefix: list = []
 
     def ensure(self, length: int) -> None:
         """Materialize the first ``length`` entries (or all, if fewer remain)."""
-        prefix, items, cum, rng = self.prefix, self._items, self._cum, self._rng
-        while len(prefix) < length and cum and cum[-1] > 0:
-            pos = bisect_right(cum, draw_below(rng, cum[-1]))
-            w = cum[pos] - cum[pos - 1] if pos else cum[0]
-            prefix.append(items.pop(pos))
-            cum[pos:] = [c - w for c in cum[pos + 1:]]
+        prefix, tree, rng = self.prefix, self._tree, self._rng
+        m = len(self._items)
+        top = 1 << m.bit_length() >> 1  # the largest power of 2 <= m
+        while len(prefix) < length and self._total > 0:
+            r = draw_below(rng, self._total)
+            pos, step = 0, top
+            while step:  # the most positions whose sum is at most r
+                nxt = pos + step
+                if nxt <= m and tree[nxt] <= r:
+                    pos = nxt
+                    r -= tree[nxt]
+                step >>= 1
+            w = self._weights[pos]
+            prefix.append(self._items[pos])
+            self._total -= w
+            pos += 1
+            while pos <= m:
+                tree[pos] -= w
+                pos += pos & -pos

@@ -1,8 +1,8 @@
 import random
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
-
-from bisect import bisect_right
 
 from hypercuts import sampling
 from hypercuts._engine import draw_below
@@ -89,6 +89,43 @@ def test_lazy_order_matches_eager_draw():
     lazy.ensure(6)
     assert lazy.prefix[:3] == first
     assert lazy.prefix == eager.prefix
+
+
+class BisectOrder:
+    """``LazyWeightedOrder`` as it drew before its Fenwick tree: a bisect of
+    the running sums of the items left, rebuilt after each pick."""
+
+    def __init__(self, items, weights, rng):
+        self._items = list(items)
+        self._cum = list(accumulate(weights))
+        self._rng = rng
+        self.prefix = []
+
+    def ensure(self, length):
+        prefix, items, cum, rng = self.prefix, self._items, self._cum, self._rng
+        while len(prefix) < length and cum and cum[-1] > 0:
+            pos = bisect_right(cum, draw_below(rng, cum[-1]))
+            w = cum[pos] - cum[pos - 1] if pos else cum[0]
+            prefix.append(items.pop(pos))
+            cum[pos:] = [c - w for c in cum[pos + 1:]]
+
+
+def test_lazy_order_matches_the_bisect_rule():
+    # the same prefix and generator state after each of several partial
+    # ensure calls, over orders of every length from 0 to 59
+    draw = random.Random(2024)
+    for case in range(3000):
+        m = case % 60
+        items = draw.sample(range(1000), m)
+        weights = [draw.randint(1, 8) for _ in range(m)]
+        rngs = random.Random(case), random.Random(case)
+        lazy = LazyWeightedOrder(items, weights, rngs[0])
+        frozen = BisectOrder(items, weights, rngs[1])
+        for length in sorted(draw.randint(0, m + 2) for _ in range(3)) + [m]:
+            lazy.ensure(length)
+            frozen.ensure(length)
+            assert lazy.prefix == frozen.prefix
+            assert rngs[0].getstate() == rngs[1].getstate()
 
 
 def test_lazy_order_exhaustion():
