@@ -189,9 +189,8 @@ def cmd_enumerate(args) -> dict:
         cuts = multiobjective.enumerate_pareto(G, rng, **params)
     used = {"repetitions": multiobjective.enum_repetition_count(
         G, params["repetitions"])}
-    if args.family == "pareto":
-        used["verify_repetitions"] = multiobjective.verify_repetition_count(
-            G, params["verify_repetitions"])
+    if params.get("verify_repetitions") is not None:  # the check ran
+        used["verify_repetitions"] = params["verify_repetitions"]
     return _collection(G, args.family, cuts, **used)
 
 

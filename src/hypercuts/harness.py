@@ -329,9 +329,11 @@ def pipeline_equivalence(G: Hypergraph, seed: int, runs: int,
                          jobs: int = 1) -> dict:
     """Repeatedly run the enumeration pipelines and compare with the oracle.
 
-    Each run enumerates the budget-optimal collection once and derives the
-    pareto set by the randomized dominance filter; the report carries per-run
-    exact-match flags against the oracle sets plus aggregate hit counts.
+    Each run enumerates the budget-optimal collection once and takes the
+    pareto set as its dominance front, which a given ``verify_repetitions``
+    count also passes through the randomized dominance check (see
+    ``pareto_pipeline``); the report carries per-run exact-match flags
+    against the oracle sets plus aggregate hit counts.
     Misses are reported, never masked.  Run i draws from its own generator,
     so ``jobs`` forked workers share the runs without changing the report.
     """
@@ -339,7 +341,8 @@ def pipeline_equivalence(G: Hypergraph, seed: int, runs: int,
     exact_int(runs, "runs", 1)
     exact_int(jobs, "jobs", 1)
     repetitions = enum_repetition_count(G, repetitions)
-    verify_repetitions = verify_repetition_count(G, verify_repetitions)
+    if verify_repetitions is not None:
+        verify_repetitions = verify_repetition_count(G, verify_repetitions)
     catalog = build_catalog(G)
     true_multi = oracle_multiobjective(catalog)
     true_pareto = oracle_pareto(catalog)

@@ -13,8 +13,10 @@
   every budget-optimal cut appears with high probability, and the union is
   pruned by the final criterion through ``_engine.front``, the sorted front
   that ``oracle_multiobjective`` and ``oracle_pareto`` use too.
-* ``pareto_pipeline`` / ``enumerate_pareto`` - keep the enumerated cuts
-  that survive the randomized dominance search.
+* ``pareto_pipeline`` / ``enumerate_pareto`` - the enumerated collection's
+  own dominance front, which is the pareto set once the collection holds
+  every multiobjective min-cut; a given verify count adds the randomized
+  dominance search as an opt-in check.
 * ``verify_pareto_optimality`` - one-sided dominance test: TRUE is always
   correct for a pareto-optimal input, FALSE is only returned on an explicit
   dominating witness.
@@ -48,6 +50,7 @@ from ._engine import (Walk, beats_last, contract_comps, delta_mask, expansion,
                       front, ids_mask, initial_comps, mask_sum,
                       present_edge_ids, sample_node, side_mask)
 from .hypergraph import Cut, Hypergraph, InstanceError, exact_int, exact_ints
+from .oracle import dominates
 from .sampling import DrawNode
 
 __all__ = [
@@ -450,7 +453,8 @@ def default_verify_repetitions(n: int, r: int, t: int) -> int:
     _check_shape(n, r, t)  # so the count is at least 1
     return _times_log_n(r * (2 ** (r * t)) * (n ** (2 * t)), n,
                         "verification repetition",
-                        "--verify-reps; --reps for verify pareto")
+                        "verify pareto --reps; --verify-reps auto runs "
+                        "no check")
 
 
 def enum_repetition_count(G: Hypergraph, repetitions: int | None) -> int:
@@ -537,21 +541,27 @@ def pareto_pipeline(G: Hypergraph, rng: random.Random,
                     ) -> tuple[set[Cut], set[Cut]]:
     """(enumerated collection, its pareto-optimal subset).
 
-    The collection comes from ``enumerate_multiobjective``; each of its cuts,
-    in edge-id order, then goes through the randomized dominance check with
-    the same generator.  The verify repetition count is checked before the
-    enumeration runs.
+    The collection comes from ``enumerate_multiobjective``.  Its dominance
+    front (``oracle.dominates``) is the pareto set once it holds every
+    multiobjective min-cut, as every pareto-optimal cut is one.  Given a
+    ``verify_repetitions`` count, checked before the enumeration runs, each
+    front cut, in edge-id order, then goes through the randomized dominance
+    check with the same generator; else nothing is drawn after it.
     """
-    verify_repetitions = verify_repetition_count(G, verify_repetitions)
+    if verify_repetitions is not None:
+        verify_repetitions = verify_repetition_count(G, verify_repetitions)
     collection = enumerate_multiobjective(G, rng, repetitions)
-    pareto = {cut for cut in sorted(collection, key=lambda c: c.edge_ids)
-              if verify_pareto_optimality(G, cut, rng, verify_repetitions)}
+    pareto = front({cut: G.cut_costs(cut) for cut in collection}, dominates)
+    if verify_repetitions is not None:
+        pareto = {cut for cut in sorted(pareto, key=lambda c: c.edge_ids)
+                  if verify_pareto_optimality(G, cut, rng, verify_repetitions)}
     return collection, pareto
 
 
 def enumerate_pareto(G: Hypergraph, rng: random.Random,
                      repetitions: int | None = None,
                      verify_repetitions: int | None = None) -> set[Cut]:
-    """Pareto-optimal cuts: the enumerated collection filtered by the
-    randomized dominance check.  Always a subset of the collection."""
+    """Pareto-optimal cuts: the dominance front of the enumerated
+    collection, through the randomized dominance check only when
+    ``verify_repetitions`` is given.  Always a subset of the collection."""
     return pareto_pipeline(G, rng, repetitions, verify_repetitions)[1]

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from hypercuts import analysis, cli, harness, oracle
+from hypercuts import analysis, cli, harness, multiobjective, oracle
 from hypercuts.cli import build_parser, main
 from hypercuts.hypergraph import (Cut, Hypergraph, load_instance,
                                   save_instance)
-from hypercuts.multiobjective import default_verify_repetitions
+from hypercuts.sampling import derive_rng
 
 
 def run_cli(capsys, *argv):
@@ -707,21 +707,44 @@ def test_enumerate_reports_the_repetition_counts_it_used(tmp_path, capsys,
                          "--rank", "2", "--t-costs", "2", "--t-weights", "0",
                          "--seed", "3", "--out", str(path))
     assert code == 0
-    G = load_instance(path.read_bytes())
-    want = (default_verify_repetitions(G.n, G.rank, G.t_costs)
-            if verify_reps == "auto" else 7)
     code, out, _ = run_cli(capsys, "enumerate", "pareto", "--instance",
                            str(path), "--reps", "20", "--verify-reps",
                            verify_reps)
     assert code == 0
     rec = parse_text(out)
-    assert (rec["repetitions"], rec["verify_repetitions"]) == (20, want)
+    assert rec["repetitions"] == 20
+    # --verify-reps auto runs no dominance check, so it reports no count
+    assert rec.get("verify_repetitions") == (None if verify_reps == "auto"
+                                             else 7)
     # enumerate multi runs no dominance check, so it reports no count for one
     code, out, _ = run_cli(capsys, "enumerate", "multi", "--instance",
                            str(path), "--reps", "20")
     assert code == 0
     rec = parse_text(out)
     assert rec["repetitions"] == 20 and "verify_repetitions" not in rec
+
+
+@pytest.mark.parametrize("verify_reps", [None, "auto", "7"])
+def test_enumerate_pareto_verifies_only_when_given_a_count(
+        pareto_instance, capsys, monkeypatch, verify_reps):
+    counts = []
+    verify = multiobjective.verify_pareto_optimality
+
+    def counted(G, cut, rng, repetitions_per_criterion=None):
+        counts.append(repetitions_per_criterion)
+        return verify(G, cut, rng, repetitions_per_criterion)
+
+    G = load_instance(pareto_instance.read_bytes())
+    front = multiobjective.pareto_pipeline(G, derive_rng(0, 0), 50)[1]
+    monkeypatch.setattr(multiobjective, "verify_pareto_optimality", counted)
+    argv = ["enumerate", "pareto", "--instance", str(pareto_instance),
+            "--reps", "50"]
+    if verify_reps is not None:
+        argv += ["--verify-reps", verify_reps]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # a count checks each front cut once; the default and auto check none
+    assert counts == ([7] * len(front) if verify_reps == "7" else [])
 
 
 @pytest.mark.parametrize("argv", [[]] + sorted(

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypercuts import multiobjective
 from hypercuts.analysis import gen_lower_bound_instance, gen_random_instance
 from hypercuts._engine import contract_comps, initial_comps, present_edge_ids
 from hypercuts.hypergraph import Cut, Hypergraph, InstanceError
@@ -14,9 +15,10 @@ from hypercuts.multiobjective import (_class_of, _EnumContext,
                                       enumerate_multiobjective,
                                       enumerate_pareto,
                                       interleaving_schedules,
-                                      success_floor_edge,
+                                      pareto_pipeline, success_floor_edge,
                                       verify_pareto_optimality)
-from hypercuts.oracle import (build_catalog, is_cut, oracle_bmulti,
+from hypercuts.harness import pipeline_equivalence
+from hypercuts.oracle import (build_catalog, dominates, is_cut, oracle_bmulti,
                               oracle_min_cut, oracle_multiobjective,
                               oracle_pareto)
 from hypercuts.sampling import derive_rng
@@ -247,6 +249,46 @@ def test_enumerate_pareto_subset_and_oracle_match():
                               verify_repetitions=3000)
     assert pareto <= oracle_multiobjective(cat)
     assert pareto == oracle_pareto(cat)
+
+
+@pytest.mark.parametrize("repetitions", [20, 100])
+def test_pareto_pipeline_front_is_exact_without_walks(repetitions):
+    # criterion-2 shaped instances, no verify count: the pareto set is the
+    # collection's own front, which is the oracle's once the collection
+    # holds every pareto-optimal cut
+    complete = 0
+    for idx in range(30):
+        G = gen_random_instance(6, 9 + idx % 3, 2, 2, 0, max_cost=8, seed=idx)
+        truth = oracle_pareto(build_catalog(G))
+        collection, pareto = pareto_pipeline(G, derive_rng(idx, repetitions),
+                                             repetitions)
+        assert pareto <= collection
+        for cut in collection - pareto:
+            assert any(dominates(G.cut_costs(p), G.cut_costs(cut))
+                       for p in pareto)
+        if truth <= collection:
+            complete += 1
+            assert pareto == truth
+    assert complete >= 25  # the exactness check ran in most runs
+
+
+def test_pareto_pipeline_verifies_only_when_given_a_count(monkeypatch):
+    calls = []
+    verify = multiobjective.verify_pareto_optimality
+
+    def counted(G, cut, rng, repetitions_per_criterion=None):
+        calls.append((cut, repetitions_per_criterion))
+        return verify(G, cut, rng, repetitions_per_criterion)
+
+    monkeypatch.setattr(multiobjective, "verify_pareto_optimality", counted)
+    G = gen_random_instance(6, 10, 2, 2, 0, seed=16)
+    collection, front = pareto_pipeline(G, derive_rng(5, 0), 50)
+    enumerate_pareto(G, derive_rng(5, 0), 50)
+    pipeline_equivalence(G, seed=5, runs=2, repetitions=50)
+    assert calls == []
+    again, pareto = pareto_pipeline(G, derive_rng(5, 0), 50, 7)
+    assert again == collection and pareto <= front
+    assert calls == [(cut, 7) for cut in sorted(front, key=lambda c: c.edge_ids)]
 
 
 def test_default_repetitions_formula():
