@@ -76,9 +76,11 @@ MUTANTS = [
     # so only checks of seeded outputs can kill it
     ("nb-enum-sweep-forward", "node_budgeted.py",
      "for comps in reversed(states):", "for comps in states:", True),
+    # the descent stops below a running sum equal to the draw, as a
+    # bisect_left of the running sums would
     ("order-pick-bisect-left", "sampling.py",
-     "from bisect import bisect_right",
-     "from bisect import bisect_left as bisect_right", False),
+     "if nxt <= m and tree[nxt] <= r:", "if nxt <= m and tree[nxt] < r:",
+     False),
     ("verify-weak-improvement", "multiobjective.py",
      "value is not None and value < target",
      "value is not None and value <= target", False),
@@ -98,6 +100,17 @@ MUTANTS = [
     ("kcut-labels-zip-unsorted", "size_constrained.py",
      "return zip(sorted(chosen), raws[size:])",
      "return zip(chosen, raws[size:])", False),
+    # the pipeline's front keeps a cut that another beats only on the
+    # leading criteria, at an equal last cost
+    ("pareto-front-beats-last", "multiobjective.py",
+     "for cut in collection}, dominates)",
+     "for cut in collection}, beats_last)", False),
+    ("pareto-unfiltered-collection", "multiobjective.py",
+     "pareto = front({cut: G.cut_costs(cut) for cut in collection}, dominates)",
+     "pareto = set(collection)", False),
+    ("pareto-count-skips-check", "multiobjective.py",
+     "    if verify_repetitions is not None:\n        pareto = {cut",
+     "    if False:\n        pareto = {cut", False),
     ("enum-store-one-past-cap", "multiobjective.py",
      "if self.size >= _ENUM_CACHE_CAP:", "if self.size > _ENUM_CACHE_CAP:",
      False),
