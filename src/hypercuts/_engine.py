@@ -30,9 +30,9 @@ visited state as an entry ``(comps, node)``.  A node is one of
   outcome ``decode(comps, raws)``;
 * ``("level", draws, sample, decode)`` - make the draws ``raws``, push the
   candidate ``(decode, comps, raws)`` and take one step of the nested
-  sample node.  ``draws`` lists ``(bound, bits)``, each a ``draw_below(rng,
-  bound)`` of ``bits = bound.bit_length()``, or is one call ``draws(rng)``
-  where the count of draws depends on their values.
+  sample node.  ``draws`` lists ``(bound, bits)``, each a uniform draw
+  below ``bound`` made by ``getrandbits(bits)`` rejection, ``bits =
+  bound.bit_length()``.
 
 A contraction merges the components one edge meets into one component M
 and leaves every other component, and every present edge outside M, as it
@@ -266,20 +266,6 @@ def sample_node(eids, weights, counts=None, labels=None):
     return ("sample", cum, cum[-1], eids, [None] * len(eids), counts, labels)
 
 
-def draw_below(rng, n: int) -> int:
-    """``rng.randrange(n)`` for an int ``n >= 1``, from one call frame.
-
-    Makes the same ``getrandbits(n.bit_length())`` rejection calls as
-    CPython 3.11's ``Random.randrange(n)``, so it returns the same value and
-    leaves the generator in the same state.
-    """
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
-
-
 # Cap on the states one walk caches.  Past it a state's node is built, used
 # and dropped, so a long run on a large instance stays in bounded memory.
 _WALK_CACHE_CAP = 1 << 14
@@ -335,16 +321,12 @@ class Walk:
                 tag = node[0]
                 if tag != "sample":
                     if tag == "level" or tag == "draw":
-                        draws = node[1]
-                        if callable(draws):
-                            raws = draws(rng)
-                        else:  # draw_below(rng, bound) each, written out
-                            raws = []
-                            for bound, bits in draws:
+                        raws = []  # a draw below each bound
+                        for bound, bits in node[1]:
+                            r = getrandbits(bits)
+                            while r >= bound:
                                 r = getrandbits(bits)
-                                while r >= bound:
-                                    r = getrandbits(bits)
-                                raws.append(r)
+                            raws.append(r)
                         if tag == "draw":
                             stopped = (node[2], comps, raws)
                             break
@@ -357,7 +339,7 @@ class Walk:
                         continue
                     else:
                         break
-                # a sample step: draw_below(rng, total), written out
+                # a sample step: sampling.draw_below(rng, total), written out
                 total = node[2]
                 bits = total.bit_length()
                 r = getrandbits(bits)

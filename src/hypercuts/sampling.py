@@ -4,7 +4,9 @@ All algorithms draw from a ``random.Random`` instance so that every run is
 replayable from a seed.  Monte-Carlo trials use per-trial generators derived
 from (master seed, trial index) via a splitmix64-style jump, which makes
 trials independent and safe to execute in any order or in parallel.
-``DrawNode`` and ``LazyWeightedOrder`` draw weighted orders lazily.
+Every algorithm draw is ``getrandbits`` rejection below a bound:
+``draw_below``, or its calls written out in a hot loop.  ``DrawNode`` and
+``LazyWeightedOrder`` draw weighted orders lazily.
 """
 
 from __future__ import annotations
@@ -12,11 +14,24 @@ from __future__ import annotations
 import random
 from itertools import accumulate
 
-from ._engine import draw_below
 from .hypergraph import exact_int
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+
+def draw_below(rng, n: int) -> int:
+    """``rng.randrange(n)`` for an int ``n >= 1``, from one call frame.
+
+    Makes the same ``getrandbits(n.bit_length())`` rejection calls as
+    CPython 3.11's ``Random.randrange(n)``, so it returns the same value and
+    leaves the generator in the same state.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def splitmix64(x: int) -> int:

@@ -9,9 +9,10 @@ output for every choice of positive vertex-weight annotation; a weight
 below 1 is rejected up front, as the oracle rejects it.
 
 The walk is an ``_engine.Walk`` whose ``level`` and ``draw`` nodes carry
-their draws as data: a level's candidate is ``rng.sample``'s draws and a
-label per pick, the base case a label per component.  The engine decodes
-only the labelling that survives on the way back up, the base's included.
+their draws as data: a level's candidate is the 2*sigma_{k-1} picks of a
+partial Fisher-Yates shuffle of its components and a label per pick, the
+base case a label per component.  The engine decodes only the labelling
+that survives on the way back up, the base's included.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from fractions import Fraction
 from functools import partial
 from math import comb
 
-from ._engine import (Walk, draw_below, expansion, ids_mask, mask_sum,
-                      sample_node)
+from ._engine import Walk, expansion, ids_mask, mask_sum, sample_node
 from .hypergraph import (Hypergraph, InstanceError, INFEASIBLE, exact_bool,
                          exact_int, exact_ints)
 
@@ -61,17 +61,16 @@ def kcut_inputs(G: Hypergraph, k: int, sizes, weighted_costs: bool = False):
 
 def _picks(raws, live: int, size: int):
     """``(component index, label)`` per pick of a level's draws ``raws``:
-    ``rng.sample(range(live), size)``, sorted, zipped with the labels
-    ``raws[size:]``.  The sample's draws are its pool picks (bounds live,
-    live-1, ...) up to 21 components and its result above 21."""
-    if live > 21:
-        chosen = raws[:size]
-    else:
-        pool = list(range(live))
-        chosen = []
-        for i, j in zip(range(live, 0, -1), raws[:size]):
-            chosen.append(pool[j])
-            pool[j] = pool[i - 1]
+    the ``size`` components that the pool picks ``raws[:size]`` (bounds
+    live, live-1, ...) take by a partial Fisher-Yates shuffle of
+    ``range(live)``, sorted, zipped with the labels ``raws[size:]``.  Each
+    size-subset comes from size! equally likely pick sequences, the law of
+    ``rng.sample(range(live), size)``."""
+    pool = list(range(live))
+    chosen = []
+    for i, j in zip(range(live, 0, -1), raws[:size]):
+        chosen.append(pool[j])
+        pool[j] = pool[i - 1]
     return zip(sorted(chosen), raws[size:])
 
 
@@ -138,15 +137,11 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
         return labelled(comps, labels)
 
     def level_draws(live):
-        """``rng.sample(range(live), sample_size)``, then a label per pick:
-        up to 21 components (CPython 3.11's least set size) the sample's
-        pool draws as data, above 21 one call making the sample's own."""
-        labels = [(k, label_bits)] * sample_size
-        if live > 21:
-            return lambda rng: rng.sample(range(live), sample_size) + [
-                draw_below(rng, k) for _ in labels]
-        return [(i, i.bit_length())
-                for i in range(live, live - sample_size, -1)] + labels
+        """The ``sample_size`` pool picks of ``_picks`` (bounds live,
+        live-1, ...), then a label per pick."""
+        picks = [(i, i.bit_length())
+                 for i in range(live, live - sample_size, -1)]
+        return picks + [(k, label_bits)] * sample_size
 
     # each state's draws by its live component count: a label per component
     # at or below base_limit, a level's candidate above it

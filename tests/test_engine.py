@@ -9,11 +9,11 @@ import pytest
 from hypercuts import _engine
 from bisect import bisect_right
 
-from hypercuts._engine import (Walk, contract_comps, draw_below,
-                               initial_comps, sample_node, side_mask)
+from hypercuts._engine import (Walk, contract_comps, initial_comps,
+                               sample_node, side_mask)
 from hypercuts.analysis import gen_random_instance
 from hypercuts.hypergraph import Hypergraph
-from hypercuts.sampling import derive_rng
+from hypercuts.sampling import derive_rng, draw_below
 from hypercuts.multiobjective import bmulti_walk, success_floor_edge
 from hypercuts.node_budgeted import (hmincut_walk, nb_arbitrary_walk,
                                      nb_constant_walk, nb_inputs,
@@ -30,10 +30,8 @@ def test_side_mask_is_the_union_of_the_picked_components():
 
 
 def draw_raws(draws, rng):
-    """The raw draws of a level or draw node's ``draws``: one call, or one
+    """The raw draws of a level or draw node's ``draws``: one
     ``draw_below(rng, bound)`` per ``(bound, bits)``."""
-    if callable(draws):
-        return draws(rng)
     assert all(bits == bound.bit_length() for bound, bits in draws)
     return [draw_below(rng, bound) for bound, _ in draws]
 
@@ -51,9 +49,10 @@ def path_outcome(G, sizes, label_masks):
 
 @pytest.mark.parametrize("n", range(1, 31))
 def test_draw_sample_is_rng_sample(n):
-    # a k-cut level candidate labels rng.sample(range(live), 2 sigma) of its
-    # live components, n >= 1 of them left outside the sample; live <= 21
-    # draws the pool branch as data, live > 21 calls rng.sample
+    # a k-cut level candidate labels 2 sigma of its live components, n >= 1
+    # of them left outside: the picks of a partial Fisher-Yates shuffle,
+    # whose pool draws the level lists as data at every live; up to 21 live
+    # components they are rng.sample(range(live), 2 sigma)'s own draws
     for k, sizes in ((2, (1, 1)), (3, (1, 1, 1)), (2, (3, 3))):
         s = 2 * sum(sizes[:-1])
         live = s + n
@@ -61,11 +60,23 @@ def test_draw_sample_is_rng_sample(n):
         walk = kcut_walk(G, k, sizes)
         tag, draws, _, decode = walk.expand(walk.start)
         assert tag == "level"
-        assert callable(draws) == (live > 21)
+        assert draws == [(b, b.bit_length())
+                         for b in range(live, live - s, -1)] + [
+                             (k, k.bit_length())] * s
         for seed in range(5):
             rng, ref = random.Random(seed), random.Random(seed)
-            chosen = sorted(ref.sample(range(live), s))
+            pool, chosen = list(range(live)), []
+            for i in range(live, live - s, -1):
+                j = ref.randrange(i)
+                chosen.append(pool[j])
+                pool[j] = pool[i - 1]
+            chosen.sort()
             labels = [ref.randrange(k) for _ in chosen]
+            if live <= 21:
+                sam = random.Random(seed)
+                assert sorted(sam.sample(range(live), s)) == chosen
+                assert [sam.randrange(k) for _ in chosen] == labels
+                assert sam.getstate() == ref.getstate()
             raws = draw_raws(draws, rng)
             assert rng.getstate() == ref.getstate()
             assert list(_picks(raws, live, s)) == list(zip(chosen, labels))

@@ -1,11 +1,13 @@
 """The k-cut walk on the engine against the level loop it replaced.
 
 ``ReferenceWalker`` is the size-constrained walker as it was written before
-it ran on ``_engine.Walk``: its own level loop, state cache and start state.
-The engine walk must return the same outcome from the same generator calls,
-so after every run both generators must be in the same state.  The reference
-also records which branches a run took, so each shape below is checked to
-reach the branch it is named after.
+it ran on ``_engine.Walk``: its own level loop, state cache and start state,
+except that its candidate's picks are a partial Fisher-Yates shuffle at
+every component count, where that walker called ``rng.sample``.  The engine
+walk must return the same outcome from the same generator calls, so after
+every run both generators must be in the same state.  The reference also
+records which branches a run took, so each shape below is checked to reach
+the branch it is named after.
 """
 
 from bisect import bisect_right
@@ -101,7 +103,13 @@ class ReferenceWalker:
     def _level_candidate(self, comps, alive, rng):
         k = self.k
         live = len(comps)
-        chosen = sorted(rng.sample(range(live), 2 * self.sigma_lead))
+        # rng.sample's pool picks, which it leaves above 21 components
+        pool, chosen = list(range(live)), []
+        for i in range(live, live - 2 * self.sigma_lead, -1):
+            j = rng.randrange(i)
+            chosen.append(pool[j])
+            pool[j] = pool[i - 1]
+        chosen.sort()
         label_masks = [0] * k
         picked = 0
         for idx in chosen:
@@ -159,8 +167,8 @@ SHAPES = [
     ("k4", gen_random_instance(10, 15, 3, 1, 1, max_weight=3, seed=64,
                                positive_weights=True),
      4, (1, 1, 1, 1), False, "level"),
-    # sample size 2 from 24 live components: CPython's rng.sample takes its
-    # set branch above 21, where the number of draws depends on repeats
+    # sample size 2 from 24 live components, above the 21 where CPython's
+    # rng.sample leaves the pool picks that the walk draws at every live
     ("set-branch", gen_random_instance(24, 30, 3, 1, 1, max_weight=3,
                                        seed=65, positive_weights=True),
      2, (1, 2), True, "level"),

@@ -59,7 +59,7 @@ def test_guard_catches_each_kind_of_reach():
     assert violations("from hypercuts.harness import _run_chunk") != []
     assert violations("from . import harness\nharness._build_problem") != []
     assert violations("import hypercuts.oracle as o\no._weights_column") != []
-    assert violations("from ._engine import Walk, draw_below") == []
+    assert violations("from ._engine import Walk, front") == []
     assert violations("from . import _engine\n_engine.Walk") == []
     assert violations("from .hypergraph import __doc__") == []
 

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 from bisect import bisect_right
 from itertools import accumulate
@@ -5,9 +7,9 @@ from itertools import accumulate
 import pytest
 
 from hypercuts import sampling
-from hypercuts._engine import draw_below
 from hypercuts.sampling import (DrawNode, LazyWeightedOrder, derive_rng,
-                                derive_seed, splitmix64, trial_rngs)
+                                derive_seed, draw_below, splitmix64,
+                                trial_rngs)
 from test_enum_context import ReferenceOrder
 
 
@@ -148,6 +150,23 @@ def test_draw_below_is_randrange(n):
         for _ in range(50):
             assert draw_below(rng, n) == ref.randrange(n)
             assert rng.getstate() == ref.getstate()
+
+
+# CPython promises to keep only random()'s sequence across versions, so no
+# algorithm calls a generator method but getrandbits; the analysis instance
+# generators are exempt
+@pytest.mark.parametrize("module", [p for p in sorted(
+    pathlib.Path(sampling.__file__).parent.glob("*.py"))
+    if p.name != "analysis.py"], ids=lambda p: p.stem)
+def test_algorithms_draw_only_through_getrandbits(module):
+    methods = {name for name in dir(random.Random)
+               if not name.startswith("_")} - {"getrandbits"}
+    calls = [f"{module.name}:{node.lineno}"
+             for node in ast.walk(ast.parse(module.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in methods]
+    assert calls == []
 
 
 def _draw(node, rng, length, store):

@@ -66,6 +66,25 @@ def test_one_candidate_has_the_law_of_sample_then_labels():
         assert sample == sorted(set(sample))
 
 
+@pytest.mark.parametrize("live, k, sizes",
+                         [(22, 2, (1, 1)), (25, 2, (1, 1)), (30, 2, (1, 1)),
+                          (22, 3, (1, 1, 1))])
+def test_pool_picks_have_the_law_of_sample_past_21(live, k, sizes):
+    # past 21 live components rng.sample leaves its pool branch, the walk's
+    # picks do not: every pick sequence of the level's bounds decodes to a
+    # 2 sigma-subset, and each subset comes from exactly (2 sigma)! of them
+    s = 2 * sum(sizes[:-1])
+    G = Hypergraph(live, [(v, v + 1) for v in range(live - 1)])
+    tag, draws = kcut_walk(G, k, sizes).expand(initial_comps(live))[:2]
+    assert tag == "level"
+    law = Counter(tuple(idx for idx, _ in _picks(list(picks) + [0] * s,
+                                                 live, s))
+                  for picks in product(*(range(b) for b, _ in draws[:s])))
+    assert len(law) == math.comb(live, s)
+    assert set(law.values()) == {math.factorial(s)}
+    assert all(len(set(sample)) == s for sample in law)
+
+
 def test_success_floor_size_values():
     assert success_floor_size(4, 2, (1, 1)) == Fraction(1, 96)
     assert success_floor_size(2, 2, (1, 1)) == Fraction(1, 4)
