@@ -249,14 +249,17 @@ def load_instance(data) -> Hypergraph:
     for field in ("n", "t_costs", "t_weights"):
         exact_int(doc[field], field)
     doc_edges = _rows(doc, "edges")
-    doc_costs = _rows(doc, "edge_costs")
-    if len(doc_costs) != len(doc_edges):
-        raise InstanceError("edge_costs must have one row per edge")
+    # every edge's row, a dropped edge's too, is checked before the drop
+    _, doc_costs = _table(_rows(doc, "edge_costs"), len(doc_edges),
+                          doc["t_costs"], "edge", "cost")
     edges, costs = [], []
     for idx, e in enumerate(doc_edges):
         if len(e) == 0:
             raise InstanceError(f"edge {idx} is empty")
-        if len({exact_int(v, "vertex id") for v in e}) == 1:
+        vs = {exact_int(v, "vertex id") for v in e}
+        if not all(0 <= v < doc["n"] for v in vs):
+            raise InstanceError(f"hyperedge {e!r} mentions an unknown vertex")
+        if len(vs) == 1:
             warnings.warn(f"dropping size-1 hyperedge {idx} (crosses no cut)",
                           stacklevel=2)
             continue

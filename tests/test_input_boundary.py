@@ -216,7 +216,8 @@ class _Walk:
 
 
 @given(st.data(), non_ints)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True,
+          database=None)
 def test_non_int_vectors_and_counts_raise_only_instance_error(data, bad):
     G = instance()
     vector = data.draw(st.sampled_from([(bad,), (1, bad), bad]))
