@@ -100,6 +100,10 @@ MUTANTS = [
     ("kcut-labels-zip-unsorted", "size_constrained.py",
      "return zip(sorted(chosen), raws[size:])",
      "return zip(chosen, raws[size:])", False),
+    # the pool keeps a picked component, so a candidate can pick it twice
+    # and labels fewer than 2 sigma components
+    ("kcut-pool-no-swap", "size_constrained.py",
+     "        pool[j] = pool[i - 1]\n", "", False),
     # the pipeline's front keeps a cut that another beats only on the
     # leading criteria, at an equal last cost
     ("pareto-front-beats-last", "multiobjective.py",
@@ -155,10 +159,11 @@ MUTANTS = [
     ("parametric-hull-drops-collinear", "oracle.py",
      "if (p1 - o1) * (a2 - o2) >= (p2 - o2) * (a1 - o1):",
      "if (p1 - o1) * (a2 - o2) > (p2 - o2) * (a1 - o1):", False),
-    # a row short raises IndexError, a row over is silently dropped
+    # no cost or weight table is counted against its edges or vertices: in
+    # the loader a cost row short raises IndexError, a row over is dropped
     ("loader-no-cost-row-count", "hypergraph.py",
-     "    if len(doc_costs) != len(doc_edges):\n"
-     "        raise InstanceError(\"edge_costs must have one row per edge\")\n",
+     "    if len(rows) != count:\n"
+     "        raise InstanceError(f\"{owner}_{noun}s must have one row per {owner}\")\n",
      "", False),
 ]
 
