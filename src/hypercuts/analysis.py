@@ -11,6 +11,7 @@ It owns the two analysis sweeps, ``lemma_lp_sweep`` and
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,16 +73,25 @@ def _grid_floor(inst: LpInstance, grid_step: int) -> Fraction:
 
     The set of grid points is closed under permuting the coordinates, so the
     counts c are walked directly in knapsack order (largest f first), which
-    is fixed per instance, one coordinate per recursion level.  With x fixed,
-    maximizing sum y_j f(n-j+1) subject to 0 <= y_j <= x_j and
-    gamma*sum(y) <= sum(j*x_j) is a fractional knapsack: fill the y_j with
-    the largest f first.  Every quantity is an exact int scaled by
-    grid_step*gamma*D, for D the common denominator of the f values (x_j and
-    y_j by grid_step*gamma, f by D, as F_j = f(n-j+1)*D).  Each level adds
-    its count's share of the budget sum(j*c_j) and of the objective
-    gamma*sum(F_j*c_j); the knapsack fill runs at the leaf, over the one
-    count list the levels update in place.  The takes sum to
-    gamma*grid_step > r*grid_step >= the budget, so the fill returns.
+    is fixed per instance.  With x fixed, maximizing sum y_j f(n-j+1)
+    subject to 0 <= y_j <= x_j and gamma*sum(y) <= sum(j*x_j) is a
+    fractional knapsack: fill the y_j with the largest f first.  Every
+    quantity is an exact int scaled by grid_step*gamma*D, for D the common
+    denominator of the f values (x_j and y_j by grid_step*gamma, f by D, as
+    F_j = f(n-j+1)*D), so item j's take is gamma*c_j and the budget is
+    sum(j*c_j).
+
+    The recursion fixes the leading counts one level each and records the
+    prefix sums of their takes and of their values F_j*take.  The last
+    level walks the two last items together: c on the next-to-last and
+    left - c on the last, so each step moves the budget and the objective
+    by a constant.  The fill then stops in one of three places: inside the
+    fixed prefix, when the budget is at most its takes (one bisect of their
+    prefix sums finds the item); on the next-to-last item, when its take
+    covers what the prefix leaves; or on the last item.  The takes sum to
+    gamma*grid_step > r*grid_step >= the budget, so the last item always
+    suffices.  Each point's value is the same integer the item-by-item fill
+    gives, so the minimum is exact.
     """
     r, gamma = inst.r, inst.gamma
     values = [inst.f[inst.n - j + 1] for j in range(2, r + 1)]
@@ -89,30 +99,43 @@ def _grid_floor(inst: LpInstance, grid_step: int) -> Fraction:
     denom = lcm(*(v.denominator for v in values))
     js = [i + 2 for i in order]
     fs = [values[i].numerator * (denom // values[i].denominator) for i in order]
-    counts, last = [0] * (r - 1), r - 2
+    if r == 2:  # one point, x_2 = 1, whose take covers the budget 2*grid_step
+        return Fraction((gamma - 2) * fs[0], gamma * denom)
+    fixed = len(js) - 2
+    takes, gains = [0] * (fixed + 1), [0] * (fixed + 1)  # prefix sums
+    jd, jl, fd, fl = js[fixed], js[fixed + 1], fs[fixed], fs[fixed + 1]
+    top = gamma * grid_step * fs[0]  # no point's objective exceeds it
 
-    def low(depth: int, left: int, budget: int, obj: int) -> int:
-        """The least objective over the points extending counts[:depth]."""
-        if depth == last:
-            counts[last] = left
-            budget += js[last] * left
-            obj += gamma * fs[last] * left
-            for c, fj in zip(counts, fs):
-                take = gamma * c
-                if take >= budget:
-                    return obj - budget * fj
-                obj -= take * fj
-                budget -= take
-        j, f = js[depth], gamma * fs[depth]
-        best = None
-        for c in range(left + 1):
-            counts[depth] = c
-            value = low(depth + 1, left - c, budget + j * c, obj + f * c)
-            if best is None or value < best:
+    def low(depth: int, left: int, budget: int) -> int:
+        """The least objective over the points extending the first
+        ``depth`` counts, whose takes and gains end the prefix sums."""
+        p, g = takes[depth], gains[depth]
+        best = top
+        if depth < fixed:
+            j, f = js[depth], fs[depth]
+            for c in range(left + 1):
+                takes[depth + 1], gains[depth + 1] = p + gamma * c, g + gamma * f * c
+                value = low(depth + 1, left - c, budget + j * c)
+                if value < best:
+                    best = value
+            return best
+        b, obj = budget + jl * left, g + gamma * fl * left
+        db, dobj = jd - jl, gamma * (fd - fl)
+        for take in range(0, gamma * (left + 1), gamma):
+            if b <= p:
+                t = bisect_left(takes, b) - 1
+                value = obj - gains[t] - (b - takes[t]) * fs[t]
+            elif b <= p + take:
+                value = obj - g - (b - p) * fd
+            else:
+                value = obj - g - take * fd - (b - p - take) * fl
+            if value < best:
                 best = value
+            b += db
+            obj += dobj
         return best
 
-    return Fraction(low(0, grid_step, 0, 0), grid_step * gamma * denom)
+    return Fraction(low(0, grid_step, 0), grid_step * gamma * denom)
 
 
 def lp_bruteforce(inst: LpInstance) -> Fraction:

@@ -184,8 +184,9 @@ class Hypergraph:
         strictly increasing form of ``Cut.of``: none negative, none twice."""
         for last, eid in zip((-1, *cut.edge_ids), cut.edge_ids):
             if not last < exact_int(eid, "edge id") < self.m:
-                raise InstanceError(f"cut names edge {eid}; this instance's edge "
-                                    f"ids are 0..{self.m - 1}, strictly increasing")
+                ids = (f"this instance's edge ids are 0..{self.m - 1}, strictly "
+                       "increasing" if self.m else "this instance has no edges")
+                raise InstanceError(f"cut names edge {eid}; {ids}")
         return cut.edge_ids
 
     def cut_costs(self, cut: Cut) -> tuple[int, ...]:

@@ -139,13 +139,25 @@ def test_verify_rejects_non_cut(instance_path, capsys):
         assert json.loads(err)["code"] == 2
 
 
-@pytest.mark.parametrize("cut", ["99", "9", "-1,2"])
-def test_verify_rejects_edge_ids_outside_the_instance(instance_path, capsys,
-                                                      cut):
+@pytest.mark.parametrize("gen, cut, message", [
+    ((), "99", "edge ids are 0..8"), ((), "9", "edge ids are 0..8"),
+    ((), "-1,2", "edge ids are 0..8"),
+    (("--n", "4", "--m", "0"), "0", "edge 0; this instance has no edges")],
+    ids=["99", "9", "-1,2", "edgeless"])
+def test_verify_rejects_edge_ids_outside_the_instance(instance_path, tmp_path,
+                                                      capsys, gen, cut,
+                                                      message):
+    path = instance_path
+    if gen:
+        path = tmp_path / "edgeless.json"
+        code, _, _ = run_cli(capsys, "gen", "random", *gen, "--rank", "2",
+                             "--t-costs", "2", "--t-weights", "1",
+                             "--out", str(path))
+        assert code == 0
     code, out, err = run_cli(capsys, "verify", "pareto", "--instance",
-                             str(instance_path), f"--cut={cut}", "--reps", "5")
+                             str(path), f"--cut={cut}", "--reps", "5")
     assert (code, out) == (2, "")
-    assert "edge ids are 0..8" in json.loads(err)["error"]
+    assert message in json.loads(err)["error"]
 
 
 def _triangle_and_path(n):

@@ -74,6 +74,33 @@ def coprime_instances():
             yield LpInstance(r=r, gamma=gamma, n=n, f=f)
 
 
+def high_rank_instances():
+    """Ranks 7 and 8: ``LP_RANK_GUARD`` admits them, the criterion-8
+    generator never draws them."""
+    rng = random.Random(78)
+    for r in (7, 8):
+        for _ in range(3):
+            gamma = rng.randrange(r + 1, 13)
+            n = gamma + rng.randrange(0, 9)
+            f = {n - j + 1: Fraction(rng.randrange(1, 100), rng.randrange(1, 10))
+                 for j in range(2, r + 1)}
+            yield LpInstance(r=r, gamma=gamma, n=n, f=f)
+
+
+def tied_instances():
+    """f values drawn from few, so several j share one (6/1 = 12/2 = 18/3):
+    the knapsack order is a tie-break and fills stop between equal items."""
+    rng = random.Random(6)
+    for r in range(3, 9):
+        for _ in range(3):
+            gamma = rng.randrange(r + 1, 13)
+            n = gamma + rng.randrange(0, 4)
+            f = {n - j + 1: Fraction(rng.choice((6, 12, 18)),
+                                     rng.choice((1, 2, 3)))
+                 for j in range(2, r + 1)}
+            yield LpInstance(r=r, gamma=gamma, n=n, f=f)
+
+
 def check_floor(inst, grid_step):
     floor = _grid_floor(inst, grid_step)
     assert type(floor) is Fraction
@@ -107,3 +134,17 @@ def test_grid_floor_with_coprime_denominators(grid_step):
     for inst in coprime_instances():
         check_floor(inst, grid_step)
 
+
+@pytest.mark.parametrize("grid_step", [1, 2, 4])
+def test_grid_floor_at_ranks_7_and_8(grid_step):
+    for inst in high_rank_instances():
+        check_floor(inst, grid_step)
+
+
+@pytest.mark.parametrize("grid_step", [1, 2, 4, 7])
+def test_grid_floor_with_tied_values(grid_step):
+    ties = 0
+    for inst in tied_instances():
+        check_floor(inst, grid_step)
+        ties += len(set(inst.f.values())) < len(inst.f)
+    assert ties >= 15

@@ -127,9 +127,15 @@ MUTANTS = [
     ("trial-rngs-one-step-late", "sampling.py",
      "exact_int(start, \"trial index\", 0) * _GAMMA",
      "(exact_int(start, \"trial index\", 0) + 1) * _GAMMA", False),
-    # no count takes all that is left, so the x_j = 1 vertices are skipped
+    # the next-to-last count never takes all that is left, so the grid
+    # point x_j = 1 on that item is skipped
     ("lp-grid-drops-full-counts", "analysis.py",
-     "for c in range(left + 1):", "for c in range(left):", False),
+     "for take in range(0, gamma * (left + 1), gamma):",
+     "for take in range(0, gamma * left, gamma):", False),
+    # a fill that stops inside the fixed prefix prices its last take at the
+    # next item's f
+    ("lp-grid-prefix-next-item", "analysis.py",
+     "(b - takes[t]) * fs[t]", "(b - takes[t]) * fs[t + 1]", False),
     # a report exactly three standard deviations below its floor fails
     ("pass-boundary-strict", "harness.py",
      "(p - f) ** 2 * self.trials <= 9 * p * (1 - p)",
