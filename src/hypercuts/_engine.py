@@ -10,7 +10,12 @@ the edge-weight rule and the stopping rule differ.  The min-cut walk is the
 arbitrary-rank node-budgeted walk on which every vertex set fits, so the
 five share four rules.  An algorithm supplies them as an
 ``expand(comps, parent=None) -> node`` function, and ``Walk`` caches every
-visited state as an entry ``(comps, node)``.  A node is one of
+visited state as an entry ``(comps, node)``.  ``expand`` may also return
+``("merge", target)``: the state moves to ``target`` without drawing.  A
+merge is resolved at the cache, not in the walk: the state's entry is
+``target``'s own, expanded from scratch and cached under both keys while
+the cache is under cap, so a link to the state leads straight to
+``target``.  A walk's node is one of
 
 * ``("sample", cum, total, eids, nexts, counts, labels)`` - contract edge
   ``eids[i]`` with probability proportional to its weight (``cum`` holds the
@@ -21,7 +26,6 @@ visited state as an entry ``(comps, node)``.  A node is one of
   nothing alive; ``counts`` (aligned with ``eids``) and ``labels``
   (aligned with ``comps``) are the state's ``expansion`` data, each
   compact or None;
-* ``("merge", comps)`` - move to ``comps`` without drawing;
 * ``("base", table, outcome)`` - draw a uniform subset of the components and
   return ``outcome(side)`` for the union ``side`` of the drawn ones; ``table``
   caches the outcome of each draw;
@@ -284,22 +288,20 @@ class Walk:
         self.expand = expand
         self.value = value
         self.floor = floor
-        self.cache: dict[tuple, tuple] = {}  # comps -> (comps, node)
+        self.cache: dict[tuple, tuple] = {}  # comps -> its entry
 
     def _entry(self, comps, parent=None):
-        """The ``(comps, node)`` entry of ``comps``: the cache's, or one
-        expanded (from ``parent``) and stored while the cache is under cap."""
+        """The entry of ``comps``: the cache's, or one expanded (from
+        ``parent``) and stored while the cache is under cap.  A merge state's
+        entry is its target's own, so no walk steps on a merge node."""
         entry = self.cache.get(comps)
         if entry is None:
-            entry = (comps, self.expand(comps, parent))
+            node = self.expand(comps, parent)
+            entry = (self._entry(node[1]) if node[0] == "merge"
+                     else (comps, node))
             if len(self.cache) < _WALK_CACHE_CAP:
                 self.cache[comps] = entry
         return entry
-
-    def fixed_outcome(self):
-        """The outcome of every run if the start is terminal, else None."""
-        node = self._entry(self.start)[1]
-        return node[1] if node[0] == "terminal" else None
 
     def run(self, rng):
         """One walk from the singleton partition; returns its outcome."""
@@ -334,9 +336,6 @@ class Walk:
                             pending = []
                         pending.append((node[3], comps, raws))
                         node = node[2]
-                    elif tag == "merge":
-                        comps, node = entry_of(node[1])
-                        continue
                     else:
                         break
                 # a sample step: sampling.draw_below(rng, total), written out

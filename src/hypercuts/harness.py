@@ -1,11 +1,10 @@
 """Best-of-N solving and Monte-Carlo estimation over one problem table.
 
 ``PROBLEMS`` maps each randomized algorithm to its walk and its exhaustive
-oracle.  The module owns both seeded trial loops and their terminal-start
-rule: ``best_of_n`` (behind ``solve``) keeps the best of N seeded runs of
-the walk; ``estimate`` runs it many times against the oracle and reports
-the empirical hit frequency of the oracle-optimal set next to the
-algorithm's proven probability floor.  The pass policy is one-sided: the
+oracle.  The module owns both seeded trial loops: ``best_of_n`` (behind
+``solve``) keeps the best of N seeded runs of the walk; ``estimate`` runs it
+many times against the oracle and reports the empirical hit frequency of
+the oracle-optimal set next to the algorithm's proven probability floor.  The pass policy is one-sided: the
 floors are lower bounds, so a run passes when the empirical frequency is no
 more than three binomial standard deviations below the floor.  That rule is
 decided in exact rationals; the float ``z_slack`` is only reported.
@@ -135,15 +134,6 @@ def _problem(algorithm: str) -> tuple:
     return PROBLEMS[algorithm]
 
 
-def _outcomes(walk, seed: int, start: int, count: int):
-    """(outcomes, trials each stands for) of trials [start, start+count):
-    a run per trial, or once for all a terminal start's one outcome."""
-    fixed = walk.fixed_outcome()
-    if fixed is None:
-        return walk.runs(trial_rngs(seed, start, count)), 1
-    return (fixed,), count
-
-
 def default_trials(floor: Fraction) -> int:
     """max(1000, ceil(30/floor)): at least 30 successes expected at the floor.
 
@@ -175,21 +165,19 @@ def best_of_n(walk, trials: int | None, seed: int) -> BestOf:
 
     ``trials`` defaults to ``default_trials(walk.floor)``.  Only witnessed
     outcomes count, valued by ``walk.value(mask)`` (None rejects a cut).
-    Ties keep the earliest trial, so each distinct mask is valued once, and
-    a terminal start is not walked.
+    Ties keep the earliest trial, so each distinct mask is valued once.
     """
     if trials is None:
         trials = default_trials(walk.floor)
     exact_int(trials, "trials", 1)
     exact_int(seed, "seed")
-    outs, runs = _outcomes(walk, seed, 0, trials)
     value = walk.value
     best_mask = best_val = None
     infeasible_runs = 0
     seen = set()
-    for out in outs:
+    for out in walk.runs(trial_rngs(seed, 0, trials)):
         if out is INFEASIBLE:
-            infeasible_runs += runs
+            infeasible_runs += 1
             continue
         mask, witnessed = out
         if not witnessed or mask in seen:
@@ -224,8 +212,8 @@ def _hit(out, target_masks) -> bool:
 
 def _successes(walk, target_masks, seed: int, start: int, count: int) -> int:
     """Trials in [start, start+count) whose outcome is a success."""
-    outs, runs = _outcomes(walk, seed, start, count)
-    return runs * sum(_hit(out, target_masks) for out in outs)
+    return sum(_hit(out, target_masks)
+               for out in walk.runs(trial_rngs(seed, start, count)))
 
 
 # What a pool worker works on (a walk, or a pipeline's fixed arguments): set
@@ -298,8 +286,7 @@ def estimate(G: Hypergraph, algorithm: str, *, trials: int | None = None,
         targets = optima if fixed_target is None else {fixed_target}
         target_masks = {cut.mask() for cut in targets}
 
-    terminal = walk.fixed_outcome() is not None  # no trial walks: no fork
-    workers = 1 if terminal else min(jobs, trials, _usable_cpus())
+    workers = min(jobs, trials, _usable_cpus())
     chunk = -(-trials // workers)
     spans = [(target_masks, seed, s, min(chunk, trials - s))
              for s in range(0, trials, chunk)]

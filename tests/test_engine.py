@@ -247,7 +247,9 @@ def test_incremental_expansion_equals_expansion_from_scratch(family, shape):
         walk.run(derive_rng(5, i))
     inherited = 0
     for comps, (key, node) in walk.cache.items():
-        assert key is comps
+        if key is not comps:  # a merge state's entry is its target's
+            assert walk.expand(comps) == ("merge", key), comps
+            continue
         assert comparable(node, comps) == comparable(walk.expand(comps),
                                                      comps), comps
         sample = node[2] if node[0] == "level" else node
@@ -325,12 +327,23 @@ def test_counts_of_edges_wider_than_a_byte_expand_alike(family):
     assert wide >= 100
 
 
+def merging_start():
+    """An instance whose vertices 1, 5 and 6 each weigh 4, over a node
+    budget of 3: a node-budgeted walk merges them at its start."""
+    return gen_random_instance(10, 20, 3, 1, 1, max_weight=4, seed=6,
+                               positive_weights=True)
+
+
 @pytest.mark.parametrize("make", [
     lambda: bmulti_walk(gen_random_instance(9, 16, 2, 2, 0, seed=3), (9,)),
     lambda: kcut_walk(gen_random_instance(10, 20, 3, 1, 1, max_weight=4, seed=3,
                                           positive_weights=True), 2, (1, 2)),
-], ids=["bmulti", "kcut"])
+    lambda: nb_constant_walk(merging_start(), (3,)),
+    lambda: nb_arbitrary_walk(merging_start(), (3,)),
+], ids=["bmulti", "kcut", "nb-constant", "nb-arbitrary"])
 def test_walk_cache_cap_changes_no_outcome(monkeypatch, make):
+    # the node-budgeted walks merge at their start, so past the cap they
+    # also meet merge states whose entries are built anew on each visit
     uncapped = make()
     rng = random.Random(8)
     want = [(uncapped.run(rng), rng.getstate()) for _ in range(400)]
@@ -480,15 +493,20 @@ def test_runs_equals_one_run_per_generator(monkeypatch, shape, family, cap):
                          ids=lambda s: "n%d-m%d-r%d-t%d" % s)
 def test_links_are_the_cache_entries(monkeypatch, shape, family, cap):
     # a sample node's successor link is the successor's own cache entry,
-    # never a copy of it, and no link keeps an uncached state alive
+    # never a copy of it, and no link keeps an uncached state alive; a merge
+    # state's entry is its target's own entry
     G = grid_instance(shape)
     monkeypatch.setattr(_engine, "_WALK_CACHE_CAP", cap)
     walk = runs_families(G)[family]
     for _ in walk.runs(derive_rng(3, i) for i in range(600)):
         pass
     links = 0
-    for comps, (key, node) in walk.cache.items():
-        assert key is comps
+    for comps, entry in walk.cache.items():
+        key, node = entry
+        if key is not comps:
+            assert walk.expand(comps) == ("merge", key), comps
+            assert walk.cache.get(key) is entry, comps
+            continue
         sample = node[2] if node[0] == "level" else node
         if sample[0] != "sample":
             continue

