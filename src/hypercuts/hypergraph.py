@@ -247,8 +247,10 @@ def load_instance(data) -> Hypergraph:
     if missing:
         raise InstanceError(f"instance document missing fields: {missing}")
 
-    for field in ("n", "t_costs", "t_weights"):
-        exact_int(doc[field], field)
+    # the constructor's minimums, so a bad count is named before any row is
+    # checked against it
+    for field, minimum in (("n", 1), ("t_costs", 0), ("t_weights", 0)):
+        exact_int(doc[field], field, minimum)
     doc_edges = _rows(doc, "edges")
     # every edge's row, a dropped edge's too, is checked before the drop
     _, doc_costs = _table(_rows(doc, "edge_costs"), len(doc_edges),

@@ -426,6 +426,18 @@ def test_a_cost_row_count_other_than_the_edge_count_exits_2(tmp_path, capsys,
                                "code": 2}
 
 
+def test_a_negative_count_exits_2_naming_it(tmp_path, capsys):
+    doc = {"n": 2, "t_costs": -1, "t_weights": 0, "edges": [[0, 1]],
+           "edge_costs": [[1]], "vertex_weights": [[], []]}
+    path = tmp_path / "count.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "solve", "hmincut", "--instance",
+                             str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "t_costs must be >= 0, got -1",
+                               "code": 2}
+
+
 @pytest.fixture()
 def pareto_instance(tmp_path, capsys):
     path = tmp_path / "pareto.json"

@@ -166,6 +166,23 @@ def test_load_rejections():
             load_instance(json.dumps(bad))
 
 
+# a negative count, named by the loader before any row is read against it
+NEGATIVE_COUNTS = [
+    ({"n": 2, "t_costs": -1, "t_weights": 0, "edges": [[0, 1]],
+      "edge_costs": [[1]], "vertex_weights": [[], []]},
+     "t_costs must be >= 0, got -1"),
+    ({"n": -3, "t_costs": 1, "t_weights": 0, "edges": [[0, 1]],
+      "edge_costs": [[1]], "vertex_weights": []},
+     "n must be >= 1, got -3"),
+]
+
+
+@pytest.mark.parametrize("doc, message", NEGATIVE_COUNTS, ids=["t_costs", "n"])
+def test_load_names_a_negative_count(doc, message):
+    with pytest.raises(InstanceError, match=f"^{message}$"):
+        load_instance(json.dumps(doc))
+
+
 # three edges with one cost row short, which would index past the rows, and
 # one row over, which would be dropped, were the rows not counted
 @pytest.mark.parametrize("rows", [[[2], [3]], [[2], [3], [5], [7]]])
