@@ -13,8 +13,8 @@ five share four rules.  An algorithm supplies them as an
 visited state as an entry ``(comps, node)``.  ``expand`` may also return
 ``("merge", target)``: the state moves to ``target`` without drawing.  A
 merge is resolved at the cache, not in the walk: the state's entry is
-``target``'s own, expanded from scratch and cached under both keys while
-the cache is under cap, so a link to the state leads straight to
+``target``'s own (expanded from scratch on a miss), cached under both keys
+while the cache is under cap, so a link to the state leads straight to
 ``target``.  A walk's node is one of
 
 * ``("sample", cum, total, eids, nexts, counts, labels)`` - contract edge

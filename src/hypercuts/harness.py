@@ -4,10 +4,11 @@
 oracle.  The module owns both seeded trial loops: ``best_of_n`` (behind
 ``solve``) keeps the best of N seeded runs of the walk; ``estimate`` runs it
 many times against the oracle and reports the empirical hit frequency of
-the oracle-optimal set next to the algorithm's proven probability floor.  The pass policy is one-sided: the
-floors are lower bounds, so a run passes when the empirical frequency is no
-more than three binomial standard deviations below the floor.  That rule is
-decided in exact rationals; the float ``z_slack`` is only reported.
+the oracle-optimal set next to the algorithm's proven probability floor.
+The pass policy is one-sided: the floors are lower bounds, so a run passes
+when the empirical frequency is no more than three binomial standard
+deviations below the floor.  That rule is decided in exact rationals; the
+float ``z_slack`` is only reported.
 
 Reports are reproducible: trial i uses a generator derived from
 (master seed, i), so results are independent of execution order and of the

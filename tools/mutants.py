@@ -156,6 +156,12 @@ MUTANTS = [
     ("walk-link-uncached", "_engine.py",
      "if cache.get(nxt) is link:  # only a cached entry",
      "if True:  # only a cached entry", False),
+    # a merge state's entry pairs its target's node with the components
+    # before the merge, so the walk goes on from the unmerged partition
+    ("walk-merge-entry-pre-merge-comps", "_engine.py",
+     "entry = (self._entry(node[1]) if node[0] == \"merge\"",
+     "entry = ((comps, self._entry(node[1])[1]) if node[0] == \"merge\"",
+     False),
     # the criterion-8 generator never draws n = gamma + 8
     ("lemma-lp-sweep-narrow-n", "analysis.py",
      "n = gamma + rng.randrange(0, 9)", "n = gamma + rng.randrange(0, 8)",
