@@ -31,7 +31,10 @@ nodes built for one repetition and never stored.  The enumeration also
 caches its draw steps.  A step is a repetition's state at one generator
 call: a pick on a criterion's cursor, which maps each drawn position to the
 next step, or a base draw on a partition node, which has one next step.  A
-step is built the second time a repetition takes the branch to it.  A
+pick step whose draw takes at most 8 bits reads its position from the
+cursor's byte table (``sampling.pick_table``), one lookup per generator
+call; a wider one bisects.  A step is built the second time a repetition
+takes the branch to it.  A
 repetition follows stored steps until its first draw with none stored after
 it, then finishes in the one enumeration loop.  Every entry the enumeration
 stores counts against one cap, ``_ENUM_CACHE_CAP``.
@@ -51,7 +54,7 @@ from ._engine import (Walk, beats_last, contract_comps, delta_mask, expansion,
                       present_edge_ids, sample_node, side_mask)
 from .hypergraph import Cut, Hypergraph, InstanceError, exact_int, exact_ints
 from .oracle import dominates
-from .sampling import DrawNode
+from .sampling import REJECT, DrawNode, pick_table
 
 __all__ = [
     "bmulti_walk",
@@ -171,6 +174,9 @@ def interleaving_schedules(n: int, r: int, t: int) -> list[tuple[int, ...]]:
 # marked branches are built (tracemalloc, CPython 3.11).  A built trie node
 # copies its order and cumulative weights, about 230 + 16m bytes for costs
 # below 256, so at m=25 a cache of trie nodes alone would hold about 41 MB.
+# A pick step's cursor also holds one pick table while its total is below
+# 256: 33 + 2^k bytes for a k-bit draw, at most 289, plus its dict slot.
+# There is at most one per stored step, so the cap bounds them too.
 _ENUM_CACHE_CAP = 1 << 16
 
 
@@ -178,19 +184,21 @@ class _Step:
     """A repetition's state at one generator call.
 
     A pick step draws a position on criterion ``phase``'s cursor (``cum``,
-    ``total``) in ``k``-bit calls; a base step (``cum`` None) draws ``k``
-    bits on the partition ``node``, whose full set is ``total``.
+    ``total``) in ``k``-bit calls, by the cursor's ``pick_table`` ``tab``
+    when ``k`` is at most 8 (else ``tab`` is None); a base step (``cum``
+    None) draws ``k`` bits on the partition ``node``, whose full set is
+    ``total``.
     ``next[pos]`` is the step after drawing ``pos`` (a base step has only
     ``next[0]``), False once that branch was taken, else None.  ``sched``,
     ``phase``, ``node`` and ``cursors`` say where the loop stands.
     """
 
-    __slots__ = ("cum", "total", "k", "next", "node", "sched", "phase",
+    __slots__ = ("cum", "total", "k", "tab", "next", "node", "sched", "phase",
                  "cursors")
 
-    def __init__(self, sched, phase, node, cur, cursors):
+    def __init__(self, sched, phase, node, cur, cursors, tab=None):
         self.sched, self.phase, self.node = sched, phase, node
-        self.cursors = cursors
+        self.cursors, self.tab = cursors, tab
         if cur is None:
             self.cum, self.k = None, len(node[0])
             self.total = (1 << self.k) - 1
@@ -225,8 +233,10 @@ class _EnumContext:
     is built the second time, where ``_play`` reaches its next draw; no node
     changes once built, so a step may stand on off-trie cursors.  ``ends``
     holds one step per partition node for a repetition's last draw, which
-    nothing follows.  After its first draw with no step stored after it, a
-    repetition finishes in ``_play``.
+    nothing follows.  ``tables`` holds the ``pick_table`` of each cursor a
+    pick step stands on, built with its first step and shared by the rest.
+    After its first draw with no step stored after it, a repetition
+    finishes in ``_play``.
 
     ``size`` counts every stored entry against ``_ENUM_CACHE_CAP``: each
     partition node, successor link and cut mask, each marked branch of the
@@ -248,6 +258,7 @@ class _EnumContext:
         self.start = self._node(initial_comps(G.n))
         self.first = None
         self.ends = {}
+        self.tables = {}  # a pick step's cursor -> its pick_table
 
     def _store(self) -> bool:
         """Count one more cache entry; False once the cache is full."""
@@ -279,13 +290,15 @@ class _EnumContext:
     def run(self, rng: random.Random, out: set[int], count: int = 1) -> None:
         """``count`` invocations; adds the produced cut bitmasks to ``out``.
 
-        A repetition follows stored steps while it can: a pick is
-        ``draw_below``, written out, one bisect and one list hop.  After its
-        first draw with no step stored after it, ``_play`` finishes the
-        repetition, or on the branch's second visit stops at the next draw
-        to store it as a step.  Subset draws landing on the empty or full
-        vertex set induce no bipartition and hence no cut; those draws
-        contribute nothing.
+        A repetition follows stored steps while it can: a pick is one byte
+        lookup in the cursor's ``pick_table`` per ``getrandbits`` call, made
+        again while it reads ``REJECT`` (a draw of 9 bits or more is
+        ``draw_below``, written out, and one bisect), then one list hop.
+        After its first draw with no step stored after it, ``_play``
+        finishes the repetition, or on the branch's second visit stops at
+        the next draw to store it as a step.  Subset draws landing on the
+        empty or full vertex set induce no bipartition and hence no cut;
+        those draws contribute nothing.
         """
         getrandbits = rng.getrandbits
         last = len(self.schedules) - 1
@@ -299,8 +312,13 @@ class _EnumContext:
                     continue
                 step = self.first = self._new_step(found, cursors, None)
             while True:
-                cum = step.cum
-                if cum is None:
+                tab = step.tab
+                if tab is not None:
+                    k = step.k
+                    at = tab[getrandbits(k)]
+                    while at == REJECT:
+                        at = tab[getrandbits(k)]
+                elif step.cum is None:
                     bits = getrandbits(step.k)
                     if bits and bits != step.total:
                         node = step.node
@@ -313,11 +331,12 @@ class _EnumContext:
                     r = getrandbits(k)
                     while r >= total:
                         r = getrandbits(k)
-                    at = bisect_right(cum, r)
+                    at = bisect_right(step.cum, r)
                 nxt = step.next[at]
                 if nxt:
                     step = nxt
                     continue
+                cum = step.cum
                 if cum is None and step.sched == last:
                     break
                 if nxt is None and self._store():  # first visit
@@ -349,7 +368,12 @@ class _EnumContext:
         cursors = tuple(cursors)
         if parent is not None and cursors == parent.cursors:
             cursors = parent.cursors
-        return _Step(sched, phase, node, draws_on, cursors)
+        tab = None
+        if draws_on is not None:  # one table per cursor, shared by its steps
+            tab = self.tables.get(draws_on)
+            if tab is None:
+                tab = self.tables[draws_on] = pick_table(draws_on.cum)
+        return _Step(sched, phase, node, draws_on, cursors, tab)
 
     def _play(self, rng, out, sched, phase, node, cursors, at, build):
         """The repetition's loop, from schedule ``sched`` and phase ``phase``

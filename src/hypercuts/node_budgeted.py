@@ -127,37 +127,42 @@ def hmincut_walk(G: Hypergraph) -> Walk:
     Its floor is 1/C(n,2).
     """
     exact_int(G.n, "vertex count", 2)
-    return _karger_walk(G, lambda mask: True, G.costs_by_criterion()[0],
+    return _karger_walk(G, None, G.costs_by_criterion()[0],
                         Fraction(1, comb(G.n, 2)))
 
 
 def _karger_walk(G: Hypergraph, fits, cost, floor: Fraction) -> Walk:
     """The walk of ``nb_arbitrary_walk`` with the vertex sets ``fits``
-    accepts as feasible, edge costs ``cost`` and success floor ``floor``."""
+    accepts as feasible, edge costs ``cost`` and success floor ``floor``.
+    ``fits`` None accepts every set, so no state is labelled or merged."""
     masks, full = G.edge_masks, G.full_mask
+    label = None if fits is None else (lambda present, c: fits(c))
 
     def expand(comps, parent=None):
-        present, counts, flags = expansion(masks, comps, parent,
-                                           lambda present, c: fits(c),
+        present, counts, flags = expansion(masks, comps, parent, label,
                                            count=True)
-        merged, feasible = _contract_infeasible(comps, flags)
-        if not feasible:
-            return ("terminal", INFEASIBLE)
-        if merged is not comps:
-            return ("merge", merged)
-        feas_mask = 0
-        for c in feasible:
-            feas_mask |= c
-        # k counts the violating component too (at most one is left); once
-        # U fits, live counts it as well and the min-cut weights apply
-        if fits(feas_mask):
-            live, bad = len(comps), 0
+        feasible, live, bad = comps, len(comps), 0
+        if fits is not None:
+            merged, feasible = _contract_infeasible(comps, flags)
+            if not feasible:
+                return ("terminal", INFEASIBLE)
+            if merged is not comps:
+                return ("merge", merged)
+            feas_mask = 0
+            for c in feasible:
+                feas_mask |= c
+            # k counts the violating component too (at most one is left);
+            # once U fits, live counts it as well and the min-cut weights
+            # apply
+            if not fits(feas_mask):
+                live, bad = len(feasible), ~feas_mask
+        if bad:
+            weights = [(live - k + bool(masks[eid] & bad)) * cost[eid]
+                       for eid, k in zip(present, counts)]
         else:
-            live, bad = len(feasible), ~feas_mask
-        node = sample_node(present, [(live - k + bool(masks[eid] & bad))
-                                     * cost[eid]
-                                     for eid, k in zip(present, counts)],
-                           counts, flags)
+            weights = [(live - k) * cost[eid]
+                       for eid, k in zip(present, counts)]
+        node = sample_node(present, weights, counts, flags)
         return node or ("terminal",
                         (delta_mask(masks, feasible[0], full), True))
 

@@ -6,7 +6,8 @@ from (master seed, trial index) via a splitmix64-style jump, which makes
 trials independent and safe to execute in any order or in parallel.
 Every algorithm draw is ``getrandbits`` rejection below a bound:
 ``draw_below``, or its calls written out in a hot loop.  ``DrawNode`` and
-``LazyWeightedOrder`` draw weighted orders lazily.
+``LazyWeightedOrder`` draw weighted orders lazily; ``pick_table`` makes a
+pick of at most 8 bits one byte lookup per call.
 """
 
 from __future__ import annotations
@@ -68,6 +69,25 @@ def trial_rngs(master_seed: int, start: int, count: int):
         yield rng
 
 
+REJECT = 255  # a pick table's mark for a draw at or above the total
+
+
+def pick_table(cum) -> bytes | None:
+    """The position ``bisect_right(cum, r)`` of every ``k``-bit draw ``r``
+    below the total ``cum[-1]``, ``k`` its bit length, and ``REJECT`` for
+    the draws at or above it; None when ``k`` exceeds 8.  Weights are
+    positive, so a total below 256 has at most 255 positions and ``REJECT``
+    is none of them.  A pick by the table makes the ``getrandbits(k)``
+    calls of ``draw_below`` and lands where its bisect does."""
+    total = cum[-1]
+    if total >= 256:
+        return None
+    runs = [bytes((pos,)) * (c - prev)
+            for pos, (prev, c) in enumerate(zip([0] + cum, cum))]
+    runs.append(bytes((REJECT,)) * ((1 << total.bit_length()) - total))
+    return b"".join(runs)
+
+
 class DrawNode:
     """One node of a weighted-draw trie: an order drawn ``depth`` items deep.
 
@@ -76,7 +96,8 @@ class DrawNode:
     ``total``.  ``children[pos]`` is the stored node left once the item left
     at ``pos`` is drawn, or False while orders have taken that branch only
     once.  Orders drawn over one trie share its nodes, so a draw on a stored
-    branch is one ``draw_below``, one bisect and one dict hop.  A node off
+    branch is one ``draw_below``, one bisect and one dict hop; a total below
+    256 may pick by ``pick_table(cum)`` in place of the bisect.  A node off
     the trie (``children`` None) stores and marks no branch: a draw on it
     builds a new off-trie node.  No node changes once built.
     """

@@ -305,6 +305,9 @@ def test_min_cut_walk_is_the_arbitrary_rank_walk_where_every_set_fits(shape):
         assert min_cut.run(a) == arbitrary.run(b), i
         assert a.getstate() == b.getstate(), i
     assert len(min_cut.cache) == len(arbitrary.cache) >= 20
+    # the min-cut walk knows every set fits, so it labels no component
+    assert all(node[6] is None for _, node in min_cut.cache.values()
+               if node[0] == "sample")
 
 
 @pytest.mark.parametrize("family", ["hmincut", "nb-arbitrary", "kcut"])

@@ -108,20 +108,23 @@ def _zero_first(G):
     return [[0] * G.m] + list(costs[1:])
 
 
-# label: (n, m, rank, t, cost columns derived from the instance).  With the
-# first criterion all zero its order is empty, so phase 1 ends at once.
+# label: (n, m, rank, t, max cost, cost columns derived from the instance).
+# With the first criterion all zero its order is empty, so phase 1 ends at
+# once.  At max cost 64 the first picks' totals are 256 and above, so their
+# steps draw 9 bits or more and pick by bisect, not by a pick table.
 SHAPES = {
-    "base-only": (4, 7, 2, 2, None),
-    "zero-criterion": (7, 12, 2, 2, _zero_first),
-    "rank-3": (7, 10, 3, 2, None),
-    "t1": (7, 11, 2, 1, None),
-    "t3": (8, 12, 2, 3, None),
+    "base-only": (4, 7, 2, 2, 4, None),
+    "zero-criterion": (7, 12, 2, 2, 4, _zero_first),
+    "rank-3": (7, 10, 3, 2, 4, None),
+    "t1": (7, 11, 2, 1, 4, None),
+    "t3": (8, 12, 2, 3, 4, None),
+    "wide": (7, 12, 2, 2, 64, None),
 }
 
 
 def _instance(shape, seed):
-    n, m, rank, t, columns = SHAPES[shape]
-    G = gen_random_instance(n, m, rank, t, 0, max_cost=4, seed=seed)
+    n, m, rank, t, max_cost, columns = SHAPES[shape]
+    G = gen_random_instance(n, m, rank, t, 0, max_cost=max_cost, seed=seed)
     return G, (columns(G) if columns else G.costs_by_criterion())
 
 
@@ -137,9 +140,17 @@ def assert_same_as_reference(ctx, G, costs, seed, reps):
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_cached_enumeration_matches_label_array_loop(shape):
+    picks = []
     for seed in range(4):
         G, costs = _instance(shape, seed)
-        assert_same_as_reference(_EnumContext(G, costs), G, costs, seed, 150)
+        ctx = _EnumContext(G, costs)
+        assert_same_as_reference(ctx, G, costs, seed, 150)
+        picks += [step for step in _steps(ctx) if step.cum is not None]
+    # a pick by table when its draw takes at most 8 bits, else by bisect
+    assert all((step.tab is None) == (step.total >= 256) for step in picks)
+    by_table = sum(step.tab is not None for step in picks)
+    assert (by_table < len(picks)) == (shape == "wide")
+    assert (by_table > 0) == (shape != "base-only")
 
 
 @pytest.mark.parametrize("cap", [multiobjective._ENUM_CACHE_CAP, 40, 0],

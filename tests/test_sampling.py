@@ -7,9 +7,9 @@ from itertools import accumulate
 import pytest
 
 from hypercuts import sampling
-from hypercuts.sampling import (DrawNode, LazyWeightedOrder, derive_rng,
-                                derive_seed, draw_below, splitmix64,
-                                trial_rngs)
+from hypercuts.sampling import (REJECT, DrawNode, LazyWeightedOrder,
+                                derive_rng, derive_seed, draw_below,
+                                pick_table, splitmix64, trial_rngs)
 from test_enum_context import ReferenceOrder
 
 
@@ -224,3 +224,29 @@ def test_child_holds_the_items_left_and_their_weights():
     node = root.child(2).child(2).child(0)
     assert (node.order, node.depth, node.cum) == (tuple("cdab"), 3, [1])
     assert node.child(0).total == 0
+
+
+def _random_weights(draw, total):
+    """Positive integer weights summing to ``total``, in random parts."""
+    cuts = sorted(draw.sample(range(1, total), draw.randint(0, total - 1)))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def test_pick_table_is_the_bisect_of_every_draw():
+    # every total from 1 to 255, in random parts, 255 parts of weight 1
+    # (the most positions a table holds) and 1 part of 255
+    draw = random.Random(37)
+    cases = [_random_weights(draw, total) for total in range(1, 256)]
+    cases += [[1] * 255, [255], [1], [2], [128], [127, 1]]
+    for weights in cases:
+        cum = list(accumulate(weights))
+        total = cum[-1]
+        k = total.bit_length()
+        tab = pick_table(cum)
+        assert len(tab) == 1 << k
+        for r in range(1 << k):
+            want = bisect_right(cum, r) if r < total else REJECT
+            assert tab[r] == want, (weights, r)
+    # a total of 256 or more takes a draw of 9 bits or more: no table
+    assert pick_table(list(accumulate([1] * 256))) is None
+    assert pick_table([300]) is None

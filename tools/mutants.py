@@ -50,11 +50,9 @@ GOLDENS = ("tests/test_golden.py",
 
 MUTANTS = [
     # in the walk hmincut shares with nb-arbitrary, every present edge
-    # weighs 1, whatever its cost and size
+    # weighs 1 once every set fits, whatever its cost and size
     ("hmincut-uniform-weights", "node_budgeted.py",
-     "[(live - k + bool(masks[eid] & bad))\n"
-     "                                     * cost[eid]\n",
-     "[1\n", False),
+     "weights = [(live - k) * cost[eid]\n", "weights = [1\n", False),
     ("kcut-comb-sigma-plus-1", "size_constrained.py",
      "alpha = [comb(x, sigma_lead) for x in range(G.n + 1)]",
      "alpha = [comb(x, sigma_lead + 1) for x in range(G.n + 1)]", False),
@@ -62,7 +60,7 @@ MUTANTS = [
      "(live - k + bool(masks[eid] & bad))", "(live - k)", False),
     # alpha weights after U fits: the min-cut walk's weights never apply
     ("nb-arbitrary-alpha-after-fit", "node_budgeted.py",
-     "if fits(feas_mask):", "if False:", False),
+     "if not fits(feas_mask):", "if True:", False),
     # a weightless min-cut or arbitrary-rank state stops with every present
     # edge, which is no cut when a zero-cost edge spans only some components
     ("min-cut-stop-present-edges", "node_budgeted.py",
@@ -118,6 +116,10 @@ MUTANTS = [
     ("enum-store-one-past-cap", "multiobjective.py",
      "if self.size >= _ENUM_CACHE_CAP:", "if self.size > _ENUM_CACHE_CAP:",
      False),
+    # a table pick redraws at most once, so a second draw at or above the
+    # total lands on the rejection mark, past every position
+    ("pick-table-rejects-once", "multiobjective.py",
+     "while at == REJECT:", "if at == REJECT:", False),
     ("exact-int-accepts-bools", "hypergraph.py",
      "if not isinstance(value, int) or isinstance(value, bool):",
      "if not isinstance(value, int):", False),
