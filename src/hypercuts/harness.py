@@ -202,19 +202,15 @@ def solve(G: Hypergraph, algorithm: str, *, trials: int | None = None,
     return best_of_n(walk, trials, seed)
 
 
-def _hit(out, target_masks) -> bool:
-    """Whether a walk's outcome is a success: a cut in ``target_masks``, or
-    no witnessed cut when ``target_masks`` is None (an infeasible instance:
-    INFEASIBLE, or a cut its constraints reject)."""
-    if target_masks is None:
-        return out is INFEASIBLE or not out[1]
-    return out is not INFEASIBLE and out[0] in target_masks
-
-
 def _successes(walk, target_masks, seed: int, start: int, count: int) -> int:
-    """Trials in [start, start+count) whose outcome is a success."""
-    return sum(_hit(out, target_masks)
-               for out in walk.runs(trial_rngs(seed, start, count)))
+    """Trials in [start, start+count) whose outcome is a success: a cut in
+    ``target_masks``, or no witnessed cut when ``target_masks`` is None (an
+    infeasible instance: INFEASIBLE, or a cut its constraints reject)."""
+    outs = walk.runs(trial_rngs(seed, start, count))
+    if target_masks is None:
+        return sum(1 for out in outs if out is INFEASIBLE or not out[1])
+    return sum(1 for out in outs
+               if out is not INFEASIBLE and out[0] in target_masks)
 
 
 # What a pool worker works on (a walk, or a pipeline's fixed arguments): set

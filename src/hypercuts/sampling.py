@@ -58,13 +58,17 @@ def trial_rngs(master_seed: int, start: int, count: int):
     """``derive_rng(master_seed, i)`` for each trial ``i`` in ``start ..
     start+count-1``, as one ``random.Random`` reseeded in place (the C-level
     seed of ``Random(x)``): each is valid only until the next is drawn.  The
-    arguments are checked once; each trial steps the splitmix64 state."""
+    arguments are checked once; each trial steps the splitmix64 state and
+    mixes it as ``splitmix64`` does, written out."""
     state = exact_int(master_seed, "seed") + exact_int(start, "trial index", 0) * _GAMMA
     rng = random.Random()
     reseed = super(random.Random, rng).seed
     for _ in range(exact_int(count, "trial count", 0)):
-        state += _GAMMA  # splitmix64 reduces it mod 2^64
-        reseed(splitmix64(state))
+        state += _GAMMA
+        x = state & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        reseed(x ^ (x >> 31))
         rng.gauss_next = None  # as Random.seed resets it
         yield rng
 

@@ -12,7 +12,10 @@ The walk is an ``_engine.Walk`` whose ``level`` and ``draw`` nodes carry
 their draws as data: a level's candidate is the 2*sigma_{k-1} picks of a
 partial Fisher-Yates shuffle of its components and a label per pick, the
 base case a label per component.  The engine decodes only the labelling
-that survives on the way back up, the base's included.
+that survives on the way back up, the base's included: one pass over the
+picks gives its k label masks, whose outcome is memoised by the masks, and
+a base state also keeps each draw's outcome in a table of its own.
+``_OUTCOME_CAP`` bounds the entries of the memo and of every table together.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ __all__ = [
     "success_floor_size",
 ]
 
-# Most labellings whose outcome one walk keeps; past it outcomes are
-# computed afresh.
+# Most outcomes one walk keeps, the labelling memo's entries and the base
+# states' table entries counted together; past it outcomes are computed
+# afresh.
 _OUTCOME_CAP = 1 << 16
 
 
@@ -106,14 +110,14 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
                 out |= 1 << eid
         return out
 
-    memo = {}  # outcome per labelling, up to _OUTCOME_CAP of them
+    full = G.full_mask
+    memo = {}  # outcome per labelling
+    held = 0  # entries stored in memo and the base tables, up to _OUTCOME_CAP
 
-    def labelled(comps, labels):
-        """The outcome of label ``labels[i]`` on each component comps[i]."""
-        label_masks = [0] * k
-        for c, lab in zip(comps, labels):
-            label_masks[lab] |= c
-        key = tuple(label_masks)
+    def outcome(key):
+        """The outcome of the label masks ``key``; a part left empty makes
+        the crossing edges an unwitnessed cut."""
+        nonlocal held
         out = memo.get(key)
         if out is None:
             if 0 in key:
@@ -121,20 +125,42 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
             else:
                 part_w = sorted(mask_sum(vertex_w, lm) for lm in key)
                 out = crossing(key), all(w >= s for w, s in zip(part_w, sizes))
-            if len(memo) < _OUTCOME_CAP:
+            if held < _OUTCOME_CAP:
                 memo[key] = out
+                held += 1
+        return out
+
+    def based(table, comps, raws):
+        """The outcome of label ``raws[i]`` on each component comps[i],
+        kept in the state's ``table`` by the draws."""
+        nonlocal held
+        key = tuple(raws)
+        out = table.get(key)
+        if out is None:
+            label_masks = [0] * k
+            for c, lab in zip(comps, raws):
+                label_masks[lab] |= c
+            out = outcome(tuple(label_masks))
+            if held < _OUTCOME_CAP:
+                table[key] = out
+                held += 1
         return out
 
     def settle(alive, comps, raws):
         """The outcome of a level's candidate drawn as ``raws``: the sample
         takes its labels and every other component k-1.  A part left empty
-        settles to the present edge set ``alive``."""
-        labels = [k - 1] * len(comps)
+        settles to the present edge set ``alive``, before any memo is
+        read: a base draw memoises such a labelling as its crossing edges."""
+        label_masks = [0] * k
+        picked = 0
         for idx, lab in _picks(raws, len(comps), sample_size):
-            labels[idx] = lab
-        if len(set(labels)) < k:
+            c = comps[idx]
+            label_masks[lab] |= c
+            picked |= c
+        label_masks[k - 1] |= full & ~picked
+        if 0 in label_masks:
             return alive, False
-        return labelled(comps, labels)
+        return outcome(tuple(label_masks))
 
     def level_draws(live):
         """The ``sample_size`` pool picks of ``_picks`` (bounds live,
@@ -158,7 +184,7 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
             return ("terminal", INFEASIBLE)
         if live <= base_limit:
             # uniform independent label per supervertex (k^|V| outcomes)
-            return ("draw", draws[live], labelled)
+            return ("draw", draws[live], partial(based, {}))
         present, counts, _ = expansion(masks, comps, parent, count=True)
         settled = partial(settle, ids_mask(present))
         node = sample_node(present, [alpha[live - c] * cost[eid]

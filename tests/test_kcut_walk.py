@@ -8,9 +8,15 @@ walk must return the same outcome from the same generator calls, so after
 every run both generators must be in the same state.  The reference also
 records which branches a run took, so each shape below is checked to reach
 the branch it is named after.
+
+``LabelListDecode`` is the decode of a level's candidate as it was written
+before it built the label masks in one pass: a label per component, a set of
+the labels used, then a second pass over the components.  The one-pass
+decode must settle every raw draw of a level to the same outcome.
 """
 
 from bisect import bisect_right
+from itertools import product
 from math import comb
 
 import pytest
@@ -20,7 +26,7 @@ from hypercuts._engine import (contract_comps, ids_mask, initial_comps,
 from hypercuts.analysis import gen_random_instance
 from hypercuts.hypergraph import Hypergraph, INFEASIBLE
 from hypercuts.sampling import derive_rng
-from hypercuts.size_constrained import kcut_walk
+from hypercuts.size_constrained import _picks, kcut_walk
 
 
 def _sample_step(node, comps, masks, rng):
@@ -203,3 +209,86 @@ def test_engine_walk_matches_reference_loop(G, k, sizes, weighted, branch):
     # fresh walks for every run
     _same_runs(lambda: kcut_walk(G, k, sizes, weighted),
                lambda: ReferenceWalker(G, k, sizes, weighted), 71, 40)
+
+
+class LabelListDecode:
+    """A level candidate's outcome by a label list, with an uncapped memo
+    of outcomes by label masks; ``ReferenceWalker`` computes each one."""
+
+    def __init__(self, G, k, sizes):
+        self.k = k
+        self.walker = ReferenceWalker(G, k, sizes, False)
+        self.sample_size = 2 * self.walker.sigma_lead
+        self.memo = {}
+
+    def labelled(self, comps, labels):
+        label_masks = [0] * self.k
+        for c, lab in zip(comps, labels):
+            label_masks[lab] |= c
+        key = tuple(label_masks)
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = (self.walker._crossing(key),
+                                    self.walker._witnessed(key))
+        return out
+
+    def settle(self, alive, comps, raws):
+        labels = [self.k - 1] * len(comps)
+        for idx, lab in _picks(raws, len(comps), self.sample_size):
+            labels[idx] = lab
+        if len(set(labels)) < self.k:
+            return alive, False
+        return self.labelled(comps, labels)
+
+
+@pytest.mark.parametrize("k, sizes", [(2, (1, 1)), (2, (2, 2)),
+                                      (3, (1, 1, 2))])
+def test_mask_decode_matches_label_list_decode(k, sizes):
+    # every raw draw of the levels at 7, 6 and 5 live components, one of
+    # them merged from the first 2, 3 or 4 vertices; the picks' labels
+    # can leave a part empty at every level
+    G = gen_random_instance(8, 12, 3, 1, 1, max_weight=3, seed=67,
+                            positive_weights=True)
+    walk = kcut_walk(G, k, sizes)
+    reference = LabelListDecode(G, k, sizes)
+    seen = set()
+    for merged in (0b11, 0b111, 0b1111):
+        comps = contract_comps(initial_comps(G.n), merged)
+        node = walk.expand(comps)
+        assert node[0] == "level"
+        draws, decode = node[1], node[-1]
+        alive = ids_mask(present_edge_ids(G.edge_masks, comps))
+        for raws in product(*(range(bound) for bound, _ in draws)):
+            out = decode(comps, list(raws))
+            assert out == reference.settle(alive, comps, list(raws)), raws
+            seen.add(out[1] if out[0] != alive else "alive")
+    assert {True, "alive"} <= seen
+
+
+class Scripted:
+    """A generator whose ``getrandbits`` returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def getrandbits(self, bits):
+        r = next(self.values)
+        assert 0 <= r < 1 << bits
+        return r
+
+
+def test_empty_part_settles_before_the_memo_is_read():
+    # the triangle at k = 2, sizes (1, 1): a level at 3 live components
+    # (2 picks, then a label for each), then a base draw at 2
+    walk = kcut_walk(Hypergraph(3, [(0, 1), (1, 2), (0, 2)]), 2, (1, 1))
+    # the base draw labels both components 1: its masks (0, 0b111) are
+    # memoised as their crossing edges, none, and the level's candidate
+    # loses its coin
+    rng = Scripted([0, 0, 0, 0, 0, 1, 1, 1])
+    assert walk.run(rng) == (0, False)
+    # the level picks components 0 and 2 and labels both 1, the same masks
+    # once the rest takes label 1; it survives, and an empty part settles
+    # to every present edge
+    rng = Scripted([0, 0, 1, 1, 0, 0, 0, 0])
+    assert walk.run(rng) == (0b111, False)
+    assert next(rng.values, None) is None

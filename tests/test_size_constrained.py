@@ -233,6 +233,15 @@ def outcome_memo(walk):
     raise AssertionError("no outcome memo")
 
 
+def outcome_entries(walk):
+    """The entries of the walk's outcome memo and of its base states'
+    tables: the dict each cached draw node's decoder is bound to first."""
+    tables = [node[2].args[0] for _, node in walk.cache.values()
+              if node[0] == "draw"]
+    held = {id(t): len(t) for t in tables if isinstance(t, dict)}
+    return len(outcome_memo(walk)) + sum(held.values())
+
+
 @pytest.mark.parametrize("G, k, sizes, weighted",
                          [shape[1:5] for shape in SHAPES if shape[0] != "n<k"],
                          ids=[shape[0] for shape in SHAPES if shape[0] != "n<k"])
@@ -245,10 +254,10 @@ def test_outcome_memo_cap_changes_no_run(G, k, sizes, weighted, monkeypatch):
     cap = 4
     monkeypatch.setattr(size_constrained, "_OUTCOME_CAP", cap)
     capped = kcut_walk(G, k, sizes, weighted)
-    memo = outcome_memo(capped)
     for i in range(2000):
         rng = derive_rng(72, i)
         assert (capped.run(rng), rng.getstate()) == want[i], i
-        assert len(memo) <= cap
-    # the cap is reached wherever more labellings were settled than it holds
-    assert len(memo) == min(cap, len(outcome_memo(uncapped)))
+        assert outcome_entries(capped) <= cap
+    # the memo and the base tables share the cap, which is reached wherever
+    # more outcomes were stored than it holds
+    assert outcome_entries(capped) == min(cap, outcome_entries(uncapped))

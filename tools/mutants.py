@@ -102,6 +102,25 @@ MUTANTS = [
     # and labels fewer than 2 sigma components
     ("kcut-pool-no-swap", "size_constrained.py",
      "        pool[j] = pool[i - 1]\n", "", False),
+    # a level candidate reads the memo before it settles an empty part, so
+    # it takes the crossing edges a base draw memoised for the same masks
+    ("kcut-empty-part-after-memo", "size_constrained.py",
+     "        if 0 in label_masks:\n"
+     "            return alive, False\n"
+     "        return outcome(tuple(label_masks))\n",
+     "        key = tuple(label_masks)\n"
+     "        if key in memo:\n"
+     "            return memo[key]\n"
+     "        if 0 in key:\n"
+     "            return alive, False\n"
+     "        return outcome(key)\n", False),
+    ("kcut-rest-labelled-0", "size_constrained.py",
+     "label_masks[k - 1] |= full & ~picked",
+     "label_masks[0] |= full & ~picked", False),
+    # every base state reads and fills the one dict of the decoder's
+    # function object, so a draw replays another state's outcome
+    ("kcut-base-table-shared", "size_constrained.py",
+     "partial(based, {})", "partial(based, based.__dict__)", False),
     # the pipeline's front keeps a cut that another beats only on the
     # leading criteria, at an equal last cost
     ("pareto-front-beats-last", "multiobjective.py",
