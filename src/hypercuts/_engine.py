@@ -26,17 +26,14 @@ while the cache is under cap, so a link to the state leads straight to
   nothing alive; ``counts`` (aligned with ``eids``) and ``labels``
   (aligned with ``comps``) are the state's ``expansion`` data, each
   compact or None;
-* ``("base", table, outcome)`` - draw a uniform subset of the components and
-  return ``outcome(side)`` for the union ``side`` of the drawn ones; ``table``
-  caches the outcome of each draw;
-* ``("terminal", outcome)`` - stop with a fixed outcome;
-* ``("draw", draws, decode)`` - make the draws ``raws`` and stop with the
-  outcome ``decode(comps, raws)``;
+* ``("draw", draws, table, decode)`` - make the draws ``raws`` and stop with
+  the outcome ``decode(comps, raws)``, kept in ``table`` under
+  ``tuple(raws)``: one subset draw at a base case (``subset_node``), none
+  at a fixed outcome;
 * ``("level", draws, sample, decode)`` - make the draws ``raws``, push the
   candidate ``(decode, comps, raws)`` and take one step of the nested
   sample node.  ``draws`` lists ``(bound, bits)``, each a uniform draw
-  below ``bound`` made by ``getrandbits(bits)`` rejection, ``bits =
-  bound.bit_length()``.
+  below ``bound <= 2**bits`` made by ``getrandbits(bits)`` rejection.
 
 A contraction merges the components one edge meets into one component M
 and leaves every other component, and every present edge outside M, as it
@@ -50,11 +47,12 @@ Both ways give equal nodes, and ``expand(comps)`` alone is the reference.
 ``Walk.runs(rngs)`` is the one loop: it runs one walk per generator in one
 frame and yields each outcome.  ``Walk.run(rng)`` is its single walk.
 
-Once the walk stops, the candidates pushed by level nodes are resolved
-innermost first: each replaces the outcome with probability 1/live, live
-its state's component count.  Only the survivor, or a draw node's draws
-when none survives, is decoded.  The size-constrained k-cut walk uses
-both nodes; the four bipartition walks neither.
+Every walk stops at a draw node.  The candidates pushed by level nodes
+(only the k-cut walk has them) are then resolved innermost first: each
+replaces the outcome with probability 1/live, live its state's component
+count.  Only the survivor is decoded, or, when none survives, the draw
+node's draws if its table misses them.  ``Walk.keep`` stores every outcome
+a walk keeps, in tables and decoders' memos alike, up to ``_OUTCOME_CAP``.
 
 An outcome is ``(cut edge-bitmask, witnessed)`` or ``INFEASIBLE``.
 ``witnessed`` records whether the cut comes from a witness the problem's
@@ -257,6 +255,13 @@ def front(vectors_by_key, beats) -> set:
     return {key for key, vec in vectors_by_key.items() if vec in kept}
 
 
+def subset_node(comps, decode):
+    """Draw node of a uniform subset of ``comps``: one ``getrandbits(live)``
+    call, which never rejects; ``decode`` is built once per walk."""
+    live = len(comps)
+    return ("draw", ((1 << live, live),), {}, decode)
+
+
 def sample_node(eids, weights, counts=None, labels=None):
     """Node contracting ``eids[i]`` with probability proportional to
     ``weights[i]``, or None when every weight is zero (ValueError when they
@@ -274,6 +279,9 @@ def sample_node(eids, weights, counts=None, labels=None):
 # and dropped, so a long run on a large instance stays in bounded memory.
 _WALK_CACHE_CAP = 1 << 14
 
+# Cap on the outcomes one walk keeps (``Walk.keep``); past it, recomputed.
+_OUTCOME_CAP = 1 << 16
+
 
 class Walk:
     """Cached absorbing-chain walk over the partitions of one hypergraph.
@@ -289,6 +297,7 @@ class Walk:
         self.value = value
         self.floor = floor
         self.cache: dict[tuple, tuple] = {}  # comps -> its entry
+        self.kept = 0  # outcomes stored by keep, up to _OUTCOME_CAP
 
     def _entry(self, comps, parent=None):
         """The entry of ``comps``: the cache's, or one expanded (from
@@ -303,6 +312,13 @@ class Walk:
                 self.cache[comps] = entry
         return entry
 
+    def keep(self, table, key, out):
+        """``out``, stored in ``table`` under ``key`` below the cap."""
+        if self.kept < _OUTCOME_CAP:
+            table[key] = out
+            self.kept += 1
+        return out
+
     def run(self, rng):
         """One walk from the singleton partition; returns its outcome."""
         return next(self.runs((rng,)))
@@ -315,29 +331,25 @@ class Walk:
         entry_of = self._entry
         head = entry_of(self.start)
         for rng in rngs:
-            stopped = None  # the draw node's candidate, or the survivor
+            survivor = None  # the level candidate that replaces the outcome
             pending = None  # (decode, comps, raws) per level passed
             getrandbits = rng.getrandbits
             comps, node = head
             while True:
                 tag = node[0]
                 if tag != "sample":
-                    if tag == "level" or tag == "draw":
-                        raws = []  # a draw below each bound
-                        for bound, bits in node[1]:
+                    raws = []  # a draw below each bound
+                    for bound, bits in node[1]:
+                        r = getrandbits(bits)
+                        while r >= bound:
                             r = getrandbits(bits)
-                            while r >= bound:
-                                r = getrandbits(bits)
-                            raws.append(r)
-                        if tag == "draw":
-                            stopped = (node[2], comps, raws)
-                            break
-                        if pending is None:
-                            pending = []
-                        pending.append((node[3], comps, raws))
-                        node = node[2]
-                    else:
+                        raws.append(r)
+                    if tag == "draw":
                         break
+                    if pending is None:
+                        pending = []
+                    pending.append((node[3], comps, raws))
+                    node = node[2]
                 # a sample step: sampling.draw_below(rng, total), written out
                 total = node[2]
                 bits = total.bit_length()
@@ -352,14 +364,6 @@ class Walk:
                     if cache.get(nxt) is link:  # only a cached entry
                         node[4][idx] = link
                 comps, node = link
-            if tag == "base":
-                table = node[1]
-                bits = getrandbits(len(comps))
-                out = table.get(bits)
-                if out is None:
-                    out = table[bits] = node[2](side_mask(comps, bits))
-            elif tag == "terminal":
-                out = node[1]
             if pending:
                 for candidate in reversed(pending):
                     live = len(candidate[1])
@@ -368,8 +372,13 @@ class Walk:
                     while r >= live:
                         r = getrandbits(bits)
                     if r == 0:
-                        stopped = candidate
-            if stopped is not None:
-                decode, comps, raws = stopped
+                        survivor = candidate
+            if survivor is None:
+                table, key = node[2], tuple(raws)
+                out = table.get(key)
+                if out is None:
+                    out = self.keep(table, key, node[3](comps, raws))
+            else:
+                decode, comps, raws = survivor
                 out = decode(comps, raws)
             yield out

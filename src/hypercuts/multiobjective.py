@@ -51,7 +51,7 @@ from math import comb
 
 from ._engine import (Walk, beats_last, contract_comps, delta_mask, expansion,
                       front, ids_mask, initial_comps, mask_sum,
-                      present_edge_ids, sample_node, side_mask)
+                      present_edge_ids, sample_node, side_mask, subset_node)
 from .hypergraph import Cut, Hypergraph, InstanceError, exact_int, exact_ints
 from .oracle import dominates
 from .sampling import REJECT, DrawNode, pick_table
@@ -107,7 +107,8 @@ def _bmulti_walk(G: Hypergraph, costs, budgets) -> Walk:
     masks, full = G.edge_masks, G.full_mask
     base_limit = G.rank * t
 
-    def outcome(side):
+    def subset(comps, raws):
+        side = side_mask(comps, raws[0])
         return delta_mask(masks, side, full), 0 != side != full
 
     def class_of(present, comp):
@@ -124,7 +125,7 @@ def _bmulti_walk(G: Hypergraph, costs, budgets) -> Walk:
                                    None, classes)
                 if node:
                     return node
-        return ("base", {}, outcome)
+        return subset_node(comps, subset)
 
     def value(mask):
         # cost on the last criterion, for cuts within every budget

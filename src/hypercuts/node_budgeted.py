@@ -24,7 +24,8 @@ from itertools import product
 from math import comb
 
 from ._engine import (Walk, contract_comps, delta_mask, expansion,
-                      initial_comps, mask_sum, sample_node, side_mask)
+                      initial_comps, mask_sum, sample_node, side_mask,
+                      subset_node)
 from .hypergraph import Cut, Hypergraph, INFEASIBLE, exact_int, exact_ints
 from .sampling import LazyWeightedOrder
 
@@ -81,7 +82,8 @@ def nb_constant_walk(G: Hypergraph, budgets) -> Walk:
     masks, full = G.edge_masks, G.full_mask
     base_limit = G.rank + 1
 
-    def outcome(side):
+    def subset(comps, raws):
+        side = side_mask(comps, raws[0])
         witnessed = 0 != side != full and (fits(side) or fits(full & ~side))
         return delta_mask(masks, side, full), witnessed
 
@@ -91,12 +93,11 @@ def nb_constant_walk(G: Hypergraph, budgets) -> Walk:
         merged, _ = _contract_infeasible(comps, flags)
         if merged is not comps:
             return ("merge", merged)
-        if len(comps) <= base_limit:
-            return ("base", {}, outcome)
-        # a zero-cost state terminates via the base case
-        return (sample_node(present, [cost[eid] for eid in present], None,
-                            flags)
-                or ("base", {}, outcome))
+        # a zero-cost state stops with the base case's subset draw
+        return (len(comps) > base_limit
+                and sample_node(present, [cost[eid] for eid in present], None,
+                                flags)
+                or subset_node(comps, subset))
 
     return Walk(G, expand, lambda mask: mask_sum(cost, mask),
                 success_floor_node(G.n, G.rank))
@@ -138,14 +139,21 @@ def _karger_walk(G: Hypergraph, fits, cost, floor: Fraction) -> Walk:
     masks, full = G.edge_masks, G.full_mask
     label = None if fits is None else (lambda present, c: fits(c))
 
+    def stop(comps, raws):
+        """The cut around the first feasible component, or INFEASIBLE."""
+        for c in comps:
+            if fits is None or fits(c):
+                return delta_mask(masks, c, full), True
+        return INFEASIBLE
+
     def expand(comps, parent=None):
         present, counts, flags = expansion(masks, comps, parent, label,
                                            count=True)
-        feasible, live, bad = comps, len(comps), 0
+        live, bad = len(comps), 0
         if fits is not None:
             merged, feasible = _contract_infeasible(comps, flags)
             if not feasible:
-                return ("terminal", INFEASIBLE)
+                return ("draw", (), {}, stop)
             if merged is not comps:
                 return ("merge", merged)
             feas_mask = 0
@@ -162,9 +170,8 @@ def _karger_walk(G: Hypergraph, fits, cost, floor: Fraction) -> Walk:
         else:
             weights = [(live - k) * cost[eid]
                        for eid, k in zip(present, counts)]
-        node = sample_node(present, weights, counts, flags)
-        return node or ("terminal",
-                        (delta_mask(masks, feasible[0], full), True))
+        return (sample_node(present, weights, counts, flags)
+                or ("draw", (), {}, stop))
 
     return Walk(G, expand, lambda mask: mask_sum(cost, mask), floor)
 

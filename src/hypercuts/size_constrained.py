@@ -12,10 +12,9 @@ The walk is an ``_engine.Walk`` whose ``level`` and ``draw`` nodes carry
 their draws as data: a level's candidate is the 2*sigma_{k-1} picks of a
 partial Fisher-Yates shuffle of its components and a label per pick, the
 base case a label per component.  The engine decodes only the labelling
-that survives on the way back up, the base's included: one pass over the
-picks gives its k label masks, whose outcome is memoised by the masks, and
-a base state also keeps each draw's outcome in a table of its own.
-``_OUTCOME_CAP`` bounds the entries of the memo and of every table together.
+that survives on the way back up, or the draw the walk stopped at: one pass
+over the picks gives its k label masks, whose outcome is memoised by the
+masks through ``Walk.keep``, under the engine's ``_OUTCOME_CAP``.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from math import comb
+from weakref import proxy
 
 from ._engine import Walk, expansion, ids_mask, mask_sum, sample_node
 from .hypergraph import (Hypergraph, InstanceError, INFEASIBLE, exact_bool,
@@ -33,11 +33,6 @@ __all__ = [
     "kcut_walk",
     "success_floor_size",
 ]
-
-# Most outcomes one walk keeps, the labelling memo's entries and the base
-# states' table entries counted together; past it outcomes are computed
-# afresh.
-_OUTCOME_CAP = 1 << 16
 
 
 def _check_sizes(k: int, sizes) -> tuple[int, ...]:
@@ -112,12 +107,10 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
 
     full = G.full_mask
     memo = {}  # outcome per labelling
-    held = 0  # entries stored in memo and the base tables, up to _OUTCOME_CAP
 
     def outcome(key):
         """The outcome of the label masks ``key``; a part left empty makes
         the crossing edges an unwitnessed cut."""
-        nonlocal held
         out = memo.get(key)
         if out is None:
             if 0 in key:
@@ -125,26 +118,15 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
             else:
                 part_w = sorted(mask_sum(vertex_w, lm) for lm in key)
                 out = crossing(key), all(w >= s for w, s in zip(part_w, sizes))
-            if held < _OUTCOME_CAP:
-                memo[key] = out
-                held += 1
+            owner.keep(memo, key, out)
         return out
 
-    def based(table, comps, raws):
-        """The outcome of label ``raws[i]`` on each component comps[i],
-        kept in the state's ``table`` by the draws."""
-        nonlocal held
-        key = tuple(raws)
-        out = table.get(key)
-        if out is None:
-            label_masks = [0] * k
-            for c, lab in zip(comps, raws):
-                label_masks[lab] |= c
-            out = outcome(tuple(label_masks))
-            if held < _OUTCOME_CAP:
-                table[key] = out
-                held += 1
-        return out
+    def labelled(comps, raws):
+        """The outcome of label ``raws[i]`` on each component comps[i]."""
+        label_masks = [0] * k
+        for c, lab in zip(comps, raws):
+            label_masks[lab] |= c
+        return outcome(tuple(label_masks))
 
     def settle(alive, comps, raws):
         """The outcome of a level's candidate drawn as ``raws``: the sample
@@ -181,21 +163,22 @@ def kcut_walk(G: Hypergraph, k: int, sizes,
         if live < k:
             # only the start state: a contraction of positive weight
             # leaves at least sigma_{k-1} + 1 >= k components
-            return ("terminal", INFEASIBLE)
-        if live <= base_limit:
-            # uniform independent label per supervertex (k^|V| outcomes)
-            return ("draw", draws[live], partial(based, {}))
-        present, counts, _ = expansion(masks, comps, parent, count=True)
-        settled = partial(settle, ids_mask(present))
-        node = sample_node(present, [alpha[live - c] * cost[eid]
-                                     for eid, c in zip(present, counts)],
-                           counts)
-        if node is None:
-            return ("draw", draws[live], settled)
-        return ("level", draws[live], node, settled)
+            return ("draw", (), {}, lambda comps, raws: INFEASIBLE)
+        decode = labelled  # a uniform label per component (k^live outcomes)
+        if live > base_limit:
+            present, counts, _ = expansion(masks, comps, parent, count=True)
+            decode = partial(settle, ids_mask(present))
+            node = sample_node(present, [alpha[live - c] * cost[eid]
+                                         for eid, c in zip(present, counts)],
+                               counts)
+            if node is not None:
+                return ("level", draws[live], node, decode)
+        return ("draw", draws[live], {}, decode)
 
     floor = success_floor_size(G.n, k, sizes) if G.n >= k else Fraction(1)
-    return Walk(G, expand, lambda mask: mask_sum(cost, mask), floor)
+    walk = Walk(G, expand, lambda mask: mask_sum(cost, mask), floor)
+    owner = proxy(walk)  # weak, so no cycle keeps a dropped walk alive
+    return walk
 
 
 def success_floor_size(n: int, k: int, sizes) -> Fraction:

@@ -1,5 +1,6 @@
 import math
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
@@ -30,10 +31,15 @@ def test_side_mask_is_the_union_of_the_picked_components():
 
 
 def draw_raws(draws, rng):
-    """The raw draws of a level or draw node's ``draws``: one
-    ``draw_below(rng, bound)`` per ``(bound, bits)``."""
-    assert all(bits == bound.bit_length() for bound, bits in draws)
-    return [draw_below(rng, bound) for bound, _ in draws]
+    """The raw draws of a level or draw node's ``draws``: per ``(bound,
+    bits)``, ``getrandbits(bits)`` until a value below ``bound``."""
+    raws = []
+    for bound, bits in draws:
+        r = rng.getrandbits(bits)
+        while r >= bound:
+            r = rng.getrandbits(bits)
+        raws.append(r)
+    return raws
 
 
 def path_outcome(G, sizes, label_masks):
@@ -88,13 +94,17 @@ def test_draw_sample_is_rng_sample(n):
 
 
 def test_sample_step_never_draws_zero_weight_edges():
-    # a walk whose start is the sample node and which stops with the state
-    # its one step reached
+    # a walk whose start is the sample node and which stops, with no draw,
+    # with the state its one step reached
     G = Hypergraph(10, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
     node = sample_node(list(range(5)), [0, 3, 0, 5, 0])
+
+    def reached(comps, raws):
+        return comps
+
     walk = Walk(G, lambda comps, parent=None:
-                node if comps == initial_comps(10) else ("terminal", comps),
-                None, None)
+                node if comps == initial_comps(10)
+                else ("draw", (), {}, reached), None, None)
     rng = random.Random(0)
     counts = Counter()
     for _ in range(4000):
@@ -190,19 +200,21 @@ def test_contract_comps_matches_the_sorting_version():
 
 def comparable(node, comps):
     """The fields of a node that are functions of its state ``comps`` alone:
-    tables a walk fills as it goes (``nexts``, a base node's cache) are left
-    out, and a decoder counts by what it makes of a few seeded draws."""
+    tables a walk fills as it goes (``nexts``, a draw node's outcomes) are
+    left out, but each outcome a draw node keeps must be its decoder's, and
+    a decoder counts by what it makes of a few seeded draws."""
     tag = node[0]
     if tag == "sample":
         return (tag, node[1], node[2], node[3], node[5], node[6])
-    if tag in ("level", "draw"):
-        decoded = [node[-1](comps, draw_raws(node[1], random.Random(seed)))
-                   for seed in range(4)]
-        inner = comparable(node[2], comps) if tag == "level" else None
-        return (tag, node[1], decoded, inner)
-    if tag in ("merge", "terminal"):
+    if tag == "merge":
         return node
-    return (tag,)
+    decoded = [node[-1](comps, draw_raws(node[1], random.Random(seed)))
+               for seed in range(4)]
+    if tag == "level":
+        return (tag, node[1], decoded, comparable(node[2], comps))
+    assert all(node[3](comps, list(key)) == out
+               for key, out in node[2].items()), comps
+    return (tag, node[1], decoded)
 
 
 # (n, m, rank, cost criteria) with n <= 10 and ranks 2-5: the budgeted walk
@@ -250,8 +262,11 @@ def test_incremental_expansion_equals_expansion_from_scratch(family, shape):
         if key is not comps:  # a merge state's entry is its target's
             assert walk.expand(comps) == ("merge", key), comps
             continue
-        assert comparable(node, comps) == comparable(walk.expand(comps),
-                                                     comps), comps
+        fresh = walk.expand(comps)
+        assert comparable(node, comps) == comparable(fresh, comps), comps
+        if node[0] == "draw" and family != "kcut":
+            # one decoder per walk: equal nodes but for the outcomes kept
+            assert node[:2] + node[3:] == fresh[:2] + fresh[3:], comps
         sample = node[2] if node[0] == "level" else node
         if sample[0] == "sample":
             inherited += sum(link[0] in walk.cache for link in sample[4]
@@ -359,6 +374,51 @@ def test_walk_cache_cap_changes_no_outcome(monkeypatch, make):
         assert len(capped.cache) <= 30
 
 
+@pytest.mark.parametrize("family", ["bmulti", "nb-constant", "nb-arbitrary",
+                                    "hmincut", "kcut"])
+def test_every_walk_ends_at_a_draw_node(family):
+    # expand gives sample, draw and level nodes (merges resolve at the
+    # cache); every draw is a getrandbits rejection draw that can end, a
+    # k-cut draw is CPython's randrange(bound), a base subset draw is one
+    # getrandbits(live) call and a Karger walk stops with no draw
+    stops = 0
+    for shape in GRID:
+        walk = walk_families(grid_instance(shape))[family]
+        for _ in walk.runs(derive_rng(5, i) for i in range(2000)):
+            pass
+        for comps, node in walk.cache.values():
+            assert node[0] in ("sample", "draw", "level"), comps
+            if node[0] == "sample":
+                continue
+            for bound, bits in node[1]:
+                assert 0 < bound <= 1 << bits, comps
+                assert family != "kcut" or bits == bound.bit_length(), comps
+            if node[0] == "level":
+                assert node[2][0] == "sample", comps
+                continue
+            stops += 1
+            if family in ("bmulti", "nb-constant"):
+                assert node[1] == ((1 << len(comps), len(comps)),), comps
+            elif family != "kcut":
+                assert node[1] == (), comps
+    assert stops >= 10
+
+
+@pytest.mark.parametrize("family", ["bmulti", "nb-constant", "nb-arbitrary",
+                                    "hmincut", "kcut"])
+def test_a_dropped_walk_is_freed_at_once(family):
+    # no reference cycle holds a walk, its cache or its kept outcomes: a
+    # process that drops one walk and builds the next (a CLI call each)
+    # needs no garbage collection to reuse the memory
+    walk = walk_families(grid_instance(GRID[1]))[family]
+    for _ in walk.runs(derive_rng(5, i) for i in range(500)):
+        pass
+    assert walk.kept > 0
+    ref = weakref.ref(walk)
+    del walk
+    assert ref() is None
+
+
 def frozen_sample_step(node, comps, edge_masks, rng):
     """Successor of ``comps`` under one draw from a sample node."""
     idx = bisect_right(node[1], draw_below(rng, node[2]))
@@ -396,27 +456,15 @@ def frozen_run(walk, rng, cap):
             pending.append((node[3], comps, draw_raws(node[1], rng)))
             prev, prev_comps = node[2], comps
             comps = frozen_sample_step(prev, comps, masks, rng)
-        else:
+        else:  # a draw node
             break
-    entry = None
-    if tag == "base":
-        table = node[1]
-        bits = rng.getrandbits(len(comps))
-        out = table.get(bits)
-        if out is None:
-            out = table[bits] = node[2](side_mask(comps, bits))
-    elif tag == "terminal":
-        out = node[1]
-    elif tag == "draw":
-        entry = (node[2], comps, draw_raws(node[1], rng))
+    entry = (node[3], comps, draw_raws(node[1], rng))
     # innermost first: the outermost level whose coin comes up 0 survives
     for candidate in reversed(pending):
         if draw_below(rng, len(candidate[1])) == 0:
             entry = candidate
-    if entry is not None:
-        decode, comps, raws = entry
-        out = decode(comps, raws)
-    return out
+    decode, comps, raws = entry
+    return decode(comps, raws)
 
 
 @pytest.mark.parametrize("cap", [_engine._WALK_CACHE_CAP, 30],
@@ -438,16 +486,20 @@ def test_walk_run_matches_the_frozen_loop(monkeypatch, shape, family, cap):
 
 
 def mixed_walk(G):
-    """A k-cut walk whose draw nodes stop with a fixed outcome instead on
-    the states where vertex 1 has joined vertex 0: some runs stop at a draw
-    node and some at a terminal one, level candidates pending either way."""
+    """A k-cut walk whose draw nodes draw nothing and stop with a fixed
+    outcome instead on the states where vertex 1 has joined vertex 0: some
+    runs stop after draws and some with none, level candidates pending
+    either way."""
     walk = kcut_walk(G, 2, (1, 2))
     expand = walk.expand
+
+    def fixed(comps, raws):
+        return 0, False
 
     def mixed(comps, parent=None):
         node = expand(comps, parent)
         if node[0] == "draw" and comps[0] & 2:
-            return ("terminal", (0, False))
+            return ("draw", (), {}, fixed)
         return node
 
     walk.expand = mixed
@@ -523,9 +575,10 @@ def test_links_are_the_cache_entries(monkeypatch, shape, family, cap):
 @pytest.mark.parametrize("family", ["bmulti", "nb-constant"])
 @pytest.mark.parametrize("seed", range(6))
 def test_base_outcomes_witness_by_the_problems_rule(family, seed):
-    # every subset a cached base node can draw: its cut crosses the side,
+    # every subset a cached base draw can make: its cut crosses the side,
     # and it is witnessed exactly when the side is proper (bmulti) and, for
-    # nb-constant, when it or its complement fits the node budget
+    # nb-constant, when it or its complement fits the node budget; so is
+    # every outcome the node has kept
     G = gen_random_instance(8, 12, 3, 2, 1, max_cost=4, max_weight=4,
                             seed=80 + seed, positive_weights=True)
     weight = [w[0] for w in G.vertex_weights]
@@ -541,10 +594,13 @@ def test_base_outcomes_witness_by_the_problems_rule(family, seed):
         walk = nb_constant_walk(G, (budget,))
     for i in range(300):
         walk.run(derive_rng(seed, i))
-    checked = complement_only = 0
-    for comps, (_, node) in walk.cache.items():
-        if node[0] != "base":
+    checked = complement_only = kept = 0
+    for comps, (key, node) in walk.cache.items():
+        if node[0] != "draw":
             continue
+        assert node[1] == ((1 << len(key), len(key)),), key
+        # a merge state's entry is its target's: its decoder, read on the
+        # sides of the unmerged components
         for bits in range(1 << len(comps)):
             side = sum(c for i, c in enumerate(comps) if bits >> i & 1)
             proper = 0 != side != full
@@ -555,7 +611,10 @@ def test_base_outcomes_witness_by_the_problems_rule(family, seed):
                 witnessed = proper
             cut = sum(1 << eid for eid, e in enumerate(G.edges)
                       if {side >> v & 1 for v in e} == {0, 1})
-            assert node[2](side) == (cut, witnessed), (comps, bits)
+            assert node[3](comps, [bits]) == (cut, witnessed), (comps, bits)
+            if key is comps and (bits,) in node[2]:
+                assert node[2][bits,] == (cut, witnessed), (comps, bits)
+                kept += 1
             checked += 1
-    assert checked >= 100
+    assert checked >= 100 and kept >= 50
     assert family == "bmulti" or complement_only > 0

@@ -160,11 +160,12 @@ TERMINAL_STARTS = {
 @pytest.mark.parametrize("case", sorted(TERMINAL_STARTS))
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_estimate_counts_a_terminal_start_without_walking(case, jobs):
-    # a terminal start is walked like any other: every trial stops at once
-    # with the start's fixed outcome, which each trial counts
+    # a terminal start is walked like any other: every trial stops at once,
+    # at a draw node with no draws, with the start's fixed outcome, which
+    # each trial counts
     G, algorithm, kwargs, make_walk, oracle = TERMINAL_STARTS[case]
     walk = make_walk(G)
-    assert walk.expand(walk.start)[0] == "terminal"
+    assert walk.expand(walk.start)[:2] == ("draw", ())
     want = _walked_report(algorithm, G, walk, oracle(G), 1000, 5)
     assert estimate(G, algorithm, seed=5, jobs=jobs, **kwargs) == want
 

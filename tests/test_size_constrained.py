@@ -6,11 +6,13 @@ from itertools import product
 
 import pytest
 
-from hypercuts import size_constrained
+from hypercuts import _engine
 from hypercuts._engine import initial_comps
 from hypercuts.analysis import gen_random_instance
 from hypercuts.hypergraph import (Cut, Hypergraph, InstanceError, INFEASIBLE,
                                   delta_partition)
+from hypercuts.multiobjective import bmulti_walk
+from hypercuts.node_budgeted import hmincut_walk, nb_constant_walk
 from hypercuts.oracle import oracle_kcut
 from hypercuts.sampling import derive_rng
 from hypercuts.size_constrained import _picks, kcut_walk, success_floor_size
@@ -233,31 +235,51 @@ def outcome_memo(walk):
     raise AssertionError("no outcome memo")
 
 
-def outcome_entries(walk):
-    """The entries of the walk's outcome memo and of its base states'
-    tables: the dict each cached draw node's decoder is bound to first."""
-    tables = [node[2].args[0] for _, node in walk.cache.values()
-              if node[0] == "draw"]
-    held = {id(t): len(t) for t in tables if isinstance(t, dict)}
-    return len(outcome_memo(walk)) + sum(held.values())
+def outcome_entries(walk, memo):
+    """The outcomes ``walk`` holds: the entries of ``memo`` and of its
+    cached draw nodes' tables (a merge state's entry is its target's)."""
+    tables = {id(node[2]): len(node[2]) for _, node in walk.cache.values()
+              if node[0] == "draw"}
+    return len(memo) + sum(tables.values())
 
 
-@pytest.mark.parametrize("G, k, sizes, weighted",
-                         [shape[1:5] for shape in SHAPES if shape[0] != "n<k"],
-                         ids=[shape[0] for shape in SHAPES if shape[0] != "n<k"])
-def test_outcome_memo_cap_changes_no_run(G, k, sizes, weighted, monkeypatch):
-    uncapped = kcut_walk(G, k, sizes, weighted)
+def capped_walks():
+    """``(id, make, family)`` per walk of the outcome cap test: each k-cut
+    shape that reaches a draw, a bmulti walk at the shape that held 88,739
+    base outcomes after 200,000 runs, and a node-budgeted and a min-cut walk
+    whose starts merge or stop at many states."""
+    budgeted = gen_random_instance(10, 20, 3, 1, 1, max_weight=4, seed=6,
+                                   positive_weights=True)
+    return [(shape[0], lambda shape=shape: kcut_walk(*shape[1:5]), "kcut")
+            for shape in SHAPES if shape[0] != "n<k"] + [
+        ("bmulti", lambda: bmulti_walk(gen_random_instance(
+            14, 30, 4, 3, 0, max_cost=8, seed=1), (20, 20)), "bmulti"),
+        ("nb-constant", lambda: nb_constant_walk(budgeted, (3,)),
+         "nb-constant"),
+        ("min-cut", lambda: hmincut_walk(budgeted), "min-cut"),
+    ]
+
+
+@pytest.mark.parametrize("make, family", [w[1:] for w in capped_walks()],
+                         ids=[w[0] for w in capped_walks()])
+def test_outcome_memo_cap_changes_no_run(make, family, monkeypatch):
+    # one cap bounds every outcome a walk keeps, a k-cut walk's labelling
+    # memo and every draw node's table together, and changes no run
+    def memo(walk):
+        return outcome_memo(walk) if family == "kcut" else {}
+
+    uncapped = make()
     want = []
     for i in range(2000):
         rng = derive_rng(72, i)
         want.append((uncapped.run(rng), rng.getstate()))
+    assert uncapped.kept == outcome_entries(uncapped, memo(uncapped)) > 4
     cap = 4
-    monkeypatch.setattr(size_constrained, "_OUTCOME_CAP", cap)
-    capped = kcut_walk(G, k, sizes, weighted)
+    monkeypatch.setattr(_engine, "_OUTCOME_CAP", cap)
+    capped = make()
     for i in range(2000):
         rng = derive_rng(72, i)
         assert (capped.run(rng), rng.getstate()) == want[i], i
-        assert outcome_entries(capped) <= cap
-    # the memo and the base tables share the cap, which is reached wherever
-    # more outcomes were stored than it holds
-    assert outcome_entries(capped) == min(cap, outcome_entries(uncapped))
+        assert capped.kept == outcome_entries(capped, memo(capped)) <= cap
+    # the cap is reached wherever more outcomes were kept than it holds
+    assert capped.kept == min(cap, uncapped.kept)

@@ -64,8 +64,11 @@ MUTANTS = [
     # a weightless min-cut or arbitrary-rank state stops with every present
     # edge, which is no cut when a zero-cost edge spans only some components
     ("min-cut-stop-present-edges", "node_budgeted.py",
-     "delta_mask(masks, feasible[0], full)",
-     "sum(1 << eid for eid in present)", False),
+     "return delta_mask(masks, c, full), True",
+     "return sum(1 << eid for eid, em in enumerate(masks)\n"
+     "                           if any(em & x and em & ~x\n"
+     "                                  for x in comps)), True",
+     False),
     ("bmulti-ties-to-highest", "multiobjective.py",
      "key=lambda j: (-sizes[j], j)", "key=lambda j: (-sizes[j], -j)", False),
     ("nb-constant-no-fitting-complement", "node_budgeted.py",
@@ -117,10 +120,15 @@ MUTANTS = [
     ("kcut-rest-labelled-0", "size_constrained.py",
      "label_masks[k - 1] |= full & ~picked",
      "label_masks[0] |= full & ~picked", False),
-    # every base state reads and fills the one dict of the decoder's
-    # function object, so a draw replays another state's outcome
+    # every draw node reads and fills one table, the dict of the base
+    # decoder's function object, so a draw replays another state's outcome
     ("kcut-base-table-shared", "size_constrained.py",
-     "partial(based, {})", "partial(based, based.__dict__)", False),
+     "return (\"draw\", draws[live], {}, decode)",
+     "return (\"draw\", draws[live], labelled.__dict__, decode)", False),
+    # the labelling memo keeps through the walk itself, a reference cycle:
+    # a dropped k-cut walk waits for the garbage collector
+    ("kcut-memo-strong-owner", "size_constrained.py",
+     "owner = proxy(walk)", "owner = walk", False),
     # the pipeline's front keeps a cut that another beats only on the
     # leading criteria, at an equal last cost
     ("pareto-front-beats-last", "multiobjective.py",
@@ -165,13 +173,22 @@ MUTANTS = [
     ("best-of-n-ties-to-latest", "harness.py",
      "(best_val is None or val < best_val)",
      "(best_val is None or val <= best_val)", False),
-    # a walk that stops at no draw node and keeps no level candidate
-    # decodes the entry an earlier walk of the same call stopped at
-    ("runs-stopped-not-reset", "_engine.py",
+    # a walk whose level candidates all fail decodes the candidate that
+    # survived in an earlier walk of the same call
+    ("runs-survivor-not-reset", "_engine.py",
      "        for rng in rngs:\n"
-     "            stopped = None  # the draw node's candidate, or the survivor\n",
-     "        stopped = None\n"
+     "            survivor = None  # the level candidate that replaces the "
+     "outcome\n",
+     "        survivor = None\n"
      "        for rng in rngs:\n", False),
+    # the outcome kept at the draw node stands although a level candidate
+    # survives
+    ("draw-survivor-ignored", "_engine.py",
+     "if survivor is None:", "if True:", False),
+    # a subset draw asks for one bit more, so half its calls are rejected:
+    # the same law from other generator calls
+    ("subset-draw-extra-bit", "_engine.py",
+     "((1 << live, live),)", "((1 << live, live + 1),)", False),
     # past the cap a link keeps an uncached successor alive; outputs stay
     # the same, the bound on memory does not
     ("walk-link-uncached", "_engine.py",
