@@ -13,17 +13,17 @@ five share four rules.  An algorithm supplies them as an
 visited state as an entry ``(comps, node)``.  ``expand`` may also return
 ``("merge", target)``: the state moves to ``target`` without drawing.  A
 merge is resolved at the cache, not in the walk: the state's entry is
-``target``'s own (expanded from scratch on a miss), cached under both keys
-while the cache is under cap, so a link to the state leads straight to
-``target``.  A walk's node is one of
+``target``'s own (expanded from scratch on a miss), cached under the
+state's key too once it is cached under ``target``, so a link to the state
+leads straight to ``target``.  A walk's node is one of
 
 * ``("sample", cum, total, eids, nexts, counts, labels)`` - contract edge
   ``eids[i]`` with probability proportional to its weight (``cum`` holds the
   prefix sums); ``eids`` lists every present edge in id order, zero-weight
   ones included; ``nexts[i]`` links the successor after ``eids[i]`` on
   first use: the successor's cache entry itself, so a warm step hashes no
-  tuple, and only once that entry is cached, so past the cap a link keeps
-  nothing alive; ``counts`` (aligned with ``eids``) and ``labels``
+  tuple, and only once that entry is cached, so past the budget a link
+  keeps nothing alive; ``counts`` (aligned with ``eids``) and ``labels``
   (aligned with ``comps``) are the state's ``expansion`` data, each
   compact or None;
 * ``("draw", draws, table, decode)`` - make the draws ``raws`` and stop with
@@ -51,8 +51,9 @@ Every walk stops at a draw node.  The candidates pushed by level nodes
 (only the k-cut walk has them) are then resolved innermost first: each
 replaces the outcome with probability 1/live, live its state's component
 count.  Only the survivor is decoded, or, when none survives, the draw
-node's draws if its table misses them.  ``Walk.keep`` stores every outcome
-a walk keeps, in tables and decoders' memos alike, up to ``_OUTCOME_CAP``.
+node's draws if its table misses them.  ``Walk.keep`` is a walk's only
+store: a state at 1 slot plus its node's length, a merge alias, draw-table
+entry or k-cut memo entry at 1, within ``_CACHE_SLOTS`` slots per walk.
 
 An outcome is ``(cut edge-bitmask, witnessed)`` or ``INFEASIBLE``.
 ``witnessed`` records whether the cut comes from a witness the problem's
@@ -275,12 +276,10 @@ def sample_node(eids, weights, counts=None, labels=None):
     return ("sample", cum, cum[-1], eids, [None] * len(eids), counts, labels)
 
 
-# Cap on the states one walk caches.  Past it a state's node is built, used
-# and dropped, so a long run on a large instance stays in bounded memory.
-_WALK_CACHE_CAP = 1 << 14
-
-# Cap on the outcomes one walk keeps (``Walk.keep``); past it, recomputed.
-_OUTCOME_CAP = 1 << 16
+# Slots one walk fills through ``Walk.keep``: a state 1 + its node's length
+# (~59 B per present-edge slot), anything else 1 (an outcome ~200 B), so a
+# walk holds ~200 MiB at worst; 2^20 is 6x the largest bench walk's 172,817.
+_CACHE_SLOTS = 1 << 20
 
 
 class Walk:
@@ -297,26 +296,28 @@ class Walk:
         self.value = value
         self.floor = floor
         self.cache: dict[tuple, tuple] = {}  # comps -> its entry
-        self.kept = 0  # outcomes stored by keep, up to _OUTCOME_CAP
+        self.room = _CACHE_SLOTS  # slots left for keep to fill
 
     def _entry(self, comps, parent=None):
         """The entry of ``comps``: the cache's, or one expanded (from
-        ``parent``) and stored while the cache is under cap.  A merge state's
-        entry is its target's own, so no walk steps on a merge node."""
+        ``parent``) and kept.  A merge state's entry is its target's own, kept
+        at one slot once the target's is, so no walk steps on a merge node."""
         entry = self.cache.get(comps)
         if entry is None:
             node = self.expand(comps, parent)
-            entry = (self._entry(node[1]) if node[0] == "merge"
-                     else (comps, node))
-            if len(self.cache) < _WALK_CACHE_CAP:
-                self.cache[comps] = entry
+            if node[0] == "merge":
+                entry = self._entry(node[1])
+                return (self.keep(self.cache, comps, entry)
+                        if node[1] in self.cache else entry)
+            size = len((node[2] if node[0] == "level" else node)[1])
+            entry = self.keep(self.cache, comps, (comps, node), 1 + size)
         return entry
 
-    def keep(self, table, key, out):
-        """``out``, stored in ``table`` under ``key`` below the cap."""
-        if self.kept < _OUTCOME_CAP:
+    def keep(self, table, key, out, slots=1):
+        """``out``, stored in ``table`` under ``key`` if ``slots`` are left."""
+        if slots <= self.room:
             table[key] = out
-            self.kept += 1
+            self.room -= slots
         return out
 
     def run(self, rng):
@@ -326,9 +327,7 @@ class Walk:
     def runs(self, rngs):
         """One walk per generator in ``rngs``, each from the singleton
         partition; yields each walk's outcome."""
-        cache = self.cache
-        masks = self.masks
-        entry_of = self._entry
+        cache, masks, entry_of = self.cache, self.masks, self._entry
         head = entry_of(self.start)
         for rng in rngs:
             survivor = None  # the level candidate that replaces the outcome

@@ -14,7 +14,7 @@ partial Fisher-Yates shuffle of its components and a label per pick, the
 base case a label per component.  The engine decodes only the labelling
 that survives on the way back up, or the draw the walk stopped at: one pass
 over the picks gives its k label masks, whose outcome is memoised by the
-masks through ``Walk.keep``, under the engine's ``_OUTCOME_CAP``.
+masks through ``Walk.keep``, within the walk's ``_CACHE_SLOTS`` budget.
 """
 
 from __future__ import annotations

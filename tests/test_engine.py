@@ -21,6 +21,7 @@ from hypercuts.node_budgeted import (hmincut_walk, nb_arbitrary_walk,
                                      success_floor_node,
                                      success_floor_node_arbitrary)
 from hypercuts.size_constrained import _picks, kcut_walk, success_floor_size
+from test_size_constrained import held_slots, memo_of
 
 
 def test_side_mask_is_the_union_of_the_picked_components():
@@ -221,6 +222,9 @@ def comparable(node, comps):
 # samples only above rank * t components.  Costs run 0..4 and weights 1..4,
 # so ties, zero-cost edges and budget-violating components all occur.
 GRID = [(10, 14, 2, 3), (10, 14, 3, 2), (10, 12, 4, 2), (9, 12, 5, 1)]
+# a slot budget that every walk of these tests outgrows: past it a walk
+# keeps nothing more
+BUDGET = 200
 
 
 def grid_instance(shape):
@@ -360,18 +364,19 @@ def merging_start():
     lambda: nb_arbitrary_walk(merging_start(), (3,)),
 ], ids=["bmulti", "kcut", "nb-constant", "nb-arbitrary"])
 def test_walk_cache_cap_changes_no_outcome(monkeypatch, make):
-    # the node-budgeted walks merge at their start, so past the cap they
+    # the node-budgeted walks merge at their start, so past the budget they
     # also meet merge states whose entries are built anew on each visit
-    uncapped = make()
+    unbudgeted = make()
     rng = random.Random(8)
-    want = [(uncapped.run(rng), rng.getstate()) for _ in range(400)]
-    assert len(uncapped.cache) > 30
-    monkeypatch.setattr(_engine, "_WALK_CACHE_CAP", 30)
-    capped = make()
+    want = [(unbudgeted.run(rng), rng.getstate()) for _ in range(400)]
+    assert _engine._CACHE_SLOTS - unbudgeted.room > BUDGET
+    monkeypatch.setattr(_engine, "_CACHE_SLOTS", BUDGET)
+    budgeted = make()
     rng = random.Random(8)
     for expected in want:
-        assert (capped.run(rng), rng.getstate()) == expected
-        assert len(capped.cache) <= 30
+        assert (budgeted.run(rng), rng.getstate()) == expected
+        assert 0 <= budgeted.room
+    assert len(budgeted.cache) < len(unbudgeted.cache)
 
 
 @pytest.mark.parametrize("family", ["bmulti", "nb-constant", "nb-arbitrary",
@@ -413,10 +418,39 @@ def test_a_dropped_walk_is_freed_at_once(family):
     walk = walk_families(grid_instance(GRID[1]))[family]
     for _ in walk.runs(derive_rng(5, i) for i in range(500)):
         pass
-    assert walk.kept > 0
+    assert walk.room < _engine._CACHE_SLOTS
     ref = weakref.ref(walk)
     del walk
     assert ref() is None
+
+
+@pytest.mark.parametrize("family", ["bmulti", "nb-constant", "nb-arbitrary",
+                                    "hmincut", "kcut"])
+@pytest.mark.parametrize("shape", GRID, ids=lambda s: "n%d-m%d-r%d-t%d" % s)
+def test_the_budget_counts_what_a_walk_holds(monkeypatch, shape, family):
+    # the slots a walk has spent are the slots its structures hold, counted
+    # from them; under a budget of about half that, the walk holds no more
+    # than the budget and every outcome and generator state stays the same
+    G = grid_instance(shape)
+
+    def outcomes(walk):
+        rngs = [derive_rng(11, i) for i in range(2000)]
+        return [(out, rngs[i].getstate())
+                for i, out in enumerate(walk.runs(rngs))]
+
+    walk = walk_families(G)[family]
+    want = outcomes(walk)
+    used = _engine._CACHE_SLOTS - walk.room
+    assert held_slots(walk, memo_of(walk, family)) == used
+    budget = used // 2
+    monkeypatch.setattr(_engine, "_CACHE_SLOTS", budget)
+    walk = walk_families(G)[family]
+    assert outcomes(walk) == want
+    # no store ever drops an entry, so what the walk holds at the end is
+    # the most it held; slots spent on the table of a draw node that was
+    # not cached are held by nothing
+    assert held_slots(walk, memo_of(walk, family)) <= budget - walk.room
+    assert walk.room >= 0
 
 
 def frozen_sample_step(node, comps, edge_masks, rng):
@@ -429,60 +463,81 @@ def frozen_sample_step(node, comps, edge_masks, rng):
     return nxt
 
 
-def frozen_run(walk, rng, cap):
+def frozen_entry(walk, comps, parent=None):
+    """``(comps, node)`` of ``comps`` from ``walk.cache``, or expanded and
+    stored through ``walk.keep`` at the slots ``Walk`` charges: one plus the
+    node's length (the nested sample's for a level node), or for a merge
+    state its target's entry, stored first, and then one slot if the target
+    is cached."""
+    entry = walk.cache.get(comps)
+    if entry is not None:
+        return entry
+    node = walk.expand(comps, parent)
+    if node[0] == "merge":
+        entry = frozen_entry(walk, node[1])
+        if node[1] in walk.cache:
+            walk.keep(walk.cache, comps, entry)
+        return entry
+    sample = node[2] if node[0] == "level" else node
+    return walk.keep(walk.cache, comps, (comps, node), 1 + len(sample[1]))
+
+
+def frozen_run(walk, rng):
     """``Walk.run`` written plainly, its sample step the function
-    ``frozen_sample_step`` and its draws ``draw_raws``, caching at most
-    ``cap`` states."""
-    comps = walk.start
-    cache = walk.cache
+    ``frozen_sample_step``, its draws ``draw_raws`` and its store
+    ``frozen_entry`` and ``walk.keep``."""
+    comps, node = frozen_entry(walk, walk.start)
     masks = walk.masks
     pending = []
-    prev = prev_comps = None
     while True:
-        node = cache.get(comps)
-        if node is None:
-            node = walk.expand(
-                comps, None if prev is None else (prev, prev_comps))
-            if len(cache) < cap:
-                cache[comps] = node
         tag = node[0]
         if tag == "sample":
-            prev, prev_comps = node, comps
-            comps = frozen_sample_step(node, comps, masks, rng)
-        elif tag == "merge":
-            prev = None
-            comps = node[1]
+            nxt = frozen_sample_step(node, comps, masks, rng)
+            comps, node = frozen_entry(walk, nxt, (node, comps))
         elif tag == "level":
             pending.append((node[3], comps, draw_raws(node[1], rng)))
-            prev, prev_comps = node[2], comps
-            comps = frozen_sample_step(prev, comps, masks, rng)
+            sample = node[2]
+            nxt = frozen_sample_step(sample, comps, masks, rng)
+            comps, node = frozen_entry(walk, nxt, (sample, comps))
         else:  # a draw node
             break
-    entry = (node[3], comps, draw_raws(node[1], rng))
+    raws = draw_raws(node[1], rng)
+    survivor = None
     # innermost first: the outermost level whose coin comes up 0 survives
     for candidate in reversed(pending):
         if draw_below(rng, len(candidate[1])) == 0:
-            entry = candidate
-    decode, comps, raws = entry
-    return decode(comps, raws)
+            survivor = candidate
+    if survivor is not None:
+        decode, comps, raws = survivor
+        return decode(comps, raws)
+    # the draw node's own outcome, stored in its table on a miss
+    out = node[3](comps, raws)
+    table, key = node[2], tuple(raws)
+    if key in table:
+        assert table[key] == out
+    else:
+        walk.keep(table, key, out)
+    return out
 
 
-@pytest.mark.parametrize("cap", [_engine._WALK_CACHE_CAP, 30],
-                         ids=["uncapped", "capped-30"])
+@pytest.mark.parametrize("budget", [_engine._CACHE_SLOTS, BUDGET],
+                         ids=["unbudgeted", "budget-%d" % BUDGET])
 @pytest.mark.parametrize("family", ["bmulti", "nb-constant", "nb-arbitrary",
                                     "hmincut", "kcut"])
 @pytest.mark.parametrize("shape", GRID, ids=lambda s: "n%d-m%d-r%d-t%d" % s)
-def test_walk_run_matches_the_frozen_loop(monkeypatch, shape, family, cap):
-    # the same outcome from the same generator calls, run after run, on a
-    # warm walk and on one whose cache fills up
+def test_walk_run_matches_the_frozen_loop(monkeypatch, shape, family, budget):
+    # the same outcome from the same generator calls, run after run, and the
+    # same states kept in the same order, on a warm walk and on one whose
+    # budget fills up
     G = grid_instance(shape)
-    monkeypatch.setattr(_engine, "_WALK_CACHE_CAP", cap)
+    monkeypatch.setattr(_engine, "_CACHE_SLOTS", budget)
     walk, reference = walk_families(G)[family], walk_families(G)[family]
     for i in range(300):
         a, b = derive_rng(7, i), derive_rng(7, i)
-        assert walk.run(a) == frozen_run(reference, b, cap), i
+        assert walk.run(a) == frozen_run(reference, b), i
         assert a.getstate() == b.getstate(), i
-    assert len(walk.cache) == min(cap, len(reference.cache))
+    assert list(walk.cache) == list(reference.cache)
+    assert walk.room == reference.room >= 0
 
 
 def mixed_walk(G):
@@ -514,16 +569,17 @@ RUNS_FAMILIES = ["bmulti", "nb-constant", "nb-arbitrary", "hmincut", "kcut",
                  "mixed"]
 
 
-@pytest.mark.parametrize("cap", [_engine._WALK_CACHE_CAP, 30],
-                         ids=["uncapped", "capped-30"])
+@pytest.mark.parametrize("budget", [_engine._CACHE_SLOTS, BUDGET],
+                         ids=["unbudgeted", "budget-%d" % BUDGET])
 @pytest.mark.parametrize("family", RUNS_FAMILIES)
 @pytest.mark.parametrize("shape", GRID, ids=lambda s: "n%d-m%d-r%d-t%d" % s)
-def test_runs_equals_one_run_per_generator(monkeypatch, shape, family, cap):
+def test_runs_equals_one_run_per_generator(monkeypatch, shape, family,
+                                           budget):
     # runs(rngs) is run(rng) once per generator: the same outcome and
     # generator state after every walk and the same states cached, whether
     # the walks share one generator or each has its own
     G = grid_instance(shape)
-    monkeypatch.setattr(_engine, "_WALK_CACHE_CAP", cap)
+    monkeypatch.setattr(_engine, "_CACHE_SLOTS", budget)
     single, batched = runs_families(G)[family], runs_families(G)[family]
     rng = random.Random(4)
     want = [(single.run(rng), rng.getstate()) for _ in range(300)]
@@ -538,20 +594,20 @@ def test_runs_equals_one_run_per_generator(monkeypatch, shape, family, cap):
     assert [(out, rngs[i].getstate())
             for i, out in enumerate(batched.runs(rngs))] == want
     assert list(batched.cache) == list(single.cache)
-    assert len(batched.cache) <= cap
+    assert batched.room == single.room >= 0
 
 
-@pytest.mark.parametrize("cap", [_engine._WALK_CACHE_CAP, 30],
-                         ids=["uncapped", "capped-30"])
+@pytest.mark.parametrize("budget", [_engine._CACHE_SLOTS, BUDGET],
+                         ids=["unbudgeted", "budget-%d" % BUDGET])
 @pytest.mark.parametrize("family", RUNS_FAMILIES)
 @pytest.mark.parametrize("shape", GRID[:2],
                          ids=lambda s: "n%d-m%d-r%d-t%d" % s)
-def test_links_are_the_cache_entries(monkeypatch, shape, family, cap):
+def test_links_are_the_cache_entries(monkeypatch, shape, family, budget):
     # a sample node's successor link is the successor's own cache entry,
     # never a copy of it, and no link keeps an uncached state alive; a merge
     # state's entry is its target's own entry
     G = grid_instance(shape)
-    monkeypatch.setattr(_engine, "_WALK_CACHE_CAP", cap)
+    monkeypatch.setattr(_engine, "_CACHE_SLOTS", budget)
     walk = runs_families(G)[family]
     for _ in walk.runs(derive_rng(3, i) for i in range(600)):
         pass

@@ -145,6 +145,19 @@ def test_every_outcome_on_zero_cost_instances_is_a_cut():
     assert checked >= 1000
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16")
+def test_every_zero_cost_min_cut_meets_the_floor():
+    # the oracle's three min cuts of this instance all cost 0, and the floor
+    # 1/28 promises each of them; the min-cut walk stops at a weightless
+    # state by cutting off its first component, so it never returns (15,)
+    G = gen_random_instance(8, 16, 3, 1, 0, max_cost=2, seed=805)
+    assert oracle_min_cut(build_catalog(G)) == (0, {
+        Cut((15,)), Cut((4, 8, 13)), Cut((4, 8, 13, 15))})
+    report = estimate(G, "hmincut", fixed_target=Cut((15,)))
+    assert report.trials == 1000 and report.floor == Fraction(1, 28)
+    assert report.passed
+
+
 def test_nb_constant_two_vertex_base():
     G = Hypergraph(2, [(0, 1)], [(1,)], [(1,), (1,)])
     walk = nb_constant_walk(G, (5,))

@@ -243,8 +243,31 @@ def outcome_entries(walk, memo):
     return len(memo) + sum(tables.values())
 
 
+def state_slots(key, entry):
+    """The slots of the cache entry ``entry`` under ``key``: one for a merge
+    alias, else one plus its node's length (the nested sample's for a level
+    node)."""
+    comps, node = entry
+    if key != comps:
+        return 1
+    return 1 + len((node[2] if node[0] == "level" else node)[1])
+
+
+def memo_of(walk, family):
+    """The labelling memo of a k-cut walk, an empty dict for the others."""
+    return outcome_memo(walk) if family == "kcut" else {}
+
+
+def held_slots(walk, memo):
+    """The slots ``walk``'s structures hold, counted the way ``Walk.keep``
+    charges them: its cache entries' and one per outcome in ``memo`` or in a
+    cached draw node's table."""
+    return (sum(state_slots(key, entry) for key, entry in walk.cache.items())
+            + outcome_entries(walk, memo))
+
+
 def capped_walks():
-    """``(id, make, family)`` per walk of the outcome cap test: each k-cut
+    """``(id, make, family)`` per walk of the outcome budget test: each k-cut
     shape that reaches a draw, a bmulti walk at the shape that held 88,739
     base outcomes after 200,000 runs, and a node-budgeted and a min-cut walk
     whose starts merge or stop at many states."""
@@ -263,23 +286,30 @@ def capped_walks():
 @pytest.mark.parametrize("make, family", [w[1:] for w in capped_walks()],
                          ids=[w[0] for w in capped_walks()])
 def test_outcome_memo_cap_changes_no_run(make, family, monkeypatch):
-    # one cap bounds every outcome a walk keeps, a k-cut walk's labelling
-    # memo and every draw node's table together, and changes no run
-    def memo(walk):
-        return outcome_memo(walk) if family == "kcut" else {}
-
-    uncapped = make()
+    # one slot budget bounds everything a walk keeps, its states, a k-cut
+    # walk's labelling memo and every draw node's table together, and
+    # changes no run
+    unbudgeted = make()
     want = []
     for i in range(2000):
         rng = derive_rng(72, i)
-        want.append((uncapped.run(rng), rng.getstate()))
-    assert uncapped.kept == outcome_entries(uncapped, memo(uncapped)) > 4
-    cap = 4
-    monkeypatch.setattr(_engine, "_OUTCOME_CAP", cap)
-    capped = make()
+        want.append((unbudgeted.run(rng), rng.getstate()))
+    used = _engine._CACHE_SLOTS - unbudgeted.room
+    memo = memo_of(unbudgeted, family)
+    outcomes = outcome_entries(unbudgeted, memo)
+    assert used == held_slots(unbudgeted, memo) and outcomes > 4
+    budget = used - outcomes + 4  # the states' slots and four outcomes
+    monkeypatch.setattr(_engine, "_CACHE_SLOTS", budget)
+    budgeted = make()
     for i in range(2000):
         rng = derive_rng(72, i)
-        assert (capped.run(rng), rng.getstate()) == want[i], i
-        assert capped.kept == outcome_entries(capped, memo(capped)) <= cap
-    # the cap is reached wherever more outcomes were kept than it holds
-    assert capped.kept == min(cap, uncapped.kept)
+        assert (budgeted.run(rng), rng.getstate()) == want[i], i
+        assert (held_slots(budgeted, memo_of(budgeted, family))
+                <= budget - budgeted.room <= budget)
+    # the budget is reached: a state met on the same runs is left out only
+    # when it needs more slots than are left, and with every state kept the
+    # outcomes it leaves out (budget < used) left no slot
+    left_out = [state_slots(key, entry)
+                for key, entry in unbudgeted.cache.items()
+                if key == entry[0] and key not in budgeted.cache]
+    assert budgeted.room < min(left_out, default=1)

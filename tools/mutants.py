@@ -189,7 +189,7 @@ MUTANTS = [
     # the same law from other generator calls
     ("subset-draw-extra-bit", "_engine.py",
      "((1 << live, live),)", "((1 << live, live + 1),)", False),
-    # past the cap a link keeps an uncached successor alive; outputs stay
+    # past the budget a link keeps an uncached successor alive; outputs stay
     # the same, the bound on memory does not
     ("walk-link-uncached", "_engine.py",
      "if cache.get(nxt) is link:  # only a cached entry",
@@ -197,9 +197,19 @@ MUTANTS = [
     # a merge state's entry pairs its target's node with the components
     # before the merge, so the walk goes on from the unmerged partition
     ("walk-merge-entry-pre-merge-comps", "_engine.py",
-     "entry = (self._entry(node[1]) if node[0] == \"merge\"",
-     "entry = ((comps, self._entry(node[1])[1]) if node[0] == \"merge\"",
-     False),
+     "entry = self._entry(node[1])",
+     "entry = (comps, self._entry(node[1])[1])", False),
+    # a merge alias is kept when its target is not, so it holds an uncached
+    # node that no slot pays for
+    ("walk-merge-alias-uncached-target", "_engine.py",
+     "if node[1] in self.cache else entry)", "if True else entry)", False),
+    # keep stores past the budget: outputs stay the same, the bound does not
+    ("walk-budget-unenforced", "_engine.py",
+     "if slots <= self.room:", "if True:", False),
+    # a state costs one slot whatever its node holds, so the budget counts
+    # states again and bounds no memory
+    ("walk-state-charged-one-slot", "_engine.py",
+     "self.room -= slots", "self.room -= 1", False),
     # the criterion-8 generator never draws n = gamma + 8
     ("lemma-lp-sweep-narrow-n", "analysis.py",
      "n = gamma + rng.randrange(0, 9)", "n = gamma + rng.randrange(0, 8)",
